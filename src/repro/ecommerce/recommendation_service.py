@@ -1,0 +1,243 @@
+"""The recommendation service a buyer agent server attaches to its host.
+
+:class:`RecommendationService` wires the recommendation engines of
+:mod:`repro.core` to one server's UserDB; the BRA fetches it from its host
+whenever it needs to generate recommendation information (§3.3-2).
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, List, Optional
+
+from repro.core.cold_start import ColdStartPolicy, ColdStartStrategy
+from repro.core.cross_sell import CrossSellRecommender
+from repro.core.hybrid import AgentHybridRecommender
+from repro.core.information_filtering import InformationFilteringRecommender
+from repro.core.items import Item, ItemCatalogView
+from repro.core.neighbors import ProfileNeighborIndex
+from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommender
+from repro.core.profile import Profile
+from repro.core.profile_learning import ProfileLearner
+from repro.core.recommender import Recommendation, RecommendationEngine
+from repro.core.scoring import resolve_backend
+from repro.core.sharding import ShardedNeighborIndex
+from repro.core.similarity import SimilarityConfig
+from repro.ecommerce.databases import UserDB
+
+__all__ = ["RecommendationService"]
+
+
+class RecommendationService:
+    """Recommendation engines wired to the buyer agent server's databases.
+
+    The BRA fetches this service from its host whenever it needs to generate
+    recommendation information (§3.3-2), so the engines always see the latest
+    profiles and observational ratings in UserDB.
+    """
+
+    def __init__(
+        self,
+        user_db: UserDB,
+        catalog: ItemCatalogView,
+        similarity_config: Optional[SimilarityConfig] = None,
+        now: Optional[callable] = None,
+        profile_learner: Optional[ProfileLearner] = None,
+        neighbor_shards: int = 1,
+        shard_routing: str = "hash",
+        scoring_backend: str = "array",
+    ) -> None:
+        self.user_db = user_db
+        self.catalog = catalog
+        self.similarity_config = similarity_config or SimilarityConfig()
+        self.now = now if now is not None else (lambda: 0.0)
+        self.scoring_backend = resolve_backend(scoring_backend)
+        self.profile_learner = profile_learner
+
+        def profile_of(user_id: str) -> Optional[Profile]:
+            if not user_db.is_registered(user_id):
+                return None
+            return user_db.profile(user_id)
+
+        # Neighbor search runs against the precomputed index, kept in sync
+        # with UserDB by provider reconciliation and, when the learner is
+        # known, by precise per-consumer invalidation hooks.  With
+        # ``neighbor_shards > 1`` the index is partitioned: every shard owns
+        # an independent sub-index with norm-bound early termination, and
+        # queries fan out and merge — score-identical to the single index.
+        if neighbor_shards > 1:
+            self.neighbor_index = ShardedNeighborIndex(
+                provider=user_db.profiles,
+                config=self.similarity_config,
+                num_shards=neighbor_shards,
+                routing=shard_routing,
+                provider_version=user_db.profiles_version,
+                backend=self.scoring_backend,
+            )
+        else:
+            self.neighbor_index = ProfileNeighborIndex(
+                provider=user_db.profiles,
+                config=self.similarity_config,
+                provider_version=user_db.profiles_version,
+                backend=self.scoring_backend,
+            )
+        if profile_learner is not None:
+            self.neighbor_index.attach_to(profile_learner)
+
+        self.hybrid = AgentHybridRecommender(
+            ratings=user_db.ratings,
+            catalog=catalog,
+            profile_of=profile_of,
+            all_profiles=user_db.profiles,
+            similarity_config=self.similarity_config,
+            neighbor_index=self.neighbor_index,
+        )
+        self.information_filtering = InformationFilteringRecommender(catalog, profile_of)
+        self.popularity = PopularityRecommender(user_db.ratings, catalog)
+        # §5.2 future-work extensions: weekly hottest and tied-sale suggestions.
+        self.weekly_hottest = WeeklyHottestRecommender(
+            user_db.ratings, now=self.now, catalog=catalog
+        )
+        self.cross_sell = CrossSellRecommender(user_db.ratings, catalog)
+        self.cold_start = ColdStartPolicy(
+            strategy=ColdStartStrategy.CONTENT_THEN_POPULARITY,
+            content_recommender=self.information_filtering,
+            popularity_recommender=self.popularity,
+        )
+        self.engine = RecommendationEngine(
+            primary=self.hybrid,
+            ratings=user_db.ratings,
+            fallback=self.popularity,
+        )
+        self._batch_cache: Dict[str, List[Recommendation]] = {}
+        self._batch_cache_k: Dict[str, int] = {}
+        self._invalidation_enabled = False
+        self.cache_invalidations = 0
+        self.last_batch_refresh_at: Optional[float] = None
+
+    def recommend(
+        self, user_id: str, k: int = 10, category: Optional[str] = None
+    ) -> List[Recommendation]:
+        """Recommendations for ``user_id`` (hybrid with popularity fallback)."""
+        return self.engine.recommend(user_id, k=k, category=category)
+
+    def recommend_many(
+        self, user_ids: Iterable[str], k: int = 10, category: Optional[str] = None
+    ) -> Dict[str, List[Recommendation]]:
+        """Batch recommendations — identical output to per-user ``recommend``."""
+        return self.engine.recommend_many(user_ids, k=k, category=category)
+
+    def batch_refresh(
+        self, user_ids: Iterable[str], k: int = 10
+    ) -> Dict[str, List[Recommendation]]:
+        """Recompute and cache recommendation lists for a set of consumers.
+
+        The cache feeds :meth:`cached_recommendations` (e.g. instant lists on
+        login); on-demand :meth:`recommend` calls always compute fresh.
+        """
+        results = self.recommend_many(user_ids, k=k)
+        # Cache copies: callers may reorder/extend the returned lists freely
+        # without corrupting what cached_recommendations serves later.
+        for user_id, recs in results.items():
+            self._batch_cache[user_id] = list(recs)
+            self._batch_cache_k[user_id] = k
+        self.last_batch_refresh_at = self.now()
+        return results
+
+    def cached_recommendations(
+        self, user_id: str, k: Optional[int] = None
+    ) -> Optional[List[Recommendation]]:
+        """The last batch-refreshed list for ``user_id`` (None when absent).
+
+        With ``k`` the entry only qualifies when it was refreshed at exactly
+        that list length — a cache hit must be byte-identical to a fresh
+        ``recommend(user_id, k=k)``, and a list computed at a different ``k``
+        is not a prefix/extension guarantee this cache is willing to make.
+        """
+        cached = self._batch_cache.get(user_id)
+        if cached is None:
+            return None
+        if k is not None and self._batch_cache_k.get(user_id) != k:
+            return None
+        return list(cached)
+
+    def invalidate_cached(self, user_id: str) -> None:
+        """Drop ``user_id``'s batch-refreshed list (no-op when absent)."""
+        if self._batch_cache.pop(user_id, None) is not None:
+            self.cache_invalidations += 1
+        self._batch_cache_k.pop(user_id, None)
+
+    def enable_batch_invalidation(self) -> None:
+        """Keep the batch cache honest under writes (gateway envelope cache).
+
+        Registers two precise per-consumer invalidation paths:
+
+        - a :class:`ProfileLearner` update hook, so in-place learning updates
+          (ratings/feedback applied to a profile) drop that consumer's entry;
+        - a UserDB mutation listener, so durable writes that *don't* flow
+          through the learner — recorded transactions, observational
+          interactions, wholesale profile replacement — drop it too.  A
+          purchase changes purchase-history-driven scores even when no
+          learning event fires, so listening to the learner alone would
+          serve stale lists.
+
+        Idempotent; only wired when a caller (the gateway, when
+        ``PlatformConfig.api_recommendation_cache`` is on) opts in, so the
+        default configuration keeps the PR-7 hook graph byte-identical.
+        """
+        if self._invalidation_enabled:
+            return
+        self._invalidation_enabled = True
+        # Entries cached before the hooks existed may already be stale in
+        # ways nobody recorded; drop them so only post-arming refreshes are
+        # ever eligible to serve.
+        self._batch_cache.clear()
+        self._batch_cache_k.clear()
+        if self.profile_learner is not None:
+            self.profile_learner.add_update_hook(self._on_learner_update)
+        self.user_db.add_mutation_listener(self._on_db_mutation)
+
+    def _on_learner_update(self, profile: Profile, event) -> None:
+        self.invalidate_cached(profile.user_id)
+
+    def _on_db_mutation(self, op: str, payload: Dict) -> None:
+        if op == "transaction":
+            self.invalidate_cached(payload["transaction"].user_id)
+        elif op == "interaction":
+            self.invalidate_cached(payload["interaction"].user_id)
+        elif op == "store-profile":
+            self.invalidate_cached(payload["profile"]["user_id"])
+        elif op == "unregister":
+            self.invalidate_cached(payload["user_id"])
+
+    def weekly_hottest_list(
+        self, k: int = 10, category: Optional[str] = None
+    ) -> List[Recommendation]:
+        """The weekly hottest merchandise (§5.2 future-work item 2)."""
+        return self.weekly_hottest.recommend("*community*", k=k, category=category)
+
+    def cross_sell_for(
+        self,
+        user_id: str,
+        k: int = 5,
+        category: Optional[str] = None,
+        basket: Optional[List[str]] = None,
+    ) -> List[Recommendation]:
+        """Tied-sale suggestions for an explicit basket or the purchase history."""
+        if basket:
+            return self.cross_sell.recommend_for_basket(
+                list(basket), k=k, category=category
+            )
+        return self.cross_sell.recommend(user_id, k=k, category=category)
+
+    def recommend_for_query(
+        self, user_id: str, query_items: List[Item], k: int = 10, extra: int = 5
+    ) -> List[Recommendation]:
+        """Rank live query results and append similar-consumer discoveries."""
+        known_items = [item for item in query_items if item.item_id in self.catalog]
+        unknown_items = [item for item in query_items if item.item_id not in self.catalog]
+        for item in unknown_items:
+            # Merchandise discovered at a marketplace but not yet in the local
+            # view becomes part of the recommendation catalogue from now on.
+            self.catalog.add(item)
+            known_items.append(item)
+        return self.hybrid.recommend_for_query(user_id, known_items, k=k, extra=extra)
