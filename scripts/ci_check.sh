@@ -192,34 +192,6 @@ for name, config in sorted(payload["configs"].items()):
           f"top-load shed {points[-1]['shed']}")
 PY
 
-echo "== tier-1: replicated failover scenario smoke (+ bounded WAL) =="
-python - <<'PY'
-from repro import build_platform
-from repro.workload.consumers import ConsumerPopulation
-from repro.workload.scenarios import ScenarioRunner
-
-platform = build_platform(seed=5, num_buyer_servers=3, replication_factor=1,
-                          replication_wal_truncate_threshold=32)
-runner = ScenarioRunner(platform, ConsumerPopulation(12, groups=3, seed=5), seed=5)
-report = runner.replicated_failover_day(sessions=24, refresh_interval_ms=1500.0)
-assert report.sessions == 24, report.as_dict()
-assert report.lost_consumers == 0, report.as_dict()
-assert report.recovered_purged == report.drained_consumers, report.as_dict()
-assert platform.metrics.counter("replication.entries_shipped").value > 0
-# Bounded WAL: snapshot + truncate was observed and every retained log stays
-# below a fixed entry bound (threshold + one anti-entropy interval of tail),
-# even though far more entries were appended over the whole day.
-assert platform.event_log.count("replication.wal-truncated") > 0
-appended = sum(s.replication.log.last_seq for s in platform.buyer_servers)
-retained = sum(len(s.replication.log) for s in platform.buyer_servers)
-for server in platform.buyer_servers:
-    assert len(server.replication.log) <= 96, (
-        server.name, len(server.replication.log))
-assert retained < appended, (retained, appended)
-print("replicated_failover_day: OK", report.as_dict())
-print(f"bounded WAL: {appended} entries appended, {retained} retained")
-PY
-
 echo "== tier-1: flash-crowd smoke (autoscaler must scale out on the spike, =="
 echo "==         drain back to the founding floor, and lose nobody)         =="
 python - <<'PY'
@@ -262,26 +234,6 @@ print("flash crowd smoke: OK —",
       f"fleet {d['fleet_sizes']}, epochs {d['epoch_trail']},",
       f"{d['transferred_consumers']} consumers migrated live, 0 lost;",
       "artifact bars hold")
-PY
-
-echo "== tier-1: promotion failover scenario smoke =="
-python - <<'PY'
-from repro import build_platform
-from repro.workload.consumers import ConsumerPopulation
-from repro.workload.scenarios import ScenarioRunner
-
-platform = build_platform(seed=5, num_buyer_servers=3, replication_factor=1,
-                          replication_wal_truncate_threshold=32)
-runner = ScenarioRunner(platform, ConsumerPopulation(12, groups=3, seed=5), seed=5)
-report = runner.promotion_failover_day(sessions=24, refresh_interval_ms=1500.0)
-assert report.sessions == 24, report.as_dict()
-assert report.lost_consumers == 0, report.as_dict()
-assert report.promoted_consumers > 0, report.as_dict()
-assert report.stale_shard_answers > 0, report.as_dict()
-assert report.recovered_purged == report.promoted_consumers, report.as_dict()
-assert len(platform.event_log.by_category("fleet.failover-promotion")) == 1
-assert platform.event_log.by_category("fleet.failover-drain") == []
-print("promotion_failover_day: OK", report.as_dict())
 PY
 
 echo "== tier-1: adversarial chaos smoke (invariants + attack shedding) =="

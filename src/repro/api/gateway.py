@@ -460,7 +460,7 @@ class PlatformGateway:
         """The consumer's live session, re-homed after a failover.
 
         A session opened against a server that has since lost the shard (a
-        promotion or drain moved it) is transparently re-established on the
+        promotion or hand-off moved it) is transparently re-established on the
         current owner; an inactive session is *not* resurrected — using the
         API after logout is a client error, exactly as it was on
         :class:`~repro.ecommerce.session.ConsumerSession`.  The inactive
@@ -527,7 +527,7 @@ class PlatformGateway:
         live replica of it exists, run the promotion failover
         (:meth:`~repro.ecommerce.buyer_server.BuyerServerFleet.handle_server_failure`)
         so the next attempt lands on the promoted owner.  Returns True when
-        a failover actually ran.  Never drains from dead memory — with no
+        a failover actually ran.  Never hands off from dead memory — with no
         live replica the retry simply runs out against the dead host.
         """
         fleet = self._platform.fleet
@@ -540,10 +540,10 @@ class PlatformGateway:
         owner = fleet.owner_of_shard(shard)
         if owner.context.host.is_running:
             return False
-        if not fleet.live_replica_holders(owner):
+        if not fleet.replica_holders(owner):
             return False
         try:
-            fleet.handle_server_failure(shard, strategy="promote")
+            fleet.handle_server_failure(shard)
         except ReproError:
             return False
         return True

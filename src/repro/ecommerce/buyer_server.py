@@ -24,14 +24,18 @@ is wired, normally via ``PlatformConfig.replication_factor``):
 - *Lost on crash:* soft state only — BSMDB online-session records, live
   agent instances and the batch recommendation cache.  All of it is rebuilt
   on the consumer's next login at the surviving server.
-- *Failover:* :meth:`BuyerServerFleet.handle_server_failure` restores a
-  crashed server's consumers **from replicas alone** — zero reads against
-  the dead host's memory.  By default the freshest replica holder is
+- *Failover:* :meth:`~repro.ecommerce.fleet.BuyerServerFleet.handle_server_failure`
+  restores a crashed server's consumers **from replicas alone** — zero
+  reads against the dead host's memory: the freshest replica holder is
   *promoted* to primary for the dead server's shards (in-place shard-map
   update, no re-registration, no state transfer — the replica already
-  lives there); ``strategy="drain"`` keeps the per-consumer hand-off onto
-  hash-placed survivors.  Consumers whose registration never reached a
-  replica are reported as lost, not resurrected empty.
+  lives there).  Consumers whose registration never reached a replica are
+  reported as lost, not resurrected empty.  Only a fleet with no live
+  replica at all hands consumers over from the dead host's memory.
+
+The fleet of servers lives in :mod:`repro.ecommerce.fleet` and the
+recommendation service in :mod:`repro.ecommerce.recommendation_service`;
+both are re-exported here.
 """
 
 from __future__ import annotations

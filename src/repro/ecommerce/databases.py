@@ -137,9 +137,8 @@ class UserDB:
     ) -> None:
         """Overwrite a consumer's aggregate login history (count + last stamp).
 
-        Used when a consumer's state is adopted wholesale from a replica
-        (promotion failover): the aggregate is all a replica holds, and
-        restoring it must notify listeners — it is durable state, and the
+        The aggregate is all a copy of a consumer carries (see :meth:`adopt`),
+        and restoring it must notify listeners — it is durable state, and the
         adopting server's own replication stream has to carry it onward.
         """
         record = self.user(user_id)
@@ -151,6 +150,27 @@ class UserDB:
             logins=int(logins),
             last_login_at=float(last_login_at),
         )
+
+    def adopt(self, reader: "UserDB", user_id: str) -> None:
+        """Copy ``user_id``'s complete durable state out of ``reader``.
+
+        The one definition of what a consumer's durable record is:
+        registration, learned profile, observational ratings in arrival
+        order, transaction records and aggregate login history.  Promotion
+        failover, shard handback and per-consumer migration all move a
+        consumer with this call — ``reader`` is the live source UserDB or a
+        replica's shadow — so a durable field added here moves everywhere.
+        Every write goes through the notifying methods, so an adopting
+        server that replicates streams the adopted history onward.
+        """
+        record = reader.user(user_id)
+        self.register(user_id, record.display_name, timestamp=record.registered_at)
+        self.store_profile(reader.profile(user_id).copy())
+        for interaction in reader.ratings.interactions_of(user_id):
+            self.record_interaction(interaction)
+        for transaction in reader.transactions_of(user_id):
+            self.record_transaction(transaction)
+        self.restore_login_stats(user_id, record.logins, record.last_login_at)
 
     @property
     def user_ids(self) -> List[str]:

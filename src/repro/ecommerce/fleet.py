@@ -7,7 +7,6 @@ owning a shard of the consumer community (§3.2).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, TYPE_CHECKING
 
@@ -16,13 +15,12 @@ from repro.errors import (
     FleetUnavailableError,
     NetworkError,
 )
-from repro.core.profile import Profile
 from repro.core.recommender import Recommendation
 from repro.core.scoring import resolve_backend
 from repro.core.shard_map import ShardMap, split_membership
 from repro.core.sharding import ShardRouter, merge_topk
 from repro.core.similarity import SimilarityConfig
-from repro.ecommerce.replication import ReplicaState
+from repro.ecommerce.replication import ReplicaState, ReplicationRing
 from repro.platform.clock import RecurringCallback
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -156,39 +154,28 @@ class BuyerServerFleet:
     server's *currently assigned* consumers — so a consumer that migrated
     servers mid-interval is refreshed exactly once, by its new owner.
 
-    Failure handling has two strategies, both replica-honest (zero reads
-    against the dead host's memory):
+    Failure handling has one entry point, :meth:`handle_server_failure`,
+    which picks its path from what it can observe.  With a live replica of
+    the dead server the freshest holder is *promoted* to primary for every
+    shard the dead server owned: it adopts its replica into its own live
+    UserDB (:meth:`UserDB.adopt <repro.ecommerce.databases.UserDB.adopt>`),
+    the shard→owner map is updated in place (**no consumer
+    re-registration, no assignment churn**), the coordinator's shard map
+    follows and the replication ring is retargeted around the dead host —
+    zero reads against dead memory, and no per-consumer state crosses the
+    network because the replica already lives on the promoted server.
+    Consumers whose state never reached a live replica are reported lost,
+    never resurrected empty.  Only when no live replica exists at all is
+    each consumer handed to a hash-placed survivor from the dead host's
+    memory (:meth:`migrate_consumer`).
 
-    - **promotion** (the default whenever a live replica exists): the
-      freshest replica holder is *promoted* to primary for every shard the
-      dead server owned.  It replays its replica — an exact prefix of the
-      dead primary's history — into its own live UserDB through the
-      notifying mutation methods (so its provider-backed neighbor index
-      picks the adopted consumers up, and its own WAL streams their history
-      onward to its replica peers), the fleet's shard→owner map is updated
-      in place (**no consumer re-registration, no assignment churn**), the
-      coordinator's shard map follows, survivors that replicated *to* the
-      dead host are retargeted to a new live ring successor (so the dead
-      peer's frozen acknowledgement stops blocking WAL truncation), and the
-      dead primary's retired ``replication.lag.*`` gauges are removed.
-      Since the freshest replica already lives on the promoted server, no
-      per-consumer state crosses the network — the cheap failover the
-      ROADMAP asked for.
-    - **drain** (``strategy="drain"``, or automatically when no live replica
-      exists): the PR-3 hand-off — each consumer is restored on a
-      hash-placed surviving server, from replicas when any survive
-      (``use_replicas`` keeps its PR-3 meaning), else from the dead host's
-      memory (legacy, explicit opt-in via ``use_replicas=False``).
-
-    Either way, consumers whose state never reached a live replica are
-    reported lost, never resurrected empty.  A recovered server should be
-    reconciled with :meth:`handle_server_recovery`, which purges the stale
-    copies of the consumers the fleet no longer maps to it (their current
-    owners keep them; at any instant exactly one server owns a consumer)
-    and discards replicas for primaries that no longer stream to it.  After
-    a promotion, shard ownership stays with the promoted server — the
-    recovered host rejoins as replica capacity (and as a promotion target
-    for future failures) rather than clawing its shard back.
+    A recovered server is reconciled with :meth:`recover_server`, which
+    purges the stale copies of the consumers the fleet no longer maps to it
+    (their current owners keep them; at any instant exactly one server owns
+    a consumer) and rejoins the replication ring.  After a promotion, shard
+    ownership stays with the promoted server — the recovered host rejoins
+    as replica capacity (and as a promotion target for future failures)
+    rather than clawing its shard back.
 
     Placement is always the stable consumer hash: category routing cannot
     apply here because consumers are placed at registration, before their
@@ -243,6 +230,12 @@ class BuyerServerFleet:
         #: eligible as routing targets, replication successors or promotion
         #: candidates until re-added.
         self.retired: set = set()
+        #: Replica placement policy over the two collections above (shared,
+        #: not copied): crash, recovery, join and decommission all go
+        #: through it.
+        self.replication_ring = ReplicationRing(
+            self.servers, self.retired, coordinator
+        )
         self._assignment: Dict[str, int] = {}
         self._refresh_task: Optional[RecurringCallback] = None
         self.scheduled_refreshes = 0
@@ -358,35 +351,10 @@ class BuyerServerFleet:
             return owner.user_db.is_registered(user_id)
         return any(
             state.db.is_registered(user_id)
-            for _, state in self._replica_holders(owner)
+            for _, state in self.replica_holders(owner)
         )
 
     # -- fan-out query --------------------------------------------------------------
-
-    def find_similar(
-        self,
-        user_id: str,
-        category: Optional[str] = None,
-        config: Optional[SimilarityConfig] = None,
-    ) -> List[Tuple[str, float]]:
-        """Similar consumers across the whole fleet, exactly merged.
-
-        Thin wrapper over :meth:`query_similar` returning just the merged
-        neighbour list.
-
-        .. deprecated:: client lookups belong on
-           :meth:`repro.api.PlatformGateway.find_similar`, whose envelope
-           carries the degraded/stale provenance this wrapper discards;
-           platform-internal callers should use :meth:`query_similar`.
-        """
-        warnings.warn(
-            "BuyerServerFleet.find_similar() is a legacy entry point; issue "
-            "client lookups through PlatformGateway.find_similar() or use "
-            "query_similar() for the full fan-out report",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.query_similar(user_id, category=category, config=config).neighbors
 
     def query_similar(
         self,
@@ -428,7 +396,7 @@ class BuyerServerFleet:
             origin = owner
             target = owner.user_db.profile(user_id)
         else:
-            holders = self._replica_holders(owner)
+            holders = self.replica_holders(owner)
             source = next(
                 (
                     (server, state)
@@ -611,7 +579,7 @@ class BuyerServerFleet:
         if primary_latency <= delay:
             return (), ()
         server = next(s for s in self.servers if s.name == slowest)
-        holders = self._replica_holders(server)
+        holders = self.replica_holders(server)
         if not holders:
             return (), ()
         holder, state = holders[0]
@@ -719,12 +687,12 @@ class BuyerServerFleet:
         """
         if not self.consumers_served_by(server):
             # Nothing is assigned to this server's shards any more — its
-            # community was drained to survivors, whose live shards already
-            # answer for every consumer.  Answering from the consumed
-            # replica would score the drained consumers twice, with frozen
-            # pre-drain state shadowing their live profiles.
+            # community was handed to survivors (no replica holder was live
+            # at failover time), whose live shards already answer for every
+            # consumer.  A holder that came back since would score them
+            # twice, with frozen state shadowing their live profiles.
             return None
-        holders = self._replica_holders(server)
+        holders = self.replica_holders(server)
         if not holders:
             return None
         holder, state = holders[0]
@@ -853,84 +821,45 @@ class BuyerServerFleet:
     # -- failure handling / rebalancing ---------------------------------------------
 
     def migrate_consumer(self, user_id: str, target_shard: int) -> None:
-        """Hand one consumer over to ``target_shard`` (profile + ratings).
+        """Move one consumer to ``target_shard`` with its full durable state.
 
-        The source server's record is dropped (its provider-backed neighbor
-        index forgets the consumer on next sync), so at any instant exactly
-        one server owns the consumer — the invariant that makes fan-out
-        merging and the no-double-refresh guarantee hold.
+        The per-consumer move under live splits and the no-replica failover
+        hand-off.  The state crosses with :meth:`UserDB.adopt
+        <repro.ecommerce.databases.UserDB.adopt>` and the source server's
+        record is dropped (its provider-backed neighbor index forgets the
+        consumer on next sync), so at any instant exactly one server owns
+        the consumer — the invariant that makes fan-out merging and the
+        no-double-refresh guarantee hold.  When both shards live on the same
+        server the move is a pure re-label: an in-place split moves no bytes.
         """
         source_shard = self.shard_of(user_id)
         if source_shard == target_shard:
             return
         source = self.owner_of_shard(source_shard)
-        if not source.user_db.is_registered(user_id):
-            raise ECommerceError(f"consumer {user_id!r} is not registered with its shard")
-        record = source.user_db.user(user_id)
-        profile = source.user_db.profile(user_id)
-        interactions = source.user_db.ratings.interactions_of(user_id)
-        transactions = source.user_db.transactions_of(user_id)
-
-        self._install_consumer(
-            target_shard,
-            record.display_name,
-            record.registered_at,
-            user_id,
-            profile,
-            interactions,
-            transactions,
-        )
-        source.user_db.unregister(user_id)
-
-    def _install_consumer(
-        self,
-        target_shard: int,
-        display_name: str,
-        registered_at: float,
-        user_id: str,
-        profile: Profile,
-        interactions: Iterable,
-        transactions: Iterable,
-    ) -> None:
-        """Write one consumer's durable state onto ``target_shard``.
-
-        Writes go through the notifying UserDB methods, so when the target
-        itself replicates, the adopted consumer's history streams onward to
-        the target's own replica peers.
-        """
         target = self.owner_of_shard(target_shard)
-        target.user_db.register(user_id, display_name, timestamp=registered_at)
-        target.user_db.store_profile(profile.copy())
-        for interaction in interactions:
-            target.user_db.record_interaction(interaction)
-        for transaction in transactions:
-            target.user_db.record_transaction(transaction)
+        if source is not target:
+            target.user_db.adopt(source.user_db, user_id)
+            source.user_db.unregister(user_id)
         self._assignment[user_id] = target_shard
         self.migrated_consumers += 1
 
     # -- replica lookup ---------------------------------------------------------------
 
-    def live_replica_holders(
-        self, server: BuyerAgentServer
+    def replica_holders(
+        self, dead: BuyerAgentServer
     ) -> List[Tuple[BuyerAgentServer, ReplicaState]]:
-        """Public view of :meth:`_replica_holders` (freshest first).
-
-        Used by the gateway's retry middleware to decide whether a crashed
-        primary can be promoted around (an empty list means a retry cannot
-        be saved by failover).
-        """
-        return self._replica_holders(server)
-
-    def _replica_holders(self, dead: BuyerAgentServer) -> List[Tuple[BuyerAgentServer, ReplicaState]]:
         """Live servers hosting a replica of ``dead``, freshest first.
 
         This scans the *survivors* only: the dead server object is never
-        dereferenced beyond its name, which is the whole point of the
-        replica-based drain.  Replicas are exact prefixes of the primary's
-        history, so ordering by ``applied_seq`` (descending; server order
-        breaks ties) makes the first holder that knows a consumer also the
-        one with that consumer's freshest state — with ``factor >= 2`` a
-        lagging replica must never shadow a caught-up one.
+        dereferenced beyond its name, which is the whole point of
+        replica-honest failover.  Replicas are exact prefixes of the
+        primary's history, so ordering by ``applied_seq`` (descending;
+        server order breaks ties) makes the first holder that knows a
+        consumer also the one with that consumer's freshest state — with
+        ``factor >= 2`` a lagging replica must never shadow a caught-up one.
+        An empty list means no failover can restore ``dead``'s consumers
+        without reading its memory (the gateway's retry middleware checks
+        exactly this before healing a route).
         """
         holders: List[Tuple[BuyerAgentServer, ReplicaState]] = []
         for server in self.servers:
@@ -951,117 +880,49 @@ class BuyerServerFleet:
     ) -> int:
         """Fail over the server serving ``shard``; return how many consumers moved.
 
-        ``strategy`` picks the failover mode:
-
-        - ``"promote"`` (the default whenever a live replica exists): the
-          freshest replica holder adopts **every** shard the dead server
-          served — replica replayed into its live UserDB, shard→owner map
-          updated in place, zero per-consumer re-registration, zero network
-          transfers for consumer state (the replica already lives on the
-          promoted server).  See :meth:`_promote`.
-        - ``"drain"``: the PR-3 per-consumer hand-off onto hash-placed
-          survivors — from replicas when any survive, else (or with
-          ``use_replicas=False``) the legacy direct-memory path.
+        The path is chosen from what the fleet can observe, never by the
+        caller.  With a live replica of the dead server, the freshest
+        holder is promoted (:meth:`_promote`): it adopts **every** shard the
+        dead server served, in place, reading replicas only.  With none —
+        an unreplicated fleet, or every holder down too — each consumer is
+        handed to a hash-placed surviving shard with
+        :meth:`migrate_consumer`, read from the dead host's memory because
+        no other copy exists.
 
         Consumers absent from every live replica (registered during a
         replication outage) are counted in :attr:`lost_consumers`, recorded
         as ``fleet.consumer-lost`` events and unassigned so they can
-        register afresh.  ``use_replicas=True`` raises when no live replica
-        exists; ``use_replicas=False`` forces the legacy memory drain.
+        register afresh.
+
+        ``use_replicas`` and ``strategy`` select nothing: they remain only
+        because the frozen wall-clock benchmark passes ``None, "promote"``
+        positionally, and any other value raises.
         """
+        if use_replicas is not None or strategy not in (None, "promote"):
+            raise ECommerceError(
+                "handle_server_failure() picks its own path (promotion when a "
+                "live replica exists, per-consumer hand-off otherwise); the "
+                f"failover path is no longer selectable (got {use_replicas!r}, "
+                f"{strategy!r})"
+            )
         if not 0 <= shard < self.num_shards:
             raise ECommerceError(f"{shard} is not a fleet shard")
         dead = self.owner_of_shard(shard)
         if dead.context.host.is_running:
             raise ECommerceError(
-                f"server {dead.name!r} is still running; refusing to drain it"
+                f"server {dead.name!r} is still running; refusing to fail it over"
             )
-        holders = self._replica_holders(dead)
-        if use_replicas is None:
-            use_replicas = bool(holders)
-        if use_replicas and not holders:
-            raise ECommerceError(f"no live replica of {dead.name!r} to drain from")
-        if strategy is None:
-            strategy = "promote" if use_replicas else "drain"
-        if strategy not in ("promote", "drain"):
-            raise ECommerceError(
-                f"unknown failover strategy {strategy!r}; expected 'promote' or 'drain'"
-            )
-        if strategy == "promote":
-            if not use_replicas:
-                raise ECommerceError(
-                    "promotion failover needs a live replica; use strategy='drain' "
-                    "for the direct-memory hand-off"
-                )
+        holders = self.replica_holders(dead)
+        if holders:
             return self._promote(dead, holders)
-        if use_replicas:
-            return self._drain_from_replicas(dead, holders)
-        return self._drain_from_memory(dead)
-
-    def _drain_from_memory(self, dead: BuyerAgentServer) -> int:
-        """Legacy direct-memory hand-off (explicit ``use_replicas=False``)."""
         shards = self.shards_of(dead)
         moved = 0
-        for shard in shards:
-            for user_id in self.consumers_of(shard):
-                target = self._fallback_shard(user_id, excluding=shards)
-                self.migrate_consumer(user_id, target)
-                moved += 1
-        return moved
-
-    def _drain_from_replicas(
-        self,
-        dead: BuyerAgentServer,
-        holders: List[Tuple[BuyerAgentServer, ReplicaState]],
-    ) -> int:
-        """PR-3 replica drain: hash-place each consumer on a survivor."""
-        shards = self.shards_of(dead)
-        transport = holders[0][0].context.transport
-        moved = 0
-        lost: List[str] = []
-        for shard in shards:
-            for user_id in self.consumers_of(shard):
-                source = next(
-                    (
-                        (server, state)
-                        for server, state in holders
-                        if state.db.is_registered(user_id)
-                    ),
-                    None,
-                )
-                if source is None:
-                    self._report_lost(dead, user_id, lost)
-                    continue
-                holder, state = source
-                target_shard = self._fallback_shard(user_id, excluding=shards)
-                record = state.db.user(user_id)
-                transport.deliver(
-                    holder.name,
-                    self.owner_of_shard(target_shard).name,
-                    "failover-drain",
-                    payload_bytes=FANOUT_REQUEST_BYTES,
-                )
-                self._install_consumer(
-                    target_shard,
-                    record.display_name,
-                    record.registered_at,
-                    user_id,
-                    state.db.profile(user_id),
-                    state.db.ratings.interactions_of(user_id),
-                    state.db.transactions_of(user_id),
+        for dead_shard in shards:
+            for user_id in self.consumers_of(dead_shard):
+                self.migrate_consumer(
+                    user_id, self._fallback_shard(user_id, excluding=shards)
                 )
                 moved += 1
-        transport.event_log.record(
-            transport.scheduler.clock.now,
-            "fleet.failover-drain",
-            dead.name,
-            dead.name,
-            moved=moved,
-            lost=lost,
-        )
-        transport.metrics.counter("fleet.failover.drained").increment(moved)
-        if lost:
-            transport.metrics.counter("fleet.failover.lost").increment(len(lost))
         return moved
 
     def _report_lost(
@@ -1092,20 +953,20 @@ class BuyerServerFleet:
     ) -> int:
         """Promote the freshest replica holder to primary for the dead server.
 
-        The holder replays its replica — an exact prefix of the dead
-        primary's history — into its **own** live UserDB through the
-        notifying mutation methods, so its provider-backed neighbor index
-        picks the adopted consumers up on the next sync and its own WAL
-        streams their full history to its replica peers.  The shard→owner
-        map (and the coordinator's shard map, when wired) is updated in
-        place: assignments never change, nothing re-registers, and no
-        consumer state crosses the network — the freshest replica already
-        lives on the promoted server.  Afterwards the dead primary's
-        replication stream is retired: its consumed replica is discarded,
-        its frozen ``replication.lag.*`` gauges removed, and every survivor
-        that replicated *to* the dead host is retargeted to a new live ring
-        successor so the dead peer's acknowledgement stops blocking WAL
-        truncation.
+        The holder adopts its replica — an exact prefix of the dead
+        primary's history — into its **own** live UserDB
+        (:meth:`UserDB.adopt <repro.ecommerce.databases.UserDB.adopt>`), so
+        its provider-backed neighbor index picks the adopted consumers up
+        on the next sync and its own WAL streams their full history to its
+        replica peers.  The shard→owner map (and the coordinator's shard
+        map, when wired) is updated in place: assignments never change,
+        nothing re-registers, and no consumer state crosses the network —
+        the freshest replica already lives on the promoted server.
+        Afterwards the dead primary's replication stream is retired: its
+        consumed replica is discarded, its frozen ``replication.lag.*``
+        gauges removed, and every survivor that replicated *to* the dead
+        host is retargeted to a new live ring successor so the dead peer's
+        acknowledgement stops blocking WAL truncation.
         """
         promoted, state = holders[0]
         transport = promoted.context.transport
@@ -1120,21 +981,7 @@ class BuyerServerFleet:
                 else:
                     self._report_lost(dead, user_id, lost)
         for user_id in adopted:
-            record = state.db.user(user_id)
-            promoted.user_db.register(
-                user_id, record.display_name, timestamp=record.registered_at
-            )
-            promoted.user_db.store_profile(state.db.profile(user_id).copy())
-            for interaction in state.db.ratings.interactions_of(user_id):
-                promoted.user_db.record_interaction(interaction)
-            for transaction in state.db.transactions_of(user_id):
-                promoted.user_db.record_transaction(transaction)
-            # Aggregate login history is durable replicated state too: restore
-            # it through the notifying method so the promoted server's own
-            # replication stream carries it onward.
-            promoted.user_db.restore_login_stats(
-                user_id, record.logins, record.last_login_at
-            )
+            promoted.user_db.adopt(state.db, user_id)
 
         # One atomic epoch bump for the whole takeover; the "promote" reason
         # tells the shard-map listener to skip the elastic CA sync — the
@@ -1154,7 +1001,7 @@ class BuyerServerFleet:
         transport.metrics.remove_gauges_with_prefix(
             f"replication.lag.{dead.name}->"
         )
-        self._retarget_replication(dead)
+        self.replication_ring.retarget(dead)
 
         self.promotions += 1
         self.promoted_consumers += len(adopted)
@@ -1172,141 +1019,22 @@ class BuyerServerFleet:
             transport.metrics.counter("fleet.failover.lost").increment(len(lost))
         return len(adopted)
 
-    def _retarget_replication(self, dead: BuyerAgentServer) -> None:
-        """Point survivors that replicated to ``dead`` at a new ring successor.
-
-        A dead peer never acknowledges again, so leaving it wired would both
-        freeze the survivor's WAL truncation (the truncation point is the
-        minimum acknowledged sequence number) and leave the survivor one
-        replica short.  Each affected survivor drops the dead peer and picks
-        the next live server in ring order that is not already a peer; the
-        new replica is bootstrapped from the survivor's snapshot (when its
-        log was truncated) or its full log, synchronously when the network
-        allows.  With no eligible replacement the survivor just drops the
-        dead peer (documented degraded redundancy).
-        """
-        total = len(self.servers)
-        for index, server in enumerate(self.servers):
-            if server is dead or not server.context.host.is_running:
-                continue
-            if server.name in self.retired:
-                continue
-            manager = server.replication
-            if manager is None or not any(peer is dead for peer in manager.peers):
-                continue
-            manager.remove_peer(dead.name)
-            peer_names = {peer.name for peer in manager.peers}
-            replacement = None
-            for offset in range(1, total):
-                candidate = self.servers[(index + offset) % total]
-                if candidate is server or candidate is dead:
-                    continue
-                if candidate.name in peer_names or candidate.name in self.retired:
-                    continue
-                if not candidate.context.host.is_running:
-                    continue
-                if candidate.replication is None:
-                    continue
-                replacement = candidate
-                break
-            if replacement is not None:
-                manager.replicate_to(replacement)
-            if self.coordinator is not None:
-                self.coordinator.register_replication(
-                    server.name, [peer.name for peer in manager.peers]
-                )
-
-    def _rewire_recovered_replication(self, recovered: BuyerAgentServer) -> None:
-        """Swap the recovered host back in as a replica target.
-
-        The inverse of :meth:`_retarget_replication`: every live primary
-        whose *ideal* first ring successor (the next live replication-enabled
-        server in fleet order) is the recovered host — but which was
-        retargeted to a stand-in while the host was down — retires its
-        ring-farthest peer and streams to the recovered host again.  The new
-        replica bootstraps through the normal shipping path (snapshot when
-        the primary's log was truncated, full log otherwise), after which
-        the recovered host hosts fresh replicas and is a viable promotion
-        target for the next failure.  Primaries that still stream to the
-        recovered host (the drain strategy never unwired them) are left
-        untouched.
-        """
-        total = len(self.servers)
-        for index, primary in enumerate(self.servers):
-            if primary is recovered or not primary.context.host.is_running:
-                continue
-            if primary.name in self.retired:
-                continue
-            manager = primary.replication
-            if manager is None:
-                continue
-            if any(peer is recovered for peer in manager.peers):
-                continue
-            ideal = next(
-                (
-                    candidate
-                    for offset in range(1, total)
-                    for candidate in (self.servers[(index + offset) % total],)
-                    if candidate.context.host.is_running
-                    and candidate.replication is not None
-                    and candidate.name not in self.retired
-                ),
-                None,
-            )
-            if ideal is not recovered:
-                continue
-            if manager.peers:
-                farthest = max(
-                    manager.peers,
-                    key=lambda peer: (self.servers.index(peer) - index) % total,
-                )
-                manager.remove_peer(farthest.name)
-                if (
-                    farthest.context.host.is_running
-                    and farthest.replication is not None
-                ):
-                    # The stand-in's replica is orphaned the moment the
-                    # stream moves; drop it now rather than letting frozen
-                    # shadow state accumulate (a down stand-in purges its
-                    # own orphans in handle_server_recovery).
-                    farthest.replication.discard_replica(primary.name)
-            manager.replicate_to(recovered)
-            if self.coordinator is not None:
-                self.coordinator.register_replication(
-                    primary.name, [peer.name for peer in manager.peers]
-                )
-
-    def handle_server_recovery(self, shard: int) -> int:
-        """Reconcile the founding server of base shard ``shard`` after recovery.
-
-        Index-based compatibility wrapper: base shard ids and founding
-        server positions coincide, so ``shard`` names the server that
-        originally owned it.  :meth:`recover_server` is the object-based
-        form (and the only one that can name a server added after founding).
-        """
-        if not 0 <= shard < len(self.servers):
-            raise ECommerceError(f"{shard} is not a fleet shard")
-        return self.recover_server(self.servers[shard])
-
     def recover_server(self, server: BuyerAgentServer) -> int:
         """Reconcile a recovered server with the post-failover state.
 
-        While the server was down its consumers were drained or promoted
-        away, but failover never touched the dead host's memory — so on
+        While the server was down its consumers were promoted or handed
+        away, but failover never wrote to the dead host's memory — so on
         recovery the host still holds stale copies.  This purges every
         consumer the fleet no longer maps to this server (via the notifying
         ``UserDB.unregister``, so the recovered server's own replicas drop
-        them too), discards replicas hosted for primaries that no longer
-        stream to it (their lag gauges were already retired at retarget
-        time), and returns how many consumers were purged.  The host must
-        be running again.  After a drain its shard is still its own, so new
-        registrations flow to it immediately; after a promotion the shard
-        stays with the promoted server and the recovered host rejoins as
-        replica capacity: every live primary whose *ideal* ring successor
-        is the recovered host swaps its ring-farthest peer back for it (the
-        new replica bootstraps from the primary's snapshot or full log), so
-        the ring converges to its original shape and the recovered host is
-        again a promotion target for future failures.
+        them too), rejoins the replication ring
+        (:meth:`ReplicationRing.rewire
+        <repro.ecommerce.replication.ReplicationRing.rewire>`) and returns
+        how many consumers were purged.  The host must be running again.
+        After a hand-off its shard is still its own, so new registrations
+        flow to it immediately; after a promotion the shard stays with the
+        promoted server and the recovered host rejoins as replica capacity
+        and as a promotion target for future failures.
         """
         if server not in self.servers:
             raise ECommerceError(f"server {server.name!r} is not in this fleet")
@@ -1322,17 +1050,7 @@ class BuyerServerFleet:
         ]
         for user_id in stale:
             server.user_db.unregister(user_id)
-        if server.replication is not None:
-            for primary in self.servers:
-                if primary is server or primary.replication is None:
-                    continue
-                if primary.name not in server.replication.hosted:
-                    continue
-                if not any(peer is server for peer in primary.replication.peers):
-                    # The primary was retargeted away while this host was
-                    # down; the orphaned replica would only go staler.
-                    server.replication.discard_replica(primary.name)
-            self._rewire_recovered_replication(server)
+        self.replication_ring.rewire(server)
         if stale:
             transport = server.context.transport
             transport.event_log.record(
@@ -1368,15 +1086,14 @@ class BuyerServerFleet:
 
         The routine-elasticity twin of promotion failover: both ends are
         healthy, so the transfer can be *clean*.  When both servers
-        replicate, the target bootstraps from the PR-4 machinery — the
-        source streams its WAL to the target (reusing an existing stream
-        when the target is already a ring successor, else opening a
-        temporary one bootstrapped from the source's snapshot), a
-        synchronous catch-up drives the lag to zero, and the shard's
-        consumers are replayed out of the *replica* into the target's live
-        UserDB through the notifying mutation methods.  Without replication
-        the state is read from the live source and charged to the network
-        per consumer.  Ownership flips with one atomic epoch bump
+        replicate, the source streams its WAL to the target (reusing an
+        existing stream when the target is already a ring successor, else
+        opening a temporary one bootstrapped from the source's snapshot), a
+        synchronous catch-up drives the lag to zero, and the target adopts
+        the shard's consumers out of that *replica*
+        (:meth:`UserDB.adopt <repro.ecommerce.databases.UserDB.adopt>`).
+        Without replication it adopts from the live source, charged to the
+        network per consumer.  Ownership flips with one atomic epoch bump
         (:meth:`ShardMap.commit_migration`) only after every consumer is
         installed; until that instant the source answers every query, after
         it the target answers every query — no window where neither does.
@@ -1411,23 +1128,12 @@ class BuyerServerFleet:
             reader = target.replication.hosted[source.name].db
         consumers = self.consumers_of(shard)
         for user_id in consumers:
-            record = reader.user(user_id)
             if not replicated:
                 transport.deliver(
                     source.name, target.name, "shard-handback",
                     payload_bytes=FANOUT_REQUEST_BYTES,
                 )
-            target.user_db.register(
-                user_id, record.display_name, timestamp=record.registered_at
-            )
-            target.user_db.store_profile(reader.profile(user_id).copy())
-            for interaction in reader.ratings.interactions_of(user_id):
-                target.user_db.record_interaction(interaction)
-            for transaction in reader.transactions_of(user_id):
-                target.user_db.record_transaction(transaction)
-            target.user_db.restore_login_stats(
-                user_id, record.logins, record.last_login_at
-            )
+            target.user_db.adopt(reader, user_id)
         self.shard_map.commit_migration(shard)
         for user_id in consumers:
             source.user_db.unregister(user_id)
@@ -1501,39 +1207,6 @@ class BuyerServerFleet:
         )
         return ShardSplit(self, parent=shard, child=child, movers=movers)
 
-    def _move_consumer(self, user_id: str, target_shard: int) -> None:
-        """Move one consumer to ``target_shard`` with full durable state.
-
-        Like :meth:`migrate_consumer` plus the aggregate login history (a
-        shard migration must lose nothing), and a pure re-label when source
-        and target shard live on the same server — an in-place split moves
-        no bytes at all.
-        """
-        source_shard = self.shard_of(user_id)
-        if source_shard == target_shard:
-            return
-        source = self.owner_of_shard(source_shard)
-        target = self.owner_of_shard(target_shard)
-        if source is target:
-            self._assignment[user_id] = target_shard
-        else:
-            record = source.user_db.user(user_id)
-            target.user_db.register(
-                user_id, record.display_name, timestamp=record.registered_at
-            )
-            target.user_db.store_profile(source.user_db.profile(user_id).copy())
-            for interaction in source.user_db.ratings.interactions_of(user_id):
-                target.user_db.record_interaction(interaction)
-            for transaction in source.user_db.transactions_of(user_id):
-                target.user_db.record_transaction(transaction)
-            target.user_db.restore_login_stats(
-                user_id, record.logins, record.last_login_at
-            )
-            self._assignment[user_id] = target_shard
-            source.user_db.unregister(user_id)
-        self.migrated_consumers += 1
-        self.transferred_consumers += 1
-
     def add_server(self, server: BuyerAgentServer) -> None:
         """Join ``server`` to the fleet as shard-less capacity.
 
@@ -1558,11 +1231,10 @@ class BuyerServerFleet:
 
         Every shard must have been transferred away first — this refuses to
         orphan consumers.  The server's replication streams are unwired in
-        both directions: its outbound peers stop hosting its replicas, its
-        anti-entropy task is cancelled, its hosted replicas are discarded,
-        and every primary that streamed *to* it is retargeted to a live
-        ring successor (same machinery a crash uses, minus the crash).  The
-        name stays known to the fleet so :meth:`add_server` can re-join it.
+        both directions (:meth:`ReplicationRing.unwire
+        <repro.ecommerce.replication.ReplicationRing.unwire>` — the same
+        retargeting a crash uses, minus the crash).  The name stays known
+        to the fleet so :meth:`add_server` can re-join it.
         """
         if server.name not in self._by_name or self._by_name[server.name] is not server:
             raise ECommerceError(f"server {server.name!r} is not in this fleet")
@@ -1575,18 +1247,7 @@ class BuyerServerFleet:
                 "them before decommissioning"
             )
         self.retired.add(server.name)
-        manager = server.replication
-        if manager is not None:
-            manager.stop_anti_entropy()
-            for peer in list(manager.peers):
-                manager.remove_peer(peer.name)
-                if peer.replication is not None:
-                    peer.replication.discard_replica(server.name)
-            for primary_name in list(manager.hosted):
-                manager.discard_replica(primary_name)
-        self._retarget_replication(server)
-        if self.coordinator is not None and manager is not None:
-            self.coordinator.register_replication(server.name, [])
+        self.replication_ring.unwire(server)
         transport = self.servers[0].context.transport
         transport.event_log.record(
             transport.scheduler.clock.now,
@@ -1646,9 +1307,10 @@ class ShardSplit:
                 # Lost to a mid-split failover (already reported) or moved
                 # by other machinery; nothing left to move.
                 continue
-            self.fleet._move_consumer(user_id, self.child)
+            self.fleet.migrate_consumer(user_id, self.child)
             self.moved.append(user_id)
             stepped += 1
+        self.fleet.transferred_consumers += stepped
         return stepped
 
     def run(self) -> int:

@@ -74,7 +74,8 @@ class PlatformConfig:
             replicates to servers ``i+1 .. i+f`` (mod N), the coordinator
             records the replica map, and
             :meth:`~repro.ecommerce.buyer_server.BuyerServerFleet.handle_server_failure`
-            drains crashed servers from replicas instead of their memory.
+            promotes a replica holder instead of reading a crashed
+            server's memory.
             Requires ``num_buyer_servers > replication_factor``.
         replication_anti_entropy_interval_ms: cadence of each server's
             scheduled anti-entropy catch-up task (re-ships whatever lagging
@@ -334,23 +335,21 @@ class ECommercePlatform:
         """Stream every buyer server's WAL to its ring successors.
 
         Server *i* replicates to servers ``i+1 .. i+replication_factor``
-        (mod N): simple, deterministic, and guarantees that any single crash
-        leaves at least ``replication_factor`` live replicas.  The CA records
-        the replica map, and each server's anti-entropy catch-up task is
-        armed on the shared scheduler.
+        (mod N) — what :class:`~repro.ecommerce.replication.ReplicationRing`
+        picks while every server is up: simple, deterministic, and any
+        single crash leaves at least ``replication_factor`` live replicas.
         """
-        servers = self.buyer_servers
-        for server in servers:
+        for server in self.buyer_servers:
             server.enable_replication(
                 wal_truncate_threshold=self.config.replication_wal_truncate_threshold
             )
-        for index, server in enumerate(servers):
-            replica_names = []
-            for offset in range(1, self.config.replication_factor + 1):
-                peer = servers[(index + offset) % len(servers)]
-                server.replication.replicate_to(peer)
-                replica_names.append(peer.name)
-            self.coordinator.register_replication(server.name, replica_names)
+        for server in self.buyer_servers:
+            self._stream_to_successors(server)
+
+    def _stream_to_successors(self, server: BuyerAgentServer) -> None:
+        """Wire ``server``'s outbound streams and arm its anti-entropy task."""
+        self.fleet.replication_ring.wire(server, self.config.replication_factor)
+        if not server.replication.anti_entropy_scheduled:
             server.replication.start_anti_entropy(
                 self.config.replication_anti_entropy_interval_ms
             )
@@ -463,12 +462,12 @@ class ECommercePlatform:
                     host.recover()
                 self.fleet.add_server(server)
                 self.fleet.recover_server(server)
-                self._wire_server_replication(server)
+                self._join_replication_ring(server)
                 return server
         server = self._build_buyer_server(len(self.buyer_servers), shard_id=None)
         self.buyer_servers.append(server)
         self.fleet.add_server(server)
-        self._wire_server_replication(server)
+        self._join_replication_ring(server)
         return server
 
     def remove_buyer_server(self, server: BuyerAgentServer) -> None:
@@ -489,14 +488,13 @@ class ECommercePlatform:
         if host.is_running:
             host.stop()
 
-    def _wire_server_replication(self, server: BuyerAgentServer) -> None:
+    def _join_replication_ring(self, server: BuyerAgentServer) -> None:
         """Wire one newly joined server into the replication ring.
 
-        Outbound: the server streams to its first ``replication_factor``
-        live, non-retired ring successors (skipping streams that already
-        exist).  Inbound: primaries whose ideal ring successor is the new
-        server swap their ring-farthest peer for it — the same convergence
-        a recovered host gets.  No-op when the platform does not replicate.
+        Outbound like a founding server; inbound, primaries whose nearest
+        ring successor is the new server swap their ring-farthest peer for
+        it — the same convergence a recovered host gets.  No-op when the
+        platform does not replicate.
         """
         if self.config.replication_factor <= 0:
             return
@@ -504,29 +502,8 @@ class ECommercePlatform:
             server.enable_replication(
                 wal_truncate_threshold=self.config.replication_wal_truncate_threshold
             )
-        servers = self.buyer_servers
-        index = servers.index(server)
-        total = len(servers)
-        wired = 0
-        for offset in range(1, total):
-            if wired >= self.config.replication_factor:
-                break
-            peer = servers[(index + offset) % total]
-            if peer is server or peer.name in self.fleet.retired:
-                continue
-            if not peer.context.host.is_running or peer.replication is None:
-                continue
-            if not any(existing is peer for existing in server.replication.peers):
-                server.replication.replicate_to(peer)
-            wired += 1
-        self.coordinator.register_replication(
-            server.name, [peer.name for peer in server.replication.peers]
-        )
-        if not server.replication.anti_entropy_scheduled:
-            server.replication.start_anti_entropy(
-                self.config.replication_anti_entropy_interval_ms
-            )
-        self.fleet._rewire_recovered_replication(server)
+        self._stream_to_successors(server)
+        self.fleet.replication_ring.rewire(server)
 
     # -- consumer entry points -----------------------------------------------------------
 

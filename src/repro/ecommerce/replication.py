@@ -1,14 +1,13 @@
 """Cross-server replication of buyer agent server state.
 
 The paper's platform assumes buyer agent servers that keep "servicing a
-consumer community" as hosts come and go (§3.2, §1 fault tolerance).  PR 2's
-failover drain cheated: it read the crashed server's in-memory UserDB
-directly.  This module makes the fleet an honest distributed system: every
-buyer agent server streams its durable mutations to one or more replica peers
-over the simulated network, and a crashed server's consumers are restored
-from those replicas — without a single read against the dead host's memory.
+consumer community" as hosts come and go (§3.2, §1 fault tolerance).  This
+module makes the fleet an honest distributed system: every buyer agent
+server streams its durable mutations to one or more replica peers over the
+simulated network, and a crashed server's consumers are restored from those
+replicas — without a single read against the dead host's memory.
 
-**Design.**  Four pieces:
+**Design.**  Five pieces:
 
 - :class:`ReplicationLog` — the primary's write-ahead log.  Every durable
   UserDB mutation (registration, profile snapshot, observational rating,
@@ -44,10 +43,14 @@ from those replicas — without a single read against the dead host's memory.
   the entries stay in the log and a periodic anti-entropy task
   (:meth:`~repro.platform.clock.Scheduler.call_every`) re-ships everything
   the peer has not acknowledged once connectivity returns.  Peers can be
-  removed or retargeted at runtime (:meth:`remove_peer`) — a promotion
-  failover retires a dead primary's stream and points survivors at a new
-  ring successor, clearing the retired ``replication.lag.*`` gauges so
-  metrics never report a stream that no longer exists.
+  removed at runtime (:meth:`remove_peer`), clearing the retired
+  ``replication.lag.*`` gauges so metrics never report a stream that no
+  longer exists.
+- :class:`ReplicationRing` — who replicates to whom.  One successor walk
+  (nearest running, replication-enabled, non-retired servers in fleet
+  order) and the wire / retarget / rewire / unwire policy the fleet and the
+  platform builder apply on founding, crash, recovery, join and
+  decommission.
 
 **Replication semantics — what is durable, what is lost.**
 
@@ -61,7 +64,7 @@ from those replicas — without a single read against the dead host's memory.
   every replica (the replication lag tail), and the primary's soft state —
   BSMDB session records, agent instances, recommendation caches — which is
   rebuilt on the consumer's next login.  A consumer *registered* during a
-  replication outage is reported as lost by the failover drain rather than
+  replication outage is reported as lost by the failover rather than
   silently resurrected empty.
 - *Lag visibility:* :meth:`ReplicationManager.lag_of` reports the per-peer
   unacknowledged-entry count, mirrored into platform metrics as
@@ -77,7 +80,17 @@ from those replicas — without a single read against the dead host's memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from itertools import islice
+from typing import (
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    TYPE_CHECKING,
+)
 
 from repro.errors import NetworkError, ReplicationError
 from repro.core.neighbors import ProfileNeighborIndex
@@ -95,6 +108,7 @@ __all__ = [
     "ReplicationSnapshot",
     "ReplicaState",
     "ReplicationManager",
+    "ReplicationRing",
 ]
 
 #: Fixed per-entry framing overhead charged to the network, on top of the
@@ -379,7 +393,7 @@ class ReplicationManager:
 
         The peer must have replication enabled too (it hosts the
         :class:`ReplicaState`).  Returns the replica state, which lives on
-        the peer — exactly where the failover drain will look for it.  A
+        the peer — exactly where a failover will look for it.  A
         peer added after the log was truncated is bootstrapped from the
         latest snapshot on the next shipment (synchronously if the network
         allows, else by anti-entropy).
@@ -404,12 +418,12 @@ class ReplicationManager:
     def remove_peer(self, peer_name: str) -> None:
         """Stop streaming to ``peer_name`` and retire its lag gauge.
 
-        Used when a peer host is decommissioned or a promotion failover
-        retargets the stream to a new ring successor: the peer's
-        acknowledgement no longer holds WAL truncation back, and the
-        ``replication.lag.*`` gauge is removed rather than left frozen at
-        its last pre-retirement value.  The replica the peer hosts is left
-        in place (its host may be down); the peer purges it on recovery.
+        Used when the :class:`ReplicationRing` moves the stream elsewhere:
+        the peer's acknowledgement no longer holds WAL truncation back, and
+        the ``replication.lag.*`` gauge is removed rather than left frozen
+        at its last pre-retirement value.  The replica the peer hosts is
+        left in place (its host may be down); the peer drops it when it is
+        rewired on recovery.
         """
         if peer_name not in self._acked:
             raise ReplicationError(
@@ -683,3 +697,163 @@ class ReplicationManager:
             f"peers={[peer.name for peer in self.peers]}, "
             f"hosts={sorted(self.hosted)})"
         )
+
+
+class ReplicationRing:
+    """Who replicates to whom: the fleet's ring-order replica placement.
+
+    A server streams to its nearest *eligible* successors in fleet order —
+    running host, replication enabled, not retired (:meth:`successors`).
+    The four topology events keep every stream on that rule: :meth:`wire`
+    (founding and join, outbound), :meth:`retarget` (a peer crashed or was
+    decommissioned), :meth:`rewire` (a host recovered or joined, inbound)
+    and :meth:`unwire` (decommission).  ``servers`` and ``retired`` are the
+    fleet's own collections, shared so membership changes are seen here;
+    the coordinator, when wired, is told the new replica list of every
+    primary whose peers changed.
+    """
+
+    def __init__(
+        self, servers: List["BuyerAgentServer"], retired: Set[str], coordinator=None
+    ) -> None:
+        self.servers = servers
+        self.retired = retired
+        self.coordinator = coordinator
+
+    def successors(
+        self, primary: "BuyerAgentServer", skip: Sequence["BuyerAgentServer"] = ()
+    ) -> Iterator["BuyerAgentServer"]:
+        """Eligible replica hosts after ``primary`` in ring order, nearest first.
+
+        Passes over crashed hosts, retired servers, servers without
+        replication and anything in ``skip``; wraps around the fleet list
+        once and never yields ``primary`` itself.
+        """
+        index = self.servers.index(primary)
+        total = len(self.servers)
+        for offset in range(1, total):
+            candidate = self.servers[(index + offset) % total]
+            if candidate.name in self.retired or candidate.replication is None:
+                continue
+            if not candidate.context.host.is_running or candidate in skip:
+                continue
+            yield candidate
+
+    def _streaming_primaries(
+        self, other: "BuyerAgentServer"
+    ) -> Iterator["BuyerAgentServer"]:
+        """Every live, active, replicating server but ``other``, in fleet order."""
+        for server in self.servers:
+            if server is other or not server.context.host.is_running:
+                continue
+            if server.name in self.retired or server.replication is None:
+                continue
+            yield server
+
+    def _register(self, primary: "BuyerAgentServer") -> None:
+        if self.coordinator is not None:
+            self.coordinator.register_replication(
+                primary.name, [peer.name for peer in primary.replication.peers]
+            )
+
+    def wire(self, server: "BuyerAgentServer", factor: int) -> None:
+        """Stream ``server``'s WAL to its first ``factor`` ring successors.
+
+        Streams that already exist are kept and counted, so wiring is
+        idempotent for a server that rejoins.
+        """
+        manager = server.replication
+        for peer in islice(self.successors(server), factor):
+            if peer not in manager.peers:
+                manager.replicate_to(peer)
+        self._register(server)
+
+    def retarget(self, gone: "BuyerAgentServer") -> None:
+        """Point primaries that replicated to ``gone`` at a new ring successor.
+
+        A crashed or decommissioned peer never acknowledges again, so
+        leaving it wired would both freeze the primary's WAL truncation
+        (the truncation point is the minimum acknowledged sequence number)
+        and leave the primary one replica short.  Each affected primary
+        drops the peer and picks its nearest successor that is not already
+        a peer; the new replica is bootstrapped from the primary's snapshot
+        (when its log was truncated) or its full log, synchronously when
+        the network allows.  With no eligible replacement the primary just
+        drops the peer (documented degraded redundancy).
+        """
+        for primary in self._streaming_primaries(gone):
+            manager = primary.replication
+            if gone not in manager.peers:
+                continue
+            manager.remove_peer(gone.name)
+            replacement = next(self.successors(primary, skip=manager.peers), None)
+            if replacement is not None:
+                manager.replicate_to(replacement)
+            self._register(primary)
+
+    def rewire(self, joined: "BuyerAgentServer") -> None:
+        """Swap a recovered or newly joined host back in as a replica target.
+
+        The inverse of :meth:`retarget`.  First ``joined`` drops the
+        replicas it still hosts for primaries that no longer stream to it
+        (they were retargeted while it was away; the orphans would only go
+        staler).  Then every primary whose nearest successor is ``joined``
+        but which streams to a stand-in instead retires its ring-farthest
+        peer and streams to ``joined`` — the new replica bootstraps through
+        the normal shipping path — so the ring converges to its ideal shape
+        and ``joined`` is a promotion target for the next failure.  A host
+        that does not replicate has nothing to rejoin.
+        """
+        if joined.replication is None:
+            return
+        hosted = joined.replication.hosted
+        for primary in self.servers:
+            if primary is joined or primary.replication is None:
+                continue
+            if primary.name in hosted and joined not in primary.replication.peers:
+                joined.replication.discard_replica(primary.name)
+        total = len(self.servers)
+        for primary in self._streaming_primaries(joined):
+            manager = primary.replication
+            if joined in manager.peers:
+                continue
+            if next(self.successors(primary), None) is not joined:
+                continue
+            if manager.peers:
+                index = self.servers.index(primary)
+                farthest = max(
+                    manager.peers,
+                    key=lambda peer: (self.servers.index(peer) - index) % total,
+                )
+                manager.remove_peer(farthest.name)
+                if (
+                    farthest.context.host.is_running
+                    and farthest.replication is not None
+                ):
+                    # The stand-in's replica is orphaned the moment the
+                    # stream moves; a down stand-in drops it when it is
+                    # itself rewired on recovery.
+                    farthest.replication.discard_replica(primary.name)
+            manager.replicate_to(joined)
+            self._register(primary)
+
+    def unwire(self, server: "BuyerAgentServer") -> None:
+        """Take a decommissioned ``server`` out of the ring in both directions.
+
+        Its anti-entropy task stops, its peers drop the replicas they host
+        for it, it drops the replicas it hosts, and every primary that
+        streamed to it is retargeted (the server must already be retired,
+        so it is not picked again).
+        """
+        manager = server.replication
+        if manager is None:
+            return  # never hosted a replica, so nobody streams to it either
+        manager.stop_anti_entropy()
+        for peer in list(manager.peers):
+            manager.remove_peer(peer.name)
+            if peer.replication is not None:
+                peer.replication.discard_replica(server.name)
+        for primary_name in list(manager.hosted):
+            manager.discard_replica(primary_name)
+        self.retarget(server)
+        self._register(server)

@@ -46,7 +46,6 @@ class ScenarioReport:
     recommendations_requested: int = 0
     failed_operations: int = 0
     batch_refreshes: int = 0
-    drained_consumers: int = 0
     promoted_consumers: int = 0
     stale_shard_answers: int = 0
     lost_consumers: int = 0
@@ -69,7 +68,6 @@ class ScenarioReport:
             "recommendations_requested": self.recommendations_requested,
             "failed_operations": self.failed_operations,
             "batch_refreshes": self.batch_refreshes,
-            "drained_consumers": self.drained_consumers,
             "promoted_consumers": self.promoted_consumers,
             "stale_shard_answers": self.stale_shard_answers,
             "lost_consumers": self.lost_consumers,
@@ -490,58 +488,6 @@ class ScenarioRunner:
         )
         return report
 
-    def replicated_failover_day(
-        self,
-        sessions: int = 240,
-        queries_per_session: int = 1,
-        crash_shard: int = 0,
-        buy_probability: float = 0.35,
-        auction_probability: float = 0.2,
-        negotiate_probability: float = 0.1,
-        recommendation_probability: float = 0.3,
-        refresh_interval_ms: float = 2000.0,
-        batch_k: int = 5,
-        recover: bool = True,
-    ) -> ScenarioReport:
-        """A trafficked day where a buyer agent server crashes and recovers.
-
-        Requires a multi-server platform with replication wired
-        (``PlatformConfig.num_buyer_servers > 1`` and
-        ``replication_factor >= 1``).  The day runs in three phases:
-
-        1. normal traffic while every server's write-ahead log streams to
-           its replica peers;
-        2. the ``crash_shard`` server is crashed mid-traffic and its
-           consumers are drained **from replicas** onto the survivors
-           (``report.drained_consumers`` / ``report.lost_consumers``) — the
-           PR-3 hand-off, requested explicitly with ``strategy="drain"``
-           (:meth:`promotion_failover_day` exercises the cheaper promotion
-           failover); traffic continues around the dead host;
-        3. (with ``recover=True``) the host comes back, its stale consumer
-           copies are purged (``report.recovered_purged``) and it starts
-           taking new registrations again.
-
-        Throughout, the fleet-wide scheduled recommendation refresh keeps
-        firing (skipping the dead host) and anti-entropy keeps replicas
-        converged; the scenario loop pumps the scheduler after every session
-        so both stay honest with simulated time.
-        """
-        return self._failover_day(
-            "replicated failover day",
-            failover="drain",
-            sessions=sessions,
-            queries_per_session=queries_per_session,
-            crash_shard=crash_shard,
-            buy_probability=buy_probability,
-            auction_probability=auction_probability,
-            negotiate_probability=negotiate_probability,
-            recommendation_probability=recommendation_probability,
-            refresh_interval_ms=refresh_interval_ms,
-            batch_k=batch_k,
-            stale_queries=0,
-            recover=recover,
-        )
-
     def promotion_failover_day(
         self,
         sessions: int = 240,
@@ -558,8 +504,9 @@ class ScenarioRunner:
     ) -> ScenarioReport:
         """A trafficked day surviving a crash through **replica promotion**.
 
-        Requires a multi-server platform with replication wired (like
-        :meth:`replicated_failover_day`).  The day runs in four phases:
+        Requires a multi-server platform with replication wired
+        (``PlatformConfig.num_buyer_servers > 1`` and
+        ``replication_factor >= 1``).  The day runs in four phases:
 
         1. normal traffic while every server's write-ahead log streams to
            its replica peers (and is periodically snapshot-truncated);
@@ -580,63 +527,21 @@ class ScenarioRunner:
         Throughout, the fleet-wide scheduled recommendation refresh keeps
         firing (covering the adopted consumers from the first post-promotion
         tick) and anti-entropy keeps replicas converged and WALs truncated;
-        the scenario loop pumps the scheduler after every session.
+        the scenario loop pumps the scheduler after every session.  The
+        phase arithmetic splits ``sessions`` three ways (later phases may be
+        empty when the count is tiny, but the crash/recovery still happen).
         """
         if stale_queries < 0:
             raise WorkloadError("stale_queries cannot be negative")
-        return self._failover_day(
-            "promotion failover day",
-            failover="promote",
-            sessions=sessions,
-            queries_per_session=queries_per_session,
-            crash_shard=crash_shard,
-            buy_probability=buy_probability,
-            auction_probability=auction_probability,
-            negotiate_probability=negotiate_probability,
-            recommendation_probability=recommendation_probability,
-            refresh_interval_ms=refresh_interval_ms,
-            batch_k=batch_k,
-            stale_queries=stale_queries,
-            recover=recover,
-        )
-
-    def _failover_day(
-        self,
-        scenario_name: str,
-        failover: str,
-        sessions: int,
-        queries_per_session: int,
-        crash_shard: int,
-        buy_probability: float,
-        auction_probability: float,
-        negotiate_probability: float,
-        recommendation_probability: float,
-        refresh_interval_ms: float,
-        batch_k: int,
-        stale_queries: int,
-        recover: bool,
-    ) -> ScenarioReport:
-        """Shared driver behind the two failover-day scenarios.
-
-        Phases: traffic → crash (→ optional quorum window of stale-answered
-        fleet queries) → failover (``failover`` picks the
-        :meth:`~repro.ecommerce.buyer_server.BuyerServerFleet.handle_server_failure`
-        strategy and which report field counts the moved consumers) →
-        degraded traffic → optional recovery + purge → traffic.  The phase
-        arithmetic splits ``sessions`` three ways (later phases may be empty
-        when the count is tiny, but the crash/recovery still happen), and
-        the loop pumps the scheduler after every session so the scheduled
-        refresh and anti-entropy tasks stay honest with simulated time.
-        """
         if sessions <= 0:
-            raise WorkloadError(f"{scenario_name} needs at least one session")
+            raise WorkloadError("promotion failover day needs at least one session")
         if refresh_interval_ms <= 0:
             raise WorkloadError("refresh interval must be positive")
         platform = self.platform
         fleet = platform.fleet
         if fleet is None:
             raise WorkloadError(
-                f"{scenario_name} needs a multi-server fleet "
+                "promotion failover day needs a multi-server fleet "
                 "(PlatformConfig.num_buyer_servers > 1)"
             )
         if not 0 <= crash_shard < fleet.num_shards:
@@ -644,12 +549,12 @@ class ScenarioRunner:
         victim = fleet.servers[crash_shard]
         if victim.replication is None or not victim.replication.peers:
             raise WorkloadError(
-                f"{scenario_name} needs replication wired "
+                "promotion failover day needs replication wired "
                 "(PlatformConfig.replication_factor >= 1)"
             )
         pool = self.population.consumers()
         if not pool:
-            raise WorkloadError(f"{scenario_name} needs a non-empty population")
+            raise WorkloadError("promotion failover day needs a non-empty population")
 
         log = platform.event_log
         refreshes_before = log.count("recommendation.scheduled-refresh")
@@ -701,19 +606,12 @@ class ScenarioRunner:
                     if victim.name in response.provenance.stale_shards:
                         report.stale_shard_answers += 1
                     platform.scheduler.run_until(platform.now)
-            if failover == "promote":
-                report.promoted_consumers = fleet.handle_server_failure(
-                    crash_shard, strategy="promote"
-                )
-            else:
-                report.drained_consumers = fleet.handle_server_failure(
-                    crash_shard, strategy="drain"
-                )
+            report.promoted_consumers = fleet.handle_server_failure(crash_shard)
             report.lost_consumers = fleet.lost_consumers - lost_before
             run_phase(second)
             if recover:
                 platform.failures.recover_host(victim.name)
-                report.recovered_purged = fleet.handle_server_recovery(crash_shard)
+                report.recovered_purged = fleet.recover_server(victim)
             run_phase(third)
         finally:
             fleet.stop_periodic_refresh()
@@ -975,9 +873,7 @@ class ScenarioRunner:
 
         for server in founding:
             platform.failures.crash_host(server.name)
-            promoted = fleet.handle_server_failure(
-                original[server.name][0], strategy="promote"
-            )
+            promoted = fleet.handle_server_failure(original[server.name][0])
             window_seed += 1
             degraded = self._elastic_window(
                 report,
@@ -1173,7 +1069,7 @@ class ScenarioRunner:
                     shards = fleet.shards_of(server)
                     if shards and not server.context.host.is_running:
                         report.promoted_consumers += fleet.handle_server_failure(
-                            shards[0], strategy="promote"
+                            shards[0]
                         )
                 elif event.kind == "recover":
                     if server.context.host.is_running:

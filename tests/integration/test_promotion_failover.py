@@ -1,9 +1,10 @@
 """Integration tests for replica *promotion* failover and quorum reads.
 
-The PR-4 contract, pinned end to end:
+The failover contract, pinned end to end:
 
 - promotion performs **zero reads** against the crashed host's in-memory
-  stores (poisoned-accessor enforcement, like the PR-3 drain tests);
+  stores (enforced by poisoning every accessor of the dead server's UserDB
+  before failing over);
 - **no consumer re-registration**: the shard→owner map is updated in place —
   assignments, shard ids and registration timestamps are untouched, and the
   fleet's migration counter never moves;
@@ -13,14 +14,18 @@ The PR-4 contract, pinned end to end:
 - the dead primary's replication stream is retired: consumed replica
   discarded, frozen lag gauges removed, survivors that replicated to the
   dead host retargeted to a new live ring successor;
-- double failures fall back to the next-freshest replica (or report lost
-  consumers), and the quorum-aware degraded read answers an unreachable
-  shard from its freshest replica, marked stale.
+- the freshest live replica wins: a lagging or dead holder never shadows a
+  caught-up one, and consumers whose state never reached a live replica are
+  reported lost, never silently resurrected empty;
+- a recovered server is reconciled: stale copies purged, no consumer ever
+  owned (or scored) twice;
+- the quorum-aware degraded read answers an unreachable shard from its
+  freshest replica, marked stale.
 """
 
 import pytest
 
-from repro.errors import ECommerceError, FleetUnavailableError
+from repro.errors import ECommerceError, FleetUnavailableError, WorkloadError
 from repro.core.similarity import find_similar_users
 from repro.ecommerce.platform_builder import build_platform
 from repro.workload.consumers import ConsumerPopulation
@@ -96,6 +101,10 @@ class TestPromotion:
         }
         assignment_before = {user_id: fleet.shard_of(user_id) for user_id in CONSUMERS}
         migrations_before = fleet.migrated_consumers
+        # The no-failure answers, captured on the same run before the crash.
+        neighbors_before = {
+            user_id: fleet.query_similar(user_id).neighbors for user_id in CONSUMERS
+        }
 
         platform.failures.crash_host(dead.name)
         _poison(dead.user_db)
@@ -115,20 +124,19 @@ class TestPromotion:
             assert _consumer_state(owner.user_db, user_id) == reference_state[user_id]
             # The registration record survived verbatim — nobody re-registered.
             assert owner.user_db.user(user_id).registered_at == registered_at[user_id]
-        # The promotion was recorded (and no drain ran).
         events = platform.event_log.by_category("fleet.failover-promotion")
         assert len(events) == 1
         assert events[0].payload["adopted"] == len(doomed)
-        assert platform.event_log.by_category("fleet.failover-drain") == []
-        # Post-promotion fleet answers are byte-identical to one server
-        # holding the whole community.
+        # Post-promotion fleet answers are byte-identical to the no-failure
+        # run and to one server holding the whole community.
         reference_db = reference.buyer_server.user_db
         config = reference.buyer_server.recommendations.similarity_config
         for user_id in CONSUMERS:
             brute = find_similar_users(
                 reference_db.profile(user_id), reference_db.profiles(), config
             )
-            assert fleet.find_similar(user_id) == brute
+            neighbors = fleet.query_similar(user_id).neighbors
+            assert neighbors == neighbors_before[user_id] == brute
 
     def test_promotion_updates_coordinator_shard_map(self):
         platform = _build(replication_factor=1)
@@ -194,11 +202,14 @@ class TestPromotion:
         promoted = dead.replication.peers[0]
 
         reference_neighbors = {
-            user_id: fleet.find_similar(user_id) for user_id in CONSUMERS
+            user_id: fleet.query_similar(user_id).neighbors for user_id in CONSUMERS
         }
         platform.failures.crash_host(dead.name)
         fleet.handle_server_failure(victim)
-        assert fleet.find_similar(CONSUMERS[0]) == reference_neighbors[CONSUMERS[0]]
+        assert (
+            fleet.query_similar(CONSUMERS[0]).neighbors
+            == reference_neighbors[CONSUMERS[0]]
+        )
 
         promoted_shard = fleet.servers.index(promoted)
         served_before = fleet.consumers_served_by(promoted)
@@ -215,7 +226,9 @@ class TestPromotion:
         )
         for user_id in CONSUMERS:
             assert fleet.server_for(user_id) is survivor
-            assert fleet.find_similar(user_id) == reference_neighbors[user_id]
+            assert (
+                fleet.query_similar(user_id).neighbors == reference_neighbors[user_id]
+            )
 
 
 class TestAdoptedStateIsDurable:
@@ -285,20 +298,30 @@ class TestDoubleFailure:
             assert owner is second_peer
             assert _consumer_state(owner.user_db, user_id) == reference_state[user_id]
 
-    def test_consumers_beyond_every_live_replica_are_lost(self):
-        """State that only ever reached now-dead replicas is reported lost,
-        never resurrected empty."""
-        platform = _build(num_buyer_servers=4, replication_factor=2)
+    @pytest.mark.parametrize(
+        "num_buyer_servers, replication_factor", [(3, 1), (4, 2)]
+    )
+    def test_consumers_beyond_every_live_replica_are_lost(
+        self, num_buyer_servers, replication_factor
+    ):
+        """State that never reached a live replica is reported lost, never
+        resurrected empty — whether the only replica was cut off when the
+        consumer registered (factor 1) or every replica that knew the
+        consumer died with the primary (factor 2)."""
+        platform = _build(
+            num_buyer_servers=num_buyer_servers,
+            replication_factor=replication_factor,
+        )
         fleet = platform.fleet
         _drive_workload(platform)
         victim = _victim_shard(fleet)
         dead = fleet.servers[victim]
-        first_peer, second_peer = dead.replication.peers
+        *doomed_peers, cut_off_peer = dead.replication.peers
         survivors_before = fleet.consumers_of(victim)
 
-        # The second peer stops receiving anything; an orphan registers whose
-        # state therefore only reaches the first peer.
-        platform.network.cut_link(dead.name, second_peer.name, both_ways=False)
+        # The last peer stops receiving anything; an orphan registers whose
+        # state therefore only reaches the other peers (if any).
+        platform.network.cut_link(dead.name, cut_off_peer.name, both_ways=False)
         orphan = next(
             f"orphan-{index}"
             for index in range(1000)
@@ -306,13 +329,12 @@ class TestDoubleFailure:
         )
         platform.login(orphan).logout()
         assert fleet.shard_of(orphan) == victim
-        assert dead.replication.lag_of(second_peer.name) > 0
+        assert dead.replication.lag_of(cut_off_peer.name) > 0
 
-        # Now both the primary and the only replica that knew the orphan die.
-        platform.failures.crash_host(dead.name)
-        platform.failures.crash_host(first_peer.name)
-        _poison(dead.user_db)
-        _poison(first_peer.user_db)
+        # Now the primary and every replica that knew the orphan die.
+        for server in (dead, *doomed_peers):
+            platform.failures.crash_host(server.name)
+            _poison(server.user_db)
         moved = fleet.handle_server_failure(victim)
 
         assert moved == len(survivors_before)
@@ -325,46 +347,124 @@ class TestDoubleFailure:
         assert fleet.server_for(orphan).context.host.is_running
 
 
+class TestFreshestReplicaWins:
+    def test_promotion_prefers_the_caught_up_replica_over_a_lagging_one(self):
+        """With factor >= 2 a lagging replica must never shadow a fresh one:
+        the holder with the longest applied prefix is the one promoted."""
+        platform = _build(replication_factor=2)
+        fleet = platform.fleet
+        _drive_workload(platform, CONSUMERS[:4])
+
+        victim = _victim_shard(fleet)
+        dead = fleet.servers[victim]
+        # Lag the peer that comes FIRST in fleet server order — exactly the
+        # one a naive "first holder wins" failover would promote.
+        first_holder = next(
+            server for server in fleet.servers
+            if server is not dead and any(p is server for p in dead.replication.peers)
+        )
+        caught_up = next(
+            peer for peer in dead.replication.peers if peer is not first_holder
+        )
+
+        # Cut only the link to that peer: its replica lags while the other
+        # peer keeps acknowledging everything.  Re-driving every consumer
+        # gives the already-replicated ones fresh post-cut mutations that
+        # only the healthy replica sees.
+        platform.network.cut_link(dead.name, first_holder.name, both_ways=False)
+        _drive_workload(platform, CONSUMERS)
+        # Heal the link but do NOT pump the scheduler: anti-entropy never
+        # fires, so the lagging replica stays a stale prefix while the
+        # no-failure reference below sees the full (unpartitioned) fleet.
+        platform.network.restore_link(dead.name, first_holder.name, both_ways=False)
+        doomed = fleet.consumers_of(victim)
+        assert doomed
+        assert dead.replication.lag_of(first_holder.name) > 0
+        assert dead.replication.lag_of(caught_up.name) == 0
+        reference_neighbors = {
+            user_id: fleet.query_similar(user_id).neighbors for user_id in CONSUMERS
+        }
+        reference_state = {
+            user_id: _consumer_state(dead.user_db, user_id) for user_id in doomed
+        }
+
+        platform.failures.crash_host(dead.name)
+        _poison(dead.user_db)
+        moved = fleet.handle_server_failure(victim)
+
+        assert moved == len(doomed)
+        assert fleet.lost_consumers == 0
+        for user_id in doomed:
+            owner = fleet.server_for(user_id)
+            assert owner is caught_up
+            assert _consumer_state(owner.user_db, user_id) == reference_state[user_id]
+        for user_id in CONSUMERS:
+            assert (
+                fleet.query_similar(user_id).neighbors == reference_neighbors[user_id]
+            )
+
+
 class TestPromotionRecovery:
-    def test_recovered_host_is_purged_and_ownership_stays_promoted(self):
-        platform = _build(replication_factor=1)
+    @pytest.mark.parametrize("replication_factor", [1, 0])
+    def test_recovered_host_is_purged_and_shard_ownership_is_stable(
+        self, replication_factor
+    ):
+        """Promotion never touches the dead host, so recovery purges its
+        stale copies and the shard stays with the promoted server.  The
+        no-replica hand-off (factor 0) already emptied the dead host's
+        memory and never changed the shard's owner, so nothing is purged
+        and the recovered host takes new registrations again."""
+        platform = _build(replication_factor=replication_factor)
         fleet = platform.fleet
         _drive_workload(platform)
         victim = _victim_shard(fleet)
         dead = fleet.servers[victim]
-        promoted = dead.replication.peers[0]
         doomed = fleet.consumers_of(victim)
 
         platform.failures.crash_host(dead.name)
         fleet.handle_server_failure(victim)
+        handed_off = replication_factor == 0
+        shard_owner = fleet.owner_of_shard(victim)
+        assert (shard_owner is dead) == handed_off
         platform.failures.recover_host(dead.name)
-        purged = fleet.handle_server_recovery(victim)
+        purged = fleet.recover_server(dead)
 
-        assert purged == len(doomed)
+        assert purged == (0 if handed_off else len(doomed))
         for user_id in doomed:
             assert not dead.user_db.is_registered(user_id)
+        purges = platform.event_log.by_category("fleet.recovery-purge")
+        assert [event.payload["purged"] for event in purges] == (
+            [] if handed_off else [doomed]
+        )
         # Ownership is stable: a new consumer hashing to the victim shard is
-        # served by the promoted server, not clawed back by the rejoiner.
+        # served by whoever owned it after the failover, never clawed back.
         rejoiner = next(
             f"rejoin-{index}"
             for index in range(1000)
             if fleet.router.shard_for_user(f"rejoin-{index}") == victim
         )
         platform.login(rejoiner).logout()
-        assert fleet.server_for(rejoiner) is promoted
+        assert fleet.server_for(rejoiner) is shard_owner
         # Nobody is scored twice after recovery.
         for user_id in CONSUMERS:
-            neighbors = fleet.find_similar(user_id)
+            neighbors = fleet.query_similar(user_id).neighbors
             ids = [uid for uid, _ in neighbors]
             assert len(ids) == len(set(ids))
         # The recovered host dropped replicas for primaries that no longer
         # stream to it (they retargeted while it was down).
         for primary in fleet.servers:
-            if primary is dead:
+            if handed_off or primary is dead:
                 continue
             if dead.name in {peer.name for peer in primary.replication.peers}:
                 continue
             assert primary.name not in dead.replication.hosted
+
+    def test_recovery_of_a_down_host_is_refused(self):
+        platform = _build(replication_factor=1)
+        fleet = platform.fleet
+        platform.failures.crash_host(fleet.servers[0].name)
+        with pytest.raises(ECommerceError):
+            fleet.recover_server(fleet.servers[0])
 
     def test_recovered_host_rejoins_the_replication_ring(self):
         """Recovery is not dead weight: primaries whose ideal ring successor
@@ -389,7 +489,7 @@ class TestPromotionRecovery:
         assert not any(peer is dead for peer in predecessor.replication.peers)
 
         platform.failures.recover_host(dead.name)
-        fleet.handle_server_recovery(victim)
+        fleet.recover_server(dead)
 
         # The predecessor swapped back, the CA agrees, and the new replica
         # has fully caught up (snapshot/full-log bootstrap on rewire).
@@ -486,27 +586,35 @@ class TestQuorumReads:
         result = fleet.query_similar(target)
         assert result.stale_shards == {isolated.name: expected_lag}
 
-    def test_drained_shard_is_not_answered_from_its_consumed_replica(self):
-        """After a drain the dead shard's community lives on survivors' live
-        shards; answering from the consumed replica would score everyone
-        twice with frozen pre-drain state.  PR-3 behavior is preserved: the
-        shard is skipped and the query is not marked stale."""
+    def test_handed_off_shard_is_not_answered_from_a_returning_replica(self):
+        """With no live replica at failover time the dead shard's community
+        is handed to survivors' live shards; when the replica holder comes
+        back, answering from its frozen replica would score everyone twice.
+        The emptied shard is skipped and the query is not marked stale."""
         platform = _build(replication_factor=1)
         fleet = platform.fleet
         _drive_workload(platform)
         victim = _victim_shard(fleet)
         dead = fleet.servers[victim]
-        reference = {user_id: fleet.find_similar(user_id) for user_id in CONSUMERS}
+        holder = dead.replication.peers[0]
+        reference = {
+            user_id: fleet.query_similar(user_id).neighbors for user_id in CONSUMERS
+        }
 
         platform.failures.crash_host(dead.name)
-        fleet.handle_server_failure(victim, strategy="drain")
+        platform.failures.crash_host(holder.name)
+        assert fleet.replica_holders(dead) == []
+        fleet.handle_server_failure(victim)
+        assert fleet.promotions == 0 and fleet.consumers_of(victim) == []
+        platform.failures.recover_host(holder.name)
+        assert [server for server, _ in fleet.replica_holders(dead)] == [holder]
         result = fleet.query_similar(CONSUMERS[0])
 
         assert result.stale_shards == {}
         assert result.unreachable_shards == (dead.name,)
         # Every consumer is scored exactly once, from their live owner.
         for user_id in CONSUMERS:
-            assert fleet.find_similar(user_id) == reference[user_id]
+            assert fleet.query_similar(user_id).neighbors == reference[user_id]
 
     def test_is_registered_never_reads_the_dead_hosts_memory(self):
         platform = _build(replication_factor=1)
@@ -677,7 +785,7 @@ class TestFleetUnavailable:
         with pytest.raises(FleetUnavailableError):
             fleet.shard_of("still-nobody-home")
 
-    def test_drain_with_all_survivors_down_raises_clearly(self):
+    def test_failover_with_all_survivors_down_raises_clearly(self):
         platform = _build(replication_factor=1)
         fleet = platform.fleet
         _drive_workload(platform)
@@ -686,17 +794,23 @@ class TestFleetUnavailable:
         for server in fleet.servers:
             platform.failures.crash_host(server.name)
         with pytest.raises(FleetUnavailableError):
-            fleet.handle_server_failure(victim, use_replicas=False)
+            fleet.handle_server_failure(victim)
 
 
 class TestPromotionScenario:
-    def test_promotion_failover_day_end_to_end(self):
-        platform = _build(replication_factor=1)
+    @pytest.mark.parametrize("seed, refresh_interval_ms", [(11, 1000.0), (5, 1500.0)])
+    def test_promotion_failover_day_end_to_end(self, seed, refresh_interval_ms):
+        platform = build_platform(
+            seed=seed,
+            num_buyer_servers=3,
+            replication_factor=1,
+            replication_wal_truncate_threshold=32,
+        )
         runner = ScenarioRunner(
-            platform, ConsumerPopulation(12, groups=3, seed=11), seed=11
+            platform, ConsumerPopulation(12, groups=3, seed=seed), seed=seed
         )
         report = runner.promotion_failover_day(
-            sessions=24, refresh_interval_ms=1000.0
+            sessions=24, refresh_interval_ms=refresh_interval_ms
         )
         assert report.sessions == 24
         assert report.lost_consumers == 0
@@ -704,16 +818,23 @@ class TestPromotionScenario:
         assert report.stale_shard_answers > 0
         assert report.recovered_purged == report.promoted_consumers
         assert report.batch_refreshes > 0
+        assert platform.metrics.counter("replication.entries_shipped").value > 0
         events = platform.event_log.by_category("fleet.failover-promotion")
         assert len(events) == 1
         assert events[0].payload["adopted"] == report.promoted_consumers
-        assert platform.event_log.by_category("fleet.failover-drain") == []
+        assert events[0].payload["lost"] == []
         victim = platform.fleet.servers[0]
         assert victim.context.host.is_running  # recovered by the scenario
+        # Bounded WAL: snapshot + truncate was observed and every retained
+        # log stays below a fixed entry bound (threshold + one anti-entropy
+        # interval of tail), even though far more entries were appended
+        # over the whole day.
+        assert platform.event_log.count("replication.wal-truncated") > 0
+        logs = [server.replication.log for server in platform.buyer_servers]
+        assert all(len(log) <= 96 for log in logs), [len(log) for log in logs]
+        assert sum(len(log) for log in logs) < sum(log.last_seq for log in logs)
 
     def test_scenario_requires_fleet_and_replication(self):
-        from repro.errors import WorkloadError
-
         single = build_platform(seed=3)
         runner = ScenarioRunner(single, ConsumerPopulation(4, seed=3), seed=3)
         with pytest.raises(WorkloadError):

@@ -126,7 +126,7 @@ def test_crash_during_split_preserves_byte_identity():
     # Crash the parent shard's owner in both worlds, then promote.
     for platform in (reference_platform, elastic):
         platform.failures.crash_host(victim.name)
-        platform.fleet.handle_server_failure(0, strategy="promote")
+        platform.fleet.handle_server_failure(0)
     reference = neighbor_stream(reference_platform)
     assert_identical(reference, elastic, "degraded, split in flight")
 

@@ -314,8 +314,8 @@ class TestHedgedFanout:
                 server
                 for server in fleet.servers
                 if server is not owner
-                and fleet._replica_holders(server)
-                and fleet._replica_holders(server)[0][0] is not owner
+                and fleet.replica_holders(server)
+                and fleet.replica_holders(server)[0][0] is not owner
             )
             other = next(
                 server

@@ -5,13 +5,19 @@ idempotent duplicates, gap stalls), streaming over the simulated network and
 the anti-entropy catch-up after outages.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import ECommerceError, ReplicationError
 from repro.core.profile import Profile
 from repro.core.ratings import Interaction, InteractionKind
 from repro.ecommerce.platform_builder import PlatformConfig, build_platform
-from repro.ecommerce.replication import ReplicaState, ReplicationLog
+from repro.ecommerce.replication import (
+    ReplicaState,
+    ReplicationLog,
+    ReplicationRing,
+)
 from repro.ecommerce.transactions import TransactionKind, TransactionRecord
 
 
@@ -455,6 +461,56 @@ class TestBoundedWal:
         )
         assert owner.replication.log.truncated_seq == 0
         assert len(owner.replication.log) == owner.replication.log.last_seq
+
+
+def _ring_server(name, running=True, replicating=True):
+    """The three things the successor walk reads off a server."""
+    return SimpleNamespace(
+        name=name,
+        replication=object() if replicating else None,
+        context=SimpleNamespace(host=SimpleNamespace(is_running=running)),
+    )
+
+
+class TestRingSuccessorWalk:
+    def _names(self, ring, start, **kwargs):
+        return [server.name for server in ring.successors(start, **kwargs)]
+
+    def test_walks_ring_order_from_the_primary_and_wraps(self):
+        servers = [_ring_server(name) for name in "abcd"]
+        ring = ReplicationRing(servers, retired=set())
+        assert self._names(ring, servers[0]) == ["b", "c", "d"]
+        assert self._names(ring, servers[2]) == ["d", "a", "b"]
+        assert self._names(ring, servers[3]) == ["a", "b", "c"]
+
+    def test_skips_dead_retired_non_replicating_and_already_peered(self):
+        a, b, c, d, e, f = servers = [
+            _ring_server("a"),
+            _ring_server("b", running=False),
+            _ring_server("c"),
+            _ring_server("d", replicating=False),
+            _ring_server("e"),
+            _ring_server("f"),
+        ]
+        ring = ReplicationRing(servers, retired={"c"})
+        assert self._names(ring, a) == ["e", "f"]
+        assert self._names(ring, a, skip=[e]) == ["f"]
+        # Wrapping from the far end applies the same filters.
+        assert self._names(ring, f) == ["a", "e"]
+        assert self._names(ring, f, skip=[a, e]) == []
+
+    def test_membership_changes_are_seen_through_the_shared_collections(self):
+        servers = [_ring_server(name) for name in "ab"]
+        retired = set()
+        ring = ReplicationRing(servers, retired)
+        servers.append(_ring_server("c"))
+        assert self._names(ring, servers[0]) == ["b", "c"]
+        retired.add("b")
+        assert self._names(ring, servers[0]) == ["c"]
+
+    def test_one_server_ring_has_no_successor(self):
+        only = _ring_server("only")
+        assert list(ReplicationRing([only], retired=set()).successors(only)) == []
 
 
 class TestPlatformConfigValidation:

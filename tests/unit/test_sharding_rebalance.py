@@ -7,6 +7,7 @@ category preferences (must fall back to hash placement, not crash), and
 explicit rebalances that grow or shrink the shard count.
 """
 
+import dataclasses
 import zlib
 
 import pytest
@@ -301,6 +302,25 @@ class TestFleetRebalanceEdgeCases:
         with pytest.raises(ECommerceError):
             platform.fleet.handle_server_failure(0)
 
+    @pytest.mark.parametrize(
+        "selectors",
+        [(True,), (False,), (None, "drain"), (None, "memory"), (True, "promote")],
+    )
+    def test_failover_path_is_not_selectable(self, selectors):
+        """The path is picked from live replicas, never by the caller; the
+        two legacy parameters only accept the frozen benchmark's
+        ``(None, "promote")``."""
+        platform = build_platform(seed=11, num_buyer_servers=2)
+        fleet = platform.fleet
+        platform.login("ann").logout()
+        shard = fleet.shard_of("ann")
+        platform.failures.crash_host(fleet.servers[shard].name)
+        with pytest.raises(ECommerceError, match="no longer selectable"):
+            fleet.handle_server_failure(shard, *selectors)
+        assert fleet.shard_of("ann") == shard  # nothing moved
+        assert fleet.handle_server_failure(shard, None, "promote") == 1
+        assert fleet.server_for("ann").context.host.is_running
+
     def test_migration_moves_profile_and_ratings(self):
         platform = build_platform(seed=11, num_buyer_servers=2)
         fleet = platform.fleet
@@ -313,11 +333,14 @@ class TestFleetRebalanceEdgeCases:
         target_db = fleet.servers[target].user_db
         profile_before = source_db.profile("ann").to_dict()
         interactions_before = len(source_db.ratings.interactions_of("ann"))
+        record_before = dataclasses.asdict(source_db.user("ann"))
+        assert record_before["logins"] == 1
 
         fleet.migrate_consumer("ann", target)
 
         assert not source_db.is_registered("ann")
         assert target_db.is_registered("ann")
+        assert dataclasses.asdict(target_db.user("ann")) == record_before
         assert target_db.profile("ann").to_dict() == profile_before
         assert len(target_db.ratings.interactions_of("ann")) == interactions_before
         assert fleet.shard_of("ann") == target
@@ -348,10 +371,13 @@ class TestFleetRebalanceEdgeCases:
         interactions = len(home_db.ratings.interactions_of("ann"))
         transactions = len(home_db.transactions_of("ann"))
         profile = home_db.profile("ann").to_dict()
+        record = dataclasses.asdict(home_db.user("ann"))
 
         fleet.migrate_consumer("ann", away)
         fleet.migrate_consumer("ann", home)
 
+        assert dataclasses.asdict(home_db.user("ann")) == record
+        assert record["logins"] == 1 and record["last_login_at"] > 0.0
         assert len(home_db.ratings.interactions_of("ann")) == interactions
         assert len(home_db.transactions_of("ann")) == transactions
         assert home_db.profile("ann").to_dict() == profile
