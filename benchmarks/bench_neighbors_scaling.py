@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.neighbors import ProfileNeighborIndex
-from repro.core.scoring import numpy_available
+from repro.core.scoring import available_backends, numpy_available
 from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig, find_similar_users
 from repro.experiments.harness import ExperimentResult, build_standard_dataset
@@ -358,10 +358,6 @@ def test_tight_term_bound_skips_no_fewer(experiment_reporter):
 KERNEL_TIMING_ROUNDS = 3
 
 
-def _kernel_backends():
-    return ["dict", "array", "numpy"] if numpy_available() else ["dict", "array"]
-
-
 def _kernel_query_plan(dataset, profiles):
     """Open (category=None) searches only: the kernel trajectory measures
     full-population block scoring; category-filtered queries take the
@@ -393,7 +389,7 @@ def run_kernel_point(consumers: int):
     # identical across every available backend.
     rankings = {}
     skips = {}
-    for backend in _kernel_backends():
+    for backend in available_backends():
         index = ProfileNeighborIndex(
             provider=profiles.values,
             config=config,
@@ -407,7 +403,7 @@ def run_kernel_point(consumers: int):
         ]
         skips[backend] = index.bound_skips
 
-    for backend in _kernel_backends()[1:]:
+    for backend in available_backends()[1:]:
         assert rankings[backend] == rankings["dict"], (
             f"{backend} kernel diverged from the dict reference at "
             f"{consumers} consumers"
@@ -422,7 +418,7 @@ def run_kernel_point(consumers: int):
     # which is exactly what the vectorized kernel accelerates).  One warm
     # pass (also equivalence-checked), then the timed rounds.
     timings = {}
-    for backend in _kernel_backends():
+    for backend in available_backends():
         index = ProfileNeighborIndex(
             provider=profiles.values, config=config, backend=backend
         )
@@ -470,7 +466,6 @@ def run_kernel_point(consumers: int):
         "consumers": consumers,
         "backends_identical": True,
         "dict_ms": round(timings["dict"], 3),
-        "array_ms": round(timings["array"], 3),
         "numpy_ms": round(numpy_ms, 3) if numpy_ms is not None else None,
         "kernel_speedup": (
             round(timings["dict"] / numpy_ms, 1)
@@ -500,7 +495,7 @@ def run_kernel_trajectory(sizes=KERNEL_SIZES):
     )
     result.add_note(
         f"numpy available: {numpy_available()} "
-        f"(REPRO_NO_NUMPY=1 forces the stdlib path)"
+        f"(REPRO_NO_NUMPY=1 hides it)"
     )
     result.add_note(f"mode: {'full' if FULL_MODE else 'smoke'}")
     return deterministic, measured, result
@@ -572,6 +567,12 @@ def test_artifact_records_full_kernel_trajectory():
     sizes = [row["consumers"] for row in measured["rows"]]
     assert sizes == [1000, 5000, 50000]
     assert all(row["backends_identical"] for row in measured["rows"])
+    # One timing column per shipped kernel, nothing else.
+    assert all(
+        {key for key in row if key.endswith("_ms")}
+        == {"dict_ms", "numpy_ms", "brute_ms"}
+        for row in measured["rows"]
+    )
     at_5k = next(r for r in measured["rows"] if r["consumers"] == 5000)
     assert at_5k["kernel_speedup"] >= measured["required_speedup_at_5000"]
     at_50k = next(r for r in measured["rows"] if r["consumers"] == 50000)

@@ -44,7 +44,7 @@ from typing import (
 
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
-from repro.core.scoring import create_kernel, resolve_backend
+from repro.core.scoring import DEFAULT_BACKEND, create_kernel, resolve_backend
 from repro.core.similarity import (
     SimilarityConfig,
     vector_norm as _norm,
@@ -107,15 +107,14 @@ class ProfileNeighborIndex:
         provider_version: Optional[Callable[[], int]] = None,
         early_termination: bool = False,
         tight_term_bound: bool = True,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.config = config or SimilarityConfig()
         self.config.validate()
-        # Scoring kernel backend ("dict" | "array" | "numpy" | "auto").  The
-        # default stays the reference dict loops so existing callers are
-        # untouched; platform wiring selects the backend via PlatformConfig.
-        # All backends are score-identical by construction (see
-        # repro.core.scoring and tests/property/test_scoring_kernel.py).
+        # Scoring kernel backend ("dict" | "numpy" | "auto"); platform wiring
+        # passes PlatformConfig.scoring_backend.  The backends are
+        # score-identical by construction (see repro.core.scoring and
+        # tests/property/test_scoring_kernel.py).
         self.backend = resolve_backend(backend)
         self._kernel = create_kernel(self.backend)
         # Cauchy-Schwarz norm-bound candidate skipping (see find_similar).

@@ -1,21 +1,13 @@
 """Swappable scoring kernels for the neighbor index — score-identical by construction.
 
-:class:`~repro.core.neighbors.ProfileNeighborIndex` historically scored one
-candidate at a time with pure-Python dict loops
-(:func:`repro.core.similarity.cosine_similarity_cached`).  This module factors
-that inner loop behind a single :class:`ScoringKernel` interface with three
-backends:
+:class:`~repro.core.neighbors.ProfileNeighborIndex` scores candidates through
+a single :class:`ScoringKernel` interface with two backends:
 
-- ``dict`` — the reference backend: the exact dict loops, untouched.  Zero
-  per-entry state, always available, the semantics every other backend must
-  reproduce bit for bit.
-- ``array`` — always-available stdlib backend: each entry's sparse vector is
-  held as a parallel ``array('q')`` slot / ``array('d')`` weight pair (read
-  through memoryviews), and the candidate-side dot becomes
-  ``sum(map(mul, weights, map(dense.__getitem__, slots)))`` against a dense
-  target list — the same products in the same order as the dict loop, so the
-  result is the same IEEE-754 double.  Compact rows, modest constant-factor
-  gains, no third-party dependency.
+- ``dict`` — the reference backend and the default
+  (:data:`DEFAULT_BACKEND`): one candidate at a time through the pure-Python
+  dict loops of :func:`repro.core.similarity.cosine_similarity_cached`.  Zero
+  per-entry state, no third-party dependency, the semantics the other
+  backend must reproduce bit for bit.
 - ``numpy`` — optional batch backend: entries are packed into CSR/CSC-style
   contiguous arrays and a whole candidate block is scored per query.  Exact
   dot products come from ``np.bincount(rows, weights=products)``, which
@@ -28,20 +20,18 @@ backends:
   elementwise IEEE operations identical to the scalar expressions.
 
 Bit-identity, not just approximate equality, is the contract: the property
-suite in ``tests/property/test_scoring_kernel.py`` drives all three backends
+suite in ``tests/property/test_scoring_kernel.py`` drives both backends
 over adversarial profiles (zero norms, empty term sets, single ratings,
 disjoint categories) and asserts ``==`` on every score.
 
-Backend selection: ``resolve_backend("auto")`` prefers numpy when importable
-and not disabled; setting the ``REPRO_NO_NUMPY`` environment variable forces
-the stdlib path (CI runs the whole tier-1 suite both ways).
+Backend selection: ``resolve_backend("auto")`` picks numpy when importable
+and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
+variable hides numpy (CI re-runs the kernel and index suites that way).
 """
 
 from __future__ import annotations
 
 import os
-from array import array
-from operator import mul
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core.similarity import cosine_similarity_cached as _cached_cosine
@@ -50,17 +40,22 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.neighbors import _ProfileEntry
 
 __all__ = [
+    "DEFAULT_BACKEND",
     "KERNEL_BACKENDS",
     "ScoringKernel",
     "TargetState",
     "BlockScores",
+    "available_backends",
     "create_kernel",
     "numpy_available",
     "resolve_backend",
 ]
 
 #: The closed set of valid kernel backend names ("auto" resolves into these).
-KERNEL_BACKENDS = ("dict", "array", "numpy")
+KERNEL_BACKENDS = ("dict", "numpy")
+
+#: The backend every ``backend=`` / ``scoring_backend=`` parameter defaults to.
+DEFAULT_BACKEND = "dict"
 
 _numpy_module = None
 _numpy_probed = False
@@ -93,15 +88,20 @@ def _numpy():
     return _numpy_module
 
 
+def available_backends() -> List[str]:
+    """The :data:`KERNEL_BACKENDS` usable right now, reference first."""
+    return [name for name in KERNEL_BACKENDS if name != "numpy" or numpy_available()]
+
+
 def resolve_backend(backend: str) -> str:
     """Validate ``backend`` and resolve ``"auto"`` to a concrete name.
 
-    ``auto`` prefers numpy when available and falls back to the stdlib
-    ``array`` kernel; asking for ``numpy`` explicitly when it is unavailable
+    ``auto`` prefers numpy when available and falls back to the ``dict``
+    reference kernel; asking for ``numpy`` explicitly when it is unavailable
     is an error rather than a silent downgrade.
     """
     if backend == "auto":
-        return "numpy" if numpy_available() else "array"
+        return "numpy" if numpy_available() else "dict"
     if backend not in KERNEL_BACKENDS:
         raise ValueError(
             f"unknown scoring backend {backend!r}; "
@@ -120,8 +120,6 @@ def create_kernel(backend: str) -> "ScoringKernel":
     backend = resolve_backend(backend)
     if backend == "dict":
         return DictKernel()
-    if backend == "array":
-        return ArrayKernel()
     return NumpyKernel()
 
 
@@ -129,8 +127,7 @@ class TargetState:
     """Per-query prepared view of the target profile's vectors.
 
     Built once by :meth:`ScoringKernel.prepare_target` and threaded through
-    every per-candidate scoring call of that query; backends attach whatever
-    dense/packed representation they need.
+    every per-candidate scoring call of that query.
     """
 
     __slots__ = (
@@ -140,10 +137,6 @@ class TargetState:
         "term_norm",
         "term_l1",
         "term_max",
-        "pref_dense",
-        "term_dense",
-        "pref_items",
-        "term_items",
     )
 
     def __init__(
@@ -161,21 +154,16 @@ class TargetState:
         self.term_norm = term_norm
         self.term_l1 = term_l1
         self.term_max = term_max
-        self.pref_dense = None
-        self.term_dense = None
-        self.pref_items = None
-        self.term_items = None
 
 
 class ScoringKernel:
     """Backend interface the neighbor index scores candidates through.
 
-    Scalar backends (``dict``, ``array``) expose :meth:`pref_part` /
-    :meth:`term_part` and keep the index's lazy per-candidate loop (so
-    early-termination still skips term dots entirely).  Block backends
-    (``numpy``, ``vectorized = True``) additionally expose
-    :meth:`score_block`, scoring every indexed entry in a handful of
-    vectorized passes.
+    Every backend exposes :meth:`pref_part` / :meth:`term_part`, which keep
+    the index's lazy per-candidate loop (so early-termination still skips
+    term dots entirely).  Block backends (``numpy``, ``vectorized = True``)
+    additionally expose :meth:`score_block`, scoring every indexed entry in
+    a handful of vectorized passes.
     """
 
     name: str = "abstract"
@@ -234,151 +222,6 @@ class DictKernel(ScoringKernel):
 
     def term_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
         return _cached_cosine(tq.terms, tq.term_norm, entry.terms, entry.term_norm)
-
-
-class _ArrayRow:
-    """One entry's sparse vectors as parallel stdlib arrays.
-
-    ``slots`` are vocabulary positions (``array('q')``), ``weights`` the
-    matching values (``array('d')``), both in the entry dict's insertion
-    order so a product-by-product walk reproduces the dict loop's summation
-    order exactly.  Reads go through memoryviews — zero-copy, and ``'d'``
-    views yield native floats.
-    """
-
-    __slots__ = ("pref_slots", "pref_weights", "term_slots", "term_weights")
-
-    def __init__(
-        self,
-        pref_slots: array,
-        pref_weights: array,
-        term_slots: array,
-        term_weights: array,
-    ) -> None:
-        self.pref_slots = memoryview(pref_slots)
-        self.pref_weights = memoryview(pref_weights)
-        self.term_slots = memoryview(term_slots)
-        self.term_weights = memoryview(term_weights)
-
-
-class ArrayKernel(ScoringKernel):
-    """Stdlib ``array``/memoryview backend — always available.
-
-    A shared, monotonically growing vocabulary maps category / term names to
-    integer slots; each entry keeps slot/weight arrays per side.  At query
-    time the target is densified into a plain list indexed by slot, and the
-    candidate-side dot is ``sum(map(mul, weights, map(dense.__getitem__,
-    slots)))`` — the same products in the same left-to-right order as the
-    dict loop, hence the same bits.  When the target side is the shorter one
-    the reference dict loop is used directly (it iterates the target's own
-    items, which no per-entry packing can accelerate).
-    """
-
-    name = "array"
-
-    def __init__(self) -> None:
-        self._pref_slots: Dict[str, int] = {}
-        self._term_slots: Dict[str, int] = {}
-        self._rows: Dict[str, _ArrayRow] = {}
-
-    def reset(self) -> None:
-        self._pref_slots.clear()
-        self._term_slots.clear()
-        self._rows.clear()
-
-    def _pack(self, vector: Dict[str, float], slots: Dict[str, int]) -> Tuple[array, array]:
-        for key in vector:
-            if key not in slots:
-                slots[key] = len(slots)
-        ids = array("q", (slots[key] for key in vector))
-        weights = array("d", vector.values())
-        return ids, weights
-
-    def entry_changed(self, entry: "_ProfileEntry") -> None:
-        pref_ids, pref_weights = self._pack(entry.prefs, self._pref_slots)
-        term_ids, term_weights = self._pack(entry.terms, self._term_slots)
-        self._rows[entry.user_id] = _ArrayRow(
-            pref_ids, pref_weights, term_ids, term_weights
-        )
-
-    def entry_removed(self, user_id: str) -> None:
-        self._rows.pop(user_id, None)
-
-    def prepare_target(
-        self,
-        prefs: Dict[str, float],
-        pref_norm: float,
-        terms: Dict[str, float],
-        term_norm: float,
-        term_l1: float = 0.0,
-        term_max: float = 0.0,
-    ) -> TargetState:
-        tq = TargetState(prefs, pref_norm, terms, term_norm, term_l1, term_max)
-        tq.pref_dense = self._densify(prefs, self._pref_slots)
-        tq.term_dense = self._densify(terms, self._term_slots)
-        return tq
-
-    @staticmethod
-    def _densify(vector: Dict[str, float], slots: Dict[str, int]) -> List[float]:
-        dense = [0.0] * len(slots)
-        for key, value in vector.items():
-            slot = slots.get(key)
-            if slot is not None:
-                dense[slot] = value
-        return dense
-
-    @staticmethod
-    def _side_cosine(
-        target: Dict[str, float],
-        target_norm: float,
-        target_dense: List[float],
-        entry_vector: Dict[str, float],
-        entry_norm: float,
-        slots,
-        weights,
-    ) -> float:
-        # Mirrors cosine_similarity_cached guard for guard: empty-side check
-        # first, then iterate the smaller side, then the zero-norm check.
-        if not target or not entry_vector:
-            return 0.0
-        if len(target) > len(entry_vector):
-            # Candidate side is smaller: walk its packed arrays against the
-            # dense target.  Absent slots read 0.0, exactly like
-            # ``right.get(key, 0.0)`` in the reference loop.
-            if target_norm == 0.0 or entry_norm == 0.0:
-                return 0.0
-            dot = sum(map(mul, weights, map(target_dense.__getitem__, slots)))
-        else:
-            if target_norm == 0.0 or entry_norm == 0.0:
-                return 0.0
-            dot = sum(
-                value * entry_vector.get(key, 0.0) for key, value in target.items()
-            )
-        return dot / (target_norm * entry_norm)
-
-    def pref_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        row = self._rows[entry.user_id]
-        return self._side_cosine(
-            tq.prefs,
-            tq.pref_norm,
-            tq.pref_dense,
-            entry.prefs,
-            entry.pref_norm,
-            row.pref_slots,
-            row.pref_weights,
-        )
-
-    def term_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        row = self._rows[entry.user_id]
-        return self._side_cosine(
-            tq.terms,
-            tq.term_norm,
-            tq.term_dense,
-            entry.terms,
-            entry.term_norm,
-            row.term_slots,
-            row.term_weights,
-        )
 
 
 class BlockScores:

@@ -55,7 +55,7 @@ from repro.errors import SimilarityError
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
-from repro.core.scoring import resolve_backend
+from repro.core.scoring import DEFAULT_BACKEND, resolve_backend
 from repro.core.similarity import SimilarityConfig
 
 __all__ = [
@@ -180,7 +180,7 @@ class ShardedNeighborIndex:
         provider_version: Optional[Callable[[], int]] = None,
         early_termination: bool = True,
         tight_term_bound: bool = True,
-        backend: str = "dict",
+        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.config = config or SimilarityConfig()
         self.config.validate()

@@ -48,6 +48,7 @@ from repro.agents.messages import MessageKinds
 from repro.core.items import ItemCatalogView
 from repro.core.profile_learning import LearningConfig, ProfileLearner
 from repro.core.recommender import Recommendation
+from repro.core.scoring import DEFAULT_BACKEND
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.buyer_agents import BuyerServerManagementAgent, HttpAgent
 from repro.ecommerce.databases import BSMDB, UserDB
@@ -83,7 +84,7 @@ class BuyerAgentServer:
         similarity_config: Optional[SimilarityConfig] = None,
         neighbor_shards: int = 1,
         shard_routing: str = "hash",
-        scoring_backend: str = "array",
+        scoring_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.context = context
         self.name = context.host_name

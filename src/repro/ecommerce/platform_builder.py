@@ -21,7 +21,7 @@ from repro.agents.security import AuthenticationService
 from repro.agents.directory import ContextDirectory
 from repro.core.items import Item, ItemCatalogView
 from repro.core.profile_learning import LearningConfig
-from repro.core.scoring import resolve_backend
+from repro.core.scoring import DEFAULT_BACKEND, resolve_backend
 from repro.core.similarity import SimilarityConfig
 from repro.platform.clock import Scheduler
 from repro.platform.events import EventLog
@@ -125,13 +125,12 @@ class PlatformConfig:
             is byte-identical to the unhedged fan-out; ``1.0`` arms the
             machinery but can never fire (no latency exceeds the max).
         scoring_backend: which :mod:`repro.core.scoring` kernel backend the
-            neighbor indexes use — ``"dict"`` (the PR-1 reference loops),
-            ``"array"`` (stdlib contiguous arrays, the default), ``"numpy"``
-            (vectorized blocks; requires numpy) or ``"auto"`` (numpy when
-            importable, else ``"array"``).  All backends are score-identical
-            by construction — the differential suite in
-            ``tests/property/test_scoring_kernel.py`` pins it — so this
-            knob trades speed, never answers.
+            neighbor indexes use — ``"dict"`` (the reference loops, the
+            default), ``"numpy"`` (vectorized blocks; requires numpy) or
+            ``"auto"`` (numpy when importable, else ``"dict"``).  The
+            backends are score-identical by construction — the differential
+            suite in ``tests/property/test_scoring_kernel.py`` pins it — so
+            this knob trades speed, never answers.
         api_recommendation_cache: serve gateway ``recommendations``
             requests from batch-refresh output when an exactly-matching
             entry exists (``served_from_cache`` provenance), with write
@@ -168,7 +167,7 @@ class PlatformConfig:
     api_admission_refill_per_ms: float = 1.0
     api_admission_classes: Optional[Dict[str, Dict[str, object]]] = None
     fleet_hedge_delay_percentile: Optional[float] = None
-    scoring_backend: str = "array"
+    scoring_backend: str = DEFAULT_BACKEND
     api_recommendation_cache: bool = False
     handshake_trades: bool = False
 

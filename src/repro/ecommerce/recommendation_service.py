@@ -19,7 +19,7 @@ from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommende
 from repro.core.profile import Profile
 from repro.core.profile_learning import ProfileLearner
 from repro.core.recommender import Recommendation, RecommendationEngine
-from repro.core.scoring import resolve_backend
+from repro.core.scoring import DEFAULT_BACKEND, resolve_backend
 from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.databases import UserDB
@@ -44,7 +44,7 @@ class RecommendationService:
         profile_learner: Optional[ProfileLearner] = None,
         neighbor_shards: int = 1,
         shard_routing: str = "hash",
-        scoring_backend: str = "array",
+        scoring_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.user_db = user_db
         self.catalog = catalog

@@ -96,6 +96,7 @@ from repro.errors import NetworkError, ReplicationError
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
+from repro.core.scoring import DEFAULT_BACKEND
 from repro.ecommerce.databases import UserDB
 from repro.platform.clock import RecurringCallback
 
@@ -246,7 +247,7 @@ class ReplicaState:
         self._neighbor_index: Optional[ProfileNeighborIndex] = None
         self._neighbor_backend: Optional[str] = None
 
-    def neighbor_index(self, backend: str = "dict") -> ProfileNeighborIndex:
+    def neighbor_index(self, backend: str = DEFAULT_BACKEND) -> ProfileNeighborIndex:
         """A :class:`ProfileNeighborIndex` over this replica's shadow profiles.
 
         Built on first use and kept in sync through the shadow UserDB's

