@@ -6,8 +6,8 @@
 # The benchmarks run in smoke mode (small populations, <10s total) but still
 # assert brute-force equivalence for the indexed AND sharded paths plus a
 # minimum sharded-vs-brute speedup; export REPRO_BENCH_FULL=1 to run the
-# 5000-consumer scaling + shard-sweep check instead (where at least one
-# sharded configuration must also beat the single-index path).
+# 5000-consumer scaling + shard-sweep check instead (where the wall-clock
+# bars of benchmarks/bench_neighbors_scaling.py are enforced too).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,7 +32,7 @@ REPRO_NO_NUMPY=1 python -m pytest -x -q \
 echo "== tier-1: benchmark smoke (neighbor index scaling + shard sweep =="
 echo "==         + scoring-kernel trajectory: deterministic block must =="
 echo "==         regenerate byte-for-byte, recorded full-mode timings  =="
-echo "==         must hold the numpy-vs-dict acceptance bar)           =="
+echo "==         must hold the dict-vs-brute acceptance floor)         =="
 python -m pytest -x -q benchmarks/bench_neighbors_scaling.py
 
 echo "== tier-1: benchmark smoke (concurrent load + artifact reproduction) =="
@@ -46,6 +46,21 @@ python -m pytest -x -q benchmarks/bench_elastic_fleet.py
 
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
 python -m pytest -x -q benchmarks/bench_adversarial.py
+
+echo "== tier-1: wall-clock ledger digests (full-scale fixed phase of every =="
+echo "==         workload must be correct and reproduce expected/*.json) =="
+for workload in browse trade similar_fanout overload_submit fleet_maintenance; do
+  python3 benchmarks/wallclock/run.py --workload "${workload}" --seed 1 \
+      --seconds 1 --trace 1 | tail -n 1 | WORKLOAD="${workload}" python3 -c '
+import json, os, sys
+result = json.loads(sys.stdin.readline())
+digest = result["metrics"]["sim.digest_match"]["value"]
+assert result["correct"] is True and result["failed"] == 0, result
+assert digest == 1.0, f"sim.digest_match is {digest}, expected 1.0"
+print("-- " + os.environ["WORKLOAD"] + ": correct, digest matches,",
+      result["attempted"], "operations")
+'
+done
 
 echo "== tier-1: example smoke runs (deprecation-clean: examples must not =="
 echo "==         touch the shimmed legacy session/fleet methods)         =="

@@ -44,7 +44,12 @@ from typing import (
 
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
-from repro.core.scoring import DEFAULT_BACKEND, create_kernel, resolve_backend
+from repro.core.scoring import (
+    DEFAULT_BACKEND,
+    create_kernel,
+    resolve_backend,
+    term_cosine_ceiling,
+)
 from repro.core.similarity import (
     SimilarityConfig,
     vector_norm as _norm,
@@ -337,22 +342,27 @@ class ProfileNeighborIndex:
             target_term_max,
         )
 
-        # A vectorized kernel scores the whole entry block in a few passes;
-        # that wins whenever most entries are candidates anyway, but a narrow
-        # discard-rule window is cheaper through the per-candidate loop.
-        if self._kernel.vectorized and self._entries and (
-            category is None or len(candidates) * 4 >= len(self._entries)
+        # Every kernel scores the whole entry block per query; the numpy
+        # kernel's passes cost O(entries) however few candidates survive the
+        # discard rule, so its narrow windows go through the per-candidate
+        # loop instead.
+        if (
+            self._kernel.vectorized
+            and category is not None
+            and len(candidates) * 4 < len(self._entries)
         ):
-            scored = self._block_scored(
-                tq, candidates, category, config, use_bound, target.user_id
-            )
-        else:
             scored = self._scalar_scored(
                 tq, candidates, config, use_bound, target.user_id
             )
+        else:
+            scored = self._block_scored(
+                tq, candidates, category, config, use_bound, target.user_id
+            )
 
-        scored.sort(key=lambda pair: (-pair[1], pair[0]))
-        return scored[: config.top_k]
+        # Equivalent to sorted(scored, key=...)[:top_k], ties included.
+        return heapq.nsmallest(
+            config.top_k, scored, key=lambda pair: (-pair[1], pair[0])
+        )
 
     def find_similar_many(
         self,
@@ -383,7 +393,7 @@ class ProfileNeighborIndex:
         use_bound: bool,
         exclude_user: str,
     ) -> List[Tuple[str, float]]:
-        """Per-candidate loop over the kernel's scalar dot products."""
+        """Per-candidate loop over the numpy kernel's scalar fallback."""
         kernel = self._kernel
         preference_weight = config.preference_weight
         term_weight = config.term_weight
@@ -401,20 +411,13 @@ class ProfileNeighborIndex:
             entry = self._entries[user_id]
             preference_part = kernel.pref_part(tq, entry)
             if use_bound:
-                if tq.term_norm > 0.0 and entry.term_norm > 0.0:
-                    term_bound = 1.0
-                    if self.tight_term_bound:
-                        # Hölder both ways round; keep the smaller ceiling.
-                        holder = min(
-                            tq.term_max * entry.term_l1,
-                            tq.term_l1 * entry.term_max,
-                        )
-                        tight = holder / (tq.term_norm * entry.term_norm)
-                        # One-part-in-1e9 inflation: provably above the true
-                        # cosine even after float rounding of dot and norms.
-                        term_bound = min(1.0, tight * (1.0 + 1e-9))
-                else:
-                    term_bound = 0.0
+                term_bound = term_cosine_ceiling(
+                    tq,
+                    entry.term_norm,
+                    entry.term_l1,
+                    entry.term_max,
+                    self.tight_term_bound,
+                )
                 bound = (
                     preference_weight * preference_part + term_weight * term_bound
                 ) / total_weight
@@ -448,14 +451,15 @@ class ProfileNeighborIndex:
         use_bound: bool,
         exclude_user: str,
     ) -> List[Tuple[str, float]]:
-        """Vectorized path: score the whole block, then filter / replay.
+        """Block path: the kernel scores every entry, then filter / replay.
 
         The kernel returns bit-identical scores (and early-termination
         bounds) for every indexed entry; without bounds and without a
-        category window the survivors drop out of one vectorized filter.
-        With bounds on, the sequential skip/heap decision process is
-        replayed over the precomputed score and bound lists — same skip
-        decisions, same ``bound_skips`` increments, no dot products.
+        category window the survivors drop out of one filter inside the
+        kernel.  With bounds on, the sequential skip/heap decision process
+        of :meth:`_scalar_scored` is replayed over the precomputed scores
+        and bounds — same skip decisions, same ``bound_skips`` increments,
+        no dot products.
         """
         preference_weight = config.preference_weight
         term_weight = config.term_weight

@@ -3,26 +3,51 @@
 :class:`~repro.core.neighbors.ProfileNeighborIndex` scores candidates through
 a single :class:`ScoringKernel` interface with two backends:
 
-- ``dict`` — the reference backend and the default
-  (:data:`DEFAULT_BACKEND`): one candidate at a time through the pure-Python
-  dict loops of :func:`repro.core.similarity.cosine_similarity_cached`.  Zero
-  per-entry state, no third-party dependency, the semantics the other
-  backend must reproduce bit for bit.
+- ``dict`` — the default (:data:`DEFAULT_BACKEND`), pure Python, no
+  third-party dependency: exact *term-at-a-time* scoring over positional
+  posting lists.  Every indexed consumer holds a row, and per vector side
+  (preferences, flattened terms) the kernel keeps
+  ``key → position in the entry's own dict → {row: weight}``, maintained
+  through ``entry_changed`` / ``entry_removed`` / ``reset``.  A query visits
+  only the rows that share a key with the target and accumulates each row's
+  dot twice: *target keys, then positions* adds the shared products in the
+  target's dict order, *positions, then target keys* in the entry's own
+  dict order.  The reference
+  :func:`repro.core.similarity.cosine_similarity_cached` iterates the
+  shorter vector (the target on a tie), so each row's length picks the sum
+  that loop would have produced — bit for bit.  Products with absent keys
+  are skipped (the zero-sign argument below) and a row no posting touched
+  scores exactly ``0.0``.
 - ``numpy`` — optional batch backend: entries are packed into CSR/CSC-style
   contiguous arrays and a whole candidate block is scored per query.  Exact
   dot products come from ``np.bincount(rows, weights=products)``, which
   accumulates its weights *sequentially in input order* in one C pass —
-  with rows laid out in entry order that is precisely the dict loop's
-  left-to-right ``sum``, so every non-zero dot is bit-identical (an
-  exactly-zero dot can at most flip its zero sign, which the score clamp
-  provably erases — see :meth:`NumpyKernel._side_cosines`).  The score
+  with rows laid out in entry order that is precisely the reference
+  loop's left-to-right ``sum``, so every non-zero dot is bit-identical.  The
+  score
   formula, clamp and Hölder early-termination bounds are vectorized with
   elementwise IEEE operations identical to the scalar expressions.
 
-Bit-identity, not just approximate equality, is the contract: the property
-suite in ``tests/property/test_scoring_kernel.py`` drives both backends
-over adversarial profiles (zero norms, empty term sets, single ratings,
-disjoint categories) and asserts ``==`` on every score.
+Both backends drop the ``x * 0.0`` products of keys one side lacks.  That can
+only change the sign of a dot that is exactly zero, which neither consumer
+of a cosine can observe: the score ends in ``max(0.0, min(1.0, s))`` and the
+early-termination bound is only ever compared — see
+:meth:`NumpyKernel._side_cosines` for the full argument.
+
+Bit-identity with the brute-force
+:func:`repro.core.similarity.find_similar_users`, not approximate equality,
+is the contract: the property suite in
+``tests/property/test_scoring_kernel.py`` drives both backends over
+adversarial profiles (zero norms, empty term sets, single ratings, disjoint
+categories, shared keys in different orders with magnitudes far enough apart
+that float addition visibly does not associate) and asserts ``==`` on every
+score.
+
+The neighbor index takes the block path (:meth:`ScoringKernel.score_block`)
+for every query on both backends.  The one exception is the numpy kernel on
+a narrow category window, where packing-independent O(entries) passes lose
+to a per-candidate loop over :meth:`ScoringKernel.pref_part` /
+:meth:`~ScoringKernel.term_part` — the only callers those two still have.
 
 Backend selection: ``resolve_backend("auto")`` picks numpy when importable
 and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
@@ -48,6 +73,7 @@ __all__ = [
     "available_backends",
     "create_kernel",
     "numpy_available",
+    "term_cosine_ceiling",
     "resolve_backend",
 ]
 
@@ -156,14 +182,35 @@ class TargetState:
         self.term_max = term_max
 
 
+def term_cosine_ceiling(
+    tq: TargetState, term_norm: float, term_l1: float, term_max: float, tight: bool
+) -> float:
+    """Upper bound on the term cosine of ``tq`` with an entry, from norms alone.
+
+    Exactly 0 when either L2 norm is 0, else 1 (Cauchy-Schwarz), tightened
+    when ``tight`` by Hölder both ways round —
+    ``dot(t, e) <= min(||t||∞·||e||₁, ||t||₁·||e||∞)`` — and then inflated
+    by one part in 10⁹, so it stays above the true cosine even after float
+    rounding of the dot and the norms.
+    """
+    if not (tq.term_norm > 0.0 and term_norm > 0.0):
+        return 0.0
+    if not tight:
+        return 1.0
+    holder = min(tq.term_max * term_l1, tq.term_l1 * term_max)
+    return min(1.0, holder / (tq.term_norm * term_norm) * (1.0 + 1e-9))
+
+
 class ScoringKernel:
     """Backend interface the neighbor index scores candidates through.
 
-    Every backend exposes :meth:`pref_part` / :meth:`term_part`, which keep
-    the index's lazy per-candidate loop (so early-termination still skips
-    term dots entirely).  Block backends (``numpy``, ``vectorized = True``)
-    additionally expose :meth:`score_block`, scoring every indexed entry in
-    a handful of vectorized passes.
+    Every backend implements :meth:`score_block`, which scores every indexed
+    entry for one target and returns an object with the surface of
+    :class:`BlockScores` (``row_of``, ``scores``, ``bounds``,
+    ``pairs_at_least``).  A ``vectorized`` backend pays O(entries) per
+    block whatever the candidate window, so it also implements
+    :meth:`pref_part` / :meth:`term_part` for the index's per-candidate
+    loop over narrow windows.
     """
 
     name: str = "abstract"
@@ -212,16 +259,222 @@ class ScoringKernel:
         raise NotImplementedError(f"{self.name} kernel does not score blocks")
 
 
+class _PostingBlockScores:
+    """:class:`DictKernel` scores, same surface as :class:`BlockScores`.
+
+    Rows are the kernel's own numbering, not the index's entry order, and
+    include free rows (user id ``None``, score 0.0).
+    """
+
+    def __init__(self, row_of, user_ids, scores, bounds) -> None:
+        self.row_of = row_of
+        self._user_ids = user_ids
+        self.scores = scores
+        self.bounds = bounds
+
+    def pairs_at_least(
+        self, minimum: float, exclude_user: str
+    ) -> List[Tuple[str, float]]:
+        """``(user_id, score)`` for every row with ``score >= minimum``."""
+        return [
+            (user_id, score)
+            for user_id, score in zip(self._user_ids, self.scores)
+            if score >= minimum and user_id != exclude_user and user_id is not None
+        ]
+
+
+class _Postings:
+    """Positional posting lists of one vector side (prefs or terms).
+
+    ``buckets[key][position][row]`` is the weight of ``key`` in the vector
+    linked at ``row``, where ``position`` is the key's index in that
+    vector's own dict order; ``vectors[row]`` / ``norms[row]`` are the linked
+    vector (``None`` for a free row) and its norm.  The buckets are kept
+    canonical — no empty trailing bucket, no empty key — so they hold
+    exactly one weight per key of every linked vector whatever sequence of
+    links and unlinks produced them.
+    """
+
+    __slots__ = ("buckets", "vectors", "norms")
+
+    def __init__(self) -> None:
+        self.buckets: Dict[str, List[Dict[int, float]]] = {}
+        self.vectors: List[Optional[Dict[str, float]]] = []
+        self.norms: List[float] = []
+
+    def link(self, row: int, vector: Dict[str, float], norm: float) -> None:
+        """Index ``vector`` at ``row``, replacing what was linked there.
+
+        ``row`` is an existing row or the next new one: the kernel numbers
+        rows densely.
+        """
+        if row == len(self.vectors):
+            self.vectors.append(None)
+            self.norms.append(0.0)
+        else:
+            self.unlink(row)
+        self.vectors[row] = vector
+        self.norms[row] = norm
+        buckets = self.buckets
+        for position, (key, weight) in enumerate(vector.items()):
+            by_position = buckets.get(key)
+            if by_position is None:
+                by_position = buckets[key] = []
+            while len(by_position) <= position:
+                by_position.append({})
+            by_position[position][row] = weight
+
+    def unlink(self, row: int) -> None:
+        vector = self.vectors[row]
+        if vector is None:
+            return
+        self.vectors[row] = None
+        self.norms[row] = 0.0
+        buckets = self.buckets
+        # The key order walked here is the one link() saw: the vector is the
+        # index entry's private copy and is never mutated.
+        for position, key in enumerate(vector):
+            by_position = buckets[key]
+            del by_position[position][row]
+            while by_position and not by_position[-1]:
+                by_position.pop()
+            if not by_position:
+                del buckets[key]
+
+    def cosines(self, target: Dict[str, float], target_norm: float) -> List[float]:
+        """Exact cosine of ``target`` with every row, visiting shared keys only.
+
+        Each row's dot is accumulated twice.  Iterating *target keys, then
+        positions* adds the products of the shared keys in the target's dict
+        order — what the reference loop computes when it iterates the
+        target, i.e. when ``len(target) <= len(entry)``.  Iterating
+        *positions, then target keys* adds them in the entry's own dict
+        order (every row has one key per position, so the order of the
+        target keys within a position cannot reorder any row's sum) — the
+        reference order when the entry is the shorter side; a shorter entry
+        has no position past ``len(target) - 2``, so the walk stops there.
+        The row's length then picks its sum.  Products with absent keys are
+        skipped, which can only flip the sign of an exactly-zero dot (see
+        :meth:`NumpyKernel._side_cosines`): a row no posting touched gets
+        ``0.0`` where the reference has ``±0.0``.
+        """
+        vectors = self.vectors
+        cosines = [0.0] * len(vectors)
+        if not target or target_norm == 0.0:
+            return cosines
+        buckets = self.buckets
+        hits = [
+            (value, buckets[key]) for key, value in target.items() if key in buckets
+        ]
+        target_order = [0.0] * len(vectors)
+        for value, by_position in hits:
+            for bucket in by_position:
+                for row, weight in bucket.items():
+                    target_order[row] += value * weight
+        entry_order = [0.0] * len(vectors)
+        for position in range(len(target) - 1):
+            for value, by_position in hits:
+                if position < len(by_position):
+                    for row, weight in by_position[position].items():
+                        entry_order[row] += weight * value
+        target_len = len(target)
+        norms = self.norms
+        for row, (in_target_order, in_entry_order) in enumerate(
+            zip(target_order, entry_order)
+        ):
+            # Either sum can cancel to zero where the other does not.
+            if in_target_order or in_entry_order:
+                norm = norms[row]
+                if norm != 0.0:
+                    if len(vectors[row]) < target_len:
+                        dot = in_entry_order
+                    else:
+                        dot = in_target_order
+                    cosines[row] = dot / (target_norm * norm)
+        return cosines
+
+
 class DictKernel(ScoringKernel):
-    """Reference backend: the original dict loops, verbatim."""
+    """Reference backend: exact term-at-a-time scoring over posting lists.
+
+    Every indexed consumer holds a row; per vector side the kernel keeps
+    :class:`_Postings`, maintained through the entry lifecycle, and
+    :meth:`score_block` visits only the rows that share a key with the
+    target — in the accumulation order the reference loop of
+    :func:`repro.core.similarity.cosine_similarity_cached` would have used
+    for each row, so every score is bit-identical to
+    :func:`repro.core.similarity.find_similar_users`.
+    """
 
     name = "dict"
 
-    def pref_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        return _cached_cosine(tq.prefs, tq.pref_norm, entry.prefs, entry.pref_norm)
+    def __init__(self) -> None:
+        self.reset()
 
-    def term_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        return _cached_cosine(tq.terms, tq.term_norm, entry.terms, entry.term_norm)
+    def reset(self) -> None:
+        self._row_of: Dict[str, int] = {}
+        #: row → user id, ``None`` for a row freed by :meth:`entry_removed`
+        #: (listed in ``_free`` and handed to the next new consumer).
+        self._user_ids: List[Optional[str]] = []
+        self._free: List[int] = []
+        self._prefs = _Postings()
+        self._terms = _Postings()
+
+    def entry_changed(self, entry: "_ProfileEntry") -> None:
+        row = self._row_of.get(entry.user_id)
+        if row is None:
+            if self._free:
+                row = self._free.pop()
+                self._user_ids[row] = entry.user_id
+            else:
+                row = len(self._user_ids)
+                self._user_ids.append(entry.user_id)
+            self._row_of[entry.user_id] = row
+        self._prefs.link(row, entry.prefs, entry.pref_norm)
+        self._terms.link(row, entry.terms, entry.term_norm)
+
+    def entry_removed(self, user_id: str) -> None:
+        row = self._row_of.pop(user_id, None)
+        if row is not None:
+            self._prefs.unlink(row)
+            self._terms.unlink(row)
+            self._user_ids[row] = None
+            self._free.append(row)
+
+    def score_block(
+        self,
+        entries: Dict[str, "_ProfileEntry"],
+        tq: TargetState,
+        preference_weight: float,
+        term_weight: float,
+        total_weight: float,
+        want_bounds: bool,
+        tight_term_bound: bool,
+    ) -> _PostingBlockScores:
+        pref_cos = self._prefs.cosines(tq.prefs, tq.pref_norm)
+        term_cos = self._terms.cosines(tq.terms, tq.term_norm)
+        scores = [0.0] * len(pref_cos)
+        for row, (pref, term) in enumerate(zip(pref_cos, term_cos)):
+            if pref or term:
+                score = (preference_weight * pref + term_weight * term) / total_weight
+                # max(0.0, min(1.0, score)) without the two calls: this loop
+                # is a third of the block's cost.
+                scores[row] = (
+                    score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
+                )
+        bounds = None
+        if want_bounds:
+            bounds = [0.0] * len(scores)
+            row_of = self._row_of
+            for user_id, entry in entries.items():
+                row = row_of[user_id]
+                term_bound = term_cosine_ceiling(
+                    tq, entry.term_norm, entry.term_l1, entry.term_max, tight_term_bound
+                )
+                bounds[row] = (
+                    preference_weight * pref_cos[row] + term_weight * term_bound
+                ) / total_weight
+        return _PostingBlockScores(self._row_of, self._user_ids, scores, bounds)
 
 
 class BlockScores:
@@ -310,7 +563,7 @@ class NumpyKernel(ScoringKernel):
     # Scalar fallbacks: the neighbor index only takes the block path when a
     # candidate set covers enough of the entries to be worth a full pass;
     # small category-filtered sets score one candidate at a time through the
-    # reference dict loops — trivially score-identical.
+    # reference loop of repro.core.similarity — trivially score-identical.
     def pref_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
         return _cached_cosine(tq.prefs, tq.pref_norm, entry.prefs, entry.pref_norm)
 

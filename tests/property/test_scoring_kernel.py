@@ -299,6 +299,293 @@ def test_backend_equivalence_property(population, category, early_termination, t
 
 
 # ---------------------------------------------------------------------------
+# Accumulation order: the posting lists must add in the reference's order
+# ---------------------------------------------------------------------------
+
+#: Five orders of magnitude either side of 1: a dot of three such products
+#: rounds differently depending on which two are added first.
+wide_weights = st.builds(
+    lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+    st.floats(min_value=1.0, max_value=9.999),
+    st.integers(min_value=-5, max_value=5),
+)
+
+
+@st.composite
+def order_sensitive_profile(draw, user_id):
+    """≥4 of the 5 categories (so any two profiles share ≥3 preference keys)
+    in a drawn insertion order — the preference vector's key order — each
+    with 1–3 of the 8 terms.  The flattened term vector lists terms category
+    by category, so two profiles holding the same terms under differently
+    ordered categories disagree on the term key order too."""
+    profile = Profile(user_id)
+    size = draw(st.integers(min_value=4, max_value=5))
+    for category in draw(st.permutations(CATEGORIES))[:size]:
+        entry = profile.category(category)
+        entry.preference = draw(wide_weights)
+        for term in draw(
+            st.lists(st.sampled_from(TERMS), min_size=1, max_size=3, unique=True)
+        ):
+            entry.terms.set(term, draw(wide_weights))
+    return profile
+
+
+@st.composite
+def order_sensitive_populations(draw):
+    size = draw(st.integers(min_value=3, max_value=7))
+    population = {}
+    for index in range(size):
+        profile = draw(order_sensitive_profile(f"user-{index}"))
+        population[profile.user_id] = profile
+    # A consumer sharing no key with anybody: no posting ever touches it.
+    loner = Profile("user-loner")
+    loner.category("stationery").preference = 4.0
+    loner.category("stationery").terms.set("omega", 2.0)
+    population[loner.user_id] = loner
+    return population
+
+
+def order_sensitive_pair(extra_target, extra_entry):
+    """Two profiles sharing three keys per side in different orders.
+
+    The shared products are ``1e16, 1, 1`` in the target's key order and
+    ``1, 1, 1e16`` in the entry's: added left to right the first sum loses
+    both ones (the spacing of doubles at ``1e16`` is 2), the second keeps
+    them.  ``extra_*`` unshared categories (one term each) lengthen a side.
+    """
+    shared = (("books", 1e8, {"alpha": 1e8}), ("toys", 1.0, {"beta": 1.0}),
+              ("fashion", 1.0, {"gamma": 1.0}))
+
+    def build(user_id, layout, extras):
+        profile = Profile(user_id)
+        for category, preference, terms in layout:
+            entry = profile.category(category)
+            entry.preference = preference
+            for term, weight in terms.items():
+                entry.terms.set(term, weight)
+        for number in range(extras):
+            entry = profile.category(f"{user_id}-only-{number}")
+            entry.preference = 1.0
+            entry.terms.set(f"{user_id}-term-{number}", 1.0)
+        return profile
+
+    target = build("target", shared, extra_target)
+    entry = build("entry", shared[1:] + shared[:1], extra_entry)
+    for flatten in (Profile.preference_vector,
+                    lambda profile: profile.flattened_terms().as_dict()):
+        left, right = flatten(target), flatten(entry)
+        in_target_order = sum(left[key] * right[key] for key in left if key in right)
+        in_entry_order = sum(left[key] * right[key] for key in right if key in left)
+        assert in_target_order != in_entry_order
+    return target, entry
+
+
+@pytest.mark.parametrize(
+    "extra_target, extra_entry",
+    [(0, 0), (2, 0), (0, 2)],
+    ids=["equal-length-tie", "entry-shorter", "target-shorter"],
+)
+@pytest.mark.parametrize("early_termination", [False, True])
+@pytest.mark.parametrize("category", [None, "books"])
+def test_dict_kernel_picks_the_reference_order(
+    extra_target, extra_entry, early_termination, category
+):
+    """The reference iterates the shorter vector (the target on a tie); the
+    postings must reproduce whichever sum that is, bit for bit."""
+    target, entry = order_sensitive_pair(extra_target, extra_entry)
+    loner = Profile("loner")
+    loner.category("stationery").preference = 4.0
+    loner.category("stationery").terms.set("omega", 2.0)
+    population = {p.user_id: p for p in (target, entry, loner)}
+    config = SimilarityConfig(min_similarity=0.0, discard_tolerance=1e9)
+    index = build_index(
+        population, config, "dict", early_termination=early_termination
+    )
+    for profile in population.values():
+        brute = find_similar_users(
+            profile, population.values(), config, category=category
+        )
+        assert index.find_similar(profile, category=category) == brute
+    assert index.find_similar(target, category=category) == [
+        ("entry", find_similar_users(target, [entry], config)[0][1]),
+        ("loner", 0.0),
+    ]
+
+
+def test_dot_that_cancels_in_one_order_only():
+    """A learner can push a preference below zero, so products can cancel:
+    here the shared products sum to exactly 0.0 in the target's key order and
+    to 1.0 in the (shorter) entry's — the row must not be mistaken for one
+    no posting touched."""
+    target = Profile("target")
+    for category, preference in (
+        ("books", 1e8), ("toys", 1.0), ("fashion", -1e8), ("groceries", 1.0)
+    ):
+        target.category(category).preference = preference
+    entry = Profile("entry")
+    for category, preference in (("books", 1e8), ("fashion", 1e8), ("toys", 1.0)):
+        entry.category(category).preference = preference
+    left, right = target.preference_vector(), entry.preference_vector()
+    assert sum(left[key] * right[key] for key in left if key in right) == 0.0
+    assert sum(left[key] * right[key] for key in right) == 1.0
+
+    config = SimilarityConfig(min_similarity=0.0)
+    for early_termination in (False, True):
+        index = build_index(
+            {"target": target, "entry": entry}, config, "dict",
+            early_termination=early_termination,
+        )
+        brute = find_similar_users(target, [entry], config)
+        assert brute[0][1] > 0.0
+        assert index.find_similar(target) == brute
+        assert index.find_similar(entry) == find_similar_users(entry, [target], config)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    population=order_sensitive_populations(),
+    category=st.one_of(st.none(), st.sampled_from(CATEGORIES)),
+    early_termination=st.booleans(),
+    min_similarity=st.sampled_from([0.0, 0.05]),
+)
+def test_dict_kernel_adds_in_reference_order(
+    population, category, early_termination, min_similarity
+):
+    """``==`` against brute force where float addition is order-sensitive.
+
+    ``top_k`` covers the whole population and the discard tolerance admits
+    every preference magnitude, so with ``min_similarity=0.0`` the rows no
+    posting touched must come back too, scored exactly ``0.0``.
+    """
+    config = SimilarityConfig(
+        top_k=len(population), min_similarity=min_similarity,
+        discard_tolerance=1e9,
+    )
+    index = build_index(
+        population, config, "dict", early_termination=early_termination
+    )
+    for target in population.values():
+        brute = find_similar_users(
+            target, population.values(), config, category=category
+        )
+        assert index.find_similar(target, category=category) == brute
+        if min_similarity == 0.0:
+            assert len(brute) == len(population) - 1
+            if target.user_id != "user-loner":
+                assert ("user-loner", 0.0) in brute
+
+
+# ---------------------------------------------------------------------------
+# Bounded kernel state: postings follow the entry lifecycle exactly
+# ---------------------------------------------------------------------------
+
+
+def posting_state(index):
+    """The dict kernel's posting buckets (rows spelled as user ids, since two
+    histories number their rows differently) and how many weights they hold."""
+    kernel = index._kernel
+    user_ids = kernel._user_ids
+    buckets = [
+        {
+            key: [
+                {user_ids[row]: weight for row, weight in bucket.items()}
+                for bucket in by_position
+            ]
+            for key, by_position in side.buckets.items()
+        }
+        for side in (kernel._prefs, kernel._terms)
+    ]
+    weights = sum(
+        len(bucket)
+        for side in buckets
+        for by_position in side.values()
+        for bucket in by_position
+    )
+    return buckets, weights
+
+
+lifecycle_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "learn", "replace", "remove", "build"]),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=lifecycle_steps, queried=st.booleans())
+def test_postings_track_entry_lifecycle(steps, queried):
+    """After any add / learner update / wholesale replace / remove / build
+    sequence the postings equal a fresh build's and hold one weight per
+    vector key — nothing left behind by a removal, nothing duplicated by
+    re-indexing a profile whose key order changed."""
+    index = ProfileNeighborIndex(backend="dict")
+    learner = ProfileLearner()
+    index.attach_to(learner)
+    for action, slot, seed in steps:
+        rng = random.Random(seed)
+        user_id = f"user-{slot}"
+        held = {profile.user_id: profile for profile in index.indexed_profiles()}
+        if action in ("add", "replace"):
+            # A new object for the id: categories (the preference key order)
+            # and terms are redrawn, so a replace re-links in another order.
+            profile = Profile(user_id)
+            for category in rng.sample(CATEGORIES, rng.randint(0, 4)):
+                entry = profile.category(category)
+                entry.preference = rng.uniform(0.0, 10.0)
+                for term in rng.sample(TERMS, rng.randint(0, 4)):
+                    entry.terms.set(term, rng.uniform(0.1, 5.0))
+            index.add(profile)
+        elif action == "learn" and user_id in held:
+            item = Item.build(
+                item_id=f"item-{seed}",
+                name="generated",
+                category=rng.choice(CATEGORIES),
+                subcategory="",
+                terms={rng.choice(TERMS): rng.uniform(0.1, 1.0)},
+                price=10.0,
+            )
+            learner.apply(
+                held[user_id],
+                FeedbackEvent(
+                    user_id=user_id,
+                    item=item,
+                    kind=rng.choice(list(InteractionKind)),
+                    timestamp=float(seed),
+                ),
+            )
+            if queried:
+                index.find_similar(held[user_id])
+        elif action == "remove":
+            index.remove(user_id)
+        elif action == "build":
+            index.build(list(held.values()))
+    index.sync()
+
+    profiles = index.indexed_profiles()
+    buckets, weights = posting_state(index)
+    fresh_buckets, fresh_weights = posting_state(
+        ProfileNeighborIndex(profiles=profiles, backend="dict")
+    )
+    assert buckets == fresh_buckets
+    assert weights == fresh_weights == sum(
+        len(profile.preference_vector()) + len(profile.flattened_terms())
+        for profile in profiles
+    )
+    # Rows are bounded too: one per live consumer plus the freed ones, which
+    # the next registrations reuse before the row space grows.
+    kernel = index._kernel
+    assert set(kernel._row_of) == {profile.user_id for profile in profiles}
+    assert len(kernel._user_ids) == len(kernel._row_of) + len(kernel._free)
+    assert len(kernel._prefs.vectors) == len(kernel._terms.vectors) == len(
+        kernel._user_ids
+    )
+
+
+# ---------------------------------------------------------------------------
 # Backend selection plumbing
 # ---------------------------------------------------------------------------
 
