@@ -48,21 +48,19 @@ ARTIFACT = Path(__file__).with_name("BENCH_neighbors_scaling.json")
 KERNEL_SIZES = (1000, 5000, 50000) if FULL_MODE else (150, 400)
 KERNEL_SMOKE_SIZES = (150, 400)
 KERNEL_BRUTE_CEILING = 5000
-#: Acceptance bar: the default ``dict`` kernel must beat brute force by at
+#: Sanity floor: the default ``dict`` kernel must beat brute force by at
 #: least this factor at 5000 consumers (full mode only; the checked-in
-#: artifact records the measured value).  A floor, set under the timing noise
-#: of the sandbox it was recorded in: three full-mode recordings of the
+#: artifact records the measured value).  It catches an index that fell back
+#: to quadratic work, nothing finer: three full-mode recordings of the
 #: posting-list kernel read 18.2x, 24.3x and 28.1x (the middle one is checked
-#: in); the per-candidate dict loops it replaced were recorded at 19.1x.  The
+#: in) and the per-candidate dict loops it replaced were recorded at 19.1x,
+#: inside that spread — so this bar would still pass with the posting lists
+#: reverted.  The regression guard for their gain is ``throughput_rps`` on
+#: the wall-clock ledger's ``similar_fanout`` workload (paired runs against
+#: the parent commit), not this ratio of two noisy timings.  The
 #: numpy-over-dict ratio is recorded (``kernel_speedup``) but carries no bar:
 #: numpy is optional.
 DICT_REQUIRED_SPEEDUP_VS_BRUTE = 15.0
-#: Full-mode floor on the best sharded configuration relative to the single
-#: index.  Every shard runs early termination, and a kernel that scores the
-#: whole block cannot skip a dot product: the bounds and the replay of the
-#: skip decisions are pure overhead on top of the fan-out/merge.  The floor
-#: keeps that overhead bounded; it is no longer a speedup claim.
-SHARDED_MIN_SPEEDUP_VS_INDEX = 0.5
 #: Minimum indexed-vs-brute speedup demanded at the largest population.
 #: Enforced only in full mode: wall-clock assertions on a loaded CI runner
 #: would flake, so the smoke run asserts equivalence and merely reports
@@ -291,8 +289,9 @@ def test_shard_sweep(experiment_reporter):
     Smoke: the best sharded configuration must beat brute force by
     :data:`SHARDED_MIN_SPEEDUP_VS_BRUTE` (a deliberately low bar — the real
     margin is an order of magnitude — so CI never flakes on a loaded runner).
-    Full (5k consumers): the best sharded configuration must stay within
-    :data:`SHARDED_MIN_SPEEDUP_VS_INDEX` of the monolithic single-index path.
+    Full (5k consumers): at least one sharded configuration must also beat
+    the monolithic single-index path outright, which is the acceptance bar
+    for the norm-bound early termination paying for the fan-out/merge.
     """
     result = run_shard_sweep_experiment()
     experiment_reporter(result)
@@ -308,10 +307,9 @@ def test_shard_sweep(experiment_reporter):
     assert any(row["bound_skips"] > 0 for row in sharded_rows)
     if FULL_MODE:
         best_vs_index = max(row["speedup_vs_index"] for row in sharded_rows)
-        assert best_vs_index >= SHARDED_MIN_SPEEDUP_VS_INDEX, (
-            "at the full 5k-consumer run the best sharded configuration must "
-            f"reach {SHARDED_MIN_SPEEDUP_VS_INDEX}x of the single-index path, "
-            f"best measured {best_vs_index}x"
+        assert best_vs_index > 1.0, (
+            "at the full 5k-consumer run at least one sharded configuration "
+            f"must beat the single-index path, best measured {best_vs_index}x"
         )
 
 

@@ -295,12 +295,14 @@ class ProfileNeighborIndex:
         deterministic tie-breaking.  The target itself is never included and
         does not need to be indexed.
 
-        With ``early_termination`` enabled the expensive flattened-term dot
-        product is skipped for candidates that provably cannot reach the
-        current k-th best score.  The preference cosine (a handful of
-        categories) is computed exactly first; the term cosine is bounded
-        above without touching the candidate's term dictionary — exactly 0
-        when either cached norm is 0, else by Cauchy-Schwarz
+        With ``early_termination`` enabled, candidates are visited in index
+        order against a running k-th best score, and one whose score *bound*
+        is strictly below it is skipped and counted in ``bound_skips`` (the
+        kernel has scored the whole block by then, so a skip prunes the
+        final selection, not a dot product — see :meth:`_block_scored`).  The
+        bound takes the exact preference cosine (a handful of categories)
+        and an upper bound on the term cosine from cached norms alone —
+        exactly 0 when either norm is 0, else by Cauchy-Schwarz
         (``dot(t, e) <= ||t||₂·||e||₂``, so at most 1) tightened by Hölder
         when ``tight_term_bound`` is on:
         ``dot(t, e) <= min(||t||∞·||e||₁, ||t||₁·||e||∞)``, whose quotient
@@ -332,7 +334,6 @@ class ProfileNeighborIndex:
             target_term_max = max(target_abs_weights, default=0.0)
 
         candidates = self._candidate_ids(target_prefs, category, config)
-        use_bound = self.early_termination
         tq = self._kernel.prepare_target(
             target_prefs,
             target_pref_norm,
@@ -342,22 +343,7 @@ class ProfileNeighborIndex:
             target_term_max,
         )
 
-        # Every kernel scores the whole entry block per query; the numpy
-        # kernel's passes cost O(entries) however few candidates survive the
-        # discard rule, so its narrow windows go through the per-candidate
-        # loop instead.
-        if (
-            self._kernel.vectorized
-            and category is not None
-            and len(candidates) * 4 < len(self._entries)
-        ):
-            scored = self._scalar_scored(
-                tq, candidates, config, use_bound, target.user_id
-            )
-        else:
-            scored = self._block_scored(
-                tq, candidates, category, config, use_bound, target.user_id
-            )
+        scored = self._block_scored(tq, candidates, category, config, target.user_id)
 
         # Equivalent to sorted(scored, key=...)[:top_k], ties included.
         return heapq.nsmallest(
@@ -383,64 +369,7 @@ class ProfileNeighborIndex:
             for target in targets
         ]
 
-    # -- scoring loops ---------------------------------------------------------
-
-    def _scalar_scored(
-        self,
-        tq,
-        candidates: Iterable[str],
-        config: SimilarityConfig,
-        use_bound: bool,
-        exclude_user: str,
-    ) -> List[Tuple[str, float]]:
-        """Per-candidate loop over the numpy kernel's scalar fallback."""
-        kernel = self._kernel
-        preference_weight = config.preference_weight
-        term_weight = config.term_weight
-        total_weight = preference_weight + term_weight
-        minimum = config.min_similarity
-        top_k = config.top_k
-        # Min-heap of the k best scores seen so far; its root is the score a
-        # candidate must reach to possibly make the final top-k list.
-        best_scores: List[float] = []
-
-        scored: List[Tuple[str, float]] = []
-        for user_id in candidates:
-            if user_id == exclude_user:
-                continue
-            entry = self._entries[user_id]
-            preference_part = kernel.pref_part(tq, entry)
-            if use_bound:
-                term_bound = term_cosine_ceiling(
-                    tq,
-                    entry.term_norm,
-                    entry.term_l1,
-                    entry.term_max,
-                    self.tight_term_bound,
-                )
-                bound = (
-                    preference_weight * preference_part + term_weight * term_bound
-                ) / total_weight
-                if len(best_scores) == top_k and bound < best_scores[0]:
-                    # Even a perfectly aligned term vector cannot lift this
-                    # candidate past the current k-th score: the final sort
-                    # would rank at least k candidates strictly above it (or
-                    # it falls below min_similarity along with the k-th).
-                    self.bound_skips += 1
-                    continue
-            term_part = kernel.term_part(tq, entry)
-            score = (
-                preference_weight * preference_part + term_weight * term_part
-            ) / total_weight
-            score = max(0.0, min(1.0, score))
-            if use_bound:
-                if len(best_scores) < top_k:
-                    heapq.heappush(best_scores, score)
-                elif score > best_scores[0]:
-                    heapq.heapreplace(best_scores, score)
-            if score >= minimum:
-                scored.append((user_id, score))
-        return scored
+    # -- scoring ---------------------------------------------------------------
 
     def _block_scored(
         self,
@@ -448,62 +377,77 @@ class ProfileNeighborIndex:
         candidates: Iterable[str],
         category: Optional[str],
         config: SimilarityConfig,
-        use_bound: bool,
         exclude_user: str,
     ) -> List[Tuple[str, float]]:
-        """Block path: the kernel scores every entry, then filter / replay.
+        """The kernel scores every entry; filter the block by the candidates.
 
-        The kernel returns bit-identical scores (and early-termination
-        bounds) for every indexed entry; without bounds and without a
-        category window the survivors drop out of one filter inside the
-        kernel.  With bounds on, the sequential skip/heap decision process
-        of :meth:`_scalar_scored` is replayed over the precomputed scores
-        and bounds — same skip decisions, same ``bound_skips`` increments,
-        no dot products.
+        Without early termination and without a category window the
+        survivors drop out of one filter inside the kernel.  With early
+        termination the sequential skip/heap decisions :meth:`find_similar`
+        documents are replayed over the block in candidate order, so
+        ``bound_skips`` counts what a per-candidate loop would have skipped.
+        No dot product is left to save; what the heap still buys is the final
+        selection: a candidate below the k-th best score seen so far can never
+        reach the top-k, so it is not even collected.
         """
         preference_weight = config.preference_weight
         term_weight = config.term_weight
+        total_weight = preference_weight + term_weight
         block = self._kernel.score_block(
-            self._entries,
-            tq,
-            preference_weight,
-            term_weight,
-            preference_weight + term_weight,
-            use_bound,
-            self.tight_term_bound,
+            self._entries, tq, preference_weight, term_weight, total_weight
         )
         minimum = config.min_similarity
-        if not use_bound and category is None:
+        if not self.early_termination and category is None:
             return block.pairs_at_least(minimum, exclude_user)
 
         scores = block.scores
         row_of = block.row_of
         scored: List[Tuple[str, float]] = []
-        if use_bound:
-            bounds = block.bounds
-            top_k = config.top_k
-            best_scores: List[float] = []
-            for user_id in candidates:
-                if user_id == exclude_user:
-                    continue
-                row = row_of[user_id]
-                if len(best_scores) == top_k and bounds[row] < best_scores[0]:
-                    self.bound_skips += 1
-                    continue
-                score = scores[row]
-                if len(best_scores) < top_k:
-                    heapq.heappush(best_scores, score)
-                elif score > best_scores[0]:
-                    heapq.heapreplace(best_scores, score)
-                if score >= minimum:
-                    scored.append((user_id, score))
-        else:
+        if not self.early_termination:
             for user_id in candidates:
                 if user_id == exclude_user:
                     continue
                 score = scores[row_of[user_id]]
                 if score >= minimum:
                     scored.append((user_id, score))
+            return scored
+
+        pref_cosines = block.pref_cosines
+        entries = self._entries
+        tight = self.tight_term_bound
+        top_k = config.top_k
+        # Min-heap of the k best scores seen so far; its root is the score a
+        # candidate must reach to possibly make the final top-k list.
+        best_scores: List[float] = []
+        skips = 0
+        for user_id in candidates:
+            if user_id == exclude_user:
+                continue
+            row = row_of[user_id]
+            score = scores[row]
+            if len(best_scores) < top_k:
+                heapq.heappush(best_scores, score)
+            else:
+                kth_best = best_scores[0]
+                entry = entries[user_id]
+                term_bound = term_cosine_ceiling(
+                    tq, entry.term_norm, entry.term_l1, entry.term_max, tight
+                )
+                bound = (
+                    preference_weight * pref_cosines[row] + term_weight * term_bound
+                ) / total_weight
+                if bound < kth_best:
+                    # Even a perfectly aligned term vector could not lift
+                    # this candidate past the current k-th score.
+                    skips += 1
+                    continue
+                if score < kth_best:
+                    continue
+                if score > kth_best:
+                    heapq.heapreplace(best_scores, score)
+            if score >= minimum:
+                scored.append((user_id, score))
+        self.bound_skips += skips
         return scored
 
     # -- internals ------------------------------------------------------------

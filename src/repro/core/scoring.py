@@ -24,9 +24,8 @@ a single :class:`ScoringKernel` interface with two backends:
   accumulates its weights *sequentially in input order* in one C pass —
   with rows laid out in entry order that is precisely the reference
   loop's left-to-right ``sum``, so every non-zero dot is bit-identical.  The
-  score
-  formula, clamp and Hölder early-termination bounds are vectorized with
-  elementwise IEEE operations identical to the scalar expressions.
+  score formula and clamp are vectorized with elementwise IEEE operations
+  identical to the scalar expressions.
 
 Both backends drop the ``x * 0.0`` products of keys one side lacks.  That can
 only change the sign of a dot that is exactly zero, which neither consumer
@@ -44,10 +43,11 @@ that float addition visibly does not associate) and asserts ``==`` on every
 score.
 
 The neighbor index takes the block path (:meth:`ScoringKernel.score_block`)
-for every query on both backends.  The one exception is the numpy kernel on
-a narrow category window, where packing-independent O(entries) passes lose
-to a per-candidate loop over :meth:`ScoringKernel.pref_part` /
-:meth:`~ScoringKernel.term_part` — the only callers those two still have.
+for every query on both backends; there is no per-candidate scoring loop.
+A block carries every entry's score and exact preference cosine.  Early
+termination cannot save a dot product on a kernel that scores whole blocks,
+so the index only *replays* its skip decisions over the block, computing
+each visited candidate's bound (:func:`term_cosine_ceiling`) on demand.
 
 Backend selection: ``resolve_backend("auto")`` picks numpy when importable
 and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
@@ -58,8 +58,6 @@ from __future__ import annotations
 
 import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
-
-from repro.core.similarity import cosine_similarity_cached as _cached_cosine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.neighbors import _ProfileEntry
@@ -152,8 +150,8 @@ def create_kernel(backend: str) -> "ScoringKernel":
 class TargetState:
     """Per-query prepared view of the target profile's vectors.
 
-    Built once by :meth:`ScoringKernel.prepare_target` and threaded through
-    every per-candidate scoring call of that query.
+    Built once by :meth:`ScoringKernel.prepare_target` and handed to
+    :meth:`ScoringKernel.score_block` and :func:`term_cosine_ceiling`.
     """
 
     __slots__ = (
@@ -206,15 +204,11 @@ class ScoringKernel:
 
     Every backend implements :meth:`score_block`, which scores every indexed
     entry for one target and returns an object with the surface of
-    :class:`BlockScores` (``row_of``, ``scores``, ``bounds``,
-    ``pairs_at_least``).  A ``vectorized`` backend pays O(entries) per
-    block whatever the candidate window, so it also implements
-    :meth:`pref_part` / :meth:`term_part` for the index's per-candidate
-    loop over narrow windows.
+    :class:`BlockScores`: ``row_of`` (user id → row), ``scores`` and
+    ``pref_cosines`` (float lists by row) and ``pairs_at_least``.
     """
 
     name: str = "abstract"
-    vectorized: bool = False
 
     # -- entry lifecycle (driven by ProfileNeighborIndex) ---------------------
 
@@ -240,12 +234,6 @@ class ScoringKernel:
     ) -> TargetState:
         return TargetState(prefs, pref_norm, terms, term_norm, term_l1, term_max)
 
-    def pref_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        raise NotImplementedError
-
-    def term_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        raise NotImplementedError
-
     def score_block(
         self,
         entries: Dict[str, "_ProfileEntry"],
@@ -253,10 +241,8 @@ class ScoringKernel:
         preference_weight: float,
         term_weight: float,
         total_weight: float,
-        want_bounds: bool,
-        tight_term_bound: bool,
     ) -> "BlockScores":
-        raise NotImplementedError(f"{self.name} kernel does not score blocks")
+        raise NotImplementedError
 
 
 class _PostingBlockScores:
@@ -266,11 +252,11 @@ class _PostingBlockScores:
     include free rows (user id ``None``, score 0.0).
     """
 
-    def __init__(self, row_of, user_ids, scores, bounds) -> None:
+    def __init__(self, row_of, user_ids, scores, pref_cosines) -> None:
         self.row_of = row_of
         self._user_ids = user_ids
         self.scores = scores
-        self.bounds = bounds
+        self.pref_cosines = pref_cosines
 
     def pairs_at_least(
         self, minimum: float, exclude_user: str
@@ -448,8 +434,6 @@ class DictKernel(ScoringKernel):
         preference_weight: float,
         term_weight: float,
         total_weight: float,
-        want_bounds: bool,
-        tight_term_bound: bool,
     ) -> _PostingBlockScores:
         pref_cos = self._prefs.cosines(tq.prefs, tq.pref_norm)
         term_cos = self._terms.cosines(tq.terms, tq.term_norm)
@@ -462,37 +446,25 @@ class DictKernel(ScoringKernel):
                 scores[row] = (
                     score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
                 )
-        bounds = None
-        if want_bounds:
-            bounds = [0.0] * len(scores)
-            row_of = self._row_of
-            for user_id, entry in entries.items():
-                row = row_of[user_id]
-                term_bound = term_cosine_ceiling(
-                    tq, entry.term_norm, entry.term_l1, entry.term_max, tight_term_bound
-                )
-                bounds[row] = (
-                    preference_weight * pref_cos[row] + term_weight * term_bound
-                ) / total_weight
-        return _PostingBlockScores(self._row_of, self._user_ids, scores, bounds)
+        return _PostingBlockScores(self._row_of, self._user_ids, scores, pref_cos)
 
 
 class BlockScores:
-    """Vectorized scores (and optional early-termination bounds) for a block.
+    """Vectorized scores and preference cosines for a block.
 
     Row order matches the index's entry iteration order.  ``scores`` /
-    ``bounds`` are materialized to plain float lists lazily; ``pairs_at_least``
-    filters survivors without a per-candidate Python loop.
+    ``pref_cosines`` are materialized to plain float lists lazily;
+    ``pairs_at_least`` filters survivors without a per-candidate Python loop.
     """
 
-    def __init__(self, np_module, user_ids, scores, bounds, row_of) -> None:
+    def __init__(self, np_module, user_ids, scores, pref_cosines, row_of) -> None:
         self._np = np_module
         self.user_ids = user_ids
         self._scores = scores
-        self._bounds = bounds
+        self._pref_cosines = pref_cosines
         self.row_of = row_of
         self._score_list: Optional[List[float]] = None
-        self._bound_list: Optional[List[float]] = None
+        self._pref_cosine_list: Optional[List[float]] = None
 
     @property
     def scores(self) -> List[float]:
@@ -501,12 +473,10 @@ class BlockScores:
         return self._score_list
 
     @property
-    def bounds(self) -> Optional[List[float]]:
-        if self._bounds is None:
-            return None
-        if self._bound_list is None:
-            self._bound_list = self._bounds.tolist()
-        return self._bound_list
+    def pref_cosines(self) -> List[float]:
+        if self._pref_cosine_list is None:
+            self._pref_cosine_list = self._pref_cosines.tolist()
+        return self._pref_cosine_list
 
     def pairs_at_least(
         self, minimum: float, exclude_user: str
@@ -558,17 +528,6 @@ class NumpyKernel(ScoringKernel):
     """
 
     name = "numpy"
-    vectorized = True
-
-    # Scalar fallbacks: the neighbor index only takes the block path when a
-    # candidate set covers enough of the entries to be worth a full pass;
-    # small category-filtered sets score one candidate at a time through the
-    # reference loop of repro.core.similarity — trivially score-identical.
-    def pref_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        return _cached_cosine(tq.prefs, tq.pref_norm, entry.prefs, entry.pref_norm)
-
-    def term_part(self, tq: TargetState, entry: "_ProfileEntry") -> float:
-        return _cached_cosine(tq.terms, tq.term_norm, entry.terms, entry.term_norm)
 
     def __init__(self) -> None:
         self._pref_slots: Dict[str, int] = {}
@@ -576,12 +535,9 @@ class NumpyKernel(ScoringKernel):
         self._row_arrays: Dict[str, Tuple] = {}
         self._dirty = True
         self._user_ids: List[str] = []
-        self._entry_list: List = []
         self._row_of: Dict[str, int] = {}
         self._pref: Optional[_PackedSide] = None
         self._term: Optional[_PackedSide] = None
-        self._term_l1 = None
-        self._term_max = None
         #: Number of full block repacks performed (diagnostics / tests).
         self.repacks = 0
 
@@ -646,31 +602,19 @@ class NumpyKernel(ScoringKernel):
         return side
 
     def _repack(self, entries: Dict[str, "_ProfileEntry"]) -> None:
-        np = _numpy()
         self._user_ids = list(entries)
-        self._entry_list = [entries[user_id] for user_id in self._user_ids]
         self._row_of = {user_id: row for row, user_id in enumerate(self._user_ids)}
         pref_rows = [self._row_arrays[user_id][0] for user_id in self._user_ids]
         term_rows = [self._row_arrays[user_id][1] for user_id in self._user_ids]
         self._pref = self._pack_side(
             pref_rows,
-            [entry.pref_norm for entry in self._entry_list],
+            [entry.pref_norm for entry in entries.values()],
             len(self._pref_slots),
         )
         self._term = self._pack_side(
             term_rows,
-            [entry.term_norm for entry in self._entry_list],
+            [entry.term_norm for entry in entries.values()],
             len(self._term_slots),
-        )
-        self._term_l1 = np.fromiter(
-            (entry.term_l1 for entry in self._entry_list),
-            dtype=np.float64,
-            count=len(self._entry_list),
-        )
-        self._term_max = np.fromiter(
-            (entry.term_max for entry in self._entry_list),
-            dtype=np.float64,
-            count=len(self._entry_list),
         )
         self._dirty = False
         self.repacks += 1
@@ -754,8 +698,6 @@ class NumpyKernel(ScoringKernel):
         preference_weight: float,
         term_weight: float,
         total_weight: float,
-        want_bounds: bool,
-        tight_term_bound: bool,
     ) -> BlockScores:
         np = _numpy()
         if self._dirty or len(self._user_ids) != len(entries):
@@ -771,26 +713,4 @@ class NumpyKernel(ScoringKernel):
         # matching Python's max(0.0, -0.0) == 0.0 while leaving every other
         # value bit-identical.
         scores = np.maximum(0.0, np.minimum(1.0, scores)) + 0.0
-        bounds = None
-        if want_bounds:
-            rows = len(self._entry_list)
-            if tq.term_norm > 0.0:
-                if tight_term_bound:
-                    holder = np.minimum(
-                        tq.term_max * self._term_l1, tq.term_l1 * self._term_max
-                    )
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        tight = holder / (tq.term_norm * self._term.norms)
-                    term_bound = np.where(
-                        self._term.norms > 0.0,
-                        np.minimum(1.0, tight * (1.0 + 1e-9)),
-                        0.0,
-                    )
-                else:
-                    term_bound = np.where(self._term.norms > 0.0, 1.0, 0.0)
-            else:
-                term_bound = np.zeros(rows)
-            bounds = (
-                preference_weight * pref_cos + term_weight * term_bound
-            ) / total_weight
-        return BlockScores(np, self._user_ids, scores, bounds, self._row_of)
+        return BlockScores(np, self._user_ids, scores, pref_cos, self._row_of)

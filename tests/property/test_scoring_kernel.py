@@ -644,4 +644,4 @@ def test_every_entry_point_shares_one_default_backend(two_contexts):
 def test_kernel_factory_matches_roster():
     for backend in available_backends():
         kernel = create_kernel(backend)
-        assert kernel.vectorized == (backend == "numpy")
+        assert kernel.name == backend
