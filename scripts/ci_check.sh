@@ -48,10 +48,14 @@ echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction)
 python -m pytest -x -q benchmarks/bench_adversarial.py
 
 echo "== tier-1: wall-clock ledger digests (full-scale fixed phase of every =="
-echo "==         workload must be correct and reproduce expected/*.json) =="
-for workload in browse trade similar_fanout overload_submit fleet_maintenance; do
-  python3 benchmarks/wallclock/run.py --workload "${workload}" --seed 1 \
-      --seconds 1 --trace 1 | tail -n 1 | WORKLOAD="${workload}" python3 -c '
+echo "==         workload must be correct and reproduce expected/*.json; =="
+echo "==         trade and fleet_maintenance — the two that audit,       =="
+echo "==         promote and snapshot-bootstrap — on a second seed too)  =="
+for run in browse:1 trade:1 trade:2 similar_fanout:1 overload_submit:1 \
+           fleet_maintenance:1 fleet_maintenance:2; do
+  workload="${run%:*}" seed="${run#*:}"
+  python3 benchmarks/wallclock/run.py --workload "${workload}" --seed "${seed}" \
+      --seconds 1 --trace 1 | tail -n 1 | WORKLOAD="${workload} seed ${seed}" python3 -c '
 import json, os, sys
 result = json.loads(sys.stdin.readline())
 digest = result["metrics"]["sim.digest_match"]["value"]

@@ -68,6 +68,16 @@ class RatingsStore:
     The store keeps, per (user, item), the accumulated implicit value and the
     most recent timestamp, plus per-item aggregate statistics used by the
     popularity and cross-sell recommenders.
+
+    Everything a consumer owns is held **per consumer**: the interactions in
+    arrival order (``_interactions[user_id]`` — the only copy; there is no
+    store-wide list), the purchases among them and the item → value vector.
+    :meth:`interactions_of` — read per recommendation request, per moved
+    consumer by ``UserDB.adopt`` and per re-dumped consumer by the
+    replication snapshot — and :meth:`remove_user` therefore cost the
+    consumer's own history, not the store's.  Arrival order is kept *within*
+    a consumer, which is all any reader depends on: the aggregates are
+    counts, and their consumers sort with full tie-breaks.
     """
 
     def __init__(self, max_value: float = 10.0) -> None:
@@ -76,10 +86,13 @@ class RatingsStore:
         self.max_value = max_value
         self._values: Dict[str, Dict[str, float]] = {}
         self._timestamps: Dict[Tuple[str, str], float] = {}
-        self._interactions: List[Interaction] = []
+        # user -> interactions in arrival order; same key set as _values.
+        self._interactions: Dict[str, List[Interaction]] = {}
+        self._interaction_count = 0
         self._item_users: Dict[str, Set[str]] = {}
         self._purchases: Dict[str, int] = {}
-        self._purchase_log: List[Interaction] = []
+        # user -> that user's BUY interactions (only users who bought).
+        self._purchase_log: Dict[str, List[Interaction]] = {}
         self._revision = 0
 
     # -- ingestion -----------------------------------------------------------
@@ -93,11 +106,12 @@ class RatingsStore:
         updated = min(self.max_value, current + interaction.implicit_value())
         user_values[interaction.item_id] = updated
         self._timestamps[(interaction.user_id, interaction.item_id)] = interaction.timestamp
-        self._interactions.append(interaction)
+        self._interactions.setdefault(interaction.user_id, []).append(interaction)
+        self._interaction_count += 1
         self._item_users.setdefault(interaction.item_id, set()).add(interaction.user_id)
         if interaction.kind is InteractionKind.BUY:
             self._purchases[interaction.item_id] = self._purchases.get(interaction.item_id, 0) + 1
-            self._purchase_log.append(interaction)
+            self._purchase_log.setdefault(interaction.user_id, []).append(interaction)
         self._revision += 1
         return updated
 
@@ -109,26 +123,22 @@ class RatingsStore:
         collaborative neighbour (or double-count them if they ever return).
         Unknown users are a no-op returning 0.
         """
-        if user_id not in self._values and not any(
-            interaction.user_id == user_id for interaction in self._interactions
-        ):
+        removed = self._interactions.pop(user_id, None)
+        if removed is None:
             return 0
-        self._values.pop(user_id, None)
-        removed = [i for i in self._interactions if i.user_id == user_id]
-        self._interactions = [i for i in self._interactions if i.user_id != user_id]
-        self._purchase_log = [i for i in self._purchase_log if i.user_id != user_id]
-        for interaction in removed:
-            self._timestamps.pop((user_id, interaction.item_id), None)
-            if interaction.kind is InteractionKind.BUY:
-                remaining = self._purchases.get(interaction.item_id, 0) - 1
-                if remaining > 0:
-                    self._purchases[interaction.item_id] = remaining
-                else:
-                    self._purchases.pop(interaction.item_id, None)
-        for item_id in list(self._item_users):
-            self._item_users[item_id].discard(user_id)
-            if not self._item_users[item_id]:
+        self._interaction_count -= len(removed)
+        for item_id in self._values.pop(user_id):
+            del self._timestamps[(user_id, item_id)]
+            users = self._item_users[item_id]
+            users.discard(user_id)
+            if not users:
                 del self._item_users[item_id]
+        for purchase in self._purchase_log.pop(user_id, ()):
+            remaining = self._purchases[purchase.item_id] - 1
+            if remaining > 0:
+                self._purchases[purchase.item_id] = remaining
+            else:
+                del self._purchases[purchase.item_id]
         self._revision += 1
         return len(removed)
 
@@ -151,7 +161,7 @@ class RatingsStore:
 
     @property
     def interaction_count(self) -> int:
-        return len(self._interactions)
+        return self._interaction_count
 
     @property
     def revision(self) -> int:
@@ -183,7 +193,8 @@ class RatingsStore:
         return self._timestamps.get((user_id, item_id))
 
     def interactions_of(self, user_id: str) -> List[Interaction]:
-        return [record for record in self._interactions if record.user_id == user_id]
+        """The user's interactions in arrival order (a copy)."""
+        return list(self._interactions.get(user_id, ()))
 
     # -- aggregates ----------------------------------------------------------
 
@@ -196,19 +207,17 @@ class RatingsStore:
     def purchases_between(self, start: float, end: float) -> Dict[str, int]:
         """Purchase counts restricted to a simulated-time window."""
         window: Dict[str, int] = {}
-        for record in self._purchase_log:
-            if start <= record.timestamp <= end:
-                window[record.item_id] = window.get(record.item_id, 0) + 1
+        for records in self._purchase_log.values():
+            for record in records:
+                if start <= record.timestamp <= end:
+                    window[record.item_id] = window.get(record.item_id, 0) + 1
         return window
 
     def co_purchases(self) -> Dict[Tuple[str, str], int]:
         """Counts of item pairs bought by the same user (for cross-selling)."""
         pairs: Dict[Tuple[str, str], int] = {}
-        bought_by_user: Dict[str, Set[str]] = {}
-        for record in self._purchase_log:
-            bought_by_user.setdefault(record.user_id, set()).add(record.item_id)
-        for bought in bought_by_user.values():
-            ordered = sorted(bought)
+        for records in self._purchase_log.values():
+            ordered = sorted({record.item_id for record in records})
             for index, first in enumerate(ordered):
                 for second in ordered[index + 1:]:
                     pairs[(first, second)] = pairs.get((first, second), 0) + 1

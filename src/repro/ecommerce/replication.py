@@ -30,9 +30,18 @@ replicas — without a single read against the dead host's memory.
   replica (a peer added after the log was truncated, e.g. the new ring
   successor picked during a promotion failover) is bootstrapped from the
   primary's latest snapshot instead of the truncated entries.
-- :class:`ReplicationSnapshot` — a full dump of the primary's durable
-  consumer state at a known sequence number.  Bootstrapping a replica from a
-  snapshot is byte-identical to replaying entries ``1..seq``.
+- :class:`ReplicationSnapshot` — the primary's durable consumer state at a
+  known sequence number: one immutable dump per consumer.  Bootstrapping a
+  replica from a snapshot is byte-identical to replaying entries ``1..seq``.
+  Snapshots are built **incrementally**: the manager records the consumer
+  every WAL entry names (its two capture hooks are the only doors into the
+  log, and nothing durable changes without an entry), and a truncation
+  re-dumps just those consumers into a copy of the previous snapshot's
+  ``user id → dump`` map, dropping the ones that unregistered.  Untouched
+  dumps are shared between successive snapshots and never written, so a
+  snapshot already handed out does not change.  The map's order depends on
+  that history and does not matter: ``bootstrap`` walks ``sorted(state)``
+  and the wire size is ``len(repr(state))``, which no ordering changes.
 - :class:`ReplicationManager` — one per participating server.  It owns the
   local WAL, the list of replica peers, and the replicas this server hosts
   for *other* primaries.  Writes stream synchronously when the network
@@ -75,6 +84,10 @@ replicas — without a single read against the dead host's memory.
   tick) + (max per-peer lag)`` — a fixed bound whenever peers keep
   acknowledging.  ``replication.wal-truncated`` events and the
   ``replication.wal.truncated_entries`` counter make truncations observable.
+  A truncation costs one dump per consumer written since the previous one
+  (at most ``threshold`` + the tail of one tick — not the population) plus
+  one shallow copy of the ``user id → dump`` map; only the first truncation
+  of a server dumps everybody.
 """
 
 from __future__ import annotations
@@ -136,12 +149,14 @@ class ReplicationLogEntry:
 
 @dataclass(frozen=True)
 class ReplicationSnapshot:
-    """A full dump of one primary's durable consumer state at ``seq``.
+    """One primary's durable consumer state at ``seq``, a dump per consumer.
 
     ``state`` maps user id → the consumer's registration record fields,
     profile dict, observational interactions (arrival order) and transaction
     records.  Bootstrapping a :class:`ReplicaState` from a snapshot produces
     exactly the shadow UserDB that replaying entries ``1..seq`` would.
+    Read-only once built: successive snapshots of a primary share the dumps
+    of the consumers that did not change between them.
     """
 
     seq: int
@@ -378,6 +393,9 @@ class ReplicationManager:
         #: first truncation).  Bootstraps peers whose acknowledged prefix has
         #: been truncated away.
         self.snapshot: Optional[ReplicationSnapshot] = None
+        #: Consumers named by a WAL entry appended since :attr:`snapshot` was
+        #: installed — the only ones whose dump in it can be out of date.
+        self._touched: Set[str] = set()
         self.peers: List["BuyerAgentServer"] = []
         #: Highest sequence number each peer has acknowledged applying.
         self._acked: Dict[str, int] = {}
@@ -455,16 +473,30 @@ class ReplicationManager:
     # -- capture hooks --------------------------------------------------------
 
     def _on_mutation(self, op: str, payload: Dict[str, Any]) -> None:
-        self._append_and_stream(op, payload)
+        if op == "store-profile":
+            user_id = payload["profile"]["user_id"]
+        elif op == "interaction":
+            user_id = payload["interaction"].user_id
+        elif op == "transaction":
+            user_id = payload["transaction"].user_id
+        else:
+            user_id = payload["user_id"]
+        self._append_and_stream(op, payload, user_id)
 
     def _on_profile_update(
         self, profile: Profile, event: Optional[FeedbackEvent] = None
     ) -> None:
         # In-place learning updates never pass through store_profile; snapshot
         # the whole profile so replicas converge to the exact post-update state.
-        self._append_and_stream("store-profile", {"profile": profile.to_dict()})
+        self._append_and_stream(
+            "store-profile", {"profile": profile.to_dict()}, profile.user_id
+        )
 
-    def _append_and_stream(self, op: str, payload: Dict[str, Any]) -> None:
+    def _append_and_stream(
+        self, op: str, payload: Dict[str, Any], user_id: str
+    ) -> None:
+        """The one door into the WAL: every entry names the consumer it changes."""
+        self._touched.add(user_id)
         entry = self.log.append(op, payload, timestamp=self.server.context.now)
         if not self.server.context.host.is_running:
             return  # crashed primaries cannot ship; the tail is the lag
@@ -582,10 +614,27 @@ class ReplicationManager:
     # -- snapshot + truncation ------------------------------------------------
 
     def _capture_snapshot(self) -> ReplicationSnapshot:
-        """Dump the primary's full durable consumer state at ``log.last_seq``."""
+        """The primary's durable consumer state at ``log.last_seq``.
+
+        Built from the installed snapshot's per-consumer dumps, re-dumping
+        only the consumers a WAL entry has named since (and dropping the
+        ones that unregistered); before the first truncation every consumer
+        counts as touched.  Nothing durable changes without a WAL entry, so
+        the result equals a dump of every consumer — at the cost of the
+        touched ones.  A pure read: the previous snapshot's ``state`` is
+        copied, never written, its dumps are shared, and the touched set is
+        consumed only where :meth:`maybe_truncate` installs the result.
+        """
         db = self.server.user_db
-        state: Dict[str, Dict[str, Any]] = {}
-        for user_id in db.user_ids:
+        state: Dict[str, Dict[str, Any]]
+        if self.snapshot is None:
+            state, touched = {}, db.user_ids
+        else:
+            state, touched = dict(self.snapshot.state), sorted(self._touched)
+        for user_id in touched:
+            if not db.is_registered(user_id):
+                state.pop(user_id, None)
+                continue
             record = db.user(user_id)
             state[user_id] = {
                 "display_name": record.display_name,
@@ -593,8 +642,8 @@ class ReplicationManager:
                 "logins": record.logins,
                 "last_login_at": record.last_login_at,
                 "profile": db.profile(user_id).to_dict(),
-                "interactions": list(db.ratings.interactions_of(user_id)),
-                "transactions": list(db.transactions_of(user_id)),
+                "interactions": db.ratings.interactions_of(user_id),
+                "transactions": db.transactions_of(user_id),
             }
         return ReplicationSnapshot(
             seq=self.log.last_seq,
@@ -619,6 +668,7 @@ class ReplicationManager:
         if safe - self.log.truncated_seq < self.truncate_threshold:
             return 0
         self.snapshot = self._capture_snapshot()
+        self._touched = set()
         dropped = self.log.truncate_through(safe)
         transport = self.server.context.transport
         transport.metrics.counter("replication.wal.truncated_entries").increment(dropped)

@@ -212,6 +212,36 @@ class TestRatingsStoreProperties:
         expected = sum(1 for i in interaction_list if i.kind is InteractionKind.BUY)
         assert sum(store.purchases().values()) == expected
 
+    @given(st.lists(interactions(), max_size=60), user_names)
+    @settings(max_examples=100)
+    def test_remove_user_equals_never_having_seen_them(self, interaction_list, leaver):
+        store = RatingsStore()
+        store.add_all(interaction_list)
+        revision = store.revision
+        own = [i for i in interaction_list if i.user_id == leaver]
+        assert store.remove_user(leaver) == len(own)
+        assert store.revision == revision + (1 if own else 0)
+        assert store.remove_user(leaver) == 0  # unknown by now: a no-op
+        assert store.revision == revision + (1 if own else 0)
+
+        reference = RatingsStore()
+        reference.add_all(i for i in interaction_list if i.user_id != leaver)
+        assert not store.has_user(leaver) and store.interactions_of(leaver) == []
+        assert store.interaction_count == reference.interaction_count
+        assert store.users == reference.users and store.items == reference.items
+        for user in reference.users:
+            assert store.user_vector(user) == reference.user_vector(user)
+            assert store.interactions_of(user) == reference.interactions_of(user)
+        for item in ["a", "b", "c", "d", "e"]:
+            assert store.users_of(item) == reference.users_of(item)
+            for user in ["u1", "u2", "u3", "u4"]:
+                assert store.last_interaction_at(user, item) == (
+                    reference.last_interaction_at(user, item)
+                )
+        assert store.purchases() == reference.purchases()
+        assert store.purchases_between(0.0, 5e5) == reference.purchases_between(0.0, 5e5)
+        assert store.co_purchases() == reference.co_purchases()
+
 
 # ---------------------------------------------------------------------------
 # Quality metric properties

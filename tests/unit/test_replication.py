@@ -25,6 +25,19 @@ def _profile_dicts(db):
     return {profile.user_id: profile.to_dict() for profile in db.profiles()}
 
 
+def _durable_state(db):
+    """Every consumer's durable record, read through the public accessors."""
+    return {
+        user_id: (
+            db.user(user_id),
+            db.profile(user_id).to_dict(),
+            db.ratings.interactions_of(user_id),
+            db.transactions_of(user_id),
+        )
+        for user_id in db.user_ids
+    }
+
+
 def _entry_payloads(user_id="ann"):
     """An ordered, applicable mutation history for one consumer."""
     profile = Profile(user_id)
@@ -452,6 +465,73 @@ class TestBoundedWal:
         state.apply_entries(manager.log.entries_since(state.applied_seq))
         with pytest.raises(ReplicationError):
             state.bootstrap(snapshot)
+
+    def _populated_primary(self, population):
+        """A primary holding ``population`` consumers written straight into
+        its UserDB (every write still streams to the one peer)."""
+        platform = build_platform(
+            seed=11, num_buyer_servers=2, replication_factor=1,
+            replication_wal_truncate_threshold=4,
+        )
+        owner = platform.fleet.servers[0]
+        users = [f"consumer-{index}" for index in range(population)]
+        for index, user_id in enumerate(users):
+            owner.user_db.register(user_id, timestamp=float(index))
+            owner.user_db.record_interaction(
+                Interaction(user_id, "item-1", InteractionKind.VIEW)
+            )
+        return owner, users
+
+    def test_discarded_capture_leaves_the_next_truncation_complete(self):
+        """Capture is a pure read: a snapshot captured and thrown away must
+        not use up the record of who changed since the installed one, or the
+        next real truncation would ship those consumers' stale dumps."""
+        owner, users = self._populated_primary(6)
+        manager = owner.replication
+        assert manager.maybe_truncate() > 0
+        installed = manager.snapshot
+
+        for user_id in users[:4]:  # they change after the snapshot
+            owner.user_db.record_login(user_id, 1000.0)
+        manager._capture_snapshot()  # captured, never installed
+        assert manager.maybe_truncate() > 0
+        assert manager.snapshot is not installed
+
+        replayed = manager.peers[0].replication.hosted[owner.name]
+        bootstrapped = ReplicaState(owner.name)
+        bootstrapped.bootstrap(manager.snapshot)
+        assert bootstrapped.applied_seq == replayed.applied_seq
+        assert _durable_state(bootstrapped.db) == _durable_state(replayed.db)
+        assert _durable_state(bootstrapped.db) == _durable_state(owner.user_db)
+
+    @pytest.mark.parametrize("population", [50, 500])
+    def test_truncation_dumps_only_the_consumers_written_since(
+        self, population, monkeypatch
+    ):
+        """Cost shape, counted not timed: after the first truncation, one
+        that follows writes by k consumers dumps k consumers — whatever the
+        population of the server."""
+        owner, users = self._populated_primary(population)
+        manager = owner.replication
+        dumps = []
+        to_dict = Profile.to_dict
+        monkeypatch.setattr(
+            Profile, "to_dict",
+            lambda profile: dumps.append(profile.user_id) or to_dict(profile),
+        )
+        assert manager.maybe_truncate() > 0
+        assert sorted(dumps) == sorted(users)  # the first capture is everyone
+
+        writers = users[3:8]
+        for user_id in writers:
+            owner.user_db.record_login(user_id, 1000.0)
+            owner.user_db.record_interaction(
+                Interaction(user_id, "item-2", InteractionKind.BUY, timestamp=1000.0)
+            )
+        del dumps[:]
+        assert manager.maybe_truncate() > 0
+        assert sorted(dumps) == writers
+        assert len(manager.snapshot.state) == population
 
     def test_zero_threshold_disables_truncation(self):
         platform = self._busy_platform(threshold=0)
