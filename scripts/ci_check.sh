@@ -50,8 +50,11 @@ python -m pytest -x -q benchmarks/bench_adversarial.py
 echo "== tier-1: wall-clock ledger digests (full-scale fixed phase of every =="
 echo "==         workload must be correct and reproduce expected/*.json; =="
 echo "==         trade and fleet_maintenance — the two that audit,       =="
-echo "==         promote and snapshot-bootstrap — on a second seed too)  =="
-for run in browse:1 trade:1 trade:2 similar_fanout:1 overload_submit:1 \
+echo "==         promote and snapshot-bootstrap — and browse and         =="
+echo "==         overload_submit — the two whose p50/p95 is a Figure 4.2 =="
+echo "==         query — on a second seed too)                           =="
+for run in browse:1 browse:2 trade:1 trade:2 similar_fanout:1 \
+           overload_submit:1 overload_submit:2 \
            fleet_maintenance:1 fleet_maintenance:2; do
   workload="${run%:*}" seed="${run#*:}"
   python3 benchmarks/wallclock/run.py --workload "${workload}" --seed "${seed}" \

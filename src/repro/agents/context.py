@@ -7,6 +7,10 @@ migration (dispatch/retract) of mobile agents, plus deactivation to storage
 and reactivation — the operations BSMA applies to BRAs while their MBAs are
 away (§4.1 principle 3).
 
+State moves under the ownership rule of :mod:`repro.agents.serialization`:
+``dispatch``, ``deactivate`` and ``clone`` capture (copy) once, and the
+snapshot is handed to exactly one restore, which consumes it.
+
 All inter-host traffic (messages to remote agents, migrations) is charged to
 the simulated network through the shared :class:`Transport`, so workflow
 latencies in the benchmarks reflect the number of network hops each figure's

@@ -11,13 +11,16 @@ mechanism to do in the Figure 4.2 workflow:
 1. load the active consumer's hierarchical profile;
 2. find the most similar other consumers in UserDB with
    :func:`repro.core.similarity.find_similar_users`, applying the Figure 4.5
-   discard rule for the queried category;
+   discard rule for the queried category — **once per request**: the one
+   neighbour list serves both steps below;
 3. collect the merchandise those similar consumers prefer (their observational
    ratings weighted by profile similarity);
 4. when the consumer just ran a query, score the queried merchandise against
    the similar consumers' profiles and the consumer's own profile, so the
    returned recommendation list both re-ranks the live results and adds the
-   "goods whose interest is closest" from the similar consumers.
+   "goods whose interest is closest" from the similar consumers (step 3, fed
+   the list step 2 already found — nothing is written between ranking and
+   discoveries, so a second lookup would return the same list).
 
 Without other users (cold start) the mechanism degrades gracefully to the
 consumer's own profile (information filtering), which is exactly the synergy
@@ -200,9 +203,19 @@ class AgentHybridRecommender(Recommender):
         profile = self.profile_of(user_id)
         if profile is None or profile.is_empty():
             return []
-        excluded = set(exclude)
-
         neighbours = self.similar_users(user_id, category=category)
+        return self._recommend(user_id, neighbours, k, category, set(exclude))
+
+    def _recommend(
+        self,
+        user_id: str,
+        neighbours: Sequence[Tuple[str, float]],
+        k: int,
+        category: Optional[str],
+        excluded: set,
+    ) -> List[Recommendation]:
+        """Body of :meth:`recommend` for a consumer with a non-empty profile
+        whose ``category`` neighbour list the caller already holds."""
         neighbour_scores = self._normalized(
             self._neighbour_item_scores(user_id, neighbours, category, excluded)
         )
@@ -286,11 +299,12 @@ class AgentHybridRecommender(Recommender):
                         vector_norm(terms),
                     )
 
+        own_score = self._content.scorer_for(profile) if profile else None
         ranked: List[Recommendation] = []
         for item in query_items:
-            own_match = self._content.score_item(profile, item) if profile else 0.0
             item_weights = item.term_weights
             item_norm = vector_norm(item_weights)
+            own_match = own_score(item, item_weights, item_norm) if own_score else 0.0
             neighbour_match = 0.0
             weight_total = 0.0
             for neighbour_id, similarity in neighbours:
@@ -319,10 +333,10 @@ class AgentHybridRecommender(Recommender):
         ranked.sort(key=lambda rec: (-rec.score, rec.item_id))
         ranked = ranked[:k]
 
-        if extra > 0:
+        # The discoveries are ``recommend(user_id, extra, category, already)``
+        # served from the neighbour list above: same target profile, same
+        # category, and nothing is written between the two steps.
+        if extra > 0 and profile is not None and not profile.is_empty():
             already = {rec.item_id for rec in ranked} | {item.item_id for item in query_items}
-            discoveries = self.recommend(
-                user_id, k=extra, category=category, exclude=already
-            )
-            ranked.extend(discoveries)
+            ranked.extend(self._recommend(user_id, neighbours, extra, category, already))
         return ranked

@@ -15,17 +15,25 @@ but it cannot produce serendipitous cross-category discoveries.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import RecommendationError
 from repro.core.items import Item, ItemCatalogView
-from repro.core.profile import Profile
+from repro.core.profile import Profile, TermVector
 from repro.core.recommender import Recommendation, Recommender
-from repro.core.similarity import cosine_similarity
+from repro.core.similarity import (
+    cosine_similarity,
+    cosine_similarity_cached,
+    vector_norm,
+)
 
 __all__ = ["InformationFilteringRecommender"]
 
 ProfileProvider = Callable[[str], Optional[Profile]]
+#: ``(item, item.term_weights, vector_norm(item.term_weights))`` -> score.
+ItemScorer = Callable[[Item, Mapping[str, float], float], float]
+#: A term vector with its norm, as ``cosine_similarity_cached`` takes them.
+_NormedTerms = Tuple[Dict[str, float], float]
 
 
 class InformationFilteringRecommender(Recommender):
@@ -73,6 +81,52 @@ class InformationFilteringRecommender(Recommender):
 
         return term_match + category_part + subcategory_part
 
+    def scorer_for(self, profile: Profile) -> ItemScorer:
+        """:meth:`score_item` for one call that scores many items against
+        ``profile``: the profile side — the maximum preference, and each
+        category's and sub-category's term dict and norm — is computed once,
+        on first use, instead of once per item.  Scores are ``==``
+        :meth:`score_item`'s; the scorer must not outlive the call, since
+        nothing invalidates it when the profile learns.
+        """
+        max_preference = max(
+            (c.preference for c in profile.categories.values()), default=0.0
+        )
+        # (category, sub-category or "") -> that term vector as a dict, normed
+        normed: Dict[Tuple[str, str], _NormedTerms] = {}
+
+        def terms_of(category: str, subcategory: str, vector: TermVector) -> _NormedTerms:
+            side = normed.get((category, subcategory))
+            if side is None:
+                weights = vector.as_dict()
+                side = normed[category, subcategory] = (weights, vector_norm(weights))
+            return side
+
+        def score(item: Item, item_weights: Mapping[str, float], item_norm: float) -> float:
+            category = profile.categories.get(item.category)
+            if category is None:
+                return 0.0
+
+            terms, norm = terms_of(item.category, "", category.terms)
+            term_match = cosine_similarity_cached(terms, norm, item_weights, item_norm)
+
+            category_part = 0.0
+            if max_preference > 0:
+                category_part = self.category_boost * (category.preference / max_preference)
+
+            subcategory_part = 0.0
+            if item.subcategory and item.subcategory in category.subcategories:
+                terms, norm = terms_of(
+                    item.category, item.subcategory, category.subcategories[item.subcategory].terms
+                )
+                subcategory_part = self.subcategory_boost * cosine_similarity_cached(
+                    terms, norm, item_weights, item_norm
+                )
+
+            return term_match + category_part + subcategory_part
+
+        return score
+
     def can_recommend(self, user_id: str) -> bool:
         profile = self.profiles(user_id)
         return profile is not None and not profile.is_empty()
@@ -92,11 +146,13 @@ class InformationFilteringRecommender(Recommender):
         candidates = (
             self.catalog.in_category(category) if category is not None else list(self.catalog)
         )
+        score_item = self.scorer_for(profile)
         recommendations: List[Recommendation] = []
         for item in candidates:
             if item.item_id in excluded:
                 continue
-            score = self.score_item(profile, item)
+            item_weights = item.term_weights
+            score = score_item(item, item_weights, vector_norm(item_weights))
             if score > 0:
                 recommendations.append(
                     Recommendation(

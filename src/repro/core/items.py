@@ -30,7 +30,16 @@ class Item:
             information-filtering recommender and the profile learner.
         price: list price in arbitrary currency units.
         seller: name of the seller server offering the item.
+
+    An item is immutable all the way down (``str``/``float`` fields and a
+    tuple of ``(str, float)`` pairs), so it crosses aglet hops by reference:
+    ``copy.deepcopy(item) is item``.  ``_wire_bytes`` holds the item's
+    simulated wire size once :mod:`repro.agents.serialization` has computed
+    it; it is a slot, not a field, so ``vars(item)`` — what equality, the
+    size walk and ``repr`` see — stays the seven fields.
     """
+
+    __slots__ = ("_wire_bytes", "__dict__", "__weakref__")
 
     item_id: str
     name: str
@@ -75,6 +84,14 @@ class Item:
             price=price,
             seller=seller,
         )
+
+    def __deepcopy__(self, memo: dict) -> "Item":
+        return self
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Fields only: a frozen instance cannot be handed slot state back, so
+        # ``copy.copy`` and ``pickle`` of a sized item would otherwise fail.
+        return vars(self)
 
     @property
     def term_weights(self) -> Dict[str, float]:

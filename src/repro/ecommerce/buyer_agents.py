@@ -30,14 +30,17 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import (
     AuthenticationError,
+    DispatchError,
     ECommerceError,
     LoginError,
     MarketplaceError,
+    NetworkError,
     TransactionError,
     UnknownUserError,
 )
 from repro.agents.aglet import Aglet
 from repro.agents.messages import Message, MessageKinds, Reply
+from repro.agents.security import AuthenticationService
 from repro.core.items import Item
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
@@ -159,20 +162,22 @@ class BuyerRecommendAgent(Aglet):
 
     # -- message handling -----------------------------------------------------------
 
+    #: Message kind → name of the method that handles it.
+    _HANDLERS = {
+        "bra.load-profile": "_handle_load_profile",
+        "bra.prepare-task": "_handle_prepare_task",
+        "bra.complete-query": "_handle_complete_query",
+        "bra.complete-trade": "_handle_complete_trade",
+        MessageKinds.RECOMMENDATIONS: "_handle_recommendations",
+        MessageKinds.RATE: "_handle_rate",
+        MessageKinds.CROSS_SELL: "_handle_cross_sell",
+    }
+
     def handle_message(self, message: Message) -> Reply:
-        handlers = {
-            "bra.load-profile": self._handle_load_profile,
-            "bra.prepare-task": self._handle_prepare_task,
-            "bra.complete-query": self._handle_complete_query,
-            "bra.complete-trade": self._handle_complete_trade,
-            MessageKinds.RECOMMENDATIONS: self._handle_recommendations,
-            MessageKinds.RATE: self._handle_rate,
-            MessageKinds.CROSS_SELL: self._handle_cross_sell,
-        }
-        handler = handlers.get(message.kind)
+        handler = self._HANDLERS.get(message.kind)
         if handler is None:
             return super().handle_message(message)
-        return handler(message)
+        return getattr(self, handler)(message)
 
     def _handle_load_profile(self, message: Message) -> Reply:
         """Figure 4.2: load the consumer's profile from UserDB via the PA."""
@@ -445,8 +450,6 @@ class MobileBuyerAgent(Aglet):
             remaining = []
         # Mobile agents are "robust and fault-tolerant" (§1): a marketplace
         # that became unreachable mid-itinerary is skipped, not fatal.
-        from repro.errors import DispatchError, NetworkError
-
         while remaining:
             next_host = remaining.pop(0)
             try:
@@ -465,8 +468,6 @@ class MobileBuyerAgent(Aglet):
             if self.credential is None:
                 return Reply.failure(message.kind, "MBA carries no credential",
                                      message.correlation_id)
-            from repro.agents.security import AuthenticationService
-
             response = AuthenticationService.respond(self.credential, challenge)
             return message.reply(credential=self.credential, response=response)
         if message.kind == "mba.collect-results":

@@ -107,3 +107,52 @@ class TestQueryWorkflow:
         session.query("electronics")
         assert session.bra_id == bra_before
         assert platform.buyer_server.context.active_count("BRA") == 1
+
+
+@pytest.fixture
+def community(platform):
+    """Four consumers with overlapping but distinct query and purchase histories."""
+    gateway = platform.gateway()
+    for user, keywords, pick in (
+        ("alice", ("books", "electronics"), 0),
+        ("bob", ("books", "fashion"), 1),
+        ("carol", ("electronics", "books"), 2),
+        ("dave", ("books",), 3),
+    ):
+        assert gateway.login(user).ok
+        for keyword in keywords:
+            hit = gateway.query(user, keyword).result.hits[pick]
+            assert gateway.buy(user, hit.item, marketplace=hit.marketplace).ok
+        assert gateway.logout(user).ok
+    return platform
+
+
+class TestQueryRecommendationComposition:
+    """``recommend_for_query`` serves its discoveries from the neighbour list
+    it ranked with; the output must stay what the two public steps compose to."""
+
+    @pytest.mark.parametrize("k, extra", [(10, 5), (3, 2), (1, 8)])
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_equals_ranked_part_plus_public_recommend(self, community, k, extra, mixed):
+        service = community.buyer_server.recommendations
+        hybrid = service.hybrid
+        items = service.catalog.in_category("books")[:6]
+        if mixed:
+            items = items[:3] + service.catalog.in_category("electronics")[:3]
+        category = None if mixed else "books"
+        for user in ("alice", "bob", "carol", "dave", "newcomer"):
+            ranked = hybrid.recommend_for_query(user, items, k=k, extra=0)
+            assert [rec.reason for rec in ranked] == ["ranked query result"] * min(k, 6)
+            already = {rec.item_id for rec in ranked} | {item.item_id for item in items}
+            discoveries = hybrid.recommend(user, k=extra, category=category, exclude=already)
+            assert hybrid.recommend_for_query(user, items, k=k, extra=extra) == ranked + discoveries
+        assert hybrid.recommend("alice", k=extra, category=category)
+
+    def test_one_neighbour_lookup_per_query(self, community):
+        service = community.buyer_server.recommendations
+        index = service.neighbor_index
+        gateway = community.gateway()
+        assert gateway.login("alice").ok
+        before = index.queries
+        assert gateway.query("alice", "books").result.hits
+        assert index.queries == before + 1

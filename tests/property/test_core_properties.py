@@ -4,7 +4,8 @@ import math
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.items import Item
+from repro.core.information_filtering import InformationFilteringRecommender
+from repro.core.items import Item, ItemCatalogView
 from repro.core.metrics import (
     catalog_coverage,
     f1_at_k,
@@ -16,7 +17,12 @@ from repro.core.metrics import (
 from repro.core.profile import Profile, TermVector
 from repro.core.profile_learning import FeedbackEvent, LearningConfig, ProfileLearner
 from repro.core.ratings import Interaction, InteractionKind, RatingsStore
-from repro.core.similarity import cosine_similarity, pearson_correlation, profile_similarity
+from repro.core.similarity import (
+    cosine_similarity,
+    pearson_correlation,
+    profile_similarity,
+    vector_norm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +134,62 @@ class TestSimilarityProperties:
             other = profile.copy()
             other.user_id = profile.user_id + "-twin"
             assert profile_similarity(profile, other) >= profile_similarity(profile, Profile("empty"))
+
+
+# ---------------------------------------------------------------------------
+# Content scoring: the per-call scorer against the per-item reference
+# ---------------------------------------------------------------------------
+
+preferences = st.sampled_from([0.0, 0.0, 0.5, 3.0, 10.0])
+
+
+@st.composite
+def content_profiles(draw):
+    """Profiles with sub-categories, zero preferences and empty term vectors."""
+    profile = Profile("consumer")
+    for category in draw(st.lists(categories, max_size=4, unique=True)):
+        entry = profile.category(category)
+        entry.preference = draw(preferences)
+        for term, weight in draw(term_dicts).items():
+            entry.terms.set(term, weight)
+        for name in draw(st.lists(st.sampled_from(["sub-a", "sub-b"]), unique=True)):
+            sub = entry.subcategory(name)
+            for term, weight in draw(term_dicts).items():
+                sub.terms.set(term, weight)
+    return profile
+
+
+@st.composite
+def scored_items(draw):
+    return Item.build(
+        item_id=draw(item_ids),
+        name="generated item",
+        category=draw(categories),
+        subcategory=draw(st.sampled_from(["", "sub-a", "sub-b", "sub-c"])),
+        terms=draw(st.dictionaries(term_names, st.floats(min_value=0.0, max_value=1.0),
+                                   max_size=5)),
+    )
+
+
+class TestContentScorerProperties:
+    @given(content_profiles(), st.lists(scored_items(), max_size=12))
+    @settings(max_examples=200)
+    def test_per_call_scorer_equals_score_item(self, profile, batch):
+        recommender = InformationFilteringRecommender(ItemCatalogView([]), lambda _: profile)
+        score = recommender.scorer_for(profile)
+        # Items repeat categories, so later ones are scored from the hoisted side.
+        for item in batch + batch:
+            weights_of_item = item.term_weights
+            hoisted = score(item, weights_of_item, vector_norm(weights_of_item))
+            assert hoisted == recommender.score_item(profile, item)
+
+    @given(content_profiles(), st.lists(scored_items(), max_size=12, unique_by=lambda i: i.item_id))
+    def test_recommend_scores_equal_score_item(self, profile, batch):
+        recommender = InformationFilteringRecommender(ItemCatalogView(batch), lambda _: profile)
+        scores = {item.item_id: recommender.score_item(profile, item) for item in batch}
+        expected = {item_id: score for item_id, score in scores.items() if score > 0}
+        ranked = recommender.recommend("consumer", k=len(batch) + 1)
+        assert {rec.item_id: rec.score for rec in ranked} == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,21 @@
 """Unit tests for agent lifecycle states, messages, serialization and security."""
 
+import copy
+
 import pytest
 
 from repro.errors import AgentLifecycleError, AuthenticationError, SerializationError
 from repro.agents.lifecycle import AgletInfo, AgletState, check_transition
 from repro.agents.messages import Message, MessageKinds, Reply
-from repro.agents.security import AuthenticationService
-from repro.agents.serialization import capture_state, estimate_payload_bytes, restore_state
+from repro.agents.security import AgentCredential, AuthenticationService
+from repro.agents.serialization import (
+    RUNTIME_ATTRIBUTES,
+    capture_state,
+    estimate_payload_bytes,
+    restore_state,
+)
+from repro.core.items import Item
+from repro.ecommerce.buyer_agents import MobileBuyerAgent
 
 
 class TestLifecycle:
@@ -131,6 +140,112 @@ class TestSerialization:
     def test_snapshot_reports_payload_bytes(self):
         snapshot = capture_state(_Dummy())
         assert snapshot.payload_bytes > 0
+
+
+    def test_restore_skips_runtime_attributes(self):
+        agent = _Dummy()
+        bindings = {name: getattr(agent, name) for name in RUNTIME_ATTRIBUTES}
+        restore_state(agent, {"_context": "hijacked", "_info": None, "_proxy": 1, "user_id": "bob"})
+        assert {name: getattr(agent, name) for name in RUNTIME_ATTRIBUTES} == bindings
+        assert agent.user_id == "bob"
+
+    def test_restore_consumes_the_snapshot(self):
+        # Capture copies, restore consumes: the one copy is capture's.
+        agent = _Dummy()
+        snapshot = capture_state(agent)
+        fresh = _Dummy()
+        restore_state(fresh, snapshot)
+        assert fresh.results is snapshot["results"]
+        assert fresh.results is not agent.results
+        assert fresh.results[0] is not agent.results[0]
+
+    def test_items_cross_by_reference(self):
+        item = _catalogue()[0]
+        assert copy.deepcopy(item) is item
+        carried = [item]
+        copied = copy.deepcopy(carried)
+        assert copied is not carried
+        assert copied[0] is item
+        agent = _Dummy()
+        agent.results = [{"item": item}]
+        snapshot = capture_state(agent)
+        assert snapshot["results"] is not agent.results
+        assert snapshot["results"][0] is not agent.results[0]
+        assert snapshot["results"][0]["item"] is item
+
+
+ITEM_FIELDS = ["item_id", "name", "category", "subcategory", "terms", "price", "seller"]
+
+
+def _catalogue():
+    return [
+        Item.build("book-1", "Dune", "books", "scifi",
+                   {"desert": 0.9, "spice": 0.7, "epic": 0.4}, 12.5, "seller-a"),
+        Item.build("book-2", "Emma", "books", "classic",
+                   {"romance": 0.8, "regency": 0.6}, 8.0, "seller-a"),
+        Item.build("cd-1", "Kind of Blue", "music", "", {"jazz": 1.0}, 15.25, "seller-b"),
+    ]
+
+
+def _returning_mba():
+    """An MBA on its last hop: two marketplaces' results, credential, params."""
+    items = _catalogue()
+    mba = MobileBuyerAgent()
+    mba.on_creation(
+        user_id="alice", task="query", params={"keyword": "books", "category": None},
+        itinerary=["market-1", "market-2"], home="buyer-server",
+    )
+    mba.visited = ["market-1", "market-2"]
+    mba.results = [
+        {"item": item, "price": item.price, "stock": 5 + index, "marketplace": market}
+        for market in ("market-1", "market-2")
+        for index, item in enumerate(items)
+    ]
+    mba.credential = AgentCredential(
+        agent_id="MBA-1@buyer-server", owner="alice", issued_at=10.0, expires_at=60010.0,
+        session_key="0" * 32, signature="f" * 64,
+    )
+    return mba
+
+
+class TestWireSize:
+    """The simulated network charges these bytes, so they feed the simulated
+    clock of every reproducible artifact.  The integers are what the walk
+    returned before items memoized their size; a memo must not move them."""
+
+    def test_mba_payload_is_pinned(self):
+        mba = _returning_mba()
+        assert capture_state(mba).payload_bytes == 11230
+        # Sized again with every item's memo warm.
+        assert capture_state(mba).payload_bytes == 11230
+
+    def test_item_size_per_depth_is_pinned(self):
+        for item, expected in zip(_catalogue(), (1516, 1397, 1266)):
+            assert estimate_payload_bytes({"results": [{"item": item}]}) == expected
+
+    def test_deep_items_follow_the_truncated_walk(self):
+        # Depth 4 is the deepest level whose leaves the walk still reaches;
+        # from depth 5 on it truncates and the same item has another size.
+        item = _catalogue()[0]
+        assert estimate_payload_bytes(item) == 1225
+        assert estimate_payload_bytes([[[[item]]]]) == 4 * 56 + 1225
+        assert estimate_payload_bytes([[[[[item]]]]]) == 1682
+        assert estimate_payload_bytes({"a": [[[[item]]]]}) == 1739
+
+    def test_deep_walk_does_not_seed_the_memo(self):
+        item = _catalogue()[0]
+        assert estimate_payload_bytes([[[[[item]]]]]) == 1682
+        assert estimate_payload_bytes(item) == 1225
+
+    def test_sizing_leaves_item_fields_alone(self):
+        item = _catalogue()[0]
+        twin = _catalogue()[0]
+        estimate_payload_bytes(item)
+        assert list(vars(item)) == ITEM_FIELDS
+        assert item.term_weights == {"desert": 0.9, "spice": 0.7, "epic": 0.4}
+        assert list(vars(item)) == ITEM_FIELDS
+        assert item == twin and hash(item) == hash(twin) and repr(item) == repr(twin)
+        assert copy.copy(item) == item
 
 
 class TestAuthenticationService:

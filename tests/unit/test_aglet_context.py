@@ -8,6 +8,7 @@ from repro.errors import (
     DispatchError,
     HostUnreachableError,
     MessageDeliveryError,
+    NetworkError,
 )
 from repro.agents.aglet import Aglet
 from repro.agents.lifecycle import AgletState
@@ -315,6 +316,79 @@ class TestProxyAndDirectory:
         alpha.create(EchoAgent)
         assert len(alpha.active_aglets("Echo")) == 1
         assert alpha.active_aglets("Other") == []
+
+
+class CarrierAgent(Aglet):
+    """Carries mutable containers, like an MBA's results and outcome."""
+
+    agent_type = "Carrier"
+
+    def on_creation(self) -> None:
+        self.results = [{"price": 3.5}]
+        self.outcome = {"ok": True}
+
+
+class TestStateIsolation:
+    """Capture copies, restore consumes: the one copy a hop makes must keep
+    origin, storage and destination from sharing mutable state."""
+
+    def test_deactivated_state_cannot_be_reached_through_the_old_object(self, two_contexts):
+        alpha, _ = two_contexts
+        agent = alpha.create(CarrierAgent)
+        stale_results, stale_outcome = agent.results, agent.outcome
+        alpha.deactivate(agent)
+        stale_results.append({"price": 99.0})
+        stale_results[0]["price"] = 99.0
+        stale_outcome["ok"] = False
+        restored = alpha.activate(agent.aglet_id)
+        assert restored.results == [{"price": 3.5}]
+        assert restored.outcome == {"ok": True}
+        assert restored.results is not stale_results
+
+    def test_clone_and_original_share_no_containers(self, two_contexts):
+        alpha, _ = two_contexts
+        original = alpha.create(CarrierAgent)
+        duplicate = alpha.clone(original)
+        assert duplicate.results is not original.results
+        assert duplicate.results[0] is not original.results[0]
+        duplicate.results[0]["price"] = 1.0
+        duplicate.outcome["ok"] = False
+        assert original.results == [{"price": 3.5}]
+        assert original.outcome == {"ok": True}
+        original.results.append({"price": 7.0})
+        original.outcome["error"] = "late"
+        assert duplicate.results == [{"price": 1.0}]
+        assert duplicate.outcome == {"ok": False}
+
+    def test_dispatch_leaves_nothing_shared_with_the_origin(self, two_contexts):
+        alpha, beta = two_contexts
+        agent = alpha.create(CarrierAgent)
+        before_results, before_outcome = agent.results, agent.outcome
+        alpha.dispatch(agent, "beta")
+        arrived = beta.get_local(agent.aglet_id)
+        assert arrived.results is not before_results
+        assert arrived.results[0] is not before_results[0]
+        assert arrived.outcome is not before_outcome
+        before_results[0]["price"] = 99.0
+        before_results.append({"price": 1.0})
+        before_outcome["ok"] = False
+        assert arrived.results == [{"price": 3.5}]
+        assert arrived.outcome == {"ok": True}
+
+    def test_failed_dispatch_keeps_state_at_home(self, two_contexts):
+        alpha, beta = two_contexts
+        agent = alpha.create(CarrierAgent)
+        results = agent.results
+        alpha.transport.network.cut_link("alpha", "beta")
+        with pytest.raises(NetworkError):
+            alpha.dispatch(agent, "beta")
+        assert agent.state is AgletState.ACTIVE
+        assert agent.location == "alpha"
+        assert alpha.get_local(agent.aglet_id) is agent
+        assert beta.active_count() == 0
+        assert agent.results is results
+        assert agent.results == [{"price": 3.5}]
+        assert agent.outcome == {"ok": True}
 
 
 class HopperAgent(Aglet):

@@ -10,6 +10,7 @@ from repro.core.cross_sell import CrossSellRecommender
 from repro.core.hybrid import AgentHybridRecommender
 from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.items import ItemCatalogView
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommender, WEEK_MS
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
@@ -349,6 +350,65 @@ class TestAgentHybrid:
         assert len(ranked) > 1
         assert ranked[0].item_id == "book-2"
         assert all(rec.item_id != "book-2" for rec in ranked[1:])
+
+
+@pytest.fixture
+def indexed_hybrid(ratings, catalog, profiles):
+    config = SimilarityConfig(top_k=5, min_similarity=0.01)
+    return AgentHybridRecommender(
+        ratings=ratings,
+        catalog=catalog,
+        profile_of=profile_of(profiles),
+        all_profiles=lambda: list(profiles.values()),
+        similarity_config=config,
+        neighbor_index=ProfileNeighborIndex(profiles=profiles.values(), config=config),
+    )
+
+
+class TestQueryNeighbourLookups:
+    """One ``find_similar`` serves both the ranking and the discoveries."""
+
+    def test_single_category_query_costs_one_lookup(self, indexed_hybrid, catalog):
+        index = indexed_hybrid.neighbor_index
+        ranked = indexed_hybrid.recommend_for_query(
+            "alice", [catalog.get("book-2"), catalog.get("book-3")], k=2, extra=3
+        )
+        assert index.queries == 1
+        assert len(ranked) > 2
+
+    def test_mixed_category_query_costs_one_lookup(self, indexed_hybrid, catalog):
+        index = indexed_hybrid.neighbor_index
+        indexed_hybrid.recommend_for_query(
+            "alice", [catalog.get("book-2"), catalog.get("tech-3")], k=2, extra=3
+        )
+        assert index.queries == 1
+
+    def test_query_without_discoveries_costs_one_lookup(self, indexed_hybrid, catalog):
+        index = indexed_hybrid.neighbor_index
+        ranked = indexed_hybrid.recommend_for_query(
+            "alice", [catalog.get("book-2")], k=1, extra=0
+        )
+        assert index.queries == 1
+        assert [rec.item_id for rec in ranked] == ["book-2"]
+
+    def test_recommend_costs_one_lookup(self, indexed_hybrid):
+        indexed_hybrid.recommend("alice", k=5)
+        assert indexed_hybrid.neighbor_index.queries == 1
+
+    def test_cold_start_consumer_costs_no_lookup(self, indexed_hybrid, hybrid, catalog):
+        query_items = [catalog.get("book-2"), catalog.get("tech-3")]
+        ranked = indexed_hybrid.recommend_for_query("dave", query_items, k=2, extra=3)
+        assert indexed_hybrid.neighbor_index.queries == 0
+        assert ranked == [
+            Recommendation("book-2", 0.0, "agent-hybrid", "ranked query result"),
+            Recommendation("tech-3", 0.0, "agent-hybrid", "ranked query result"),
+        ]
+        assert ranked == hybrid.recommend_for_query("dave", query_items, k=2, extra=3)
+
+    def test_unknown_consumer_costs_no_lookup(self, indexed_hybrid, catalog):
+        ranked = indexed_hybrid.recommend_for_query("nobody", [catalog.get("book-2")])
+        assert indexed_hybrid.neighbor_index.queries == 0
+        assert [rec.score for rec in ranked] == [0.0]
 
 
 # ---------------------------------------------------------------------------
