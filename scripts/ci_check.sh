@@ -13,8 +13,9 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1: unit + property + integration tests =="
-python -m pytest -x -q tests --ignore=tests/property/test_sharding.py
+echo "== tier-1: unit + property + integration tests (the suite is a   =="
+echo "==         workload too: its 20 slowest tests go on record)     =="
+python -m pytest -x -q --durations=20 tests --ignore=tests/property/test_sharding.py
 
 echo "== tier-1: sharding equivalence property suite =="
 python -m pytest -x -q tests/property/test_sharding.py
@@ -48,12 +49,9 @@ echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction)
 python -m pytest -x -q benchmarks/bench_adversarial.py
 
 echo "== tier-1: wall-clock ledger digests (full-scale fixed phase of every =="
-echo "==         workload must be correct and reproduce expected/*.json; =="
-echo "==         trade and fleet_maintenance — the two that audit,       =="
-echo "==         promote and snapshot-bootstrap — and browse and         =="
-echo "==         overload_submit — the two whose p50/p95 is a Figure 4.2 =="
-echo "==         query — on a second seed too)                           =="
-for run in browse:1 browse:2 trade:1 trade:2 similar_fanout:1 \
+echo "==         workload must be correct and reproduce expected/*.json, =="
+echo "==         each on two seeds)                                      =="
+for run in browse:1 browse:2 trade:1 trade:2 similar_fanout:1 similar_fanout:2 \
            overload_submit:1 overload_submit:2 \
            fleet_maintenance:1 fleet_maintenance:2; do
   workload="${run%:*}" seed="${run#*:}"

@@ -9,11 +9,13 @@ recommendation request — so the index here restructures it:
 - **Per-profile caches.**  For every consumer the index keeps the category
   preference vector, the flattened term vector and both vector norms, built
   once and reused across queries instead of recomputed per pair.
-- **Category windows.**  Per category, candidates are kept sorted by their
-  scalar preference value, so the Figure 4.5 discard rule ("if Consumer X's
+- **Select, then materialise.**  The scoring kernel scores every indexed
+  consumer in one block (:mod:`repro.core.scoring`); the answer is selected
+  on the bare score list and only the rows that can reach the top-k become
+  ``(user_id, score)`` pairs.  The Figure 4.5 discard rule ("if Consumer X's
   preference merchandise item value Tx [is] different from ... Ty, the
-  similarity result will be discarded") prunes candidates with a binary
-  search *before* any scoring happens rather than after a full comparison.
+  similarity result will be discarded") is applied to those few survivors
+  from a per-category ``user → value`` map, not to the whole community.
 - **Incremental invalidation.**  :class:`~repro.core.profile_learning.ProfileLearner`
   fires an update hook per feedback event; the index marks exactly that
   consumer dirty and lazily rebuilds its caches on the next query.  A version
@@ -141,8 +143,9 @@ class ProfileNeighborIndex:
         self._entries: Dict[str, _ProfileEntry] = {}
         self._profiles_by_id: Dict[str, Profile] = {}
         self._dirty: Set[str] = set()
-        # category → user → scalar preference value, and the lazily sorted
-        # (value, user) window used by the discard-rule pruning.
+        # category → user → scalar preference value (what the discard rule
+        # reads), and the lazily sorted (value, user) window the
+        # early-termination replay takes its candidate order from.
         self._category_values: Dict[str, Dict[str, float]] = {}
         self._sorted_windows: Dict[str, Tuple[List[float], List[str]]] = {}
         self.rebuilds = 0
@@ -270,7 +273,9 @@ class ProfileNeighborIndex:
     def _rebuild_dirty(self) -> int:
         """Rebuild only hook-flagged consumers (no provider reconcile)."""
         rebuilt = 0
-        for user_id in list(self._dirty):
+        # Sorted: the order fixes kernel row numbers and ``_entries`` order,
+        # which must not depend on how a set of strings happens to iterate.
+        for user_id in sorted(self._dirty):
             profile = self._profiles_by_id.get(user_id)
             if profile is None:
                 self._drop_entry(user_id)
@@ -295,25 +300,30 @@ class ProfileNeighborIndex:
         deterministic tie-breaking.  The target itself is never included and
         does not need to be indexed.
 
-        With ``early_termination`` enabled, candidates are visited in index
-        order against a running k-th best score, and one whose score *bound*
-        is strictly below it is skipped and counted in ``bound_skips`` (the
-        kernel has scored the whole block by then, so a skip prunes the
-        final selection, not a dot product — see :meth:`_block_scored`).  The
-        bound takes the exact preference cosine (a handful of categories)
-        and an upper bound on the term cosine from cached norms alone —
-        exactly 0 when either norm is 0, else by Cauchy-Schwarz
+        A query is one kernel block (every entry's exact score) and one
+        :meth:`~repro.core.scoring.BlockScores.top_pairs` selection over it:
+        the ``(top_k + 1)``-th largest bare score is a floor, only the rows
+        at or above it are materialised and sorted by ``(-score, user_id)``,
+        and the discard rule ``|Tx − Ty| <= tolerance`` is applied to those
+        survivors, widening the floor when it leaves fewer than ``top_k``.
+
+        ``early_termination`` does not change the answer or the work above;
+        it additionally replays, in candidate order against a running k-th
+        best score, the skip decisions a per-candidate loop would have made,
+        and counts them in ``bound_skips`` (see :meth:`_replay_bound_skips`).
+        A candidate's score *bound* takes the exact preference cosine and an
+        upper bound on the term cosine from cached norms alone — exactly 0
+        when either norm is 0, else by Cauchy-Schwarz
         (``dot(t, e) <= ||t||₂·||e||₂``, so at most 1) tightened by Hölder
         when ``tight_term_bound`` is on:
         ``dot(t, e) <= min(||t||∞·||e||₁, ||t||₁·||e||∞)``, whose quotient
         by ``||t||₂·||e||₂`` is below 1 for every vector that is not
         perfectly concentrated on the aligned term — the per-entry L1 norm
         and max weight are cached at index time.  The tight bound is
-        inflated by one part in 10⁹ before comparing, so float rounding can
-        never skip a candidate whose exact score ties the k-th best.  A
-        candidate is skipped only when its bound is *strictly* below the
-        k-th best score seen so far, so ties (broken by user id) are never
-        affected and the returned list is identical either way.
+        inflated by one part in 10⁹ before comparing, and a candidate counts
+        as skipped only when its bound is *strictly* below the k-th best
+        score seen so far, so no candidate that could tie the k-th best is
+        ever counted.
         """
         config = config or self.config
         config.validate()
@@ -333,7 +343,6 @@ class ProfileNeighborIndex:
             target_term_l1 = sum(target_abs_weights)
             target_term_max = max(target_abs_weights, default=0.0)
 
-        candidates = self._candidate_ids(target_prefs, category, config)
         tq = self._kernel.prepare_target(
             target_prefs,
             target_pref_norm,
@@ -342,12 +351,32 @@ class ProfileNeighborIndex:
             target_term_l1,
             target_term_max,
         )
+        preference_weight = config.preference_weight
+        term_weight = config.term_weight
+        block = self._kernel.score_block(
+            self._entries,
+            tq,
+            preference_weight,
+            term_weight,
+            preference_weight + term_weight,
+        )
+        if self.early_termination:
+            candidates = self._candidate_ids(target_prefs, category, config)
+            self._replay_bound_skips(block, tq, candidates, config, target.user_id)
 
-        scored = self._block_scored(tq, candidates, category, config, target.user_id)
+        discard = None
+        if category is not None:
+            # Figure 4.5 discard rule, the brute-force predicate verbatim; a
+            # consumer without the category has an implicit preference of 0.0.
+            tolerance = config.discard_tolerance
+            target_value = target_prefs.get(category, 0.0)
+            values = self._category_values.get(category, {})
 
-        # Equivalent to sorted(scored, key=...)[:top_k], ties included.
-        return heapq.nsmallest(
-            config.top_k, scored, key=lambda pair: (-pair[1], pair[0])
+            def discard(user_id: str) -> bool:
+                return not abs(target_value - values.get(user_id, 0.0)) <= tolerance
+
+        return block.top_pairs(
+            config.min_similarity, target.user_id, config.top_k, discard
         )
 
     def find_similar_many(
@@ -371,48 +400,31 @@ class ProfileNeighborIndex:
 
     # -- scoring ---------------------------------------------------------------
 
-    def _block_scored(
+    def _replay_bound_skips(
         self,
+        block,
         tq,
         candidates: Iterable[str],
-        category: Optional[str],
         config: SimilarityConfig,
         exclude_user: str,
-    ) -> List[Tuple[str, float]]:
-        """The kernel scores every entry; filter the block by the candidates.
+    ) -> None:
+        """Count in ``bound_skips`` what a per-candidate loop would have skipped.
 
-        Without early termination and without a category window the
-        survivors drop out of one filter inside the kernel.  With early
-        termination the sequential skip/heap decisions :meth:`find_similar`
-        documents are replayed over the block in candidate order, so
-        ``bound_skips`` counts what a per-candidate loop would have skipped.
-        No dot product is left to save; what the heap still buys is the final
-        selection: a candidate below the k-th best score seen so far can never
-        reach the top-k, so it is not even collected.
+        The kernel has scored every entry and
+        :meth:`~repro.core.scoring.BlockScores.top_pairs` selects the answer
+        from the whole block, so the bound has nothing left to save.  The
+        sequential skip/heap decisions :meth:`find_similar` documents are
+        only replayed over the block, in candidate order, because
+        ``bound_skips`` is a frozen ledger and benchmark metric; ROADMAP
+        item 3 deletes the bound and, with it, this replay,
+        :meth:`_candidate_ids` and :meth:`_window`.
         """
         preference_weight = config.preference_weight
         term_weight = config.term_weight
         total_weight = preference_weight + term_weight
-        block = self._kernel.score_block(
-            self._entries, tq, preference_weight, term_weight, total_weight
-        )
-        minimum = config.min_similarity
-        if not self.early_termination and category is None:
-            return block.pairs_at_least(minimum, exclude_user)
-
         scores = block.scores
-        row_of = block.row_of
-        scored: List[Tuple[str, float]] = []
-        if not self.early_termination:
-            for user_id in candidates:
-                if user_id == exclude_user:
-                    continue
-                score = scores[row_of[user_id]]
-                if score >= minimum:
-                    scored.append((user_id, score))
-            return scored
-
         pref_cosines = block.pref_cosines
+        row_of = block.row_of
         entries = self._entries
         tight = self.tight_term_bound
         top_k = config.top_k
@@ -427,28 +439,22 @@ class ProfileNeighborIndex:
             score = scores[row]
             if len(best_scores) < top_k:
                 heapq.heappush(best_scores, score)
-            else:
-                kth_best = best_scores[0]
-                entry = entries[user_id]
-                term_bound = term_cosine_ceiling(
-                    tq, entry.term_norm, entry.term_l1, entry.term_max, tight
-                )
-                bound = (
-                    preference_weight * pref_cosines[row] + term_weight * term_bound
-                ) / total_weight
-                if bound < kth_best:
-                    # Even a perfectly aligned term vector could not lift
-                    # this candidate past the current k-th score.
-                    skips += 1
-                    continue
-                if score < kth_best:
-                    continue
-                if score > kth_best:
-                    heapq.heapreplace(best_scores, score)
-            if score >= minimum:
-                scored.append((user_id, score))
+                continue
+            kth_best = best_scores[0]
+            entry = entries[user_id]
+            term_bound = term_cosine_ceiling(
+                tq, entry.term_norm, entry.term_l1, entry.term_max, tight
+            )
+            bound = (
+                preference_weight * pref_cosines[row] + term_weight * term_bound
+            ) / total_weight
+            if bound < kth_best:
+                # Even a perfectly aligned term vector could not lift this
+                # candidate past the current k-th score.
+                skips += 1
+            elif score > kth_best:
+                heapq.heapreplace(best_scores, score)
         self.bound_skips += skips
-        return scored
 
     # -- internals ------------------------------------------------------------
 
@@ -458,7 +464,12 @@ class ProfileNeighborIndex:
         category: Optional[str],
         config: SimilarityConfig,
     ) -> Iterable[str]:
-        """Candidates surviving the discard rule, pruned before scoring."""
+        """Candidates surviving the discard rule, in window order.
+
+        Reached only from :meth:`_replay_bound_skips`, whose ``bound_skips``
+        count this order defines; it goes when ROADMAP item 3 deletes the
+        replay.
+        """
         if category is None:
             return list(self._entries)
 
@@ -489,6 +500,10 @@ class ProfileNeighborIndex:
         return candidates
 
     def _window(self, category: str) -> Tuple[List[float], List[str]]:
+        """One category's ``(values, user ids)`` sorted by value.
+
+        Reached only from :meth:`_candidate_ids`, i.e. only from the replay.
+        """
         cached = self._sorted_windows.get(category)
         if cached is None:
             pairs = sorted(

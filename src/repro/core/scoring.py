@@ -9,15 +9,21 @@ a single :class:`ScoringKernel` interface with two backends:
   (preferences, flattened terms) the kernel keeps
   ``key → position in the entry's own dict → {row: weight}``, maintained
   through ``entry_changed`` / ``entry_removed`` / ``reset``.  A query visits
-  only the rows that share a key with the target and accumulates each row's
-  dot twice: *target keys, then positions* adds the shared products in the
-  target's dict order, *positions, then target keys* in the entry's own
-  dict order.  The reference
+  only the rows that share a key with the target and takes **one** dot per
+  row, the one the reference loop would have: the reference
   :func:`repro.core.similarity.cosine_similarity_cached` iterates the
-  shorter vector (the target on a tie), so each row's length picks the sum
-  that loop would have produced — bit for bit.  Products with absent keys
-  are skipped (the zero-sign argument below) and a row no posting touched
-  scores exactly ``0.0``.
+  shorter vector (the target on a tie), so *target keys, then positions* —
+  the shared products in the target's dict order — is its sum for every row
+  at least as long as the target.  It is also its sum for every row of one
+  or two keys, because a sum of at most two products does not depend on
+  their order.  Only a row with ``3 <= len(row) < len(target)`` needs its
+  own dict order, *positions, then target keys*; that second walk runs only
+  when such a row is linked (``rows_of_length`` knows) and overwrites only
+  those rows; on a side whose vectors have at most three keys — the
+  preferences of every ledger population — it never runs.
+  Products with absent keys are skipped (the zero-sign argument below) and
+  a row no posting touched scores exactly ``0.0``.  One loop over the two
+  dot lists then divides by the norms, weights and clamps.
 - ``numpy`` — optional batch backend: entries are packed into CSR/CSC-style
   contiguous arrays and a whole candidate block is scored per query.  Exact
   dot products come from ``np.bincount(rows, weights=products)``, which
@@ -44,10 +50,17 @@ score.
 
 The neighbor index takes the block path (:meth:`ScoringKernel.score_block`)
 for every query on both backends; there is no per-candidate scoring loop.
-A block carries every entry's score and exact preference cosine.  Early
-termination cannot save a dot product on a kernel that scores whole blocks,
-so the index only *replays* its skip decisions over the block, computing
-each visited candidate's bound (:func:`term_cosine_ceiling`) on demand.
+A :class:`BlockScores` carries every row's score and exact preference cosine
+as bare float lists, and :meth:`BlockScores.top_pairs` selects before it
+materialises: the ``(k + 1)``-th largest score is a floor, and only the rows
+at or above it become ``(user_id, score)`` tuples, meet the discard rule and
+are sorted.  So a ``dict`` query costs one product per shared key (two on a
+side with rows of ``3 <= len < len(target)``), one arithmetic pass over the
+rows, one ``heapq.nlargest`` and one filter — and tuple building, the
+discard predicate and the sort only for about k rows.  Early termination
+cannot save a dot product on a kernel that scores whole blocks, so the
+index only *replays* its skip decisions over the block, computing each
+visited candidate's bound (:func:`term_cosine_ceiling`) on demand.
 
 Backend selection: ``resolve_backend("auto")`` picks numpy when importable
 and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
@@ -56,8 +69,9 @@ variable hides numpy (CI re-runs the kernel and index suites that way).
 
 from __future__ import annotations
 
+import heapq
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.neighbors import _ProfileEntry
@@ -203,9 +217,7 @@ class ScoringKernel:
     """Backend interface the neighbor index scores candidates through.
 
     Every backend implements :meth:`score_block`, which scores every indexed
-    entry for one target and returns an object with the surface of
-    :class:`BlockScores`: ``row_of`` (user id → row), ``scores`` and
-    ``pref_cosines`` (float lists by row) and ``pairs_at_least``.
+    entry for one target and returns a :class:`BlockScores`.
     """
 
     name: str = "abstract"
@@ -245,28 +257,69 @@ class ScoringKernel:
         raise NotImplementedError
 
 
-class _PostingBlockScores:
-    """:class:`DictKernel` scores, same surface as :class:`BlockScores`.
+class BlockScores:
+    """Every kernel row's score and preference cosine for one target.
 
-    Rows are the kernel's own numbering, not the index's entry order, and
-    include free rows (user id ``None``, score 0.0).
+    ``scores`` / ``pref_cosines`` are plain float lists by row, ``row_of``
+    maps a user id to its row.  Rows are the kernel's own numbering: the
+    ``dict`` kernel keeps free rows (user id ``None``, score 0.0) between
+    its live ones.
     """
+
+    __slots__ = ("row_of", "user_ids", "scores", "pref_cosines")
 
     def __init__(self, row_of, user_ids, scores, pref_cosines) -> None:
         self.row_of = row_of
-        self._user_ids = user_ids
+        self.user_ids = user_ids
         self.scores = scores
         self.pref_cosines = pref_cosines
 
-    def pairs_at_least(
-        self, minimum: float, exclude_user: str
+    def top_pairs(
+        self,
+        minimum: float,
+        exclude_user: str,
+        top_k: int,
+        discard: Optional[Callable[[str], bool]] = None,
     ) -> List[Tuple[str, float]]:
-        """``(user_id, score)`` for every row with ``score >= minimum``."""
-        return [
-            (user_id, score)
-            for user_id, score in zip(self._user_ids, self.scores)
-            if score >= minimum and user_id != exclude_user and user_id is not None
-        ]
+        """The ``top_k`` best ``(user_id, score)`` pairs, selected before built.
+
+        Equal to ``sorted(valid, key=(-score, user_id))[:top_k]`` where
+        ``valid`` is every live row but ``exclude_user`` with
+        ``score >= minimum`` that ``discard(user_id)`` does not reject.  The
+        ``(top_k + 1)``-th largest score of the bare float list is a floor:
+        the rows at or above it — ties included — hold the top ``top_k`` of
+        the live rows even with the excluded target among them, since a free
+        row can only reach a floor of 0.0, which admits every row.  Only
+        those rows become tuples and are sorted.  When ``discard`` leaves
+        fewer than ``top_k`` of them the floor is taken again four times
+        deeper, down to ``minimum``.
+        """
+        scores = self.scores
+        user_ids = self.user_ids
+        depth = top_k + 1
+        ranked = heapq.nlargest(depth, scores)
+        while True:
+            floor = minimum
+            if depth <= len(ranked):
+                floor = max(minimum, ranked[depth - 1])
+            pairs = [
+                (user_id, score)
+                for user_id, score in zip(user_ids, scores)
+                if score >= floor and user_id != exclude_user and user_id is not None
+            ]
+            if discard is not None:
+                pairs = [pair for pair in pairs if not discard(pair[0])]
+            if len(pairs) >= top_k or floor <= minimum:
+                break
+            if len(ranked) < len(scores):
+                # nlargest is a Python-level heap loop, dearer than a C sort
+                # once the depth grows: one sort serves every wider floor.
+                ranked = sorted(scores, reverse=True)
+            # Geometric, so a rule that rejects nearly everybody costs a
+            # handful of passes, not one per missing survivor.
+            depth *= 4
+        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+        return pairs[:top_k]
 
 
 class _Postings:
@@ -275,18 +328,21 @@ class _Postings:
     ``buckets[key][position][row]`` is the weight of ``key`` in the vector
     linked at ``row``, where ``position`` is the key's index in that
     vector's own dict order; ``vectors[row]`` / ``norms[row]`` are the linked
-    vector (``None`` for a free row) and its norm.  The buckets are kept
-    canonical — no empty trailing bucket, no empty key — so they hold
-    exactly one weight per key of every linked vector whatever sequence of
-    links and unlinks produced them.
+    vector (``None`` for a free row) and its norm, and
+    ``rows_of_length[n]`` is the set of rows whose vector has ``n`` keys.
+    Both maps are kept canonical — no empty trailing bucket, no empty key,
+    no empty length class — so they hold exactly one weight per key and one
+    row per linked vector whatever sequence of links and unlinks produced
+    them.
     """
 
-    __slots__ = ("buckets", "vectors", "norms")
+    __slots__ = ("buckets", "vectors", "norms", "rows_of_length")
 
     def __init__(self) -> None:
         self.buckets: Dict[str, List[Dict[int, float]]] = {}
         self.vectors: List[Optional[Dict[str, float]]] = []
         self.norms: List[float] = []
+        self.rows_of_length: Dict[int, Set[int]] = {}
 
     def link(self, row: int, vector: Dict[str, float], norm: float) -> None:
         """Index ``vector`` at ``row``, replacing what was linked there.
@@ -301,6 +357,10 @@ class _Postings:
             self.unlink(row)
         self.vectors[row] = vector
         self.norms[row] = norm
+        same_length = self.rows_of_length.get(len(vector))
+        if same_length is None:
+            same_length = self.rows_of_length[len(vector)] = set()
+        same_length.add(row)
         buckets = self.buckets
         for position, (key, weight) in enumerate(vector.items()):
             by_position = buckets.get(key)
@@ -316,6 +376,10 @@ class _Postings:
             return
         self.vectors[row] = None
         self.norms[row] = 0.0
+        same_length = self.rows_of_length[len(vector)]
+        same_length.remove(row)
+        if not same_length:
+            del self.rows_of_length[len(vector)]
         buckets = self.buckets
         # The key order walked here is the one link() saw: the vector is the
         # index entry's private copy and is never mutated.
@@ -327,57 +391,54 @@ class _Postings:
             if not by_position:
                 del buckets[key]
 
-    def cosines(self, target: Dict[str, float], target_norm: float) -> List[float]:
-        """Exact cosine of ``target`` with every row, visiting shared keys only.
+    def dots(self, target: Dict[str, float], target_norm: float) -> List[float]:
+        """The reference loop's dot of ``target`` with every row, one sum each.
 
-        Each row's dot is accumulated twice.  Iterating *target keys, then
-        positions* adds the products of the shared keys in the target's dict
-        order — what the reference loop computes when it iterates the
-        target, i.e. when ``len(target) <= len(entry)``.  Iterating
-        *positions, then target keys* adds them in the entry's own dict
-        order (every row has one key per position, so the order of the
-        target keys within a position cannot reorder any row's sum) — the
-        reference order when the entry is the shorter side; a shorter entry
-        has no position past ``len(target) - 2``, so the walk stops there.
-        The row's length then picks its sum.  Products with absent keys are
-        skipped, which can only flip the sign of an exactly-zero dot (see
+        The reference iterates the shorter vector, the target on a tie.
+        Walking *target keys, then positions* adds each row's shared products
+        in the target's dict order, which is that loop's sum for every row
+        with ``len(row) >= len(target)`` — and for every row of at most two
+        keys as well, because a sum of at most two products does not depend
+        on their order.  Only a row with ``3 <= len(row) < len(target)``
+        needs its own dict order: when ``rows_of_length`` holds such a row,
+        a second walk, *positions, then target keys*, adds the products in
+        entry order (every row has one key per position, so the order of the
+        target keys within a position cannot reorder any row's sum; a
+        shorter row has no position past ``len(target) - 2``) and overwrites
+        just those rows.  Products with absent keys are skipped, which can
+        only flip the sign of an exactly-zero dot (see
         :meth:`NumpyKernel._side_cosines`): a row no posting touched gets
-        ``0.0`` where the reference has ``±0.0``.
+        ``0.0`` where the reference has ``±0.0``.  A zero ``target_norm``
+        makes every cosine 0.0 in the reference, so no dot is taken.
         """
-        vectors = self.vectors
-        cosines = [0.0] * len(vectors)
-        if not target or target_norm == 0.0:
-            return cosines
+        dots = [0.0] * len(self.vectors)
+        if target_norm == 0.0:
+            return dots
         buckets = self.buckets
         hits = [
             (value, buckets[key]) for key, value in target.items() if key in buckets
         ]
-        target_order = [0.0] * len(vectors)
         for value, by_position in hits:
             for bucket in by_position:
                 for row, weight in bucket.items():
-                    target_order[row] += value * weight
-        entry_order = [0.0] * len(vectors)
-        for position in range(len(target) - 1):
-            for value, by_position in hits:
-                if position < len(by_position):
-                    for row, weight in by_position[position].items():
-                        entry_order[row] += weight * value
+                    dots[row] += value * weight
         target_len = len(target)
-        norms = self.norms
-        for row, (in_target_order, in_entry_order) in enumerate(
-            zip(target_order, entry_order)
-        ):
-            # Either sum can cancel to zero where the other does not.
-            if in_target_order or in_entry_order:
-                norm = norms[row]
-                if norm != 0.0:
-                    if len(vectors[row]) < target_len:
-                        dot = in_entry_order
-                    else:
-                        dot = in_target_order
-                    cosines[row] = dot / (target_norm * norm)
-        return cosines
+        shorter_rows = [
+            rows
+            for length, rows in self.rows_of_length.items()
+            if 3 <= length < target_len
+        ]
+        if shorter_rows:
+            entry_order = [0.0] * len(dots)
+            for position in range(target_len - 1):
+                for value, by_position in hits:
+                    if position < len(by_position):
+                        for row, weight in by_position[position].items():
+                            entry_order[row] += weight * value
+            for rows in shorter_rows:
+                for row in rows:
+                    dots[row] = entry_order[row]
+        return dots
 
 
 class DictKernel(ScoringKernel):
@@ -434,63 +495,35 @@ class DictKernel(ScoringKernel):
         preference_weight: float,
         term_weight: float,
         total_weight: float,
-    ) -> _PostingBlockScores:
-        pref_cos = self._prefs.cosines(tq.prefs, tq.pref_norm)
-        term_cos = self._terms.cosines(tq.terms, tq.term_norm)
-        scores = [0.0] * len(pref_cos)
-        for row, (pref, term) in enumerate(zip(pref_cos, term_cos)):
+    ) -> BlockScores:
+        pref_dots = self._prefs.dots(tq.prefs, tq.pref_norm)
+        term_dots = self._terms.dots(tq.terms, tq.term_norm)
+        pref_norms = self._prefs.norms
+        term_norms = self._terms.norms
+        target_pref_norm = tq.pref_norm
+        target_term_norm = tq.term_norm
+        scores = [0.0] * len(pref_dots)
+        pref_cosines = [0.0] * len(pref_dots)
+        # One pass divides, weights and clamps.  A zero dot leaves its cosine
+        # at 0.0 and a zero norm makes it 0.0 whatever the dot, as in the
+        # reference; a row with two zero cosines keeps its 0.0 score.
+        for row, (pref_dot, term_dot) in enumerate(zip(pref_dots, term_dots)):
+            pref = term = 0.0
+            if pref_dot:
+                norm = pref_norms[row]
+                if norm != 0.0:
+                    pref = pref_cosines[row] = pref_dot / (target_pref_norm * norm)
+            if term_dot:
+                norm = term_norms[row]
+                if norm != 0.0:
+                    term = term_dot / (target_term_norm * norm)
             if pref or term:
                 score = (preference_weight * pref + term_weight * term) / total_weight
-                # max(0.0, min(1.0, score)) without the two calls: this loop
-                # is a third of the block's cost.
+                # max(0.0, min(1.0, score)) without the two calls.
                 scores[row] = (
                     score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
                 )
-        return _PostingBlockScores(self._row_of, self._user_ids, scores, pref_cos)
-
-
-class BlockScores:
-    """Vectorized scores and preference cosines for a block.
-
-    Row order matches the index's entry iteration order.  ``scores`` /
-    ``pref_cosines`` are materialized to plain float lists lazily;
-    ``pairs_at_least`` filters survivors without a per-candidate Python loop.
-    """
-
-    def __init__(self, np_module, user_ids, scores, pref_cosines, row_of) -> None:
-        self._np = np_module
-        self.user_ids = user_ids
-        self._scores = scores
-        self._pref_cosines = pref_cosines
-        self.row_of = row_of
-        self._score_list: Optional[List[float]] = None
-        self._pref_cosine_list: Optional[List[float]] = None
-
-    @property
-    def scores(self) -> List[float]:
-        if self._score_list is None:
-            self._score_list = self._scores.tolist()
-        return self._score_list
-
-    @property
-    def pref_cosines(self) -> List[float]:
-        if self._pref_cosine_list is None:
-            self._pref_cosine_list = self._pref_cosines.tolist()
-        return self._pref_cosine_list
-
-    def pairs_at_least(
-        self, minimum: float, exclude_user: str
-    ) -> List[Tuple[str, float]]:
-        """``(user_id, score)`` for every row with ``score >= minimum``."""
-        np = self._np
-        mask = self._scores >= minimum
-        excluded = self.row_of.get(exclude_user)
-        if excluded is not None:
-            mask[excluded] = False
-        rows = np.nonzero(mask)[0].tolist()
-        score_list = self.scores
-        user_ids = self.user_ids
-        return [(user_ids[row], score_list[row]) for row in rows]
+        return BlockScores(self._row_of, self._user_ids, scores, pref_cosines)
 
 
 class _PackedSide:
@@ -713,4 +746,6 @@ class NumpyKernel(ScoringKernel):
         # matching Python's max(0.0, -0.0) == 0.0 while leaving every other
         # value bit-identical.
         scores = np.maximum(0.0, np.minimum(1.0, scores)) + 0.0
-        return BlockScores(np, self._user_ids, scores, pref_cos, self._row_of)
+        return BlockScores(
+            self._row_of, self._user_ids, scores.tolist(), pref_cos.tolist()
+        )

@@ -209,3 +209,78 @@ def test_registration_and_removal_track_provider(data, population, config):
         find_similar_users(target, live.values(), config),
         index.find_similar(target),
     )
+
+
+# ---------------------------------------------------------------------------
+# Selection before materialisation: ties, free rows, a discard rule that bites
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def cloned_populations(draw):
+    """A few profile shapes cloned over many consumers: scores tie in bulk,
+    and the cloned category value varies per consumer so the discard rule
+    rejects some members of every tie."""
+    shapes = draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(CATEGORIES),
+                st.dictionaries(
+                    st.sampled_from(["a", "b", "c"]),
+                    st.sampled_from([0.5, 1.0, 2.0]),
+                    max_size=2,
+                ),
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    size = draw(st.integers(min_value=4, max_value=30))
+    population = {}
+    for number in range(size):
+        profile = Profile(f"user-{number:02d}")
+        for category, terms in shapes[number % len(shapes)].items():
+            entry = profile.category(category)
+            entry.preference = draw(st.sampled_from([0.0, 1.0, 5.0, 9.0]))
+            for term, weight in terms.items():
+                entry.terms.set(term, weight)
+        population[profile.user_id] = profile
+    return population
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    population=cloned_populations(),
+    category=categories_or_none,
+    top_k=st.integers(min_value=1, max_value=6),
+    min_similarity=st.sampled_from([0.0, 0.05, 1.0]),
+    discard_tolerance=st.sampled_from([0.0, 0.5, 6.0]),
+    departed=st.sets(st.integers(min_value=0, max_value=29), max_size=6),
+    early_termination=st.booleans(),
+)
+def test_selection_equals_brute_force_sort(
+    population, category, top_k, min_similarity, discard_tolerance, departed,
+    early_termination,
+):
+    """``==`` against the brute-force sort where whole groups of consumers
+    tie, some rows of the kernel are free, the discard rule removes most of
+    the best-scored rows (the floor must widen) and fewer than ``top_k``
+    consumers may survive at all."""
+    config = SimilarityConfig(
+        top_k=top_k,
+        min_similarity=min_similarity,
+        discard_tolerance=discard_tolerance,
+    )
+    index = ProfileNeighborIndex(
+        profiles=population.values(),
+        config=config,
+        early_termination=early_termination,
+    )
+    live = dict(population)
+    for number in departed:
+        if len(live) > 2 and live.pop(f"user-{number:02d}", None) is not None:
+            index.remove(f"user-{number:02d}")
+    for target in population.values():
+        brute = find_similar_users(target, live.values(), config, category=category)
+        assert index.find_similar(target, category=category) == brute

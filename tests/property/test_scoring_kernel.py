@@ -18,6 +18,7 @@ while the brute-force (``find_similar_users``) comparisons keep running.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,14 +30,21 @@ from repro.core.items import Item, ItemCatalogView
 from repro.core.ratings import InteractionKind
 from repro.core.scoring import (
     KERNEL_BACKENDS,
+    BlockScores,
     DictKernel,
+    _Postings,
     available_backends,
     create_kernel,
     numpy_available,
     resolve_backend,
 )
 from repro.core.sharding import ShardedNeighborIndex
-from repro.core.similarity import SimilarityConfig, find_similar_users
+from repro.core.similarity import (
+    SimilarityConfig,
+    cosine_similarity_cached,
+    find_similar_users,
+    vector_norm,
+)
 from repro.ecommerce import PlatformConfig, build_platform
 from repro.ecommerce.buyer_server import BuyerAgentServer
 from repro.ecommerce.databases import UserDB
@@ -476,6 +484,248 @@ def test_dict_kernel_adds_in_reference_order(
 
 
 # ---------------------------------------------------------------------------
+# One dot per row: the posting walk against the reference loop's ``sum``
+# ---------------------------------------------------------------------------
+
+KEYS = ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"]
+
+#: ``wide_weights`` of either sign, so a sum can also cancel.
+signed_wide_weights = st.builds(
+    lambda weight, negative: -weight if negative else weight,
+    wide_weights,
+    st.booleans(),
+)
+
+
+@st.composite
+def ordered_vectors(draw, min_size=0, max_size=len(KEYS)):
+    """A vector over ``KEYS`` in a drawn key order."""
+    size = draw(st.integers(min_value=min_size, max_value=max_size))
+    return {
+        key: draw(signed_wide_weights) for key in draw(st.permutations(KEYS))[:size]
+    }
+
+
+def reference_dot(target, row):
+    """The ``sum`` inside ``cosine_similarity_cached``: the shorter vector is
+    iterated, the target on a tie."""
+    left, right = (row, target) if len(row) < len(target) else (target, row)
+    return sum(value * right.get(key, 0.0) for key, value in left.items())
+
+
+def linked(vectors):
+    postings = _Postings()
+    for row, vector in enumerate(vectors):
+        postings.link(row, vector, vector_norm(vector))
+    return postings
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=ordered_vectors(min_size=1),
+    rows=st.lists(ordered_vectors(), min_size=1, max_size=8),
+    relinked=st.lists(st.tuples(st.integers(0, 7), ordered_vectors()), max_size=3),
+)
+def test_each_row_gets_the_reference_dot(target, rows, relinked):
+    """``==`` on every row's dot, whatever mix of lengths is linked — rows
+    longer than the target, rows of one or two keys, rows with
+    ``3 <= len(row) < len(target)`` — also after rows were re-linked at
+    another length or freed."""
+    postings = linked(rows)
+    rows = list(rows)
+    for row, vector in relinked:
+        if row < len(rows):
+            if vector:
+                postings.link(row, vector, vector_norm(vector))
+                rows[row] = vector
+            else:
+                postings.unlink(row)
+                rows[row] = {}
+    assert postings.dots(target, vector_norm(target)) == [
+        reference_dot(target, row) for row in rows
+    ]
+
+
+def test_entry_order_only_where_the_reference_uses_it():
+    """Shared products ``1e16, 1, 1`` in the target's key order and
+    ``1, 1, 1e16`` in the rows': left to right the first sum loses both ones.
+    A shorter row of three keys takes the entry-order sum, rows at least as
+    long as the target the target-order sum, and a row sharing exactly two
+    keys has one sum whatever the order."""
+    target = {"k0": 1e8, "k1": 1.0, "k2": 1.0, "k3": 1.0}
+    shorter = {"k1": 1.0, "k2": 1.0, "k0": 1e8}
+    as_long = {"k1": 1.0, "k2": 1.0, "k0": 1e8, "k7": 1.0}
+    longer = {"k6": 1.0, "k1": 1.0, "k2": 1.0, "k0": 1e8, "k7": 1.0}
+    two_shared = {"k2": 3.0, "k6": 1.0, "k0": 1e8}
+    rows = [shorter, as_long, longer, two_shared]
+    in_target_order, in_entry_order = 1e16, 1e16 + 2.0
+    assert in_target_order != in_entry_order
+    assert [reference_dot(target, row) for row in rows] == [
+        in_entry_order, in_target_order, in_target_order, 1e16 + 3.0,
+    ]
+    assert linked(rows).dots(target, vector_norm(target)) == [
+        in_entry_order, in_target_order, in_target_order, 1e16 + 3.0,
+    ]
+    # With no row of 3 <= len < len(target) linked, nothing is overwritten.
+    assert linked([as_long, longer]).dots(target, vector_norm(target)) == [
+        in_target_order, in_target_order,
+    ]
+
+
+@pytest.mark.parametrize("early_termination", [False, True])
+def test_norm_that_underflows_beside_a_nonzero_dot(early_termination):
+    """``1e-170`` squares to 0.0, so the vector's norm is 0.0 while its dot
+    with a ``1e150`` weight is not: the reference answers 0.0 from the norm
+    guard, and so must the kernel — as the entry and as the target."""
+    tiny = Profile("tiny")
+    huge = Profile("huge")
+    plain = Profile("plain")
+    for profile, magnitude in ((tiny, 1e-170), (huge, 1e150), (plain, 2.0)):
+        entry = profile.category("books")
+        entry.preference = magnitude
+        entry.terms.set("alpha", magnitude)
+    assert vector_norm(tiny.preference_vector()) == 0.0
+    assert 1e150 * 1e-170 != 0.0
+    population = {p.user_id: p for p in (tiny, huge, plain)}
+    config = SimilarityConfig(min_similarity=0.0)
+    index = build_index(
+        population, config, "dict", early_termination=early_termination
+    )
+    for target in population.values():
+        brute = find_similar_users(target, population.values(), config)
+        assert index.find_similar(target) == brute
+    assert dict(index.find_similar(huge))["tiny"] == 0.0
+    assert dict(index.find_similar(tiny)) == {"huge": 0.0, "plain": 0.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    target=st.tuples(ordered_vectors(), ordered_vectors()),
+    rows=st.lists(
+        st.tuples(ordered_vectors(), ordered_vectors()), min_size=1, max_size=6
+    ),
+)
+def test_block_cosines_are_the_reference_cosines(target, rows):
+    """The one-pass ``score_block``: each row's preference cosine and score
+    ``==`` the reference formula over the same two pairs of vectors."""
+    kernel = DictKernel()
+    entries = {}
+    for number, (prefs, terms) in enumerate(rows):
+        entry = SimpleNamespace(
+            user_id=f"user-{number}",
+            prefs=prefs,
+            pref_norm=vector_norm(prefs),
+            terms=terms,
+            term_norm=vector_norm(terms),
+        )
+        entries[entry.user_id] = entry
+        kernel.entry_changed(entry)
+    prefs, terms = target
+    tq = kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
+    block = kernel.score_block(entries, tq, 0.6, 0.4, 1.0)
+    for user_id, entry in entries.items():
+        row = block.row_of[user_id]
+        pref = cosine_similarity_cached(
+            prefs, tq.pref_norm, entry.prefs, entry.pref_norm
+        )
+        term = cosine_similarity_cached(
+            terms, tq.term_norm, entry.terms, entry.term_norm
+        )
+        assert block.pref_cosines[row] == pref
+        assert block.scores[row] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
+
+
+# ---------------------------------------------------------------------------
+# Selection: top_pairs keeps exactly what a full sort would
+# ---------------------------------------------------------------------------
+
+#: Few distinct values, so ties at the floor are the common case.
+tied_scores = st.sampled_from([0.0, 0.05, 0.2, 0.2, 0.5, 0.5, 0.5, 0.9, 1.0])
+
+
+@st.composite
+def score_blocks(draw):
+    """A block with free rows (user id ``None``, score 0.0) between live ones."""
+    size = draw(st.integers(min_value=0, max_value=40))
+    user_ids, scores = [], []
+    for row in range(size):
+        if draw(st.integers(0, 5)) == 0:
+            user_ids.append(None)
+            scores.append(0.0)
+        else:
+            user_ids.append(f"user-{row:02d}")
+            scores.append(draw(tied_scores))
+    row_of = {user_id: row for row, user_id in enumerate(user_ids) if user_id}
+    return BlockScores(row_of, user_ids, scores, [0.0] * size)
+
+
+def full_sort(block, minimum, exclude_user, top_k, rejected):
+    valid = [
+        (user_id, score)
+        for user_id, score in zip(block.user_ids, block.scores)
+        if user_id is not None
+        and user_id != exclude_user
+        and score >= minimum
+        and user_id not in rejected
+    ]
+    return sorted(valid, key=lambda pair: (-pair[1], pair[0]))[:top_k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=score_blocks(),
+    minimum=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    top_k=st.integers(min_value=1, max_value=12),
+    data=st.data(),
+)
+def test_top_pairs_equals_full_sort(block, minimum, top_k, data):
+    """Ties at the floor, free rows, the excluded target inside the top-k,
+    ``min_similarity`` 0.0 and 1.0, fewer than k survivors, and a discard
+    rule that rejects most of the top so the floor has to widen."""
+    live = sorted(block.row_of)
+    best_first = [pair[0] for pair in full_sort(block, 0.0, "", len(live), ())]
+    exclude_user = data.draw(
+        st.sampled_from(best_first[:3] + ["outsider"]), label="exclude_user"
+    )
+    rejected = set(
+        data.draw(
+            st.one_of(
+                st.just([]),
+                st.lists(st.sampled_from(live), unique=True) if live else st.just([]),
+                # Most of the top: everyone ranked above a drawn depth.
+                st.integers(0, len(live)).map(lambda depth: best_first[:depth]),
+            ),
+            label="rejected",
+        )
+    )
+    expected = full_sort(block, minimum, exclude_user, top_k, rejected)
+    assert block.top_pairs(minimum, exclude_user, top_k, rejected.__contains__) == expected
+    if not rejected:
+        assert block.top_pairs(minimum, exclude_user, top_k) == expected
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_top_pairs_on_every_backends_block(backend):
+    """Both kernels hand the index the same block class; its selection over a
+    real block equals a full sort of that block."""
+    population = seeded_population(31)
+    index = build_index(population, SimilarityConfig(), backend)
+    kernel = index._kernel
+    for target in list(population.values())[:10]:
+        prefs = target.preference_vector()
+        terms = target.flattened_terms().as_dict()
+        tq = kernel.prepare_target(
+            prefs, vector_norm(prefs), terms, vector_norm(terms)
+        )
+        block = kernel.score_block(index._entries, tq, 0.6, 0.4, 1.0)
+        assert type(block) is BlockScores
+        for minimum, top_k in ((0.0, 40), (0.05, 5), (1.0, 3)):
+            assert block.top_pairs(minimum, target.user_id, top_k) == full_sort(
+                block, minimum, target.user_id, top_k, ()
+            )
+
+
+# ---------------------------------------------------------------------------
 # Bounded kernel state: postings follow the entry lifecycle exactly
 # ---------------------------------------------------------------------------
 
@@ -504,6 +754,18 @@ def posting_state(index):
     return buckets, weights
 
 
+def length_classes(index):
+    """Each side's ``rows_of_length``, rows spelled as user ids."""
+    kernel = index._kernel
+    return [
+        {
+            length: {kernel._user_ids[row] for row in rows}
+            for length, rows in side.rows_of_length.items()
+        }
+        for side in (kernel._prefs, kernel._terms)
+    ]
+
+
 lifecycle_steps = st.lists(
     st.tuples(
         st.sampled_from(["add", "learn", "replace", "remove", "build"]),
@@ -521,7 +783,8 @@ def test_postings_track_entry_lifecycle(steps, queried):
     """After any add / learner update / wholesale replace / remove / build
     sequence the postings equal a fresh build's and hold one weight per
     vector key — nothing left behind by a removal, nothing duplicated by
-    re-indexing a profile whose key order changed."""
+    re-indexing a profile whose key order changed — and ``rows_of_length``
+    files every live row under its vector's length, with no empty class."""
     index = ProfileNeighborIndex(backend="dict")
     learner = ProfileLearner()
     index.attach_to(learner)
@@ -567,10 +830,16 @@ def test_postings_track_entry_lifecycle(steps, queried):
 
     profiles = index.indexed_profiles()
     buckets, weights = posting_state(index)
-    fresh_buckets, fresh_weights = posting_state(
-        ProfileNeighborIndex(profiles=profiles, backend="dict")
-    )
+    fresh = ProfileNeighborIndex(profiles=profiles, backend="dict")
+    fresh_buckets, fresh_weights = posting_state(fresh)
     assert buckets == fresh_buckets
+    assert length_classes(index) == length_classes(fresh) == [
+        {
+            length: {p.user_id for p in profiles if len(flatten(p)) == length}
+            for length in {len(flatten(p)) for p in profiles}
+        }
+        for flatten in (Profile.preference_vector, Profile.flattened_terms)
+    ]
     assert weights == fresh_weights == sum(
         len(profile.preference_vector()) + len(profile.flattened_terms())
         for profile in profiles

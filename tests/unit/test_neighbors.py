@@ -7,6 +7,11 @@ regression the hooks exist to prevent, discard-rule candidate pruning, and
 cache reuse across queries.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.neighbors import ProfileNeighborIndex, find_similar_users_indexed
@@ -249,3 +254,86 @@ class TestHelperFunction:
             profiles["alice"], profiles.values(), index=index
         )
         assert index.queries == queries_before + 1
+
+
+#: One fixed register / rate / query sequence; prints what must not depend
+#: on how a set of user ids happens to iterate.
+HASH_SEED_SCRIPT = """
+import json
+
+from repro.core.items import Item
+from repro.core.neighbors import ProfileNeighborIndex
+from repro.core.profile import Profile
+from repro.core.profile_learning import FeedbackEvent, ProfileLearner
+from repro.core.ratings import InteractionKind
+
+CATEGORIES = ["books", "electronics", "fashion", "toys"]
+TERMS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+
+
+def register(index, number):
+    profile = Profile(f"consumer-{number:02d}")
+    for offset in range(1 + number % 3):
+        entry = profile.category(CATEGORIES[(number + offset) % 4])
+        entry.preference = 1.0 + (number * 7 + offset) % 9
+        entry.terms.set(TERMS[(number + 2 * offset) % 5], 0.5 + number % 4)
+    # Registration reaches the index the way a rating does: through the hook.
+    index.on_profile_update(profile)
+    return profile
+
+
+index = ProfileNeighborIndex(early_termination=True)
+learner = ProfileLearner()
+index.attach_to(learner)
+profiles = {p.user_id: p for p in (register(index, number) for number in range(12))}
+rankings = [index.find_similar(profiles["consumer-00"])]
+for step in range(10):
+    user_id = f"consumer-{(step * 5) % 12:02d}"
+    item = Item.build(
+        item_id=f"item-{step}", name="generated", category=CATEGORIES[step % 4],
+        subcategory="", terms={TERMS[step % 5]: 0.7}, price=10.0,
+    )
+    learner.apply(
+        profiles[user_id],
+        FeedbackEvent(user_id=user_id, item=item, kind=InteractionKind.RATE,
+                      timestamp=float(step), rating=4.0),
+    )
+for user_id in ("consumer-03", "consumer-08", "consumer-10"):
+    index.remove(user_id)
+    del profiles[user_id]
+# Newcomers take the three free rows, then a new one, in the order the
+# rebuild visits them.
+for number in (12, 13, 14, 15):
+    profile = register(index, number)
+    profiles[profile.user_id] = profile
+for category in (None, "books", "toys"):
+    for profile in profiles.values():
+        rankings.append(index.find_similar(profile, category=category))
+print(json.dumps({
+    "entries": list(index._entries),
+    "rows": index._kernel._row_of,
+    "bound_skips": index.bound_skips,
+    "rankings": rankings,
+}))
+"""
+
+
+class TestHashSeedIndependence:
+    def test_rows_entry_order_and_rankings_ignore_the_hash_seed(self):
+        """The dirty set is rebuilt in sorted order, so kernel row numbers,
+        ``_entries`` order (the early-termination candidate order) and every
+        ranking are the same under any ``PYTHONHASHSEED``."""
+        source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = []
+        for hash_seed in ("1", "2"):
+            completed = subprocess.run(
+                [sys.executable, "-c", HASH_SEED_SCRIPT],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed,
+                     "PYTHONPATH": os.path.abspath(source)},
+                capture_output=True, text=True, check=True,
+            )
+            outputs.append(json.loads(completed.stdout))
+        first, second = outputs
+        assert len(first["entries"]) == 13 and len(first["rankings"]) == 40
+        assert first["entries"] == sorted(first["entries"])
+        assert first == second
