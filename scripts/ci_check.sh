@@ -14,7 +14,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1: unit + property + integration tests (the suite is a   =="
-echo "==         workload too: its 20 slowest tests go on record)     =="
+echo "==         workload too: its 20 slowest tests go on record; it   =="
+echo "==         includes tests/unit/test_telemetry_footprint.py — a   =="
+echo "==         recorded step must add no GC-tracked object)          =="
 python -m pytest -x -q --durations=20 tests --ignore=tests/property/test_sharding.py
 
 echo "== tier-1: sharding equivalence property suite =="

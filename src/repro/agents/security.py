@@ -19,7 +19,7 @@ import hmac
 import random
 import secrets
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import AuthenticationError
 
@@ -61,7 +61,6 @@ class AuthenticationService:
         self.credential_lifetime_ms = credential_lifetime_ms
         self._rng = rng
         self._revoked: set = set()
-        self._issued: Dict[str, AgentCredential] = {}
         self.issued_count = 0
         self.verified_count = 0
         self.rejected_count = 0
@@ -92,7 +91,6 @@ class AuthenticationService:
             session_key=session_key,
             signature=signature,
         )
-        self._issued[agent_id] = credential
         self.issued_count += 1
         return credential
 

@@ -302,8 +302,7 @@ class AgentHybridRecommender(Recommender):
         own_score = self._content.scorer_for(profile) if profile else None
         ranked: List[Recommendation] = []
         for item in query_items:
-            item_weights = item.term_weights
-            item_norm = vector_norm(item_weights)
+            item_weights, item_norm = item.normed_terms()
             own_match = own_score(item, item_weights, item_norm) if own_score else 0.0
             neighbour_match = 0.0
             weight_total = 0.0

@@ -30,7 +30,7 @@ from repro.core.similarity import (
 __all__ = ["InformationFilteringRecommender"]
 
 ProfileProvider = Callable[[str], Optional[Profile]]
-#: ``(item, item.term_weights, vector_norm(item.term_weights))`` -> score.
+#: ``(item, *item.normed_terms())`` -> score.
 ItemScorer = Callable[[Item, Mapping[str, float], float], float]
 #: A term vector with its norm, as ``cosine_similarity_cached`` takes them.
 _NormedTerms = Tuple[Dict[str, float], float]
@@ -151,8 +151,7 @@ class InformationFilteringRecommender(Recommender):
         for item in candidates:
             if item.item_id in excluded:
                 continue
-            item_weights = item.term_weights
-            score = score_item(item, item_weights, vector_norm(item_weights))
+            score = score_item(item, *item.normed_terms())
             if score > 0:
                 recommendations.append(
                     Recommendation(

@@ -10,9 +10,10 @@ matching the profile hierarchy of Figure 4.4 and a bag of descriptive terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import CatalogError
+from repro.core.similarity import vector_norm
 
 __all__ = ["Item", "ItemCatalogView"]
 
@@ -36,10 +37,13 @@ class Item:
     ``copy.deepcopy(item) is item``.  ``_wire_bytes`` holds the item's
     simulated wire size once :mod:`repro.agents.serialization` has computed
     it; it is a slot, not a field, so ``vars(item)`` — what equality, the
-    size walk and ``repr`` see — stays the seven fields.
+    size walk and ``repr`` see — stays the seven fields.  ``_normed_terms``
+    and ``_keywords`` follow the same rules: views derived from the fields
+    on first use (:meth:`normed_terms`, :meth:`matches_keyword`), which a
+    copy or an unpickled item simply derives again.
     """
 
-    __slots__ = ("_wire_bytes", "__dict__", "__weakref__")
+    __slots__ = ("_wire_bytes", "_normed_terms", "_keywords", "__dict__", "__weakref__")
 
     item_id: str
     name: str
@@ -98,6 +102,21 @@ class Item:
         """Terms as a mutable dict copy."""
         return dict(self.terms)
 
+    def normed_terms(self) -> Tuple[Mapping[str, float], float]:
+        """The terms as a dict and its :func:`vector_norm`, as
+        ``cosine_similarity_cached`` takes them.
+
+        Both are computed once per item and shared between callers: read
+        the dict, do not change it (:attr:`term_weights` is the copy).
+        """
+        try:
+            return self._normed_terms
+        except AttributeError:
+            weights = dict(self.terms)
+            normed = (weights, vector_norm(weights))
+            object.__setattr__(self, "_normed_terms", normed)
+            return normed
+
     def matches_keyword(self, keyword: str) -> bool:
         """Whether a free-text keyword matches this item.
 
@@ -107,11 +126,15 @@ class Item:
         needle = keyword.lower().strip()
         if not needle:
             return False
-        if needle in self.name.lower():
-            return True
-        if needle == self.category.lower() or needle == self.subcategory.lower():
-            return True
-        return any(needle == term.lower() for term, _ in self.terms)
+        try:
+            name, exact = self._keywords
+        except AttributeError:
+            name = self.name.lower()
+            exact = frozenset(
+                (self.category.lower(), self.subcategory.lower())
+            ).union(term.lower() for term, _ in self.terms)
+            object.__setattr__(self, "_keywords", (name, exact))
+        return needle in name or needle in exact
 
 
 class ItemCatalogView:

@@ -32,8 +32,14 @@ class TermVector:
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
         self._weights: Dict[str, float] = {}
         if weights:
+            built = self._weights
             for term, weight in weights.items():
-                self.set(term, weight)
+                if term and weight > 0:
+                    # What ``set`` does with a pair it keeps, less the call:
+                    # a stored profile is rebuilt once per replica apply.
+                    built[term] = float(weight)
+                else:
+                    self.set(term, weight)
 
     # -- mutation -------------------------------------------------------------
 

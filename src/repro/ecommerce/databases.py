@@ -189,7 +189,8 @@ class UserDB:
         self._require(profile.user_id)
         self._profiles[profile.user_id] = profile
         self._profiles_version += 1
-        self._notify("store-profile", profile=profile.to_dict())
+        if self._mutation_listeners:
+            self._notify("store-profile", profile=profile.to_dict())
 
     def profiles(self) -> List[Profile]:
         return [self._profiles[user_id] for user_id in sorted(self._profiles)]

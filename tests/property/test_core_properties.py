@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.information_filtering import InformationFilteringRecommender
@@ -15,6 +16,7 @@ from repro.core.metrics import (
     spearman_rank_correlation,
 )
 from repro.core.profile import Profile, TermVector
+from repro.errors import ProfileError
 from repro.core.profile_learning import FeedbackEvent, LearningConfig, ProfileLearner
 from repro.core.ratings import Interaction, InteractionKind, RatingsStore
 from repro.core.similarity import (
@@ -71,7 +73,34 @@ def profiles(draw):
 # ---------------------------------------------------------------------------
 
 
+def _loop_built(weights):
+    """What ``TermVector(weights)`` is defined as: one ``set`` per pair."""
+    vector = TermVector()
+    for term, weight in weights.items():
+        vector.set(term, weight)
+    return vector._weights
+
+
 class TestTermVectorProperties:
+    @given(
+        st.dictionaries(
+            st.text(max_size=3),
+            st.integers(-1, 3) | st.floats(min_value=-0.5, max_value=2.0) | st.booleans(),
+            max_size=6,
+        )
+    )
+    def test_constructor_builds_what_the_set_loop_builds(self, weights):
+        try:
+            expected = _loop_built(weights)
+        except ProfileError as error:
+            with pytest.raises(ProfileError) as raised:
+                TermVector(weights)
+            assert str(raised.value) == str(error)
+            return
+        built = TermVector(weights)._weights
+        assert built == expected and list(built) == list(expected)
+        assert all(type(weight) is float and weight > 0 for weight in built.values())
+
     @given(term_dicts)
     def test_cosine_is_bounded_and_symmetric(self, left_weights):
         left = TermVector({t: w for t, w in left_weights.items() if w > 0})

@@ -2,13 +2,15 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.items import Item
 from repro.ecommerce.auction import AuctionHouse
 from repro.ecommerce.negotiation import NegotiationService
 from repro.platform.clock import Scheduler
-from repro.platform.metrics import summarize
+from repro.platform.events import Event, EventLog
+from repro.platform.metrics import Timer, summarize
 from repro.platform.network import NetworkConfig, SimulatedNetwork
 
 
@@ -58,6 +60,121 @@ class TestMetricsSummaryProperties:
             slack = 1e-9 * max(1.0, abs(summary["max"]))
             assert summary["min"] - slack <= summary["mean"] <= summary["max"] + slack
             assert summary["count"] == len(samples)
+
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1e6) | st.integers(0, 10**6), max_size=60),
+        st.integers(-70, 70),
+    )
+    def test_timer_summary_is_that_of_a_list_of_the_same_floats(self, durations, start):
+        timer = Timer("t")
+        for duration in durations:
+            timer.record(duration)
+        floats = [float(duration) for duration in durations]
+        assert list(timer.samples) == floats and len(timer.samples) == len(floats)
+        assert timer.summary() == summarize(floats)
+        assert summarize(timer.samples[start:]) == summarize(floats[start:])
+        assert timer.latest == (floats[-1] if floats else None)
+
+
+# ---------------------------------------------------------------------------
+# EventLog against a list of Events
+# ---------------------------------------------------------------------------
+
+_CATEGORIES = ("workflow.query", "transfer.agent-dispatch", "fleet.failover")
+_PARTIES = ("bra-1", "mba-1", "market-1", "buyer-server")
+_TIMESTAMPS = st.floats(min_value=0.0, max_value=1e6) | st.integers(0, 10**6)
+_PAYLOADS = st.dictionaries(
+    st.sampled_from(("item", "price", "stops", "payload_bytes")),
+    st.integers(-5, 5) | st.text(max_size=3) | st.lists(st.integers(0, 9), max_size=3),
+    max_size=3,
+)
+_STEPS = st.tuples(
+    _TIMESTAMPS, st.sampled_from(_CATEGORIES), st.sampled_from(_PARTIES),
+    st.sampled_from(_PARTIES), _PAYLOADS,
+)
+_OPERATIONS = st.lists(
+    st.tuples(st.sampled_from(("record", "record", "record", "append", "clear")), _STEPS),
+    max_size=25,
+)
+
+
+def _assert_reads_like(log, model, low, high, start, stop):
+    assert log.events == model and len(log) == len(model) and list(log) == model
+    assert log.categories() == [event.category for event in model]
+    for category in (*_CATEGORIES, "never-recorded"):
+        matches = [event for event in model if event.category == category]
+        assert log.by_category(category) == matches
+        assert log.count(category) == len(matches)
+        assert log.latest(category) == (matches[-1] if matches else None)
+        assert log.last_payload(category) == (matches[-1].payload if matches else None)
+    for party in (*_PARTIES, "nobody"):
+        assert log.involving(party) == [
+            event for event in model if party in (event.source, event.target)
+        ]
+    assert log.between(low, high) == [
+        event for event in model if low <= event.timestamp <= high
+    ]
+    assert log.events[start:stop] == model[start:stop]
+    assert log.events[start:] == model[start:]
+
+
+class TestEventLogModel:
+    @given(
+        _OPERATIONS, _TIMESTAMPS, _TIMESTAMPS,
+        st.integers(-30, 30), st.integers(-30, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_reader_equals_a_list_of_events(self, operations, low, high, start, stop):
+        log, model = EventLog(), []
+        for operation, (timestamp, category, source, target, payload) in operations:
+            if operation == "record":
+                returned = log.record(timestamp, category, source, target, **payload)
+                model.append(Event(timestamp, category, source, target, dict(payload)))
+                assert returned == model[-1]
+            elif operation == "append":
+                event = Event(timestamp, category, source, target, dict(payload))
+                log.append(event)
+                model.append(event)
+            else:
+                log.clear()
+                model.clear()
+            _assert_reads_like(log, model, low, high, start, stop)
+
+    @given(_OPERATIONS)
+    def test_reads_are_copies(self, operations):
+        log = EventLog()
+        for _, (timestamp, category, source, target, payload) in operations:
+            log.record(timestamp, category, source, target, **payload)
+        before = log.events
+        log.events.append("junk")
+        log.events.clear()
+        assert log.events == before and len(log) == len(before)
+        for category in _CATEGORIES:
+            payload = log.last_payload(category)
+            if payload is not None:
+                payload["scribble"] = True
+                assert "scribble" not in log.last_payload(category)
+                assert "scribble" not in log.latest(category).payload
+
+    def test_event_stays_an_immutable_value(self):
+        event = Event(1.0, "workflow.query", "bra-1", "mba-1")
+        assert event.payload == {}
+        assert event == Event(1.0, "workflow.query", "bra-1", "mba-1", {})
+        for name in ("timestamp", "category", "source", "target", "payload"):
+            with pytest.raises(AttributeError):
+                setattr(event, name, None)
+        log = EventLog()
+        log.append(event)
+        assert log.events[0] == event and log.latest("workflow.query") == event
+
+    def test_a_refused_timestamp_leaves_no_partial_row(self):
+        log = EventLog()
+        log.record(1.0, "workflow.query", "bra-1", "mba-1")
+        with pytest.raises(TypeError):
+            log.record("soon", "workflow.query", "bra-1", "mba-1")
+        assert len(log) == log.count("workflow.query") == len(log.events) == 1
+        assert log.latest("workflow.query").timestamp == 1.0
 
 
 AUCTION_ITEM = Item.build("lot", "Lot", "books", terms={"novel": 0.5}, price=100.0)

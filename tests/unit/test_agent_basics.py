@@ -1,6 +1,7 @@
 """Unit tests for agent lifecycle states, messages, serialization and security."""
 
 import copy
+import pickle
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.agents.serialization import (
     restore_state,
 )
 from repro.core.items import Item
+from repro.core.similarity import vector_norm
 from repro.ecommerce.buyer_agents import MobileBuyerAgent
 
 
@@ -246,6 +248,27 @@ class TestWireSize:
         assert list(vars(item)) == ITEM_FIELDS
         assert item == twin and hash(item) == hash(twin) and repr(item) == repr(twin)
         assert copy.copy(item) == item
+
+    def test_derived_views_leave_item_fields_and_sizes_alone(self):
+        item, twin = _catalogue()[0], _catalogue()[0]
+        weights, norm = item.normed_terms()
+        assert item.matches_keyword("Dune") and item.matches_keyword(" SPICE ")
+        assert not item.matches_keyword("spic") and not item.matches_keyword("  ")
+        assert list(vars(item)) == ITEM_FIELDS
+        assert item == twin and hash(item) == hash(twin) and repr(item) == repr(twin)
+        assert estimate_payload_bytes(item) == estimate_payload_bytes(twin) == 1225
+        # The shared view is the public copy's content, with the norm the
+        # scorers used to take per (consumer, item); the copy stays a copy.
+        assert weights == item.term_weights and norm == vector_norm(item.term_weights)
+        assert item.normed_terms()[0] is weights
+        assert item.term_weights is not item.term_weights
+        item.term_weights["scribble"] = 1.0
+        assert "scribble" not in item.normed_terms()[0]
+        # Copies and pickles carry the fields and derive the views again.
+        for clone in (copy.copy(item), pickle.loads(pickle.dumps(item))):
+            assert clone == item and list(vars(clone)) == ITEM_FIELDS
+            assert clone.normed_terms() == (weights, norm) and clone.matches_keyword("dune")
+        assert copy.deepcopy(item) is item
 
 
 class TestAuthenticationService:

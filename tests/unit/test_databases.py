@@ -52,6 +52,24 @@ class TestUserDB:
         db.store_profile(replacement)
         assert db.profile("alice").category("books").preference == 5.0
 
+    def test_store_profile_serializes_only_for_a_listener(self):
+        class CountingProfile(Profile):
+            dumps = 0
+
+            def to_dict(self):
+                CountingProfile.dumps += 1
+                return super().to_dict()
+
+        db = UserDB()
+        db.register("alice")
+        db.store_profile(CountingProfile("alice"))
+        assert CountingProfile.dumps == 0
+        heard = []
+        db.add_mutation_listener(lambda op, payload: heard.append((op, payload)))
+        db.store_profile(CountingProfile("alice"))
+        assert CountingProfile.dumps == 1
+        assert heard == [("store-profile", {"profile": Profile("alice").to_dict()})]
+
     def test_store_profile_for_unknown_user_rejected(self):
         db = UserDB()
         with pytest.raises(UnknownUserError):
