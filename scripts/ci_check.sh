@@ -16,7 +16,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1: unit + property + integration tests (the suite is a   =="
 echo "==         workload too: its 20 slowest tests go on record; it   =="
 echo "==         includes tests/unit/test_telemetry_footprint.py — a   =="
-echo "==         recorded step must add no GC-tracked object)          =="
+echo "==         recorded step must add no GC-tracked object —,        =="
+echo "==         tests/property/test_wire_walk.py — an aglet hop's one =="
+echo "==         walk equals deepcopy + _estimate — and                =="
+echo "==         tests/unit/test_wire_value.py — only frozen classes   =="
+echo "==         cross a hop by reference)                             =="
 python -m pytest -x -q --durations=20 tests --ignore=tests/property/test_sharding.py
 
 echo "== tier-1: sharding equivalence property suite =="

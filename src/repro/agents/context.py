@@ -209,7 +209,7 @@ class AgletContext:
         aglet.on_deactivating()
         snapshot = capture_state(aglet)
         aglet.info.transition(AgletState.DEACTIVATED)
-        self._storage[aglet.aglet_id] = (type(aglet), dict(snapshot), aglet.info, aglet.proxy)
+        self._storage[aglet.aglet_id] = (type(aglet), snapshot, aglet.info, aglet.proxy)
         self._active.pop(aglet.aglet_id, None)
         aglet.unbind()
         self.transport.metrics.counter("agents.deactivated").increment()

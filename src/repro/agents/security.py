@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import AuthenticationError
+from repro.wire import WireValue
 
 __all__ = ["AgentCredential", "AuthenticationService"]
 
 
 @dataclass(frozen=True)
-class AgentCredential:
+class AgentCredential(WireValue):
     """Signed credential issued to a mobile agent before dispatch."""
 
     agent_id: str

@@ -7,16 +7,23 @@ local context) and later restores it — the Python analogue of Aglets moving
 
 **Ownership rule: capture copies, restore consumes.**  :func:`capture_state`
 deep-copies the state once, and that one copy is the whole isolation
-guarantee: origin and destination share no mutable state, and an agent
-deactivated to storage cannot be mutated behind the runtime's back.  A
+guarantee: origin, storage and destination share no mutable state.  A
 snapshot is consumed by exactly one :func:`restore_state`, which installs
 its values as they are; every caller (``dispatch`` → ``_receive``,
 ``deactivate`` → ``activate``, ``clone``) hands over a snapshot nothing else
-references and drops it afterwards.  Immutable value objects
-(:class:`repro.core.items.Item`) travel by reference — their
-``__deepcopy__`` returns ``self``.  A hop therefore costs one deep copy of
-the aglet's mutable containers plus one size estimate, which the network
-model charges as the migration payload.
+references and drops it afterwards.
+
+**A hop is one walk.**  :func:`_walk` makes that copy and counts the bytes
+the network model charges for it in a single pass.  It handles itself the
+shapes an aglet's state is made of — exact ``str``/``int``/``float``/
+``bool``/``None``, ``dict``, ``list`` — and hands everything else (tuples,
+sets, bytes, subclasses, objects, anything nested past ``_MAX_DEPTH``, a
+container met twice) to the standard deep copy and :func:`_estimate`, so the
+copy protocol and the size rules each keep one home.  Frozen value objects
+(:class:`repro.wire.WireValue`) take that fallback, cross by reference and
+are sized once — at ``depth <= _MEMO_DEPTH`` (3) only: truncation changes a
+transaction record's size below depth 3, an item's (MBA ``results`` carry
+them at 3) below 4, a credential's below 6.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import sys
 from typing import Any, Dict, Tuple
 
 from repro.errors import SerializationError
+from repro.wire import WireValue
 
 __all__ = ["capture_state", "restore_state", "estimate_payload_bytes", "StateSnapshot"]
 
@@ -35,37 +43,27 @@ RUNTIME_ATTRIBUTES = ("_context", "_proxy", "_info")
 
 
 class StateSnapshot(dict):
-    """A captured agent state: a plain dict with a payload-size estimate."""
+    """A captured agent state: a plain dict plus the wire size its capture measured."""
 
-    @property
-    def payload_bytes(self) -> int:
-        return estimate_payload_bytes(self)
+    __slots__ = ("payload_bytes",)
 
 
 #: ``_estimate`` truncates below this nesting level.
 _MAX_DEPTH = 8
-#: Deepest level at which a memoized size is exact: the deepest leaf of an
-#: object that opts in sits (at most) four levels below the object itself.
-_MEMO_DEPTH = _MAX_DEPTH - 4
+#: A :class:`WireValue`'s deepest leaf (the ``vars`` of a transaction kind's
+#: ``__objclass__``) sits five levels below the object itself.
+_MEMO_DEPTH = _MAX_DEPTH - 5
+#: Exact types the walk sizes itself, beside ``str``, ``list`` and ``dict``.
+_ATOM_BYTES = {type(None): 8, bool: 8, int: 16, float: 16}
 
 
 def _estimate(value: Any, depth: int = 0) -> int:
     """Rough, deterministic size estimate of a Python value in bytes.
 
     The simulated network charges these bytes, so the result for a given
-    state is part of every reproducible artifact.  An immutable value object
-    opts into having its size computed once by declaring a ``_wire_bytes``
-    slot (:class:`repro.core.items.Item`).  Two rules keep the memo equal to
-    the walk:
-
-    - objects are sized through ``vars(value)``, so the memo must not live in
-      the instance ``__dict__`` (it would be counted into the next estimate);
-    - the walk truncates at ``depth > _MAX_DEPTH``, so the same object has
-      another size when met deep inside a structure.  The memo is read and
-      written only at ``depth <= _MEMO_DEPTH``, where the object's deepest
-      leaf (for an item: a term of a ``(term, weight)`` pair of ``terms``,
-      four levels down) is still walked; deeper objects take the walk.  MBA
-      ``results`` carry items at depth 3.
+    state is part of every reproducible artifact.  A :class:`WireValue` met
+    at ``depth <= _MEMO_DEPTH`` is sized once; deeper, where truncation
+    gives it another size, the memo is neither read nor written.
     """
     if depth > _MAX_DEPTH:
         return 64
@@ -73,9 +71,7 @@ def _estimate(value: Any, depth: int = 0) -> int:
         return 8
     if isinstance(value, (int, float)):
         return 16
-    if isinstance(value, str):
-        return 48 + len(value)
-    if isinstance(value, bytes):
+    if isinstance(value, (str, bytes)):
         return 48 + len(value)
     if isinstance(value, (list, tuple, set, frozenset)):
         return 56 + sum(_estimate(item, depth + 1) for item in value)
@@ -85,7 +81,7 @@ def _estimate(value: Any, depth: int = 0) -> int:
             for key, item in value.items()
         )
     if hasattr(value, "__dict__"):
-        if depth > _MEMO_DEPTH or not hasattr(type(value), "_wire_bytes"):
+        if depth > _MEMO_DEPTH or not isinstance(value, WireValue):
             return 64 + _estimate(vars(value), depth + 1)
         size = getattr(value, "_wire_bytes", None)
         if size is None:
@@ -100,25 +96,63 @@ def estimate_payload_bytes(state: Dict[str, Any]) -> int:
     return _estimate(state)
 
 
+def _walk(value: Any, depth: int, memo: Dict[int, Any]) -> Tuple[Any, int]:
+    """``(deepcopy(value, memo), _estimate(value, depth))`` in one pass.
+
+    ``memo`` is the deep copy's own: copies by ``id`` of the original and,
+    under ``id(memo)``, the originals (alive while their ids are keys).  An
+    alias or a cycle — a container already in it — takes the fallback.
+    """
+    cls = type(value)
+    if depth <= _MAX_DEPTH:
+        if cls is str:
+            return value, 48 + len(value)
+        if cls in _ATOM_BYTES:
+            return value, _ATOM_BYTES[cls]
+        if (cls is dict or cls is list) and id(value) not in memo:
+            copied = memo[id(value)] = cls()
+            memo[id(memo)].append(value)
+            depth += 1
+            if cls is list:
+                size = 56
+                for item in value:
+                    item, item_size = _walk(item, depth, memo)
+                    copied.append(item)
+                    size += item_size
+                return copied, size
+            size = 64
+            for key, item in value.items():
+                item, item_size = _walk(item, depth, memo)
+                key, key_size = _walk(key, depth, memo)
+                copied[key] = item
+                size += key_size + item_size
+            return copied, size
+    return copy.deepcopy(value, memo), _estimate(value, depth)
+
+
 def capture_state(agent: Any) -> StateSnapshot:
-    """Capture the migratable state of ``agent``.
+    """Capture the migratable state of ``agent`` and its size on the wire.
 
     Runtime bindings (context, proxy, info record) are excluded; everything
-    else is deep-copied — the one copy a hop makes.  Objects that cannot be
-    deep-copied make the agent non-migratable, which surfaces as
-    :class:`SerializationError`.
+    else is deep-copied, one memo per attribute.  Objects that cannot be
+    deep-copied make the agent non-migratable: :class:`SerializationError`.
     """
-    state: Dict[str, Any] = {}
+    snapshot = StateSnapshot()
+    size = 64
     for key, value in vars(agent).items():
         if key in RUNTIME_ATTRIBUTES:
             continue
+        memo: Dict[int, Any] = {}
+        memo[id(memo)] = []
         try:
-            state[key] = copy.deepcopy(value)
+            snapshot[key], value_size = _walk(value, 1, memo)
         except Exception as exc:  # pragma: no cover - defensive
             raise SerializationError(
                 f"attribute {key!r} of {type(agent).__name__} cannot be serialized: {exc}"
             ) from exc
-    return StateSnapshot(state)
+        size += 48 + len(key) + value_size
+    snapshot.payload_bytes = size
+    return snapshot
 
 
 def restore_state(agent: Any, snapshot: Dict[str, Any]) -> None:

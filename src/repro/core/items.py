@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import CatalogError
+from repro.wire import WireValue
 from repro.core.similarity import vector_norm
 
 __all__ = ["Item", "ItemCatalogView"]
 
 
 @dataclass(frozen=True)
-class Item:
+class Item(WireValue):
     """One piece of merchandise.
 
     Attributes:
@@ -32,18 +33,14 @@ class Item:
         price: list price in arbitrary currency units.
         seller: name of the seller server offering the item.
 
-    An item is immutable all the way down (``str``/``float`` fields and a
-    tuple of ``(str, float)`` pairs), so it crosses aglet hops by reference:
-    ``copy.deepcopy(item) is item``.  ``_wire_bytes`` holds the item's
-    simulated wire size once :mod:`repro.agents.serialization` has computed
-    it; it is a slot, not a field, so ``vars(item)`` — what equality, the
-    size walk and ``repr`` see — stays the seven fields.  ``_normed_terms``
-    and ``_keywords`` follow the same rules: views derived from the fields
-    on first use (:meth:`normed_terms`, :meth:`matches_keyword`), which a
-    copy or an unpickled item simply derives again.
+    An item is a :class:`repro.wire.WireValue`: immutable all the way down,
+    it crosses aglet hops by reference.  ``_normed_terms`` and ``_keywords``
+    follow the mixin's slot rule: views derived from the fields on first use
+    (:meth:`normed_terms`, :meth:`matches_keyword`), which a copy or an
+    unpickled item simply derives again.
     """
 
-    __slots__ = ("_wire_bytes", "_normed_terms", "_keywords", "__dict__", "__weakref__")
+    __slots__ = ("_normed_terms", "_keywords", "__dict__", "__weakref__")
 
     item_id: str
     name: str
@@ -88,14 +85,6 @@ class Item:
             price=price,
             seller=seller,
         )
-
-    def __deepcopy__(self, memo: dict) -> "Item":
-        return self
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Fields only: a frozen instance cannot be handed slot state back, so
-        # ``copy.copy`` and ``pickle`` of a sized item would otherwise fail.
-        return vars(self)
 
     @property
     def term_weights(self) -> Dict[str, float]:

@@ -127,10 +127,20 @@ class TermVector:
 
     def merged_with(self, other: "TermVector", weight: float = 1.0) -> "TermVector":
         """A new vector equal to ``self + weight * other``."""
-        merged = TermVector(self.as_dict())
-        for term, value in other.items():
-            merged.add(term, weight * value)
+        merged = self.copy()
+        merged._accumulate(other, weight)
         return merged
+
+    def _accumulate(self, other: "TermVector", weight: float = 1.0) -> None:
+        """In place, what ``self = self.merged_with(other, weight)`` leaves:
+        same values, same insertion order (positional postings key on it)."""
+        weights = self._weights
+        for term, value in other.items():
+            updated = max(0.0, weights.get(term, 0.0) + weight * value)
+            if updated == 0:
+                weights.pop(term, None)
+            else:
+                weights[term] = updated
 
     def copy(self) -> "TermVector":
         return TermVector(self.as_dict())
@@ -184,7 +194,7 @@ class Category:
         """Category terms plus all sub-category terms merged into one vector."""
         merged = self.terms.copy()
         for sub in self.subcategories.values():
-            merged = merged.merged_with(sub.terms)
+            merged._accumulate(sub.terms)
         return merged
 
 
@@ -234,10 +244,11 @@ class Profile:
         return {name: category.preference for name, category in self.categories.items()}
 
     def flattened_terms(self) -> TermVector:
-        """Every term of every category and sub-category merged into one vector."""
+        """Every term of every category and sub-category merged into one vector
+        (each category folded first: float sums do not re-associate)."""
         merged = TermVector()
         for category in self.categories.values():
-            merged = merged.merged_with(category.flattened_terms())
+            merged._accumulate(category.flattened_terms())
         return merged
 
     def top_categories(self, count: int) -> List[Tuple[str, float]]:
@@ -285,11 +296,11 @@ class Profile:
         for name, data in categories.items():  # type: ignore[union-attr]
             category = profile.category(name)
             category.preference = float(data.get("preference", 0.0))
-            category.terms = TermVector(dict(data.get("terms", {})))
+            category.terms = TermVector(data.get("terms", {}))
             for sub_name, sub_data in data.get("subcategories", {}).items():
                 sub = category.subcategory(sub_name)
                 sub.preference = float(sub_data.get("preference", 0.0))
-                sub.terms = TermVector(dict(sub_data.get("terms", {})))
+                sub.terms = TermVector(sub_data.get("terms", {}))
         return profile
 
     def copy(self) -> "Profile":

@@ -372,6 +372,12 @@ class MobileBuyerAgent(Aglet):
             self.now, category, self.aglet_id, self.location, **payload
         )
 
+    def _keep_trade(self, reply: Reply) -> None:
+        """Keep a trade's reply for the trip home (``transaction`` is the one in ``outcome``)."""
+        self.outcome = dict(reply.payload, ok=reply.ok, error=reply.error)
+        if reply.ok:
+            self.transaction = reply.value("transaction")
+
     def execute_here(self) -> None:
         """Execute the assigned task at the current marketplace."""
         market = self._market_agent()
@@ -393,11 +399,7 @@ class MobileBuyerAgent(Aglet):
                 item_id=self.params["item_id"],
                 user_id=self.user_id,
             )
-            self.outcome = dict(reply.payload)
-            self.outcome["ok"] = reply.ok
-            self.outcome["error"] = reply.error
-            if reply.ok:
-                self.transaction = reply.value("transaction")
+            self._keep_trade(reply)
             self._log("workflow.trade-executed", task="buy", ok=reply.ok)
         elif self.task == "auction":
             reply = self.send_to(
@@ -407,11 +409,7 @@ class MobileBuyerAgent(Aglet):
                 user_id=self.user_id,
                 max_price=self.params["max_price"],
             )
-            self.outcome = dict(reply.payload)
-            self.outcome["ok"] = reply.ok
-            self.outcome["error"] = reply.error
-            if reply.ok:
-                self.transaction = reply.value("transaction")
+            self._keep_trade(reply)
             self._log("workflow.trade-executed", task="auction", ok=reply.ok,
                       won=bool(reply.value("won", False)))
         elif self.task == "negotiate":
@@ -422,11 +420,7 @@ class MobileBuyerAgent(Aglet):
                 user_id=self.user_id,
                 max_price=self.params["max_price"],
             )
-            self.outcome = dict(reply.payload)
-            self.outcome["ok"] = reply.ok
-            self.outcome["error"] = reply.error
-            if reply.ok:
-                self.transaction = reply.value("transaction")
+            self._keep_trade(reply)
             self._log("workflow.trade-executed", task="negotiate", ok=reply.ok,
                       agreed=bool(reply.value("agreed", False)))
         else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.errors import TransactionError
+from repro.wire import WireValue
 
 __all__ = ["TransactionKind", "TransactionRecord"]
 
@@ -28,7 +29,7 @@ class TransactionKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TransactionRecord:
+class TransactionRecord(WireValue):
     """One completed trade between a consumer and a marketplace."""
 
     transaction_id: str

@@ -76,6 +76,22 @@ class TestDirectPurchase:
         assert all(rec.item_id != hit.item.item_id for rec in recommendations)
 
 
+    def test_the_marketplace_record_is_the_one_that_comes_home(self, platform):
+        # A transaction record is frozen, so it crosses the MBA's hop home by
+        # reference: the BRA records, and the consumer is handed, the very
+        # object the marketplace wrote — in ``outcome`` and beside it.
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        hit = gateway.query("alice", "books").result.hits[0]
+        trade = gateway.buy("alice", hit.item, marketplace=hit.marketplace).result
+        marketplace = next(m for m in platform.marketplaces if m.name == hit.marketplace)
+        written = marketplace.transactions[-1]
+        assert trade.transaction is written
+        assert trade.outcome["transaction"] is written
+        recorded = platform.buyer_server.user_db.transactions_of("alice")
+        assert len(recorded) == 1 and recorded[0] is written
+
+
 class TestAuction:
     def test_generous_bid_wins_the_auction(self, shopping):
         platform, session, results = shopping

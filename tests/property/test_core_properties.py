@@ -251,6 +251,28 @@ class TestProfileLearningProperties:
         assert profile.feedback_events == len(item_list)
 
     @given(st.lists(items(), min_size=1, max_size=10))
+    @settings(max_examples=50)
+    def test_flattened_terms_is_the_fold_of_merged_with(self, item_list):
+        # Accumulating in place must leave what the copying fold left: the
+        # same floats in the same insertion order (positional postings key
+        # on it), each category folded before it joins the profile's vector.
+        learner = ProfileLearner()
+        profile = Profile("user")
+        for item in item_list:
+            learner.apply(profile, FeedbackEvent("user", item, InteractionKind.BUY))
+        before = profile.to_dict()
+        whole = TermVector()
+        for category in profile.categories.values():
+            folded = category.terms.copy()
+            for sub in category.subcategories.values():
+                folded = folded.merged_with(sub.terms)
+            flat = category.flattened_terms()
+            assert list(flat.as_dict().items()) == list(folded.as_dict().items())
+            whole = whole.merged_with(folded)
+        assert list(profile.flattened_terms().as_dict().items()) == list(whole.as_dict().items())
+        assert profile.to_dict() == before  # the accumulator is never a category's own vector
+
+    @given(st.lists(items(), min_size=1, max_size=10))
     @settings(max_examples=30)
     def test_profile_roundtrips_through_dict(self, item_list):
         learner = ProfileLearner()

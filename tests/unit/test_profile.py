@@ -162,6 +162,26 @@ class TestProfile:
         with pytest.raises(ProfileError):
             Profile.from_dict({"no_user_id": True})
 
+    def test_from_dict_shares_no_term_dict_with_its_payload(self):
+        # WAL entries keep the payload for snapshots; the profile learns on.
+        profile = Profile("alice")
+        profile.category("books").terms.set("novel", 0.8)
+        profile.category("books").subcategory("fiction").terms.set("mystery", 0.4)
+        payload = profile.to_dict()
+        pristine = profile.to_dict()
+        restored = Profile.from_dict(payload)
+
+        books = payload["categories"]["books"]
+        books["terms"]["novel"] = 9.0
+        books["subcategories"]["fiction"]["terms"]["scribble"] = 1.0
+        assert restored.to_dict() == pristine
+
+        payload = profile.to_dict()
+        restored = Profile.from_dict(payload)
+        restored.category("books").terms.set("novel", 9.0)
+        restored.category("books").subcategory("fiction").terms.add("mystery", 1.0)
+        assert payload == pristine
+
     def test_copy_is_independent(self):
         profile = Profile("alice")
         profile.category("books").preference = 1.0
