@@ -18,9 +18,15 @@ echo "==         workload too: its 20 slowest tests go on record; it   =="
 echo "==         includes tests/unit/test_telemetry_footprint.py — a   =="
 echo "==         recorded step must add no GC-tracked object —,        =="
 echo "==         tests/property/test_wire_walk.py — an aglet hop's one =="
-echo "==         walk equals deepcopy + _estimate — and                =="
+echo "==         walk equals deepcopy + _estimate —,                   =="
 echo "==         tests/unit/test_wire_value.py — only frozen classes   =="
-echo "==         cross a hop by reference)                             =="
+echo "==         cross a hop by reference —,                           =="
+echo "==         tests/property/test_content_pass.py — the content     =="
+echo "==         pass over the profile's categories equals the whole-  =="
+echo "==         catalogue pass — and                                  =="
+echo "==         tests/unit/test_recommendation_allocation.py — a      =="
+echo "==         Recommendation is built per item returned, not per    =="
+echo "==         item considered)                                      =="
 python -m pytest -x -q --durations=20 tests --ignore=tests/property/test_sharding.py
 
 echo "== tier-1: sharding equivalence property suite =="

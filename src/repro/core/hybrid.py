@@ -25,11 +25,21 @@ mechanism to do in the Figure 4.2 workflow:
 Without other users (cold start) the mechanism degrades gracefully to the
 consumer's own profile (information filtering), which is exactly the synergy
 §2.3 motivates.
+
+Both halves of §4.4 select before they materialise.  The neighbour search
+picks its top-k on bare scores (:mod:`repro.core.neighbors`); the second half
+works on bare ``(item_id, score)`` pairs: content candidates come from
+:meth:`InformationFilteringRecommender.top_scores` (only the categories the
+profile has are visited — any other item scores exactly 0), the blend and the
+Figure 4.2 ranking sort pairs (:func:`~repro.core.recommender.ranked_pairs`),
+and a :class:`Recommendation` is built only for the ``k`` (+ ``extra``) a
+call returns.  Term vectors are read in place (:meth:`TermVector.weights`):
+nothing here keeps them past the call.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import RecommendationError
 from repro.core.items import Item, ItemCatalogView
@@ -37,7 +47,7 @@ from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.neighbors import ProfileNeighborIndex, _version_of as _profile_stamp
 from repro.core.profile import Profile
 from repro.core.ratings import RatingsStore
-from repro.core.recommender import Recommendation, Recommender
+from repro.core.recommender import Recommendation, Recommender, ranked_pairs
 from repro.core.similarity import (
     SimilarityConfig,
     cosine_similarity_cached,
@@ -204,38 +214,35 @@ class AgentHybridRecommender(Recommender):
         if profile is None or profile.is_empty():
             return []
         neighbours = self.similar_users(user_id, category=category)
-        return self._recommend(user_id, neighbours, k, category, set(exclude))
+        return self._recommend(profile, neighbours, k, category, set(exclude))
 
     def _recommend(
         self,
-        user_id: str,
+        profile: Profile,
         neighbours: Sequence[Tuple[str, float]],
         k: int,
         category: Optional[str],
         excluded: set,
     ) -> List[Recommendation]:
-        """Body of :meth:`recommend` for a consumer with a non-empty profile
+        """Body of :meth:`recommend` for a consumer's non-empty ``profile``
         whose ``category`` neighbour list the caller already holds."""
         neighbour_scores = self._normalized(
-            self._neighbour_item_scores(user_id, neighbours, category, excluded)
-        )
-
-        content_candidates = self._content.recommend(
-            user_id, k=max(k * 3, 30), category=category, exclude=excluded
+            self._neighbour_item_scores(profile.user_id, neighbours, category, excluded)
         )
         content_scores = self._normalized(
-            {rec.item_id: rec.score for rec in content_candidates}
+            dict(self._content.top_scores(profile, max(k * 3, 30), category, excluded))
         )
 
         total_weight = self.collaborative_weight + self.content_weight
-        combined: Dict[str, float] = {}
+        blended: List[Tuple[str, float]] = []
         for item_id in set(neighbour_scores) | set(content_scores):
-            combined[item_id] = (
+            score = (
                 self.collaborative_weight * neighbour_scores.get(item_id, 0.0)
                 + self.content_weight * content_scores.get(item_id, 0.0)
             ) / total_weight
-
-        recommendations = [
+            if score > 0:
+                blended.append((item_id, score))
+        return [
             Recommendation(
                 item_id=item_id,
                 score=score,
@@ -246,11 +253,8 @@ class AgentHybridRecommender(Recommender):
                     else "matches your profile"
                 ),
             )
-            for item_id, score in combined.items()
-            if score > 0
+            for item_id, score in ranked_pairs(blended, k)
         ]
-        recommendations.sort(key=lambda rec: (-rec.score, rec.item_id))
-        return recommendations[:k]
 
     # -- query-time re-ranking (Figure 4.2 step "generate recommendation") ----------
 
@@ -282,25 +286,19 @@ class AgentHybridRecommender(Recommender):
         # item — the work shared across query items.  Scores are bit-identical
         # to evaluating each item on its own against the same neighbour list.
         neighbours = self.similar_users(user_id, category=category)
-        neighbour_profiles = [
-            self.profile_of(neighbour) for neighbour, _ in neighbours
-        ]
-        neighbour_terms: Dict[Tuple[str, str], Tuple[Dict[str, float], float]] = {}
-        for (neighbour_id, _), neighbour_profile in zip(neighbours, neighbour_profiles):
+        neighbour_terms: Dict[Tuple[str, str], Tuple[Mapping[str, float], float]] = {}
+        for neighbour_id, _ in neighbours:
+            neighbour_profile = self.profile_of(neighbour_id)
             if neighbour_profile is None:
                 continue
             for item_category in query_categories:
-                if neighbour_profile.has_category(item_category):
-                    terms = neighbour_profile.category(
-                        item_category, create=False
-                    ).terms.as_dict()
-                    neighbour_terms[(neighbour_id, item_category)] = (
-                        terms,
-                        vector_norm(terms),
-                    )
+                known = neighbour_profile.categories.get(item_category)
+                if known is not None:
+                    terms = known.terms.weights()
+                    neighbour_terms[neighbour_id, item_category] = (terms, vector_norm(terms))
 
         own_score = self._content.scorer_for(profile) if profile else None
-        ranked: List[Recommendation] = []
+        scored: List[Tuple[str, float]] = []
         for item in query_items:
             item_weights, item_norm = item.normed_terms()
             own_match = own_score(item, item_weights, item_norm) if own_score else 0.0
@@ -321,21 +319,18 @@ class AgentHybridRecommender(Recommender):
                 self.content_weight * own_match
                 + self.collaborative_weight * neighbour_match
             ) / (self.content_weight + self.collaborative_weight)
-            ranked.append(
-                Recommendation(
-                    item_id=item.item_id,
-                    score=score,
-                    source=self.name,
-                    reason="ranked query result",
-                )
+            scored.append((item.item_id, score))
+        ranked = [
+            Recommendation(
+                item_id=item_id, score=score, source=self.name, reason="ranked query result"
             )
-        ranked.sort(key=lambda rec: (-rec.score, rec.item_id))
-        ranked = ranked[:k]
+            for item_id, score in ranked_pairs(scored, k)
+        ]
 
         # The discoveries are ``recommend(user_id, extra, category, already)``
         # served from the neighbour list above: same target profile, same
         # category, and nothing is written between the two steps.
         if extra > 0 and profile is not None and not profile.is_empty():
             already = {rec.item_id for rec in ranked} | {item.item_id for item in query_items}
-            ranked.extend(self._recommend(user_id, neighbours, extra, category, already))
+            ranked.extend(self._recommend(profile, neighbours, extra, category, already))
         return ranked

@@ -300,6 +300,15 @@ class ProfileNeighborIndex:
         deterministic tie-breaking.  The target itself is never included and
         does not need to be indexed.
 
+        The target side (preference and flattened term vectors, norms) is read
+        from the index's own row when, after ``sync()``, ``target`` *is* that
+        row's profile at that row's stamp (``_version_of``: same object, same
+        counters) — the row holds the output of the same calls on the same
+        unchanged object — and flattened here otherwise (a detached copy, an
+        unindexed consumer).  A profile edited in place *without* the learner
+        is thus invisible as a target exactly as long as it is invisible as a
+        row: until ``invalidate(user_id)``.
+
         A query is one kernel block (every entry's exact score) and one
         :meth:`~repro.core.scoring.BlockScores.top_pairs` selection over it:
         the ``(top_k + 1)``-th largest bare score is a floor, only the rows
@@ -330,26 +339,21 @@ class ProfileNeighborIndex:
         self.sync()
         self.queries += 1
 
-        # The target side is computed fresh from the profile that was passed
-        # in (exactly what the brute-force path sees), so a caller holding a
-        # detached copy still gets correct scores.
-        target_prefs = target.preference_vector()
-        target_pref_norm = _norm(target_prefs)
-        target_terms = target.flattened_terms().as_dict()
-        target_term_norm = _norm(target_terms)
-        target_term_l1 = target_term_max = 0.0
-        if self.early_termination and self.tight_term_bound:
-            target_abs_weights = [abs(value) for value in target_terms.values()]
-            target_term_l1 = sum(target_abs_weights)
-            target_term_max = max(target_abs_weights, default=0.0)
-
+        entry = self._entries.get(target.user_id)
+        if entry is not None and entry.version == _version_of(target):
+            target_prefs, pref_norm = entry.prefs, entry.pref_norm
+            terms, term_norm = entry.terms, entry.term_norm
+            term_l1, term_max = entry.term_l1, entry.term_max
+        else:
+            target_prefs = target.preference_vector()
+            terms = target.flattened_terms().as_dict()
+            pref_norm, term_norm = _norm(target_prefs), _norm(terms)
+            term_l1 = term_max = 0.0
+            if self.early_termination and self.tight_term_bound:
+                abs_weights = [abs(value) for value in terms.values()]
+                term_l1, term_max = sum(abs_weights), max(abs_weights, default=0.0)
         tq = self._kernel.prepare_target(
-            target_prefs,
-            target_pref_norm,
-            target_terms,
-            target_term_norm,
-            target_term_l1,
-            target_term_max,
+            target_prefs, pref_norm, terms, term_norm, term_l1, term_max
         )
         preference_weight = config.preference_weight
         term_weight = config.term_weight

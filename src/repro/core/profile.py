@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ProfileError
 
@@ -94,6 +94,11 @@ class TermVector:
 
     def as_dict(self) -> Dict[str, float]:
         return dict(self._weights)
+
+    def weights(self) -> Mapping[str, float]:
+        """The live mapping, for a reader that only scores against it: do not
+        mutate, do not keep past the call (:meth:`as_dict` is the copy)."""
+        return self._weights
 
     def terms(self) -> List[str]:
         return sorted(self._weights)

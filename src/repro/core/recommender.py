@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import RecommendationError
 from repro.core.items import Item, ItemCatalogView
@@ -81,6 +81,13 @@ class Recommender(abc.ABC):
         request).  Must not change what ``recommend`` returns — batching is a
         performance hint, not a semantic switch.  The default is a no-op.
         """
+
+
+def ranked_pairs(pairs: List[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
+    """The ``k`` best ``(item_id, score)`` pairs (sorts ``pairs`` in place):
+    score descending, then item id — a total order over distinct ids."""
+    pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    return pairs[:k]
 
 
 def _sorted_and_trimmed(

@@ -7,7 +7,7 @@ whenever it needs to generate recommendation information (§3.3-2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.cold_start import ColdStartPolicy, ColdStartStrategy
 from repro.core.cross_sell import CrossSellRecommender
@@ -108,8 +108,8 @@ class RecommendationService:
             ratings=user_db.ratings,
             fallback=self.popularity,
         )
-        self._batch_cache: Dict[str, List[Recommendation]] = {}
-        self._batch_cache_k: Dict[str, int] = {}
+        # user_id -> (the k it was refreshed at, the refreshed list)
+        self._batch_cache: Dict[str, Tuple[int, List[Recommendation]]] = {}
         self._invalidation_enabled = False
         self.cache_invalidations = 0
         self.last_batch_refresh_at: Optional[float] = None
@@ -138,8 +138,7 @@ class RecommendationService:
         # Cache copies: callers may reorder/extend the returned lists freely
         # without corrupting what cached_recommendations serves later.
         for user_id, recs in results.items():
-            self._batch_cache[user_id] = list(recs)
-            self._batch_cache_k[user_id] = k
+            self._batch_cache[user_id] = (k, list(recs))
         self.last_batch_refresh_at = self.now()
         return results
 
@@ -154,17 +153,14 @@ class RecommendationService:
         is not a prefix/extension guarantee this cache is willing to make.
         """
         cached = self._batch_cache.get(user_id)
-        if cached is None:
+        if cached is None or (k is not None and cached[0] != k):
             return None
-        if k is not None and self._batch_cache_k.get(user_id) != k:
-            return None
-        return list(cached)
+        return list(cached[1])
 
     def invalidate_cached(self, user_id: str) -> None:
         """Drop ``user_id``'s batch-refreshed list (no-op when absent)."""
         if self._batch_cache.pop(user_id, None) is not None:
             self.cache_invalidations += 1
-        self._batch_cache_k.pop(user_id, None)
 
     def enable_batch_invalidation(self) -> None:
         """Keep the batch cache honest under writes (gateway envelope cache).
@@ -191,7 +187,6 @@ class RecommendationService:
         # ways nobody recorded; drop them so only post-arming refreshes are
         # ever eligible to serve.
         self._batch_cache.clear()
-        self._batch_cache_k.clear()
         if self.profile_learner is not None:
             self.profile_learner.add_update_hook(self._on_learner_update)
         self.user_db.add_mutation_listener(self._on_db_mutation)

@@ -223,7 +223,7 @@ def fig42_query_workflow(seed: int = 13, keyword: str = "laptop") -> ExperimentR
     gateway.query("fig42-consumer", keyword)
     gateway.logout("fig42-consumer")
 
-    events = platform.event_log.events[start_index:]
+    events = platform.event_log.events_since(start_index)
     workflow = [event for event in events if event.category.startswith("workflow.")]
     result = ExperimentResult(
         name="FIG-4.2 merchandise query workflow",
@@ -289,7 +289,7 @@ def fig43_buy_auction_workflow(seed: int = 17) -> ExperimentResult:
     def run_trade(label: str, action) -> None:
         start_index = len(platform.event_log)
         outcome = action().result
-        events = platform.event_log.events[start_index:]
+        events = platform.event_log.events_since(start_index)
         workflow = [e.category for e in events if e.category.startswith("workflow.")]
         latencies = [e.timestamp for e in events if e.category.startswith("workflow.")]
         result.add_row(

@@ -18,9 +18,9 @@ itself holds a container.  :class:`Event` is therefore a *view*: readers
 two reads of the same row are ``==`` but not ``is``.  The category index
 makes ``count``, ``latest`` and ``last_payload`` O(1) and ``by_category``
 O(matches); ``involving`` and ``between`` still scan their columns.  The log
-is unbounded — dropping old rows changes what ``events[start:]`` readers
-see, which is a policy about what to keep and not a representation (ROADMAP
-item 4).
+is unbounded — dropping old rows changes what ``events_since(row)`` and
+``events[start:]`` readers see, which is a policy about what to keep and
+not a representation (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -107,6 +107,9 @@ class EventLog:
         self._sources: List[str] = []
         self._targets: List[str] = []
         self._payloads: List[Dict[str, Any]] = []
+        self._columns = (
+            self._timestamps, self._categories, self._sources, self._targets, self._payloads
+        )
         self._rows: Dict[str, array] = {}
 
     def _store(
@@ -174,18 +177,15 @@ class EventLog:
     def events(self) -> List[Event]:
         return list(self)
 
+    def events_since(self, row: int) -> List[Event]:
+        """``events[row:]`` from that slice of each column: O(slice), not O(log)."""
+        return list(map(Event, *(column[row:] for column in self._columns)))
+
     def __len__(self) -> int:
         return len(self._categories)
 
     def __iter__(self) -> Iterator[Event]:
-        return map(
-            Event,
-            self._timestamps,
-            self._categories,
-            self._sources,
-            self._targets,
-            self._payloads,
-        )
+        return map(Event, *self._columns)
 
     def by_category(self, category: str) -> List[Event]:
         return [self._view(row) for row in self._rows.get(category, ())]

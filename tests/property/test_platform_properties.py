@@ -117,6 +117,8 @@ def _assert_reads_like(log, model, low, high, start, stop):
     ]
     assert log.events[start:stop] == model[start:stop]
     assert log.events[start:] == model[start:]
+    assert log.events_since(start) == model[start:]
+    assert log.events_since(len(log)) == [] and log.events_since(0) == model
 
 
 class TestEventLogModel:

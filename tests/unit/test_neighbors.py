@@ -7,6 +7,7 @@ regression the hooks exist to prevent, discard-rule candidate pruning, and
 cache reuse across queries.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -18,6 +19,8 @@ from repro.core.neighbors import ProfileNeighborIndex, find_similar_users_indexe
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import InteractionKind
+from repro.core.scoring import available_backends
+from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig, find_similar_users
 
 from tests.conftest import make_item
@@ -235,6 +238,81 @@ class TestCandidatePruning:
         index = ProfileNeighborIndex()
         target = build_profile("me", {"books": 1.0})
         assert index.find_similar(target) == []
+
+
+def _indexes(profiles, backend):
+    """The single index and the sharded facade over the same profiles."""
+    return (
+        ProfileNeighborIndex(profiles=profiles, backend=backend),
+        ShardedNeighborIndex(profiles=profiles, num_shards=3, backend=backend),
+    )
+
+
+def _fresh_row_community():
+    """Sub-categories and shared terms, so flattening the target is real work."""
+    profiles = community()
+    profiles["alice"].category("books").subcategory("fiction").terms.set("novel", 0.3)
+    profiles["alice"].category("books").subcategory("fiction").terms.set("saga", 0.7)
+    profiles["bob"].category("electronics").preference = 1.5
+    profiles["bob"].category("electronics").terms.set("laptop", 0.4)
+    profiles["dave"] = build_profile(
+        "dave", {"books": 4.0, "electronics": 2.0}, {"books": {"saga": 0.9, "novel": 0.1}}
+    )
+    return profiles
+
+
+@pytest.mark.parametrize("backend", available_backends())
+class TestFreshRowTarget:
+    """A target that is the index's own up-to-date row is read from the row;
+    any other target is flattened on the spot.  Same pairs, same floats."""
+
+    def test_own_row_answers_exactly_like_a_detached_copy(self, backend, monkeypatch):
+        profiles = _fresh_row_community()
+        flattened = []
+        flatten = Profile.flattened_terms
+        monkeypatch.setattr(
+            Profile,
+            "flattened_terms",
+            lambda self: flattened.append(self) or flatten(self),
+        )
+        for index in _indexes(list(profiles.values()), backend):
+            index.sync()
+            for target in profiles.values():
+                for category in (None, "books", "electronics", "toys"):
+                    del flattened[:]
+                    from_row = index.find_similar(target, category=category)
+                    # only the shards that do not hold the target's row flatten it
+                    assert flattened == [target] * (getattr(index, "num_shards", 1) - 1)
+                    detached = copy.deepcopy(target)
+                    assert index.find_similar(detached, category=category) == from_row
+                    assert detached in flattened
+                    assert from_row == find_similar_users(
+                        target, profiles.values(), index.config, category=category
+                    )
+
+    def test_an_unstamped_edit_shows_only_after_invalidate(self, backend):
+        """Editing a profile in place without the learner moves no stamp:
+        the row is stale, and so is the target side read from it, until
+        ``invalidate`` — after which both sides of every query see the edit."""
+        for index_number in range(2):
+            profiles = _fresh_row_community()
+            index = _indexes(list(profiles.values()), backend)[index_number]
+            alice, bob = profiles["alice"], profiles["bob"]
+            before = {name: index.find_similar(profiles[name]) for name in profiles}
+
+            alice.category("books").terms.set("laptop", 3.0)
+            alice.category("books").subcategory("fiction").terms.set("saga", 0.0)
+            alice.category("books").preference = 0.5
+            assert index.find_similar(alice) == before["alice"]
+            assert index.find_similar(bob) == before["bob"]
+
+            index.invalidate("alice")
+            for name, target in profiles.items():
+                answer = index.find_similar(target)
+                assert answer == find_similar_users(target, profiles.values(), index.config)
+                assert answer == index.find_similar(copy.deepcopy(target))
+            assert index.find_similar(alice) != before["alice"]
+            assert index.find_similar(bob) != before["bob"]
 
 
 class TestHelperFunction:
