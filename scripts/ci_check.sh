@@ -23,10 +23,16 @@ echo "==         tests/unit/test_wire_value.py — only frozen classes   =="
 echo "==         cross a hop by reference —,                           =="
 echo "==         tests/property/test_content_pass.py — the content     =="
 echo "==         pass over the profile's categories equals the whole-  =="
-echo "==         catalogue pass — and                                  =="
+echo "==         catalogue pass —,                                     =="
 echo "==         tests/unit/test_recommendation_allocation.py — a      =="
 echo "==         Recommendation is built per item returned, not per    =="
-echo "==         item considered)                                      =="
+echo "==         item considered —,                                    =="
+echo "==         tests/property/test_incremental_refresh.py — an       =="
+echo "==         incremental batch refresh equals a from-scratch one —,=="
+echo "==         tests/property/test_replica_reads.py — a replica's    =="
+echo "==         fed index equals brute force after any WAL sequence — =="
+echo "==         and tests/property/test_snapshot_size.py — a          =="
+echo "==         snapshot's summed wire size equals len(repr(state)))  =="
 python -m pytest -x -q --durations=20 tests --ignore=tests/property/test_sharding.py
 
 echo "== tier-1: sharding equivalence property suite =="

@@ -98,16 +98,16 @@ class AgentHybridRecommender(Recommender):
     # -- similar users ----------------------------------------------------------
 
     def prepare_batch(self, user_ids: Sequence[str]) -> None:
-        """Warm one shared neighbour lookup for a batch of ``recommend`` calls.
+        """Answer a batch's category-free neighbour queries before its
+        ``recommend`` calls and memoize them.
 
-        Runs the whole batch's category-free neighbour queries through
-        :meth:`ProfileNeighborIndex.find_similar_many` — one index sync, one
-        vectorized pass per shard — and memoizes the answers.
-        ``similar_users`` serves from the memo only while (a) the index's
-        mutation counter still matches the post-warm-up stamp after a fresh
-        ``sync()`` and (b) the consumer's own profile stamp is unchanged, so
-        a write landing mid-batch falls back to a live query and the batch
-        output stays byte-identical to per-user ``recommend`` calls.
+        One :meth:`ProfileNeighborIndex.find_similar_many`: one index sync,
+        then one query per consumer.  ``similar_users`` serves from the memo
+        only while (a) the index's mutation counter still matches the
+        post-warm-up stamp after a fresh ``sync()`` and (b) the consumer's
+        own profile stamp is unchanged, so a write landing mid-batch falls
+        back to a live query and the batch output stays byte-identical to
+        per-user ``recommend`` calls.
         """
         self._batch_neighbours = {}
         self._batch_stamp = None

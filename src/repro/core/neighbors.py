@@ -389,13 +389,9 @@ class ProfileNeighborIndex:
         category: Optional[str] = None,
         config: Optional[SimilarityConfig] = None,
     ) -> List[List[Tuple[str, float]]]:
-        """Batch variant of :meth:`find_similar`, one result list per target.
-
-        Results are exactly what per-target :meth:`find_similar` calls would
-        return; the win is amortization — one provider reconcile and (for the
-        numpy backend) one block repack warm the index for the whole batch
-        instead of being re-checked per consumer.
-        """
+        """One :meth:`find_similar` result list per target, in order: exactly
+        the per-target calls, made after one ``sync()`` — which leaves a
+        hooked index nothing to reconcile inside them."""
         self.sync()
         return [
             self.find_similar(target, category=category, config=config)

@@ -14,7 +14,7 @@ from repro.core.cross_sell import CrossSellRecommender
 from repro.core.hybrid import AgentHybridRecommender
 from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.items import Item, ItemCatalogView
-from repro.core.neighbors import ProfileNeighborIndex
+from repro.core.neighbors import ProfileNeighborIndex, _version_of as _profile_stamp
 from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommender
 from repro.core.profile import Profile
 from repro.core.profile_learning import ProfileLearner
@@ -108,10 +108,15 @@ class RecommendationService:
             ratings=user_db.ratings,
             fallback=self.popularity,
         )
-        # user_id -> (the k it was refreshed at, the refreshed list)
-        self._batch_cache: Dict[str, Tuple[int, List[Recommendation]]] = {}
+        # user_id -> ((k, inputs stamp, profile stamp) — see batch_refresh —
+        # it was refreshed under, the refreshed list)
+        self._batch_cache: Dict[str, Tuple[Tuple, List[Recommendation]]] = {}
+        self._refreshed_membership: Optional[int] = None
         self._invalidation_enabled = False
         self.cache_invalidations = 0
+        #: Consumers all refreshes recomputed / answered from a valid entry.
+        self.refresh_recomputed = 0
+        self.refresh_unchanged = 0
         self.last_batch_refresh_at: Optional[float] = None
 
     def recommend(
@@ -129,18 +134,46 @@ class RecommendationService:
     def batch_refresh(
         self, user_ids: Iterable[str], k: int = 10
     ) -> Dict[str, List[Recommendation]]:
-        """Recompute and cache recommendation lists for a set of consumers.
+        """Bring the cached lists of ``user_ids`` up to date and return them.
 
-        The cache feeds :meth:`cached_recommendations` (e.g. instant lists on
-        login); on-demand :meth:`recommend` calls always compute fresh.
+        Equals ``recommend_many(user_ids, k)`` (call that to have everything
+        recomputed) but recomputes only the consumers whose entry is missing
+        or was made under another ``(k, inputs stamp, profile stamp)``.  The
+        inputs stamp, read after one ``neighbor_index.sync()``, covers all
+        that ``recommend`` reads on a server: profiles and membership reach
+        the index's monotone ``mutations`` counter (learner hook or
+        ``profiles_version`` reconcile → re-index / drop); ratings, purchases
+        and the popularity fallback hang off ``RatingsStore.revision``; the
+        catalogue view is add-only over frozen items.  The consumer's own
+        profile stamp is the hybrid memo's per-target guard: a profile edited
+        behind the index is still flattened fresh as a *target*.  The cache
+        feeds :meth:`cached_recommendations` (instant lists on login);
+        on-demand :meth:`recommend` calls always compute fresh.
         """
-        results = self.recommend_many(user_ids, k=k)
-        # Cache copies: callers may reorder/extend the returned lists freely
-        # without corrupting what cached_recommendations serves later.
-        for user_id, recs in results.items():
-            self._batch_cache[user_id] = (k, list(recs))
+        index, db, cache = self.neighbor_index, self.user_db, self._batch_cache
+        index.sync()
+        stamp = (index.mutations, db.ratings.revision, len(self.catalog))
+        if db.profiles_version() != self._refreshed_membership:
+            # Consumers that left (handed back, migrated) leave no list behind.
+            self._refreshed_membership = db.profiles_version()
+            for user_id in [u for u in cache if not db.is_registered(u)]:
+                self.invalidate_cached(user_id)
+        validity, stale = {}, []
+        for user_id in dict.fromkeys(user_ids):
+            profile = self.hybrid.profile_of(user_id)
+            valid = validity[user_id] = (
+                k, stamp, None if profile is None else _profile_stamp(profile)
+            )
+            if user_id not in cache or cache[user_id][0] != valid:
+                stale.append(user_id)
+        if stale or not validity:  # an empty request still gets its k checked
+            for user_id, recs in self.recommend_many(stale, k=k).items():
+                cache[user_id] = (validity[user_id], recs)
+        self.refresh_recomputed += len(stale)
+        self.refresh_unchanged += len(validity) - len(stale)
         self.last_batch_refresh_at = self.now()
-        return results
+        # Copies: what cached_recommendations serves later is not the caller's.
+        return {user_id: list(cache[user_id][1]) for user_id in validity}
 
     def cached_recommendations(
         self, user_id: str, k: Optional[int] = None
@@ -153,7 +186,7 @@ class RecommendationService:
         is not a prefix/extension guarantee this cache is willing to make.
         """
         cached = self._batch_cache.get(user_id)
-        if cached is None or (k is not None and cached[0] != k):
+        if cached is None or (k is not None and cached[0][0] != k):
             return None
         return list(cached[1])
 

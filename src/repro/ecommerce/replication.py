@@ -87,7 +87,8 @@ replicas — without a single read against the dead host's memory.
   A truncation costs one dump per consumer written since the previous one
   (at most ``threshold`` + the tail of one tick — not the population) plus
   one shallow copy of the ``user id → dump`` map; only the first truncation
-  of a server dumps everybody.
+  of a server dumps everybody.  Shipping a snapshot costs one ``repr`` per
+  dump no earlier shipment sized: the re-dumped consumers, not everybody.
 """
 
 from __future__ import annotations
@@ -162,10 +163,18 @@ class ReplicationSnapshot:
     seq: int
     timestamp: float
     state: Dict[str, Dict[str, Any]]
+    #: user id → that dump's term of the wire size, once a shipment sized it.
+    sizes: Dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def payload_bytes(self) -> int:
-        """Deterministic wire-size estimate used to charge the network."""
-        return SNAPSHOT_OVERHEAD_BYTES + len(repr(self.state))
+        """Deterministic wire-size estimate used to charge the network:
+        the overhead + ``len(repr(state))`` to the byte, as ``{}`` + a
+        ``key: dump`` term per consumer (sized once) + ``, `` between them."""
+        sizes = self.sizes  # ⊆ state: a capture drops what it re-dumps or removes
+        for user_id in self.state.keys() - sizes.keys():
+            sizes[user_id] = len(repr(user_id)) + 2 + len(repr(self.state[user_id]))
+        separators = 2 * max(len(sizes) - 1, 0)
+        return SNAPSHOT_OVERHEAD_BYTES + 2 + sum(sizes.values()) + separators
 
 
 class ReplicationLog:
@@ -256,32 +265,27 @@ class ReplicaState:
         self.primary = primary
         self.applied_seq = 0
         self.db = UserDB()
-        # Lazily built neighbor index over the shadow profiles, so degraded /
-        # hedged reads answered from this replica stop brute-forcing the
-        # whole shadow community per query (see neighbor_index()).
+        # What degraded / hedged reads search; see neighbor_index().
         self._neighbor_index: Optional[ProfileNeighborIndex] = None
         self._neighbor_backend: Optional[str] = None
 
     def neighbor_index(self, backend: str = DEFAULT_BACKEND) -> ProfileNeighborIndex:
         """A :class:`ProfileNeighborIndex` over this replica's shadow profiles.
 
-        Built on first use and kept in sync through the shadow UserDB's
-        provider/version-stamp reconcile: WAL applies replace whole profile
-        objects (``store-profile``), so a query after a batch of applies
-        re-indexes exactly the consumers whose profiles changed — lazily, at
-        query time, never per WAL entry.  Answers are byte-identical to
-        brute-forcing ``find_similar_users`` over ``db.profiles()`` (the PR 1
-        equivalence guarantee), which is what degraded reads did before.
+        Built on first use and *fed*, not provided: the shadow DB changes only
+        in :meth:`_apply` and :meth:`bootstrap`, so an applied ``register`` /
+        ``store-profile`` marks that consumer dirty, ``unregister`` removes
+        it, and a read's ``sync()`` re-indexes exactly the consumers whose
+        profiles changed since the last read — O(dirty), lazily at query
+        time; an apply costs a ``None`` check while no index exists.
+        Answers are byte-identical to brute-forcing ``find_similar_users``
+        over ``db.profiles()`` (the PR 1 equivalence guarantee).
         :meth:`bootstrap` swaps the shadow DB wholesale, so it drops the
         index; the next read rebuilds against the restored state.
         """
         index = self._neighbor_index
         if index is None or self._neighbor_backend != backend:
-            index = ProfileNeighborIndex(
-                provider=self.db.profiles,
-                provider_version=self.db.profiles_version,
-                backend=backend,
-            )
+            index = ProfileNeighborIndex(profiles=self.db.profiles(), backend=backend)
             self._neighbor_index = index
             self._neighbor_backend = backend
         return index
@@ -334,16 +338,24 @@ class ReplicaState:
 
     def _apply(self, entry: ReplicationLogEntry) -> None:
         payload = entry.payload
+        index = self._neighbor_index
         if entry.op == "register":
             self.db.register(
                 payload["user_id"],
                 payload.get("display_name", ""),
                 timestamp=payload.get("timestamp", 0.0),
             )
+            if index is not None:
+                index.on_profile_update(self.db.profile(payload["user_id"]))
         elif entry.op == "unregister":
             self.db.unregister(payload["user_id"])
+            if index is not None:
+                index.remove(payload["user_id"])
         elif entry.op == "store-profile":
-            self.db.store_profile(Profile.from_dict(payload["profile"]))
+            profile = Profile.from_dict(payload["profile"])
+            self.db.store_profile(profile)
+            if index is not None:
+                index.on_profile_update(profile)
         elif entry.op == "interaction":
             self.db.record_interaction(payload["interaction"])
         elif entry.op == "transaction":
@@ -622,16 +634,18 @@ class ReplicationManager:
         counts as touched.  Nothing durable changes without a WAL entry, so
         the result equals a dump of every consumer — at the cost of the
         touched ones.  A pure read: the previous snapshot's ``state`` is
-        copied, never written, its dumps are shared, and the touched set is
-        consumed only where :meth:`maybe_truncate` installs the result.
+        copied, never written, its dumps (and their sizes) are shared, and the
+        touched set is consumed only where :meth:`maybe_truncate` installs it.
         """
         db = self.server.user_db
         state: Dict[str, Dict[str, Any]]
         if self.snapshot is None:
-            state, touched = {}, db.user_ids
+            state, sizes, touched = {}, {}, db.user_ids
         else:
-            state, touched = dict(self.snapshot.state), sorted(self._touched)
+            state, sizes = dict(self.snapshot.state), dict(self.snapshot.sizes)
+            touched = sorted(self._touched)
         for user_id in touched:
+            sizes.pop(user_id, None)
             if not db.is_registered(user_id):
                 state.pop(user_id, None)
                 continue
@@ -649,6 +663,7 @@ class ReplicationManager:
             seq=self.log.last_seq,
             timestamp=self.server.context.now,
             state=state,
+            sizes=sizes,
         )
 
     def maybe_truncate(self) -> int:
