@@ -17,8 +17,7 @@ The **scoring-kernel trajectory** runs the same indexed search through the
 vectorized ``numpy`` kernel (when importable), equivalence-checked at every
 population size and timed up to 50 000 consumers in full mode.  The
 trajectory is checked in as ``BENCH_neighbors_scaling.json`` — a byte-reproducible ``deterministic``
-block (score checksums, skip counts; regenerated and compared by CI at
-smoke sizes) plus a ``measured`` block recording the full-mode timings
+block (score checksums; regenerated and compared by CI at smoke sizes) plus a ``measured`` block recording the full-mode timings
 (wall-clock, so recorded once, validated by invariants rather than
 re-timed).  Regenerate with ``REPRO_BENCH_FULL=1 python
 benchmarks/bench_neighbors_scaling.py`` after an intentional change.
@@ -34,7 +33,6 @@ import pytest
 
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.scoring import available_backends, numpy_available
-from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig, find_similar_users
 from repro.experiments.harness import ExperimentResult, build_standard_dataset
 
@@ -68,15 +66,6 @@ DICT_REQUIRED_SPEEDUP_VS_BRUTE = 15.0
 REQUIRED_SPEEDUP = 5.0
 #: How many (target, category) queries are averaged per measurement.
 QUERIES = 6
-#: Shard counts swept by the sharded-index benchmark.
-SHARD_SWEEP = (1, 2, 4, 8)
-#: Routing strategies checked for equivalence (timings reported for both).
-SWEEP_ROUTINGS = ("hash", "category")
-#: Minimum best-sharded-config speedup over brute force, asserted even in
-#: smoke mode: the margin is enormous (the index alone is ~20x), so a 2x bar
-#: holds comfortably on a loaded CI runner while still catching a broken
-#: fan-out/merge path that silently fell back to quadratic work.
-SHARDED_MIN_SPEEDUP_VS_BRUTE = 2.0
 
 
 def _build_profiles(consumers: int):
@@ -161,108 +150,6 @@ def run_scaling_experiment(population_sizes=POPULATION_SIZES) -> ExperimentResul
     return result
 
 
-def run_shard_sweep_experiment(
-    consumers=POPULATION_SIZES[-1],
-    shard_counts=SHARD_SWEEP,
-    routings=SWEEP_ROUTINGS,
-) -> ExperimentResult:
-    """Sharded vs single-index vs brute-force latency across shard counts.
-
-    Every configuration is asserted byte-for-byte equal to the brute-force
-    ranking before its timing is recorded.  The single index runs in its
-    PR-1 configuration (no early termination); each shard of the sharded
-    index runs with the Cauchy-Schwarz norm-bound candidate skipping on,
-    which is where a sharded configuration gets to beat the monolithic index
-    on the same total work.
-    """
-    result = ExperimentResult(
-        name="neighbor-shard-sweep",
-        description="sharded vs single-index similar-user search latency",
-    )
-    config = SimilarityConfig(top_k=10)
-    dataset, profiles = _build_profiles(consumers)
-    plan = _query_plan(dataset, profiles)
-
-    brute_ms = 0.0
-    brute_results = []
-    for target, category in plan:
-        neighbours, elapsed = _timed(
-            lambda t=target, c=category: find_similar_users(
-                t, profiles.values(), config, category=c
-            )
-        )
-        brute_results.append(neighbours)
-        brute_ms += elapsed
-    brute_avg = brute_ms / len(plan)
-
-    single = ProfileNeighborIndex(provider=profiles.values, config=config)
-    _, single_build_ms = _timed(single.sync)
-    single_ms = 0.0
-    for position, (target, category) in enumerate(plan):
-        neighbours, elapsed = _timed(
-            lambda t=target, c=category: single.find_similar(t, category=c)
-        )
-        single_ms += elapsed
-        assert neighbours == brute_results[position]
-    single_avg = single_ms / len(plan)
-    result.add_row(
-        configuration="single-index",
-        shards=1,
-        routing="-",
-        query_ms=round(single_avg, 3),
-        build_ms=round(single_build_ms, 3),
-        speedup_vs_brute=round(brute_avg / single_avg, 1) if single_avg > 0 else float("inf"),
-        speedup_vs_index=1.0,
-        bound_skips=0,
-    )
-
-    for routing in routings:
-        for shards in shard_counts:
-            index = ShardedNeighborIndex(
-                provider=profiles.values,
-                config=config,
-                num_shards=shards,
-                routing=routing,
-            )
-            _, build_ms = _timed(index.sync)
-            sharded_ms = 0.0
-            for position, (target, category) in enumerate(plan):
-                neighbours, elapsed = _timed(
-                    lambda t=target, c=category: index.find_similar(t, category=c)
-                )
-                sharded_ms += elapsed
-                assert neighbours == brute_results[position], (
-                    f"sharded search diverged from brute force at {consumers} "
-                    f"consumers (shards={shards}, routing={routing!r}, "
-                    f"target={target.user_id!r}, category={category!r})"
-                )
-            sharded_avg = sharded_ms / len(plan)
-            result.add_row(
-                configuration=f"sharded[{routing}]",
-                shards=shards,
-                routing=routing,
-                query_ms=round(sharded_avg, 3),
-                build_ms=round(build_ms, 3),
-                speedup_vs_brute=round(brute_avg / sharded_avg, 1)
-                if sharded_avg > 0
-                else float("inf"),
-                speedup_vs_index=round(single_avg / sharded_avg, 2)
-                if sharded_avg > 0
-                else float("inf"),
-                bound_skips=index.bound_skips,
-            )
-    result.add_note(
-        f"population: {consumers} consumers; brute force averages "
-        f"{round(brute_avg, 3)}ms per query"
-    )
-    result.add_note(
-        "each shard runs Cauchy-Schwarz norm-bound early termination; the "
-        "single index runs the PR-1 configuration without it"
-    )
-    result.add_note(f"mode: {'full' if FULL_MODE else 'smoke'} (REPRO_BENCH_FULL=1 for full)")
-    return result
-
-
 def test_neighbor_index_scaling(experiment_reporter):
     result = run_scaling_experiment()
     experiment_reporter(result)
@@ -281,79 +168,6 @@ def test_neighbor_index_scaling(experiment_reporter):
         )
         # The advantage must not collapse as the population grows.
         assert min(speedups) > 1.0
-
-
-def test_shard_sweep(experiment_reporter):
-    """Equivalence always; speedup bars scaled to the mode.
-
-    Smoke: the best sharded configuration must beat brute force by
-    :data:`SHARDED_MIN_SPEEDUP_VS_BRUTE` (a deliberately low bar — the real
-    margin is an order of magnitude — so CI never flakes on a loaded runner).
-    Full (5k consumers): at least one sharded configuration must also beat
-    the monolithic single-index path outright, which is the acceptance bar
-    for the norm-bound early termination paying for the fan-out/merge.
-    """
-    result = run_shard_sweep_experiment()
-    experiment_reporter(result)
-
-    sharded_rows = [row for row in result.rows if row["configuration"] != "single-index"]
-    assert sharded_rows, "sweep produced no sharded configurations"
-    best_vs_brute = max(row["speedup_vs_brute"] for row in sharded_rows)
-    assert best_vs_brute >= SHARDED_MIN_SPEEDUP_VS_BRUTE, (
-        f"best sharded configuration must be ≥{SHARDED_MIN_SPEEDUP_VS_BRUTE}x "
-        f"faster than brute force, measured {best_vs_brute}x"
-    )
-    # The norm bound must actually be skipping dot products somewhere.
-    assert any(row["bound_skips"] > 0 for row in sharded_rows)
-    if FULL_MODE:
-        best_vs_index = max(row["speedup_vs_index"] for row in sharded_rows)
-        assert best_vs_index > 1.0, (
-            "at the full 5k-consumer run at least one sharded configuration "
-            f"must beat the single-index path, best measured {best_vs_index}x"
-        )
-
-
-def test_tight_term_bound_skips_no_fewer(experiment_reporter):
-    """The Hölder-tightened term bound must only ever skip *more* candidates.
-
-    Runs the same query plan through two early-terminating indexes — one
-    with the plain Cauchy-Schwarz ceiling (term cosine bounded by 1), one
-    with the cached L1/L-inf Hölder tightening — and asserts identical
-    rankings with a skip count that does not decrease.  Part of the CI
-    smoke: a regression that loosens the bound (or breaks its correctness)
-    fails here before it costs query latency in production configurations.
-    """
-    dataset, profiles = _build_profiles(POPULATION_SIZES[0])
-    config = SimilarityConfig(top_k=10)
-    plan = _query_plan(dataset, profiles)
-
-    def run(tight: bool):
-        index = ProfileNeighborIndex(
-            provider=profiles.values,
-            config=config,
-            early_termination=True,
-            tight_term_bound=tight,
-        )
-        index.sync()
-        rankings = [
-            index.find_similar(target, category=category)
-            for target, category in plan
-        ]
-        return rankings, index.bound_skips
-
-    plain_rankings, plain_skips = run(tight=False)
-    tight_rankings, tight_skips = run(tight=True)
-    assert tight_rankings == plain_rankings, (
-        "the tightened term bound changed a ranking — it must be score-identical"
-    )
-    assert tight_skips >= plain_skips, (
-        f"tight bound skipped {tight_skips} candidates, fewer than the plain "
-        f"Cauchy-Schwarz bound's {plain_skips}"
-    )
-    print(
-        f"\nnorm-bound skips over {len(plan)} queries at "
-        f"{POPULATION_SIZES[0]} consumers: plain={plain_skips} tight={tight_skips}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,50 +207,22 @@ def run_kernel_point(consumers: int):
     dataset, profiles = _build_profiles(consumers)
     plan = _kernel_query_plan(dataset, profiles)
 
-    # Pass 1 — determinism + equivalence, early termination ON: rankings,
-    # float bit patterns and Cauchy-Schwarz/Hölder skip decisions must be
-    # identical across every available backend.
+    # Determinism + equivalence, then steady-state timing: each backend's
+    # first pass (untimed; it warms the caches) must equal the dict
+    # reference's rankings and float bit patterns, then the timed rounds run.
     rankings = {}
-    skips = {}
-    for backend in available_backends():
-        index = ProfileNeighborIndex(
-            provider=profiles.values,
-            config=config,
-            early_termination=True,
-            backend=backend,
-        )
-        index.sync()
-        rankings[backend] = [
-            index.find_similar(target, category=category)
-            for target, category in plan
-        ]
-        skips[backend] = index.bound_skips
-
-    for backend in available_backends()[1:]:
-        assert rankings[backend] == rankings["dict"], (
-            f"{backend} kernel diverged from the dict reference at "
-            f"{consumers} consumers"
-        )
-        assert skips[backend] == skips["dict"], (
-            f"{backend} kernel made different skip decisions at "
-            f"{consumers} consumers: {skips[backend]} != {skips['dict']}"
-        )
-
-    # Pass 2 — steady-state timing on the PR-2 indexed configuration (no
-    # early termination: the trajectory measures raw scoring throughput).
-    # One warm pass (also equivalence-checked), then the timed rounds.
     timings = {}
     for backend in available_backends():
         index = ProfileNeighborIndex(
             provider=profiles.values, config=config, backend=backend
         )
         index.sync()
-        warm = [
+        rankings[backend] = [
             index.find_similar(target, category=category)
             for target, category in plan
         ]
-        assert warm == rankings["dict"], (
-            f"{backend} kernel diverged on the timing pass at "
+        assert rankings[backend] == rankings["dict"], (
+            f"{backend} kernel diverged from the dict reference at "
             f"{consumers} consumers"
         )
         total_ms = 0.0
@@ -466,7 +252,6 @@ def run_kernel_point(consumers: int):
     deterministic_row = {
         "consumers": consumers,
         "queries": len(plan),
-        "bound_skips": skips["dict"],
         "score_checksum": _ranking_checksum(rankings["dict"]),
     }
     numpy_ms = timings.get("numpy")
@@ -501,8 +286,7 @@ def run_kernel_trajectory(sizes=KERNEL_SIZES):
         measured.append(meas_row)
         result.add_row(**{**det_row, **meas_row})
     result.add_note(
-        "both kernels run the same early-terminating index; equivalence "
-        "(rankings, float bit patterns, skip counts) is asserted per point"
+        "equivalence (rankings, float bit patterns) is asserted per point"
     )
     result.add_note(
         f"numpy available: {numpy_available()} "
@@ -523,7 +307,6 @@ def generate_kernel_payload() -> dict:
             "top_k": 10,
             "queries": QUERIES,
             "dataset_seed": 37,
-            "early_termination": True,
         },
         "deterministic": {
             "sizes": list(KERNEL_SMOKE_SIZES),
@@ -558,7 +341,7 @@ def test_kernel_trajectory_equivalence(experiment_reporter):
 
 def test_artifact_deterministic_block_matches_regeneration():
     """The checked-in deterministic block must reproduce byte for byte —
-    scores, skip counts and checksums are seeded, so any drift is a real
+    scores and checksums are seeded, so any drift is a real
     scoring change (regenerate with REPRO_BENCH_FULL=1 python
     benchmarks/bench_neighbors_scaling.py if intentional)."""
     payload = json.loads(ARTIFACT.read_text())

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: full test suite + the neighbor-index benchmark smoke runs.
+# Tier-1 CI gate: the whole test suite in one leg, the numpy-hidden backend
+# leg, the benchmark smokes, the wall-clock ledger digests, the examples and
+# the scenario smokes.
 #
 # Usage: scripts/ci_check.sh
 #
 # The benchmarks run in smoke mode (small populations, <10s total) but still
-# assert brute-force equivalence for the indexed AND sharded paths plus a
-# minimum sharded-vs-brute speedup; export REPRO_BENCH_FULL=1 to run the
-# 5000-consumer scaling + shard-sweep check instead (where the wall-clock
-# bars of benchmarks/bench_neighbors_scaling.py are enforced too).
+# assert brute-force equivalence of the indexed path; export
+# REPRO_BENCH_FULL=1 to run the 5000-consumer scaling check instead (where
+# the wall-clock bars of benchmarks/bench_neighbors_scaling.py are enforced
+# too).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,16 +29,16 @@ echo "==         catalogue pass —,                                     =="
 echo "==         tests/unit/test_recommendation_allocation.py — a      =="
 echo "==         Recommendation is built per item returned, not per    =="
 echo "==         item considered —,                                    =="
+echo "==         tests/property/test_partitioned_search.py — hash-     =="
+echo "==         placed partitions merged by merge_topk equal one      =="
+echo "==         index over everyone —,                                =="
 echo "==         tests/property/test_incremental_refresh.py — an       =="
 echo "==         incremental batch refresh equals a from-scratch one —,=="
 echo "==         tests/property/test_replica_reads.py — a replica's    =="
 echo "==         fed index equals brute force after any WAL sequence — =="
 echo "==         and tests/property/test_snapshot_size.py — a          =="
 echo "==         snapshot's summed wire size equals len(repr(state)))  =="
-python -m pytest -x -q --durations=20 tests --ignore=tests/property/test_sharding.py
-
-echo "== tier-1: sharding equivalence property suite =="
-python -m pytest -x -q tests/property/test_sharding.py
+python -m pytest -x -q --durations=20 tests
 
 echo "== tier-1 (numpy hidden): backend selection + index suites under =="
 echo "==   REPRO_NO_NUMPY=1 — the first leg already scores through the  =="
@@ -45,19 +47,19 @@ REPRO_NO_NUMPY=1 python -m pytest -x -q \
   tests/property/test_scoring_kernel.py \
   tests/property/test_elastic_byte_identity.py \
   tests/property/test_neighbor_index.py \
-  tests/property/test_sharding.py \
   tests/unit/test_neighbors.py
 
-echo "== tier-1: benchmark smoke (neighbor index scaling + shard sweep =="
-echo "==         + scoring-kernel trajectory: deterministic block must =="
-echo "==         regenerate byte-for-byte, recorded full-mode timings  =="
-echo "==         must hold the dict-vs-brute acceptance floor)         =="
+echo "== tier-1: benchmark smoke (neighbor index scaling + scoring-  =="
+echo "==         kernel trajectory: deterministic block must        =="
+echo "==         regenerate byte-for-byte, recorded full-mode       =="
+echo "==         timings must hold the dict-vs-brute floor)         =="
 python -m pytest -x -q benchmarks/bench_neighbors_scaling.py
 
 echo "== tier-1: benchmark smoke (concurrent load + artifact reproduction) =="
 python -m pytest -x -q benchmarks/bench_concurrent_load.py
 
-echo "== tier-1: benchmark smoke (saturation sweep + artifact reproduction) =="
+echo "== tier-1: benchmark smoke (saturation sweep: artifact reproduction, =="
+echo "==         goodput knee, closed taxonomy, shed/rejected agreement)   =="
 python -m pytest -x -q benchmarks/bench_saturation_sweep.py
 
 echo "== tier-1: benchmark smoke (elastic fleet + artifact reproduction) =="
@@ -181,37 +183,6 @@ assert lat["count"] == d["latency_ms"]["count"], lat
 print("concurrent_day smoke: OK —", d["requests"], "requests,",
       f"shed {report.shed_rate:.1%}, queue p95 {d['queue_wait_ms']['p95']:.0f}ms,",
       f"latency p95 {d['latency_ms']['p95']:.0f}ms")
-PY
-
-echo "== tier-1: saturation-sweep smoke (goodput knee, closed taxonomy, =="
-echo "==         shed/rejected agreement across every sweep point)      =="
-python - <<'PY'
-import json
-from pathlib import Path
-
-from repro.api import ApiStatus
-
-payload = json.loads(Path("benchmarks/BENCH_saturation_sweep.json").read_text())
-loads = payload["offered_loads_per_ms"]
-assert loads == sorted(loads) and len(loads) >= 3, loads
-for name, config in sorted(payload["configs"].items()):
-    points = config["points"]
-    assert [p["offered_load_per_ms"] for p in points] == loads, name
-    goodputs = [p["goodput_per_s"] for p in points]
-    # Goodput rises monotonically until the saturation knee; past it the
-    # curve may flatten or fall but never resumes climbing to a new peak.
-    knee = goodputs.index(max(goodputs))
-    for left, right in zip(goodputs[:knee], goodputs[1:knee + 1]):
-        assert right >= left, (name, goodputs)
-    for point in points:
-        assert set(point["statuses"]) <= set(ApiStatus.ALL), (name, point)
-        assert point["statuses"].get(ApiStatus.REJECTED, 0) == point["shed"], (
-            name, point)
-        assert point["completed"] + point["shed"] == point["requests"], (
-            name, point)
-    print(f"saturation smoke: {name}: knee at "
-          f"{loads[knee]}/ms, peak goodput {max(goodputs):.0f}/s, "
-          f"top-load shed {points[-1]['shed']}")
 PY
 
 echo "== tier-1: flash-crowd smoke (autoscaler must scale out on the spike, =="

@@ -24,19 +24,19 @@ cross-selling) and the evaluation metrics used by the benchmark harness.
 **Scaling architecture.**  The similarity search is the mechanism's hot path,
 so it exists in two score-identical forms: the brute-force reference scan
 (:func:`repro.core.similarity.find_similar_users`) and the indexed path
-(:mod:`repro.core.neighbors`), which precomputes per-profile norms and
-flattened term vectors, prunes discard-rule failures with per-category sorted
-preference windows before scoring, and is invalidated incrementally by
+(:mod:`repro.core.neighbors`), which keeps per-profile norms and flattened
+term vectors, scores every indexed consumer in one kernel block
+(:mod:`repro.core.scoring`), applies the discard rule to the few rows that
+can reach the top-k, and is invalidated incrementally by
 :class:`~repro.core.profile_learning.ProfileLearner` update hooks.  Batch
 serving rides on top: :meth:`RecommendationEngine.recommend_many` serves every
 consumer through the unchanged single-user path, so batch output always
 equals per-user output; shared state (the neighbor index, the collaborative
 filtering user-vector cache) is stamp-cached, warmed once by the first
-consumer and reused across the batch.  :mod:`repro.core.sharding` partitions
-the index itself: consumers are routed to one of N shards (consumer hash or
-dominant category), each shard prunes with the Cauchy-Schwarz norm bound, and
-per-shard top-k lists merge into the exact global ranking — the foundation of
-the multi-server buyer agent fleet.
+consumer and reused across the batch.  The community is partitioned only
+across servers: :mod:`repro.core.shard_map` places each consumer on one
+buyer agent server's shard and :func:`~repro.core.shard_map.merge_topk`
+folds the per-server top-k lists into the exact global ranking.
 """
 
 from repro.core.items import Item, ItemCatalogView
@@ -51,13 +51,7 @@ from repro.core.similarity import (
     find_similar_users,
 )
 from repro.core.neighbors import ProfileNeighborIndex, find_similar_users_indexed
-from repro.core.shard_map import ShardMap, ShardMigration, split_membership
-from repro.core.sharding import (
-    ShardRouter,
-    ShardedNeighborIndex,
-    find_similar_users_sharded,
-    merge_topk,
-)
+from repro.core.shard_map import ShardMap, ShardMigration, merge_topk, split_membership
 from repro.core.recommender import Recommendation, Recommender, RecommendationEngine
 from repro.core.collaborative import CollaborativeFilteringRecommender
 from repro.core.information_filtering import InformationFilteringRecommender
@@ -90,9 +84,6 @@ __all__ = [
     "ShardMap",
     "ShardMigration",
     "split_membership",
-    "ShardRouter",
-    "ShardedNeighborIndex",
-    "find_similar_users_sharded",
     "merge_topk",
     "Recommendation",
     "Recommender",

@@ -30,28 +30,12 @@ the same cosine formulas over the same dictionaries (see the property suite in
 
 from __future__ import annotations
 
-import heapq
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
-from repro.core.scoring import (
-    DEFAULT_BACKEND,
-    create_kernel,
-    resolve_backend,
-    term_cosine_ceiling,
-)
+from repro.core.scoring import DEFAULT_BACKEND, create_kernel, resolve_backend
 from repro.core.similarity import (
     SimilarityConfig,
     vector_norm as _norm,
@@ -72,10 +56,6 @@ class _ProfileEntry:
     pref_norm: float
     terms: Dict[str, float]
     term_norm: float
-    #: L1 norm and max absolute weight of the flattened term vector — the
-    #: Hölder-bound inputs for tight early termination.
-    term_l1: float
-    term_max: float
     version: Tuple[int, int, float, int]
 
 
@@ -90,7 +70,7 @@ def _version_of(profile: Profile) -> Tuple[int, int, float, int]:
 
 
 class ProfileNeighborIndex:
-    """Precomputed per-profile caches + category windows for neighbor search.
+    """Precomputed per-profile caches for neighbor search.
 
     The index can be fed two ways:
 
@@ -112,8 +92,6 @@ class ProfileNeighborIndex:
         provider: Optional[ProfilesProvider] = None,
         config: Optional[SimilarityConfig] = None,
         provider_version: Optional[Callable[[], int]] = None,
-        early_termination: bool = False,
-        tight_term_bound: bool = True,
         backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.config = config or SimilarityConfig()
@@ -124,14 +102,7 @@ class ProfileNeighborIndex:
         # tests/property/test_scoring_kernel.py).
         self.backend = resolve_backend(backend)
         self._kernel = create_kernel(self.backend)
-        # Cauchy-Schwarz norm-bound candidate skipping (see find_similar).
-        # Off by default so the index stays a drop-in reference implementation;
-        # the sharded index turns it on inside every shard.
-        self.early_termination = early_termination
-        # With the bound on, additionally tighten the term-cosine ceiling
-        # below 1 via cached L1/L-inf norms (Hölder); ``False`` keeps the
-        # plain Cauchy-Schwarz ceiling for A/B comparison in the benchmarks.
-        self.tight_term_bound = tight_term_bound
+        # Always 0; the frozen ledger reads it (wallclock/harness.py:315) until ROADMAP item 1.
         self.bound_skips = 0
         self._provider = provider
         # When every profile mutation is reported through learner hooks
@@ -144,10 +115,8 @@ class ProfileNeighborIndex:
         self._profiles_by_id: Dict[str, Profile] = {}
         self._dirty: Set[str] = set()
         # category → user → scalar preference value (what the discard rule
-        # reads), and the lazily sorted (value, user) window the
-        # early-termination replay takes its candidate order from.
+        # reads).
         self._category_values: Dict[str, Dict[str, float]] = {}
-        self._sorted_windows: Dict[str, Tuple[List[float], List[str]]] = {}
         self.rebuilds = 0
         self.queries = 0
         # Monotone stamp bumped on every entry (re)index or drop; batch
@@ -165,7 +134,6 @@ class ProfileNeighborIndex:
         self._profiles_by_id.clear()
         self._dirty.clear()
         self._category_values.clear()
-        self._sorted_windows.clear()
         self._kernel.reset()
         for profile in profiles:
             self.add(profile)
@@ -212,19 +180,6 @@ class ProfileNeighborIndex:
     def cached_entry(self, user_id: str) -> Optional[_ProfileEntry]:
         """The raw cached entry of one consumer (for tests/diagnostics)."""
         return self._entries.get(user_id)
-
-    def is_stale(self, profile: Profile) -> bool:
-        """Whether ``profile`` needs re-indexing (absent, dirty or changed).
-
-        Used by reconciling owners (the sharded index) that manage membership
-        themselves instead of handing this index a provider.
-        """
-        entry = self._entries.get(profile.user_id)
-        return (
-            entry is None
-            or profile.user_id in self._dirty
-            or entry.version != _version_of(profile)
-        )
 
     # -- synchronisation ------------------------------------------------------
 
@@ -315,24 +270,6 @@ class ProfileNeighborIndex:
         at or above it are materialised and sorted by ``(-score, user_id)``,
         and the discard rule ``|Tx − Ty| <= tolerance`` is applied to those
         survivors, widening the floor when it leaves fewer than ``top_k``.
-
-        ``early_termination`` does not change the answer or the work above;
-        it additionally replays, in candidate order against a running k-th
-        best score, the skip decisions a per-candidate loop would have made,
-        and counts them in ``bound_skips`` (see :meth:`_replay_bound_skips`).
-        A candidate's score *bound* takes the exact preference cosine and an
-        upper bound on the term cosine from cached norms alone — exactly 0
-        when either norm is 0, else by Cauchy-Schwarz
-        (``dot(t, e) <= ||t||₂·||e||₂``, so at most 1) tightened by Hölder
-        when ``tight_term_bound`` is on:
-        ``dot(t, e) <= min(||t||∞·||e||₁, ||t||₁·||e||∞)``, whose quotient
-        by ``||t||₂·||e||₂`` is below 1 for every vector that is not
-        perfectly concentrated on the aligned term — the per-entry L1 norm
-        and max weight are cached at index time.  The tight bound is
-        inflated by one part in 10⁹ before comparing, and a candidate counts
-        as skipped only when its bound is *strictly* below the k-th best
-        score seen so far, so no candidate that could tie the k-th best is
-        ever counted.
         """
         config = config or self.config
         config.validate()
@@ -343,18 +280,11 @@ class ProfileNeighborIndex:
         if entry is not None and entry.version == _version_of(target):
             target_prefs, pref_norm = entry.prefs, entry.pref_norm
             terms, term_norm = entry.terms, entry.term_norm
-            term_l1, term_max = entry.term_l1, entry.term_max
         else:
             target_prefs = target.preference_vector()
             terms = target.flattened_terms().as_dict()
             pref_norm, term_norm = _norm(target_prefs), _norm(terms)
-            term_l1 = term_max = 0.0
-            if self.early_termination and self.tight_term_bound:
-                abs_weights = [abs(value) for value in terms.values()]
-                term_l1, term_max = sum(abs_weights), max(abs_weights, default=0.0)
-        tq = self._kernel.prepare_target(
-            target_prefs, pref_norm, terms, term_norm, term_l1, term_max
-        )
+        tq = self._kernel.prepare_target(target_prefs, pref_norm, terms, term_norm)
         preference_weight = config.preference_weight
         term_weight = config.term_weight
         block = self._kernel.score_block(
@@ -364,9 +294,6 @@ class ProfileNeighborIndex:
             term_weight,
             preference_weight + term_weight,
         )
-        if self.early_termination:
-            candidates = self._candidate_ids(target_prefs, category, config)
-            self._replay_bound_skips(block, tq, candidates, config, target.user_id)
 
         discard = None
         if category is not None:
@@ -398,121 +325,7 @@ class ProfileNeighborIndex:
             for target in targets
         ]
 
-    # -- scoring ---------------------------------------------------------------
-
-    def _replay_bound_skips(
-        self,
-        block,
-        tq,
-        candidates: Iterable[str],
-        config: SimilarityConfig,
-        exclude_user: str,
-    ) -> None:
-        """Count in ``bound_skips`` what a per-candidate loop would have skipped.
-
-        The kernel has scored every entry and
-        :meth:`~repro.core.scoring.BlockScores.top_pairs` selects the answer
-        from the whole block, so the bound has nothing left to save.  The
-        sequential skip/heap decisions :meth:`find_similar` documents are
-        only replayed over the block, in candidate order, because
-        ``bound_skips`` is a frozen ledger and benchmark metric; ROADMAP
-        item 3 deletes the bound and, with it, this replay,
-        :meth:`_candidate_ids` and :meth:`_window`.
-        """
-        preference_weight = config.preference_weight
-        term_weight = config.term_weight
-        total_weight = preference_weight + term_weight
-        scores = block.scores
-        pref_cosines = block.pref_cosines
-        row_of = block.row_of
-        entries = self._entries
-        tight = self.tight_term_bound
-        top_k = config.top_k
-        # Min-heap of the k best scores seen so far; its root is the score a
-        # candidate must reach to possibly make the final top-k list.
-        best_scores: List[float] = []
-        skips = 0
-        for user_id in candidates:
-            if user_id == exclude_user:
-                continue
-            row = row_of[user_id]
-            score = scores[row]
-            if len(best_scores) < top_k:
-                heapq.heappush(best_scores, score)
-                continue
-            kth_best = best_scores[0]
-            entry = entries[user_id]
-            term_bound = term_cosine_ceiling(
-                tq, entry.term_norm, entry.term_l1, entry.term_max, tight
-            )
-            bound = (
-                preference_weight * pref_cosines[row] + term_weight * term_bound
-            ) / total_weight
-            if bound < kth_best:
-                # Even a perfectly aligned term vector could not lift this
-                # candidate past the current k-th score.
-                skips += 1
-            elif score > kth_best:
-                heapq.heapreplace(best_scores, score)
-        self.bound_skips += skips
-
     # -- internals ------------------------------------------------------------
-
-    def _candidate_ids(
-        self,
-        target_prefs: Dict[str, float],
-        category: Optional[str],
-        config: SimilarityConfig,
-    ) -> Iterable[str]:
-        """Candidates surviving the discard rule, in window order.
-
-        Reached only from :meth:`_replay_bound_skips`, whose ``bound_skips``
-        count this order defines; it goes when ROADMAP item 3 deletes the
-        replay.
-        """
-        if category is None:
-            return list(self._entries)
-
-        tolerance = config.discard_tolerance
-        target_value = target_prefs.get(category, 0.0)
-        members = self._category_values.get(category, {})
-
-        candidates: List[str] = []
-        if members:
-            values, user_ids = self._window(category)
-            # Widen the bisect bounds by one ulp each way, then re-apply the
-            # exact brute-force predicate: the window is a fast pre-filter,
-            # |Tx - Ty| <= tolerance stays the single source of truth.
-            low = math.nextafter(target_value - tolerance, -math.inf)
-            high = math.nextafter(target_value + tolerance, math.inf)
-            start = bisect_left(values, low)
-            stop = bisect_right(values, high)
-            for position in range(start, stop):
-                if abs(target_value - values[position]) <= tolerance:
-                    candidates.append(user_ids[position])
-        if abs(target_value - 0.0) <= tolerance and len(members) < len(self._entries):
-            # Consumers without the category have an implicit preference of
-            # 0.0 and pass the discard rule whenever the target's own value
-            # is within tolerance of zero.
-            candidates.extend(
-                user_id for user_id in self._entries if user_id not in members
-            )
-        return candidates
-
-    def _window(self, category: str) -> Tuple[List[float], List[str]]:
-        """One category's ``(values, user ids)`` sorted by value.
-
-        Reached only from :meth:`_candidate_ids`, i.e. only from the replay.
-        """
-        cached = self._sorted_windows.get(category)
-        if cached is None:
-            pairs = sorted(
-                (value, user_id)
-                for user_id, value in self._category_values[category].items()
-            )
-            cached = ([pair[0] for pair in pairs], [pair[1] for pair in pairs])
-            self._sorted_windows[category] = cached
-        return cached
 
     def _index_profile(self, profile: Profile) -> None:
         user_id = profile.user_id
@@ -521,7 +334,6 @@ class ProfileNeighborIndex:
             self._unlink_categories(old)
         prefs = profile.preference_vector()
         terms = profile.flattened_terms().as_dict()
-        abs_weights = [abs(value) for value in terms.values()]
         entry = _ProfileEntry(
             user_id=user_id,
             profile=profile,
@@ -529,15 +341,12 @@ class ProfileNeighborIndex:
             pref_norm=_norm(prefs),
             terms=terms,
             term_norm=_norm(terms),
-            term_l1=sum(abs_weights),
-            term_max=max(abs_weights, default=0.0),
             version=_version_of(profile),
         )
         self._entries[user_id] = entry
         self._kernel.entry_changed(entry)
         for name, value in prefs.items():
             self._category_values.setdefault(name, {})[user_id] = value
-            self._sorted_windows.pop(name, None)
         self.rebuilds += 1
         self.mutations += 1
 
@@ -555,7 +364,6 @@ class ProfileNeighborIndex:
                 bucket.pop(entry.user_id, None)
                 if not bucket:
                     del self._category_values[name]
-                self._sorted_windows.pop(name, None)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -34,9 +34,8 @@ a single :class:`ScoringKernel` interface with two backends:
   identical to the scalar expressions.
 
 Both backends drop the ``x * 0.0`` products of keys one side lacks.  That can
-only change the sign of a dot that is exactly zero, which neither consumer
-of a cosine can observe: the score ends in ``max(0.0, min(1.0, s))`` and the
-early-termination bound is only ever compared — see
+only change the sign of a dot that is exactly zero, which the score cannot
+observe: it ends in ``max(0.0, min(1.0, s))`` — see
 :meth:`NumpyKernel._side_cosines` for the full argument.
 
 Bit-identity with the brute-force
@@ -50,17 +49,14 @@ score.
 
 The neighbor index takes the block path (:meth:`ScoringKernel.score_block`)
 for every query on both backends; there is no per-candidate scoring loop.
-A :class:`BlockScores` carries every row's score and exact preference cosine
-as bare float lists, and :meth:`BlockScores.top_pairs` selects before it
-materialises: the ``(k + 1)``-th largest score is a floor, and only the rows
-at or above it become ``(user_id, score)`` tuples, meet the discard rule and
-are sorted.  So a ``dict`` query costs one product per shared key (two on a
-side with rows of ``3 <= len < len(target)``), one arithmetic pass over the
-rows, one ``heapq.nlargest`` and one filter — and tuple building, the
-discard predicate and the sort only for about k rows.  Early termination
-cannot save a dot product on a kernel that scores whole blocks, so the
-index only *replays* its skip decisions over the block, computing each
-visited candidate's bound (:func:`term_cosine_ceiling`) on demand.
+A :class:`BlockScores` carries every row's score as a bare float list, and
+:meth:`BlockScores.top_pairs` selects before it materialises: the
+``(k + 1)``-th largest score is a floor, and only the rows at or above it
+become ``(user_id, score)`` tuples, meet the discard rule and are sorted.  So
+a ``dict`` query costs one product per shared key (two on a side with rows of
+``3 <= len < len(target)``), one arithmetic pass over the rows, one
+``heapq.nlargest`` and one filter — and tuple building, the discard
+predicate and the sort only for about k rows.
 
 Backend selection: ``resolve_backend("auto")`` picks numpy when importable
 and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
@@ -85,7 +81,6 @@ __all__ = [
     "available_backends",
     "create_kernel",
     "numpy_available",
-    "term_cosine_ceiling",
     "resolve_backend",
 ]
 
@@ -165,17 +160,10 @@ class TargetState:
     """Per-query prepared view of the target profile's vectors.
 
     Built once by :meth:`ScoringKernel.prepare_target` and handed to
-    :meth:`ScoringKernel.score_block` and :func:`term_cosine_ceiling`.
+    :meth:`ScoringKernel.score_block`.
     """
 
-    __slots__ = (
-        "prefs",
-        "pref_norm",
-        "terms",
-        "term_norm",
-        "term_l1",
-        "term_max",
-    )
+    __slots__ = ("prefs", "pref_norm", "terms", "term_norm")
 
     def __init__(
         self,
@@ -183,34 +171,11 @@ class TargetState:
         pref_norm: float,
         terms: Dict[str, float],
         term_norm: float,
-        term_l1: float = 0.0,
-        term_max: float = 0.0,
     ) -> None:
         self.prefs = prefs
         self.pref_norm = pref_norm
         self.terms = terms
         self.term_norm = term_norm
-        self.term_l1 = term_l1
-        self.term_max = term_max
-
-
-def term_cosine_ceiling(
-    tq: TargetState, term_norm: float, term_l1: float, term_max: float, tight: bool
-) -> float:
-    """Upper bound on the term cosine of ``tq`` with an entry, from norms alone.
-
-    Exactly 0 when either L2 norm is 0, else 1 (Cauchy-Schwarz), tightened
-    when ``tight`` by Hölder both ways round —
-    ``dot(t, e) <= min(||t||∞·||e||₁, ||t||₁·||e||∞)`` — and then inflated
-    by one part in 10⁹, so it stays above the true cosine even after float
-    rounding of the dot and the norms.
-    """
-    if not (tq.term_norm > 0.0 and term_norm > 0.0):
-        return 0.0
-    if not tight:
-        return 1.0
-    holder = min(tq.term_max * term_l1, tq.term_l1 * term_max)
-    return min(1.0, holder / (tq.term_norm * term_norm) * (1.0 + 1e-9))
 
 
 class ScoringKernel:
@@ -241,10 +206,8 @@ class ScoringKernel:
         pref_norm: float,
         terms: Dict[str, float],
         term_norm: float,
-        term_l1: float = 0.0,
-        term_max: float = 0.0,
     ) -> TargetState:
-        return TargetState(prefs, pref_norm, terms, term_norm, term_l1, term_max)
+        return TargetState(prefs, pref_norm, terms, term_norm)
 
     def score_block(
         self,
@@ -258,21 +221,18 @@ class ScoringKernel:
 
 
 class BlockScores:
-    """Every kernel row's score and preference cosine for one target.
+    """Every kernel row's score for one target.
 
-    ``scores`` / ``pref_cosines`` are plain float lists by row, ``row_of``
-    maps a user id to its row.  Rows are the kernel's own numbering: the
-    ``dict`` kernel keeps free rows (user id ``None``, score 0.0) between
-    its live ones.
+    ``user_ids`` / ``scores`` are plain lists by row.  Rows are the kernel's
+    own numbering: the ``dict`` kernel keeps free rows (user id ``None``,
+    score 0.0) between its live ones.
     """
 
-    __slots__ = ("row_of", "user_ids", "scores", "pref_cosines")
+    __slots__ = ("user_ids", "scores")
 
-    def __init__(self, row_of, user_ids, scores, pref_cosines) -> None:
-        self.row_of = row_of
+    def __init__(self, user_ids, scores) -> None:
         self.user_ids = user_ids
         self.scores = scores
-        self.pref_cosines = pref_cosines
 
     def top_pairs(
         self,
@@ -503,7 +463,6 @@ class DictKernel(ScoringKernel):
         target_pref_norm = tq.pref_norm
         target_term_norm = tq.term_norm
         scores = [0.0] * len(pref_dots)
-        pref_cosines = [0.0] * len(pref_dots)
         # One pass divides, weights and clamps.  A zero dot leaves its cosine
         # at 0.0 and a zero norm makes it 0.0 whatever the dot, as in the
         # reference; a row with two zero cosines keeps its 0.0 score.
@@ -512,7 +471,7 @@ class DictKernel(ScoringKernel):
             if pref_dot:
                 norm = pref_norms[row]
                 if norm != 0.0:
-                    pref = pref_cosines[row] = pref_dot / (target_pref_norm * norm)
+                    pref = pref_dot / (target_pref_norm * norm)
             if term_dot:
                 norm = term_norms[row]
                 if norm != 0.0:
@@ -523,7 +482,7 @@ class DictKernel(ScoringKernel):
                 scores[row] = (
                     score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
                 )
-        return BlockScores(self._row_of, self._user_ids, scores, pref_cosines)
+        return BlockScores(self._user_ids, scores)
 
 
 class _PackedSide:
@@ -532,7 +491,6 @@ class _PackedSide:
     __slots__ = (
         "slot_count",
         "lengths",
-        "row_of_value",
         "csr_rows",
         "csr_slots",
         "csr_weights",
@@ -568,7 +526,6 @@ class NumpyKernel(ScoringKernel):
         self._row_arrays: Dict[str, Tuple] = {}
         self._dirty = True
         self._user_ids: List[str] = []
-        self._row_of: Dict[str, int] = {}
         self._pref: Optional[_PackedSide] = None
         self._term: Optional[_PackedSide] = None
         #: Number of full block repacks performed (diagnostics / tests).
@@ -636,7 +593,6 @@ class NumpyKernel(ScoringKernel):
 
     def _repack(self, entries: Dict[str, "_ProfileEntry"]) -> None:
         self._user_ids = list(entries)
-        self._row_of = {user_id: row for row, user_id in enumerate(self._user_ids)}
         pref_rows = [self._row_arrays[user_id][0] for user_id in self._user_ids]
         term_rows = [self._row_arrays[user_id][1] for user_id in self._user_ids]
         self._pref = self._pack_side(
@@ -666,14 +622,12 @@ class NumpyKernel(ScoringKernel):
         Every non-zero dot is bit-identical to the scalar loop's.  A dot that
         is exactly zero may carry the opposite zero sign (the packed paths
         drop ``x * 0.0`` products a scalar loop would have added), which is
-        the *only* representable difference — and it is unobservable: both
-        consumers of these cosines are sign-of-zero invariant.  The score
-        formula ends in ``max(0.0, min(1.0, s))`` which maps ``-0.0`` to
+        the *only* representable difference — and it is unobservable: the
+        score, the one consumer of these cosines, is sign-of-zero invariant.
+        Its formula ends in ``max(0.0, min(1.0, s))`` which maps ``-0.0`` to
         ``+0.0`` on both paths, and adding ``±0.0`` to the other weighted
         component either leaves a non-zero value untouched or lands in the
-        same clamp.  The early-termination bound adds a non-negative
-        ``term_bound`` to the weighted preference cosine, with the same
-        analysis.  The property suite asserts the end-to-end bit-identity.
+        same clamp.  The property suite asserts the end-to-end bit-identity.
         """
         np = _numpy()
         rows = len(side.lengths)
@@ -746,6 +700,4 @@ class NumpyKernel(ScoringKernel):
         # matching Python's max(0.0, -0.0) == 0.0 while leaving every other
         # value bit-identical.
         scores = np.maximum(0.0, np.minimum(1.0, scores)) + 0.0
-        return BlockScores(
-            self._row_of, self._user_ids, scores.tolist(), pref_cos.tolist()
-        )
+        return BlockScores(self._user_ids, scores.tolist())

@@ -1,4 +1,4 @@
-"""Versioned shard map: the single source of truth for shard ownership.
+"""Versioned shard map: the single source of truth for consumer placement.
 
 Before this module, knowledge of "which server owns which partition of the
 consumer community" was duplicated across the fleet's ``_shard_owner`` list,
@@ -6,6 +6,9 @@ the coordinator agent's ``shard_map`` dict, the replication ring wiring and
 the gateway's routing — and a promotion failover mutated them all in
 lockstep by hand.  :class:`ShardMap` makes that knowledge first-class:
 
+- **base placement**: a consumer's founding shard is the CRC32 of their id
+  (stable across processes, unlike ``hash(str)``) modulo the founding shard
+  count, frozen at construction so later splits never move it;
 - an **epoch number**, bumped atomically on every topology change, that
   consumers (fleet routing, the gateway's route cache, the coordinator's
   domain registry) can key caches and sync decisions on;
@@ -29,21 +32,27 @@ simulated world).
 
 Shard ids are dense: ``0 .. num_shards-1``, with splits appending
 ``num_shards`` — so callers may keep indexing per-shard arrays by id.
+
+:func:`merge_topk` folds the per-shard answers of a fleet fan-out back into
+the global ranking.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ShardMapError
-from repro.core.sharding import _stable_hash
 
 __all__ = [
     "SHARD_STEADY",
     "SHARD_MIGRATING",
     "ShardMigration",
     "ShardMap",
+    "merge_topk",
     "split_membership",
 ]
 
@@ -53,6 +62,52 @@ __all__ = [
 #: still receiving its movers).
 SHARD_STEADY = "steady"
 SHARD_MIGRATING = "migrating"
+
+
+def _stable_hash(text: str) -> int:
+    """Deterministic across processes (``hash(str)`` is salted per run)."""
+    return zlib.crc32(text.encode("utf-8"))
+
+
+def merge_topk(
+    ranked_lists: Sequence[Optional[List[Tuple[str, float]]]],
+    top_k: int,
+) -> List[Tuple[str, float]]:
+    """Fold per-shard ranked ``(user_id, score)`` lists into the global top-k.
+
+    **Why the merge is exact.**  Every consumer lives in exactly one shard,
+    and a candidate's score depends only on the target and that candidate.
+    A member of the global top-k is beaten by at most k-1 candidates
+    globally, hence by at most k-1 within its own shard, so it appears in its
+    shard's top-k list.  Re-sorting the union with the key of the
+    single-index and brute-force paths (score descending, user id ascending)
+    and trimming to k therefore reproduces their ranking byte for byte.  That
+    key is a strict total order over distinct consumers, so equal-score
+    candidates order by user id **regardless of shard count or fan-out
+    arrival order**.
+
+    Duplicate user ids across lists are collapsed to their best score before
+    ranking.  Disjointness is the steady-state single-owner invariant, but a
+    degraded fan-out can transiently break it: a stale replica answering for
+    an unreachable shard may still contain a consumer who migrated away (or
+    was drained to a survivor) before the crash, and scoring them twice must
+    not push a genuine neighbour out of the top-k.
+
+    ``None`` entries — shards that timed out or were unreachable during a
+    fleet fan-out — are tolerated and skipped, so a degraded query merges
+    what it has instead of raising; callers report the gap via
+    :class:`~repro.ecommerce.fleet.FleetQueryResult`.
+    """
+    best: Dict[str, float] = {}
+    for ranked in ranked_lists:
+        if ranked is None:
+            continue
+        for user_id, score in ranked:
+            current = best.get(user_id)
+            if current is None or score > current:
+                best[user_id] = score
+    merged = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
+    return merged[:top_k]
 
 
 def split_membership(user_id: str, parent: int, split_index: int) -> bool:
@@ -109,6 +164,9 @@ class ShardMap:
                 f"shard ids must be dense 0..n-1, got {sorted(assignments)}"
             )
         self._owners: Dict[int, str] = dict(sorted(assignments.items()))
+        #: Founding shard count, the modulus of :meth:`base_shard`: frozen
+        #: so splits re-cut ownership without moving anybody's base shard.
+        self._base_shards = len(self._owners)
         self._states: Dict[int, str] = {shard: SHARD_STEADY for shard in self._owners}
         self._migrations: Dict[int, ShardMigration] = {}
         #: parent shard id → child shard ids, in split order.  Routing
@@ -164,6 +222,10 @@ class ShardMap:
         """The shard this one was split from, or ``None`` for a base shard."""
         self._require(shard)
         return self._parents.get(shard)
+
+    def base_shard(self, user_id: str) -> int:
+        """The founding shard ``user_id`` hashes to (before any split)."""
+        return _stable_hash(user_id) % self._base_shards
 
     def route(self, user_id: str, base_shard: int) -> int:
         """Replay ``base_shard`` through the recorded split lineage.

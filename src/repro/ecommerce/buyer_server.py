@@ -82,8 +82,6 @@ class BuyerAgentServer:
         catalog: Optional[ItemCatalogView] = None,
         learning_config: Optional[LearningConfig] = None,
         similarity_config: Optional[SimilarityConfig] = None,
-        neighbor_shards: int = 1,
-        shard_routing: str = "hash",
         scoring_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.context = context
@@ -103,8 +101,6 @@ class BuyerAgentServer:
             self.user_db, catalog if catalog is not None else ItemCatalogView([]),
             similarity_config, now=lambda: context.now,
             profile_learner=self.profile_learner,
-            neighbor_shards=neighbor_shards,
-            shard_routing=shard_routing,
             scoring_backend=scoring_backend,
         )
         context.host.attach_service("recommendation-service", self.recommendations)

@@ -17,8 +17,7 @@ from repro.errors import (
 )
 from repro.core.recommender import Recommendation
 from repro.core.scoring import resolve_backend
-from repro.core.shard_map import ShardMap, split_membership
-from repro.core.sharding import ShardRouter, merge_topk
+from repro.core.shard_map import ShardMap, merge_topk, split_membership
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.replication import ReplicaState, ReplicationRing
 from repro.platform.clock import RecurringCallback
@@ -148,7 +147,7 @@ class BuyerServerFleet:
     consumer community" (§3.2).  The fleet is the coordinator-side view of
     that: consumers are routed to exactly one server at registration (stable
     consumer-hash placement), similar-user queries fan out to every live
-    server's neighbor index and merge with :func:`repro.core.sharding.merge_topk`
+    server's neighbor index and merge with :func:`repro.core.shard_map.merge_topk`
     (score-identical to one server holding everyone), and the periodic
     recommendation refresh is one scheduled event that refreshes each
     server's *currently assigned* consumers — so a consumer that migrated
@@ -177,14 +176,14 @@ class BuyerServerFleet:
     as replica capacity (and as a promotion target for future failures)
     rather than clawing its shard back.
 
-    Placement is always the stable consumer hash: category routing cannot
-    apply here because consumers are placed at registration, before their
-    profile has any categories, and the fleet deliberately never moves a
-    consumer just because their tastes drifted (server-level migration hands
-    off databases, far too heavy for a learning tick — see ROADMAP).
-    Category routing remains available *inside* each server's
-    :class:`~repro.core.sharding.ShardedNeighborIndex`, where migration is a
-    cheap re-index.
+    Placement is always the stable consumer hash
+    (:meth:`ShardMap.base_shard <repro.core.shard_map.ShardMap.base_shard>`):
+    consumers are placed at registration, before their profile has any
+    categories, and the fleet never moves a consumer because their tastes
+    drifted (server-level migration hands off databases, far too heavy for
+    a learning tick).  Each server searches its own consumers with one
+    :class:`~repro.core.neighbors.ProfileNeighborIndex`; the fleet is the
+    only partitioning of the community.
     """
 
     def __init__(
@@ -217,12 +216,11 @@ class BuyerServerFleet:
             if scoring_backend is not None
             else self.servers[0].recommendations.scoring_backend
         )
-        self.router = ShardRouter(len(self.servers), "hash")
         #: The versioned single source of truth for shard → owner: one base
         #: shard per founding server (identity placement), epoch bumped on
-        #: every promotion, handback and split.  The base router above is
-        #: deliberately frozen at founding size — consumer hash placement
-        #: stays stable while the *map* re-cuts ownership at runtime.
+        #: every promotion, handback and split.  Its hash placement is
+        #: frozen at founding size — a consumer's base shard stays stable
+        #: while the map re-cuts ownership at runtime.
         self.shard_map = ShardMap([s.name for s in self.servers])
         self.shard_map.subscribe(self._on_shard_map_change)
         #: Names of servers decommissioned by the autoscaler: still present
@@ -270,12 +268,12 @@ class BuyerServerFleet:
     def _route(self, user_id: str) -> int:
         """Initial placement: stable consumer hash, descended through splits.
 
-        The base router (frozen at founding fleet size) gives the consumer's
-        stable hash shard; the shard map then replays any splits of that
-        shard, so a consumer registering mid-split lands on exactly the
-        shard the migration loop would have moved them to.
+        The shard map gives the consumer's stable hash shard (frozen at
+        founding fleet size) and then replays any splits of that shard, so a
+        consumer registering mid-split lands on exactly the shard the
+        migration loop would have moved them to.
         """
-        shard = self.shard_map.route(user_id, self.router.shard_for_user(user_id))
+        shard = self.shard_map.route(user_id, self.shard_map.base_shard(user_id))
         if self._is_live(shard):
             return shard
         return self._fallback_shard(user_id, excluding=(shard,))
@@ -298,7 +296,7 @@ class BuyerServerFleet:
                 "every buyer agent server is down; no live shard can take the "
                 "consumer"
             )
-        return live[self.router.shard_for_user(user_id) % len(live)]
+        return live[self.shard_map.base_shard(user_id) % len(live)]
 
     def _is_live(self, shard: int) -> bool:
         return self.owner_of_shard(shard).context.host.is_running
@@ -1210,8 +1208,8 @@ class BuyerServerFleet:
     def add_server(self, server: BuyerAgentServer) -> None:
         """Join ``server`` to the fleet as shard-less capacity.
 
-        The base router is deliberately untouched — existing consumers keep
-        their stable hash placement; the new server takes load through
+        The shard map's hash placement is deliberately untouched — existing
+        consumers keep their base shard; the new server takes load through
         :meth:`transfer_shard` or :meth:`split_shard` (normally driven by
         the autoscaler).  Re-adding a retired server just clears its
         retirement.

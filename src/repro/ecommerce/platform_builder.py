@@ -30,7 +30,6 @@ from repro.platform.host import Host
 from repro.platform.metrics import MetricsRegistry
 from repro.platform.network import NetworkConfig, SimulatedNetwork
 from repro.platform.transport import Transport
-from repro.core.sharding import ROUTING_STRATEGIES
 from repro.ecommerce.buyer_server import BuyerAgentServer, BuyerServerFleet
 from repro.ecommerce.coordinator import CoordinatorServer
 from repro.ecommerce.marketplace import MarketplaceServer
@@ -62,12 +61,6 @@ class PlatformConfig:
             server owns a shard of the consumer community, consumers are
             routed at registration and similar-user queries fan out/merge
             (see :class:`~repro.ecommerce.buyer_server.BuyerServerFleet`).
-        neighbor_shards: partitions of each server's own neighbor index
-            (1 = the monolithic PR-1 index).
-        shard_routing: routing strategy for the in-server neighbor-index
-            shards ("hash" or "category").  Fleet-level placement is always
-            the stable consumer hash — consumers are routed at registration,
-            before their profile has any categories to route by.
         replication_factor: how many replica peers each buyer agent server
             streams its UserDB mutations to (0 = no replication, the
             single-copy PR-2 behaviour).  With ``f >= 1`` server *i*
@@ -155,8 +148,6 @@ class PlatformConfig:
     learning: LearningConfig = field(default_factory=LearningConfig)
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     num_buyer_servers: int = 1
-    neighbor_shards: int = 1
-    shard_routing: str = "hash"
     replication_factor: int = 0
     replication_anti_entropy_interval_ms: float = 200.0
     replication_wal_truncate_threshold: int = 64
@@ -182,13 +173,6 @@ class PlatformConfig:
             raise ECommerceError("stock_per_item must be positive")
         if self.num_buyer_servers <= 0:
             raise ECommerceError("the platform needs at least one buyer agent server")
-        if self.neighbor_shards <= 0:
-            raise ECommerceError("neighbor_shards must be positive")
-        if self.shard_routing not in ROUTING_STRATEGIES:
-            raise ECommerceError(
-                f"unknown shard routing {self.shard_routing!r}; "
-                f"expected one of {ROUTING_STRATEGIES}"
-            )
         if self.replication_factor < 0:
             raise ECommerceError("replication_factor cannot be negative")
         if self.replication_factor >= max(self.num_buyer_servers, 1) and self.replication_factor > 0:
@@ -427,8 +411,6 @@ class ECommercePlatform:
             catalog=self.catalog_view(),
             learning_config=self.config.learning,
             similarity_config=self.config.similarity,
-            neighbor_shards=self.config.neighbor_shards,
-            shard_routing=self.config.shard_routing,
             scoring_backend=self.config.scoring_backend,
         )
         if shard_id == "auto":

@@ -20,7 +20,6 @@ from repro.core.profile import Profile
 from repro.core.profile_learning import ProfileLearner
 from repro.core.recommender import Recommendation, RecommendationEngine
 from repro.core.scoring import DEFAULT_BACKEND, resolve_backend
-from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.databases import UserDB
 
@@ -42,8 +41,6 @@ class RecommendationService:
         similarity_config: Optional[SimilarityConfig] = None,
         now: Optional[callable] = None,
         profile_learner: Optional[ProfileLearner] = None,
-        neighbor_shards: int = 1,
-        shard_routing: str = "hash",
         scoring_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.user_db = user_db
@@ -60,26 +57,13 @@ class RecommendationService:
 
         # Neighbor search runs against the precomputed index, kept in sync
         # with UserDB by provider reconciliation and, when the learner is
-        # known, by precise per-consumer invalidation hooks.  With
-        # ``neighbor_shards > 1`` the index is partitioned: every shard owns
-        # an independent sub-index with norm-bound early termination, and
-        # queries fan out and merge — score-identical to the single index.
-        if neighbor_shards > 1:
-            self.neighbor_index = ShardedNeighborIndex(
-                provider=user_db.profiles,
-                config=self.similarity_config,
-                num_shards=neighbor_shards,
-                routing=shard_routing,
-                provider_version=user_db.profiles_version,
-                backend=self.scoring_backend,
-            )
-        else:
-            self.neighbor_index = ProfileNeighborIndex(
-                provider=user_db.profiles,
-                config=self.similarity_config,
-                provider_version=user_db.profiles_version,
-                backend=self.scoring_backend,
-            )
+        # known, by precise per-consumer invalidation hooks.
+        self.neighbor_index = ProfileNeighborIndex(
+            provider=user_db.profiles,
+            config=self.similarity_config,
+            provider_version=user_db.profiles_version,
+            backend=self.scoring_backend,
+        )
         if profile_learner is not None:
             self.neighbor_index.attach_to(profile_learner)
 

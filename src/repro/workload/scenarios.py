@@ -422,72 +422,6 @@ class ScenarioRunner:
         report.finished_at_ms = self.platform.now
         return report
 
-    def sharded_stress_day(
-        self,
-        sessions: int = 400,
-        queries_per_session: int = 1,
-        buy_probability: float = 0.35,
-        auction_probability: float = 0.2,
-        negotiate_probability: float = 0.1,
-        recommendation_probability: float = 0.3,
-        refresh_interval_ms: float = 2000.0,
-        batch_k: int = 5,
-    ) -> ScenarioReport:
-        """A high-volume day against a sharded, scheduler-refreshed platform.
-
-        Like :meth:`stress_day` but built for the multi-server/sharded
-        serving stack: sessions are routed to each consumer's owning buyer
-        agent server (the fleet, when the platform has one), and the periodic
-        recommendation refresh is a real scheduled platform event
-        (:meth:`~repro.ecommerce.buyer_server.BuyerAgentServer.start_periodic_refresh`
-        / the fleet equivalent) rather than a per-session poll — the
-        scenario loop merely pumps the scheduler so due events fire as
-        simulated time passes.  ``report.batch_refreshes`` counts the
-        ``recommendation.scheduled-refresh`` events the run produced.
-        """
-        if sessions <= 0:
-            raise WorkloadError("sharded stress day needs at least one session")
-        if refresh_interval_ms <= 0:
-            raise WorkloadError("refresh interval must be positive")
-        pool = self.population.consumers()
-        if not pool:
-            raise WorkloadError("sharded stress day needs a non-empty population")
-
-        platform = self.platform
-        log = platform.event_log
-        refreshes_before = log.count("recommendation.scheduled-refresh")
-        if platform.fleet is not None:
-            refresh_owner = platform.fleet
-        else:
-            refresh_owner = platform.buyer_server
-        refresh_owner.start_periodic_refresh(refresh_interval_ms, k=batch_k)
-
-        report = ScenarioReport(started_at_ms=platform.now)
-        report.consumers = len(pool)
-        try:
-            for _ in range(sessions):
-                consumer = self._rng.choice(pool)
-                self.run_session(
-                    consumer,
-                    queries=queries_per_session,
-                    buy_probability=buy_probability,
-                    auction_probability=auction_probability,
-                    negotiate_probability=negotiate_probability,
-                    ask_recommendations=self._rng.random() < recommendation_probability,
-                    report=report,
-                )
-                # Sessions advance simulated time through the transport;
-                # firing the events that became due keeps the scheduled
-                # refresh cadence honest without a polling loop.
-                platform.scheduler.run_until(platform.now)
-        finally:
-            refresh_owner.stop_periodic_refresh()
-        report.finished_at_ms = platform.now
-        report.batch_refreshes = (
-            log.count("recommendation.scheduled-refresh") - refreshes_before
-        )
-        return report
-
     def promotion_failover_day(
         self,
         sessions: int = 240,

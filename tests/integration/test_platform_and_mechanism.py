@@ -195,53 +195,6 @@ class TestConsumerCommunity:
         with pytest.raises(WorkloadError):
             runner.stress_day(sessions=0)
 
-    def test_sharded_stress_day_on_a_single_server(self, platform):
-        """The scheduled-refresh scenario also runs on the classic platform."""
-        population = ConsumerPopulation(8, groups=2, seed=7)
-        runner = ScenarioRunner(platform, population, seed=8)
-        report = runner.sharded_stress_day(sessions=25, refresh_interval_ms=400.0)
-        assert report.sessions == 25
-        assert report.batch_refreshes >= 1
-        # The recurrence was stopped when the scenario finished.
-        assert not platform.buyer_server.refresh_scheduled
-
-    def test_sharded_stress_day_on_a_fleet(self):
-        from repro.ecommerce.platform_builder import build_platform
-
-        platform = build_platform(
-            seed=13, num_buyer_servers=3, neighbor_shards=2, items_per_seller=12
-        )
-        population = ConsumerPopulation(12, groups=3, seed=5)
-        runner = ScenarioRunner(platform, population, seed=2)
-        runner.warm_up(sessions_per_consumer=1, queries_per_session=1)
-        report = runner.sharded_stress_day(
-            sessions=30, refresh_interval_ms=400.0, recommendation_probability=0.5
-        )
-        assert report.sessions == 30
-        assert report.batch_refreshes >= 1
-        # Consumers were spread over the fleet and each server only serves
-        # (and refreshes) its own shard.
-        sizes = [len(server.user_db) for server in platform.buyer_servers]
-        assert sum(sizes) == 12
-        assert sum(1 for size in sizes if size > 0) >= 2
-        for server in platform.buyer_servers:
-            cached = [
-                user_id
-                for user_id in server.user_db.user_ids
-                if server.recommendations.cached_recommendations(user_id) is not None
-            ]
-            assert cached == server.user_db.user_ids
-
-    def test_sharded_stress_day_validates_parameters(self, platform):
-        from repro.errors import WorkloadError
-
-        population = ConsumerPopulation(4, groups=2, seed=7)
-        runner = ScenarioRunner(platform, population, seed=8)
-        with pytest.raises(WorkloadError):
-            runner.sharded_stress_day(sessions=0)
-        with pytest.raises(WorkloadError):
-            runner.sharded_stress_day(sessions=5, refresh_interval_ms=0.0)
-
 
 class TestAgentFlexibility:
     """Capability claim 1 of §5.1: functional agents can be added or removed."""

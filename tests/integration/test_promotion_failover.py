@@ -325,7 +325,7 @@ class TestDoubleFailure:
         orphan = next(
             f"orphan-{index}"
             for index in range(1000)
-            if fleet.router.shard_for_user(f"orphan-{index}") == victim
+            if fleet.shard_map.base_shard(f"orphan-{index}") == victim
         )
         platform.login(orphan).logout()
         assert fleet.shard_of(orphan) == victim
@@ -441,7 +441,7 @@ class TestPromotionRecovery:
         rejoiner = next(
             f"rejoin-{index}"
             for index in range(1000)
-            if fleet.router.shard_for_user(f"rejoin-{index}") == victim
+            if fleet.shard_map.base_shard(f"rejoin-{index}") == victim
         )
         platform.login(rejoiner).logout()
         assert fleet.server_for(rejoiner) is shard_owner

@@ -8,7 +8,9 @@ moves one of them, so the sequences below interleave refreshes with every
 door into a server's state and compare each refresh with
 ``recommend_many`` on an independent service (its own index, no memo, no
 cache) over the same databases.  The counter tests pin which inputs
-invalidate what; each fails when its stamp component is removed.
+invalidate what; each fails when its stamp component is removed.  Both run
+under every available scoring backend: each kernel keeps its own rows in
+step with the index's mutations.
 """
 
 import pytest
@@ -18,6 +20,7 @@ from repro.core.items import Item, ItemCatalogView
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import Interaction, InteractionKind
+from repro.core.scoring import available_backends
 from repro.ecommerce import build_platform
 from repro.ecommerce.databases import UserDB
 from repro.ecommerce.recommendation_service import RecommendationService
@@ -67,11 +70,11 @@ def learn(learner, db, user_id, item, now=0.0):
     )
 
 
-def build_service(shards):
+def build_service(backend):
     """A server's service over four warmed consumers (two more can join)."""
     db, learner = UserDB(), ProfileLearner()
     service = RecommendationService(
-        db, ItemCatalogView(ITEMS), profile_learner=learner, neighbor_shards=shards
+        db, ItemCatalogView(ITEMS), profile_learner=learner, scoring_backend=backend
     )
     for index, user_id in enumerate(USERS[:4]):
         db.register(user_id)
@@ -84,11 +87,11 @@ def build_service(shards):
     return db, learner, service
 
 
-def refresh_and_check(service, shards, user_ids, k):
+def refresh_and_check(service, user_ids, k):
     """One refresh; it must equal a from-scratch batch in every field."""
     got = service.batch_refresh(user_ids, k=k)
     scratch = RecommendationService(
-        service.user_db, service.catalog, neighbor_shards=shards
+        service.user_db, service.catalog, scoring_backend=service.scoring_backend
     )
     want = scratch.recommend_many(user_ids, k=k)
     assert list(got) == list(want)  # key order
@@ -99,13 +102,13 @@ def refresh_and_check(service, shards, user_ids, k):
     return got
 
 
-def apply_step(db, learner, service, shards, op, user_id, item, amount, now):
+def apply_step(db, learner, service, op, user_id, item, amount, now):
     if op == "refresh":
-        refresh_and_check(service, shards, USERS, k=5)
+        refresh_and_check(service, USERS, k=5)
     elif op == "refresh-other-k":
-        refresh_and_check(service, shards, USERS, k=2 + amount % 2)
+        refresh_and_check(service, USERS, k=2 + amount % 2)
     elif op == "refresh-subset":
-        refresh_and_check(service, shards, USERS[amount:] + [user_id], k=5)
+        refresh_and_check(service, USERS[amount:] + [user_id], k=5)
     elif op == "catalog-add":
         fresh = make_item(len(service.catalog))
         service.catalog.add(fresh)
@@ -141,15 +144,15 @@ def apply_step(db, learner, service, shards, op, user_id, item, amount, now):
 
 
 @settings(max_examples=60, deadline=None)
-@given(steps=steps, shards=st.sampled_from((1, 3)))
-def test_every_refresh_equals_a_from_scratch_batch(steps, shards):
-    db, learner, service = build_service(shards)
+@given(steps=steps, backend=st.sampled_from(available_backends()))
+def test_every_refresh_equals_a_from_scratch_batch(steps, backend):
+    db, learner, service = build_service(backend)
     for index, (op, user_id, item, amount) in enumerate(steps):
-        apply_step(db, learner, service, shards, op, user_id, item, amount, float(index))
-    refresh_and_check(service, shards, USERS, k=5)
+        apply_step(db, learner, service, op, user_id, item, amount, float(index))
+    refresh_and_check(service, USERS, k=5)
     # Nothing moved since: the same request is answered without recomputing.
     recomputed = service.refresh_recomputed
-    refresh_and_check(service, shards, USERS, k=5)
+    refresh_and_check(service, USERS, k=5)
     assert service.refresh_recomputed == recomputed
 
 
@@ -163,63 +166,63 @@ def counted(service, user_ids, k=5):
     )
 
 
-@pytest.mark.parametrize("shards", (1, 3))
+@pytest.mark.parametrize("backend", available_backends())
 class TestWhatARefreshRecomputes:
-    def test_first_everything_then_nothing(self, shards):
-        _, _, service = build_service(shards)
+    def test_first_everything_then_nothing(self, backend):
+        _, _, service = build_service(backend)
         assert counted(service, USERS) == (6, 0)
         assert counted(service, USERS) == (0, 6)
         assert counted(service, USERS + USERS[:2]) == (0, 6)  # duplicates collapse
 
-    def test_another_k_and_a_subset(self, shards):
-        _, _, service = build_service(shards)
+    def test_another_k_and_a_subset(self, backend):
+        _, _, service = build_service(backend)
         service.batch_refresh(USERS[:3], k=5)
         assert counted(service, USERS[1:5]) == (2, 2)
         assert counted(service, USERS[:2], k=3) == (2, 0)
         assert service.cached_recommendations(USERS[0], k=5) is None
         assert service.cached_recommendations(USERS[2], k=5) is not None
 
-    def test_a_neighbours_learning_update_recomputes_everyone(self, shards):
+    def test_a_neighbours_learning_update_recomputes_everyone(self, backend):
         """The ``neighbor_index.mutations`` component."""
-        db, learner, service = build_service(shards)
+        db, learner, service = build_service(backend)
         service.batch_refresh(USERS, k=5)
         learn(learner, db, USERS[1], ITEMS[5])
         assert counted(service, USERS) == (6, 0)
 
-    def test_a_neighbours_rating_recomputes_everyone(self, shards):
+    def test_a_neighbours_rating_recomputes_everyone(self, backend):
         """The ``ratings.revision`` component."""
-        db, _, service = build_service(shards)
+        db, _, service = build_service(backend)
         service.batch_refresh(USERS, k=5)
         db.record_interaction(
             Interaction(USERS[1], ITEMS[7].item_id, InteractionKind.RATE, value=5.0)
         )
         assert counted(service, USERS) == (6, 0)
 
-    def test_new_merchandise_recomputes_everyone(self, shards):
+    def test_new_merchandise_recomputes_everyone(self, backend):
         """The ``len(catalog)`` component."""
-        _, _, service = build_service(shards)
+        _, _, service = build_service(backend)
         service.batch_refresh(USERS, k=5)
         service.catalog.add(make_item(len(service.catalog)))
         assert counted(service, USERS) == (6, 0)
-        refresh_and_check(service, shards, USERS, k=5)
+        refresh_and_check(service, USERS, k=5)
 
-    def test_membership_recomputes_everyone(self, shards):
-        db, _, service = build_service(shards)
+    def test_membership_recomputes_everyone(self, backend):
+        db, _, service = build_service(backend)
         service.batch_refresh(USERS, k=5)
         db.adopt(foreign_db(USERS[4], ITEMS[0], 2, 0.0), USERS[4])
         assert counted(service, USERS) == (6, 0)
         db.unregister(USERS[4])
         assert counted(service, USERS[:4]) == (4, 0)
 
-    def test_a_profile_swapped_behind_the_index_is_recomputed(self, shards):
+    def test_a_profile_swapped_behind_the_index_is_recomputed(self, backend):
         """The per-profile stamp: nothing told the index, so only it sees."""
-        db, _, service = build_service(shards)
+        db, _, service = build_service(backend)
         service.batch_refresh(USERS, k=5)
         db._profiles[USERS[0]] = db.profile(USERS[0]).copy()  # equal content, new id
         assert counted(service, USERS) == (1, 5)
 
-    def test_a_profile_edited_behind_the_index_matches_a_live_query(self, shards):
-        db, _, service = build_service(shards)
+    def test_a_profile_edited_behind_the_index_matches_a_live_query(self, backend):
+        db, _, service = build_service(backend)
         before = service.batch_refresh(USERS, k=5)[USERS[0]]
         profile = db.profile(USERS[0])
         profile.category("games").preference = 9.0

@@ -257,11 +257,9 @@ def cloned_populations(draw):
     min_similarity=st.sampled_from([0.0, 0.05, 1.0]),
     discard_tolerance=st.sampled_from([0.0, 0.5, 6.0]),
     departed=st.sets(st.integers(min_value=0, max_value=29), max_size=6),
-    early_termination=st.booleans(),
 )
 def test_selection_equals_brute_force_sort(
     population, category, top_k, min_similarity, discard_tolerance, departed,
-    early_termination,
 ):
     """``==`` against the brute-force sort where whole groups of consumers
     tie, some rows of the kernel are free, the discard rule removes most of
@@ -272,11 +270,7 @@ def test_selection_equals_brute_force_sort(
         min_similarity=min_similarity,
         discard_tolerance=discard_tolerance,
     )
-    index = ProfileNeighborIndex(
-        profiles=population.values(),
-        config=config,
-        early_termination=early_termination,
-    )
+    index = ProfileNeighborIndex(profiles=population.values(), config=config)
     live = dict(population)
     for number in departed:
         if len(live) > 2 and live.pop(f"user-{number:02d}", None) is not None:

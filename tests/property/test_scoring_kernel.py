@@ -8,9 +8,7 @@ and ``numpy`` backends over seeded random populations salted with every
 awkward shape the kernels special-case — zero-norm vectors (preferences
 with empty term sets), entirely empty profiles, single-rating consumers,
 consumers with disjoint category sets — and require *exact* equality: same
-ranked neighbor ids, bit-identical scores, and early-termination skip counts
-that never decrease (in practice: never differ) when the vectorized block
-path replays the sequential skip/heap decisions.
+ranked neighbor ids and bit-identical scores.
 
 With numpy hidden (``REPRO_NO_NUMPY=1``) only ``dict`` is available: the
 cross-backend comparisons skip rather than compare ``dict`` with itself,
@@ -38,7 +36,6 @@ from repro.core.scoring import (
     numpy_available,
     resolve_backend,
 )
-from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import (
     SimilarityConfig,
     cosine_similarity_cached,
@@ -103,14 +100,9 @@ def seeded_population(seed: int, size: int = 28):
     return population
 
 
-def build_index(population, config, backend, early_termination=False,
-                tight_term_bound=True):
+def build_index(population, config, backend):
     return ProfileNeighborIndex(
-        profiles=population.values(),
-        config=config,
-        backend=backend,
-        early_termination=early_termination,
-        tight_term_bound=tight_term_bound,
+        profiles=population.values(), config=config, backend=backend
     )
 
 
@@ -130,15 +122,12 @@ CONFIGS = [
 
 @needs_two_backends
 @pytest.mark.parametrize("seed", [7, 101, 4242])
-@pytest.mark.parametrize("early_termination", [False, True])
-def test_backends_identical_on_seeded_population(seed, early_termination):
+def test_backends_identical_on_seeded_population(seed):
     """dict/numpy return *exactly* equal rankings and scores."""
     population = seeded_population(seed)
     for config in CONFIGS:
         indexes = {
-            backend: build_index(
-                population, config, backend, early_termination=early_termination
-            )
+            backend: build_index(population, config, backend)
             for backend in available_backends()
         }
         for category in (None, "books", "toys", "no-such-category"):
@@ -162,35 +151,10 @@ def test_backends_identical_to_brute_force(seed):
     population = seeded_population(seed)
     config = SimilarityConfig()
     for backend in available_backends():
-        index = build_index(population, config, backend, early_termination=True)
+        index = build_index(population, config, backend)
         for target in list(population.values())[:8]:
             brute = find_similar_users(target, population.values(), config)
             assert index.find_similar(target) == brute
-
-
-@needs_two_backends
-@pytest.mark.parametrize("seed", [11, 2026])
-def test_skip_counts_never_decrease(seed):
-    """Early-termination prunes at least as much on the fast backends.
-
-    The block path replays the sequential skip/heap decisions over
-    precomputed scores, so in practice the counts are *identical* — pinned
-    here as the stronger claim, which subsumes "never decrease".
-    """
-    population = seeded_population(seed, size=40)
-    config = SimilarityConfig(top_k=3)
-    skips = {}
-    for backend in available_backends():
-        index = build_index(population, config, backend, early_termination=True)
-        for target in population.values():
-            index.find_similar(target)
-        skips[backend] = index.bound_skips
-    for backend, count in skips.items():
-        assert count >= skips["dict"]
-        assert count == skips["dict"], (
-            f"backend {backend!r} made different skip decisions: "
-            f"{count} != {skips['dict']}"
-        )
 
 
 def test_find_similar_many_matches_sequential_queries():
@@ -288,15 +252,11 @@ def populations(draw, min_size=2, max_size=10):
 @given(
     population=populations(),
     category=st.one_of(st.none(), st.sampled_from(CATEGORIES)),
-    early_termination=st.booleans(),
-    tight=st.booleans(),
 )
-def test_backend_equivalence_property(population, category, early_termination, tight):
+def test_backend_equivalence_property(population, category):
     config = SimilarityConfig(top_k=4)
     indexes = [
-        build_index(population, config, backend,
-                    early_termination=early_termination, tight_term_bound=tight)
-        for backend in available_backends()
+        build_index(population, config, backend) for backend in available_backends()
     ]
     for target in population.values():
         answers = [
@@ -393,22 +353,18 @@ def order_sensitive_pair(extra_target, extra_entry):
     [(0, 0), (2, 0), (0, 2)],
     ids=["equal-length-tie", "entry-shorter", "target-shorter"],
 )
-@pytest.mark.parametrize("early_termination", [False, True])
 @pytest.mark.parametrize("category", [None, "books"])
-def test_dict_kernel_picks_the_reference_order(
-    extra_target, extra_entry, early_termination, category
-):
-    """The reference iterates the shorter vector (the target on a tie); the
-    postings must reproduce whichever sum that is, bit for bit."""
+@pytest.mark.parametrize("backend", available_backends())
+def test_kernel_picks_the_reference_order(extra_target, extra_entry, category, backend):
+    """The reference iterates the shorter vector (the target on a tie); every
+    kernel must reproduce whichever sum that is, bit for bit."""
     target, entry = order_sensitive_pair(extra_target, extra_entry)
     loner = Profile("loner")
     loner.category("stationery").preference = 4.0
     loner.category("stationery").terms.set("omega", 2.0)
     population = {p.user_id: p for p in (target, entry, loner)}
     config = SimilarityConfig(min_similarity=0.0, discard_tolerance=1e9)
-    index = build_index(
-        population, config, "dict", early_termination=early_termination
-    )
+    index = build_index(population, config, backend)
     for profile in population.values():
         brute = find_similar_users(
             profile, population.values(), config, category=category
@@ -420,7 +376,8 @@ def test_dict_kernel_picks_the_reference_order(
     ]
 
 
-def test_dot_that_cancels_in_one_order_only():
+@pytest.mark.parametrize("backend", available_backends())
+def test_dot_that_cancels_in_one_order_only(backend):
     """A learner can push a preference below zero, so products can cancel:
     here the shared products sum to exactly 0.0 in the target's key order and
     to 1.0 in the (shorter) entry's — the row must not be mistaken for one
@@ -438,27 +395,20 @@ def test_dot_that_cancels_in_one_order_only():
     assert sum(left[key] * right[key] for key in right) == 1.0
 
     config = SimilarityConfig(min_similarity=0.0)
-    for early_termination in (False, True):
-        index = build_index(
-            {"target": target, "entry": entry}, config, "dict",
-            early_termination=early_termination,
-        )
-        brute = find_similar_users(target, [entry], config)
-        assert brute[0][1] > 0.0
-        assert index.find_similar(target) == brute
-        assert index.find_similar(entry) == find_similar_users(entry, [target], config)
+    index = build_index({"target": target, "entry": entry}, config, backend)
+    brute = find_similar_users(target, [entry], config)
+    assert brute[0][1] > 0.0
+    assert index.find_similar(target) == brute
+    assert index.find_similar(entry) == find_similar_users(entry, [target], config)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     population=order_sensitive_populations(),
     category=st.one_of(st.none(), st.sampled_from(CATEGORIES)),
-    early_termination=st.booleans(),
     min_similarity=st.sampled_from([0.0, 0.05]),
 )
-def test_dict_kernel_adds_in_reference_order(
-    population, category, early_termination, min_similarity
-):
+def test_dict_kernel_adds_in_reference_order(population, category, min_similarity):
     """``==`` against brute force where float addition is order-sensitive.
 
     ``top_k`` covers the whole population and the discard tolerance admits
@@ -469,9 +419,7 @@ def test_dict_kernel_adds_in_reference_order(
         top_k=len(population), min_similarity=min_similarity,
         discard_tolerance=1e9,
     )
-    index = build_index(
-        population, config, "dict", early_termination=early_termination
-    )
+    index = build_index(population, config, "dict")
     for target in population.values():
         brute = find_similar_users(
             target, population.values(), config, category=category
@@ -572,11 +520,11 @@ def test_entry_order_only_where_the_reference_uses_it():
     ]
 
 
-@pytest.mark.parametrize("early_termination", [False, True])
-def test_norm_that_underflows_beside_a_nonzero_dot(early_termination):
+@pytest.mark.parametrize("backend", available_backends())
+def test_norm_that_underflows_beside_a_nonzero_dot(backend):
     """``1e-170`` squares to 0.0, so the vector's norm is 0.0 while its dot
     with a ``1e150`` weight is not: the reference answers 0.0 from the norm
-    guard, and so must the kernel — as the entry and as the target."""
+    guard, and so must every kernel — as the entry and as the target."""
     tiny = Profile("tiny")
     huge = Profile("huge")
     plain = Profile("plain")
@@ -588,9 +536,7 @@ def test_norm_that_underflows_beside_a_nonzero_dot(early_termination):
     assert 1e150 * 1e-170 != 0.0
     population = {p.user_id: p for p in (tiny, huge, plain)}
     config = SimilarityConfig(min_similarity=0.0)
-    index = build_index(
-        population, config, "dict", early_termination=early_termination
-    )
+    index = build_index(population, config, backend)
     for target in population.values():
         brute = find_similar_users(target, population.values(), config)
         assert index.find_similar(target) == brute
@@ -605,9 +551,9 @@ def test_norm_that_underflows_beside_a_nonzero_dot(early_termination):
         st.tuples(ordered_vectors(), ordered_vectors()), min_size=1, max_size=6
     ),
 )
-def test_block_cosines_are_the_reference_cosines(target, rows):
-    """The one-pass ``score_block``: each row's preference cosine and score
-    ``==`` the reference formula over the same two pairs of vectors."""
+def test_block_scores_are_the_reference_scores(target, rows):
+    """The one-pass ``score_block``: each row's score ``==`` the reference
+    formula over the same two pairs of vectors."""
     kernel = DictKernel()
     entries = {}
     for number, (prefs, terms) in enumerate(rows):
@@ -623,15 +569,15 @@ def test_block_cosines_are_the_reference_cosines(target, rows):
     prefs, terms = target
     tq = kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
     block = kernel.score_block(entries, tq, 0.6, 0.4, 1.0)
-    for user_id, entry in entries.items():
-        row = block.row_of[user_id]
+    # A fresh kernel numbers rows in the order the entries were linked.
+    assert block.user_ids == list(entries)
+    for row, entry in enumerate(entries.values()):
         pref = cosine_similarity_cached(
             prefs, tq.pref_norm, entry.prefs, entry.pref_norm
         )
         term = cosine_similarity_cached(
             terms, tq.term_norm, entry.terms, entry.term_norm
         )
-        assert block.pref_cosines[row] == pref
         assert block.scores[row] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
 
 
@@ -655,8 +601,7 @@ def score_blocks(draw):
         else:
             user_ids.append(f"user-{row:02d}")
             scores.append(draw(tied_scores))
-    row_of = {user_id: row for row, user_id in enumerate(user_ids) if user_id}
-    return BlockScores(row_of, user_ids, scores, [0.0] * size)
+    return BlockScores(user_ids, scores)
 
 
 def full_sort(block, minimum, exclude_user, top_k, rejected):
@@ -682,7 +627,7 @@ def test_top_pairs_equals_full_sort(block, minimum, top_k, data):
     """Ties at the floor, free rows, the excluded target inside the top-k,
     ``min_similarity`` 0.0 and 1.0, fewer than k survivors, and a discard
     rule that rejects most of the top so the floor has to widen."""
-    live = sorted(block.row_of)
+    live = sorted(user_id for user_id in block.user_ids if user_id is not None)
     best_first = [pair[0] for pair in full_sort(block, 0.0, "", len(live), ())]
     exclude_user = data.draw(
         st.sampled_from(best_first[:3] + ["outsider"]), label="exclude_user"
@@ -893,8 +838,8 @@ def test_forced_stdlib_mode_hides_numpy(monkeypatch):
 def test_every_entry_point_shares_one_default_backend(two_contexts):
     """No ``backend=`` / ``scoring_backend=`` default disagrees with another.
 
-    A directly built service, server, index, sharded index and replica
-    index must all score through the kernel ``PlatformConfig`` defaults to.
+    A directly built service, server, index and replica index must all
+    score through the kernel ``PlatformConfig`` defaults to.
     """
     context, _ = two_contexts
     service = RecommendationService(UserDB(), ItemCatalogView([]))
@@ -903,7 +848,6 @@ def test_every_entry_point_shares_one_default_backend(two_contexts):
         service.neighbor_index,
         server.recommendations.neighbor_index,
         ProfileNeighborIndex(),
-        *ShardedNeighborIndex().shards,
         ReplicaState("primary").neighbor_index(),
     ]
     expected = type(create_kernel(PlatformConfig().scoring_backend))

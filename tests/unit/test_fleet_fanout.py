@@ -11,8 +11,9 @@ import itertools
 
 import pytest
 
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
-from repro.core.sharding import ShardedNeighborIndex, merge_topk
+from repro.core.shard_map import merge_topk
 from repro.core.similarity import SimilarityConfig, find_similar_users
 from repro.ecommerce.platform_builder import build_platform
 
@@ -83,23 +84,26 @@ class TestMergeTopkTieBreaking:
 
     @pytest.mark.parametrize("num_shards", range(1, 9))
     def test_sharded_queries_with_deliberate_ties_match_brute_force(self, num_shards):
-        """Shard counts 1-8 over a population full of exact clones: the
-        sharded result must equal brute force byte for byte even though
-        every clone ties."""
+        """Partition counts 1-8 over a population full of exact clones: the
+        merge of per-partition top-k lists must equal brute force byte for
+        byte even though every clone ties."""
         config = SimilarityConfig(top_k=6)
-        # Three tie groups of five clones each; ids interleaved so shard
-        # routing scatters each group across shards.
+        # Three tie groups of five clones each; ids interleaved so the
+        # round-robin partitions scatter each group.
         profiles = [
             _tied_profile(f"user-{group}-{index}", preference=2.0 + group)
             for index in range(5)
             for group in range(3)
         ]
         target = _tied_profile("target", preference=3.0)
-        index = ShardedNeighborIndex(
-            profiles=profiles, config=config, num_shards=num_shards
+        partitions = [
+            ProfileNeighborIndex(profiles=profiles[shard::num_shards], config=config)
+            for shard in range(num_shards)
+        ]
+        merged = merge_topk(
+            [partition.find_similar(target) for partition in partitions], config.top_k
         )
-        brute = find_similar_users(target, profiles, config)
-        assert index.find_similar(target, config=config) == brute
+        assert merged == find_similar_users(target, profiles, config)
 
 
 class TestClockAccounting:

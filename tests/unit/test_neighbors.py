@@ -20,8 +20,8 @@ from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import InteractionKind
 from repro.core.scoring import available_backends
-from repro.core.sharding import ShardedNeighborIndex
 from repro.core.similarity import SimilarityConfig, find_similar_users
+from repro.ecommerce.platform_builder import build_platform
 
 from tests.conftest import make_item
 
@@ -193,6 +193,57 @@ class TestIncrementalInvalidation:
         )
         assert neighbours == brute
 
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_an_update_burst_is_deferred_and_costs_one_rebuild(self, backend):
+        """Hooks only mark state dirty; the next query re-indexes the touched
+        consumer once, however many updates the burst held."""
+        profiles = community()
+        index = ProfileNeighborIndex(profiles=profiles.values(), backend=backend)
+        index.find_similar(profiles["alice"])
+        rebuilds, mutations = index.rebuilds, index.mutations
+
+        bob = profiles["bob"]
+        for step in range(5):
+            bob.category("books").terms.set("novel", 2.0 + step)
+            index.on_profile_update(bob)
+        assert (index.rebuilds, index.mutations) == (rebuilds, mutations)
+        assert index.dirty_users() == {"bob"}
+
+        answer = index.find_similar(profiles["alice"])
+        assert (index.rebuilds, index.mutations) == (rebuilds + 1, mutations + 1)
+        assert answer == find_similar_users(
+            profiles["alice"], profiles.values(), index.config
+        )
+
+    def test_batch_refresh_rebuilds_only_the_touched_consumer(self):
+        """Service-level: a second batch refresh after a burst of one
+        consumer's learning updates re-indexes only that consumer, once."""
+        platform = build_platform(seed=7)
+        server = platform.buyer_server
+        gateway = platform.gateway()
+        keyword = next(iter(platform.catalog_view())).terms[0][0]
+        users = [f"lazy-{index}" for index in range(6)]
+        for user_id in users:
+            gateway.login(user_id)
+            gateway.query(user_id, keyword)
+            gateway.logout(user_id)
+        service = server.recommendations
+        service.batch_refresh(users, k=5)
+        index = service.neighbor_index
+        rebuilds_before = index.rebuilds
+
+        item = next(iter(platform.catalog_view()))
+        profile = server.user_db.profile(users[0])
+        for step in range(3):
+            server.profile_learner.apply(
+                profile,
+                FeedbackEvent(users[0], item, InteractionKind.VIEW, timestamp=float(step)),
+            )
+        assert index.dirty_users() == {users[0]}
+
+        service.batch_refresh(users, k=5)
+        assert index.rebuilds == rebuilds_before + 1
+
 
 class TestCandidatePruning:
     def test_discard_rule_prunes_before_scoring(self):
@@ -240,14 +291,6 @@ class TestCandidatePruning:
         assert index.find_similar(target) == []
 
 
-def _indexes(profiles, backend):
-    """The single index and the sharded facade over the same profiles."""
-    return (
-        ProfileNeighborIndex(profiles=profiles, backend=backend),
-        ShardedNeighborIndex(profiles=profiles, num_shards=3, backend=backend),
-    )
-
-
 def _fresh_row_community():
     """Sub-categories and shared terms, so flattening the target is real work."""
     profiles = community()
@@ -275,44 +318,42 @@ class TestFreshRowTarget:
             "flattened_terms",
             lambda self: flattened.append(self) or flatten(self),
         )
-        for index in _indexes(list(profiles.values()), backend):
-            index.sync()
-            for target in profiles.values():
-                for category in (None, "books", "electronics", "toys"):
-                    del flattened[:]
-                    from_row = index.find_similar(target, category=category)
-                    # only the shards that do not hold the target's row flatten it
-                    assert flattened == [target] * (getattr(index, "num_shards", 1) - 1)
-                    detached = copy.deepcopy(target)
-                    assert index.find_similar(detached, category=category) == from_row
-                    assert detached in flattened
-                    assert from_row == find_similar_users(
-                        target, profiles.values(), index.config, category=category
-                    )
+        index = ProfileNeighborIndex(profiles=profiles.values(), backend=backend)
+        index.sync()
+        for target in profiles.values():
+            for category in (None, "books", "electronics", "toys"):
+                del flattened[:]
+                from_row = index.find_similar(target, category=category)
+                assert flattened == []
+                detached = copy.deepcopy(target)
+                assert index.find_similar(detached, category=category) == from_row
+                assert detached in flattened
+                assert from_row == find_similar_users(
+                    target, profiles.values(), index.config, category=category
+                )
 
     def test_an_unstamped_edit_shows_only_after_invalidate(self, backend):
         """Editing a profile in place without the learner moves no stamp:
         the row is stale, and so is the target side read from it, until
         ``invalidate`` — after which both sides of every query see the edit."""
-        for index_number in range(2):
-            profiles = _fresh_row_community()
-            index = _indexes(list(profiles.values()), backend)[index_number]
-            alice, bob = profiles["alice"], profiles["bob"]
-            before = {name: index.find_similar(profiles[name]) for name in profiles}
+        profiles = _fresh_row_community()
+        index = ProfileNeighborIndex(profiles=profiles.values(), backend=backend)
+        alice, bob = profiles["alice"], profiles["bob"]
+        before = {name: index.find_similar(profiles[name]) for name in profiles}
 
-            alice.category("books").terms.set("laptop", 3.0)
-            alice.category("books").subcategory("fiction").terms.set("saga", 0.0)
-            alice.category("books").preference = 0.5
-            assert index.find_similar(alice) == before["alice"]
-            assert index.find_similar(bob) == before["bob"]
+        alice.category("books").terms.set("laptop", 3.0)
+        alice.category("books").subcategory("fiction").terms.set("saga", 0.0)
+        alice.category("books").preference = 0.5
+        assert index.find_similar(alice) == before["alice"]
+        assert index.find_similar(bob) == before["bob"]
 
-            index.invalidate("alice")
-            for name, target in profiles.items():
-                answer = index.find_similar(target)
-                assert answer == find_similar_users(target, profiles.values(), index.config)
-                assert answer == index.find_similar(copy.deepcopy(target))
-            assert index.find_similar(alice) != before["alice"]
-            assert index.find_similar(bob) != before["bob"]
+        index.invalidate("alice")
+        for name, target in profiles.items():
+            answer = index.find_similar(target)
+            assert answer == find_similar_users(target, profiles.values(), index.config)
+            assert answer == index.find_similar(copy.deepcopy(target))
+        assert index.find_similar(alice) != before["alice"]
+        assert index.find_similar(bob) != before["bob"]
 
 
 class TestHelperFunction:
@@ -360,7 +401,7 @@ def register(index, number):
     return profile
 
 
-index = ProfileNeighborIndex(early_termination=True)
+index = ProfileNeighborIndex()
 learner = ProfileLearner()
 index.attach_to(learner)
 profiles = {p.user_id: p for p in (register(index, number) for number in range(12))}
@@ -390,7 +431,6 @@ for category in (None, "books", "toys"):
 print(json.dumps({
     "entries": list(index._entries),
     "rows": index._kernel._row_of,
-    "bound_skips": index.bound_skips,
     "rankings": rankings,
 }))
 """
@@ -399,8 +439,8 @@ print(json.dumps({
 class TestHashSeedIndependence:
     def test_rows_entry_order_and_rankings_ignore_the_hash_seed(self):
         """The dirty set is rebuilt in sorted order, so kernel row numbers,
-        ``_entries`` order (the early-termination candidate order) and every
-        ranking are the same under any ``PYTHONHASHSEED``."""
+        ``_entries`` order and every ranking are the same under any
+        ``PYTHONHASHSEED``."""
         source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         outputs = []
         for hash_seed in ("1", "2"):

@@ -112,6 +112,13 @@ class TestFleetScheduledRefresh:
         refreshed = [uid for event in events for uid in event.payload["user_ids"]]
         assert sorted(refreshed) == sorted(set(refreshed))
         assert sorted(refreshed) == [f"user-{index}" for index in range(9)]
+        # Each server caches exactly its own consumers, nobody else's.
+        for server in platform.fleet.servers:
+            cached = [
+                uid for uid in refreshed
+                if server.recommendations.cached_recommendations(uid) is not None
+            ]
+            assert sorted(cached) == sorted(server.user_db.user_ids)
 
     def test_migrated_consumer_not_double_refreshed(self):
         """A consumer that changes shards between two ticks is refreshed once

@@ -156,7 +156,11 @@ class TestSplit:
 
     def test_route_follows_split_lineage(self):
         shard_map = fresh_map()
+        base = {f"user-{i}": shard_map.base_shard(f"user-{i}") for i in range(200)}
         child = shard_map.begin_split(1, owner="server-a", source="server-b")
+        # Base placement hashes over the founding shards, never the split ones.
+        assert {uid: shard_map.base_shard(uid) for uid in base} == base
+        assert set(base.values()) == {0, 1, 2}
         movers = [uid for uid in (f"user-{i}" for i in range(200))
                   if split_membership(uid, 1, 0)]
         stayers = [uid for uid in (f"user-{i}" for i in range(200))
