@@ -15,29 +15,7 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1: unit + property + integration tests (the suite is a   =="
-echo "==         workload too: its 20 slowest tests go on record; it   =="
-echo "==         includes tests/unit/test_telemetry_footprint.py — a   =="
-echo "==         recorded step must add no GC-tracked object —,        =="
-echo "==         tests/property/test_wire_walk.py — an aglet hop's one =="
-echo "==         walk equals deepcopy + _estimate —,                   =="
-echo "==         tests/unit/test_wire_value.py — only frozen classes   =="
-echo "==         cross a hop by reference —,                           =="
-echo "==         tests/property/test_content_pass.py — the content     =="
-echo "==         pass over the profile's categories equals the whole-  =="
-echo "==         catalogue pass —,                                     =="
-echo "==         tests/unit/test_recommendation_allocation.py — a      =="
-echo "==         Recommendation is built per item returned, not per    =="
-echo "==         item considered —,                                    =="
-echo "==         tests/property/test_partitioned_search.py — hash-     =="
-echo "==         placed partitions merged by merge_topk equal one      =="
-echo "==         index over everyone —,                                =="
-echo "==         tests/property/test_incremental_refresh.py — an       =="
-echo "==         incremental batch refresh equals a from-scratch one —,=="
-echo "==         tests/property/test_replica_reads.py — a replica's    =="
-echo "==         fed index equals brute force after any WAL sequence — =="
-echo "==         and tests/property/test_snapshot_size.py — a          =="
-echo "==         snapshot's summed wire size equals len(repr(state)))  =="
+echo "== tier-1: unit + property + integration tests (20 slowest on record) =="
 python -m pytest -x -q --durations=20 tests
 
 echo "== tier-1 (numpy hidden): backend selection + index suites under =="

@@ -124,11 +124,15 @@ class TermVector:
         )
 
     def cosine(self, other: "TermVector") -> float:
-        """Cosine similarity with another vector (0 when either is empty)."""
+        """Cosine similarity with another vector (0 when either is empty).
+
+        Clamped to 1: weights near 1e-161 square into the subnormal range,
+        where the norms lose precision and the bare ratio can exceed 1.
+        """
         denominator = self.norm() * other.norm()
         if denominator == 0:
             return 0.0
-        return self.dot(other) / denominator
+        return min(1.0, self.dot(other) / denominator)
 
     def merged_with(self, other: "TermVector", weight: float = 1.0) -> "TermVector":
         """A new vector equal to ``self + weight * other``."""
@@ -263,6 +267,32 @@ class Profile:
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:count]
+
+    def content_key(self) -> Tuple:
+        """What :meth:`to_dict` holds, as nested tuples in insertion order.
+
+        Two profiles with equal keys are read identically by every scorer:
+        ``to_dict() ==`` is not enough, because dict equality ignores the
+        insertion order that fixes float summation order in
+        :meth:`TermVector.dot` and the neighbour kernels.
+        """
+        return (
+            self.user_id,
+            self.updated_at,
+            self.feedback_events,
+            tuple(
+                (
+                    name,
+                    category.preference,
+                    tuple(category.terms.weights().items()),
+                    tuple(
+                        (sub_name, sub.preference, tuple(sub.terms.weights().items()))
+                        for sub_name, sub in category.subcategories.items()
+                    ),
+                )
+                for name, category in self.categories.items()
+            ),
+        )
 
     # -- persistence ----------------------------------------------------------
 

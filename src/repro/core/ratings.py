@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import RecommendationError
 
@@ -195,6 +195,14 @@ class RatingsStore:
     def interactions_of(self, user_id: str) -> List[Interaction]:
         """The user's interactions in arrival order (a copy)."""
         return list(self._interactions.get(user_id, ()))
+
+    def interaction_lists(self) -> Mapping[str, List[Interaction]]:
+        """The live user → interactions-in-arrival-order mapping, for a reader
+        that compares without copying: do not mutate.  Everything else the
+        store holds is derived from it.  A list is only ever appended to, and
+        :meth:`remove_user` drops it whole without touching it, so a held
+        ``(list, len(list))`` pins what that list contained."""
+        return self._interactions
 
     # -- aggregates ----------------------------------------------------------
 

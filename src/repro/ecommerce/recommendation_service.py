@@ -93,14 +93,23 @@ class RecommendationService:
             fallback=self.popularity,
         )
         # user_id -> ((k, inputs stamp, profile stamp) — see batch_refresh —
-        # it was refreshed under, the refreshed list)
-        self._batch_cache: Dict[str, Tuple[Tuple, List[Recommendation]]] = {}
+        # it was refreshed under, the refreshed list, the refresh generation
+        # whose inputs the list was last known exact for)
+        self._batch_cache: Dict[str, Tuple[Tuple, List[Recommendation], int]] = {}
+        # The inputs of generation _refreshed_generation, held by reference
+        # (see _inputs_unchanged): (user_id -> (profile, its stamp),
+        # user_id -> (interaction list, its length), catalogue length).
+        self._refreshed_inputs: Optional[Tuple[Dict, Dict, int]] = None
+        self._refreshed_generation = 0
         self._refreshed_membership: Optional[int] = None
         self._invalidation_enabled = False
         self.cache_invalidations = 0
-        #: Consumers all refreshes recomputed / answered from a valid entry.
+        #: Consumers all refreshes recomputed / answered without recomputing;
+        #: ``refresh_revalidated`` counts the answered ones whose counters had
+        #: moved but whose inputs compared equal.
         self.refresh_recomputed = 0
         self.refresh_unchanged = 0
+        self.refresh_revalidated = 0
         self.last_batch_refresh_at: Optional[float] = None
 
     def recommend(
@@ -121,16 +130,25 @@ class RecommendationService:
         """Bring the cached lists of ``user_ids`` up to date and return them.
 
         Equals ``recommend_many(user_ids, k)`` (call that to have everything
-        recomputed) but recomputes only the consumers whose entry is missing
-        or was made under another ``(k, inputs stamp, profile stamp)``.  The
-        inputs stamp, read after one ``neighbor_index.sync()``, covers all
-        that ``recommend`` reads on a server: profiles and membership reach
-        the index's monotone ``mutations`` counter (learner hook or
-        ``profiles_version`` reconcile → re-index / drop); ratings, purchases
-        and the popularity fallback hang off ``RatingsStore.revision``; the
-        catalogue view is add-only over frozen items.  The consumer's own
-        profile stamp is the hybrid memo's per-target guard: a profile edited
-        behind the index is still flattened fresh as a *target*.  The cache
+        recomputed) but recomputes only the consumers whose inputs changed.
+        An entry's counters — ``(k, inputs stamp, profile stamp)`` — prove it
+        current while they have not moved.  The inputs stamp, read after one
+        ``neighbor_index.sync()``, covers all that ``recommend`` reads on a
+        server: profiles and membership reach the index's monotone
+        ``mutations`` counter (learner hook or ``profiles_version`` reconcile
+        → re-index / drop); ratings, purchases and the popularity fallback
+        hang off ``RatingsStore.revision``; the catalogue view is add-only
+        over frozen items.  The consumer's own profile stamp is the hybrid
+        memo's per-target guard: a profile edited behind the index is still
+        flattened fresh as a *target*.
+
+        Moved counters prove nothing: a shard handed away and back moves them
+        all and leaves the content as it was.  So when an entry of the last
+        generation (the last refresh that computed or re-stamped anything)
+        has moved counters, this server's inputs are compared once with that
+        generation's, held by reference (:meth:`_inputs_unchanged`).  Equal
+        inputs give equal lists, and those entries are re-stamped
+        (``refresh_revalidated``); otherwise they are recomputed.  The cache
         feeds :meth:`cached_recommendations` (instant lists on login);
         on-demand :meth:`recommend` calls always compute fresh.
         """
@@ -150,14 +168,84 @@ class RecommendationService:
             )
             if user_id not in cache or cache[user_id][0] != valid:
                 stale.append(user_id)
-        if stale or not validity:  # an empty request still gets its k checked
-            for user_id, recs in self.recommend_many(stale, k=k).items():
-                cache[user_id] = (validity[user_id], recs)
+        generation = self._refreshed_generation
+        revalidated = [
+            user_id for user_id in stale
+            if user_id in cache
+            and cache[user_id][2] == generation
+            and cache[user_id][0][0] == k
+        ]
+        if revalidated and self._inputs_unchanged():
+            kept = set(revalidated)
+            stale = [user_id for user_id in stale if user_id not in kept]
+        else:
+            revalidated = []
+        # An empty request still gets its k checked.
+        fresh = self.recommend_many(stale, k=k) if stale or not validity else {}
+        if fresh or revalidated:
+            # Every requested list is now exact for the inputs as they are.
+            self._refreshed_generation = generation = generation + 1
+            self._refreshed_inputs = self._capture_inputs()
+            for user_id, valid in validity.items():
+                recs = fresh[user_id] if user_id in fresh else cache[user_id][1]
+                cache[user_id] = (valid, recs, generation)
         self.refresh_recomputed += len(stale)
         self.refresh_unchanged += len(validity) - len(stale)
+        self.refresh_revalidated += len(revalidated)
         self.last_batch_refresh_at = self.now()
         # Copies: what cached_recommendations serves later is not the caller's.
         return {user_id: list(cache[user_id][1]) for user_id in validity}
+
+    def _capture_inputs(self) -> Tuple[Dict, Dict, int]:
+        """References to what this server's lists are computed from now."""
+        lists = self.user_db.ratings.interaction_lists()
+        return (
+            {
+                profile.user_id: (profile, _profile_stamp(profile))
+                for profile in self.user_db.profiles()
+            },
+            {user_id: (history, len(history)) for user_id, history in lists.items()},
+            len(self.catalog),
+        )
+
+    def _inputs_unchanged(self) -> bool:
+        """Whether this server's recommendation inputs equal the last
+        generation's — one comparison for every consumer, since anyone can
+        be anyone's neighbour.
+
+        Membership and each profile: the held profile must still be at its
+        stamp, and be the current one or have an equal
+        :meth:`Profile.content_key` (insertion order included).  Each interaction list: the same
+        list at the same length (lists are append-only), or an equal ordered
+        list (``Interaction`` is frozen).  The catalogue: its length (it
+        only grows).
+        """
+        profiles, histories, catalog_size = self._refreshed_inputs
+        current = self.user_db.profiles()
+        if len(self.catalog) != catalog_size or len(current) != len(profiles):
+            return False
+        for profile in current:
+            held = profiles.get(profile.user_id)
+            if held is None:
+                return False
+            then, then_stamp = held
+            if _profile_stamp(then) != then_stamp or (
+                profile is not then and profile.content_key() != then.content_key()
+            ):
+                return False
+        lists = self.user_db.ratings.interaction_lists()
+        if len(lists) != len(histories):
+            return False
+        for user_id, interactions in lists.items():
+            held = histories.get(user_id)
+            if held is None:
+                return False
+            then, size = held
+            if len(interactions) != size or (
+                interactions is not then and interactions != then
+            ):
+                return False
+        return True
 
     def cached_recommendations(
         self, user_id: str, k: Optional[int] = None

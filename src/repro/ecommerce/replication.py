@@ -142,10 +142,19 @@ class ReplicationLogEntry:
     op: str
     payload: Dict[str, Any]
     timestamp: float
+    #: payload_bytes(), once the first shipment sized it.  Sound because no
+    #: payload changes after append: it is the log's own shallow copy of
+    #: immutable values and a fresh ``to_dict()``, and every reader (the
+    #: replica's ``_apply``, the mutation listeners) only reads it.
+    _size: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def payload_bytes(self) -> int:
         """Deterministic wire-size estimate used to charge the network."""
-        return ENTRY_OVERHEAD_BYTES + len(repr(self.payload))
+        size = self._size
+        if size is None:
+            size = ENTRY_OVERHEAD_BYTES + len(repr(self.payload))
+            object.__setattr__(self, "_size", size)
+        return size
 
 
 @dataclass(frozen=True)
