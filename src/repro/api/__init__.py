@@ -16,7 +16,6 @@ For overlapping load, ``gateway.submit`` returns an
 open sessions by virtual arrival time — see :mod:`repro.api.concurrency`.
 """
 
-from repro.api.caching import RecommendationEnvelopeCache
 from repro.api.concurrency import ApiFuture, ServerQueues, SessionScheduler
 from repro.api.envelope import (
     API_VERSION,
@@ -73,7 +72,6 @@ __all__ = [
     "Provenance",
     "classify_error",
     "PlatformGateway",
-    "RecommendationEnvelopeCache",
     "ApiFuture",
     "ServerQueues",
     "SessionScheduler",

@@ -224,12 +224,6 @@ class Provenance:
     hedge_won_shards: Tuple[str, ...] = ()
     retries: int = 0
     failed_over: bool = False
-    #: True exactly when the answer was served from the batch-refresh
-    #: envelope cache (``PlatformConfig.api_recommendation_cache``) instead
-    #: of being computed for this request.  A cached answer is *not*
-    #: degraded: eligibility rules guarantee it is byte-identical to what a
-    #: fresh computation would have returned (see :mod:`repro.api.caching`).
-    served_from_cache: bool = False
 
     @property
     def degraded(self) -> bool:

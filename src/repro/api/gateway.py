@@ -53,7 +53,6 @@ from repro.errors import (
     ReproError,
     UnknownUserError,
 )
-from repro.api.caching import RecommendationEnvelopeCache
 from repro.api.envelope import (
     AUTH_REJECTION_CODES,
     ApiError,
@@ -136,12 +135,6 @@ class PlatformGateway:
         self._clock = platform.scheduler.clock
         self._metrics = platform.metrics
         self._request_counter = 0
-        # consumer → (topology stamp, server) route cache, validated against
-        # the fleet's versioned shard map: any epoch bump (promotion,
-        # handback, split) or per-consumer move/loss changes the stamp and
-        # lazily invalidates every entry.  Pure memoization of a pure
-        # lookup — byte-identical to re-routing every request.
-        self._route_cache: Dict[str, tuple] = {}
 
         bucket = (
             TokenBucket(
@@ -194,14 +187,6 @@ class PlatformGateway:
             QueueingMiddleware(self._metrics),
         )
         self._handler = build_chain(list(self.middlewares), self._dispatch)
-        # Envelope cache for ``recommendations`` (default off — constructed
-        # only when PlatformConfig.api_recommendation_cache opts in, so the
-        # default request path and hook graph stay byte-identical).
-        self.recommendation_cache = (
-            RecommendationEnvelopeCache()
-            if getattr(config, "api_recommendation_cache", False)
-            else None
-        )
         self._sessions: Optional["SessionScheduler"] = None
         self._operations: Dict[type, Callable[[Any], Tuple[Any, Provenance, bool]]] = {
             RegisterRequest: self._op_register,
@@ -471,37 +456,11 @@ class PlatformGateway:
         session = self._platform.session(user_id)
         if not session.is_active:
             return session  # the operation raises SessionError: failed, final
-        current = self._server_for(user_id)
+        current = self._platform.buyer_server_for(user_id)
         self._require_live(current)
         if session.server is not current:
             session = self._platform.login(user_id, register=False)
         return session
-
-    def _server_for(self, user_id: str):
-        """The consumer's serving server, memoized against topology changes.
-
-        The cache key is the fleet's elastic state stamp — shard-map epoch
-        plus the per-consumer migration/loss counters — so a promotion,
-        handback, split step or consumer loss anywhere in the fleet
-        invalidates every cached route the moment it happens, while steady
-        traffic pays one dict probe instead of a hash + split descent per
-        request.  Single-server platforms bypass the cache (routing is
-        constant there).
-        """
-        fleet = self._platform.fleet
-        if fleet is None:
-            return self._platform.buyer_server_for(user_id)
-        stamp = (
-            fleet.shard_map.epoch,
-            fleet.migrated_consumers,
-            fleet.lost_consumers,
-        )
-        cached = self._route_cache.get(user_id)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        server = self._platform.buyer_server_for(user_id)
-        self._route_cache[user_id] = (stamp, server)
-        return server
 
     @staticmethod
     def _require_live(server) -> None:
@@ -551,9 +510,9 @@ class PlatformGateway:
     # -- operations ------------------------------------------------------------
 
     def _op_register(self, request: RegisterRequest):
-        self._require_live(self._server_for(request.user_id))
+        self._require_live(self._platform.buyer_server_for(request.user_id))
         self._platform.register_consumer(request.user_id, request.display_name)
-        server = self._server_for(request.user_id)
+        server = self._platform.buyer_server_for(request.user_id)
         return (
             RegistrationResult(user_id=request.user_id, server=server.name),
             Provenance(served_by=server.name),
@@ -561,7 +520,7 @@ class PlatformGateway:
         )
 
     def _op_login(self, request: LoginRequest):
-        self._require_live(self._server_for(request.user_id))
+        self._require_live(self._platform.buyer_server_for(request.user_id))
         session = self._platform.login(request.user_id, register=request.register)
         return (
             LoginResult(
@@ -652,21 +611,6 @@ class PlatformGateway:
 
     def _op_recommendations(self, request: RecommendationsRequest):
         session = self._session_for(request.user_id)
-        if self.recommendation_cache is not None:
-            cached = self.recommendation_cache.lookup(
-                session.server.recommendations,
-                request.user_id,
-                request.k,
-                request.category,
-            )
-            if cached is not None:
-                return (
-                    RecommendationList(recommendations=tuple(cached)),
-                    Provenance(
-                        served_by=session.server.name, served_from_cache=True
-                    ),
-                    False,
-                )
         recommendations = session._recommendations(k=request.k, category=request.category)
         return (
             RecommendationList(recommendations=tuple(recommendations)),

@@ -50,7 +50,7 @@ from repro.core.similarity import (
     pearson_correlation,
     find_similar_users,
 )
-from repro.core.neighbors import ProfileNeighborIndex, find_similar_users_indexed
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.shard_map import ShardMap, ShardMigration, merge_topk, split_membership
 from repro.core.recommender import Recommendation, Recommender, RecommendationEngine
 from repro.core.collaborative import CollaborativeFilteringRecommender
@@ -80,7 +80,6 @@ __all__ = [
     "pearson_correlation",
     "find_similar_users",
     "ProfileNeighborIndex",
-    "find_similar_users_indexed",
     "ShardMap",
     "ShardMigration",
     "split_membership",

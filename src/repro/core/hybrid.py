@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from repro.errors import RecommendationError
 from repro.core.items import Item, ItemCatalogView
 from repro.core.information_filtering import InformationFilteringRecommender
-from repro.core.neighbors import ProfileNeighborIndex, _version_of as _profile_stamp
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.ratings import RatingsStore
 from repro.core.recommender import Recommendation, Recommender, ranked_pairs
@@ -90,47 +90,8 @@ class AgentHybridRecommender(Recommender):
         self.content_weight = content_weight
         self.neighbor_index = neighbor_index
         self._content = InformationFilteringRecommender(catalog, profile_of)
-        # prepare_batch memo: user_id -> (profile stamp, neighbour list),
-        # valid only while the index's mutation counter equals _batch_stamp.
-        self._batch_neighbours: Dict[str, Tuple[Tuple, List[Tuple[str, float]]]] = {}
-        self._batch_stamp: Optional[int] = None
 
     # -- similar users ----------------------------------------------------------
-
-    def prepare_batch(self, user_ids: Sequence[str]) -> None:
-        """Answer a batch's category-free neighbour queries before its
-        ``recommend`` calls and memoize them.
-
-        One :meth:`ProfileNeighborIndex.find_similar_many`: one index sync,
-        then one query per consumer.  ``similar_users`` serves from the memo
-        only while (a) the index's mutation counter still matches the
-        post-warm-up stamp after a fresh ``sync()`` and (b) the consumer's
-        own profile stamp is unchanged, so a write landing mid-batch falls
-        back to a live query and the batch output stays byte-identical to
-        per-user ``recommend`` calls.
-        """
-        self._batch_neighbours = {}
-        self._batch_stamp = None
-        if self.neighbor_index is None:
-            return
-        targets = []
-        for user_id in user_ids:
-            profile = self.profile_of(user_id)
-            if profile is not None and not profile.is_empty():
-                targets.append(profile)
-        if not targets:
-            return
-        results = self.neighbor_index.find_similar_many(
-            targets, category=None, config=self.similarity_config
-        )
-        # Read the stamp *after* find_similar_many: its initial sync may have
-        # rebuilt dirty consumers, and those rebuilds must not invalidate the
-        # memo they produced.
-        self._batch_stamp = self.neighbor_index.mutations
-        self._batch_neighbours = {
-            target.user_id: (_profile_stamp(target), result)
-            for target, result in zip(targets, results)
-        }
 
     def similar_users(
         self, user_id: str, category: Optional[str] = None
@@ -145,15 +106,6 @@ class AgentHybridRecommender(Recommender):
         if target is None or target.is_empty():
             return []
         if self.neighbor_index is not None:
-            if category is None and self._batch_neighbours:
-                memo = self._batch_neighbours.get(user_id)
-                if memo is not None:
-                    self.neighbor_index.sync()
-                    if (
-                        self.neighbor_index.mutations == self._batch_stamp
-                        and memo[0] == _profile_stamp(target)
-                    ):
-                        return list(memo[1])
             return self.neighbor_index.find_similar(
                 target, category=category, config=self.similarity_config
             )

@@ -41,7 +41,7 @@ from repro.core.similarity import (
     vector_norm as _norm,
 )
 
-__all__ = ["ProfileNeighborIndex", "find_similar_users_indexed"]
+__all__ = ["ProfileNeighborIndex"]
 
 ProfilesProvider = Callable[[], Iterable[Profile]]
 
@@ -119,9 +119,9 @@ class ProfileNeighborIndex:
         self._category_values: Dict[str, Dict[str, float]] = {}
         self.rebuilds = 0
         self.queries = 0
-        # Monotone stamp bumped on every entry (re)index or drop; batch
-        # consumers (AgentHybridRecommender.prepare_batch) use it to prove a
-        # memoized neighbor list is still current.
+        # Monotone stamp bumped on every entry (re)index or drop;
+        # RecommendationService.batch_refresh uses it to prove a cached
+        # recommendation list is still current.
         self.mutations = 0
         if profiles is not None:
             self.build(profiles)
@@ -310,21 +310,6 @@ class ProfileNeighborIndex:
             config.min_similarity, target.user_id, config.top_k, discard
         )
 
-    def find_similar_many(
-        self,
-        targets: Iterable[Profile],
-        category: Optional[str] = None,
-        config: Optional[SimilarityConfig] = None,
-    ) -> List[List[Tuple[str, float]]]:
-        """One :meth:`find_similar` result list per target, in order: exactly
-        the per-target calls, made after one ``sync()`` — which leaves a
-        hooked index nothing to reconcile inside them."""
-        self.sync()
-        return [
-            self.find_similar(target, category=category, config=config)
-            for target in targets
-        ]
-
     # -- internals ------------------------------------------------------------
 
     def _index_profile(self, profile: Profile) -> None:
@@ -377,21 +362,3 @@ class ProfileNeighborIndex:
             f"dirty={len(self._dirty)}, rebuilds={self.rebuilds})"
         )
 
-
-def find_similar_users_indexed(
-    target: Profile,
-    candidates: Iterable[Profile],
-    config: Optional[SimilarityConfig] = None,
-    category: Optional[str] = None,
-    index: Optional[ProfileNeighborIndex] = None,
-) -> List[Tuple[str, float]]:
-    """Drop-in indexed replacement for :func:`find_similar_users`.
-
-    When ``index`` is omitted a transient index is built over ``candidates``
-    (useful for one-off equivalence checks); pass a long-lived
-    :class:`ProfileNeighborIndex` to amortise the precomputation across
-    queries, which is where the speedup comes from.
-    """
-    if index is None:
-        index = ProfileNeighborIndex(profiles=candidates, config=config)
-    return index.find_similar(target, category=category, config=config)

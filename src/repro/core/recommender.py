@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RecommendationError
 from repro.core.items import Item, ItemCatalogView
@@ -39,7 +39,14 @@ class Recommendation:
 
 
 class Recommender(abc.ABC):
-    """Interface implemented by every recommendation strategy."""
+    """Interface implemented by every recommendation strategy.
+
+    ``recommend`` is the only serving entry point: batch serving
+    (:meth:`RecommendationEngine.recommend_many`) calls it once per consumer,
+    so a strategy keeps no per-batch state.  Derived state it reuses across
+    calls (the hybrid recommender's neighbor index, the collaborative
+    recommender's user-vector cache) is stamp-cached lazily.
+    """
 
     #: Short machine-readable name used in benchmark tables and reasons.
     name: str = "recommender"
@@ -69,18 +76,6 @@ class Recommender(abc.ABC):
         the default assumes the recommender can always try.
         """
         return True
-
-    def prepare_batch(self, user_ids: Sequence[str]) -> None:
-        """Hook called once before a batch of ``recommend`` calls.
-
-        The built-in strategies need no override: their derived state (the
-        hybrid recommender's neighbor index, the collaborative recommender's
-        user-vector cache) is stamp-cached lazily, so the first per-user call
-        warms it for the whole batch.  The hook exists for strategies whose
-        warm-up is *not* self-caching (e.g. one that fetches remote state per
-        request).  Must not change what ``recommend`` returns — batching is a
-        performance hint, not a semantic switch.  The default is a no-op.
-        """
 
 
 def ranked_pairs(pairs: List[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
@@ -168,16 +163,12 @@ class RecommendationEngine:
         (including cold-start fallbacks): each user is served from the same
         code path as the single-user API.  Shared work is amortised by the
         strategies' stamp-cached derived state (warmed by the first user and
-        reused for the rest) plus the ``prepare_batch`` hooks, which run
-        exactly once per batch.  Duplicate user ids collapse to one entry.
+        reused for the rest).  Duplicate user ids collapse to one entry.
         """
         if k <= 0:
             raise RecommendationError("k must be positive")
         ids = list(dict.fromkeys(user_ids))
         excluded = tuple(exclude)
-        self.primary.prepare_batch(ids)
-        if self.fallback is not None:
-            self.fallback.prepare_batch(ids)
         return {
             user_id: self.recommend(user_id, k=k, category=category, exclude=excluded)
             for user_id in ids

@@ -10,8 +10,8 @@ lockstep by hand.  :class:`ShardMap` makes that knowledge first-class:
   (stable across processes, unlike ``hash(str)``) modulo the founding shard
   count, frozen at construction so later splits never move it;
 - an **epoch number**, bumped atomically on every topology change, that
-  consumers (fleet routing, the gateway's route cache, the coordinator's
-  domain registry) can key caches and sync decisions on;
+  consumers (fleet routing, the coordinator's domain registry) can key
+  caches and sync decisions on;
 - the **shard → owner** assignment itself, keyed by server *name* so the
   map never dereferences a server object (and therefore never reads dead
   memory);

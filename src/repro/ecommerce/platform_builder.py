@@ -124,11 +124,6 @@ class PlatformConfig:
             backends are score-identical by construction — the differential
             suite in ``tests/property/test_scoring_kernel.py`` pins it — so
             this knob trades speed, never answers.
-        api_recommendation_cache: serve gateway ``recommendations``
-            requests from batch-refresh output when an exactly-matching
-            entry exists (``served_from_cache`` provenance), with write
-            hooks invalidating per consumer.  Off by default — the default
-            request path and hook graph stay byte-identical.
         handshake_trades: secure every marketplace trade with the
             :mod:`repro.adversarial` handshake protocol (nonce challenge +
             HMAC echo + single finalize); finalized trades record a
@@ -159,7 +154,6 @@ class PlatformConfig:
     api_admission_classes: Optional[Dict[str, Dict[str, object]]] = None
     fleet_hedge_delay_percentile: Optional[float] = None
     scoring_backend: str = DEFAULT_BACKEND
-    api_recommendation_cache: bool = False
     handshake_trades: bool = False
 
     def validate(self) -> None:

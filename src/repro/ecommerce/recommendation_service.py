@@ -102,7 +102,6 @@ class RecommendationService:
         self._refreshed_inputs: Optional[Tuple[Dict, Dict, int]] = None
         self._refreshed_generation = 0
         self._refreshed_membership: Optional[int] = None
-        self._invalidation_enabled = False
         self.cache_invalidations = 0
         #: Consumers all refreshes recomputed / answered without recomputing;
         #: ``refresh_revalidated`` counts the answered ones whose counters had
@@ -138,9 +137,9 @@ class RecommendationService:
         ``mutations`` counter (learner hook or ``profiles_version`` reconcile
         → re-index / drop); ratings, purchases and the popularity fallback
         hang off ``RatingsStore.revision``; the catalogue view is add-only
-        over frozen items.  The consumer's own profile stamp is the hybrid
-        memo's per-target guard: a profile edited behind the index is still
-        flattened fresh as a *target*.
+        over frozen items.  The consumer's own profile stamp covers the
+        target side: a profile edited behind the index is still flattened
+        fresh as a *target*.
 
         Moved counters prove nothing: a shard handed away and back moves them
         all and leaves the content as it was.  So when an entry of the last
@@ -148,9 +147,10 @@ class RecommendationService:
         has moved counters, this server's inputs are compared once with that
         generation's, held by reference (:meth:`_inputs_unchanged`).  Equal
         inputs give equal lists, and those entries are re-stamped
-        (``refresh_revalidated``); otherwise they are recomputed.  The cache
-        feeds :meth:`cached_recommendations` (instant lists on login);
-        on-demand :meth:`recommend` calls always compute fresh.
+        (``refresh_revalidated``); otherwise they are recomputed.  No request
+        path reads the cache: :meth:`cached_recommendations` exposes it for
+        inspection, and on-demand :meth:`recommend` calls always compute
+        fresh.
         """
         index, db, cache = self.neighbor_index, self.user_db, self._batch_cache
         index.sync()
@@ -266,48 +266,6 @@ class RecommendationService:
         """Drop ``user_id``'s batch-refreshed list (no-op when absent)."""
         if self._batch_cache.pop(user_id, None) is not None:
             self.cache_invalidations += 1
-
-    def enable_batch_invalidation(self) -> None:
-        """Keep the batch cache honest under writes (gateway envelope cache).
-
-        Registers two precise per-consumer invalidation paths:
-
-        - a :class:`ProfileLearner` update hook, so in-place learning updates
-          (ratings/feedback applied to a profile) drop that consumer's entry;
-        - a UserDB mutation listener, so durable writes that *don't* flow
-          through the learner — recorded transactions, observational
-          interactions, wholesale profile replacement — drop it too.  A
-          purchase changes purchase-history-driven scores even when no
-          learning event fires, so listening to the learner alone would
-          serve stale lists.
-
-        Idempotent; only wired when a caller (the gateway, when
-        ``PlatformConfig.api_recommendation_cache`` is on) opts in, so the
-        default configuration keeps the PR-7 hook graph byte-identical.
-        """
-        if self._invalidation_enabled:
-            return
-        self._invalidation_enabled = True
-        # Entries cached before the hooks existed may already be stale in
-        # ways nobody recorded; drop them so only post-arming refreshes are
-        # ever eligible to serve.
-        self._batch_cache.clear()
-        if self.profile_learner is not None:
-            self.profile_learner.add_update_hook(self._on_learner_update)
-        self.user_db.add_mutation_listener(self._on_db_mutation)
-
-    def _on_learner_update(self, profile: Profile, event) -> None:
-        self.invalidate_cached(profile.user_id)
-
-    def _on_db_mutation(self, op: str, payload: Dict) -> None:
-        if op == "transaction":
-            self.invalidate_cached(payload["transaction"].user_id)
-        elif op == "interaction":
-            self.invalidate_cached(payload["interaction"].user_id)
-        elif op == "store-profile":
-            self.invalidate_cached(payload["profile"]["user_id"])
-        elif op == "unregister":
-            self.invalidate_cached(payload["user_id"])
 
     def weekly_hottest_list(
         self, k: int = 10, category: Optional[str] = None

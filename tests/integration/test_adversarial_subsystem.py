@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import ApiStatus
 from repro.workload import AdversaryDriver, ConcurrentDriver, ConsumerPopulation
 from repro.workload.scenarios import ScenarioRunner
 from repro.adversarial.audit import InvariantAuditor
@@ -190,9 +191,13 @@ class TestChaosMarketplaceDay:
         report = self._run()
         assert report.scenario == "chaos_marketplace_day"
         assert report.audit["ok"], report.audit["violations"]
+        assert report.audit["violations"] == []
         assert report.attacker_success_rate == 0.0
+        assert report.as_dict()["adversary"]["protocol"]["succeeded"] == 0
+        assert report.honest_goodput >= 0.85
         assert report.requests > 0
         assert report.outages > 0
+        assert set(report.statuses) <= set(ApiStatus.ALL)
         for tamper in TAMPER_MODES:
             assert report.auth_rejections.get(tamper, 0) > 0
 

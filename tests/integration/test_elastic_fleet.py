@@ -107,20 +107,45 @@ class TestTransferShard:
         with pytest.raises(ECommerceError):
             fleet.transfer_shard(0, fleet.owner_of_shard(1))
 
-    def test_gateway_follows_the_consumer_across_a_transfer(self):
+    def test_gateway_follows_the_consumer_across_topology_changes(self):
+        """After a promote, a hand-back and a split step, the next gateway
+        request for every consumer is served by ``fleet.server_for``."""
         platform = make_platform()
         fleet = platform.fleet
-        populate(platform, count=20)
+        users = populate(platform, count=20)
         gateway = platform.gateway()
-        moved_users = fleet.consumers_of(0)
-        target = fleet.owner_of_shard(1)
-        fleet.transfer_shard(0, target)
-        for user_id in moved_users[:5]:
-            response = gateway.login(user_id)
-            assert response.ok
-            response = gateway.query(user_id, "music")
-            assert response.ok
-            gateway.logout(user_id)
+
+        def assert_routed(moved):
+            for user_id in users:
+                assert gateway.login(user_id).ok
+                response = gateway.recommendations(user_id, k=3)
+                assert response.ok
+                assert response.provenance.served_by == fleet.server_for(user_id).name
+                assert gateway.logout(user_id).ok
+            assert moved
+
+        def owners():
+            return {user_id: fleet.server_for(user_id) for user_id in users}
+
+        assert_routed(users)
+        before = owners()
+        victim = fleet.owner_of_shard(0)
+        platform.failures.crash_host(victim.name)
+        fleet.handle_server_failure(0)
+        assert_routed([u for u, server in owners().items() if server is not before[u]])
+
+        before = owners()
+        platform.failures.recover_host(victim.name)
+        fleet.recover_server(victim)
+        fleet.transfer_shard(0, victim)
+        assert_routed([u for u, server in owners().items() if server is not before[u]])
+
+        before = owners()
+        split = fleet.split_shard(0, target=fleet.owner_of_shard(1))
+        split.step()
+        assert_routed([u for u, server in owners().items() if server is not before[u]])
+        split.run()
+        assert_routed(users)
 
 
 class TestSplitShard:
@@ -245,6 +270,7 @@ class TestElasticScenarios:
         assert report.missing_consumers == 0
         assert any(d["action"] == "scale-out" for d in report.decisions)
         assert any(d["action"] == "scale-in" for d in report.decisions)
+        assert report.splits + report.handbacks > 0
         # The envelope taxonomy stays closed under elasticity.
         assert set(report.statuses) <= {
             "ok", "degraded", "failed", "unavailable", "rejected",

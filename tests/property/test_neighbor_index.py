@@ -12,7 +12,7 @@ flow through :class:`~repro.core.profile_learning.ProfileLearner` hooks.
 from hypothesis import given, settings, strategies as st
 
 from repro.core.items import Item
-from repro.core.neighbors import ProfileNeighborIndex, find_similar_users_indexed
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import InteractionKind
@@ -123,12 +123,11 @@ def test_indexed_equals_brute_force(population, config, category):
 
 @settings(max_examples=25, deadline=None)
 @given(population=populations(), config=similarity_configs(), category=categories_or_none)
-def test_transient_index_helper_equals_brute_force(population, config, category):
+def test_fresh_index_first_query_equals_brute_force(population, config, category):
     target = next(iter(population.values()))
     brute = find_similar_users(target, population.values(), config, category=category)
-    indexed = find_similar_users_indexed(
-        target, population.values(), config, category=category
-    )
+    index = ProfileNeighborIndex(profiles=population.values(), config=config)
+    indexed = index.find_similar(target, category=category)
     assert_same_neighbors(brute, indexed)
 
 

@@ -157,16 +157,6 @@ def test_backends_identical_to_brute_force(seed):
             assert index.find_similar(target) == brute
 
 
-def test_find_similar_many_matches_sequential_queries():
-    population = seeded_population(13)
-    config = SimilarityConfig(top_k=5)
-    targets = list(population.values())
-    for backend in available_backends():
-        index = build_index(population, config, backend)
-        batched = index.find_similar_many(targets)
-        assert batched == [index.find_similar(target) for target in targets]
-
-
 # ---------------------------------------------------------------------------
 # Incremental updates keep the kernels coherent
 # ---------------------------------------------------------------------------

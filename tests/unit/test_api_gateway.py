@@ -50,45 +50,55 @@ def gateway_platform():
     return platform
 
 
+def _assert_every_operation_ok(platform) -> None:
+    """One request per operation type; each returns an ``ok`` envelope."""
+    gateway = platform.gateway()
+    keyword = _keyword(platform)
+
+    login = gateway.login("alice")
+    query = gateway.query("alice", keyword)
+    hit = query.result.hits[0]
+    responses = {
+        "register": gateway.register("bob"),
+        "login": login,
+        "query": query,
+        "buy": gateway.buy("alice", hit.item, marketplace=hit.marketplace),
+        "join_auction": gateway.join_auction(
+            "alice", hit.item, max_price=hit.price * 1.5,
+            marketplace=hit.marketplace,
+        ),
+        "negotiate": gateway.negotiate(
+            "alice", hit.item, max_price=hit.price,
+            marketplace=hit.marketplace,
+        ),
+        "rate": gateway.rate("alice", hit.item, 4.5),
+        "recommendations": gateway.recommendations("alice", k=5),
+        "weekly_hottest": gateway.weekly_hottest("alice", k=5),
+        "cross_sell": gateway.cross_sell("alice", k=3),
+        "find_similar": gateway.find_similar("alice"),
+        "admin_stats": gateway.admin_stats(),
+        "logout": gateway.logout("alice"),
+    }
+    for operation, response in responses.items():
+        assert isinstance(response, ApiResponse)
+        assert response.operation == operation
+        assert response.status == ApiStatus.OK, (operation, response.error)
+        assert response.ok
+        assert response.error is None
+        assert response.result is not None
+        assert response.api_version == API_VERSION
+        assert response.latency_ms >= 0.0
+
+
 class TestEnvelopeBasics:
     def test_every_operation_returns_the_uniform_envelope(self, gateway_platform):
-        platform = gateway_platform
-        gateway = platform.gateway()
-        keyword = _keyword(platform)
+        _assert_every_operation_ok(gateway_platform)
 
-        login = gateway.login("alice")
-        query = gateway.query("alice", keyword)
-        hit = query.result.hits[0]
-        responses = {
-            "register": gateway.register("bob"),
-            "login": login,
-            "query": query,
-            "buy": gateway.buy("alice", hit.item, marketplace=hit.marketplace),
-            "join_auction": gateway.join_auction(
-                "alice", hit.item, max_price=hit.price * 1.5,
-                marketplace=hit.marketplace,
-            ),
-            "negotiate": gateway.negotiate(
-                "alice", hit.item, max_price=hit.price,
-                marketplace=hit.marketplace,
-            ),
-            "rate": gateway.rate("alice", hit.item, 4.5),
-            "recommendations": gateway.recommendations("alice", k=5),
-            "weekly_hottest": gateway.weekly_hottest("alice", k=5),
-            "cross_sell": gateway.cross_sell("alice", k=3),
-            "find_similar": gateway.find_similar("alice"),
-            "admin_stats": gateway.admin_stats(),
-            "logout": gateway.logout("alice"),
-        }
-        for operation, response in responses.items():
-            assert isinstance(response, ApiResponse)
-            assert response.operation == operation
-            assert response.status in ApiStatus.ALL
-            assert response.ok, (operation, response.error)
-            assert response.error is None
-            assert response.result is not None
-            assert response.api_version == API_VERSION
-            assert response.latency_ms >= 0.0
+    def test_every_operation_is_ok_on_an_admission_controlled_fleet(self):
+        _assert_every_operation_ok(
+            build_platform(seed=5, num_buyer_servers=3, replication_factor=1,
+                           api_admission_capacity=64)
+        )
 
     def test_request_ids_are_monotonic_per_gateway(self, gateway_platform):
         gateway = gateway_platform.gateway()

@@ -9,12 +9,14 @@ old code.
 
 import pytest
 
+from repro.api import ApiStatus
 from repro.workload.concurrent import (
     ConcurrentDriver,
     LATENCY_HISTOGRAM_BOUNDS_MS,
     latency_histogram,
 )
 from repro.workload.consumers import ConsumerPopulation
+from repro.workload.scenarios import ScenarioRunner
 from repro.ecommerce.platform_builder import build_platform
 
 
@@ -150,3 +152,32 @@ class TestServerOccupancy:
         assert report.as_dict()["queue_dropped"] == report.queue_dropped
         # Dropped requests completed (with unavailable), they were not shed.
         assert report.completed == report.requests - report.shed
+
+
+class TestConcurrentDay:
+    def test_overlapping_day_sheds_queues_and_reports_clean_statuses(self):
+        platform = build_platform(seed=11, num_buyer_servers=4, replication_factor=1,
+                                  api_admission_capacity=40,
+                                  api_admission_refill_per_ms=0.2)
+        runner = ScenarioRunner(platform, ConsumerPopulation(400, groups=4, seed=11),
+                                seed=11)
+        report = runner.concurrent_day(sessions=300, queries_per_session=2,
+                                       arrival_rate_per_ms=0.15, think_time_ms=150.0,
+                                       seed=11)
+        d = report.as_dict()
+        # A shed request completed nothing.
+        assert d["sessions"] == 300
+        assert d["completed"] == d["requests"] - d["shed"]
+        # Overlap was real: admission shed some of it and queues formed.
+        assert d["shed"] > 0 and 0.0 < report.shed_rate < 1.0
+        assert d["queue_wait_ms"]["count"] > 0 and d["queue_wait_ms"]["max"] > 0.0
+        # Latency covers dispatched requests only, in the report and in the
+        # metrics middleware's timer alike.
+        assert d["latency_ms"]["count"] == d["completed"] > 0
+        assert platform.metrics.timer("api.latency_ms").summary()["count"] == (
+            d["latency_ms"]["count"]
+        )
+        counts = [bucket["count"] for bucket in d["histogram"]]
+        assert counts == sorted(counts) and counts[-1] == d["latency_ms"]["count"]
+        assert set(d["statuses"]) <= set(ApiStatus.ALL)
+        assert d["statuses"].get(ApiStatus.REJECTED, 0) == d["shed"]

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.core.neighbors import ProfileNeighborIndex, find_similar_users_indexed
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import InteractionKind
@@ -356,22 +356,21 @@ class TestFreshRowTarget:
         assert index.find_similar(bob) != before["bob"]
 
 
-class TestHelperFunction:
-    def test_transient_helper_matches_brute_force(self):
+class TestFreshIndex:
+    def test_fresh_index_matches_brute_force(self):
         profiles = community()
         config = SimilarityConfig()
         target = profiles["alice"]
-        assert find_similar_users_indexed(
+        index = ProfileNeighborIndex(profiles=profiles.values(), config=config)
+        assert index.find_similar(target) == find_similar_users(
             target, profiles.values(), config
-        ) == find_similar_users(target, profiles.values(), config)
+        )
 
-    def test_helper_reuses_supplied_index(self):
+    def test_each_query_counts_once(self):
         profiles = community()
         index = ProfileNeighborIndex(profiles=profiles.values())
         queries_before = index.queries
-        find_similar_users_indexed(
-            profiles["alice"], profiles.values(), index=index
-        )
+        index.find_similar(profiles["alice"])
         assert index.queries == queries_before + 1
 
 

@@ -144,6 +144,23 @@ class TestRecommendMany:
         for user_id in user_db.user_ids:
             assert batch[user_id] == svc.recommend(user_id, k=5)
 
+    @pytest.mark.parametrize("category", [None, "books"])
+    def test_batch_makes_one_index_query_per_consumer(self, learning_service, category):
+        """Batch serving is the single-user path: one neighbour query per
+        consumer with a profile, none for a cold one, with or without a
+        category, and the same lists as per-user ``recommend``."""
+        user_db, _, svc = learning_service
+        users = user_db.user_ids
+        warm = [user_id for user_id in users if not user_db.profile(user_id).is_empty()]
+        assert 2 <= len(warm) < len(users)
+        expected = {
+            user_id: svc.recommend(user_id, k=5, category=category) for user_id in users
+        }
+        before = svc.neighbor_index.queries
+        batch = svc.recommend_many(users, k=5, category=category)
+        assert svc.neighbor_index.queries - before == len(warm)
+        assert batch == expected
+
     def test_duplicate_user_ids_collapse(self, learning_service):
         _, _, svc = learning_service
         batch = svc.recommend_many(["alice", "alice", "bob"], k=3)
