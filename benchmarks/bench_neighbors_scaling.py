@@ -13,9 +13,11 @@ Two modes, both pytest-runnable:
   indexed path is required to be at least 5x faster than brute force.
 
 The **scoring-kernel trajectory** runs the same indexed search through the
-``dict`` kernel (the default: term-at-a-time over posting lists) and the
-vectorized ``numpy`` kernel (when importable), equivalence-checked at every
-population size and timed up to 50 000 consumers in full mode.  The
+``dict`` kernel (the default: category-signature partitions pruned by
+block-max bounds) and the vectorized ``numpy`` kernel (when importable),
+equivalence-checked at every population size and timed up to 50 000
+consumers in full mode (the checked-in timings were recorded with the
+posting-list ``dict`` kernel that came before the partitions).  The
 trajectory is checked in as ``BENCH_neighbors_scaling.json`` — a byte-reproducible ``deterministic``
 block (score checksums; regenerated and compared by CI at smoke sizes) plus a ``measured`` block recording the full-mode timings
 (wall-clock, so recorded once, validated by invariants rather than

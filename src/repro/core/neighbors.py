@@ -9,13 +9,15 @@ recommendation request — so the index here restructures it:
 - **Per-profile caches.**  For every consumer the index keeps the category
   preference vector, the flattened term vector and both vector norms, built
   once and reused across queries instead of recomputed per pair.
-- **Select, then materialise.**  The scoring kernel scores every indexed
-  consumer in one block (:mod:`repro.core.scoring`); the answer is selected
-  on the bare score list and only the rows that can reach the top-k become
-  ``(user_id, score)`` pairs.  The Figure 4.5 discard rule ("if Consumer X's
-  preference merchandise item value Tx [is] different from ... Ty, the
-  similarity result will be discarded") is applied to those few survivors
-  from a per-category ``user → value`` map, not to the whole community.
+- **Score only what can reach the top-k.**  The scoring kernel
+  (:mod:`repro.core.scoring`) answers the top-k itself: the default one
+  skips every category-signature partition whose block-max bound is under
+  the k-th best score it holds.  Only answer rows become
+  ``(user_id, score)`` pairs.  The Figure 4.5 discard rule ("if Consumer
+  X's preference merchandise item value Tx [is] different from ... Ty, the
+  similarity result will be discarded") is applied to rows that could enter
+  the answer, from a per-category ``user → value`` map, not to the whole
+  community.
 - **Incremental invalidation.**  :class:`~repro.core.profile_learning.ProfileLearner`
   fires an update hook per feedback event; the index marks exactly that
   consumer dirty and lazily rebuilds its caches on the next query.  A version
@@ -102,8 +104,6 @@ class ProfileNeighborIndex:
         # tests/property/test_scoring_kernel.py).
         self.backend = resolve_backend(backend)
         self._kernel = create_kernel(self.backend)
-        # Always 0; the frozen ledger reads it (wallclock/harness.py:315) until ROADMAP item 1.
-        self.bound_skips = 0
         self._provider = provider
         # When every profile mutation is reported through learner hooks
         # (attach_to) AND the provider exposes a membership version stamp,
@@ -176,6 +176,11 @@ class ProfileNeighborIndex:
     def indexed_profiles(self) -> List[Profile]:
         """The authoritative profile objects currently held by this index."""
         return list(self._profiles_by_id.values())
+
+    @property
+    def bound_skips(self) -> int:
+        """Rows the kernel's bounds left unscored, over every query."""
+        return self._kernel.bound_skips
 
     def cached_entry(self, user_id: str) -> Optional[_ProfileEntry]:
         """The raw cached entry of one consumer (for tests/diagnostics)."""
@@ -264,12 +269,10 @@ class ProfileNeighborIndex:
         is thus invisible as a target exactly as long as it is invisible as a
         row: until ``invalidate(user_id)``.
 
-        A query is one kernel block (every entry's exact score) and one
-        :meth:`~repro.core.scoring.BlockScores.top_pairs` selection over it:
-        the ``(top_k + 1)``-th largest bare score is a floor, only the rows
-        at or above it are materialised and sorted by ``(-score, user_id)``,
-        and the discard rule ``|Tx − Ty| <= tolerance`` is applied to those
-        survivors, widening the floor when it leaves fewer than ``top_k``.
+        A query is one :meth:`~repro.core.scoring.ScoringKernel.top_pairs`
+        call: the kernel's exact ``sorted(valid, key=(-score, user_id))``
+        prefix, where the discard rule ``|Tx − Ty| <= tolerance`` is asked
+        only of rows whose score could enter it.
         """
         config = config or self.config
         config.validate()
@@ -285,16 +288,6 @@ class ProfileNeighborIndex:
             terms = target.flattened_terms().as_dict()
             pref_norm, term_norm = _norm(target_prefs), _norm(terms)
         tq = self._kernel.prepare_target(target_prefs, pref_norm, terms, term_norm)
-        preference_weight = config.preference_weight
-        term_weight = config.term_weight
-        block = self._kernel.score_block(
-            self._entries,
-            tq,
-            preference_weight,
-            term_weight,
-            preference_weight + term_weight,
-        )
-
         discard = None
         if category is not None:
             # Figure 4.5 discard rule, the brute-force predicate verbatim; a
@@ -306,8 +299,18 @@ class ProfileNeighborIndex:
             def discard(user_id: str) -> bool:
                 return not abs(target_value - values.get(user_id, 0.0)) <= tolerance
 
-        return block.top_pairs(
-            config.min_similarity, target.user_id, config.top_k, discard
+        preference_weight = config.preference_weight
+        term_weight = config.term_weight
+        return self._kernel.top_pairs(
+            self._entries,
+            tq,
+            preference_weight,
+            term_weight,
+            preference_weight + term_weight,
+            config.min_similarity,
+            target.user_id,
+            config.top_k,
+            discard,
         )
 
     # -- internals ------------------------------------------------------------

@@ -142,7 +142,7 @@ class TermVector:
 
     def _accumulate(self, other: "TermVector", weight: float = 1.0) -> None:
         """In place, what ``self = self.merged_with(other, weight)`` leaves:
-        same values, same insertion order (positional postings key on it)."""
+        same values, same insertion order (a cosine's summation order keys on it)."""
         weights = self._weights
         for term, value in other.items():
             updated = max(0.0, weights.get(term, 0.0) + weight * value)

@@ -4,26 +4,24 @@
 a single :class:`ScoringKernel` interface with two backends:
 
 - ``dict`` — the default (:data:`DEFAULT_BACKEND`), pure Python, no
-  third-party dependency: exact *term-at-a-time* scoring over positional
-  posting lists.  Every indexed consumer holds a row, and per vector side
-  (preferences, flattened terms) the kernel keeps
-  ``key → position in the entry's own dict → {row: weight}``, maintained
-  through ``entry_changed`` / ``entry_removed`` / ``reset``.  A query visits
-  only the rows that share a key with the target and takes **one** dot per
-  row, the one the reference loop would have: the reference
-  :func:`repro.core.similarity.cosine_similarity_cached` iterates the
-  shorter vector (the target on a tie), so *target keys, then positions* —
-  the shared products in the target's dict order — is its sum for every row
-  at least as long as the target.  It is also its sum for every row of one
-  or two keys, because a sum of at most two products does not depend on
-  their order.  Only a row with ``3 <= len(row) < len(target)`` needs its
-  own dict order, *positions, then target keys*; that second walk runs only
-  when such a row is linked (``rows_of_length`` knows) and overwrites only
-  those rows; on a side whose vectors have at most three keys — the
-  preferences of every ledger population — it never runs.
-  Products with absent keys are skipped (the zero-sign argument below) and
-  a row no posting touched scores exactly ``0.0``.  One loop over the two
-  dot lists then divides by the norms, weights and clamps.
+  third-party dependency: exact scoring over **category-signature
+  partitions**, pruned by **block-max bounds**.  A consumer's signature is
+  its preference keys in order; every indexed consumer holds a row in the
+  :class:`_Partition` of its signature, maintained through
+  ``entry_changed`` / ``entry_removed`` / ``reset``.  Inside a partition
+  every preference vector has the same keys in the same order, so the
+  preference side is dense columns and one summation order — the
+  reference's, which iterates the shorter vector (the target on a tie) —
+  serves every row.  The term side is a posting list walked in the target's
+  key order: the reference's sum for every row at least as long as the
+  target and for every row of at most two keys; any other row that reaches
+  the answer is settled by the reference cosine itself.  Each partition
+  keeps, per key and side, the largest ``|weight| / norm`` over its rows —
+  its block maximum — so ``sum(|t_k| * peak_k) / |t|`` bounds every row's
+  cosine with a target.  A query visits partitions best bound first,
+  skips every one whose bound is under the floor (``min_similarity``, then
+  the k-th best score held) and inside a visited one stops at the first
+  row, best walk score first, that is under it.
 - ``numpy`` — optional batch backend: entries are packed into CSR/CSC-style
   contiguous arrays and a whole candidate block is scored per query.  Exact
   dot products come from ``np.bincount(rows, weights=products)``, which
@@ -47,16 +45,15 @@ categories, shared keys in different orders with magnitudes far enough apart
 that float addition visibly does not associate) and asserts ``==`` on every
 score.
 
-The neighbor index takes the block path (:meth:`ScoringKernel.score_block`)
-for every query on both backends; there is no per-candidate scoring loop.
-A :class:`BlockScores` carries every row's score as a bare float list, and
-:meth:`BlockScores.top_pairs` selects before it materialises: the
-``(k + 1)``-th largest score is a floor, and only the rows at or above it
-become ``(user_id, score)`` tuples, meet the discard rule and are sorted.  So
-a ``dict`` query costs one product per shared key (two on a side with rows of
-``3 <= len < len(target)``), one arithmetic pass over the rows, one
-``heapq.nlargest`` and one filter — and tuple building, the discard
-predicate and the sort only for about k rows.
+The neighbor index asks every backend for :meth:`ScoringKernel.top_pairs`.
+The ``numpy`` backend answers it from the whole block
+(:meth:`ScoringKernel.score_block`): a :class:`BlockScores` carries every
+row's score as a bare float list, and :meth:`BlockScores.top_pairs` selects
+before it materialises — the ``(k + 1)``-th largest score is a floor, and
+only the rows at or above it become ``(user_id, score)`` tuples, meet the
+discard rule and are sorted.  The ``dict`` backend scores only the
+partitions whose bound reaches the floor and holds at most k pairs; its
+``score_block`` scores every row, for the differential suites.
 
 Backend selection: ``resolve_backend("auto")`` picks numpy when importable
 and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
@@ -67,7 +64,10 @@ from __future__ import annotations
 
 import heapq
 import os
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
+from bisect import insort
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+from repro.core.similarity import cosine_similarity_cached
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.neighbors import _ProfileEntry
@@ -182,10 +182,14 @@ class ScoringKernel:
     """Backend interface the neighbor index scores candidates through.
 
     Every backend implements :meth:`score_block`, which scores every indexed
-    entry for one target and returns a :class:`BlockScores`.
+    entry for one target and returns a :class:`BlockScores`.  The index asks
+    for :meth:`top_pairs`, which a backend may answer without scoring rows
+    that provably cannot reach the answer.
     """
 
     name: str = "abstract"
+    #: Rows :meth:`top_pairs` left unscored, summed over every query.
+    bound_skips = 0
 
     # -- entry lifecycle (driven by ProfileNeighborIndex) ---------------------
 
@@ -219,13 +223,28 @@ class ScoringKernel:
     ) -> "BlockScores":
         raise NotImplementedError
 
+    def top_pairs(
+        self,
+        entries: Dict[str, "_ProfileEntry"],
+        tq: TargetState,
+        preference_weight: float,
+        term_weight: float,
+        total_weight: float,
+        minimum: float,
+        exclude_user: str,
+        top_k: int,
+        discard: Optional[Callable[[str], bool]] = None,
+    ) -> List[Tuple[str, float]]:
+        """:meth:`BlockScores.top_pairs` of :meth:`score_block`'s block."""
+        block = self.score_block(entries, tq, preference_weight, term_weight, total_weight)
+        return block.top_pairs(minimum, exclude_user, top_k, discard)
+
 
 class BlockScores:
-    """Every kernel row's score for one target.
+    """Every indexed consumer's score for one target.
 
-    ``user_ids`` / ``scores`` are plain lists by row.  Rows are the kernel's
-    own numbering: the ``dict`` kernel keeps free rows (user id ``None``,
-    score 0.0) between its live ones.
+    ``user_ids`` / ``scores`` are plain lists by row, in the kernel's own
+    order.
     """
 
     __slots__ = ("user_ids", "scores")
@@ -244,13 +263,12 @@ class BlockScores:
         """The ``top_k`` best ``(user_id, score)`` pairs, selected before built.
 
         Equal to ``sorted(valid, key=(-score, user_id))[:top_k]`` where
-        ``valid`` is every live row but ``exclude_user`` with
+        ``valid`` is every row but ``exclude_user`` with
         ``score >= minimum`` that ``discard(user_id)`` does not reject.  The
         ``(top_k + 1)``-th largest score of the bare float list is a floor:
-        the rows at or above it — ties included — hold the top ``top_k`` of
-        the live rows even with the excluded target among them, since a free
-        row can only reach a floor of 0.0, which admits every row.  Only
-        those rows become tuples and are sorted.  When ``discard`` leaves
+        the rows at or above it — ties included — hold the top ``top_k``
+        even with the excluded target among them.  Only those rows become
+        tuples and are sorted.  When ``discard`` leaves
         fewer than ``top_k`` of them the floor is taken again four times
         deeper, down to ``minimum``.
         """
@@ -265,7 +283,7 @@ class BlockScores:
             pairs = [
                 (user_id, score)
                 for user_id, score in zip(user_ids, scores)
-                if score >= floor and user_id != exclude_user and user_id is not None
+                if score >= floor and user_id != exclude_user
             ]
             if discard is not None:
                 pairs = [pair for pair in pairs if not discard(pair[0])]
@@ -282,135 +300,342 @@ class BlockScores:
         return pairs[:top_k]
 
 
-class _Postings:
-    """Positional posting lists of one vector side (prefs or terms).
+#: Norms inside this range keep every product, sum and quotient of a cosine
+#: finite and normal (a weight is at most its vector's norm), so a float
+#: cosine, a float bound on it and the same cosine summed in another order
+#: all lie within ``n`` ulps (``n`` keys) of the real cosine, at most 1 + nε.
+#: A partition holding a row outside it, or a target outside it, is scored
+#: exactly and never pruned.
+_BOUNDED_LOW = 1e-150
+_BOUNDED_HIGH = 1e150
 
-    ``buckets[key][position][row]`` is the weight of ``key`` in the vector
-    linked at ``row``, where ``position`` is the key's index in that
-    vector's own dict order; ``vectors[row]`` / ``norms[row]`` are the linked
-    vector (``None`` for a free row) and its norm, and
-    ``rows_of_length[n]`` is the set of rows whose vector has ``n`` keys.
-    Both maps are kept canonical — no empty trailing bucket, no empty key,
-    no empty length class — so they hold exactly one weight per key and one
-    row per linked vector whatever sequence of links and unlinks produced
-    them.
+#: Absolute slack added to a bound or a walk-order score before it is
+#: compared with a floor: it covers those ulps for vectors of up to a
+#: million keys, and costs no pruning at scores in [0, 1].
+_SLACK = 1e-9
+
+
+def _unbounded(norm: float) -> bool:
+    return norm != 0.0 and not _BOUNDED_LOW <= norm <= _BOUNDED_HIGH
+
+
+def _bounded(norm: float) -> bool:
+    return _BOUNDED_LOW <= norm <= _BOUNDED_HIGH
+
+
+def _score(
+    pref: float,
+    term: float,
+    preference_weight: float,
+    term_weight: float,
+    total_weight: float,
+) -> float:
+    """The reference score of two cosines, clamped to [0, 1]; two zero
+    cosines score 0.0 without the arithmetic."""
+    if not (pref or term):
+        return 0.0
+    score = (preference_weight * pref + term_weight * term) / total_weight
+    # max(0.0, min(1.0, score)) without the two calls.
+    return score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
+
+
+def _peak(pairs) -> float:
+    """The largest ``|weight| / norm`` over bounded ``(weight, norm)`` pairs."""
+    return max((abs(weight) / norm for weight, norm in pairs if _bounded(norm)), default=0.0)
+
+
+class _Partition:
+    """The rows of one category signature — the preference keys, in order.
+
+    Every row's preference vector has exactly the signature's keys in the
+    signature's order, so the preference side is dense: ``columns[j][row]``
+    is the weight of ``signature[j]``.  The term side is a posting list,
+    ``postings[key][row]``, beside each row's term vector ``terms[row]``
+    (``None`` for a free row).  ``pref_peaks[j]`` / ``term_peaks[key]`` are
+    the largest ``|weight| / norm`` of a key over the rows whose norm is
+    bounded — the block maxima :meth:`bound` reads — and ``unbounded``
+    counts the rows with an unbounded norm on either side.  A freed row
+    (user id ``None``, listed in ``free``) goes to the partition's next new
+    consumer.  Every map is canonical whatever sequence of links and
+    unlinks produced it — no empty posting, no zero term peak, and a row
+    that held a peak takes it with it: the peak is taken again.
     """
 
-    __slots__ = ("buckets", "vectors", "norms", "rows_of_length")
+    __slots__ = (
+        "signature",
+        "position",
+        "user_ids",
+        "row_of",
+        "free",
+        "columns",
+        "pref_norms",
+        "pref_peaks",
+        "postings",
+        "terms",
+        "term_norms",
+        "term_peaks",
+        "unbounded",
+    )
 
-    def __init__(self) -> None:
-        self.buckets: Dict[str, List[Dict[int, float]]] = {}
-        self.vectors: List[Optional[Dict[str, float]]] = []
-        self.norms: List[float] = []
-        self.rows_of_length: Dict[int, Set[int]] = {}
+    def __init__(self, signature: Tuple[str, ...]) -> None:
+        self.signature = signature
+        self.position = {key: index for index, key in enumerate(signature)}
+        self.user_ids: List[Optional[str]] = []
+        self.row_of: Dict[str, int] = {}
+        self.free: List[int] = []
+        self.columns: List[List[float]] = [[] for _ in signature]
+        self.pref_norms: List[float] = []
+        self.pref_peaks = [0.0] * len(signature)
+        self.postings: Dict[str, Dict[int, float]] = {}
+        self.terms: List[Optional[Dict[str, float]]] = []
+        self.term_norms: List[float] = []
+        self.term_peaks: Dict[str, float] = {}
+        self.unbounded = 0
 
-    def link(self, row: int, vector: Dict[str, float], norm: float) -> None:
-        """Index ``vector`` at ``row``, replacing what was linked there.
+    # -- lifecycle ------------------------------------------------------------
 
-        ``row`` is an existing row or the next new one: the kernel numbers
-        rows densely.
-        """
-        if row == len(self.vectors):
-            self.vectors.append(None)
-            self.norms.append(0.0)
+    def link(self, entry: "_ProfileEntry") -> None:
+        row = self.row_of.get(entry.user_id)
+        if row is None:
+            if self.free:
+                row = self.free.pop()
+                self.user_ids[row] = entry.user_id
+            else:
+                row = len(self.user_ids)
+                self.user_ids.append(entry.user_id)
+                for column in self.columns:
+                    column.append(0.0)
+                self.pref_norms.append(0.0)
+                self.terms.append(None)
+                self.term_norms.append(0.0)
+            self.row_of[entry.user_id] = row
         else:
-            self.unlink(row)
-        self.vectors[row] = vector
-        self.norms[row] = norm
-        same_length = self.rows_of_length.get(len(vector))
-        if same_length is None:
-            same_length = self.rows_of_length[len(vector)] = set()
-        same_length.add(row)
-        buckets = self.buckets
-        for position, (key, weight) in enumerate(vector.items()):
-            by_position = buckets.get(key)
-            if by_position is None:
-                by_position = buckets[key] = []
-            while len(by_position) <= position:
-                by_position.append({})
-            by_position[position][row] = weight
+            self._clear(row)
+        pref_norm, term_norm = entry.pref_norm, entry.term_norm
+        self.pref_norms[row] = pref_norm
+        self.terms[row] = entry.terms
+        self.term_norms[row] = term_norm
+        self.unbounded += _unbounded(pref_norm) + _unbounded(term_norm)
+        pref_peaks = self.pref_peaks
+        for index, weight in enumerate(entry.prefs.values()):
+            self.columns[index][row] = weight
+            if _bounded(pref_norm) and abs(weight) / pref_norm > pref_peaks[index]:
+                pref_peaks[index] = abs(weight) / pref_norm
+        postings, term_peaks = self.postings, self.term_peaks
+        for key, weight in entry.terms.items():
+            bucket = postings.get(key)
+            if bucket is None:
+                bucket = postings[key] = {}
+            bucket[row] = weight
+            if _bounded(term_norm) and abs(weight) / term_norm > term_peaks.get(key, 0.0):
+                term_peaks[key] = abs(weight) / term_norm
 
-    def unlink(self, row: int) -> None:
-        vector = self.vectors[row]
-        if vector is None:
-            return
-        self.vectors[row] = None
-        self.norms[row] = 0.0
-        same_length = self.rows_of_length[len(vector)]
-        same_length.remove(row)
-        if not same_length:
-            del self.rows_of_length[len(vector)]
-        buckets = self.buckets
-        # The key order walked here is the one link() saw: the vector is the
-        # index entry's private copy and is never mutated.
-        for position, key in enumerate(vector):
-            by_position = buckets[key]
-            del by_position[position][row]
-            while by_position and not by_position[-1]:
-                by_position.pop()
-            if not by_position:
-                del buckets[key]
+    def unlink(self, user_id: str) -> None:
+        row = self.row_of.pop(user_id)
+        self._clear(row)
+        self.user_ids[row] = None
+        self.free.append(row)
 
-    def dots(self, target: Dict[str, float], target_norm: float) -> List[float]:
-        """The reference loop's dot of ``target`` with every row, one sum each.
+    def _clear(self, row: int) -> None:
+        """Empty ``row``, taking again every peak it held."""
+        pref_norm, terms, term_norm = self.pref_norms[row], self.terms[row], self.term_norms[row]
+        self.unbounded -= _unbounded(pref_norm) + _unbounded(term_norm)
+        self.pref_norms[row] = 0.0
+        self.terms[row] = None
+        self.term_norms[row] = 0.0
+        for index, column in enumerate(self.columns):
+            weight = column[row]
+            column[row] = 0.0
+            if _bounded(pref_norm) and abs(weight) / pref_norm >= self.pref_peaks[index]:
+                self.pref_peaks[index] = _peak(zip(column, self.pref_norms))
+        postings, term_peaks, term_norms = self.postings, self.term_peaks, self.term_norms
+        for key, weight in terms.items():
+            bucket = postings[key]
+            del bucket[row]
+            if not bucket:
+                del postings[key]
+            if _bounded(term_norm) and abs(weight) / term_norm >= term_peaks.get(key, 0.0) > 0.0:
+                peak = _peak((other, term_norms[other_row]) for other_row, other in bucket.items())
+                if peak > 0.0:
+                    term_peaks[key] = peak
+                else:
+                    del term_peaks[key]
 
-        The reference iterates the shorter vector, the target on a tie.
-        Walking *target keys, then positions* adds each row's shared products
-        in the target's dict order, which is that loop's sum for every row
-        with ``len(row) >= len(target)`` — and for every row of at most two
-        keys as well, because a sum of at most two products does not depend
-        on their order.  Only a row with ``3 <= len(row) < len(target)``
-        needs its own dict order: when ``rows_of_length`` holds such a row,
-        a second walk, *positions, then target keys*, adds the products in
-        entry order (every row has one key per position, so the order of the
-        target keys within a position cannot reorder any row's sum; a
-        shorter row has no position past ``len(target) - 2``) and overwrites
-        just those rows.  Products with absent keys are skipped, which can
-        only flip the sign of an exactly-zero dot (see
-        :meth:`NumpyKernel._side_cosines`): a row no posting touched gets
-        ``0.0`` where the reference has ``±0.0``.  A zero ``target_norm``
-        makes every cosine 0.0 in the reference, so no dot is taken.
+    # -- scoring --------------------------------------------------------------
+
+    def bound(
+        self,
+        tq: TargetState,
+        preference_weight: float,
+        term_weight: float,
+        total_weight: float,
+        term_cap: bool = False,
+    ) -> float:
+        """A bound on every row's score (with ``term_cap``, taking the term
+        cosine as 1 instead of its block-max bound).
+
+        A cosine is ``sum(t_k * w_k) / (|t| * |w|)`` over shared keys, at
+        most ``sum(|t_k| * peak_k) / |t|`` and at most 1 (Cauchy–Schwarz);
+        both sides' bounds, widened by :data:`_SLACK`, go through the score
+        formula, whose float operations are monotone.  Scores never pass 1.0.
         """
-        dots = [0.0] * len(self.vectors)
-        if target_norm == 0.0:
-            return dots
-        buckets = self.buckets
-        hits = [
-            (value, buckets[key]) for key, value in target.items() if key in buckets
-        ]
-        for value, by_position in hits:
-            for bucket in by_position:
-                for row, weight in bucket.items():
-                    dots[row] += value * weight
-        target_len = len(target)
-        shorter_rows = [
-            rows
-            for length, rows in self.rows_of_length.items()
-            if 3 <= length < target_len
-        ]
-        if shorter_rows:
-            entry_order = [0.0] * len(dots)
-            for position in range(target_len - 1):
-                for value, by_position in hits:
-                    if position < len(by_position):
-                        for row, weight in by_position[position].items():
-                            entry_order[row] += weight * value
-            for rows in shorter_rows:
-                for row in rows:
-                    dots[row] = entry_order[row]
-        return dots
+        pref = term = 0.0
+        if tq.pref_norm:
+            peaks, position = self.pref_peaks, self.position
+            for key, value in tq.prefs.items():
+                index = position.get(key)
+                if index is not None:
+                    pref += abs(value) * peaks[index]
+            pref = min(1.0, pref / tq.pref_norm) + _SLACK
+        if tq.term_norm:
+            if term_cap:
+                term = 1.0
+            else:
+                peaks = self.term_peaks
+                for key, value in tq.terms.items():
+                    peak = peaks.get(key)
+                    if peak is not None:
+                        term += abs(value) * peak
+                term = min(1.0, term / tq.term_norm)
+            term += _SLACK
+        return min(1.0, (preference_weight * pref + term_weight * term) / total_weight)
+
+    def scores(
+        self,
+        tq: TargetState,
+        preference_weight: float,
+        term_weight: float,
+        total_weight: float,
+    ) -> Tuple[List[float], List[float]]:
+        """Every row's preference cosine and score, free rows 0.0.
+
+        The reference sums a dot over the shorter vector, the target on a
+        tie.  Every row has the signature's length and order, so one order
+        serves the whole preference side.  The term side walks the postings
+        in the target's key order — the reference's sum for every row at
+        least as long as the target, and for every row of at most two keys,
+        whose sum does not depend on the order; any other row's score may
+        differ from the reference in its last bits (:meth:`select` settles
+        it).  Products with keys one side lacks are skipped, which can only
+        flip the sign of an exactly-zero dot (see
+        :meth:`NumpyKernel._side_cosines`).
+        """
+        rows = len(self.user_ids)
+        prefs = [0.0] * rows
+        pref_norm, position = tq.pref_norm, self.position
+        if pref_norm != 0.0:
+            if len(self.signature) < len(tq.prefs):
+                shared = [
+                    (tq.prefs[key], self.columns[index])
+                    for index, key in enumerate(self.signature)
+                    if key in tq.prefs
+                ]
+            else:
+                shared = [
+                    (value, self.columns[position[key]])
+                    for key, value in tq.prefs.items()
+                    if key in position
+                ]
+            if shared:
+                (value, column), *rest = shared
+                dots = [value * weight for weight in column]
+                for value, column in rest:
+                    dots = [dot + value * weight for dot, weight in zip(dots, column)]
+                # A zero norm makes the cosine 0.0 whatever the dot, as in the
+                # reference (a norm can underflow to 0.0 beside a non-zero dot).
+                prefs = [
+                    dot / (pref_norm * norm) if dot and norm != 0.0 else 0.0
+                    for dot, norm in zip(dots, self.pref_norms)
+                ]
+        term_norm = tq.term_norm
+        dots = [0.0] * rows
+        if term_norm != 0.0:
+            postings = self.postings
+            for key, value in tq.terms.items():
+                bucket = postings.get(key)
+                if bucket is not None:
+                    for row, weight in bucket.items():
+                        dots[row] += value * weight
+        term_norms = self.term_norms
+        scores = [0.0] * rows
+        # One pass divides, weights and clamps: _score inlined.
+        for row, (pref, dot) in enumerate(zip(prefs, dots)):
+            term = 0.0
+            if dot:
+                norm = term_norms[row]
+                if norm != 0.0:
+                    term = dot / (term_norm * norm)
+            if pref or term:
+                score = (preference_weight * pref + term_weight * term) / total_weight
+                scores[row] = score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
+        return prefs, scores
+
+    def select(
+        self,
+        tq: TargetState,
+        preference_weight: float,
+        term_weight: float,
+        total_weight: float,
+        bounded: bool,
+        floor: float,
+        exclude_user: Optional[str],
+        top_k: int,
+        discard: Optional[Callable[[str], bool]],
+        held: List[Tuple[float, str]],
+    ) -> float:
+        """Merge the partition's valid rows scoring at least ``floor`` into
+        ``held`` (``(-score, user_id)``, best first, at most ``top_k``);
+        return the new floor.
+
+        A row whose walk order is not the reference's gets its term cosine
+        from the reference itself,
+        :func:`repro.core.similarity.cosine_similarity_cached`, before it is
+        held.  When ``bounded``, a walk-order score is within :data:`_SLACK`
+        of the reference's, so rows are visited best walk score first and
+        the visit stops at the first one :data:`_SLACK` under the floor;
+        otherwise every row is settled and visited.
+        """
+        prefs, scores = self.scores(tq, preference_weight, term_weight, total_weight)
+        target_terms, target_term_norm = tq.terms, tq.term_norm
+        target_length = len(target_terms)
+        if bounded:
+            rows = [row for row, score in enumerate(scores) if score + _SLACK >= floor]
+            rows.sort(key=scores.__getitem__, reverse=True)
+        else:
+            rows = range(len(scores))
+        for row in rows:
+            score = scores[row]
+            if bounded and score + _SLACK < floor:
+                break
+            user_id = self.user_ids[row]
+            if user_id is None or user_id == exclude_user:
+                continue
+            terms = self.terms[row]
+            if 3 <= len(terms) < target_length:
+                term = cosine_similarity_cached(
+                    target_terms, target_term_norm, terms, self.term_norms[row]
+                )
+                score = _score(prefs[row], term, preference_weight, term_weight, total_weight)
+            if score < floor or (discard is not None and discard(user_id)):
+                continue
+            insort(held, (-score, user_id))
+            if len(held) > top_k:
+                held.pop()
+            if len(held) == top_k:
+                floor = -held[-1][0]
+        return floor
 
 
 class DictKernel(ScoringKernel):
-    """Reference backend: exact term-at-a-time scoring over posting lists.
+    """Reference backend: exact scoring over category-signature partitions,
+    pruned by block-max bounds.
 
-    Every indexed consumer holds a row; per vector side the kernel keeps
-    :class:`_Postings`, maintained through the entry lifecycle, and
-    :meth:`score_block` visits only the rows that share a key with the
-    target — in the accumulation order the reference loop of
-    :func:`repro.core.similarity.cosine_similarity_cached` would have used
-    for each row, so every score is bit-identical to
-    :func:`repro.core.similarity.find_similar_users`.
+    Every indexed consumer holds a row in the :class:`_Partition` of its
+    category signature, maintained through the entry lifecycle.
+    :meth:`top_pairs` scores only the partitions whose bound reaches the
+    floor; :meth:`score_block` scores every row.  Every score either
+    returns is bit-identical to
+    :func:`repro.core.similarity.find_similar_users`'s.
     """
 
     name = "dict"
@@ -419,34 +644,30 @@ class DictKernel(ScoringKernel):
         self.reset()
 
     def reset(self) -> None:
-        self._row_of: Dict[str, int] = {}
-        #: row → user id, ``None`` for a row freed by :meth:`entry_removed`
-        #: (listed in ``_free`` and handed to the next new consumer).
-        self._user_ids: List[Optional[str]] = []
-        self._free: List[int] = []
-        self._prefs = _Postings()
-        self._terms = _Postings()
+        self._partitions: Dict[Tuple[str, ...], _Partition] = {}
+        self._signature_of: Dict[str, Tuple[str, ...]] = {}
 
     def entry_changed(self, entry: "_ProfileEntry") -> None:
-        row = self._row_of.get(entry.user_id)
-        if row is None:
-            if self._free:
-                row = self._free.pop()
-                self._user_ids[row] = entry.user_id
-            else:
-                row = len(self._user_ids)
-                self._user_ids.append(entry.user_id)
-            self._row_of[entry.user_id] = row
-        self._prefs.link(row, entry.prefs, entry.pref_norm)
-        self._terms.link(row, entry.terms, entry.term_norm)
+        signature = tuple(entry.prefs)
+        old = self._signature_of.get(entry.user_id)
+        if old is not None and old != signature:
+            self._unlink(entry.user_id, old)
+        partition = self._partitions.get(signature)
+        if partition is None:
+            partition = self._partitions[signature] = _Partition(signature)
+        partition.link(entry)
+        self._signature_of[entry.user_id] = signature
 
     def entry_removed(self, user_id: str) -> None:
-        row = self._row_of.pop(user_id, None)
-        if row is not None:
-            self._prefs.unlink(row)
-            self._terms.unlink(row)
-            self._user_ids[row] = None
-            self._free.append(row)
+        signature = self._signature_of.pop(user_id, None)
+        if signature is not None:
+            self._unlink(user_id, signature)
+
+    def _unlink(self, user_id: str, signature: Tuple[str, ...]) -> None:
+        partition = self._partitions[signature]
+        partition.unlink(user_id)
+        if not partition.row_of:
+            del self._partitions[signature]
 
     def score_block(
         self,
@@ -456,33 +677,74 @@ class DictKernel(ScoringKernel):
         term_weight: float,
         total_weight: float,
     ) -> BlockScores:
-        pref_dots = self._prefs.dots(tq.prefs, tq.pref_norm)
-        term_dots = self._terms.dots(tq.terms, tq.term_norm)
-        pref_norms = self._prefs.norms
-        term_norms = self._terms.norms
-        target_pref_norm = tq.pref_norm
-        target_term_norm = tq.term_norm
-        scores = [0.0] * len(pref_dots)
-        # One pass divides, weights and clamps.  A zero dot leaves its cosine
-        # at 0.0 and a zero norm makes it 0.0 whatever the dot, as in the
-        # reference; a row with two zero cosines keeps its 0.0 score.
-        for row, (pref_dot, term_dot) in enumerate(zip(pref_dots, term_dots)):
-            pref = term = 0.0
-            if pref_dot:
-                norm = pref_norms[row]
-                if norm != 0.0:
-                    pref = pref_dot / (target_pref_norm * norm)
-            if term_dot:
-                norm = term_norms[row]
-                if norm != 0.0:
-                    term = term_dot / (target_term_norm * norm)
-            if pref or term:
-                score = (preference_weight * pref + term_weight * term) / total_weight
-                # max(0.0, min(1.0, score)) without the two calls.
-                scores[row] = (
-                    score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
-                )
-        return BlockScores(self._user_ids, scores)
+        held: List[Tuple[float, str]] = []
+        for partition in self._partitions.values():
+            partition.select(
+                tq, preference_weight, term_weight, total_weight,
+                bounded=False, floor=0.0, exclude_user=None,
+                top_k=len(self._signature_of), discard=None, held=held,
+            )
+        return BlockScores([user_id for _, user_id in held], [-negative for negative, _ in held])
+
+    def top_pairs(
+        self,
+        entries: Dict[str, "_ProfileEntry"],
+        tq: TargetState,
+        preference_weight: float,
+        term_weight: float,
+        total_weight: float,
+        minimum: float,
+        exclude_user: str,
+        top_k: int,
+        discard: Optional[Callable[[str], bool]] = None,
+    ) -> List[Tuple[str, float]]:
+        """:meth:`score_block` then :meth:`BlockScores.top_pairs`, scoring
+        only the partitions that can reach the answer.
+
+        The floor is ``minimum`` until ``top_k`` pairs are held, then the
+        ``top_k``-th best held score; a row scoring under it ranks below
+        ``top_k`` held pairs.  Partitions are visited by a cheap
+        :meth:`_Partition.bound` (term cosine taken as 1), best first: once
+        that is under the floor, so is every partition after it, and a
+        visited partition whose full bound is under it is skipped.  A
+        partition holding an unbounded row, a target with an unbounded norm
+        or an unbounded weight total (subnormal weights round a score to
+        steps) turns the pruning off.
+        """
+        bounded = (
+            _bounded(total_weight)
+            and not _unbounded(tq.pref_norm)
+            and not _unbounded(tq.term_norm)
+        )
+        order = []
+        for partition in self._partitions.values():
+            prunable = bounded and not partition.unbounded
+            cheap = 1.0
+            if prunable:
+                cheap = partition.bound(tq, preference_weight, term_weight, total_weight, True)
+            order.append((cheap, prunable, partition))
+        order.sort(key=_first, reverse=True)
+        floor = minimum
+        held: List[Tuple[float, str]] = []
+        for position, (cheap, prunable, partition) in enumerate(order):
+            if cheap < floor:
+                self.bound_skips += sum(len(rest.row_of) for _, _, rest in order[position:])
+                break
+            if prunable and (
+                partition.bound(tq, preference_weight, term_weight, total_weight) < floor
+            ):
+                self.bound_skips += len(partition.row_of)
+                continue
+            floor = partition.select(
+                tq, preference_weight, term_weight, total_weight,
+                bounded=prunable, floor=floor, exclude_user=exclude_user,
+                top_k=top_k, discard=discard, held=held,
+            )
+        return [(user_id, -negative) for negative, user_id in held]
+
+
+def _first(item) -> float:
+    return item[0]
 
 
 class _PackedSide:

@@ -30,7 +30,6 @@ from repro.core.scoring import (
     KERNEL_BACKENDS,
     BlockScores,
     DictKernel,
-    _Postings,
     available_backends,
     create_kernel,
     numpy_available,
@@ -422,7 +421,7 @@ def test_dict_kernel_adds_in_reference_order(population, category, min_similarit
 
 
 # ---------------------------------------------------------------------------
-# One dot per row: the posting walk against the reference loop's ``sum``
+# One score per row: the partitions against the reference formula
 # ---------------------------------------------------------------------------
 
 KEYS = ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"]
@@ -451,63 +450,120 @@ def reference_dot(target, row):
     return sum(value * right.get(key, 0.0) for key, value in left.items())
 
 
-def linked(vectors):
-    postings = _Postings()
-    for row, vector in enumerate(vectors):
-        postings.link(row, vector, vector_norm(vector))
-    return postings
+def reference_score(target, row, weights=(0.6, 0.4)):
+    """The reference score of a ``(prefs, terms)`` row against a target."""
+    (target_prefs, target_terms), (prefs, terms) = target, row
+    pref = cosine_similarity_cached(
+        target_prefs, vector_norm(target_prefs), prefs, vector_norm(prefs)
+    )
+    term = cosine_similarity_cached(
+        target_terms, vector_norm(target_terms), terms, vector_norm(terms)
+    )
+    preference_weight, term_weight = weights
+    total = preference_weight + term_weight
+    return max(0.0, min(1.0, (preference_weight * pref + term_weight * term) / total))
+
+
+def kernel_entry(user_id, prefs, terms):
+    """The slice of an index entry the dict kernel reads."""
+    return SimpleNamespace(
+        user_id=user_id,
+        prefs=prefs,
+        pref_norm=vector_norm(prefs),
+        terms=terms,
+        term_norm=vector_norm(terms),
+    )
+
+
+def dict_kernel(rows):
+    kernel = DictKernel()
+    for number, (prefs, terms) in enumerate(rows):
+        kernel.entry_changed(kernel_entry(f"user-{number}", prefs, terms))
+    return kernel
+
+
+def target_state(kernel, prefs, terms):
+    return kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
+
+
+def ranked(scores):
+    return sorted(scores.items(), key=lambda pair: (-pair[1], pair[0]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    target=ordered_vectors(min_size=1),
-    rows=st.lists(ordered_vectors(), min_size=1, max_size=8),
-    relinked=st.lists(st.tuples(st.integers(0, 7), ordered_vectors()), max_size=3),
+    target=st.tuples(ordered_vectors(min_size=1), ordered_vectors(min_size=1)),
+    rows=st.lists(st.tuples(ordered_vectors(), ordered_vectors()), min_size=1, max_size=8),
+    relinked=st.lists(
+        st.tuples(st.integers(0, 7), st.tuples(ordered_vectors(), ordered_vectors())),
+        max_size=3,
+    ),
 )
-def test_each_row_gets_the_reference_dot(target, rows, relinked):
-    """``==`` on every row's dot, whatever mix of lengths is linked — rows
-    longer than the target, rows of one or two keys, rows with
-    ``3 <= len(row) < len(target)`` — also after rows were re-linked at
-    another length or freed."""
-    postings = linked(rows)
-    rows = list(rows)
-    for row, vector in relinked:
-        if row < len(rows):
-            if vector:
-                postings.link(row, vector, vector_norm(vector))
-                rows[row] = vector
+def test_each_row_gets_the_reference_score(target, rows, relinked):
+    """``==`` on every row's score, whatever mix of lengths is linked on
+    either side — rows longer than the target, rows of one or two keys, rows
+    with ``3 <= len(row) < len(target)`` — also after rows were re-linked
+    into another partition or freed, through ``score_block`` and through a
+    ``top_pairs`` that keeps every row."""
+    kernel = dict_kernel(rows)
+    rows = {f"user-{number}": row for number, row in enumerate(rows)}
+    for number, row in relinked:
+        user_id = f"user-{number}"
+        if user_id in rows:
+            if row[0] or row[1]:
+                kernel.entry_changed(kernel_entry(user_id, *row))
+                rows[user_id] = row
             else:
-                postings.unlink(row)
-                rows[row] = {}
-    assert postings.dots(target, vector_norm(target)) == [
-        reference_dot(target, row) for row in rows
-    ]
+                kernel.entry_removed(user_id)
+                del rows[user_id]
+    tq = target_state(kernel, *target)
+    expected = {user_id: reference_score(target, row) for user_id, row in rows.items()}
+    block = kernel.score_block({}, tq, 0.6, 0.4, 1.0)
+    assert dict(zip(block.user_ids, block.scores)) == expected
+    assert len(block.user_ids) == len(expected)
+    if rows:
+        assert kernel.top_pairs({}, tq, 0.6, 0.4, 1.0, 0.0, "", len(rows)) == ranked(
+            expected
+        )
 
 
-def test_entry_order_only_where_the_reference_uses_it():
+def test_walk_order_is_settled_where_the_reference_uses_the_row():
     """Shared products ``1e16, 1, 1`` in the target's key order and
     ``1, 1, 1e16`` in the rows': left to right the first sum loses both ones.
-    A shorter row of three keys takes the entry-order sum, rows at least as
-    long as the target the target-order sum, and a row sharing exactly two
-    keys has one sum whatever the order."""
-    target = {"k0": 1e8, "k1": 1.0, "k2": 1.0, "k3": 1.0}
+    The term walk adds in the target's order — the reference's for rows at
+    least as long as the target and for a row sharing two keys — so only the
+    shorter row of three shared keys walks to another score; it is settled
+    by the reference cosine before it is held or returned."""
+    target_terms = {"k0": 1e8, "k1": 1.0, "k2": 1.0, "k3": 1e8}
     shorter = {"k1": 1.0, "k2": 1.0, "k0": 1e8}
     as_long = {"k1": 1.0, "k2": 1.0, "k0": 1e8, "k7": 1.0}
     longer = {"k6": 1.0, "k1": 1.0, "k2": 1.0, "k0": 1e8, "k7": 1.0}
     two_shared = {"k2": 3.0, "k6": 1.0, "k0": 1e8}
     rows = [shorter, as_long, longer, two_shared]
     in_target_order, in_entry_order = 1e16, 1e16 + 2.0
-    assert in_target_order != in_entry_order
-    assert [reference_dot(target, row) for row in rows] == [
+    assert [reference_dot(target_terms, row) for row in rows] == [
         in_entry_order, in_target_order, in_target_order, 1e16 + 3.0,
     ]
-    assert linked(rows).dots(target, vector_norm(target)) == [
-        in_entry_order, in_target_order, in_target_order, 1e16 + 3.0,
-    ]
-    # With no row of 3 <= len < len(target) linked, nothing is overwritten.
-    assert linked([as_long, longer]).dots(target, vector_norm(target)) == [
-        in_target_order, in_target_order,
-    ]
+    prefs = {"books": 1.0}
+    kernel = dict_kernel([(prefs, row) for row in rows])
+    tq = target_state(kernel, prefs, target_terms)
+    # Term cosines alone, so one rounding step shows in the score.
+    expected = {
+        f"user-{number}": reference_score((prefs, target_terms), (prefs, row), (0.0, 1.0))
+        for number, row in enumerate(rows)
+    }
+    (partition,) = kernel._partitions.values()
+    _, walked = partition.scores(tq, 0.0, 1.0, 1.0)
+    walked = dict(zip(partition.user_ids, walked))
+    assert {user_id for user_id in expected if walked[user_id] != expected[user_id]} == {
+        "user-0"
+    }
+    block = kernel.score_block({}, tq, 0.0, 1.0, 1.0)
+    assert dict(zip(block.user_ids, block.scores)) == expected
+    for top_k in range(1, 5):
+        assert kernel.top_pairs({}, tq, 0.0, 1.0, 1.0, 0.0, "", top_k) == ranked(
+            expected
+        )[:top_k]
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -547,28 +603,23 @@ def test_block_scores_are_the_reference_scores(target, rows):
     kernel = DictKernel()
     entries = {}
     for number, (prefs, terms) in enumerate(rows):
-        entry = SimpleNamespace(
-            user_id=f"user-{number}",
-            prefs=prefs,
-            pref_norm=vector_norm(prefs),
-            terms=terms,
-            term_norm=vector_norm(terms),
-        )
+        entry = kernel_entry(f"user-{number}", prefs, terms)
         entries[entry.user_id] = entry
         kernel.entry_changed(entry)
     prefs, terms = target
     tq = kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
     block = kernel.score_block(entries, tq, 0.6, 0.4, 1.0)
-    # A fresh kernel numbers rows in the order the entries were linked.
-    assert block.user_ids == list(entries)
-    for row, entry in enumerate(entries.values()):
+    # Rows are grouped by category signature: match them by user id.
+    assert sorted(block.user_ids) == sorted(entries)
+    scores = dict(zip(block.user_ids, block.scores))
+    for entry in entries.values():
         pref = cosine_similarity_cached(
             prefs, tq.pref_norm, entry.prefs, entry.pref_norm
         )
         term = cosine_similarity_cached(
             terms, tq.term_norm, entry.terms, entry.term_norm
         )
-        assert block.scores[row] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
+        assert scores[entry.user_id] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -581,25 +632,17 @@ tied_scores = st.sampled_from([0.0, 0.05, 0.2, 0.2, 0.5, 0.5, 0.5, 0.9, 1.0])
 
 @st.composite
 def score_blocks(draw):
-    """A block with free rows (user id ``None``, score 0.0) between live ones."""
+    """A block of live rows with heavily tied scores."""
     size = draw(st.integers(min_value=0, max_value=40))
-    user_ids, scores = [], []
-    for row in range(size):
-        if draw(st.integers(0, 5)) == 0:
-            user_ids.append(None)
-            scores.append(0.0)
-        else:
-            user_ids.append(f"user-{row:02d}")
-            scores.append(draw(tied_scores))
-    return BlockScores(user_ids, scores)
+    user_ids = [f"user-{row:02d}" for row in range(size)]
+    return BlockScores(user_ids, [draw(tied_scores) for _ in user_ids])
 
 
 def full_sort(block, minimum, exclude_user, top_k, rejected):
     valid = [
         (user_id, score)
         for user_id, score in zip(block.user_ids, block.scores)
-        if user_id is not None
-        and user_id != exclude_user
+        if user_id != exclude_user
         and score >= minimum
         and user_id not in rejected
     ]
@@ -614,10 +657,10 @@ def full_sort(block, minimum, exclude_user, top_k, rejected):
     data=st.data(),
 )
 def test_top_pairs_equals_full_sort(block, minimum, top_k, data):
-    """Ties at the floor, free rows, the excluded target inside the top-k,
+    """Ties at the floor, the excluded target inside the top-k,
     ``min_similarity`` 0.0 and 1.0, fewer than k survivors, and a discard
     rule that rejects most of the top so the floor has to widen."""
-    live = sorted(user_id for user_id in block.user_ids if user_id is not None)
+    live = sorted(block.user_ids)
     best_first = [pair[0] for pair in full_sort(block, 0.0, "", len(live), ())]
     exclude_user = data.draw(
         st.sampled_from(best_first[:3] + ["outsider"]), label="exclude_user"
@@ -661,44 +704,37 @@ def test_top_pairs_on_every_backends_block(backend):
 
 
 # ---------------------------------------------------------------------------
-# Bounded kernel state: postings follow the entry lifecycle exactly
+# Bounded kernel state: partitions follow the entry lifecycle exactly
 # ---------------------------------------------------------------------------
 
 
-def posting_state(index):
-    """The dict kernel's posting buckets (rows spelled as user ids, since two
-    histories number their rows differently) and how many weights they hold."""
-    kernel = index._kernel
-    user_ids = kernel._user_ids
-    buckets = [
-        {
-            key: [
-                {user_ids[row]: weight for row, weight in bucket.items()}
-                for bucket in by_position
-            ]
-            for key, by_position in side.buckets.items()
+def partition_state(index):
+    """Per category signature: every live row's preference weights, the term
+    postings, both sides' peaks and the unbounded-row count (rows spelled as
+    user ids, since two histories number their rows differently), and how
+    many weights the partitions hold."""
+    state = {}
+    weights = 0
+    for signature, partition in index._kernel._partitions.items():
+        user_ids = partition.user_ids
+        columns = {
+            user_id: tuple(column[row] for column in partition.columns)
+            for user_id, row in partition.row_of.items()
         }
-        for side in (kernel._prefs, kernel._terms)
-    ]
-    weights = sum(
-        len(bucket)
-        for side in buckets
-        for by_position in side.values()
-        for bucket in by_position
-    )
-    return buckets, weights
-
-
-def length_classes(index):
-    """Each side's ``rows_of_length``, rows spelled as user ids."""
-    kernel = index._kernel
-    return [
-        {
-            length: {kernel._user_ids[row] for row in rows}
-            for length, rows in side.rows_of_length.items()
+        postings = {
+            key: {user_ids[row]: weight for row, weight in bucket.items()}
+            for key, bucket in partition.postings.items()
         }
-        for side in (kernel._prefs, kernel._terms)
-    ]
+        state[signature] = (
+            columns,
+            postings,
+            partition.pref_peaks,
+            partition.term_peaks,
+            partition.unbounded,
+        )
+        weights += len(columns) * len(signature)
+        weights += sum(len(bucket) for bucket in postings.values())
+    return state, weights
 
 
 lifecycle_steps = st.lists(
@@ -716,10 +752,10 @@ lifecycle_steps = st.lists(
 @given(steps=lifecycle_steps, queried=st.booleans())
 def test_postings_track_entry_lifecycle(steps, queried):
     """After any add / learner update / wholesale replace / remove / build
-    sequence the postings equal a fresh build's and hold one weight per
-    vector key — nothing left behind by a removal, nothing duplicated by
-    re-indexing a profile whose key order changed — and ``rows_of_length``
-    files every live row under its vector's length, with no empty class."""
+    sequence the partitions equal a fresh build's — preference columns, term
+    postings and the block maxima a departed row held — and hold one weight
+    per vector key: nothing left behind by a removal, nothing duplicated by
+    re-indexing a profile whose key order (so signature) changed."""
     index = ProfileNeighborIndex(backend="dict")
     learner = ProfileLearner()
     index.attach_to(learner)
@@ -764,29 +800,31 @@ def test_postings_track_entry_lifecycle(steps, queried):
     index.sync()
 
     profiles = index.indexed_profiles()
-    buckets, weights = posting_state(index)
+    state, weights = partition_state(index)
     fresh = ProfileNeighborIndex(profiles=profiles, backend="dict")
-    fresh_buckets, fresh_weights = posting_state(fresh)
-    assert buckets == fresh_buckets
-    assert length_classes(index) == length_classes(fresh) == [
-        {
-            length: {p.user_id for p in profiles if len(flatten(p)) == length}
-            for length in {len(flatten(p)) for p in profiles}
-        }
-        for flatten in (Profile.preference_vector, Profile.flattened_terms)
-    ]
+    fresh_state, fresh_weights = partition_state(fresh)
+    assert state == fresh_state
     assert weights == fresh_weights == sum(
         len(profile.preference_vector()) + len(profile.flattened_terms())
         for profile in profiles
     )
     # Rows are bounded too: one per live consumer plus the freed ones, which
-    # the next registrations reuse before the row space grows.
+    # the partition's next registrations reuse before its row space grows;
+    # every consumer sits in the partition of its signature, and no
+    # partition is left empty.
     kernel = index._kernel
-    assert set(kernel._row_of) == {profile.user_id for profile in profiles}
-    assert len(kernel._user_ids) == len(kernel._row_of) + len(kernel._free)
-    assert len(kernel._prefs.vectors) == len(kernel._terms.vectors) == len(
-        kernel._user_ids
-    )
+    assert kernel._signature_of == {
+        profile.user_id: tuple(profile.preference_vector()) for profile in profiles
+    }
+    for signature, partition in kernel._partitions.items():
+        assert set(partition.row_of) == {
+            user_id for user_id, held in kernel._signature_of.items() if held == signature
+        } != set()
+        assert len(partition.user_ids) == len(partition.row_of) + len(partition.free)
+        for row in partition.free:
+            assert partition.user_ids[row] is None and partition.terms[row] is None
+            assert partition.pref_norms[row] == partition.term_norms[row] == 0.0
+            assert all(column[row] == 0.0 for column in partition.columns)
 
 
 # ---------------------------------------------------------------------------

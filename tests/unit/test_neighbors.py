@@ -429,7 +429,10 @@ for category in (None, "books", "toys"):
         rankings.append(index.find_similar(profile, category=category))
 print(json.dumps({
     "entries": list(index._entries),
-    "rows": index._kernel._row_of,
+    "rows": {
+        user_id: [list(signature), index._kernel._partitions[signature].row_of[user_id]]
+        for user_id, signature in index._kernel._signature_of.items()
+    },
     "rankings": rankings,
 }))
 """
