@@ -17,9 +17,10 @@ def test_itinerary_cost(benchmark, marketplaces):
         num_marketplaces=marketplaces, num_sellers=marketplaces,
         items_per_seller=15, seed=27, replicate_listings=False,
     )
-    session = platform.login("bench-consumer")
-    results = benchmark(lambda: session.query("books"))
-    assert len({hit.marketplace for hit in results}) == marketplaces
+    gateway = platform.gateway()
+    assert gateway.login("bench-consumer").ok
+    response = benchmark(lambda: gateway.query("bench-consumer", "books"))
+    assert len({hit.marketplace for hit in response.result.hits}) == marketplaces
 
 
 def test_cap2_coverage_rows(benchmark, experiment_reporter):

@@ -13,9 +13,10 @@ from repro.experiments.figures import QUERY_WORKFLOW_STEPS
 def test_query_workflow_cost(benchmark):
     platform = build_platform(num_marketplaces=2, num_sellers=2,
                               items_per_seller=25, seed=13)
-    session = platform.login("bench-consumer")
-    results = benchmark(lambda: session.query("books"))
-    assert results
+    gateway = platform.gateway()
+    assert gateway.login("bench-consumer").ok
+    response = benchmark(lambda: gateway.query("bench-consumer", "books"))
+    assert response.result.hits
 
 
 def test_fig42_step_trace_rows(benchmark, experiment_reporter):

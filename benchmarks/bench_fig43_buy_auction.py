@@ -10,42 +10,47 @@ import pytest
 from repro.ecommerce.platform_builder import ECommercePlatform, PlatformConfig, build_platform
 from repro.experiments import figures
 
+CONSUMER = "bench-consumer"
+
 
 @pytest.fixture
-def trading_session():
+def trading_gateway():
     # A very deep stock so the benchmark can repeat the purchase thousands of
     # times without exhausting the listing.
     config = PlatformConfig(num_marketplaces=2, num_sellers=2, items_per_seller=25,
                             stock_per_item=1_000_000, seed=17)
     platform = ECommercePlatform(config)
-    session = platform.login("bench-consumer")
-    hits = session.query("books")
+    gateway = platform.gateway()
+    assert gateway.login(CONSUMER).ok
+    hits = gateway.query(CONSUMER, "books").result.hits
     assert hits
-    return session, hits[0]
+    return gateway, hits[0]
 
 
-def test_direct_purchase_cost(benchmark, trading_session):
-    session, hit = trading_session
-    outcome = benchmark(lambda: session.buy(hit.item, marketplace=hit.marketplace))
-    assert outcome.succeeded
+def test_direct_purchase_cost(benchmark, trading_gateway):
+    gateway, hit = trading_gateway
+    response = benchmark(
+        lambda: gateway.buy(CONSUMER, hit.item, marketplace=hit.marketplace)
+    )
+    assert response.result.succeeded
 
 
-def test_auction_cost(benchmark, trading_session):
-    session, hit = trading_session
-    outcome = benchmark(
-        lambda: session.join_auction(hit.item, max_price=hit.price * 1.3,
+def test_auction_cost(benchmark, trading_gateway):
+    gateway, hit = trading_gateway
+    response = benchmark(
+        lambda: gateway.join_auction(CONSUMER, hit.item, max_price=hit.price * 1.3,
                                      marketplace=hit.marketplace)
     )
-    assert outcome.outcome["rounds"] >= 1
+    assert response.result.outcome["rounds"] >= 1
 
 
-def test_negotiation_cost(benchmark, trading_session):
-    session, hit = trading_session
-    outcome = benchmark(
-        lambda: session.negotiate(hit.item, max_price=hit.price * 0.95,
+def test_negotiation_cost(benchmark, trading_gateway):
+    gateway, hit = trading_gateway
+    response = benchmark(
+        lambda: gateway.negotiate(CONSUMER, hit.item, max_price=hit.price * 0.95,
                                   marketplace=hit.marketplace)
     )
-    assert outcome.outcome["rounds"] >= 1
+    assert response.result.outcome["rounds"] >= 1
 
 
 def test_fig43_trade_rows(benchmark, experiment_reporter):

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the whole test suite in one leg, the numpy-hidden backend
-# leg, the benchmark smokes, the wall-clock ledger digests and the examples.
+# leg, the benchmark smokes, the figure / capability benchmarks with timing
+# disabled, the wall-clock ledger digests and the examples.
 # The gateway, concurrent, flash-crowd and adversarial smokes are pytest
 # tests (test_api_gateway.py, test_concurrent_report.py,
 # test_elastic_fleet.py, test_adversarial_subsystem.py and the matching
@@ -18,8 +19,9 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1: unit + property + integration tests (20 slowest on record) =="
-python -m pytest -x -q --durations=20 tests
+echo "== tier-1: unit + property + integration tests (20 slowest on record; =="
+echo "==         a DeprecationWarning is an error)                          =="
+python -m pytest -x -q --durations=20 -W error::DeprecationWarning tests
 
 echo "== tier-1 (numpy hidden): backend selection + index suites under =="
 echo "==   REPRO_NO_NUMPY=1 — the first leg already scores through the  =="
@@ -49,6 +51,19 @@ python -m pytest -x -q benchmarks/bench_elastic_fleet.py
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
 python -m pytest -x -q benchmarks/bench_adversarial.py
 
+echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="
+echo "==         experiment must still run and assert its rows)            =="
+python -m pytest -x -q --benchmark-disable -W error::DeprecationWarning \
+  benchmarks/bench_fig31_platform.py \
+  benchmarks/bench_fig32_mechanism.py \
+  benchmarks/bench_fig41_creation.py \
+  benchmarks/bench_fig42_query.py \
+  benchmarks/bench_fig43_buy_auction.py \
+  benchmarks/bench_fig45_similarity.py \
+  benchmarks/bench_cap2_multimarket.py \
+  benchmarks/bench_cap4_quality.py \
+  benchmarks/bench_ablation_similarity.py
+
 echo "== tier-1: wall-clock ledger digests (full-scale fixed phase of every =="
 echo "==         workload must be correct and reproduce expected/*.json, =="
 echo "==         each on two seeds)                                      =="
@@ -68,8 +83,7 @@ print("-- " + os.environ["WORKLOAD"] + ": correct, digest matches,",
 '
 done
 
-echo "== tier-1: example smoke runs (deprecation-clean: examples must not =="
-echo "==         touch the shimmed legacy session/fleet methods)         =="
+echo "== tier-1: example smoke runs (a DeprecationWarning is an error) =="
 for example in examples/*.py; do
   echo "-- ${example}"
   python -W error::DeprecationWarning "${example}" >/dev/null

@@ -49,7 +49,6 @@ Scaling — batch serving and the neighbor index::
 
 from repro.version import __version__
 from repro.ecommerce.platform_builder import ECommercePlatform, build_platform
-from repro.ecommerce.session import ConsumerSession
 from repro.api.envelope import ApiError, ApiResponse, ApiStatus, Provenance
 from repro.api.gateway import PlatformGateway
 from repro.core.profile import Profile, Category, SubCategory, TermVector
@@ -65,7 +64,6 @@ __all__ = [
     "__version__",
     "ECommercePlatform",
     "build_platform",
-    "ConsumerSession",
     "PlatformGateway",
     "ApiResponse",
     "ApiStatus",

@@ -52,6 +52,7 @@ from repro.api.requests import (
     PlatformStats,
     QueryHits,
     QueryRequest,
+    QueryResult,
     RateRequest,
     RatingResult,
     RecommendationList,
@@ -100,6 +101,7 @@ __all__ = [
     "RegistrationResult",
     "LoginResult",
     "LogoutResult",
+    "QueryResult",
     "QueryHits",
     "TradeOutcome",
     "RatingResult",

@@ -4,10 +4,10 @@
 Examples, scenario drivers and external callers issue *every* client
 operation — register, login, query, buy, negotiate, recommendations,
 find-similar, admin stats — through it and receive the uniform
-:class:`~repro.api.envelope.ApiResponse` envelope, instead of driving
-:class:`~repro.ecommerce.session.ConsumerSession`,
-:class:`~repro.ecommerce.buyer_server.BuyerServerFleet` and the raw servers
-directly (those entry points survive as deprecation shims).
+:class:`~repro.api.envelope.ApiResponse` envelope.  It plays the paper's
+browser (§3.2): each consumer's requests go to the HttpA agent of the buyer
+agent server that owns them, over a connection the gateway opens at login
+and closes at logout.
 
 Requests flow through the middleware chain documented in
 :mod:`repro.api.middleware` (metrics → admission control → deadline →
@@ -51,8 +51,10 @@ from repro.errors import (
     HostUnreachableError,
     MarketplaceError,
     ReproError,
+    SessionError,
     UnknownUserError,
 )
+from repro.agents.messages import MessageKinds
 from repro.api.envelope import (
     AUTH_REJECTION_CODES,
     ApiError,
@@ -89,6 +91,7 @@ from repro.api.requests import (
     PlatformStats,
     QueryHits,
     QueryRequest,
+    QueryResult,
     RateRequest,
     RatingResult,
     RecommendationList,
@@ -103,8 +106,8 @@ from repro.api.requests import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api.concurrency import ApiFuture, SessionScheduler
     from repro.core.items import Item
+    from repro.ecommerce.buyer_server import BuyerAgentServer
     from repro.ecommerce.platform_builder import ECommercePlatform
-    from repro.ecommerce.session import ConsumerSession
 
 __all__ = ["PlatformGateway", "RoutingUnavailableError"]
 
@@ -188,6 +191,9 @@ class PlatformGateway:
         )
         self._handler = build_chain(list(self.middlewares), self._dispatch)
         self._sessions: Optional["SessionScheduler"] = None
+        #: Every consumer that has logged in: the server holding their
+        #: connection, or None once they have logged out.
+        self._connections: Dict[str, Optional["BuyerAgentServer"]] = {}
         self._operations: Dict[type, Callable[[Any], Tuple[Any, Provenance, bool]]] = {
             RegisterRequest: self._op_register,
             LoginRequest: self._op_login,
@@ -439,37 +445,65 @@ class PlatformGateway:
         status = ApiStatus.DEGRADED if degraded else ApiStatus.OK
         return ApiResponse(status=status, result=result, provenance=provenance)
 
-    # -- session plumbing ------------------------------------------------------
+    # -- connection plumbing ---------------------------------------------------
 
-    def _session_for(self, user_id: str) -> "ConsumerSession":
-        """The consumer's live session, re-homed after a failover.
+    def _server_for(self, user_id: str) -> "BuyerAgentServer":
+        """The server holding the consumer's live connection, re-homed after a failover.
 
-        A session opened against a server that has since lost the shard (a
-        promotion or hand-off moved it) is transparently re-established on the
-        current owner; an inactive session is *not* resurrected — using the
-        API after logout is a client error, exactly as it was on
-        :class:`~repro.ecommerce.session.ConsumerSession`.  The inactive
-        check comes first: a semantic client error must surface as
-        ``failed`` immediately, never burn retries or trigger a failover
-        just because the (irrelevant) owner happens to be down.
+        A connection opened against a server that has since lost the shard (a
+        promotion or hand-off moved it) is transparently re-opened on the
+        current owner; a logged-out consumer is *not* resurrected — using the
+        API after logout is a client error.  The logged-out check comes
+        first: a semantic client error must surface as ``failed``
+        immediately, never burn retries or trigger a failover just because
+        the (irrelevant) owner happens to be down.
         """
-        session = self._platform.session(user_id)
-        if not session.is_active:
-            return session  # the operation raises SessionError: failed, final
+        if user_id not in self._connections:
+            raise UnknownUserError(f"no session has been opened for {user_id!r}")
+        server = self._connections[user_id]
+        if server is None:
+            raise SessionError(
+                f"session for {user_id!r} is not active; call login() first"
+            )
         current = self._platform.buyer_server_for(user_id)
         self._require_live(current)
-        if session.server is not current:
-            session = self._platform.login(user_id, register=False)
-        return session
+        if server is not current:
+            self._connect(user_id, current)
+        return current
+
+    def _connect(self, user_id: str, server: "BuyerAgentServer") -> str:
+        """Log in at ``server``'s HttpA (§4.1-1: the BSMA creates the BRA).
+
+        The connection is recorded only once the login succeeded, so a
+        refused login leaves an earlier connection serving.
+        """
+        bra_id = self._request(server, user_id, MessageKinds.LOGIN).require("bra_id")
+        self._connections[user_id] = server
+        return bra_id
+
+    @staticmethod
+    def _request(server: "BuyerAgentServer", user_id: str, kind: str, **payload: Any):
+        reply = server.http_proxy().request(
+            kind, sender=f"browser:{user_id}", user_id=user_id, **payload
+        )
+        if not reply.ok:
+            raise SessionError(reply.error)
+        return reply
+
+    def _send(self, user_id: str, kind: str, **payload: Any):
+        """One request over the consumer's connection: ``(reply, provenance)``."""
+        server = self._server_for(user_id)
+        reply = self._request(server, user_id, kind, **payload)
+        return reply, Provenance(served_by=server.name)
 
     @staticmethod
     def _require_live(server) -> None:
         """The browser's connection check: a dead host serves nothing.
 
-        The legacy session path models the browser as co-located with its
-        buyer agent server, so local requests never consulted host liveness
-        — a crashed server would happily answer from dead memory.  The
-        gateway refuses instead (retryable ``host-unreachable``, raised as
+        HttpA models the browser as co-located with its buyer agent server,
+        so a local request never consults host liveness — a crashed server
+        would happily answer from dead memory.  The gateway refuses instead
+        (retryable ``host-unreachable``, raised as
         :class:`RoutingUnavailableError` so the retry middleware knows no
         work has started), which is what lets it promote a replica and
         re-route — writes included.
@@ -520,125 +554,117 @@ class PlatformGateway:
         )
 
     def _op_login(self, request: LoginRequest):
-        self._require_live(self._platform.buyer_server_for(request.user_id))
-        session = self._platform.login(request.user_id, register=request.register)
+        server = self._platform.buyer_server_for(request.user_id)
+        self._require_live(server)
+        if request.register and not server.user_db.is_registered(request.user_id):
+            self._platform.register_consumer(request.user_id)
+        bra_id = self._connect(request.user_id, server)
         return (
-            LoginResult(
-                user_id=request.user_id,
-                bra_id=session.bra_id,
-                server=session.server.name,
-            ),
-            Provenance(served_by=session.server.name),
+            LoginResult(user_id=request.user_id, bra_id=bra_id, server=server.name),
+            Provenance(served_by=server.name),
             False,
         )
 
     def _op_logout(self, request: LogoutRequest):
-        # Same liveness / re-homing rules as every other session op: a
+        # Same liveness / re-homing rules as every other connected op: a
         # crashed owner fails retryable (the retry middleware may promote a
-        # replica, after which the re-homed session is the one torn down) —
-        # never a silent logout against dead memory.
-        session = self._session_for(request.user_id)
-        server = session.server.name
-        session.logout()
-        return (LogoutResult(user_id=request.user_id), Provenance(served_by=server), False)
+        # replica, after which the re-homed connection is the one torn down)
+        # — never a silent logout against dead memory.
+        _, provenance = self._send(request.user_id, MessageKinds.LOGOUT)
+        self._connections[request.user_id] = None
+        return (LogoutResult(user_id=request.user_id), provenance, False)
 
     def _op_query(self, request: QueryRequest):
-        session = self._session_for(request.user_id)
-        hits = session._query(
-            request.keyword,
-            category=request.category,
-            marketplaces=list(request.marketplaces)
-            if request.marketplaces is not None
-            else None,
+        payload: Dict[str, Any] = {"keyword": request.keyword}
+        if request.category is not None:
+            payload["category"] = request.category
+        if request.marketplaces is not None:
+            payload["marketplaces"] = list(request.marketplaces)
+        reply, provenance = self._send(request.user_id, MessageKinds.QUERY, **payload)
+        hits = tuple(
+            QueryResult(
+                item=entry["item"],
+                price=float(entry.get("price", entry["item"].price)),
+                marketplace=entry.get("marketplace", ""),
+                stock=int(entry.get("stock", 0)),
+            )
+            for entry in reply.value("results", [])
         )
         return (
             QueryHits(
-                hits=tuple(hits),
-                recommendations=tuple(session.last_recommendations),
+                hits=hits,
+                recommendations=tuple(reply.value("recommendations", [])),
             ),
-            Provenance(served_by=session.server.name),
+            provenance,
             False,
         )
 
-    def _trade(self, request, perform):
-        session = self._session_for(request.user_id)
-        trade = perform(session)
+    def _trade(self, request, kind: str, max_price: Optional[float] = None):
+        payload: Dict[str, Any] = {"item": request.item}
+        if request.marketplace is not None:
+            payload["marketplace"] = request.marketplace
+        if max_price is not None:
+            payload["max_price"] = max_price
+        reply, provenance = self._send(request.user_id, kind, **payload)
         return (
             TradeOutcome(
-                succeeded=trade.succeeded,
-                transaction=trade.transaction,
-                outcome=dict(trade.outcome),
-                recommendations=tuple(trade.recommendations),
+                succeeded=bool(reply.value("succeeded", False)),
+                transaction=reply.value("transaction"),
+                outcome=dict(reply.value("outcome", {})),
+                recommendations=tuple(reply.value("recommendations", [])),
             ),
-            Provenance(served_by=session.server.name),
+            provenance,
             False,
         )
 
     def _op_buy(self, request: BuyRequest):
-        return self._trade(
-            request,
-            lambda session: session._buy(request.item, marketplace=request.marketplace),
-        )
+        return self._trade(request, MessageKinds.BUY)
 
     def _op_join_auction(self, request: AuctionRequest):
-        return self._trade(
-            request,
-            lambda session: session._join_auction(
-                request.item, request.max_price, marketplace=request.marketplace
-            ),
-        )
+        return self._trade(request, MessageKinds.AUCTION_JOIN, request.max_price)
 
     def _op_negotiate(self, request: NegotiateRequest):
-        return self._trade(
-            request,
-            lambda session: session._negotiate(
-                request.item, request.max_price, marketplace=request.marketplace
-            ),
-        )
+        return self._trade(request, MessageKinds.NEGOTIATE, request.max_price)
 
     def _op_rate(self, request: RateRequest):
-        session = self._session_for(request.user_id)
-        rating = session._rate(request.item, request.rating)
+        reply, provenance = self._send(
+            request.user_id, MessageKinds.RATE, item=request.item, rating=request.rating
+        )
         return (
             RatingResult(
                 user_id=request.user_id,
                 item_id=request.item.item_id,
-                rating=rating,
+                rating=float(reply.value("rating", request.rating)),
             ),
-            Provenance(served_by=session.server.name),
+            provenance,
             False,
         )
 
+    def _listing(self, user_id: str, kind: str, **payload: Any):
+        reply, provenance = self._send(user_id, kind, **payload)
+        recommendations = tuple(reply.value("recommendations", []))
+        return (RecommendationList(recommendations=recommendations), provenance, False)
+
     def _op_recommendations(self, request: RecommendationsRequest):
-        session = self._session_for(request.user_id)
-        recommendations = session._recommendations(k=request.k, category=request.category)
-        return (
-            RecommendationList(recommendations=tuple(recommendations)),
-            Provenance(served_by=session.server.name),
-            False,
+        return self._listing(
+            request.user_id,
+            MessageKinds.RECOMMENDATIONS,
+            k=request.k,
+            category=request.category,
         )
 
     def _op_weekly_hottest(self, request: WeeklyHottestRequest):
-        session = self._session_for(request.user_id)
-        recommendations = session._weekly_hottest(k=request.k, category=request.category)
-        return (
-            RecommendationList(recommendations=tuple(recommendations)),
-            Provenance(served_by=session.server.name),
-            False,
+        return self._listing(
+            request.user_id, MessageKinds.HOTTEST, k=request.k, category=request.category
         )
 
     def _op_cross_sell(self, request: CrossSellRequest):
-        session = self._session_for(request.user_id)
-        recommendations = session._cross_sell(
-            k=request.k,
-            category=request.category,
-            basket=list(request.basket) if request.basket is not None else None,
-        )
-        return (
-            RecommendationList(recommendations=tuple(recommendations)),
-            Provenance(served_by=session.server.name),
-            False,
-        )
+        payload: Dict[str, Any] = {"k": request.k}
+        if request.category is not None:
+            payload["category"] = request.category
+        if request.basket is not None:
+            payload["basket"] = list(request.basket)
+        return self._listing(request.user_id, MessageKinds.CROSS_SELL, **payload)
 
     def _op_find_similar(self, request: FindSimilarRequest):
         fleet = self._platform.fleet

@@ -7,9 +7,8 @@ One frozen request dataclass per client operation, each carrying:
   ``unsupported-version``) instead of guessing at future semantics;
 - ``deadline_ms`` — an optional per-request simulated-time budget that
   overrides the platform-wide ``PlatformConfig.api_deadline_ms`` default;
-- the operation's own parameters, mirroring the legacy
-  :class:`~repro.ecommerce.session.ConsumerSession` signatures so migration
-  is mechanical.
+- the operation's own parameters, which the gateway forwards as the
+  payload of one HttpA message.
 
 The ``operation`` ClassVar is the stable wire name used for dispatch,
 metrics (``api.requests.<operation>``) and the envelope's ``operation``
@@ -21,20 +20,19 @@ lost *after* the marketplace applied the trade would otherwise be bought
 twice.  Non-retry-safe requests are still retried on the gateway's own
 pre-dispatch routing failures (dead owner, fleet down), where provably no
 work has happened yet.  Result payloads are small typed wrappers over the existing domain
-objects (:class:`~repro.ecommerce.session.QueryResult`,
+objects (:class:`~repro.core.items.Item`,
 :class:`~repro.core.recommender.Recommendation`,
-:class:`~repro.ecommerce.transactions.TransactionRecord`), so gateway
-results compare byte-identical to the direct calls they replace.
+:class:`~repro.ecommerce.transactions.TransactionRecord`), exactly as the
+buyer agents put them in their replies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.core.items import Item
 from repro.core.recommender import Recommendation
-from repro.ecommerce.session import QueryResult
 from repro.ecommerce.transactions import TransactionRecord
 from repro.api.envelope import API_VERSION
 
@@ -57,6 +55,7 @@ __all__ = [
     "RegistrationResult",
     "LoginResult",
     "LogoutResult",
+    "QueryResult",
     "QueryHits",
     "TradeOutcome",
     "RatingResult",
@@ -86,7 +85,7 @@ class LoginRequest:
     operation: ClassVar[str] = "login"
     retry_safe: ClassVar[bool] = True
     user_id: str
-    #: Register unknown consumers first (the platform.login default).
+    #: Register an unknown consumer before logging them in.
     register: bool = True
     deadline_ms: Optional[float] = None
     api_version: str = API_VERSION
@@ -256,6 +255,20 @@ class LoginResult:
 @dataclass(frozen=True)
 class LogoutResult:
     user_id: str
+
+
+@dataclass(frozen=True)
+class QueryResult:
+    """One merchandise search hit returned to the consumer."""
+
+    item: Item
+    price: float
+    marketplace: str
+    stock: int
+
+    @property
+    def item_id(self) -> str:
+        return self.item.item_id
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,6 @@ from repro.ecommerce.replication import (
     ReplicationLogEntry,
     ReplicationManager,
 )
-from repro.ecommerce.session import ConsumerSession, QueryResult
 from repro.ecommerce.platform_builder import ECommercePlatform, PlatformConfig, build_platform
 
 __all__ = [
@@ -75,8 +74,6 @@ __all__ = [
     "ReplicationLog",
     "ReplicationLogEntry",
     "ReplicationManager",
-    "ConsumerSession",
-    "QueryResult",
     "ECommercePlatform",
     "PlatformConfig",
     "build_platform",

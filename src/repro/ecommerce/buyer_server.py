@@ -8,8 +8,8 @@ saving consumer personal information." (§3.2)
 :class:`BuyerAgentServer` is the host-side wrapper: it runs the Figure 4.1
 bootstrap against the coordinator (which dispatches the BSMA here), attaches
 the shared services (UserDB, BSMDB, the profile learner and the
-recommendation service) and exposes the handles the consumer-facing
-:class:`~repro.ecommerce.session.ConsumerSession` needs.
+recommendation service) and exposes the HttpA handle the consumer-facing
+:class:`~repro.api.gateway.PlatformGateway` sends every request through.
 
 **Replication semantics** (when :meth:`BuyerAgentServer.enable_replication`
 is wired, normally via ``PlatformConfig.replication_factor``):
@@ -163,7 +163,7 @@ class BuyerAgentServer:
     def is_ready(self) -> bool:
         return self.bsma is not None and self.bsma.initialized
 
-    # -- direct handles used by sessions, tests and benchmarks -------------------------
+    # -- direct handles used by the gateway, tests and benchmarks ----------------------
 
     def http_proxy(self):
         if self.httpa is None:

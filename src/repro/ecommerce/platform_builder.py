@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import ECommerceError, UnknownUserError
+from repro.errors import ECommerceError
 from repro.agents.context import AgletContext
 from repro.agents.security import AuthenticationService
 from repro.agents.directory import ContextDirectory
@@ -34,7 +34,6 @@ from repro.ecommerce.buyer_server import BuyerAgentServer, BuyerServerFleet
 from repro.ecommerce.coordinator import CoordinatorServer
 from repro.ecommerce.marketplace import MarketplaceServer
 from repro.ecommerce.seller import SellerServer
-from repro.ecommerce.session import ConsumerSession
 
 __all__ = ["PlatformConfig", "ECommercePlatform", "build_platform"]
 
@@ -305,7 +304,6 @@ class ECommercePlatform:
         if config.replication_factor > 0:
             self._wire_replication()
 
-        self._sessions: Dict[str, ConsumerSession] = {}
         self._gateway = None
 
     def _wire_replication(self) -> None:
@@ -495,35 +493,15 @@ class ECommercePlatform:
         else:
             self.buyer_server.register_consumer(user_id, display_name)
 
-    def login(self, user_id: str, register: bool = True) -> ConsumerSession:
-        """Log a consumer in and return their session.
-
-        With ``register=True`` (the default) unknown consumers are registered
-        first, which is what the examples and most tests want.  In fleet mode
-        the session talks to the server owning the consumer's shard.
-        """
-        server = self.buyer_server_for(user_id)
-        if register and not server.user_db.is_registered(user_id):
-            self.register_consumer(user_id)
-        session = ConsumerSession(server, user_id)
-        session.login()
-        self._sessions[user_id] = session
-        return session
-
-    def session(self, user_id: str) -> ConsumerSession:
-        if user_id not in self._sessions:
-            raise UnknownUserError(f"no session has been opened for {user_id!r}")
-        return self._sessions[user_id]
-
     def gateway(self):
         """The platform's :class:`~repro.api.gateway.PlatformGateway`.
 
         The blessed entry point for every client operation (register, login,
         query, buy, negotiate, recommendations, find-similar, admin stats):
         one instance per platform, created lazily, configured by the
-        ``api_*`` fields of :class:`PlatformConfig`.  The legacy
-        :class:`~repro.ecommerce.session.ConsumerSession` workflow methods
-        survive as deprecation shims over the same code paths.
+        ``api_*`` fields of :class:`PlatformConfig`.  It is the only client
+        door: it keeps each consumer's connection to their buyer agent
+        server's HttpA.
         """
         if self._gateway is None:
             # Imported here: repro.api sits above the ecommerce layer.

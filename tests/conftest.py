@@ -106,14 +106,6 @@ def platform():
     return build_platform(num_marketplaces=2, num_sellers=2, items_per_seller=20, seed=3)
 
 
-@pytest.fixture
-def logged_in_session(platform):
-    session = platform.login("test-consumer")
-    yield session
-    if session.is_active:
-        session.logout()
-
-
 # ---------------------------------------------------------------------------
 # Helpers exposed to tests
 # ---------------------------------------------------------------------------

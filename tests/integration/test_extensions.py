@@ -4,27 +4,26 @@ suggestions, plus the experiment runner CLI."""
 
 import pytest
 
+from repro.api.envelope import ApiStatus
 from repro.core.ratings import InteractionKind
-from repro.errors import SessionError
 from repro.experiments.__main__ import main as experiments_main
 
 
 @pytest.fixture
 def shopper(platform):
-    session = platform.login("alice")
-    results = session.query("books")
+    gateway = platform.gateway()
+    assert gateway.login("alice").ok
+    results = gateway.query("alice", "books").result.hits
     assert results
-    yield platform, session, results
-    if session.is_active:
-        session.logout()
+    return platform, gateway, results
 
 
 class TestExplicitRatings:
     def test_rate_updates_profile_and_ratings_store(self, shopper):
-        platform, session, results = shopper
+        platform, gateway, results = shopper
         item = results[0].item
         events_before = platform.buyer_server.user_db.profile("alice").feedback_events
-        returned = session.rate(item, 4.5)
+        returned = gateway.rate("alice", item, 4.5).result.rating
         assert returned == 4.5
         user_db = platform.buyer_server.user_db
         assert user_db.profile("alice").feedback_events == events_before + 1
@@ -32,99 +31,103 @@ class TestExplicitRatings:
         assert any(i.kind is InteractionKind.RATE and i.value == 4.5 for i in interactions)
 
     def test_out_of_range_rating_rejected(self, shopper):
-        _, session, results = shopper
-        with pytest.raises(SessionError):
-            session.rate(results[0].item, 7.0)
+        _, gateway, results = shopper
+        response = gateway.rate("alice", results[0].item, 7.0)
+        assert response.status == ApiStatus.FAILED
+        assert response.error.code == "session"
 
     def test_higher_ratings_teach_more(self, platform):
-        low = platform.login("low-rater")
-        high = platform.login("high-rater")
-        item = low.query("books")[0].item
-        high.query("books")
-        low.rate(item, 1.0)
-        high.rate(item, 5.0)
+        gateway = platform.gateway()
+        assert gateway.login("low-rater").ok
+        assert gateway.login("high-rater").ok
+        item = gateway.query("low-rater", "books").result.hits[0].item
+        assert gateway.query("high-rater", "books").ok
+        assert gateway.rate("low-rater", item, 1.0).ok
+        assert gateway.rate("high-rater", item, 5.0).ok
         user_db = platform.buyer_server.user_db
         low_weight = user_db.profile("low-rater").category(item.category).preference
         high_weight = user_db.profile("high-rater").category(item.category).preference
         assert high_weight > low_weight
-        low.logout()
-        high.logout()
+        assert gateway.logout("low-rater").ok
+        assert gateway.logout("high-rater").ok
 
 
 class TestWeeklyHottest:
     def test_hottest_reflects_recent_purchases(self, shopper):
-        platform, session, results = shopper
+        platform, gateway, results = shopper
         hit = results[0]
-        session.buy(hit.item, marketplace=hit.marketplace)
-        hottest = session.weekly_hottest(k=5)
+        assert gateway.buy("alice", hit.item, marketplace=hit.marketplace).ok
+        hottest = gateway.weekly_hottest("alice", k=5).result.recommendations
         assert hottest
         assert hottest[0].item_id == hit.item.item_id
         assert hottest[0].source == "weekly-hottest"
 
     def test_hottest_empty_before_any_purchase(self, shopper):
-        _, session, _ = shopper
-        assert session.weekly_hottest(k=5) == []
+        _, gateway, _ = shopper
+        assert gateway.weekly_hottest("alice", k=5).result.recommendations == ()
 
     def test_hottest_category_filter(self, shopper):
-        platform, session, results = shopper
+        platform, gateway, results = shopper
         hit = results[0]
-        session.buy(hit.item, marketplace=hit.marketplace)
-        assert session.weekly_hottest(k=5, category="electronics") == []
-        assert session.weekly_hottest(k=5, category=hit.item.category)
+        assert gateway.buy("alice", hit.item, marketplace=hit.marketplace).ok
+        hottest = gateway.weekly_hottest
+        assert hottest("alice", k=5, category="electronics").result.recommendations == ()
+        assert hottest("alice", k=5, category=hit.item.category).result.recommendations
 
 
 class TestCrossSell:
     def test_basket_suggestions_come_from_co_purchases(self, platform):
         # Two consumers buy the same pair of items; a third with one of them
         # in the basket should be offered the other.
+        gateway = platform.gateway()
         first_pair = None
         for name in ("buyer-1", "buyer-2"):
-            session = platform.login(name)
-            hits = session.query("books")
+            assert gateway.login(name).ok
+            hits = gateway.query(name, "books").result.hits
             pair = hits[:2]
             if first_pair is None:
                 first_pair = pair
             for hit in pair:
-                session.buy(hit.item, marketplace=hit.marketplace)
-            session.logout()
+                assert gateway.buy(name, hit.item, marketplace=hit.marketplace).ok
+            assert gateway.logout(name).ok
 
-        shopper = platform.login("buyer-3")
-        shopper.query("books")
-        suggestions = shopper.cross_sell(basket=[first_pair[0].item.item_id])
+        assert gateway.login("buyer-3").ok
+        assert gateway.query("buyer-3", "books").ok
+        suggestions = gateway.cross_sell(
+            "buyer-3", basket=[first_pair[0].item.item_id]
+        ).result.recommendations
         assert suggestions
         assert suggestions[0].item_id == first_pair[1].item.item_id
-        shopper.logout()
+        assert gateway.logout("buyer-3").ok
 
     def test_history_based_cross_sell(self, platform):
         # buyer-1 and buyer-2 share purchases, so buyer-1's history yields
         # suggestions drawn from the co-purchase matrix.
-        sessions = {}
-        for name in ("buyer-1", "buyer-2"):
-            session = platform.login(name)
-            hits = session.query("books")
+        gateway = platform.gateway()
+        names = ("buyer-1", "buyer-2")
+        for name in names:
+            assert gateway.login(name).ok
+            hits = gateway.query(name, "books").result.hits
             for hit in hits[:2]:
-                session.buy(hit.item, marketplace=hit.marketplace)
-            sessions[name] = session
-        extra = sessions["buyer-2"].query("books")
+                assert gateway.buy(name, hit.item, marketplace=hit.marketplace).ok
+        extra = gateway.query("buyer-2", "books").result.hits
         bought_extra = [h for h in extra if h.item.item_id not in {
             t.item_id for t in platform.buyer_server.user_db.transactions_of("buyer-2")
         }]
         if bought_extra:
-            sessions["buyer-2"].buy(bought_extra[0].item, marketplace=bought_extra[0].marketplace)
-        suggestions = sessions["buyer-1"].cross_sell(k=5)
+            assert gateway.buy("buyer-2", bought_extra[0].item, marketplace=bought_extra[0].marketplace).ok
+        suggestions = gateway.cross_sell("buyer-1", k=5).result.recommendations
         # buyer-1 already owns the shared pair, so only genuinely new items appear.
         owned = {t.item_id for t in platform.buyer_server.user_db.transactions_of("buyer-1")}
         assert all(rec.item_id not in owned for rec in suggestions)
-        for session in sessions.values():
-            session.logout()
+        for name in names:
+            assert gateway.logout(name).ok
 
     def test_cross_sell_requires_login(self, platform):
-        from repro.ecommerce.session import ConsumerSession
-
         platform.register_consumer("stranger")
-        session = ConsumerSession(platform.buyer_server, "stranger")
-        with pytest.raises(SessionError):
-            session.cross_sell()
+        response = platform.gateway().cross_sell("stranger")
+        assert response.status == ApiStatus.FAILED
+        assert response.error.code == "unknown-user"
 
 
 class TestExperimentRunnerCLI:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ReproError, SessionError
+from repro.api.envelope import ApiStatus
 from repro.ecommerce.platform_builder import build_platform
 
 
@@ -15,105 +15,116 @@ class TestMarketplaceOutage:
     def test_down_marketplace_is_skipped_not_fatal(self, resilient_platform):
         """A crashed marketplace is dropped from the itinerary (§1 fault tolerance)."""
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         platform.failures.crash_host("marketplace-1")
-        results = session.query("books")
+        results = gateway.query("alice", "books").result.hits
         assert results
         assert all(hit.marketplace != "marketplace-1" for hit in results)
         filtered = platform.event_log.by_category("workflow.itinerary-filtered")
         assert filtered and filtered[-1].payload["skipped"] == ["marketplace-1"]
-        session.logout()
+        assert gateway.logout("alice").ok
 
     def test_all_marketplaces_down_is_a_clean_error(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         for name in platform.marketplace_names():
             platform.failures.crash_host(name)
-        with pytest.raises(ReproError):
-            session.query("books")
-        session.logout()
+        failed = gateway.query("alice", "books")
+        assert (failed.status, failed.error.code) == (ApiStatus.FAILED, "session")
+        assert gateway.logout("alice").ok
 
     def test_surviving_marketplaces_keep_serving(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         platform.failures.crash_host("marketplace-1")
-        results = session.query("books", marketplaces=["marketplace-2", "marketplace-3"])
+        results = gateway.query(
+            "alice", "books", marketplaces=["marketplace-2", "marketplace-3"]
+        ).result.hits
         assert results
         assert all(hit.marketplace != "marketplace-1" for hit in results)
-        session.logout()
+        assert gateway.logout("alice").ok
 
     def test_recovery_restores_full_coverage(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         platform.failures.crash_host("marketplace-1")
         platform.failures.recover_host("marketplace-1")
-        results = session.query("books")
+        results = gateway.query("alice", "books").result.hits
         assert {hit.marketplace for hit in results} == set(platform.marketplace_names())
-        session.logout()
+        assert gateway.logout("alice").ok
 
     def test_consumer_can_still_trade_after_an_outage(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         platform.failures.crash_host("marketplace-1")
-        results = session.query("books")
+        results = gateway.query("alice", "books").result.hits
         assert results
         hit = results[0]
-        outcome = session.buy(hit.item, marketplace=hit.marketplace)
+        outcome = gateway.buy("alice", hit.item, marketplace=hit.marketplace).result
         assert outcome.succeeded
-        session.logout()
+        assert gateway.logout("alice").ok
 
     def test_buyer_server_state_consistent_after_total_outage(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         for name in platform.marketplace_names():
             platform.failures.crash_host(name)
-        with pytest.raises(ReproError):
-            session.query("books")
+        failed = gateway.query("alice", "books")
+        assert (failed.status, failed.error.code) == (ApiStatus.FAILED, "session")
         context = platform.buyer_server.context
         # Exactly one BRA for alice, either active or deactivated, never lost.
         total_bras = context.active_count("BRA") + sum(
             1 for aglet_id in context.deactivated_ids() if aglet_id.startswith("BRA-")
         )
         assert total_bras == 1
-        session.logout()
+        assert gateway.logout("alice").ok
 
     def test_mid_itinerary_crash_is_skipped_by_the_mba(self, resilient_platform):
         """A marketplace that dies between dispatch and the visit is skipped."""
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         # Crash a later stop after the MBA has been dispatched: schedule the
         # crash a moment into the future so the first hop is already underway.
         platform.failures.cut_link("marketplace-1", "marketplace-2")
         platform.failures.cut_link("buyer-agent-server", "marketplace-2")
-        results = session.query("books")
+        results = gateway.query("alice", "books").result.hits
         skipped_events = platform.event_log.by_category("workflow.marketplace-skipped")
         assert skipped_events
         assert all(hit.marketplace != "marketplace-2" for hit in results)
-        session.logout()
+        assert gateway.logout("alice").ok
 
 
 class TestLinkFailures:
     def test_cut_link_to_one_marketplace_blocks_it(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         platform.failures.cut_link("buyer-agent-server", "marketplace-2")
-        with pytest.raises(ReproError):
-            session.query("books", marketplaces=["marketplace-2"])
+        failed = gateway.query("alice", "books", marketplaces=["marketplace-2"])
+        assert (failed.status, failed.error.code) == (ApiStatus.UNAVAILABLE, "link-down")
         platform.failures.restore_link("buyer-agent-server", "marketplace-2")
-        assert session.query("books", marketplaces=["marketplace-2"]) is not None
-        session.logout()
+        assert gateway.query("alice", "books", marketplaces=["marketplace-2"]).ok
+        assert gateway.logout("alice").ok
 
     def test_partition_and_heal(self, resilient_platform):
         platform = resilient_platform
-        session = platform.login("alice")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
         platform.failures.partition(
             ["buyer-agent-server"], ["marketplace-1", "marketplace-2", "marketplace-3"]
         )
-        with pytest.raises(ReproError):
-            session.query("books")
+        failed = gateway.query("alice", "books")
+        assert (failed.status, failed.error.code) == (ApiStatus.UNAVAILABLE, "host-unreachable")
         platform.failures.heal()
-        assert session.query("books")
-        session.logout()
+        assert gateway.query("alice", "books").result.hits
+        assert gateway.logout("alice").ok
 
 
 class TestLossyNetwork:
@@ -129,7 +140,8 @@ class TestLossyNetwork:
             network=NetworkConfig(loss_probability=0.0, jitter_ms=2.0),
         )
         platform = ECommercePlatform(config)
-        session = platform.login("alice")
-        assert session.query("books") is not None
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        assert gateway.query("alice", "books").ok
+        assert gateway.logout("alice").ok
         assert platform.network.total_transfers > 0

@@ -1,8 +1,9 @@
 """Integration coverage for the gateway redesign's acceptance criteria.
 
 - **Byte-identity**: gateway query / recommendation / find-similar results on
-  one platform equal the legacy direct-session calls on a second platform
-  built from the same seed, driven through the same operation sequence.
+  one platform equal the raw HttpA replies (and fleet lookups) on a second
+  platform built from the same seed, driven through the same message
+  sequence.
 - **Crash during traffic**: with replication wired, a consumer whose primary
   crashes mid-session gets a ``degraded`` envelope (retry + promotion
   failover re-route), never an unhandled exception, with the failover and
@@ -20,10 +21,9 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
+from repro.agents.messages import MessageKinds
 from repro.api.envelope import ApiStatus
 from repro.ecommerce.platform_builder import build_platform
 from repro.workload.consumers import ConsumerPopulation
@@ -54,8 +54,18 @@ def _warm_gateway(platform, consumers=CONSUMERS, logout=False):
     return gateway
 
 
-class TestByteIdentityWithLegacySessions:
-    """Gateway results must equal the pre-redesign direct calls, same seed."""
+def _httpa(platform, user_id, kind, **payload):
+    """One raw request to the consumer's HttpA agent, below the gateway."""
+    server = platform.buyer_server_for(user_id)
+    reply = server.http_proxy().request(
+        kind, sender=f"browser:{user_id}", user_id=user_id, **payload
+    )
+    assert reply.ok, reply.error
+    return reply
+
+
+class TestByteIdentityWithRawHttpA:
+    """Gateway results must equal the HttpA replies they wrap, same seed."""
 
     def test_query_recommendations_and_similarity_match(self):
         seed = 23
@@ -64,27 +74,37 @@ class TestByteIdentityWithLegacySessions:
         keyword = _keyword(legacy)
         gateway = modern.gateway()
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for user_id in CONSUMERS:
-                legacy_session = legacy.login(user_id)
-                legacy_hits = legacy_session.query(keyword)
-                legacy_query_recs = list(legacy_session.last_recommendations)
-                legacy_recs = legacy_session.recommendations(k=5)
+        for user_id in CONSUMERS:
+            legacy.register_consumer(user_id)
+            _httpa(legacy, user_id, MessageKinds.LOGIN)
+            raw_query = _httpa(legacy, user_id, MessageKinds.QUERY, keyword=keyword)
+            raw_recs = _httpa(
+                legacy, user_id, MessageKinds.RECOMMENDATIONS, k=5, category=None
+            )
 
-                gateway.login(user_id)
-                response = gateway.query(user_id, keyword)
-                recs = gateway.recommendations(user_id, k=5)
+            assert gateway.login(user_id).ok
+            response = gateway.query(user_id, keyword)
+            recs = gateway.recommendations(user_id, k=5)
 
-                assert list(response.result.hits) == legacy_hits
-                assert list(response.result.recommendations) == legacy_query_recs
-                assert list(recs.result.recommendations) == legacy_recs
+            assert [
+                (hit.item, hit.price, hit.marketplace, hit.stock)
+                for hit in response.result.hits
+            ] == [
+                (entry["item"], entry["price"], entry["marketplace"], entry["stock"])
+                for entry in raw_query.value("results")
+            ]
+            assert list(response.result.recommendations) == list(
+                raw_query.value("recommendations")
+            )
+            assert list(recs.result.recommendations) == list(
+                raw_recs.value("recommendations")
+            )
 
-            for user_id in CONSUMERS:
-                legacy_neighbors = legacy.fleet.query_similar(user_id).neighbors
-                response = gateway.find_similar(user_id)
-                assert list(response.result.neighbors) == legacy_neighbors
-                assert response.status == ApiStatus.OK
+        for user_id in CONSUMERS:
+            legacy_neighbors = legacy.fleet.query_similar(user_id).neighbors
+            response = gateway.find_similar(user_id)
+            assert list(response.result.neighbors) == legacy_neighbors
+            assert response.status == ApiStatus.OK
 
         # Identical traffic ⇒ identical simulated clocks: the gateway charges
         # nothing on the happy path.

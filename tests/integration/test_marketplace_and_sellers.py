@@ -90,33 +90,36 @@ class TestMultiMarketplaceCollection:
             num_marketplaces=count, num_sellers=count, items_per_seller=15,
             seed=13, replicate_listings=False,
         )
-        session = platform.login("shopper")
-        results = session.query("books")
+        gateway = platform.gateway()
+        assert gateway.login("shopper").ok
+        results = gateway.query("shopper", "books").result.hits
         marketplaces_with_hits = {hit.marketplace for hit in results}
         assert len(marketplaces_with_hits) == count
-        session.logout()
+        assert gateway.logout("shopper").ok
 
     def test_one_mba_serves_the_whole_itinerary(self):
         platform = build_platform(
             num_marketplaces=3, num_sellers=3, items_per_seller=15, seed=13,
         )
-        session = platform.login("shopper")
-        session.query("books")
+        gateway = platform.gateway()
+        assert gateway.login("shopper").ok
+        assert gateway.query("shopper", "books").ok
         history = platform.buyer_server.bsmdb.mba_history()
         assert len(history) == 1
         assert history[0].itinerary == platform.marketplace_names()
-        session.logout()
+        assert gateway.logout("shopper").ok
 
     def test_results_identify_the_cheapest_marketplace(self):
         platform = build_platform(
             num_marketplaces=3, num_sellers=3, items_per_seller=15, seed=13,
         )
-        session = platform.login("shopper")
-        results = session.query("books")
+        gateway = platform.gateway()
+        assert gateway.login("shopper").ok
+        results = gateway.query("shopper", "books").result.hits
         assert results
         cheapest = min(results, key=lambda hit: hit.price)
         assert cheapest.marketplace in platform.marketplace_names()
-        session.logout()
+        assert gateway.logout("shopper").ok
 
     def test_serial_visits_cost_latency_per_marketplace(self):
         latencies = {}
@@ -124,9 +127,10 @@ class TestMultiMarketplaceCollection:
             platform = build_platform(
                 num_marketplaces=count, num_sellers=count, items_per_seller=10, seed=13,
             )
-            session = platform.login("shopper")
+            gateway = platform.gateway()
+            assert gateway.login("shopper").ok
             before = platform.now
-            session.query("books")
+            assert gateway.query("shopper", "books").ok
             latencies[count] = platform.now - before
-            session.logout()
+            assert gateway.logout("shopper").ok
         assert latencies[3] > latencies[1]

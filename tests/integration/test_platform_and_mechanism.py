@@ -3,7 +3,7 @@ recommendation mechanism serving a consumer community (Figure 3.2)."""
 
 import pytest
 
-from repro.errors import ECommerceError, LoginError, SessionError, UnknownUserError
+from repro.errors import ECommerceError
 from repro.ecommerce.platform_builder import PlatformConfig, build_platform
 from repro.workload.consumers import ConsumerPopulation
 from repro.workload.scenarios import ScenarioRunner
@@ -64,79 +64,50 @@ class TestPlatformAssembly:
 class TestLoginLogoutLifecycle:
     def test_register_then_login_creates_bra(self, platform):
         platform.register_consumer("alice", "Alice")
-        session = platform.login("alice", register=False)
+        gateway = platform.gateway()
+        assert gateway.login("alice", register=False).ok
         assert platform.buyer_server.context.active_count("BRA") == 1
         assert platform.buyer_server.online_users() == ["alice"]
         assert platform.buyer_server.user_db.user("alice").logins == 1
-        session.logout()
-
-    def test_login_without_registration_fails_when_not_auto(self, platform):
-        from repro.ecommerce.session import ConsumerSession
-
-        session = ConsumerSession(platform.buyer_server, "stranger")
-        with pytest.raises(SessionError):
-            session.login()
-
-    def test_duplicate_login_rejected(self, platform):
-        platform.login("alice")
-        from repro.ecommerce.session import ConsumerSession
-
-        duplicate = ConsumerSession(platform.buyer_server, "alice")
-        with pytest.raises(SessionError):
-            duplicate.login()
+        assert gateway.logout("alice").ok
 
     def test_logout_disposes_bra_and_allows_relogin(self, platform):
-        session = platform.login("alice")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        assert gateway.logout("alice").ok
         assert platform.buyer_server.context.active_count("BRA") == 0
-        again = platform.login("alice")
+        assert gateway.login("alice").ok
         assert platform.buyer_server.user_db.user("alice").logins == 2
-        again.logout()
-
-    def test_double_logout_rejected(self, platform):
-        session = platform.login("alice")
-        session.logout()
-        with pytest.raises(SessionError):
-            session.logout()
-
-    def test_context_manager_logs_out_automatically(self, platform):
-        platform.register_consumer("carol")
-        from repro.ecommerce.session import ConsumerSession
-
-        with ConsumerSession(platform.buyer_server, "carol") as session:
-            assert session.is_active
-        assert platform.buyer_server.online_users() == []
-
-    def test_session_lookup(self, platform):
-        session = platform.login("alice")
-        assert platform.session("alice") is session
-        with pytest.raises(UnknownUserError):
-            platform.session("nobody")
+        assert gateway.logout("alice").ok
 
 
 class TestConsumerCommunity:
     def test_many_concurrent_consumers_each_get_their_own_bra(self, platform):
-        sessions = [platform.login(f"user-{i}") for i in range(6)]
+        gateway = platform.gateway()
+        users = [f"user-{i}" for i in range(6)]
+        for user in users:
+            assert gateway.login(user).ok
         assert platform.buyer_server.context.active_count("BRA") == 6
         assert len(platform.buyer_server.online_users()) == 6
         # Interleave activity across sessions.
-        for session in sessions:
-            session.query("books")
-        for session in sessions:
-            session.logout()
+        for user in users:
+            assert gateway.query(user, "books").ok
+        for user in users:
+            assert gateway.logout(user).ok
         assert platform.buyer_server.context.active_count("BRA") == 0
 
     def test_profiles_stay_per_consumer(self, platform):
-        alice = platform.login("alice")
-        bob = platform.login("bob")
-        alice.query("books")
-        bob.query("electronics")
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        assert gateway.login("bob").ok
+        assert gateway.query("alice", "books").ok
+        assert gateway.query("bob", "electronics").ok
         user_db = platform.buyer_server.user_db
         assert user_db.profile("alice").has_category("books")
         assert not user_db.profile("alice").has_category("electronics")
         assert user_db.profile("bob").has_category("electronics")
-        alice.logout()
-        bob.logout()
+        assert gateway.logout("alice").ok
+        assert gateway.logout("bob").ok
 
     def test_scenario_runner_warm_up(self, platform):
         population = ConsumerPopulation(6, groups=3, seed=2)
@@ -154,10 +125,10 @@ class TestConsumerCommunity:
         runner = ScenarioRunner(platform, population, seed=6)
         runner.warm_up(sessions_per_consumer=1, queries_per_session=2)
         target = population.consumers()[0]
-        session = platform.login(target.user_id)
-        recommendations = session.recommendations(k=5)
-        assert recommendations
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login(target.user_id).ok
+        assert gateway.recommendations(target.user_id, k=5).result.recommendations
+        assert gateway.logout(target.user_id).ok
 
     def test_stress_day_mixes_traffic_and_refreshes_batches(self, platform):
         population = ConsumerPopulation(10, groups=2, seed=7)
@@ -209,9 +180,10 @@ class TestAgentFlexibility:
         audit = context.create(AuditAgent, owner="ops")
         assert context.active_count("Audit") == 1
         # Existing consumers are unaffected.
-        session = platform.login("alice")
-        assert session.query("books") is not None
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        assert gateway.query("alice", "books").ok
+        assert gateway.logout("alice").ok
         context.dispose(audit)
         assert context.active_count("Audit") == 0
 

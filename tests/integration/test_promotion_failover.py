@@ -40,12 +40,13 @@ def _build(num_buyer_servers=3, **overrides):
 
 def _drive_workload(platform, consumers=CONSUMERS):
     keyword = next(iter(platform.catalog_view())).terms[0][0]
+    gateway = platform.gateway()
     for index, user_id in enumerate(consumers):
-        session = platform.login(user_id)
-        results = session.query(keyword)
+        assert gateway.login(user_id).ok
+        results = gateway.query(user_id, keyword).result.hits
         if results and index % 2 == 0:
-            session.buy(results[0].item, marketplace=results[0].marketplace)
-        session.logout()
+            assert gateway.buy(user_id, results[0].item, marketplace=results[0].marketplace).ok
+        assert gateway.logout(user_id).ok
 
 
 def _consumer_state(user_db, user_id):
@@ -327,7 +328,8 @@ class TestDoubleFailure:
             for index in range(1000)
             if fleet.shard_map.base_shard(f"orphan-{index}") == victim
         )
-        platform.login(orphan).logout()
+        assert platform.gateway().login(orphan).ok
+        assert platform.gateway().logout(orphan).ok
         assert fleet.shard_of(orphan) == victim
         assert dead.replication.lag_of(cut_off_peer.name) > 0
 
@@ -343,7 +345,8 @@ class TestDoubleFailure:
         lost_events = platform.event_log.by_category("fleet.consumer-lost")
         assert [event.payload["user_id"] for event in lost_events] == [orphan]
         # The lost consumer can register afresh on a live server.
-        platform.login(orphan).logout()
+        assert platform.gateway().login(orphan).ok
+        assert platform.gateway().logout(orphan).ok
         assert fleet.server_for(orphan).context.host.is_running
 
 
@@ -443,7 +446,8 @@ class TestPromotionRecovery:
             for index in range(1000)
             if fleet.shard_map.base_shard(f"rejoin-{index}") == victim
         )
-        platform.login(rejoiner).logout()
+        assert platform.gateway().login(rejoiner).ok
+        assert platform.gateway().logout(rejoiner).ok
         assert fleet.server_for(rejoiner) is shard_owner
         # Nobody is scored twice after recovery.
         for user_id in CONSUMERS:
@@ -737,13 +741,13 @@ class TestReplicaIndexEquivalence:
 
         # Several durable writes, all for the same single consumer.
         keyword = next(iter(platform.catalog_view())).terms[0][0]
-        session = platform.login(user_id)
-        with pytest.warns(DeprecationWarning):
-            results = session.query(keyword)
-            assert results
-            session.rate(results[0].item, 4.0)
-            session.rate(results[0].item, 4.5)
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login(user_id).ok
+        results = gateway.query(user_id, keyword).result.hits
+        assert results
+        assert gateway.rate(user_id, results[0].item, 4.0).ok
+        assert gateway.rate(user_id, results[0].item, 4.5).ok
+        assert gateway.logout(user_id).ok
         self._catch_up(platform)
 
         answer = index.find_similar(state.db.profile(user_id), config=config)

@@ -3,23 +3,25 @@
 import pytest
 
 from repro.agents.lifecycle import AgletState
-from repro.errors import SessionError
+from repro.api.envelope import ApiStatus
 from repro.experiments.figures import QUERY_WORKFLOW_STEPS
 
 
 @pytest.fixture
 def query_run(platform):
-    """Login, run one query, return (platform, session, results, events)."""
-    session = platform.login("alice")
+    """Login, run one query, return (platform, login, query hits, events)."""
+    gateway = platform.gateway()
+    login = gateway.login("alice").result
     start = len(platform.event_log)
-    results = session.query("books")
+    query = gateway.query("alice", "books").result
     events = platform.event_log.events[start:]
-    return platform, session, results, events
+    return platform, login, query, events
 
 
 class TestQueryWorkflow:
     def test_query_returns_merchandise_from_marketplaces(self, query_run):
-        _, _, results, _ = query_run
+        _, _, query, _ = query_run
+        results = query.hits
         assert results
         assert all(result.item.category == "books" or
                    result.item.matches_keyword("books") for result in results)
@@ -64,12 +66,12 @@ class TestQueryWorkflow:
         assert platform.buyer_server.context.active_count("MBA") == 0
 
     def test_bra_is_active_again_after_the_query(self, query_run):
-        platform, session, _, _ = query_run
-        bra = platform.buyer_server.context.get_local(session.bra_id)
+        platform, login, _, _ = query_run
+        bra = platform.buyer_server.context.get_local(login.bra_id)
         assert bra.state is AgletState.ACTIVE
 
     def test_query_behaviour_updates_profile_and_ratings(self, query_run):
-        platform, _, results, _ = query_run
+        platform, _, _, _ = query_run
         user_db = platform.buyer_server.user_db
         profile = user_db.profile("alice")
         assert profile.feedback_events > 0
@@ -77,8 +79,8 @@ class TestQueryWorkflow:
         assert user_db.ratings.has_user("alice")
 
     def test_recommendations_accompany_the_results(self, query_run):
-        _, session, _, _ = query_run
-        assert session.last_recommendations is not None
+        _, _, query, _ = query_run
+        assert query.recommendations is not None
 
     def test_query_latency_reflects_marketplace_hops(self, query_run):
         platform, _, _, events = query_run
@@ -89,23 +91,22 @@ class TestQueryWorkflow:
         assert end - start >= 10.0
 
     def test_query_restricted_to_one_marketplace(self, platform):
-        session = platform.login("bob")
-        results = session.query("books", marketplaces=["marketplace-2"])
+        gateway = platform.gateway()
+        assert gateway.login("bob").ok
+        results = gateway.query("bob", "books", marketplaces=["marketplace-2"]).result.hits
         assert all(result.marketplace == "marketplace-2" for result in results)
-        session.logout()
+        assert gateway.logout("bob").ok
 
     def test_query_requires_login(self, platform):
-        from repro.ecommerce.session import ConsumerSession
-
-        session = ConsumerSession(platform.buyer_server, "stranger")
-        with pytest.raises(SessionError):
-            session.query("books")
+        response = platform.gateway().query("stranger", "books")
+        assert response.status == ApiStatus.FAILED
+        assert response.error.code == "unknown-user"
+        assert platform.buyer_server.bsmdb.mba_history() == []
 
     def test_second_query_reuses_the_same_bra(self, query_run):
-        platform, session, _, _ = query_run
-        bra_before = session.bra_id
-        session.query("electronics")
-        assert session.bra_id == bra_before
+        platform, login, _, _ = query_run
+        assert platform.gateway().query("alice", "electronics").ok
+        assert platform.buyer_server.bsmdb.online_bra("alice").bra_id == login.bra_id
         assert platform.buyer_server.context.active_count("BRA") == 1
 
 

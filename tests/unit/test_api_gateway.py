@@ -22,6 +22,7 @@ from repro.errors import (
     TransferDroppedError,
     UnknownUserError,
 )
+from repro.agents.messages import MessageKinds
 from repro.api.envelope import (
     API_VERSION,
     ApiResponse,
@@ -32,6 +33,7 @@ from repro.api.middleware import ApiCall, Middleware, TokenBucket, build_chain
 from repro.api.requests import (
     AdminStatsRequest,
     QueryRequest,
+    QueryResult,
     RecommendationsRequest,
 )
 from repro.ecommerce.platform_builder import build_platform
@@ -230,6 +232,121 @@ class TestLogoutLiveness:
         response = gateway.logout("alice")
         assert response.status == ApiStatus.UNAVAILABLE
         assert response.error.code == "host-unreachable"
+
+
+class TestConnectionLifecycle:
+    """The gateway keeps each consumer's login: one at a time, closed once."""
+
+    def test_second_login_is_refused_and_the_first_keeps_serving(
+        self, gateway_platform
+    ):
+        gateway = gateway_platform.gateway()
+        first = gateway.login("alice")
+        assert first.ok
+        again = gateway.login("alice")
+        assert again.status == ApiStatus.FAILED
+        assert again.error.code == "session"
+        assert again.error.message == "user 'alice' is already logged in"
+        follow_up = gateway.recommendations("alice", k=3)
+        assert follow_up.status == ApiStatus.OK
+        assert follow_up.provenance.served_by == first.result.server
+
+    def test_second_logout_is_refused_without_retries(self, gateway_platform):
+        gateway = gateway_platform.gateway()
+        assert gateway.login("alice").ok
+        assert gateway.logout("alice").ok
+        again = gateway.logout("alice")
+        assert again.status == ApiStatus.FAILED
+        assert again.error.code == "session"
+        assert again.error.message == (
+            "session for 'alice' is not active; call login() first"
+        )
+        assert again.provenance.retries == 0
+
+    def test_login_without_registration_opens_nothing(self, gateway_platform):
+        gateway = gateway_platform.gateway()
+        refused = gateway.login("stranger", register=False)
+        assert refused.status == ApiStatus.FAILED
+        assert refused.error.code == "session"
+        assert refused.error.message == "user 'stranger' must register before logging in"
+        assert not gateway_platform.buyer_server.user_db.is_registered("stranger")
+        query = gateway.query("stranger", "books")
+        assert query.status == ApiStatus.FAILED
+        assert query.error.code == "unknown-user"
+        assert query.error.message == "no session has been opened for 'stranger'"
+
+
+class TestHttpAWire:
+    """Each consumer operation is one message to the owner's HttpA agent."""
+
+    def test_each_operation_sends_one_message_with_its_payload(
+        self, gateway_platform, monkeypatch
+    ):
+        platform = gateway_platform
+        gateway = platform.gateway()
+        proxy = platform.buyer_server.http_proxy()
+        forward = proxy.request
+        sent = []
+
+        def record(kind, sender="", **payload):
+            sent.append((kind, sender, dict(payload)))
+            return forward(kind, sender=sender, **payload)
+
+        monkeypatch.setattr(proxy, "request", record)
+        assert gateway.login("alice").ok
+        hit = gateway.query("alice", _keyword(platform)).result.hits[0]
+        item, market = hit.item, hit.marketplace
+        calls = [
+            gateway.query("alice", "books", category="books", marketplaces=[market]),
+            gateway.buy("alice", item),
+            gateway.join_auction("alice", item, 1.0, marketplace=market),
+            gateway.negotiate("alice", item, 1.0),
+            gateway.rate("alice", item, 4.0),
+            gateway.recommendations("alice", k=3),
+            gateway.weekly_hottest("alice", k=2, category="books"),
+            gateway.cross_sell("alice", k=2),
+            gateway.cross_sell("alice", basket=(item.item_id,)),
+            gateway.logout("alice"),
+        ]
+        assert all(response.ok for response in calls)
+        browser = "browser:alice"
+        assert [(kind, sender, list(payload)) for kind, sender, payload in sent] == [
+            (MessageKinds.REGISTER, "browser", ["user_id", "display_name"]),
+            (MessageKinds.LOGIN, browser, ["user_id"]),
+            (MessageKinds.QUERY, browser, ["user_id", "keyword"]),
+            (
+                MessageKinds.QUERY,
+                browser,
+                ["user_id", "keyword", "category", "marketplaces"],
+            ),
+            (MessageKinds.BUY, browser, ["user_id", "item"]),
+            (
+                MessageKinds.AUCTION_JOIN,
+                browser,
+                ["user_id", "item", "marketplace", "max_price"],
+            ),
+            (MessageKinds.NEGOTIATE, browser, ["user_id", "item", "max_price"]),
+            (MessageKinds.RATE, browser, ["user_id", "item", "rating"]),
+            (MessageKinds.RECOMMENDATIONS, browser, ["user_id", "k", "category"]),
+            (MessageKinds.HOTTEST, browser, ["user_id", "k", "category"]),
+            (MessageKinds.CROSS_SELL, browser, ["user_id", "k"]),
+            (MessageKinds.CROSS_SELL, browser, ["user_id", "k", "basket"]),
+            (MessageKinds.LOGOUT, browser, ["user_id"]),
+        ]
+        # Sequences cross the wire as lists, whatever the request carried.
+        assert sent[3][2]["marketplaces"] == [market]
+        assert sent[11][2]["basket"] == [item.item_id]
+
+    def test_query_hits_are_query_results(self, gateway_platform):
+        gateway = gateway_platform.gateway()
+        assert gateway.login("alice").ok
+        hit = gateway.query("alice", _keyword(gateway_platform)).result.hits[0]
+        assert type(hit) is QueryResult
+        assert hit.item_id == hit.item.item_id
+        assert repr(hit) == (
+            f"QueryResult(item={hit.item!r}, price={hit.price!r}, "
+            f"marketplace={hit.marketplace!r}, stock={hit.stock!r})"
+        )
 
 
 class TestTokenBucket:

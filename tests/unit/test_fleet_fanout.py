@@ -26,10 +26,12 @@ def _warmed_fleet_platform(num_buyer_servers=3, seed=11):
     """A fleet platform where several consumers have learned profiles."""
     platform = build_platform(seed=seed, num_buyer_servers=num_buyer_servers)
     keyword = _query_keyword(platform)
+    gateway = platform.gateway()
     for index in range(8):
-        session = platform.login(f"consumer-{index}")
-        session.query(keyword)
-        session.logout()
+        user_id = f"consumer-{index}"
+        assert gateway.login(user_id).ok
+        assert gateway.query(user_id, keyword).ok
+        assert gateway.logout(user_id).ok
     return platform
 
 
@@ -229,10 +231,12 @@ def _warmed_replicated_platform(hedge=None, seed=11):
         fleet_hedge_delay_percentile=hedge,
     )
     keyword = _query_keyword(platform)
+    gateway = platform.gateway()
     for index in range(8):
-        session = platform.login(f"consumer-{index}")
-        session.query(keyword)
-        session.logout()
+        user_id = f"consumer-{index}"
+        assert gateway.login(user_id).ok
+        assert gateway.query(user_id, keyword).ok
+        assert gateway.logout(user_id).ok
     return platform
 
 
@@ -380,10 +384,12 @@ class TestHedgedFanout:
             fleet_hedge_delay_percentile=0.5,
         )
         keyword = _query_keyword(platform)
+        gateway = platform.gateway()
         for index in range(4):
-            session = platform.login(f"consumer-{index}")
-            session.query(keyword)
-            session.logout()
+            user_id = f"consumer-{index}"
+            assert gateway.login(user_id).ok
+            assert gateway.query(user_id, keyword).ok
+            assert gateway.logout(user_id).ok
         _slow_peer(platform)
         result = platform.fleet.query_similar("consumer-0")
         assert result.hedged_shards == ()

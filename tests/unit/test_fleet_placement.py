@@ -208,7 +208,8 @@ class TestFleetRebalanceEdgeCases:
 
     def test_draining_a_live_server_is_refused(self):
         platform = build_platform(seed=11, num_buyer_servers=2)
-        platform.login("ann").logout()
+        assert platform.gateway().login("ann").ok
+        assert platform.gateway().logout("ann").ok
         with pytest.raises(ECommerceError):
             platform.fleet.handle_server_failure(0)
 
@@ -222,7 +223,8 @@ class TestFleetRebalanceEdgeCases:
         ``(None, "promote")``."""
         platform = build_platform(seed=11, num_buyer_servers=2)
         fleet = platform.fleet
-        platform.login("ann").logout()
+        assert platform.gateway().login("ann").ok
+        assert platform.gateway().logout("ann").ok
         shard = fleet.shard_of("ann")
         platform.failures.crash_host(fleet.servers[shard].name)
         with pytest.raises(ECommerceError, match="no longer selectable"):

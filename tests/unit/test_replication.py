@@ -159,9 +159,10 @@ class TestStreamingReplication:
     def test_mutations_stream_to_the_replica_synchronously(self, replicated_platform):
         platform = replicated_platform
         fleet = platform.fleet
-        session = platform.login("ann")
-        session.query("book")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.query("ann", "book").ok
+        assert gateway.logout("ann").ok
 
         owner = fleet.server_for("ann")
         peer = owner.replication.peers[0]
@@ -180,8 +181,9 @@ class TestStreamingReplication:
     def test_replication_traffic_is_charged_to_the_network(self, replicated_platform):
         platform = replicated_platform
         before = platform.network.total_bytes
-        session = platform.login("ann")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.logout("ann").ok
         replication_transfers = [
             event for event in platform.event_log.by_category("transfer.replication")
         ]
@@ -191,15 +193,17 @@ class TestStreamingReplication:
     def test_partition_defers_then_anti_entropy_catches_up(self, replicated_platform):
         platform = replicated_platform
         fleet = platform.fleet
-        session = platform.login("ann")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.logout("ann").ok
         owner = fleet.server_for("ann")
         peer = owner.replication.peers[0]
 
         platform.failures.partition([owner.name], [peer.name])
-        session = platform.login("ann")
-        session.query("book")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.query("ann", "book").ok
+        assert gateway.logout("ann").ok
         assert owner.replication.lag_of(peer.name) > 0
         assert platform.metrics.counter("replication.deferred").value > 0
 
@@ -219,8 +223,9 @@ class TestStreamingReplication:
     def test_lag_is_visible_in_metrics(self, replicated_platform):
         platform = replicated_platform
         fleet = platform.fleet
-        session = platform.login("ann")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.logout("ann").ok
         owner = fleet.server_for("ann")
         peer = owner.replication.peers[0]
         gauge = platform.metrics.gauge(
@@ -229,8 +234,9 @@ class TestStreamingReplication:
         assert gauge.value == 0.0
 
         platform.failures.partition([owner.name], [peer.name])
-        session = platform.login("ann")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.logout("ann").ok
         platform.failures.heal()
         platform.scheduler.run_for(
             platform.config.replication_anti_entropy_interval_ms
@@ -292,12 +298,13 @@ class TestBoundedWal:
             replication_wal_truncate_threshold=threshold,
         )
         keyword = next(iter(platform.catalog_view())).terms[0][0]
+        gateway = platform.gateway()
         for _ in range(sessions):
-            session = platform.login("ann")
-            results = session.query(keyword)
+            assert gateway.login("ann").ok
+            results = gateway.query("ann", keyword).result.hits
             if results:
-                session.buy(results[0].item, marketplace=results[0].marketplace)
-            session.logout()
+                assert gateway.buy("ann", results[0].item, marketplace=results[0].marketplace).ok
+            assert gateway.logout("ann").ok
         return platform
 
     def test_anti_entropy_truncates_the_acknowledged_prefix(self):
@@ -337,9 +344,10 @@ class TestBoundedWal:
         )
         acked_before = manager.acked_seq(peer.name)
         platform.failures.partition([owner.name], [peer.name])
-        session = platform.login("ann")
-        session.query("book")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.query("ann", "book").ok
+        assert gateway.logout("ann").ok
         assert manager.lag_of(peer.name) > 0
 
         # Anti-entropy keeps running but must not truncate past the lagging
@@ -373,9 +381,10 @@ class TestBoundedWal:
         peer = manager.peers[0]
 
         platform.failures.partition([owner.name], [peer.name])
-        session = platform.login("ann")
-        session.query("book")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.query("ann", "book").ok
+        assert gateway.logout("ann").ok
         platform.failures.heal()
         # Mid-catch-up the peer crashes outright.
         platform.failures.crash_host(peer.name)
@@ -460,8 +469,9 @@ class TestBoundedWal:
         snapshot = manager._capture_snapshot()
         state = ReplicaState(owner.name)
         state.apply_entries(manager.log.entries_since(0))
-        session = platform.login("ann")
-        session.logout()
+        gateway = platform.gateway()
+        assert gateway.login("ann").ok
+        assert gateway.logout("ann").ok
         state.apply_entries(manager.log.entries_since(state.applied_seq))
         with pytest.raises(ReplicationError):
             state.bootstrap(snapshot)

@@ -25,8 +25,10 @@ def _skip_events(platform):
 class TestSingleServerScheduledRefresh:
     def test_fires_at_interval_and_rearms(self):
         platform = build_platform(seed=1)
+        gateway = platform.gateway()
         for name in ("ann", "bob", "cleo"):
-            platform.login(name).logout()
+            assert gateway.login(name).ok
+            assert gateway.logout(name).ok
         start = platform.now
 
         task = platform.buyer_server.start_periodic_refresh(500.0, k=5)
@@ -47,7 +49,8 @@ class TestSingleServerScheduledRefresh:
 
     def test_stop_cancels_and_double_start_rejected(self):
         platform = build_platform(seed=1)
-        platform.login("ann").logout()
+        assert platform.gateway().login("ann").ok
+        assert platform.gateway().logout("ann").ok
         start = platform.now
         platform.buyer_server.start_periodic_refresh(100.0)
         with pytest.raises(ECommerceError):
@@ -72,7 +75,8 @@ class TestSingleServerScheduledRefresh:
         """Ticks during the outage are skipped (and recorded), not fatal; the
         recurrence stays armed and refreshes resume after recovery."""
         platform = build_platform(seed=1)
-        platform.login("ann").logout()
+        assert platform.gateway().login("ann").ok
+        assert platform.gateway().logout("ann").ok
         server = platform.buyer_server
         start = platform.now
 
@@ -97,8 +101,10 @@ class TestSingleServerScheduledRefresh:
 class TestFleetScheduledRefresh:
     def _fleet_platform(self):
         platform = build_platform(seed=7, num_buyer_servers=3)
+        gateway = platform.gateway()
         for index in range(9):
-            platform.login(f"user-{index}").logout()
+            assert gateway.login(f"user-{index}").ok
+            assert gateway.logout(f"user-{index}").ok
         return platform
 
     def test_each_consumer_refreshed_exactly_once_per_tick(self):
