@@ -16,8 +16,7 @@ The **scoring-kernel trajectory** runs the same indexed search through the
 ``dict`` kernel (the default: category-signature partitions pruned by
 block-max bounds) and the vectorized ``numpy`` kernel (when importable),
 equivalence-checked at every population size and timed up to 50 000
-consumers in full mode (the checked-in timings were recorded with the
-posting-list ``dict`` kernel that came before the partitions).  The
+consumers in full mode.  The
 trajectory is checked in as ``BENCH_neighbors_scaling.json`` — a byte-reproducible ``deterministic``
 block (score checksums; regenerated and compared by CI at smoke sizes) plus a ``measured`` block recording the full-mode timings
 (wall-clock, so recorded once, validated by invariants rather than
@@ -52,10 +51,11 @@ KERNEL_BRUTE_CEILING = 5000
 #: least this factor at 5000 consumers (full mode only; the checked-in
 #: artifact records the measured value).  It catches an index that fell back
 #: to quadratic work, nothing finer: three full-mode recordings of the
-#: posting-list kernel read 18.2x, 24.3x and 28.1x (the middle one is checked
-#: in) and the per-candidate dict loops it replaced were recorded at 19.1x,
-#: inside that spread — so this bar would still pass with the posting lists
-#: reverted.  The regression guard for their gain is ``throughput_rps`` on
+#: posting-list kernel read 18.2x, 24.3x and 28.1x, two of the partitioned
+#: kernel that screens rows on their term walk 26.4x and 25.0x (the last is
+#: checked in), and the per-candidate dict loops before them were recorded
+#: at 19.1x, inside that spread — so this bar would still pass with any of
+#: them reverted.  The regression guard for a kernel gain is ``throughput_rps`` on
 #: the wall-clock ledger's ``similar_fanout`` workload (paired runs against
 #: the parent commit), not this ratio of two noisy timings.  The
 #: numpy-over-dict ratio is recorded (``kernel_speedup``) but carries no bar:

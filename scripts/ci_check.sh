@@ -28,6 +28,7 @@ echo "==   REPRO_NO_NUMPY=1 — the first leg already scores through the  =="
 echo "==   default dict kernel, so only the selection plumbing differs  =="
 REPRO_NO_NUMPY=1 python -m pytest -x -q \
   tests/property/test_scoring_kernel.py \
+  tests/property/test_block_max_pruning.py \
   tests/property/test_elastic_byte_identity.py \
   tests/property/test_neighbor_index.py \
   tests/unit/test_neighbors.py

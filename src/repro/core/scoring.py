@@ -14,14 +14,17 @@ a single :class:`ScoringKernel` interface with two backends:
   reference's, which iterates the shorter vector (the target on a tie) —
   serves every row.  The term side is a posting list walked in the target's
   key order: the reference's sum for every row at least as long as the
-  target and for every row of at most two keys; any other row that reaches
-  the answer is settled by the reference cosine itself.  Each partition
-  keeps, per key and side, the largest ``|weight| / norm`` over its rows —
-  its block maximum — so ``sum(|t_k| * peak_k) / |t|`` bounds every row's
-  cosine with a target.  A query visits partitions best bound first,
+  target and for every row of at most two keys; any other row that is
+  scored is settled by the reference cosine itself.  Each partition keeps,
+  per key and side, the largest ``|weight| / norm`` over its rows — its
+  block maximum — so ``sum(|t_k| * peak_k) / |t|`` bounds every row's
+  cosine with a target.  A query visits partitions best bound first and
   skips every one whose bound is under the floor (``min_similarity``, then
-  the k-th best score held) and inside a visited one stops at the first
-  row, best walk score first, that is under it.
+  the k-th best score held).  Inside a visited one the term walk screens
+  the rows: a row's walk cosine and the partition's preference bound bound
+  its score, rows are visited best walk first, and only a visited row has
+  its preference cosine summed and its score taken; the visit stops at the
+  first row whose bound is under the floor.
 - ``numpy`` — optional batch backend: entries are packed into CSR/CSC-style
   contiguous arrays and a whole candidate block is scored per query.  Exact
   dot products come from ``np.bincount(rows, weights=products)``, which
@@ -51,9 +54,10 @@ The ``numpy`` backend answers it from the whole block
 row's score as a bare float list, and :meth:`BlockScores.top_pairs` selects
 before it materialises — the ``(k + 1)``-th largest score is a floor, and
 only the rows at or above it become ``(user_id, score)`` tuples, meet the
-discard rule and are sorted.  The ``dict`` backend scores only the
-partitions whose bound reaches the floor and holds at most k pairs; its
-``score_block`` scores every row, for the differential suites.
+discard rule and are sorted.  The ``dict`` backend scores only the rows
+whose bound reaches the floor and holds at most k pairs; its
+``score_block`` runs the same row-scoring routine over every row without a
+floor, for the differential suites.
 
 Backend selection: ``resolve_backend("auto")`` picks numpy when importable
 and not disabled, else ``dict``; setting the ``REPRO_NO_NUMPY`` environment
@@ -63,6 +67,7 @@ variable hides numpy (CI re-runs the kernel and index suites that way).
 from __future__ import annotations
 
 import heapq
+import importlib.util
 import os
 from bisect import insort
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -90,35 +95,23 @@ KERNEL_BACKENDS = ("dict", "numpy")
 #: The backend every ``backend=`` / ``scoring_backend=`` parameter defaults to.
 DEFAULT_BACKEND = "dict"
 
-_numpy_module = None
-_numpy_probed = False
-
 
 def numpy_available() -> bool:
     """Whether the numpy backend may be used right now.
 
     The ``REPRO_NO_NUMPY`` environment variable wins over importability so CI
     can exercise the stdlib-only code path on machines where numpy cannot be
-    uninstalled.
+    uninstalled.  Read on every call: nothing is cached in the module.
     """
     if os.environ.get("REPRO_NO_NUMPY"):
         return False
-    global _numpy_module, _numpy_probed
-    if not _numpy_probed:
-        try:
-            import numpy  # noqa: F401 - probe only
-
-            _numpy_module = numpy
-        except ImportError:  # pragma: no cover - numpy ships in the image
-            _numpy_module = None
-        _numpy_probed = True
-    return _numpy_module is not None
+    return importlib.util.find_spec("numpy") is not None
 
 
 def _numpy():
-    if not numpy_available():  # pragma: no cover - guarded by resolve_backend
-        raise RuntimeError("numpy backend requested but numpy is unavailable")
-    return _numpy_module
+    import numpy
+
+    return numpy
 
 
 def available_backends() -> List[str]:
@@ -309,7 +302,7 @@ class BlockScores:
 _BOUNDED_LOW = 1e-150
 _BOUNDED_HIGH = 1e150
 
-#: Absolute slack added to a bound or a walk-order score before it is
+#: Absolute slack added to a bound or a walk-order cosine before it is
 #: compared with a floor: it covers those ulps for vectors of up to a
 #: million keys, and costs no pruning at scores in [0, 1].
 _SLACK = 1e-9
@@ -351,9 +344,10 @@ class _Partition:
     signature's order, so the preference side is dense: ``columns[j][row]``
     is the weight of ``signature[j]``.  The term side is a posting list,
     ``postings[key][row]``, beside each row's term vector ``terms[row]``
-    (``None`` for a free row).  ``pref_peaks[j]`` / ``term_peaks[key]`` are
-    the largest ``|weight| / norm`` of a key over the rows whose norm is
-    bounded — the block maxima :meth:`bound` reads — and ``unbounded``
+    (``None`` for a free row), walked by :meth:`walk`.  ``pref_peaks[j]`` /
+    ``term_peaks[key]`` are the largest ``|weight| / norm`` of a key over
+    the rows whose norm is bounded — the block maxima :meth:`pref_bound`
+    and :meth:`bound` read — and ``unbounded``
     counts the rows with an unbounded norm on either side.  A freed row
     (user id ``None``, listed in ``free``) goes to the partition's next new
     consumer.  Every map is canonical whatever sequence of links and
@@ -463,30 +457,41 @@ class _Partition:
 
     # -- scoring --------------------------------------------------------------
 
+    def pref_bound(self, tq: TargetState) -> float:
+        """A bound on every row's preference cosine, widened by
+        :data:`_SLACK`; 0.0 for a target without preferences.
+
+        A cosine is ``sum(t_k * w_k) / (|t| * |w|)`` over shared keys, at
+        most ``sum(|t_k| * peak_k) / |t|`` and at most 1 (Cauchy–Schwarz).
+        """
+        if not tq.pref_norm:
+            return 0.0
+        pref = 0.0
+        peaks, position = self.pref_peaks, self.position
+        for key, value in tq.prefs.items():
+            index = position.get(key)
+            if index is not None:
+                pref += abs(value) * peaks[index]
+        return min(1.0, pref / tq.pref_norm) + _SLACK
+
     def bound(
         self,
         tq: TargetState,
         preference_weight: float,
         term_weight: float,
         total_weight: float,
+        pref_bound: float,
         term_cap: bool = False,
     ) -> float:
-        """A bound on every row's score (with ``term_cap``, taking the term
-        cosine as 1 instead of its block-max bound).
+        """A bound on every row's score from the partition's ``pref_bound``
+        and its term block maxima (with ``term_cap``, the term cosine taken
+        as 1 instead).
 
-        A cosine is ``sum(t_k * w_k) / (|t| * |w|)`` over shared keys, at
-        most ``sum(|t_k| * peak_k) / |t|`` and at most 1 (Cauchy–Schwarz);
-        both sides' bounds, widened by :data:`_SLACK`, go through the score
-        formula, whose float operations are monotone.  Scores never pass 1.0.
+        Both sides' bounds, widened by :data:`_SLACK`, go through the score
+        formula, whose float operations are monotone.  Scores never pass
+        1.0.
         """
-        pref = term = 0.0
-        if tq.pref_norm:
-            peaks, position = self.pref_peaks, self.position
-            for key, value in tq.prefs.items():
-                index = position.get(key)
-                if index is not None:
-                    pref += abs(value) * peaks[index]
-            pref = min(1.0, pref / tq.pref_norm) + _SLACK
+        term = 0.0
         if tq.term_norm:
             if term_cap:
                 term = 1.0
@@ -498,31 +503,79 @@ class _Partition:
                         term += abs(value) * peak
                 term = min(1.0, term / tq.term_norm)
             term += _SLACK
-        return min(1.0, (preference_weight * pref + term_weight * term) / total_weight)
+        return min(1.0, (preference_weight * pref_bound + term_weight * term) / total_weight)
 
-    def scores(
+    def walk(self, tq: TargetState) -> List[float]:
+        """Every row's term cosine from the posting walk, free rows 0.0.
+
+        The postings are walked in the target's key order — the reference's
+        sum for every row at least as long as the target, and for every row
+        of at most two keys, whose sum does not depend on the order; any
+        other row's cosine may differ from the reference in its last bits
+        (:meth:`select` settles it).  Products with keys one side lacks are
+        skipped, which can only flip the sign of an exactly-zero dot (see
+        :meth:`NumpyKernel._side_cosines`).
+        """
+        term_norm = tq.term_norm
+        dots = [0.0] * len(self.user_ids)
+        if term_norm == 0.0:
+            return dots
+        postings = self.postings
+        for key, value in tq.terms.items():
+            bucket = postings.get(key)
+            if bucket is not None:
+                for row, weight in bucket.items():
+                    dots[row] += value * weight
+        # A zero norm makes the cosine 0.0 whatever the dot, as in the
+        # reference (a norm can underflow to 0.0 beside a non-zero dot).
+        return [
+            dot / (term_norm * norm) if dot and norm != 0.0 else 0.0
+            for dot, norm in zip(dots, self.term_norms)
+        ]
+
+    def select(
         self,
         tq: TargetState,
         preference_weight: float,
         term_weight: float,
         total_weight: float,
-    ) -> Tuple[List[float], List[float]]:
-        """Every row's preference cosine and score, free rows 0.0.
+        pref_bound: Optional[float],
+        floor: float,
+        exclude_user: Optional[str],
+        top_k: int,
+        discard: Optional[Callable[[str], bool]],
+        held: List[Tuple[float, str]],
+    ) -> Tuple[float, int]:
+        """Merge the partition's valid rows scoring at least ``floor`` into
+        ``held`` (``(-score, user_id)``, best first, at most ``top_k``);
+        return the new floor and the number of rows scored.
 
-        The reference sums a dot over the shorter vector, the target on a
-        tie.  Every row has the signature's length and order, so one order
-        serves the whole preference side.  The term side walks the postings
-        in the target's key order — the reference's sum for every row at
-        least as long as the target, and for every row of at most two keys,
-        whose sum does not depend on the order; any other row's score may
-        differ from the reference in its last bits (:meth:`select` settles
-        it).  Products with keys one side lacks are skipped, which can only
-        flip the sign of an exactly-zero dot (see
-        :meth:`NumpyKernel._side_cosines`).
+        The term walk screens the rows; only a visited row is scored.  Its
+        preference cosine sums the shared columns in the reference's order
+        (over the shorter vector, the target on a tie — one order for every
+        row of the signature), and a row whose walk order is not the
+        reference's gets its term cosine from the reference itself,
+        :func:`repro.core.similarity.cosine_similarity_cached`.  Given the
+        partition's ``pref_bound``, a row's score is at most
+        ``(pw * pref_bound + tw * (walk + _SLACK)) / total`` clamped to
+        [0, 1] — a walk cosine is within :data:`_SLACK` of the reference's —
+        so rows are visited best walk first and the visit stops at the first
+        one whose bound is under the floor.  Without it every row is visited.
         """
-        rows = len(self.user_ids)
-        prefs = [0.0] * rows
-        pref_norm, position = tq.pref_norm, self.position
+        walks = self.walk(tq)
+        rows = range(len(walks))
+        if pref_bound is not None:
+            base = preference_weight * pref_bound
+            # A bound clamped at 0 is never under a floor of 0.
+            if floor > 0.0:
+                rows = [
+                    row
+                    for row, walk in enumerate(walks)
+                    if (base + term_weight * (walk + _SLACK)) / total_weight >= floor
+                ]
+            rows = sorted(rows, key=walks.__getitem__, reverse=True)
+        shared: List[Tuple[float, List[float]]] = []
+        pref_norm = tq.pref_norm
         if pref_norm != 0.0:
             if len(self.signature) < len(tq.prefs):
                 shared = [
@@ -531,91 +584,47 @@ class _Partition:
                     if key in tq.prefs
                 ]
             else:
+                position = self.position
                 shared = [
                     (value, self.columns[position[key]])
                     for key, value in tq.prefs.items()
                     if key in position
                 ]
-            if shared:
-                (value, column), *rest = shared
-                dots = [value * weight for weight in column]
-                for value, column in rest:
-                    dots = [dot + value * weight for dot, weight in zip(dots, column)]
-                # A zero norm makes the cosine 0.0 whatever the dot, as in the
-                # reference (a norm can underflow to 0.0 beside a non-zero dot).
-                prefs = [
-                    dot / (pref_norm * norm) if dot and norm != 0.0 else 0.0
-                    for dot, norm in zip(dots, self.pref_norms)
-                ]
-        term_norm = tq.term_norm
-        dots = [0.0] * rows
-        if term_norm != 0.0:
-            postings = self.postings
-            for key, value in tq.terms.items():
-                bucket = postings.get(key)
-                if bucket is not None:
-                    for row, weight in bucket.items():
-                        dots[row] += value * weight
-        term_norms = self.term_norms
-        scores = [0.0] * rows
-        # One pass divides, weights and clamps: _score inlined.
-        for row, (pref, dot) in enumerate(zip(prefs, dots)):
-            term = 0.0
-            if dot:
-                norm = term_norms[row]
-                if norm != 0.0:
-                    term = dot / (term_norm * norm)
-            if pref or term:
-                score = (preference_weight * pref + term_weight * term) / total_weight
-                scores[row] = score if 0.0 < score < 1.0 else 0.0 if score <= 0.0 else 1.0
-        return prefs, scores
-
-    def select(
-        self,
-        tq: TargetState,
-        preference_weight: float,
-        term_weight: float,
-        total_weight: float,
-        bounded: bool,
-        floor: float,
-        exclude_user: Optional[str],
-        top_k: int,
-        discard: Optional[Callable[[str], bool]],
-        held: List[Tuple[float, str]],
-    ) -> float:
-        """Merge the partition's valid rows scoring at least ``floor`` into
-        ``held`` (``(-score, user_id)``, best first, at most ``top_k``);
-        return the new floor.
-
-        A row whose walk order is not the reference's gets its term cosine
-        from the reference itself,
-        :func:`repro.core.similarity.cosine_similarity_cached`, before it is
-        held.  When ``bounded``, a walk-order score is within :data:`_SLACK`
-        of the reference's, so rows are visited best walk score first and
-        the visit stops at the first one :data:`_SLACK` under the floor;
-        otherwise every row is settled and visited.
-        """
-        prefs, scores = self.scores(tq, preference_weight, term_weight, total_weight)
+        if shared:
+            (first_value, first_column), *rest = shared
+        user_ids, terms_of, term_norms, pref_norms = (
+            self.user_ids, self.terms, self.term_norms, self.pref_norms
+        )
         target_terms, target_term_norm = tq.terms, tq.term_norm
         target_length = len(target_terms)
-        if bounded:
-            rows = [row for row, score in enumerate(scores) if score + _SLACK >= floor]
-            rows.sort(key=scores.__getitem__, reverse=True)
-        else:
-            rows = range(len(scores))
+        scored = 0
         for row in rows:
-            score = scores[row]
-            if bounded and score + _SLACK < floor:
+            if (
+                pref_bound is not None
+                and floor > 0.0
+                and (base + term_weight * (walks[row] + _SLACK)) / total_weight < floor
+            ):
                 break
-            user_id = self.user_ids[row]
+            user_id = user_ids[row]
             if user_id is None or user_id == exclude_user:
                 continue
-            terms = self.terms[row]
+            scored += 1
+            pref = 0.0
+            if shared:
+                dot = first_value * first_column[row]
+                for value, column in rest:
+                    dot = dot + value * column[row]
+                norm = pref_norms[row]
+                if dot and norm != 0.0:
+                    pref = dot / (pref_norm * norm)
+            terms = terms_of[row]
             if 3 <= len(terms) < target_length:
                 term = cosine_similarity_cached(
-                    target_terms, target_term_norm, terms, self.term_norms[row]
+                    target_terms, target_term_norm, terms, term_norms[row]
                 )
-                score = _score(prefs[row], term, preference_weight, term_weight, total_weight)
+            else:
+                term = walks[row]
+            score = _score(pref, term, preference_weight, term_weight, total_weight)
             if score < floor or (discard is not None and discard(user_id)):
                 continue
             insort(held, (-score, user_id))
@@ -623,7 +632,7 @@ class _Partition:
                 held.pop()
             if len(held) == top_k:
                 floor = -held[-1][0]
-        return floor
+        return floor, scored
 
 
 class DictKernel(ScoringKernel):
@@ -632,9 +641,10 @@ class DictKernel(ScoringKernel):
 
     Every indexed consumer holds a row in the :class:`_Partition` of its
     category signature, maintained through the entry lifecycle.
-    :meth:`top_pairs` scores only the partitions whose bound reaches the
-    floor; :meth:`score_block` scores every row.  Every score either
-    returns is bit-identical to
+    :meth:`top_pairs` scores only the rows whose bound reaches the floor;
+    :meth:`score_block` scores every row.  Both go through
+    :meth:`_Partition.select`, and every score either returns is
+    bit-identical to
     :func:`repro.core.similarity.find_similar_users`'s.
     """
 
@@ -681,7 +691,7 @@ class DictKernel(ScoringKernel):
         for partition in self._partitions.values():
             partition.select(
                 tq, preference_weight, term_weight, total_weight,
-                bounded=False, floor=0.0, exclude_user=None,
+                pref_bound=None, floor=0.0, exclude_user=None,
                 top_k=len(self._signature_of), discard=None, held=held,
             )
         return BlockScores([user_id for _, user_id in held], [-negative for negative, _ in held])
@@ -699,17 +709,20 @@ class DictKernel(ScoringKernel):
         discard: Optional[Callable[[str], bool]] = None,
     ) -> List[Tuple[str, float]]:
         """:meth:`score_block` then :meth:`BlockScores.top_pairs`, scoring
-        only the partitions that can reach the answer.
+        only the rows that can reach the answer.
 
         The floor is ``minimum`` until ``top_k`` pairs are held, then the
         ``top_k``-th best held score; a row scoring under it ranks below
         ``top_k`` held pairs.  Partitions are visited by a cheap
         :meth:`_Partition.bound` (term cosine taken as 1), best first: once
         that is under the floor, so is every partition after it, and a
-        visited partition whose full bound is under it is skipped.  A
-        partition holding an unbounded row, a target with an unbounded norm
-        or an unbounded weight total (subnormal weights round a score to
-        steps) turns the pruning off.
+        visited partition whose full bound is under it is skipped.  The
+        preference bound both take is handed on to
+        :meth:`_Partition.select`, whose term walk screens the rows of a
+        visited partition.  Every row left unscored is counted in
+        :attr:`bound_skips`.  A partition holding an unbounded row, a target
+        with an unbounded norm or an unbounded weight total (subnormal
+        weights round a score to steps) turns the pruning off.
         """
         bounded = (
             _bounded(total_weight)
@@ -718,28 +731,32 @@ class DictKernel(ScoringKernel):
         )
         order = []
         for partition in self._partitions.values():
-            prunable = bounded and not partition.unbounded
-            cheap = 1.0
-            if prunable:
-                cheap = partition.bound(tq, preference_weight, term_weight, total_weight, True)
-            order.append((cheap, prunable, partition))
+            cheap, pref_bound = 1.0, None
+            if bounded and not partition.unbounded:
+                pref_bound = partition.pref_bound(tq)
+                cheap = partition.bound(
+                    tq, preference_weight, term_weight, total_weight, pref_bound, True
+                )
+            order.append((cheap, pref_bound, partition))
         order.sort(key=_first, reverse=True)
         floor = minimum
         held: List[Tuple[float, str]] = []
-        for position, (cheap, prunable, partition) in enumerate(order):
+        for position, (cheap, pref_bound, partition) in enumerate(order):
             if cheap < floor:
                 self.bound_skips += sum(len(rest.row_of) for _, _, rest in order[position:])
                 break
-            if prunable and (
-                partition.bound(tq, preference_weight, term_weight, total_weight) < floor
+            if pref_bound is not None and (
+                partition.bound(tq, preference_weight, term_weight, total_weight, pref_bound)
+                < floor
             ):
                 self.bound_skips += len(partition.row_of)
                 continue
-            floor = partition.select(
+            floor, scored = partition.select(
                 tq, preference_weight, term_weight, total_weight,
-                bounded=prunable, floor=floor, exclude_user=exclude_user,
+                pref_bound=pref_bound, floor=floor, exclude_user=exclude_user,
                 top_k=top_k, discard=discard, held=held,
             )
+            self.bound_skips += len(partition.row_of) - scored
         return [(user_id, -negative) for negative, user_id in held]
 
 

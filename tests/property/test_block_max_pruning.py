@@ -2,10 +2,11 @@
 
 ``DictKernel.top_pairs`` skips every category-signature partition whose
 block-max bound is under the floor and stops inside a partition at the first
-row whose walk-order score is.  These tests hold it ``==`` to the unpruned
-selection (``score_block`` then ``BlockScores.top_pairs``) and to the
-brute-force ``find_similar_users`` over clustered populations where pruning
-does happen, pin every bound over every row, and cover the shapes a bound
+row whose bound from its walk-order term cosine is.  These tests hold it
+``==`` to the unpruned selection (``score_block`` then
+``BlockScores.top_pairs``) and to the brute-force ``find_similar_users``
+over clustered populations where pruning does happen, pin every bound over
+every row, count the rows a query scores, and cover the shapes a bound
 could get wrong: ties across partitions, discard rules, ``min_similarity``
 at both ends, norms outside the bounded range.
 """
@@ -124,6 +125,37 @@ def test_clustered_queries_skip_partitions_and_count_them(category):
     assert index.bound_skips > 40 * len(population) // 2
 
 
+def test_the_walk_screen_leaves_most_of_a_visited_partition_unscored():
+    """``bound_skips`` counts every row never scored: the rows of skipped
+    partitions and the rows a visited partition's walk screen leaves.  On
+    the clustered community a top-5 query scores about 18 of its 300 rows;
+    scoring every row of each visited partition would be about 70."""
+    population = clustered_population(random.Random(11), 300)
+    index = ProfileNeighborIndex(
+        profiles=population.values(), config=SimilarityConfig(top_k=5), backend="dict"
+    )
+    queries = list(population.values())[:40]
+    for target in queries:
+        index.find_similar(target)
+    scored = len(population) * len(queries) - index.bound_skips
+    assert scored <= 35 * len(queries)
+
+
+def test_the_screen_visits_best_walk_first_and_stops_under_the_floor():
+    """One partition, one row whose terms match the target and nine that
+    barely do: the best walk is visited first, its score becomes the floor
+    and the screen stops at the next row without scoring it."""
+    kernel = DictKernel()
+    kernel.entry_changed(entry("user-9", {"books": 1.0}, {"novel": 1.0}))
+    for number in range(9):
+        kernel.entry_changed(
+            entry(f"user-{number}", {"books": 1.0}, {"novel": 0.1, "atlas": 1.0})
+        )
+    tq = kernel.prepare_target({"books": 1.0}, 1.0, {"novel": 1.0}, 1.0)
+    assert kernel.top_pairs({}, tq, 0.0, 1.0, 1.0, 0.05, "", 1) == [("user-9", 1.0)]
+    assert kernel.bound_skips == 9
+
+
 def test_a_backend_without_bounds_skips_nothing():
     population = clustered_population(random.Random(11), 60)
     for backend in available_backends():
@@ -171,8 +203,9 @@ terms = st.dictionaries(st.sampled_from(["t0", "t1", "t2", "t3", "t4", "t5"]), w
 def test_every_row_scores_under_its_partitions_bounds(target, rows, removed, weights):
     """Both bounds of a partition — the full one and the cheap one that
     takes the term cosine as 1 — are at least every row's reference score,
-    also after rows that held a block maximum left; and a walk-order score
-    is within the slack of the reference's."""
+    also after rows that held a block maximum left; a walk-order term
+    cosine is within the slack of the reference's, so the row bound the
+    walk screens on is at least the row's score too."""
     kernel = DictKernel()
     entries = {}
     for number, (row_prefs, row_terms) in enumerate(rows):
@@ -186,14 +219,21 @@ def test_every_row_scores_under_its_partitions_bounds(target, rows, removed, wei
     preference_weight, term_weight = weights
     total = preference_weight + term_weight
     for partition in kernel._partitions.values():
-        full = partition.bound(tq, preference_weight, term_weight, total)
-        cheap = partition.bound(tq, preference_weight, term_weight, total, True)
+        pref_bound = partition.pref_bound(tq)
+        full = partition.bound(tq, preference_weight, term_weight, total, pref_bound)
+        cheap = partition.bound(tq, preference_weight, term_weight, total, pref_bound, True)
         assert full <= cheap <= 1.0
-        _, walked = partition.scores(tq, preference_weight, term_weight, total)
+        walks = partition.walk(tq)
         for user_id, row in partition.row_of.items():
-            score = reference_score(target, entries[user_id], preference_weight, term_weight)
+            candidate = entries[user_id]
+            score = reference_score(target, candidate, preference_weight, term_weight)
             assert score <= full
-            assert abs(walked[row] - score) <= 1e-9
+            term = cosine_similarity_cached(
+                target.terms, target.term_norm, candidate.terms, candidate.term_norm
+            )
+            assert abs(walks[row] - term) <= 1e-9
+            screen = preference_weight * pref_bound + term_weight * (walks[row] + 1e-9)
+            assert score <= max(0.0, screen / total)
 
 
 def test_a_tie_across_partitions_keeps_the_smaller_user_id():
@@ -273,13 +313,13 @@ def test_subnormal_weights_turn_the_pruning_off():
     tq = kernel.prepare_target(target.prefs, target.pref_norm, target.terms, target.term_norm)
     weight = 3 * 5e-324
     (partition,) = kernel._partitions.values()
-    _, walked = partition.scores(tq, 0.0, weight, weight)
+    walks = partition.walk(tq)
     scores = {
         user_id: reference_score(target, entry(user_id, {"books": 1.0}, row_terms), 0.0, weight)
         for user_id, row_terms in rows.items()
     }
     assert scores == {"user-a": 2 / 3, "user-b": 2 / 3}
-    assert walked[partition.row_of["user-a"]] == 1 / 3
+    assert weight * walks[partition.row_of["user-a"]] / weight == 1 / 3
     assert kernel.top_pairs({}, tq, 0.0, weight, weight, 0.0, "", 1) == [("user-a", 2 / 3)]
 
 

@@ -15,11 +15,12 @@ cross-backend comparisons skip rather than compare ``dict`` with itself,
 while the brute-force (``find_similar_users``) comparisons keep running.
 """
 
+import importlib.util
 import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
@@ -499,6 +500,13 @@ def ranked(scores):
         max_size=3,
     ),
 )
+# A negative term cosine scores 0.0, which ``minimum`` 0.0 still holds: a
+# row bound must be clamped at 0 like the score.
+@example(
+    target=({"k0": 1.0}, {"k5": 1.0}),
+    rows=[({}, {"k0": 1.0, "k1": 1.0, "k2": 1.0, "k3": 1.0, "k5": -1.0})],
+    relinked=[],
+)
 def test_each_row_gets_the_reference_score(target, rows, relinked):
     """``==`` on every row's score, whatever mix of lengths is linked on
     either side — rows longer than the target, rows of one or two keys, rows
@@ -532,7 +540,7 @@ def test_walk_order_is_settled_where_the_reference_uses_the_row():
     ``1, 1, 1e16`` in the rows': left to right the first sum loses both ones.
     The term walk adds in the target's order — the reference's for rows at
     least as long as the target and for a row sharing two keys — so only the
-    shorter row of three shared keys walks to another score; it is settled
+    shorter row of three shared keys walks to another cosine; it is settled
     by the reference cosine before it is held or returned."""
     target_terms = {"k0": 1e8, "k1": 1.0, "k2": 1.0, "k3": 1e8}
     shorter = {"k1": 1.0, "k2": 1.0, "k0": 1e8}
@@ -553,9 +561,14 @@ def test_walk_order_is_settled_where_the_reference_uses_the_row():
         for number, row in enumerate(rows)
     }
     (partition,) = kernel._partitions.values()
-    _, walked = partition.scores(tq, 0.0, 1.0, 1.0)
-    walked = dict(zip(partition.user_ids, walked))
-    assert {user_id for user_id in expected if walked[user_id] != expected[user_id]} == {
+    walks = dict(zip(partition.user_ids, partition.walk(tq)))
+    cosines = {
+        f"user-{number}": cosine_similarity_cached(
+            target_terms, vector_norm(target_terms), row, vector_norm(row)
+        )
+        for number, row in enumerate(rows)
+    }
+    assert {user_id for user_id in cosines if walks[user_id] != cosines[user_id]} == {
         "user-0"
     }
     block = kernel.score_block({}, tq, 0.0, 1.0, 1.0)
@@ -861,6 +874,18 @@ def test_forced_stdlib_mode_hides_numpy(monkeypatch):
     assert resolve_backend("auto") == "dict"
     with pytest.raises(ValueError):
         resolve_backend("numpy")
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="needs numpy")
+def test_hiding_numpy_is_read_on_every_call(monkeypatch):
+    """Nothing about numpy is cached at import: ``REPRO_NO_NUMPY`` flipped
+    either way in one process flips what ``auto`` resolves to."""
+    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+    assert resolve_backend("auto") == "numpy"
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    assert resolve_backend("auto") == "dict"
+    monkeypatch.delenv("REPRO_NO_NUMPY")
+    assert resolve_backend("auto") == "numpy"
 
 
 def test_every_entry_point_shares_one_default_backend(two_contexts):
