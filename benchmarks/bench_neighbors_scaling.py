@@ -12,15 +12,14 @@ Two modes, both pytest-runnable:
 - **full**: set ``REPRO_BENCH_FULL=1`` to scale to 5000 consumers, where the
   indexed path is required to be at least 5x faster than brute force.
 
-The **scoring-kernel trajectory** runs the same indexed search through the
-``dict`` kernel (the default: category-signature partitions pruned by
-block-max bounds) and the vectorized ``numpy`` kernel (when importable),
-equivalence-checked at every population size and timed up to 50 000
-consumers in full mode.  The
-trajectory is checked in as ``BENCH_neighbors_scaling.json`` — a byte-reproducible ``deterministic``
-block (score checksums; regenerated and compared by CI at smoke sizes) plus a ``measured`` block recording the full-mode timings
-(wall-clock, so recorded once, validated by invariants rather than
-re-timed).  Regenerate with ``REPRO_BENCH_FULL=1 python
+The **scoring-kernel trajectory** times the same indexed search through the
+scoring kernel (category-signature partitions pruned by block-max bounds)
+up to 50 000 consumers in full mode, equivalence-checked against brute force
+up to 5000.  The trajectory is checked in as ``BENCH_neighbors_scaling.json``
+— a byte-reproducible ``deterministic`` block (score checksums; regenerated
+and compared by CI at smoke sizes) plus a ``measured`` block recording the
+full-mode timings (wall-clock, so recorded once, validated by invariants
+rather than re-timed).  Regenerate with ``REPRO_BENCH_FULL=1 python
 benchmarks/bench_neighbors_scaling.py`` after an intentional change.
 """
 
@@ -33,7 +32,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.neighbors import ProfileNeighborIndex
-from repro.core.scoring import available_backends, numpy_available
 from repro.core.similarity import SimilarityConfig, find_similar_users
 from repro.experiments.harness import ExperimentResult, build_standard_dataset
 
@@ -42,12 +40,12 @@ POPULATION_SIZES = (1000, 2500, 5000) if FULL_MODE else (150, 400)
 ARTIFACT = Path(__file__).with_name("BENCH_neighbors_scaling.json")
 #: Scoring-kernel trajectory sizes.  Brute force is never run past
 #: :data:`KERNEL_BRUTE_CEILING` consumers (it would dominate the run for no
-#: information — the indexed paths are equivalence-checked against each
-#: other there, and against brute force at every smaller size).
+#: information — the indexed path is equivalence-checked against brute
+#: force at every smaller size).
 KERNEL_SIZES = (1000, 5000, 50000) if FULL_MODE else (150, 400)
 KERNEL_SMOKE_SIZES = (150, 400)
 KERNEL_BRUTE_CEILING = 5000
-#: Sanity floor: the default ``dict`` kernel must beat brute force by at
+#: Sanity floor: the ``dict`` kernel must beat brute force by at
 #: least this factor at 5000 consumers (full mode only; the checked-in
 #: artifact records the measured value).  It catches an index that fell back
 #: to quadratic work, nothing finer: three full-mode recordings of the
@@ -57,9 +55,7 @@ KERNEL_BRUTE_CEILING = 5000
 #: at 19.1x, inside that spread — so this bar would still pass with any of
 #: them reverted.  The regression guard for a kernel gain is ``throughput_rps`` on
 #: the wall-clock ledger's ``similar_fanout`` workload (paired runs against
-#: the parent commit), not this ratio of two noisy timings.  The
-#: numpy-over-dict ratio is recorded (``kernel_speedup``) but carries no bar:
-#: numpy is optional.
+#: the parent commit), not this ratio of two noisy timings.
 DICT_REQUIRED_SPEEDUP_VS_BRUTE = 15.0
 #: Minimum indexed-vs-brute speedup demanded at the largest population.
 #: Enforced only in full mode: wall-clock assertions on a loaded CI runner
@@ -198,45 +194,27 @@ def _ranking_checksum(rankings) -> str:
 
 
 def run_kernel_point(consumers: int):
-    """One trajectory point: equivalence-checked dict vs numpy kernel timings.
+    """One trajectory point: the kernel's timing, equivalence-checked.
 
-    Returns ``(deterministic_row, measured_row)``.  The deterministic row is
-    derived from the dict kernel only, so it is byte-stable whether
-    or not numpy is importable; cross-backend equality is *asserted* here but
-    recorded in the measured row.
+    Returns ``(deterministic_row, measured_row)``.
     """
     config = SimilarityConfig(top_k=10)
     dataset, profiles = _build_profiles(consumers)
     plan = _kernel_query_plan(dataset, profiles)
 
-    # Determinism + equivalence, then steady-state timing: each backend's
-    # first pass (untimed; it warms the caches) must equal the dict
-    # reference's rankings and float bit patterns, then the timed rounds run.
-    rankings = {}
-    timings = {}
-    for backend in available_backends():
-        index = ProfileNeighborIndex(
-            provider=profiles.values, config=config, backend=backend
-        )
-        index.sync()
-        rankings[backend] = [
-            index.find_similar(target, category=category)
-            for target, category in plan
-        ]
-        assert rankings[backend] == rankings["dict"], (
-            f"{backend} kernel diverged from the dict reference at "
-            f"{consumers} consumers"
-        )
-        total_ms = 0.0
-        for _ in range(KERNEL_TIMING_ROUNDS):
-            for target, category in plan:
-                _, elapsed = _timed(
-                    lambda t=target, c=category: index.find_similar(
-                        t, category=c
-                    )
-                )
-                total_ms += elapsed
-        timings[backend] = total_ms / (len(plan) * KERNEL_TIMING_ROUNDS)
+    # Determinism, then steady-state timing: the first pass is untimed (it
+    # warms the caches) and gives the rankings; then the timed rounds run.
+    index = ProfileNeighborIndex(provider=profiles.values, config=config)
+    index.sync()
+    rankings = [index.find_similar(target, category=category) for target, category in plan]
+    total_ms = 0.0
+    for _ in range(KERNEL_TIMING_ROUNDS):
+        for target, category in plan:
+            _, elapsed = _timed(
+                lambda t=target, c=category: index.find_similar(t, category=c)
+            )
+            total_ms += elapsed
+    dict_ms = total_ms / (len(plan) * KERNEL_TIMING_ROUNDS)
 
     brute_ms = None
     if consumers <= KERNEL_BRUTE_CEILING:
@@ -248,29 +226,19 @@ def run_kernel_point(consumers: int):
                 )
             )
             total += elapsed
-            assert neighbours == rankings["dict"][position]
+            assert neighbours == rankings[position]
         brute_ms = round(total / len(plan), 3)
 
     deterministic_row = {
         "consumers": consumers,
         "queries": len(plan),
-        "score_checksum": _ranking_checksum(rankings["dict"]),
+        "score_checksum": _ranking_checksum(rankings),
     }
-    numpy_ms = timings.get("numpy")
     measured_row = {
         "consumers": consumers,
-        "backends_identical": True,
-        "dict_ms": round(timings["dict"], 3),
-        "numpy_ms": round(numpy_ms, 3) if numpy_ms is not None else None,
-        "kernel_speedup": (
-            round(timings["dict"] / numpy_ms, 1)
-            if numpy_ms
-            else None
-        ),
+        "dict_ms": round(dict_ms, 3),
         "brute_ms": brute_ms,
-        "dict_vs_brute": (
-            round(brute_ms / timings["dict"], 1) if brute_ms is not None else None
-        ),
+        "dict_vs_brute": round(brute_ms / dict_ms, 1) if brute_ms is not None else None,
     }
     return deterministic_row, measured_row
 
@@ -279,7 +247,7 @@ def run_kernel_trajectory(sizes=KERNEL_SIZES):
     """(deterministic rows, measured rows, reportable ExperimentResult)."""
     result = ExperimentResult(
         name="scoring-kernel-trajectory",
-        description="dict-kernel vs numpy-kernel indexed search latency",
+        description="scoring-kernel indexed search latency",
     )
     deterministic, measured = [], []
     for consumers in sizes:
@@ -288,11 +256,8 @@ def run_kernel_trajectory(sizes=KERNEL_SIZES):
         measured.append(meas_row)
         result.add_row(**{**det_row, **meas_row})
     result.add_note(
-        "equivalence (rankings, float bit patterns) is asserted per point"
-    )
-    result.add_note(
-        f"numpy available: {numpy_available()} "
-        f"(REPRO_NO_NUMPY=1 hides it)"
+        "equivalence with brute force (rankings, float bit patterns) is "
+        f"asserted per point up to {KERNEL_BRUTE_CEILING} consumers"
     )
     result.add_note(f"mode: {'full' if FULL_MODE else 'smoke'}")
     return deterministic, measured, result
@@ -316,7 +281,6 @@ def generate_kernel_payload() -> dict:
         },
         "measured": {
             "mode": "full" if FULL_MODE else "smoke",
-            "numpy": numpy_available(),
             "required_dict_vs_brute_at_5000": DICT_REQUIRED_SPEEDUP_VS_BRUTE,
             "sizes": list(KERNEL_SIZES),
             "rows": measured,
@@ -329,10 +293,10 @@ def render_deterministic(rows) -> str:
 
 
 def test_kernel_trajectory_equivalence(experiment_reporter):
-    """Smoke: kernels agree at every size.  Full: the default must be fast."""
+    """Smoke: the kernel equals brute force at every size.  Full: it must be
+    fast."""
     _, measured, result = run_kernel_trajectory()
     experiment_reporter(result)
-    assert all(row["backends_identical"] for row in measured)
     if FULL_MODE:
         at_5k = next(r for r in measured if r["consumers"] == 5000)
         assert at_5k["dict_vs_brute"] >= DICT_REQUIRED_SPEEDUP_VS_BRUTE, (
@@ -359,23 +323,19 @@ def test_artifact_records_full_kernel_trajectory():
     payload = json.loads(ARTIFACT.read_text())
     measured = payload["measured"]
     assert measured["mode"] == "full"
-    assert measured["numpy"] is True
     sizes = [row["consumers"] for row in measured["rows"]]
     assert sizes == [1000, 5000, 50000]
-    assert all(row["backends_identical"] for row in measured["rows"])
-    # One timing column per shipped kernel, nothing else.
+    # One timing column for the kernel and one for brute force, nothing else.
     assert all(
-        {key for key in row if key.endswith("_ms")}
-        == {"dict_ms", "numpy_ms", "brute_ms"}
+        {key for key in row if key.endswith("_ms")} == {"dict_ms", "brute_ms"}
         for row in measured["rows"]
     )
     at_5k = next(r for r in measured["rows"] if r["consumers"] == 5000)
     assert at_5k["dict_vs_brute"] >= measured["required_dict_vs_brute_at_5000"]
-    assert all(row["kernel_speedup"] is not None for row in measured["rows"])
     at_50k = next(r for r in measured["rows"] if r["consumers"] == 50000)
     # Brute force is never run at 50k — the trajectory's whole point.
     assert at_50k["brute_ms"] is None
-    assert at_50k["numpy_ms"] is not None and at_50k["dict_ms"] is not None
+    assert at_50k["dict_ms"] is not None
 
 
 @pytest.mark.parametrize("consumers", [POPULATION_SIZES[0]])
@@ -397,11 +357,6 @@ if __name__ == "__main__":
             "refusing to write BENCH_neighbors_scaling.json from a smoke "
             "run — set REPRO_BENCH_FULL=1 so the measured trajectory covers "
             "the 50000-consumer point"
-        )
-    if not numpy_available():
-        raise SystemExit(
-            "refusing to write BENCH_neighbors_scaling.json without numpy — "
-            "the measured block must record the vectorized kernel"
         )
     ARTIFACT.write_text(
         json.dumps(generate_kernel_payload(), indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one experiment from DESIGN.md's per-experiment
-index.  Besides the pytest-benchmark timing table (real wall-clock cost of the
-simulation), each bench prints the experiment's rows — the numbers quoted in
-EXPERIMENTS.md — so running ``pytest benchmarks/ --benchmark-only -s``
-reproduces both.
+Every benchmark regenerates one experiment of ``repro.experiments``.  Besides
+the pytest-benchmark timing table (real wall-clock cost of the simulation),
+each bench prints the experiment's rows — the tables ``python -m
+repro.experiments`` prints — so running ``pytest benchmarks/ --benchmark-only
+-s`` reproduces both.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: the whole test suite in one leg, the numpy-hidden backend
-# leg, the benchmark smokes, the figure / capability benchmarks with timing
-# disabled, the wall-clock ledger digests and the examples.
+# Tier-1 CI gate: the whole test suite in one leg, the benchmark smokes, the
+# figure / capability benchmarks with timing disabled, the wall-clock ledger
+# digests and the examples.
 # The gateway, concurrent, flash-crowd and adversarial smokes are pytest
 # tests (test_api_gateway.py, test_concurrent_report.py,
 # test_elastic_fleet.py, test_adversarial_subsystem.py and the matching
@@ -22,16 +22,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1: unit + property + integration tests (20 slowest on record; =="
 echo "==         a DeprecationWarning is an error)                          =="
 python -m pytest -x -q --durations=20 -W error::DeprecationWarning tests
-
-echo "== tier-1 (numpy hidden): backend selection + index suites under =="
-echo "==   REPRO_NO_NUMPY=1 — the first leg already scores through the  =="
-echo "==   default dict kernel, so only the selection plumbing differs  =="
-REPRO_NO_NUMPY=1 python -m pytest -x -q \
-  tests/property/test_scoring_kernel.py \
-  tests/property/test_block_max_pruning.py \
-  tests/property/test_elastic_byte_identity.py \
-  tests/property/test_neighbor_index.py \
-  tests/unit/test_neighbors.py
 
 echo "== tier-1: benchmark smoke (neighbor index scaling + scoring-  =="
 echo "==         kernel trajectory: deterministic block must        =="

@@ -10,13 +10,13 @@ recommendation request — so the index here restructures it:
   preference vector, the flattened term vector and both vector norms, built
   once and reused across queries instead of recomputed per pair.
 - **Score only what can reach the top-k.**  The scoring kernel
-  (:mod:`repro.core.scoring`) answers the top-k itself: the default one
-  skips every category-signature partition whose block-max bound is under
-  the k-th best score it holds.  Only answer rows become
-  ``(user_id, score)`` pairs.  The Figure 4.5 discard rule ("if Consumer
-  X's preference merchandise item value Tx [is] different from ... Ty, the
-  similarity result will be discarded") is applied to rows that could enter
-  the answer, from a per-category ``user → value`` map, not to the whole
+  (:mod:`repro.core.scoring`) answers the top-k itself: it skips every
+  category-signature partition whose block-max bound is under the k-th
+  best score it holds.  Only answer rows become ``(user_id, score)``
+  pairs.  The Figure 4.5 discard rule ("if Consumer X's preference
+  merchandise item value Tx [is] different from ... Ty, the similarity
+  result will be discarded") is applied to rows that could enter the
+  answer, from a per-category ``user → value`` map, not to the whole
   community.
 - **Incremental invalidation.**  :class:`~repro.core.profile_learning.ProfileLearner`
   fires an update hook per feedback event; the index marks exactly that
@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
-from repro.core.scoring import DEFAULT_BACKEND, create_kernel, resolve_backend
+from repro.core.scoring import DictKernel, TargetState
 from repro.core.similarity import (
     SimilarityConfig,
     vector_norm as _norm,
@@ -94,16 +94,10 @@ class ProfileNeighborIndex:
         provider: Optional[ProfilesProvider] = None,
         config: Optional[SimilarityConfig] = None,
         provider_version: Optional[Callable[[], int]] = None,
-        backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.config = config or SimilarityConfig()
         self.config.validate()
-        # Scoring kernel backend ("dict" | "numpy" | "auto"); platform wiring
-        # passes PlatformConfig.scoring_backend.  The backends are
-        # score-identical by construction (see repro.core.scoring and
-        # tests/property/test_scoring_kernel.py).
-        self.backend = resolve_backend(backend)
-        self._kernel = create_kernel(self.backend)
+        self._kernel = DictKernel()
         self._provider = provider
         # When every profile mutation is reported through learner hooks
         # (attach_to) AND the provider exposes a membership version stamp,
@@ -179,7 +173,8 @@ class ProfileNeighborIndex:
 
     @property
     def bound_skips(self) -> int:
-        """Rows the kernel's bounds left unscored, over every query."""
+        """Rows the kernel's bounds left unscored, over every query (a
+        :meth:`build` keeps counting)."""
         return self._kernel.bound_skips
 
     def cached_entry(self, user_id: str) -> Optional[_ProfileEntry]:
@@ -269,7 +264,7 @@ class ProfileNeighborIndex:
         is thus invisible as a target exactly as long as it is invisible as a
         row: until ``invalidate(user_id)``.
 
-        A query is one :meth:`~repro.core.scoring.ScoringKernel.top_pairs`
+        A query is one :meth:`~repro.core.scoring.DictKernel.top_pairs`
         call: the kernel's exact ``sorted(valid, key=(-score, user_id))``
         prefix, where the discard rule ``|Tx − Ty| <= tolerance`` is asked
         only of rows whose score could enter it.
@@ -287,7 +282,7 @@ class ProfileNeighborIndex:
             target_prefs = target.preference_vector()
             terms = target.flattened_terms().as_dict()
             pref_norm, term_norm = _norm(target_prefs), _norm(terms)
-        tq = self._kernel.prepare_target(target_prefs, pref_norm, terms, term_norm)
+        tq = TargetState(target_prefs, pref_norm, terms, term_norm)
         discard = None
         if category is not None:
             # Figure 4.5 discard rule, the brute-force predicate verbatim; a
@@ -302,7 +297,6 @@ class ProfileNeighborIndex:
         preference_weight = config.preference_weight
         term_weight = config.term_weight
         return self._kernel.top_pairs(
-            self._entries,
             tq,
             preference_weight,
             term_weight,

@@ -48,7 +48,6 @@ from repro.agents.messages import MessageKinds
 from repro.core.items import ItemCatalogView
 from repro.core.profile_learning import LearningConfig, ProfileLearner
 from repro.core.recommender import Recommendation
-from repro.core.scoring import DEFAULT_BACKEND
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.buyer_agents import BuyerServerManagementAgent, HttpAgent
 from repro.ecommerce.databases import BSMDB, UserDB
@@ -82,7 +81,6 @@ class BuyerAgentServer:
         catalog: Optional[ItemCatalogView] = None,
         learning_config: Optional[LearningConfig] = None,
         similarity_config: Optional[SimilarityConfig] = None,
-        scoring_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.context = context
         self.name = context.host_name
@@ -101,7 +99,6 @@ class BuyerAgentServer:
             self.user_db, catalog if catalog is not None else ItemCatalogView([]),
             similarity_config, now=lambda: context.now,
             profile_learner=self.profile_learner,
-            scoring_backend=scoring_backend,
         )
         context.host.attach_service("recommendation-service", self.recommendations)
 

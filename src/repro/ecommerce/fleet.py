@@ -16,7 +16,6 @@ from repro.errors import (
     NetworkError,
 )
 from repro.core.recommender import Recommendation
-from repro.core.scoring import resolve_backend
 from repro.core.shard_map import ShardMap, merge_topk, split_membership
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.replication import ReplicaState, ReplicationRing
@@ -191,7 +190,6 @@ class BuyerServerFleet:
         servers: List[BuyerAgentServer],
         coordinator=None,
         hedge_delay_percentile: Optional[float] = None,
-        scoring_backend: Optional[str] = None,
     ) -> None:
         if not servers:
             raise ECommerceError("a buyer server fleet needs at least one server")
@@ -207,15 +205,6 @@ class BuyerServerFleet:
         #: hedge, byte-identical to the unhedged fan-out) or a percentile in
         #: ``(0, 1]`` after which the slowest shard gets a replica hedge.
         self.hedge_delay_percentile = hedge_delay_percentile
-        #: Scoring kernel backend for fleet-side index builds (replica
-        #: answers, hedges) — threaded from ``PlatformConfig.scoring_backend``
-        #: so fan-out scoring uses the same kernel the servers were built
-        #: with instead of reaching into each server's private config.
-        self.scoring_backend = resolve_backend(
-            scoring_backend
-            if scoring_backend is not None
-            else self.servers[0].recommendations.scoring_backend
-        )
         #: The versioned single source of truth for shard → owner: one base
         #: shard per founding server (identity placement), epoch bumped on
         #: every promotion, handback and split.  Its hash placement is
@@ -585,12 +574,9 @@ class BuyerServerFleet:
         # The replica's lazily built neighbor index answers byte-identically
         # to brute-forcing its shadow profiles (the PR-1 guarantee), while
         # re-indexing only the consumers the WAL touched since the last read.
-        # The fleet's own kernel backend (from PlatformConfig) scores it —
-        # score-identical across backends, so hedge wins stay byte-stable
-        # under REPRO_NO_NUMPY.
-        ranked = state.neighbor_index(
-            backend=self.scoring_backend
-        ).find_similar(target, category=category, config=config)
+        ranked = state.neighbor_index().find_similar(
+            target, category=category, config=config
+        )
         try:
             hedge_latency = origin.context.transport.network.round_trip_latency(
                 origin.name,
@@ -694,9 +680,9 @@ class BuyerServerFleet:
         if not holders:
             return None
         holder, state = holders[0]
-        ranked = state.neighbor_index(
-            backend=self.scoring_backend
-        ).find_similar(target, category=category, config=config)
+        ranked = state.neighbor_index().find_similar(
+            target, category=category, config=config
+        )
         try:
             latency = origin.context.transport.network.round_trip_latency(
                 origin.name,

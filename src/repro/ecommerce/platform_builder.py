@@ -21,7 +21,6 @@ from repro.agents.security import AuthenticationService
 from repro.agents.directory import ContextDirectory
 from repro.core.items import Item, ItemCatalogView
 from repro.core.profile_learning import LearningConfig
-from repro.core.scoring import DEFAULT_BACKEND, resolve_backend
 from repro.core.similarity import SimilarityConfig
 from repro.platform.clock import Scheduler
 from repro.platform.events import EventLog
@@ -116,13 +115,6 @@ class PlatformConfig:
             tail-at-scale trick.  ``None`` (the default) never hedges and
             is byte-identical to the unhedged fan-out; ``1.0`` arms the
             machinery but can never fire (no latency exceeds the max).
-        scoring_backend: which :mod:`repro.core.scoring` kernel backend the
-            neighbor indexes use — ``"dict"`` (the reference loops, the
-            default), ``"numpy"`` (vectorized blocks; requires numpy) or
-            ``"auto"`` (numpy when importable, else ``"dict"``).  The
-            backends are score-identical by construction — the differential
-            suite in ``tests/property/test_scoring_kernel.py`` pins it — so
-            this knob trades speed, never answers.
         handshake_trades: secure every marketplace trade with the
             :mod:`repro.adversarial` handshake protocol (nonce challenge +
             HMAC echo + single finalize); finalized trades record a
@@ -152,7 +144,6 @@ class PlatformConfig:
     api_admission_refill_per_ms: float = 1.0
     api_admission_classes: Optional[Dict[str, Dict[str, object]]] = None
     fleet_hedge_delay_percentile: Optional[float] = None
-    scoring_backend: str = DEFAULT_BACKEND
     handshake_trades: bool = False
 
     def validate(self) -> None:
@@ -244,10 +235,6 @@ class PlatformConfig:
                 "fleet_hedge_delay_percentile must be in (0, 1] "
                 "(use None to disable hedging)"
             )
-        try:
-            resolve_backend(self.scoring_backend)
-        except Exception as exc:
-            raise ECommerceError(f"invalid scoring_backend: {exc}") from exc
 
 
 class ECommercePlatform:
@@ -296,7 +283,6 @@ class ECommercePlatform:
                 self.buyer_servers,
                 coordinator=self.coordinator,
                 hedge_delay_percentile=config.fleet_hedge_delay_percentile,
-                scoring_backend=config.scoring_backend,
             )
             if config.num_buyer_servers > 1
             else None
@@ -403,7 +389,6 @@ class ECommercePlatform:
             catalog=self.catalog_view(),
             learning_config=self.config.learning,
             similarity_config=self.config.similarity,
-            scoring_backend=self.config.scoring_backend,
         )
         if shard_id == "auto":
             shard_id = index if self.config.num_buyer_servers > 1 else None

@@ -19,7 +19,6 @@ from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommende
 from repro.core.profile import Profile
 from repro.core.profile_learning import ProfileLearner
 from repro.core.recommender import Recommendation, RecommendationEngine
-from repro.core.scoring import DEFAULT_BACKEND, resolve_backend
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.databases import UserDB
 
@@ -41,13 +40,11 @@ class RecommendationService:
         similarity_config: Optional[SimilarityConfig] = None,
         now: Optional[callable] = None,
         profile_learner: Optional[ProfileLearner] = None,
-        scoring_backend: str = DEFAULT_BACKEND,
     ) -> None:
         self.user_db = user_db
         self.catalog = catalog
         self.similarity_config = similarity_config or SimilarityConfig()
         self.now = now if now is not None else (lambda: 0.0)
-        self.scoring_backend = resolve_backend(scoring_backend)
         self.profile_learner = profile_learner
 
         def profile_of(user_id: str) -> Optional[Profile]:
@@ -62,7 +59,6 @@ class RecommendationService:
             provider=user_db.profiles,
             config=self.similarity_config,
             provider_version=user_db.profiles_version,
-            backend=self.scoring_backend,
         )
         if profile_learner is not None:
             self.neighbor_index.attach_to(profile_learner)

@@ -110,7 +110,6 @@ from repro.errors import NetworkError, ReplicationError
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent
-from repro.core.scoring import DEFAULT_BACKEND
 from repro.ecommerce.databases import UserDB
 from repro.platform.clock import RecurringCallback
 
@@ -276,9 +275,8 @@ class ReplicaState:
         self.db = UserDB()
         # What degraded / hedged reads search; see neighbor_index().
         self._neighbor_index: Optional[ProfileNeighborIndex] = None
-        self._neighbor_backend: Optional[str] = None
 
-    def neighbor_index(self, backend: str = DEFAULT_BACKEND) -> ProfileNeighborIndex:
+    def neighbor_index(self) -> ProfileNeighborIndex:
         """A :class:`ProfileNeighborIndex` over this replica's shadow profiles.
 
         Built on first use and *fed*, not provided: the shadow DB changes only
@@ -292,12 +290,9 @@ class ReplicaState:
         :meth:`bootstrap` swaps the shadow DB wholesale, so it drops the
         index; the next read rebuilds against the restored state.
         """
-        index = self._neighbor_index
-        if index is None or self._neighbor_backend != backend:
-            index = ProfileNeighborIndex(profiles=self.db.profiles(), backend=backend)
-            self._neighbor_index = index
-            self._neighbor_backend = backend
-        return index
+        if self._neighbor_index is None:
+            self._neighbor_index = ProfileNeighborIndex(profiles=self.db.profiles())
+        return self._neighbor_index
 
     def apply_entries(self, entries: List[ReplicationLogEntry]) -> int:
         """Apply an ordered batch; return how many entries were applied."""
@@ -343,7 +338,6 @@ class ReplicaState:
         self.applied_seq = snapshot.seq
         # The old shadow DB (and any index built over it) is gone wholesale.
         self._neighbor_index = None
-        self._neighbor_backend = None
 
     def _apply(self, entry: ReplicationLogEntry) -> None:
         payload = entry.payload

@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments --quick    # reduced parameters (~30 seconds)
     python -m repro.experiments --only fig42 cap4-quality
 
-The printed tables are the ones recorded in EXPERIMENTS.md.
+The printed tables are the experiments' results; no checked-in file records them.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Every function builds what it needs (platform and/or dataset), runs the
 experiment deterministically and returns an
 :class:`~repro.experiments.harness.ExperimentResult` whose rows are exactly
-what the corresponding benchmark prints and what EXPERIMENTS.md records.
+what the corresponding benchmark and ``python -m repro.experiments`` print.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Shared machinery for the experiments.
 
 Everything here is deterministic given the seeds, so every experiment (and the
-numbers quoted in EXPERIMENTS.md) can be regenerated exactly.
+tables ``python -m repro.experiments`` prints) can be regenerated exactly.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def evaluate_recommenders(
     """Average quality metrics of each recommender over the test users.
 
     Returns one row per recommender with precision/recall/F1/NDCG/hit-rate at
-    ``k`` plus catalogue coverage, matching the layout EXPERIMENTS.md quotes
-    for experiment CAP-4.  ``category_for_user`` optionally supplies the
+    ``k`` plus catalogue coverage, the layout ``python -m repro.experiments``
+    prints for experiment CAP-4.  ``category_for_user`` optionally supplies the
     merchandise category each user is assumed to be shopping in (the Figure
     4.2 situation); it is what makes the Figure 4.5 discard rule take part in
     the evaluation.

@@ -33,7 +33,7 @@ def format_table(rows: Sequence[Dict[str, object]], columns: Sequence[str] = ())
 
 
 def print_result(result: "ExperimentResult") -> None:  # noqa: F821 - forward ref
-    """Print one experiment result the way EXPERIMENTS.md quotes them."""
+    """Print one experiment result as a ``python -m repro.experiments`` table."""
     print(f"== {result.name} ==")
     if result.description:
         print(result.description)

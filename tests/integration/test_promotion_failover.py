@@ -682,8 +682,7 @@ class TestReplicaIndexEquivalence:
                 server.replication.peers[0].name
             ) == 0
             config = server.recommendations.similarity_config
-            backend = server.recommendations.scoring_backend
-            index = state.neighbor_index(backend=backend)
+            index = state.neighbor_index()
             for user_id in state.db.user_ids:
                 target = state.db.profile(user_id)
                 primary_answer = find_similar_users(
@@ -708,8 +707,7 @@ class TestReplicaIndexEquivalence:
 
         state = peer.replication.hosted[isolated.name]
         config = isolated.recommendations.similarity_config
-        backend = isolated.recommendations.scoring_backend
-        index = state.neighbor_index(backend=backend)
+        index = state.neighbor_index()
         for user_id in state.db.user_ids:
             target = state.db.profile(user_id)
             assert index.find_similar(target, config=config) == find_similar_users(
@@ -726,14 +724,10 @@ class TestReplicaIndexEquivalence:
         server = fleet.servers[0]
         state = self._replica_of(server)
         config = server.recommendations.similarity_config
-        index = state.neighbor_index(
-            backend=server.recommendations.scoring_backend
-        )
+        index = state.neighbor_index()
         # Same accessor, same cached index — the WAL-applied deltas must
         # land in this object, not a rebuilt-from-scratch replacement.
-        assert state.neighbor_index(
-            backend=server.recommendations.scoring_backend
-        ) is index
+        assert state.neighbor_index() is index
 
         user_id = state.db.user_ids[0]
         index.find_similar(state.db.profile(user_id), config=config)

@@ -3,8 +3,8 @@
 ``DictKernel.top_pairs`` skips every category-signature partition whose
 block-max bound is under the floor and stops inside a partition at the first
 row whose bound from its walk-order term cosine is.  These tests hold it
-``==`` to the unpruned selection (``score_block`` then
-``BlockScores.top_pairs``) and to the brute-force ``find_similar_users``
+``==`` to the unpruned selection (a full sort of ``score_block``'s
+``{user_id: score}`` map) and to the brute-force ``find_similar_users``
 over clustered populations where pruning does happen, pin every bound over
 every row, count the rows a query scores, and cover the shapes a bound
 could get wrong: ties across partitions, discard rules, ``min_similarity``
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
-from repro.core.scoring import DictKernel, available_backends
+from repro.core.scoring import DictKernel, TargetState
 from repro.core.similarity import (
     SimilarityConfig,
     cosine_similarity_cached,
@@ -52,15 +52,26 @@ def clustered_population(rng, size):
     return population
 
 
+def full_sort(scores, minimum, exclude_user, top_k, discard=None):
+    """``sorted(valid, key=(-score, user_id))[:top_k]`` over a score map."""
+    valid = [
+        (user_id, score)
+        for user_id, score in scores.items()
+        if user_id != exclude_user
+        and score >= minimum
+        and not (discard is not None and discard(user_id))
+    ]
+    return sorted(valid, key=lambda pair: (-pair[1], pair[0]))[:top_k]
+
+
 def unpruned(index, target, category, config):
     """The index's answer through the full block: every row scored."""
-    kernel = index._kernel
     prefs = target.preference_vector()
     terms = target.flattened_terms().as_dict()
-    tq = kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
+    tq = TargetState(prefs, vector_norm(prefs), terms, vector_norm(terms))
     total = config.preference_weight + config.term_weight
-    block = kernel.score_block(
-        index._entries, tq, config.preference_weight, config.term_weight, total
+    scores = index._kernel.score_block(
+        tq, config.preference_weight, config.term_weight, total
     )
     discard = None
     if category is not None:
@@ -73,7 +84,7 @@ def unpruned(index, target, category, config):
         def discard(user_id):
             return not abs(target_value - values[user_id]) <= config.discard_tolerance
 
-    return block.top_pairs(config.min_similarity, target.user_id, config.top_k, discard)
+    return full_sort(scores, config.min_similarity, target.user_id, config.top_k, discard)
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +110,7 @@ def test_pruned_answer_is_the_full_blocks_and_brute_forces(
         top_k=top_k,
         discard_tolerance=tolerance,
     )
-    index = ProfileNeighborIndex(profiles=population.values(), config=config, backend="dict")
+    index = ProfileNeighborIndex(profiles=population.values(), config=config)
     for target in population.values():
         answer = index.find_similar(target, category=category)
         assert answer == unpruned(index, target, category, config)
@@ -132,7 +143,7 @@ def test_the_walk_screen_leaves_most_of_a_visited_partition_unscored():
     scoring every row of each visited partition would be about 70."""
     population = clustered_population(random.Random(11), 300)
     index = ProfileNeighborIndex(
-        profiles=population.values(), config=SimilarityConfig(top_k=5), backend="dict"
+        profiles=population.values(), config=SimilarityConfig(top_k=5)
     )
     queries = list(population.values())[:40]
     for target in queries:
@@ -151,18 +162,22 @@ def test_the_screen_visits_best_walk_first_and_stops_under_the_floor():
         kernel.entry_changed(
             entry(f"user-{number}", {"books": 1.0}, {"novel": 0.1, "atlas": 1.0})
         )
-    tq = kernel.prepare_target({"books": 1.0}, 1.0, {"novel": 1.0}, 1.0)
-    assert kernel.top_pairs({}, tq, 0.0, 1.0, 1.0, 0.05, "", 1) == [("user-9", 1.0)]
+    tq = TargetState({"books": 1.0}, 1.0, {"novel": 1.0}, 1.0)
+    assert kernel.top_pairs(tq, 0.0, 1.0, 1.0, 0.05, "", 1) == [("user-9", 1.0)]
     assert kernel.bound_skips == 9
 
 
-def test_a_backend_without_bounds_skips_nothing():
+def test_bound_skips_keep_counting_across_a_rebuild():
+    """Queries skip rows, and a ``build`` (which resets the kernel) does not
+    take the count back: the ledger reads its deltas."""
     population = clustered_population(random.Random(11), 60)
-    for backend in available_backends():
-        index = ProfileNeighborIndex(profiles=population.values(), backend=backend)
-        for target in population.values():
-            index.find_similar(target)
-        assert (index.bound_skips > 0) == (backend == "dict")
+    index = ProfileNeighborIndex(profiles=population.values())
+    for target in population.values():
+        index.find_similar(target)
+    skipped = index.bound_skips
+    assert skipped > 0
+    index.build(population.values())
+    assert index.bound_skips == skipped
 
 
 def entry(user_id, prefs, terms):
@@ -215,7 +230,7 @@ def test_every_row_scores_under_its_partitions_bounds(target, rows, removed, wei
         if entries.pop(f"user-{number}", None) is not None:
             kernel.entry_removed(f"user-{number}")
     target = entry("target", *target)
-    tq = kernel.prepare_target(target.prefs, target.pref_norm, target.terms, target.term_norm)
+    tq = TargetState(target.prefs, target.pref_norm, target.terms, target.term_norm)
     preference_weight, term_weight = weights
     total = preference_weight + term_weight
     for partition in kernel._partitions.values():
@@ -243,15 +258,14 @@ def test_a_tie_across_partitions_keeps_the_smaller_user_id():
     kernel.entry_changed(entry("user-b", {"books": 3.0}, {}))
     kernel.entry_changed(entry("user-a", {"books": 3.0, "music": 0.0}, {}))
     kernel.entry_changed(entry("user-c", {"music": 1.0}, {"jazz": 1.0}))
-    tq = kernel.prepare_target({"books": 5.0}, 5.0, {}, 0.0)
-    block = kernel.score_block({}, tq, 0.6, 0.4, 1.0)
-    scores = dict(zip(block.user_ids, block.scores))
+    tq = TargetState({"books": 5.0}, 5.0, {}, 0.0)
+    scores = kernel.score_block(tq, 0.6, 0.4, 1.0)
     assert scores["user-a"] == scores["user-b"] > 0.0
     for top_k in (1, 2, 3):
-        assert kernel.top_pairs({}, tq, 0.6, 0.4, 1.0, 0.0, "", top_k) == block.top_pairs(
-            0.0, "", top_k
+        assert kernel.top_pairs(tq, 0.6, 0.4, 1.0, 0.0, "", top_k) == full_sort(
+            scores, 0.0, "", top_k
         )
-    assert kernel.top_pairs({}, tq, 0.6, 0.4, 1.0, 0.0, "", 1) == [("user-a", scores["user-a"])]
+    assert kernel.top_pairs(tq, 0.6, 0.4, 1.0, 0.0, "", 1) == [("user-a", scores["user-a"])]
 
 
 @pytest.mark.parametrize("magnitude", [1e200, 1e-160, 1e-170])
@@ -310,7 +324,7 @@ def test_subnormal_weights_turn_the_pruning_off():
     for user_id, row_terms in rows.items():
         kernel.entry_changed(entry(user_id, {"books": 1.0}, row_terms))
     target = entry("target", {"books": 1.0}, target_terms)
-    tq = kernel.prepare_target(target.prefs, target.pref_norm, target.terms, target.term_norm)
+    tq = TargetState(target.prefs, target.pref_norm, target.terms, target.term_norm)
     weight = 3 * 5e-324
     (partition,) = kernel._partitions.values()
     walks = partition.walk(tq)
@@ -320,7 +334,7 @@ def test_subnormal_weights_turn_the_pruning_off():
     }
     assert scores == {"user-a": 2 / 3, "user-b": 2 / 3}
     assert weight * walks[partition.row_of["user-a"]] / weight == 1 / 3
-    assert kernel.top_pairs({}, tq, 0.0, weight, weight, 0.0, "", 1) == [("user-a", 2 / 3)]
+    assert kernel.top_pairs(tq, 0.0, weight, weight, 0.0, "", 1) == [("user-a", 2 / 3)]
 
 
 def test_a_departing_row_takes_its_block_maximum_with_it():

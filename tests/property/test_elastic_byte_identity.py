@@ -6,16 +6,10 @@ them back, or loses and recovers servers mid-flight must answer every
 similar-consumer query byte-identically to a static same-seed reference
 that never changed topology.  These tests hold that line after every
 individual migration step, including a crash *during* a split.
-
-Satellite: the same invariant across scoring backends — the fleet fan-out
-threads ``PlatformConfig.scoring_backend`` into per-shard scoring and
-replica-answered (degraded) shards, and every available backend must
-produce the identical neighbor stream.
 """
 
 import pytest
 
-from repro.core.scoring import available_backends
 from repro.ecommerce import build_platform
 
 
@@ -136,34 +130,3 @@ def test_crash_during_split_preserves_byte_identity():
         platform.fleet.recover_server(platform.fleet.servers[0])
     reference = neighbor_stream(reference_platform)
     assert_identical(reference, elastic, "after recovery")
-
-
-@pytest.mark.skipif(len(available_backends()) < 2, reason="needs ≥2 backends")
-def test_fanout_identical_across_scoring_backends():
-    """Satellite 1: the fan-out answer stream is backend-invariant.
-
-    Builds one platform per available scoring backend (same seed, same
-    traffic) and asserts the full neighbor stream matches byte for byte —
-    first healthy, then degraded with a crashed primary so a replica
-    answers for its shard through the fleet-level backend.
-    """
-    platforms = [
-        make(scoring_backend=backend) for backend in available_backends()
-    ]
-    for platform in platforms:
-        drive(platform)
-        assert (
-            platform.fleet.scoring_backend
-            == platform.config.scoring_backend
-        )
-    healthy = [neighbor_stream(platform) for platform in platforms]
-    for stream in healthy[1:]:
-        assert stream == healthy[0], "healthy fan-out differs across backends"
-
-    # Degrade every platform the same way: the shard-0 primary dies and
-    # its freshest replica answers in its stead (no failover yet).
-    for platform in platforms:
-        platform.failures.crash_host(platform.fleet.servers[0].name)
-    degraded = [neighbor_stream(platform) for platform in platforms]
-    for stream in degraded[1:]:
-        assert stream == degraded[0], "degraded fan-out differs across backends"

@@ -12,18 +12,15 @@ server's state — round trips that restore it included — and compare each
 refresh with ``recommend_many`` on an independent service (its own index, no
 memo, no cache) over the same databases.  The counter tests pin which
 inputs invalidate what; each fails when its stamp component or its
-comparison is removed.  Both run under every available scoring backend:
-each kernel keeps its own rows in step with the index's mutations.
+comparison is removed.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.items import Item, ItemCatalogView
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import Interaction, InteractionKind
-from repro.core.scoring import available_backends
 from repro.ecommerce import build_platform
 from repro.ecommerce.databases import UserDB
 from repro.ecommerce.recommendation_service import RecommendationService
@@ -95,12 +92,10 @@ def reordered(profile):
     return Profile.from_dict(data)
 
 
-def build_service(backend):
+def build_service():
     """A server's service over four warmed consumers (two more can join)."""
     db, learner = UserDB(), ProfileLearner()
-    service = RecommendationService(
-        db, ItemCatalogView(ITEMS), profile_learner=learner, scoring_backend=backend
-    )
+    service = RecommendationService(db, ItemCatalogView(ITEMS), profile_learner=learner)
     for index, user_id in enumerate(USERS[:4]):
         db.register(user_id)
         for offset in range(3):
@@ -115,9 +110,7 @@ def build_service(backend):
 def refresh_and_check(service, user_ids, k):
     """One refresh; it must equal a from-scratch batch in every field."""
     got = service.batch_refresh(user_ids, k=k)
-    scratch = RecommendationService(
-        service.user_db, service.catalog, scoring_backend=service.scoring_backend
-    )
+    scratch = RecommendationService(service.user_db, service.catalog)
     want = scratch.recommend_many(user_ids, k=k)
     assert list(got) == list(want)  # key order
     assert got == want  # ids, scores, source, reason
@@ -188,9 +181,9 @@ def apply_step(db, learner, service, op, user_id, item, amount, now):
 
 
 @settings(max_examples=60, deadline=None)
-@given(steps=steps, backend=st.sampled_from(available_backends()))
-def test_every_refresh_equals_a_from_scratch_batch(steps, backend):
-    db, learner, service = build_service(backend)
+@given(steps=steps)
+def test_every_refresh_equals_a_from_scratch_batch(steps):
+    db, learner, service = build_service()
     for index, (op, user_id, item, amount) in enumerate(steps):
         apply_step(db, learner, service, op, user_id, item, amount, float(index))
     refresh_and_check(service, USERS, k=5)
@@ -220,66 +213,65 @@ def counted_with_revalidated(service, user_ids, k=5):
     )
 
 
-@pytest.mark.parametrize("backend", available_backends())
 class TestWhatARefreshRecomputes:
-    def test_first_everything_then_nothing(self, backend):
-        _, _, service = build_service(backend)
+    def test_first_everything_then_nothing(self):
+        _, _, service = build_service()
         assert counted(service, USERS) == (6, 0)
         assert counted(service, USERS) == (0, 6)
         assert counted(service, USERS + USERS[:2]) == (0, 6)  # duplicates collapse
 
-    def test_another_k_and_a_subset(self, backend):
-        _, _, service = build_service(backend)
+    def test_another_k_and_a_subset(self):
+        _, _, service = build_service()
         service.batch_refresh(USERS[:3], k=5)
         assert counted(service, USERS[1:5]) == (2, 2)
         assert counted(service, USERS[:2], k=3) == (2, 0)
         assert service.cached_recommendations(USERS[0], k=5) is None
         assert service.cached_recommendations(USERS[2], k=5) is not None
 
-    def test_a_neighbours_learning_update_recomputes_everyone(self, backend):
+    def test_a_neighbours_learning_update_recomputes_everyone(self):
         """The ``neighbor_index.mutations`` component."""
-        db, learner, service = build_service(backend)
+        db, learner, service = build_service()
         service.batch_refresh(USERS, k=5)
         learn(learner, db, USERS[1], ITEMS[5])
         assert counted(service, USERS) == (6, 0)
 
-    def test_a_neighbours_rating_recomputes_everyone(self, backend):
+    def test_a_neighbours_rating_recomputes_everyone(self):
         """The ``ratings.revision`` component."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         db.record_interaction(
             Interaction(USERS[1], ITEMS[7].item_id, InteractionKind.RATE, value=5.0)
         )
         assert counted(service, USERS) == (6, 0)
 
-    def test_new_merchandise_recomputes_everyone(self, backend):
+    def test_new_merchandise_recomputes_everyone(self):
         """The ``len(catalog)`` component."""
-        _, _, service = build_service(backend)
+        _, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         service.catalog.add(make_item(len(service.catalog)))
         assert counted(service, USERS) == (6, 0)
         refresh_and_check(service, USERS, k=5)
 
-    def test_membership_recomputes_everyone(self, backend):
-        db, _, service = build_service(backend)
+    def test_membership_recomputes_everyone(self):
+        db, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         db.adopt(foreign_db(USERS[4], ITEMS[0], 2, 0.0), USERS[4])
         assert counted(service, USERS) == (6, 0)
         db.unregister(USERS[4])
         assert counted(service, USERS[:4]) == (4, 0)
 
-    def test_an_adopt_then_unregister_recomputes_nobody(self, backend):
+    def test_an_adopt_then_unregister_recomputes_nobody(self):
         """Membership moved and moved back: the inputs compare equal."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
         service.batch_refresh(USERS[:4], k=5)
         db.adopt(foreign_db(USERS[4], ITEMS[0], 2, 0.0), USERS[4])
         db.unregister(USERS[4])
         assert counted_with_revalidated(service, USERS[:4]) == (0, 4, 4)
         refresh_and_check(service, USERS[:4], k=5)
 
-    def test_only_the_last_refreshs_lists_are_revalidated(self, backend):
+    def test_only_the_last_refreshs_lists_are_revalidated(self):
         """Inputs equal to the last refresh's say nothing of an older list."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
         service.batch_refresh(USERS[:2], k=5)
         db.adopt(foreign_db(USERS[4], ITEMS[0], 2, 0.0), USERS[4])
         service.batch_refresh(USERS[2:4], k=5)  # computed with USERS[4] aboard
@@ -287,10 +279,10 @@ class TestWhatARefreshRecomputes:
         assert counted_with_revalidated(service, USERS[:4]) == (2, 2, 1)
         refresh_and_check(service, USERS[:4], k=5)
 
-    def test_a_consumer_replaced_by_another_recomputes_everyone(self, backend):
+    def test_a_consumer_replaced_by_another_recomputes_everyone(self):
         """Same head count, no interactions either side: membership decides
         (a rating-free neighbour still takes a top-k slot)."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
 
         def join(user_id):
             db.register(user_id)
@@ -305,27 +297,27 @@ class TestWhatARefreshRecomputes:
         join(USERS[5])
         assert counted_with_revalidated(service, USERS[:4]) == (4, 0, 0)
 
-    def test_a_held_profile_learned_in_place_is_not_equal_to_its_copy(self, backend):
+    def test_a_held_profile_learned_in_place_is_not_equal_to_its_copy(self):
         """The held reference changed too, so it no longer shows what the
         lists were computed from."""
-        db, learner, service = build_service(backend)
+        db, learner, service = build_service()
         service.batch_refresh(USERS, k=5)
         learn(learner, db, USERS[1], ITEMS[5])
         db._profiles[USERS[1]] = db.profile(USERS[1]).copy()
         assert counted_with_revalidated(service, USERS) == (6, 0, 0)
         refresh_and_check(service, USERS, k=5)
 
-    def test_a_profile_swapped_for_an_equal_copy_is_revalidated(self, backend):
+    def test_a_profile_swapped_for_an_equal_copy_is_revalidated(self):
         """The per-profile stamp moved; the content, compared, did not."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         db._profiles[USERS[0]] = db.profile(USERS[0]).copy()  # equal content, new id
         assert counted_with_revalidated(service, USERS) == (0, 6, 1)
         assert counted_with_revalidated(service, USERS) == (0, 6, 0)
 
-    def test_a_copy_in_another_insertion_order_is_recomputed(self, backend):
+    def test_a_copy_in_another_insertion_order_is_recomputed(self):
         """``to_dict() ==`` holds, the summation order does not."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         profile = db.profile(USERS[0])
         swapped = reordered(profile)
@@ -334,8 +326,8 @@ class TestWhatARefreshRecomputes:
         db._profiles[USERS[0]] = swapped
         assert counted_with_revalidated(service, USERS) == (1, 5, 0)
 
-    def test_a_copy_with_one_changed_weight_is_recomputed(self, backend):
-        db, _, service = build_service(backend)
+    def test_a_copy_with_one_changed_weight_is_recomputed(self):
+        db, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         changed = db.profile(USERS[0]).copy()
         terms = next(iter(changed.categories.values())).terms
@@ -344,9 +336,9 @@ class TestWhatARefreshRecomputes:
         db._profiles[USERS[0]] = changed
         assert counted_with_revalidated(service, USERS) == (1, 5, 0)
 
-    def test_a_round_trip_plus_a_rating_recomputes_everyone(self, backend):
+    def test_a_round_trip_plus_a_rating_recomputes_everyone(self):
         """Equal profiles, but one interaction list is longer than it was."""
-        db, _, service = build_service(backend)
+        db, _, service = build_service()
         service.batch_refresh(USERS, k=5)
         away = UserDB()
         away.adopt(db, USERS[1])
@@ -358,8 +350,8 @@ class TestWhatARefreshRecomputes:
         assert counted_with_revalidated(service, USERS) == (6, 0, 0)
         refresh_and_check(service, USERS, k=5)
 
-    def test_a_profile_edited_behind_the_index_matches_a_live_query(self, backend):
-        db, _, service = build_service(backend)
+    def test_a_profile_edited_behind_the_index_matches_a_live_query(self):
+        db, _, service = build_service()
         before = service.batch_refresh(USERS, k=5)[USERS[0]]
         profile = db.profile(USERS[0])
         profile.category("games").preference = 9.0
@@ -427,7 +419,6 @@ def assert_lists_equal_a_scratch_batch(fleet, report, k):
             server.user_db,
             service.catalog,
             similarity_config=service.similarity_config,
-            scoring_backend=service.scoring_backend,
         )
         served = fleet.consumers_served_by(server)
         assert scratch.recommend_many(served, k=k) == {

@@ -9,12 +9,10 @@ snapshot bootstrap — with reads in between, and compares every read with the
 brute-force search over the shadow profiles; the counting tests pin the cost.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import neighbors
 from repro.core.profile import Profile
-from repro.core.scoring import available_backends
 from repro.core.similarity import find_similar_users
 from repro.ecommerce.databases import UserDB
 from repro.ecommerce.replication import ReplicaState, ReplicationLog, ReplicationSnapshot
@@ -24,7 +22,6 @@ from tests.property.test_incremental_snapshot import scratch_dump
 
 USERS = [f"user-{index}" for index in range(7)]
 CATEGORIES = ("books", "music", "games")
-BACKENDS = available_backends()
 
 OPS = ("register", "store-profile", "unregister")
 SHIPMENTS = ("none", "suffix", "duplicate", "gap", "bootstrap")
@@ -84,8 +81,8 @@ def ship(state, db, log, how):
         state.bootstrap(ReplicationSnapshot(log.last_seq, 0.0, scratch_dump(db)))
 
 
-def assert_reads_match_brute_force(state, backend):
-    index = state.neighbor_index(backend)
+def assert_reads_match_brute_force(state):
+    index = state.neighbor_index()
     shadow = state.db.profiles()
     assert {profile.user_id for profile in shadow} == set(state.db.user_ids)
     detached = make_profile("somebody-else", "music", 2)
@@ -99,19 +96,19 @@ def assert_reads_match_brute_force(state, backend):
 
 
 @settings(max_examples=80, deadline=None)
-@given(steps=steps, backend=st.sampled_from(BACKENDS))
-def test_every_replica_read_equals_brute_force(steps, backend):
+@given(steps=steps)
+def test_every_replica_read_equals_brute_force(steps):
     db, log = primary_with_log()
     state = ReplicaState("primary")
     for op, user_id, category, amount, how, read in steps:
         mutate(db, op, user_id, category, amount)
         ship(state, db, log, how)
         if read:
-            assert_reads_match_brute_force(state, backend)
+            assert_reads_match_brute_force(state)
     # Anti-entropy: the full missing suffix arrives and the replica converges.
     state.apply_entries(log.entries_since(state.applied_seq))
     assert state.applied_seq == log.last_seq
-    assert_reads_match_brute_force(state, backend)
+    assert_reads_match_brute_force(state)
     assert scratch_dump(state.db) == scratch_dump(db)
 
 
@@ -125,18 +122,17 @@ def warmed_replica(consumers=5):
     return db, log, state
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestWhatAReplicaReadCosts:
-    def test_entries_applied_before_the_first_read_are_all_indexed(self, backend):
+    def test_entries_applied_before_the_first_read_are_all_indexed(self):
         _, _, state = warmed_replica()
         assert state._neighbor_index is None  # applies built nothing
-        index = assert_reads_match_brute_force(state, backend)
+        index = assert_reads_match_brute_force(state)
         assert sorted(p.user_id for p in index.indexed_profiles()) == USERS[:5]
-        assert state.neighbor_index(backend) is index
+        assert state.neighbor_index() is index
 
-    def test_an_unchanged_replica_does_no_per_profile_work(self, backend, monkeypatch):
+    def test_an_unchanged_replica_does_no_per_profile_work(self, monkeypatch):
         _, log, state = warmed_replica()
-        index = state.neighbor_index(backend)
+        index = state.neighbor_index()
         target = state.db.profile(USERS[0])
         expected = index.find_similar(target)
 
@@ -148,17 +144,17 @@ class TestWhatAReplicaReadCosts:
         monkeypatch.setattr(state.db, "profiles", lambda: provided.append(1) or [])
         rebuilds, mutations = index.rebuilds, index.mutations
         for _ in range(4):
-            assert state.neighbor_index(backend).find_similar(target) == expected
+            assert state.neighbor_index().find_similar(target) == expected
         # A duplicate shipment applies nothing, so it marks nothing either.
         assert state.apply_entries(log.entries_since(0)) == 0
-        assert state.neighbor_index(backend).find_similar(target) == expected
+        assert state.neighbor_index().find_similar(target) == expected
         assert (index.rebuilds, index.mutations) == (rebuilds, mutations)
         assert provided == []  # the shadow community is never walked again
         assert stamped == [target] * 5  # the target's own row check, per read
 
-    def test_one_applied_profile_is_one_reindex(self, backend):
+    def test_one_applied_profile_is_one_reindex(self):
         db, log, state = warmed_replica()
-        index = state.neighbor_index(backend)
+        index = state.neighbor_index()
         index.sync()
         rebuilds = index.rebuilds
         applied = state.applied_seq
@@ -167,24 +163,24 @@ class TestWhatAReplicaReadCosts:
         assert state.apply_entries(log.entries_since(applied)) == 2
         assert index.rebuilds == rebuilds  # lazily, at query time
         assert index.dirty_users() == {USERS[1]}
-        assert_reads_match_brute_force(state, backend)
+        assert_reads_match_brute_force(state)
         assert index.rebuilds == rebuilds + 1
-        assert_reads_match_brute_force(state, backend)
+        assert_reads_match_brute_force(state)
         assert index.rebuilds == rebuilds + 1
 
-    def test_register_and_unregister_reach_an_existing_index(self, backend):
+    def test_register_and_unregister_reach_an_existing_index(self):
         db, log, state = warmed_replica()
-        index = state.neighbor_index(backend)
+        index = state.neighbor_index()
         applied = state.applied_seq
         db.register(USERS[5])
         db.unregister(USERS[0])
         state.apply_entries(log.entries_since(applied))
-        assert assert_reads_match_brute_force(state, backend) is index
+        assert assert_reads_match_brute_force(state) is index
         assert USERS[5] in index and USERS[0] not in index
 
-    def test_bootstrap_drops_the_index(self, backend):
+    def test_bootstrap_drops_the_index(self):
         db, log, state = warmed_replica()
-        index = state.neighbor_index(backend)
+        index = state.neighbor_index()
         db.store_profile(make_profile(USERS[2], "music", 5))
         state.bootstrap(ReplicationSnapshot(log.last_seq, 0.0, scratch_dump(db)))
-        assert assert_reads_match_brute_force(state, backend) is not index
+        assert assert_reads_match_brute_force(state) is not index

@@ -1,21 +1,15 @@
-"""Differential property suite: every scoring-kernel backend is the same.
+"""Differential property suite: the scoring kernel is the brute force.
 
-The :mod:`repro.core.scoring` kernels exist so the Figure 4.5 similarity hot
-path can score whole candidate blocks at once when numpy is importable — but
-the repo's quality story only holds if the speedup is provably
-score-identical to the reference dict loops.  These tests drive the ``dict``
-and ``numpy`` backends over seeded random populations salted with every
-awkward shape the kernels special-case — zero-norm vectors (preferences
+:class:`repro.core.scoring.DictKernel` serves the Figure 4.5 similarity hot
+path, and the repo's quality story only holds if it is provably
+score-identical to the reference :func:`find_similar_users`.  These tests
+drive the neighbor index over seeded random populations salted with every
+awkward shape the kernel special-cases — zero-norm vectors (preferences
 with empty term sets), entirely empty profiles, single-rating consumers,
-consumers with disjoint category sets — and require *exact* equality: same
-ranked neighbor ids and bit-identical scores.
-
-With numpy hidden (``REPRO_NO_NUMPY=1``) only ``dict`` is available: the
-cross-backend comparisons skip rather than compare ``dict`` with itself,
-while the brute-force (``find_similar_users``) comparisons keep running.
+consumers with disjoint category sets — and require *exact* equality with
+the brute force: same ranked neighbor ids and bit-identical scores.
 """
 
-import importlib.util
 import random
 from types import SimpleNamespace
 
@@ -27,40 +21,20 @@ from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.items import Item, ItemCatalogView
 from repro.core.ratings import InteractionKind
-from repro.core.scoring import (
-    KERNEL_BACKENDS,
-    BlockScores,
-    DictKernel,
-    available_backends,
-    create_kernel,
-    numpy_available,
-    resolve_backend,
-)
+from repro.core.scoring import DictKernel, TargetState
 from repro.core.similarity import (
     SimilarityConfig,
     cosine_similarity_cached,
     find_similar_users,
     vector_norm,
 )
-from repro.ecommerce import PlatformConfig, build_platform
-from repro.ecommerce.buyer_server import BuyerAgentServer
-from repro.ecommerce.databases import UserDB
-from repro.ecommerce.recommendation_service import RecommendationService
-from repro.ecommerce.replication import ReplicaState
-from repro.errors import ECommerceError
 
 CATEGORIES = ["books", "electronics", "fashion", "groceries", "toys"]
 TERMS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
 
 
-#: A cross-backend comparison over a single backend would pass vacuously.
-needs_two_backends = pytest.mark.skipif(
-    len(available_backends()) < 2, reason="needs ≥2 backends"
-)
-
-
 def seeded_population(seed: int, size: int = 28):
-    """A population salted with every edge shape the kernels special-case."""
+    """A population salted with every edge shape the kernel special-cases."""
     rng = random.Random(seed)
     population = {}
     for index in range(size):
@@ -100,10 +74,8 @@ def seeded_population(seed: int, size: int = 28):
     return population
 
 
-def build_index(population, config, backend):
-    return ProfileNeighborIndex(
-        profiles=population.values(), config=config, backend=backend
-    )
+def build_index(population, config):
+    return ProfileNeighborIndex(profiles=population.values(), config=config)
 
 
 CONFIGS = [
@@ -113,66 +85,48 @@ CONFIGS = [
                      min_similarity=0.2, top_k=5),
     SimilarityConfig(discard_tolerance=1.5, top_k=4),
 ]
+CONFIG_IDS = ["default", "preferences-only", "min-similarity", "tight-discard"]
 
 
 # ---------------------------------------------------------------------------
-# Exact cross-backend equivalence on seeded populations
+# Exact brute-force equivalence on seeded populations
 # ---------------------------------------------------------------------------
 
+CATEGORY_FILTERS = (None, "books", "toys", "no-such-category")
 
-@needs_two_backends
+
+@pytest.mark.parametrize("category", CATEGORY_FILTERS)
+@pytest.mark.parametrize("config", CONFIGS, ids=CONFIG_IDS)
 @pytest.mark.parametrize("seed", [7, 101, 4242])
-def test_backends_identical_on_seeded_population(seed):
-    """dict/numpy return *exactly* equal rankings and scores."""
+def test_index_equals_brute_force_on_seeded_population(seed, config, category):
+    """Every config, every discard-rule category, every target: *exactly*
+    the brute force's rankings and scores."""
     population = seeded_population(seed)
-    for config in CONFIGS:
-        indexes = {
-            backend: build_index(population, config, backend)
-            for backend in available_backends()
-        }
-        for category in (None, "books", "toys", "no-such-category"):
-            for target in population.values():
-                answers = {
-                    backend: index.find_similar(target, category=category)
-                    for backend, index in indexes.items()
-                }
-                reference = answers["dict"]
-                for backend, answer in answers.items():
-                    # Exact tuple equality — ids AND float bit patterns.
-                    assert answer == reference, (
-                        f"backend {backend!r} diverged from dict for "
-                        f"target {target.user_id!r} category {category!r}"
-                    )
-
-
-@pytest.mark.parametrize("seed", [7, 101, 4242])
-def test_backends_identical_to_brute_force(seed):
-    """Every backend still honours the PR-1 brute-force contract."""
-    population = seeded_population(seed)
-    config = SimilarityConfig()
-    for backend in available_backends():
-        index = build_index(population, config, backend)
-        for target in list(population.values())[:8]:
-            brute = find_similar_users(target, population.values(), config)
-            assert index.find_similar(target) == brute
+    index = build_index(population, config)
+    for target in population.values():
+        brute = find_similar_users(
+            target, population.values(), config, category=category
+        )
+        # Exact tuple equality — ids AND float bit patterns.
+        assert index.find_similar(target, category=category) == brute, (
+            f"target {target.user_id!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
-# Incremental updates keep the kernels coherent
+# Incremental updates keep the kernel coherent
 # ---------------------------------------------------------------------------
 
 
-def test_backends_identical_after_learner_updates():
+@pytest.mark.parametrize("category", CATEGORY_FILTERS)
+def test_index_equals_brute_force_after_learner_updates(category):
     population = seeded_population(77, size=20)
     config = SimilarityConfig()
-    learners = {}
-    indexes = {}
-    for backend in available_backends():
-        indexes[backend] = build_index(population, config, backend)
-        learners[backend] = ProfileLearner()
-        indexes[backend].attach_to(learners[backend])
-        # Warm the caches so updates land on populated state.
-        indexes[backend].find_similar(population["user-000"])
+    index = build_index(population, config)
+    learner = ProfileLearner()
+    index.attach_to(learner)
+    # Warm the caches so updates land on populated state.
+    index.find_similar(population["user-000"])
 
     rng = random.Random(99)
     for _ in range(12):
@@ -185,27 +139,21 @@ def test_backends_identical_after_learner_updates():
             terms={rng.choice(TERMS): rng.uniform(0.1, 1.0)},
             price=rng.uniform(1.0, 100.0),
         )
-        event = FeedbackEvent(
-            user_id=user_id,
-            item=item,
-            kind=rng.choice(list(InteractionKind)),
-            timestamp=float(rng.randint(0, 10_000)),
-            rating=rng.choice([None, rng.uniform(0.0, 5.0)]),
+        learner.apply(
+            population[user_id],
+            FeedbackEvent(
+                user_id=user_id,
+                item=item,
+                kind=rng.choice(list(InteractionKind)),
+                timestamp=float(rng.randint(0, 10_000)),
+                rating=rng.choice([None, rng.uniform(0.0, 5.0)]),
+            ),
         )
-        # One learner mutates the shared profile; the others only see the
-        # hook (applying the event again would double-count it).
-        backends = available_backends()
-        learners[backends[0]].apply(population[user_id], event)
-        for backend in backends[1:]:
-            indexes[backend].on_profile_update(population[user_id], event)
 
-    for target in list(population.values())[:6]:
-        reference = indexes["dict"].find_similar(target)
-        assert reference == find_similar_users(
-            target, population.values(), config
+    for target in population.values():
+        assert index.find_similar(target, category=category) == find_similar_users(
+            target, population.values(), config, category=category
         )
-        for backend in available_backends()[1:]:
-            assert indexes[backend].find_similar(target) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +185,18 @@ def populations(draw, min_size=2, max_size=10):
     return population
 
 
-@needs_two_backends
 @settings(max_examples=30, deadline=None)
 @given(
     population=populations(),
     category=st.one_of(st.none(), st.sampled_from(CATEGORIES)),
 )
-def test_backend_equivalence_property(population, category):
+def test_index_equals_brute_force_property(population, category):
     config = SimilarityConfig(top_k=4)
-    indexes = [
-        build_index(population, config, backend) for backend in available_backends()
-    ]
+    index = build_index(population, config)
     for target in population.values():
-        answers = [
-            index.find_similar(target, category=category) for index in indexes
-        ]
-        for answer in answers[1:]:
-            assert answer == answers[0]
+        assert index.find_similar(target, category=category) == find_similar_users(
+            target, population.values(), config, category=category
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +287,8 @@ def order_sensitive_pair(extra_target, extra_entry):
     ids=["equal-length-tie", "entry-shorter", "target-shorter"],
 )
 @pytest.mark.parametrize("category", [None, "books"])
-@pytest.mark.parametrize("backend", available_backends())
-def test_kernel_picks_the_reference_order(extra_target, extra_entry, category, backend):
-    """The reference iterates the shorter vector (the target on a tie); every
+def test_kernel_picks_the_reference_order(extra_target, extra_entry, category):
+    """The reference iterates the shorter vector (the target on a tie); the
     kernel must reproduce whichever sum that is, bit for bit."""
     target, entry = order_sensitive_pair(extra_target, extra_entry)
     loner = Profile("loner")
@@ -354,7 +296,7 @@ def test_kernel_picks_the_reference_order(extra_target, extra_entry, category, b
     loner.category("stationery").terms.set("omega", 2.0)
     population = {p.user_id: p for p in (target, entry, loner)}
     config = SimilarityConfig(min_similarity=0.0, discard_tolerance=1e9)
-    index = build_index(population, config, backend)
+    index = build_index(population, config)
     for profile in population.values():
         brute = find_similar_users(
             profile, population.values(), config, category=category
@@ -366,8 +308,7 @@ def test_kernel_picks_the_reference_order(extra_target, extra_entry, category, b
     ]
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_dot_that_cancels_in_one_order_only(backend):
+def test_dot_that_cancels_in_one_order_only():
     """A learner can push a preference below zero, so products can cancel:
     here the shared products sum to exactly 0.0 in the target's key order and
     to 1.0 in the (shorter) entry's — the row must not be mistaken for one
@@ -385,7 +326,7 @@ def test_dot_that_cancels_in_one_order_only(backend):
     assert sum(left[key] * right[key] for key in right) == 1.0
 
     config = SimilarityConfig(min_similarity=0.0)
-    index = build_index({"target": target, "entry": entry}, config, backend)
+    index = build_index({"target": target, "entry": entry}, config)
     brute = find_similar_users(target, [entry], config)
     assert brute[0][1] > 0.0
     assert index.find_similar(target) == brute
@@ -409,7 +350,7 @@ def test_dict_kernel_adds_in_reference_order(population, category, min_similarit
         top_k=len(population), min_similarity=min_similarity,
         discard_tolerance=1e9,
     )
-    index = build_index(population, config, "dict")
+    index = build_index(population, config)
     for target in population.values():
         brute = find_similar_users(
             target, population.values(), config, category=category
@@ -483,8 +424,8 @@ def dict_kernel(rows):
     return kernel
 
 
-def target_state(kernel, prefs, terms):
-    return kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
+def target_state(prefs, terms):
+    return TargetState(prefs, vector_norm(prefs), terms, vector_norm(terms))
 
 
 def ranked(scores):
@@ -524,13 +465,11 @@ def test_each_row_gets_the_reference_score(target, rows, relinked):
             else:
                 kernel.entry_removed(user_id)
                 del rows[user_id]
-    tq = target_state(kernel, *target)
+    tq = target_state(*target)
     expected = {user_id: reference_score(target, row) for user_id, row in rows.items()}
-    block = kernel.score_block({}, tq, 0.6, 0.4, 1.0)
-    assert dict(zip(block.user_ids, block.scores)) == expected
-    assert len(block.user_ids) == len(expected)
+    assert kernel.score_block(tq, 0.6, 0.4, 1.0) == expected
     if rows:
-        assert kernel.top_pairs({}, tq, 0.6, 0.4, 1.0, 0.0, "", len(rows)) == ranked(
+        assert kernel.top_pairs(tq, 0.6, 0.4, 1.0, 0.0, "", len(rows)) == ranked(
             expected
         )
 
@@ -554,7 +493,7 @@ def test_walk_order_is_settled_where_the_reference_uses_the_row():
     ]
     prefs = {"books": 1.0}
     kernel = dict_kernel([(prefs, row) for row in rows])
-    tq = target_state(kernel, prefs, target_terms)
+    tq = target_state(prefs, target_terms)
     # Term cosines alone, so one rounding step shows in the score.
     expected = {
         f"user-{number}": reference_score((prefs, target_terms), (prefs, row), (0.0, 1.0))
@@ -571,19 +510,17 @@ def test_walk_order_is_settled_where_the_reference_uses_the_row():
     assert {user_id for user_id in cosines if walks[user_id] != cosines[user_id]} == {
         "user-0"
     }
-    block = kernel.score_block({}, tq, 0.0, 1.0, 1.0)
-    assert dict(zip(block.user_ids, block.scores)) == expected
+    assert kernel.score_block(tq, 0.0, 1.0, 1.0) == expected
     for top_k in range(1, 5):
-        assert kernel.top_pairs({}, tq, 0.0, 1.0, 1.0, 0.0, "", top_k) == ranked(
+        assert kernel.top_pairs(tq, 0.0, 1.0, 1.0, 0.0, "", top_k) == ranked(
             expected
         )[:top_k]
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_norm_that_underflows_beside_a_nonzero_dot(backend):
+def test_norm_that_underflows_beside_a_nonzero_dot():
     """``1e-170`` squares to 0.0, so the vector's norm is 0.0 while its dot
     with a ``1e150`` weight is not: the reference answers 0.0 from the norm
-    guard, and so must every kernel — as the entry and as the target."""
+    guard, and so must the kernel — as the entry and as the target."""
     tiny = Profile("tiny")
     huge = Profile("huge")
     plain = Profile("plain")
@@ -595,7 +532,7 @@ def test_norm_that_underflows_beside_a_nonzero_dot(backend):
     assert 1e150 * 1e-170 != 0.0
     population = {p.user_id: p for p in (tiny, huge, plain)}
     config = SimilarityConfig(min_similarity=0.0)
-    index = build_index(population, config, backend)
+    index = build_index(population, config)
     for target in population.values():
         brute = find_similar_users(target, population.values(), config)
         assert index.find_similar(target) == brute
@@ -620,11 +557,9 @@ def test_block_scores_are_the_reference_scores(target, rows):
         entries[entry.user_id] = entry
         kernel.entry_changed(entry)
     prefs, terms = target
-    tq = kernel.prepare_target(prefs, vector_norm(prefs), terms, vector_norm(terms))
-    block = kernel.score_block(entries, tq, 0.6, 0.4, 1.0)
-    # Rows are grouped by category signature: match them by user id.
-    assert sorted(block.user_ids) == sorted(entries)
-    scores = dict(zip(block.user_ids, block.scores))
+    tq = target_state(prefs, terms)
+    scores = kernel.score_block(tq, 0.6, 0.4, 1.0)
+    assert sorted(scores) == sorted(entries)
     for entry in entries.values():
         pref = cosine_similarity_cached(
             prefs, tq.pref_norm, entry.prefs, entry.pref_norm
@@ -633,87 +568,6 @@ def test_block_scores_are_the_reference_scores(target, rows):
             terms, tq.term_norm, entry.terms, entry.term_norm
         )
         assert scores[entry.user_id] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
-
-
-# ---------------------------------------------------------------------------
-# Selection: top_pairs keeps exactly what a full sort would
-# ---------------------------------------------------------------------------
-
-#: Few distinct values, so ties at the floor are the common case.
-tied_scores = st.sampled_from([0.0, 0.05, 0.2, 0.2, 0.5, 0.5, 0.5, 0.9, 1.0])
-
-
-@st.composite
-def score_blocks(draw):
-    """A block of live rows with heavily tied scores."""
-    size = draw(st.integers(min_value=0, max_value=40))
-    user_ids = [f"user-{row:02d}" for row in range(size)]
-    return BlockScores(user_ids, [draw(tied_scores) for _ in user_ids])
-
-
-def full_sort(block, minimum, exclude_user, top_k, rejected):
-    valid = [
-        (user_id, score)
-        for user_id, score in zip(block.user_ids, block.scores)
-        if user_id != exclude_user
-        and score >= minimum
-        and user_id not in rejected
-    ]
-    return sorted(valid, key=lambda pair: (-pair[1], pair[0]))[:top_k]
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    block=score_blocks(),
-    minimum=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
-    top_k=st.integers(min_value=1, max_value=12),
-    data=st.data(),
-)
-def test_top_pairs_equals_full_sort(block, minimum, top_k, data):
-    """Ties at the floor, the excluded target inside the top-k,
-    ``min_similarity`` 0.0 and 1.0, fewer than k survivors, and a discard
-    rule that rejects most of the top so the floor has to widen."""
-    live = sorted(block.user_ids)
-    best_first = [pair[0] for pair in full_sort(block, 0.0, "", len(live), ())]
-    exclude_user = data.draw(
-        st.sampled_from(best_first[:3] + ["outsider"]), label="exclude_user"
-    )
-    rejected = set(
-        data.draw(
-            st.one_of(
-                st.just([]),
-                st.lists(st.sampled_from(live), unique=True) if live else st.just([]),
-                # Most of the top: everyone ranked above a drawn depth.
-                st.integers(0, len(live)).map(lambda depth: best_first[:depth]),
-            ),
-            label="rejected",
-        )
-    )
-    expected = full_sort(block, minimum, exclude_user, top_k, rejected)
-    assert block.top_pairs(minimum, exclude_user, top_k, rejected.__contains__) == expected
-    if not rejected:
-        assert block.top_pairs(minimum, exclude_user, top_k) == expected
-
-
-@pytest.mark.parametrize("backend", available_backends())
-def test_top_pairs_on_every_backends_block(backend):
-    """Both kernels hand the index the same block class; its selection over a
-    real block equals a full sort of that block."""
-    population = seeded_population(31)
-    index = build_index(population, SimilarityConfig(), backend)
-    kernel = index._kernel
-    for target in list(population.values())[:10]:
-        prefs = target.preference_vector()
-        terms = target.flattened_terms().as_dict()
-        tq = kernel.prepare_target(
-            prefs, vector_norm(prefs), terms, vector_norm(terms)
-        )
-        block = kernel.score_block(index._entries, tq, 0.6, 0.4, 1.0)
-        assert type(block) is BlockScores
-        for minimum, top_k in ((0.0, 40), (0.05, 5), (1.0, 3)):
-            assert block.top_pairs(minimum, target.user_id, top_k) == full_sort(
-                block, minimum, target.user_id, top_k, ()
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +623,7 @@ def test_postings_track_entry_lifecycle(steps, queried):
     postings and the block maxima a departed row held — and hold one weight
     per vector key: nothing left behind by a removal, nothing duplicated by
     re-indexing a profile whose key order (so signature) changed."""
-    index = ProfileNeighborIndex(backend="dict")
+    index = ProfileNeighborIndex()
     learner = ProfileLearner()
     index.attach_to(learner)
     for action, slot, seed in steps:
@@ -814,7 +668,7 @@ def test_postings_track_entry_lifecycle(steps, queried):
 
     profiles = index.indexed_profiles()
     state, weights = partition_state(index)
-    fresh = ProfileNeighborIndex(profiles=profiles, backend="dict")
+    fresh = ProfileNeighborIndex(profiles=profiles)
     fresh_state, fresh_weights = partition_state(fresh)
     assert state == fresh_state
     assert weights == fresh_weights == sum(
@@ -838,76 +692,3 @@ def test_postings_track_entry_lifecycle(steps, queried):
             assert partition.user_ids[row] is None and partition.terms[row] is None
             assert partition.pref_norms[row] == partition.term_norms[row] == 0.0
             assert all(column[row] == 0.0 for column in partition.columns)
-
-
-# ---------------------------------------------------------------------------
-# Backend selection plumbing
-# ---------------------------------------------------------------------------
-
-
-#: The backend this repo used to ship and deleted; single-quoted so a
-#: tree-wide grep for the double-quoted name stays empty.
-REMOVED_BACKEND = 'array'
-
-
-def test_backend_roster_and_resolution():
-    assert KERNEL_BACKENDS == ("dict", "numpy")
-    assert resolve_backend("dict") == "dict"
-    expected_auto = "numpy" if numpy_available() else "dict"
-    assert resolve_backend("auto") == expected_auto
-    with pytest.raises(ValueError):
-        resolve_backend("vax-microcode")
-    # The removed backend is an unknown name like any other: rejected with
-    # the valid set spelled out, at the kernel and at the platform config.
-    with pytest.raises(ValueError, match=r"\('dict', 'numpy', 'auto'\)"):
-        resolve_backend(REMOVED_BACKEND)
-    with pytest.raises(ECommerceError, match="invalid scoring_backend"):
-        PlatformConfig(scoring_backend=REMOVED_BACKEND).validate()
-    index = build_platform().buyer_server.recommendations.neighbor_index
-    assert isinstance(index._kernel, DictKernel)
-
-
-def test_forced_stdlib_mode_hides_numpy(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert not numpy_available()
-    assert available_backends() == ["dict"]
-    assert resolve_backend("auto") == "dict"
-    with pytest.raises(ValueError):
-        resolve_backend("numpy")
-
-
-@pytest.mark.skipif(importlib.util.find_spec("numpy") is None, reason="needs numpy")
-def test_hiding_numpy_is_read_on_every_call(monkeypatch):
-    """Nothing about numpy is cached at import: ``REPRO_NO_NUMPY`` flipped
-    either way in one process flips what ``auto`` resolves to."""
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    assert resolve_backend("auto") == "numpy"
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert resolve_backend("auto") == "dict"
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    assert resolve_backend("auto") == "numpy"
-
-
-def test_every_entry_point_shares_one_default_backend(two_contexts):
-    """No ``backend=`` / ``scoring_backend=`` default disagrees with another.
-
-    A directly built service, server, index and replica index must all
-    score through the kernel ``PlatformConfig`` defaults to.
-    """
-    context, _ = two_contexts
-    service = RecommendationService(UserDB(), ItemCatalogView([]))
-    server = BuyerAgentServer(context, coordinator_agent_id="coordinator")
-    indexes = [
-        service.neighbor_index,
-        server.recommendations.neighbor_index,
-        ProfileNeighborIndex(),
-        ReplicaState("primary").neighbor_index(),
-    ]
-    expected = type(create_kernel(PlatformConfig().scoring_backend))
-    assert [type(index._kernel) for index in indexes] == [expected] * len(indexes)
-
-
-def test_kernel_factory_matches_roster():
-    for backend in available_backends():
-        kernel = create_kernel(backend)
-        assert kernel.name == backend

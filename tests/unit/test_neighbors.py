@@ -13,13 +13,10 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.ratings import InteractionKind
-from repro.core.scoring import available_backends
 from repro.core.similarity import SimilarityConfig, find_similar_users
 from repro.ecommerce.platform_builder import build_platform
 
@@ -193,12 +190,11 @@ class TestIncrementalInvalidation:
         )
         assert neighbours == brute
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_an_update_burst_is_deferred_and_costs_one_rebuild(self, backend):
+    def test_an_update_burst_is_deferred_and_costs_one_rebuild(self):
         """Hooks only mark state dirty; the next query re-indexes the touched
         consumer once, however many updates the burst held."""
         profiles = community()
-        index = ProfileNeighborIndex(profiles=profiles.values(), backend=backend)
+        index = ProfileNeighborIndex(profiles=profiles.values())
         index.find_similar(profiles["alice"])
         rebuilds, mutations = index.rebuilds, index.mutations
 
@@ -304,12 +300,11 @@ def _fresh_row_community():
     return profiles
 
 
-@pytest.mark.parametrize("backend", available_backends())
 class TestFreshRowTarget:
     """A target that is the index's own up-to-date row is read from the row;
     any other target is flattened on the spot.  Same pairs, same floats."""
 
-    def test_own_row_answers_exactly_like_a_detached_copy(self, backend, monkeypatch):
+    def test_own_row_answers_exactly_like_a_detached_copy(self, monkeypatch):
         profiles = _fresh_row_community()
         flattened = []
         flatten = Profile.flattened_terms
@@ -318,7 +313,7 @@ class TestFreshRowTarget:
             "flattened_terms",
             lambda self: flattened.append(self) or flatten(self),
         )
-        index = ProfileNeighborIndex(profiles=profiles.values(), backend=backend)
+        index = ProfileNeighborIndex(profiles=profiles.values())
         index.sync()
         for target in profiles.values():
             for category in (None, "books", "electronics", "toys"):
@@ -332,12 +327,12 @@ class TestFreshRowTarget:
                     target, profiles.values(), index.config, category=category
                 )
 
-    def test_an_unstamped_edit_shows_only_after_invalidate(self, backend):
+    def test_an_unstamped_edit_shows_only_after_invalidate(self):
         """Editing a profile in place without the learner moves no stamp:
         the row is stale, and so is the target side read from it, until
         ``invalidate`` — after which both sides of every query see the edit."""
         profiles = _fresh_row_community()
-        index = ProfileNeighborIndex(profiles=profiles.values(), backend=backend)
+        index = ProfileNeighborIndex(profiles=profiles.values())
         alice, bob = profiles["alice"], profiles["bob"]
         before = {name: index.find_similar(profiles[name]) for name in profiles}
 
