@@ -23,24 +23,25 @@ echo "== tier-1: unit + property + integration tests (20 slowest on record; =="
 echo "==         a DeprecationWarning is an error)                          =="
 python -m pytest -x -q --durations=20 -W error::DeprecationWarning tests
 
+echo "== tier-1: benchmark smokes (a DeprecationWarning is an error)   =="
 echo "== tier-1: benchmark smoke (neighbor index scaling + scoring-  =="
 echo "==         kernel trajectory: deterministic block must        =="
 echo "==         regenerate byte-for-byte, recorded full-mode       =="
 echo "==         timings must hold the dict-vs-brute floor)         =="
-python -m pytest -x -q benchmarks/bench_neighbors_scaling.py
+python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_neighbors_scaling.py
 
 echo "== tier-1: benchmark smoke (concurrent load + artifact reproduction) =="
-python -m pytest -x -q benchmarks/bench_concurrent_load.py
+python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_concurrent_load.py
 
 echo "== tier-1: benchmark smoke (saturation sweep: artifact reproduction, =="
 echo "==         goodput knee, closed taxonomy, shed/rejected agreement)   =="
-python -m pytest -x -q benchmarks/bench_saturation_sweep.py
+python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_saturation_sweep.py
 
 echo "== tier-1: benchmark smoke (elastic fleet + artifact reproduction) =="
-python -m pytest -x -q benchmarks/bench_elastic_fleet.py
+python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_elastic_fleet.py
 
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
-python -m pytest -x -q benchmarks/bench_adversarial.py
+python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adversarial.py
 
 echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="
 echo "==         experiment must still run and assert its rows)            =="

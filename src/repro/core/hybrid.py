@@ -9,8 +9,9 @@ Concretely the :class:`AgentHybridRecommender` does what the BRA asks the
 mechanism to do in the Figure 4.2 workflow:
 
 1. load the active consumer's hierarchical profile;
-2. find the most similar other consumers in UserDB with
-   :func:`repro.core.similarity.find_similar_users`, applying the Figure 4.5
+2. find the most similar other consumers in UserDB through the
+   :class:`~repro.core.neighbors.ProfileNeighborIndex` (score-identical to
+   :func:`repro.core.similarity.find_similar_users`), applying the Figure 4.5
    discard rule for the queried category — **once per request**: the one
    neighbour list serves both steps below;
 3. collect the merchandise those similar consumers prefer (their observational
@@ -51,14 +52,12 @@ from repro.core.recommender import Recommendation, Recommender, ranked_pairs
 from repro.core.similarity import (
     SimilarityConfig,
     cosine_similarity_cached,
-    find_similar_users,
     vector_norm,
 )
 
 __all__ = ["AgentHybridRecommender"]
 
 ProfileProvider = Callable[[str], Optional[Profile]]
-AllProfilesProvider = Callable[[], Iterable[Profile]]
 
 
 class AgentHybridRecommender(Recommender):
@@ -71,11 +70,10 @@ class AgentHybridRecommender(Recommender):
         ratings: RatingsStore,
         catalog: ItemCatalogView,
         profile_of: ProfileProvider,
-        all_profiles: AllProfilesProvider,
+        neighbor_index: ProfileNeighborIndex,
         similarity_config: Optional[SimilarityConfig] = None,
         collaborative_weight: float = 0.6,
         content_weight: float = 0.4,
-        neighbor_index: Optional[ProfileNeighborIndex] = None,
     ) -> None:
         if collaborative_weight < 0 or content_weight < 0:
             raise RecommendationError("mixing weights cannot be negative")
@@ -84,7 +82,6 @@ class AgentHybridRecommender(Recommender):
         self.ratings = ratings
         self.catalog = catalog
         self.profile_of = profile_of
-        self.all_profiles = all_profiles
         self.similarity_config = similarity_config or SimilarityConfig()
         self.collaborative_weight = collaborative_weight
         self.content_weight = content_weight
@@ -96,21 +93,14 @@ class AgentHybridRecommender(Recommender):
     def similar_users(
         self, user_id: str, category: Optional[str] = None
     ) -> List[Tuple[str, float]]:
-        """The similar-consumer list the mechanism bases recommendations on.
-
-        Uses the precomputed :class:`ProfileNeighborIndex` when one is wired
-        in (score-identical to the brute-force scan, just faster) and falls
-        back to scanning ``all_profiles()`` otherwise.
-        """
+        """The similar-consumer list the mechanism bases recommendations on,
+        from the :class:`ProfileNeighborIndex` (score-identical to the
+        brute-force scan, just faster)."""
         target = self.profile_of(user_id)
         if target is None or target.is_empty():
             return []
-        if self.neighbor_index is not None:
-            return self.neighbor_index.find_similar(
-                target, category=category, config=self.similarity_config
-            )
-        return find_similar_users(
-            target, self.all_profiles(), self.similarity_config, category=category
+        return self.neighbor_index.find_similar(
+            target, category=category, config=self.similarity_config
         )
 
     # -- scoring helpers ---------------------------------------------------------

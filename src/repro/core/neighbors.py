@@ -6,9 +6,12 @@ every pair, which makes one similar-user search O(users × profile size).  That
 is the hot path of the whole mechanism — the BRA runs it for every
 recommendation request — so the index here restructures it:
 
-- **Per-profile caches.**  For every consumer the index keeps the category
-  preference vector, the flattened term vector and both vector norms, built
-  once and reused across queries instead of recomputed per pair.
+- **One store.**  For every consumer the scoring kernel holds one row: the
+  category preference vector, the flattened term vector and both vector
+  norms, built once and reused across queries instead of recomputed per
+  pair, stamped with the profile's change stamp (:func:`profile_stamp`).
+  The index itself keeps only its input side — the profiles it was handed
+  and which of them are dirty.
 - **Score only what can reach the top-k.**  The scoring kernel
   (:mod:`repro.core.scoring`) answers the top-k itself: it skips every
   category-signature partition whose block-max bound is under the k-th
@@ -16,13 +19,13 @@ recommendation request — so the index here restructures it:
   pairs.  The Figure 4.5 discard rule ("if Consumer X's preference
   merchandise item value Tx [is] different from ... Ty, the similarity
   result will be discarded") is applied to rows that could enter the
-  answer, from a per-category ``user → value`` map, not to the whole
-  community.
+  answer, reading each one's value from its own preference column, not to
+  the whole community.
 - **Incremental invalidation.**  :class:`~repro.core.profile_learning.ProfileLearner`
   fires an update hook per feedback event; the index marks exactly that
-  consumer dirty and lazily rebuilds its caches on the next query.  A version
-  stamp (``feedback_events`` / ``updated_at``) is checked as a second line of
-  defence so profiles replaced wholesale in UserDB are also picked up.
+  consumer dirty and lazily re-indexes it on the next query.  The row's
+  stamp is checked as a second line of defence so profiles replaced
+  wholesale in UserDB are also picked up.
 
 The indexed search is score-identical to the brute-force one: it replicates
 the same cosine formulas over the same dictionaries (see the property suite in
@@ -32,7 +35,6 @@ the same cosine formulas over the same dictionaries (see the property suite in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.profile import Profile
@@ -43,26 +45,19 @@ from repro.core.similarity import (
     vector_norm as _norm,
 )
 
-__all__ = ["ProfileNeighborIndex"]
+__all__ = ["ProfileNeighborIndex", "profile_stamp"]
 
 ProfilesProvider = Callable[[], Iterable[Profile]]
 
 
-@dataclass
-class _ProfileEntry:
-    """Cached similarity inputs of one indexed consumer."""
+def profile_stamp(profile: Profile) -> Tuple[int, int, float, int]:
+    """Cheap change stamp: object identity plus the learner's counters.
 
-    user_id: str
-    profile: Profile
-    prefs: Dict[str, float]
-    pref_norm: float
-    terms: Dict[str, float]
-    term_norm: float
-    version: Tuple[int, int, float, int]
-
-
-def _version_of(profile: Profile) -> Tuple[int, int, float, int]:
-    """Cheap change stamp: object identity plus the learner's counters."""
+    The identity is sound inside the index: it holds each stamped profile
+    in ``_profiles_by_id`` until a replacement arrives, which was created
+    while the stamped one lived (so has another id), or through the
+    learner hook, which marks the consumer dirty.
+    """
     return (
         id(profile),
         profile.feedback_events,
@@ -72,7 +67,7 @@ def _version_of(profile: Profile) -> Tuple[int, int, float, int]:
 
 
 class ProfileNeighborIndex:
-    """Precomputed per-profile caches for neighbor search.
+    """Neighbor search over one kernel row per consumer.
 
     The index can be fed two ways:
 
@@ -85,7 +80,7 @@ class ProfileNeighborIndex:
     Invalidation is incremental: :meth:`on_profile_update` (the hook handed to
     :meth:`~repro.core.profile_learning.ProfileLearner.add_update_hook` via
     :meth:`attach_to`) marks only the touched consumer dirty; everyone else's
-    caches survive untouched.
+    rows survive untouched.
     """
 
     def __init__(
@@ -105,15 +100,13 @@ class ProfileNeighborIndex:
         self._provider_version = provider_version
         self._last_provider_stamp: Optional[int] = None
         self._hooked = False
-        self._entries: Dict[str, _ProfileEntry] = {}
+        # Every consumer the index knows; the kernel holds a row for each
+        # one that is not dirty.
         self._profiles_by_id: Dict[str, Profile] = {}
         self._dirty: Set[str] = set()
-        # category → user → scalar preference value (what the discard rule
-        # reads).
-        self._category_values: Dict[str, Dict[str, float]] = {}
         self.rebuilds = 0
         self.queries = 0
-        # Monotone stamp bumped on every entry (re)index or drop;
+        # Monotone stamp bumped on every row (re)index or drop;
         # RecommendationService.batch_refresh uses it to prove a cached
         # recommendation list is still current.
         self.mutations = 0
@@ -124,10 +117,8 @@ class ProfileNeighborIndex:
 
     def build(self, profiles: Iterable[Profile]) -> None:
         """Index ``profiles`` from scratch, discarding any previous state."""
-        self._entries.clear()
         self._profiles_by_id.clear()
         self._dirty.clear()
-        self._category_values.clear()
         self._kernel.reset()
         for profile in profiles:
             self.add(profile)
@@ -142,12 +133,13 @@ class ProfileNeighborIndex:
         """Forget a consumer entirely."""
         self._profiles_by_id.pop(user_id, None)
         self._dirty.discard(user_id)
-        self._drop_entry(user_id)
+        if self._kernel.drop(user_id):
+            self.mutations += 1
 
     # -- invalidation ---------------------------------------------------------
 
     def invalidate(self, user_id: str) -> None:
-        """Mark one consumer's caches stale; rebuilt lazily on next query."""
+        """Mark one consumer's row stale; re-indexed lazily on next query."""
         if user_id in self._profiles_by_id:
             self._dirty.add(user_id)
 
@@ -164,7 +156,7 @@ class ProfileNeighborIndex:
         self._hooked = True
 
     def dirty_users(self) -> Set[str]:
-        """The consumers whose caches are currently stale (for tests)."""
+        """The consumers whose rows are currently stale (for tests)."""
         return set(self._dirty)
 
     def indexed_profiles(self) -> List[Profile]:
@@ -177,14 +169,10 @@ class ProfileNeighborIndex:
         :meth:`build` keeps counting)."""
         return self._kernel.bound_skips
 
-    def cached_entry(self, user_id: str) -> Optional[_ProfileEntry]:
-        """The raw cached entry of one consumer (for tests/diagnostics)."""
-        return self._entries.get(user_id)
-
     # -- synchronisation ------------------------------------------------------
 
     def sync(self) -> int:
-        """Reconcile caches with the profile source; return rebuild count.
+        """Reconcile rows with the profile source; return rebuild count.
 
         Normally a full reconcile against the provider (O(community), cheap
         per profile but linear).  When learner hooks are attached and the
@@ -200,43 +188,30 @@ class ProfileNeighborIndex:
             and self._provider_version() == self._last_provider_stamp
         ):
             return self._rebuild_dirty()
-        rebuilt = 0
-        if self._provider is not None:
-            if self._provider_version is not None:
-                self._last_provider_stamp = self._provider_version()
-            current: Dict[str, Profile] = {}
-            for profile in self._provider():
-                current[profile.user_id] = profile
-            for user_id in list(self._entries):
-                if user_id not in current:
-                    self.remove(user_id)
-            for user_id, profile in current.items():
-                self._profiles_by_id[user_id] = profile
-                entry = self._entries.get(user_id)
-                if (
-                    entry is None
-                    or user_id in self._dirty
-                    or entry.version != _version_of(profile)
-                ):
-                    self._index_profile(profile)
-                    rebuilt += 1
-        else:
+        if self._provider is None:
             return self._rebuild_dirty()
+        if self._provider_version is not None:
+            self._last_provider_stamp = self._provider_version()
+        current = {profile.user_id: profile for profile in self._provider()}
+        # Every consumer the index knows, indexed or still pending.
+        for user_id in [user_id for user_id in self._profiles_by_id if user_id not in current]:
+            self.remove(user_id)
+        rebuilt = 0
+        for user_id, profile in current.items():
+            self._profiles_by_id[user_id] = profile
+            if user_id in self._dirty or self._kernel.stamp_of(user_id) != profile_stamp(profile):
+                self._index_profile(profile)
+                rebuilt += 1
         self._dirty.clear()
         return rebuilt
 
     def _rebuild_dirty(self) -> int:
         """Rebuild only hook-flagged consumers (no provider reconcile)."""
-        rebuilt = 0
-        # Sorted: the order fixes kernel row numbers and ``_entries`` order,
+        # Sorted: the order fixes kernel row numbers and membership order,
         # which must not depend on how a set of strings happens to iterate.
         for user_id in sorted(self._dirty):
-            profile = self._profiles_by_id.get(user_id)
-            if profile is None:
-                self._drop_entry(user_id)
-                continue
-            self._index_profile(profile)
-            rebuilt += 1
+            self._index_profile(self._profiles_by_id[user_id])
+        rebuilt = len(self._dirty)
         self._dirty.clear()
         return rebuilt
 
@@ -255,14 +230,14 @@ class ProfileNeighborIndex:
         deterministic tie-breaking.  The target itself is never included and
         does not need to be indexed.
 
-        The target side (preference and flattened term vectors, norms) is read
-        from the index's own row when, after ``sync()``, ``target`` *is* that
-        row's profile at that row's stamp (``_version_of``: same object, same
-        counters) — the row holds the output of the same calls on the same
-        unchanged object — and flattened here otherwise (a detached copy, an
-        unindexed consumer).  A profile edited in place *without* the learner
-        is thus invisible as a target exactly as long as it is invisible as a
-        row: until ``invalidate(user_id)``.
+        The target side (preference and flattened term vectors, norms) is
+        rebuilt from the index's own row when, after ``sync()``, ``target``
+        *is* that row's profile at that row's stamp (:func:`profile_stamp`:
+        same object, same counters) — the row holds the output of the same
+        calls on the same unchanged object — and flattened here otherwise (a
+        detached copy, an unindexed consumer).  A profile edited in place
+        *without* the learner is thus invisible as a target exactly as long
+        as it is invisible as a row: until ``invalidate(user_id)``.
 
         A query is one :meth:`~repro.core.scoring.DictKernel.top_pairs`
         call: the kernel's exact ``sorted(valid, key=(-score, user_id))``
@@ -274,29 +249,21 @@ class ProfileNeighborIndex:
         self.sync()
         self.queries += 1
 
-        entry = self._entries.get(target.user_id)
-        if entry is not None and entry.version == _version_of(target):
-            target_prefs, pref_norm = entry.prefs, entry.pref_norm
-            terms, term_norm = entry.terms, entry.term_norm
+        kernel = self._kernel
+        if kernel.stamp_of(target.user_id) == profile_stamp(target):
+            tq = kernel.target_of(target.user_id)
         else:
-            target_prefs = target.preference_vector()
+            prefs = target.preference_vector()
             terms = target.flattened_terms().as_dict()
-            pref_norm, term_norm = _norm(target_prefs), _norm(terms)
-        tq = TargetState(target_prefs, pref_norm, terms, term_norm)
-        discard = None
+            tq = TargetState(prefs, _norm(prefs), terms, _norm(terms))
+        # Figure 4.5 discard rule, the brute-force predicate verbatim; a
+        # consumer without the category has an implicit preference of 0.0.
+        discard_rule = None
         if category is not None:
-            # Figure 4.5 discard rule, the brute-force predicate verbatim; a
-            # consumer without the category has an implicit preference of 0.0.
-            tolerance = config.discard_tolerance
-            target_value = target_prefs.get(category, 0.0)
-            values = self._category_values.get(category, {})
-
-            def discard(user_id: str) -> bool:
-                return not abs(target_value - values.get(user_id, 0.0)) <= tolerance
-
+            discard_rule = (category, tq.prefs.get(category, 0.0), config.discard_tolerance)
         preference_weight = config.preference_weight
         term_weight = config.term_weight
-        return self._kernel.top_pairs(
+        return kernel.top_pairs(
             tq,
             preference_weight,
             term_weight,
@@ -304,58 +271,29 @@ class ProfileNeighborIndex:
             config.min_similarity,
             target.user_id,
             config.top_k,
-            discard,
+            discard_rule,
         )
 
     # -- internals ------------------------------------------------------------
 
     def _index_profile(self, profile: Profile) -> None:
-        user_id = profile.user_id
-        old = self._entries.get(user_id)
-        if old is not None:
-            self._unlink_categories(old)
-        prefs = profile.preference_vector()
-        terms = profile.flattened_terms().as_dict()
-        entry = _ProfileEntry(
-            user_id=user_id,
-            profile=profile,
-            prefs=prefs,
-            pref_norm=_norm(prefs),
-            terms=terms,
-            term_norm=_norm(terms),
-            version=_version_of(profile),
+        self._kernel.put(
+            profile.user_id,
+            profile.preference_vector(),
+            profile.flattened_terms().as_dict(),
+            profile_stamp(profile),
         )
-        self._entries[user_id] = entry
-        self._kernel.entry_changed(entry)
-        for name, value in prefs.items():
-            self._category_values.setdefault(name, {})[user_id] = value
         self.rebuilds += 1
         self.mutations += 1
 
-    def _drop_entry(self, user_id: str) -> None:
-        entry = self._entries.pop(user_id, None)
-        if entry is not None:
-            self._unlink_categories(entry)
-            self._kernel.entry_removed(user_id)
-            self.mutations += 1
-
-    def _unlink_categories(self, entry: _ProfileEntry) -> None:
-        for name in entry.prefs:
-            bucket = self._category_values.get(name)
-            if bucket is not None:
-                bucket.pop(entry.user_id, None)
-                if not bucket:
-                    del self._category_values[name]
-
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._kernel)
 
     def __contains__(self, user_id: str) -> bool:
-        return user_id in self._entries
+        return user_id in self._kernel
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ProfileNeighborIndex(entries={len(self._entries)}, "
+            f"ProfileNeighborIndex(entries={len(self)}, "
             f"dirty={len(self._dirty)}, rebuilds={self.rebuilds})"
         )
-

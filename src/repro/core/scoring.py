@@ -2,10 +2,12 @@
 
 :class:`~repro.core.neighbors.ProfileNeighborIndex` scores candidates through
 :class:`DictKernel`: pure Python, exact scoring over **category-signature
-partitions**, pruned by **block-max bounds**.  A consumer's signature is its
-preference keys in order; every indexed consumer holds a row in the
-:class:`_Partition` of its signature, maintained through ``entry_changed`` /
-``entry_removed`` / ``reset``.  Inside a partition every preference vector
+partitions**, pruned by **block-max bounds**.  The kernel is the index's only
+per-consumer store: :meth:`DictKernel.put` takes a consumer's plain
+preference and term vectors and change stamp, and holds them as one row in
+the :class:`_Partition` of its signature — its preference keys in order —
+beside the two norms it computes; :meth:`DictKernel.drop` and
+:meth:`DictKernel.reset` let rows go.  Inside a partition every preference vector
 has the same keys in the same order, so the preference side is dense columns
 and one summation order — the reference's, which iterates the shorter vector
 (the target on a tie) — serves every row.  The term side is a posting list
@@ -20,7 +22,8 @@ score held).  Inside a visited one the term walk screens the rows: a row's
 walk cosine and the partition's preference bound bound its score, rows are
 visited best walk first, and only a visited row has its preference cosine
 summed and its score taken; the visit stops at the first row whose bound is
-under the floor.
+under the floor.  The Figure 4.5 discard rule reads a candidate's category
+preference from its own column (0.0 when the signature lacks the category).
 
 The kernel drops the ``x * 0.0`` products of keys one side lacks.  That can
 only change the sign of a dot that is exactly zero, which the score cannot
@@ -34,19 +37,16 @@ profiles (zero norms, empty term sets, single ratings, disjoint categories,
 shared keys in different orders with magnitudes far enough apart that float
 addition visibly does not associate) and asserts ``==`` on every score.
 :meth:`DictKernel.top_pairs` scores only the rows whose bound reaches the
-floor; :meth:`DictKernel.score_block` runs the same row-scoring routine over
-every row without a floor, for the differential suites.
+floor; :meth:`_Partition.select` without a preference bound scores every row
+of a partition, which the differential suites hold it to.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
-from repro.core.similarity import cosine_similarity_cached
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.core.neighbors import _ProfileEntry
+from repro.core.similarity import cosine_similarity_cached, vector_norm
 
 __all__ = ["DictKernel", "TargetState"]
 
@@ -54,8 +54,9 @@ __all__ = ["DictKernel", "TargetState"]
 class TargetState:
     """Per-query view of the target profile's vectors.
 
-    Built once per query by the index and handed to
-    :meth:`DictKernel.top_pairs` / :meth:`DictKernel.score_block`.
+    Built once per query by the index — flattened from the target profile,
+    or rebuilt from its own row by :meth:`DictKernel.target_of` — and handed
+    to :meth:`DictKernel.top_pairs`.
     """
 
     __slots__ = ("prefs", "pref_norm", "terms", "term_norm")
@@ -133,7 +134,8 @@ class _Partition:
     signature's order, so the preference side is dense: ``columns[j][row]``
     is the weight of ``signature[j]``.  The term side is a posting list,
     ``postings[key][row]``, beside each row's term vector ``terms[row]``
-    (``None`` for a free row), walked by :meth:`walk`.  ``pref_peaks[j]`` /
+    (``None`` for a free row), walked by :meth:`walk`; ``stamps[row]`` is the
+    change stamp the row was put at.  ``pref_peaks[j]`` /
     ``term_peaks[key]`` are the largest ``|weight| / norm`` of a key over
     the rows whose norm is bounded — the block maxima :meth:`pref_bound`
     and :meth:`bound` read — and ``unbounded``
@@ -157,6 +159,7 @@ class _Partition:
         "terms",
         "term_norms",
         "term_peaks",
+        "stamps",
         "unbounded",
     )
 
@@ -173,39 +176,46 @@ class _Partition:
         self.terms: List[Optional[Dict[str, float]]] = []
         self.term_norms: List[float] = []
         self.term_peaks: Dict[str, float] = {}
+        self.stamps: List[Hashable] = []
         self.unbounded = 0
 
     # -- lifecycle ------------------------------------------------------------
 
-    def link(self, entry: "_ProfileEntry") -> None:
-        row = self.row_of.get(entry.user_id)
+    def link(
+        self, user_id: str, prefs: Dict[str, float], terms: Dict[str, float], stamp: Hashable
+    ) -> None:
+        """Hold ``user_id``'s vectors (``prefs`` has the signature's keys in
+        order) in its row, taking a free row or a new one for a newcomer."""
+        row = self.row_of.get(user_id)
         if row is None:
             if self.free:
                 row = self.free.pop()
-                self.user_ids[row] = entry.user_id
+                self.user_ids[row] = user_id
             else:
                 row = len(self.user_ids)
-                self.user_ids.append(entry.user_id)
+                self.user_ids.append(user_id)
                 for column in self.columns:
                     column.append(0.0)
                 self.pref_norms.append(0.0)
                 self.terms.append(None)
                 self.term_norms.append(0.0)
-            self.row_of[entry.user_id] = row
+                self.stamps.append(None)
+            self.row_of[user_id] = row
         else:
             self._clear(row)
-        pref_norm, term_norm = entry.pref_norm, entry.term_norm
+        pref_norm, term_norm = vector_norm(prefs), vector_norm(terms)
         self.pref_norms[row] = pref_norm
-        self.terms[row] = entry.terms
+        self.terms[row] = terms
         self.term_norms[row] = term_norm
+        self.stamps[row] = stamp
         self.unbounded += _unbounded(pref_norm) + _unbounded(term_norm)
         pref_peaks = self.pref_peaks
-        for index, weight in enumerate(entry.prefs.values()):
+        for index, weight in enumerate(prefs.values()):
             self.columns[index][row] = weight
             if _bounded(pref_norm) and abs(weight) / pref_norm > pref_peaks[index]:
                 pref_peaks[index] = abs(weight) / pref_norm
         postings, term_peaks = self.postings, self.term_peaks
-        for key, weight in entry.terms.items():
+        for key, weight in terms.items():
             bucket = postings.get(key)
             if bucket is None:
                 bucket = postings[key] = {}
@@ -226,6 +236,7 @@ class _Partition:
         self.pref_norms[row] = 0.0
         self.terms[row] = None
         self.term_norms[row] = 0.0
+        self.stamps[row] = None
         for index, column in enumerate(self.columns):
             weight = column[row]
             column[row] = 0.0
@@ -332,12 +343,17 @@ class _Partition:
         floor: float,
         exclude_user: Optional[str],
         top_k: int,
-        discard: Optional[Callable[[str], bool]],
+        discard_rule: Optional[Tuple[str, float, float]],
         held: List[Tuple[float, str]],
     ) -> Tuple[float, int]:
         """Merge the partition's valid rows scoring at least ``floor`` into
         ``held`` (``(-score, user_id)``, best first, at most ``top_k``);
         return the new floor and the number of rows scored.
+
+        A ``discard_rule`` ``(category, target value, tolerance)`` is the
+        Figure 4.5 rule: a scored row whose preference for ``category`` —
+        read from its column, 0.0 when the signature lacks the category —
+        differs from the target's by more than ``tolerance`` is not held.
 
         The term walk screens the rows; only a visited row is scored.  Its
         preference cosine sums the shared columns in the reference's order
@@ -381,6 +397,10 @@ class _Partition:
                 ]
         if shared:
             (first_value, first_column), *rest = shared
+        if discard_rule is not None:
+            category, target_value, tolerance = discard_rule
+            index = self.position.get(category)
+            values = None if index is None else self.columns[index]
         user_ids, terms_of, term_norms, pref_norms = (
             self.user_ids, self.terms, self.term_norms, self.pref_norms
         )
@@ -414,7 +434,10 @@ class _Partition:
             else:
                 term = walks[row]
             score = _score(pref, term, preference_weight, term_weight, total_weight)
-            if score < floor or (discard is not None and discard(user_id)):
+            if score < floor or (
+                discard_rule is not None
+                and not abs(target_value - (0.0 if values is None else values[row])) <= tolerance
+            ):
                 continue
             insort(held, (-score, user_id))
             if len(held) > top_k:
@@ -425,16 +448,15 @@ class _Partition:
 
 
 class DictKernel:
-    """Exact scoring over category-signature partitions, pruned by block-max
-    bounds.
+    """The neighbour index's store, scored exactly over category-signature
+    partitions pruned by block-max bounds.
 
-    Every indexed consumer holds a row in the :class:`_Partition` of its
-    category signature, maintained through the entry lifecycle.
-    :meth:`top_pairs` scores only the rows whose bound reaches the floor;
-    :meth:`score_block` scores every row.  Both go through
-    :meth:`_Partition.select`, and every score either returns is
-    bit-identical to
-    :func:`repro.core.similarity.find_similar_users`'s.
+    Every held consumer is one row in the :class:`_Partition` of its
+    category signature, and one entry of the ``user_id → partition``
+    membership map: :meth:`put` / :meth:`drop` keep both.  :meth:`top_pairs`
+    scores only the rows whose bound reaches the floor, through
+    :meth:`_Partition.select`, and every score it returns is bit-identical
+    to :func:`repro.core.similarity.find_similar_users`'s.
     """
 
     def __init__(self) -> None:
@@ -446,49 +468,60 @@ class DictKernel:
     def reset(self) -> None:
         """Drop every row (the index is rebuilt from scratch)."""
         self._partitions: Dict[Tuple[str, ...], _Partition] = {}
-        self._signature_of: Dict[str, Tuple[str, ...]] = {}
+        self._partition_of: Dict[str, _Partition] = {}
 
-    def entry_changed(self, entry: "_ProfileEntry") -> None:
-        """An entry was (re)indexed: link it into its signature's partition."""
-        signature = tuple(entry.prefs)
-        old = self._signature_of.get(entry.user_id)
-        if old is not None and old != signature:
-            self._unlink(entry.user_id, old)
+    def __len__(self) -> int:
+        return len(self._partition_of)
+
+    def __contains__(self, user_id: str) -> bool:
+        return user_id in self._partition_of
+
+    def put(
+        self,
+        user_id: str,
+        prefs: Dict[str, float],
+        terms: Dict[str, float],
+        stamp: Hashable = None,
+    ) -> None:
+        """Hold ``user_id``'s preference and term vectors at ``stamp``,
+        replacing its row — in another partition when its signature moved."""
+        signature = tuple(prefs)
         partition = self._partitions.get(signature)
         if partition is None:
             partition = self._partitions[signature] = _Partition(signature)
-        partition.link(entry)
-        self._signature_of[entry.user_id] = signature
+        old = self._partition_of.get(user_id)
+        if old is not None and old is not partition:
+            self._unlink(user_id, old)
+        partition.link(user_id, prefs, terms, stamp)
+        self._partition_of[user_id] = partition
 
-    def entry_removed(self, user_id: str) -> None:
-        """An entry was dropped from the index: unlink its row."""
-        signature = self._signature_of.pop(user_id, None)
-        if signature is not None:
-            self._unlink(user_id, signature)
+    def drop(self, user_id: str) -> bool:
+        """Let ``user_id``'s row go; whether it held one."""
+        partition = self._partition_of.pop(user_id, None)
+        if partition is None:
+            return False
+        self._unlink(user_id, partition)
+        return True
 
-    def _unlink(self, user_id: str, signature: Tuple[str, ...]) -> None:
-        partition = self._partitions[signature]
+    def _unlink(self, user_id: str, partition: _Partition) -> None:
         partition.unlink(user_id)
         if not partition.row_of:
-            del self._partitions[signature]
+            del self._partitions[partition.signature]
 
-    def score_block(
-        self,
-        tq: TargetState,
-        preference_weight: float,
-        term_weight: float,
-        total_weight: float,
-    ) -> Dict[str, float]:
-        """Every row's score, ``{user_id: score}``: the unpruned reference
-        :meth:`top_pairs` is held to."""
-        held: List[Tuple[float, str]] = []
-        for partition in self._partitions.values():
-            partition.select(
-                tq, preference_weight, term_weight, total_weight,
-                pref_bound=None, floor=0.0, exclude_user=None,
-                top_k=len(self._signature_of), discard=None, held=held,
-            )
-        return {user_id: -negative for negative, user_id in held}
+    def stamp_of(self, user_id: str) -> Hashable:
+        """The stamp ``user_id``'s row was put at; ``None`` without a row."""
+        partition = self._partition_of.get(user_id)
+        return None if partition is None else partition.stamps[partition.row_of[user_id]]
+
+    def target_of(self, user_id: str) -> TargetState:
+        """The vectors ``user_id``'s row was put with, as a query target: its
+        preferences in signature order, its terms and both norms."""
+        partition = self._partition_of[user_id]
+        row = partition.row_of[user_id]
+        prefs = dict(zip(partition.signature, [column[row] for column in partition.columns]))
+        return TargetState(
+            prefs, partition.pref_norms[row], partition.terms[row], partition.term_norms[row]
+        )
 
     def top_pairs(
         self,
@@ -499,12 +532,13 @@ class DictKernel:
         minimum: float,
         exclude_user: str,
         top_k: int,
-        discard: Optional[Callable[[str], bool]] = None,
+        discard_rule: Optional[Tuple[str, float, float]] = None,
     ) -> List[Tuple[str, float]]:
-        """``sorted(valid, key=(-score, user_id))[:top_k]`` over
-        :meth:`score_block`'s map, where ``valid`` is every row but
-        ``exclude_user`` with ``score >= minimum`` that ``discard(user_id)``
-        does not reject — scoring only the rows that can reach it.
+        """``sorted(valid, key=(-score, user_id))[:top_k]`` over every row's
+        score, where ``valid`` is every row but ``exclude_user`` with
+        ``score >= minimum`` that ``discard_rule`` (see
+        :meth:`_Partition.select`) does not reject — scoring only the rows
+        that can reach it.
 
         The floor is ``minimum`` until ``top_k`` pairs are held, then the
         ``top_k``-th best held score; a row scoring under it ranks below
@@ -549,7 +583,7 @@ class DictKernel:
             floor, scored = partition.select(
                 tq, preference_weight, term_weight, total_weight,
                 pref_bound=pref_bound, floor=floor, exclude_user=exclude_user,
-                top_k=top_k, discard=discard, held=held,
+                top_k=top_k, discard_rule=discard_rule, held=held,
             )
             self.bound_skips += len(partition.row_of) - scored
         return [(user_id, -negative) for negative, user_id in held]

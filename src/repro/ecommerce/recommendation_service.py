@@ -14,7 +14,7 @@ from repro.core.cross_sell import CrossSellRecommender
 from repro.core.hybrid import AgentHybridRecommender
 from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.items import Item, ItemCatalogView
-from repro.core.neighbors import ProfileNeighborIndex, _version_of as _profile_stamp
+from repro.core.neighbors import ProfileNeighborIndex, profile_stamp
 from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommender
 from repro.core.profile import Profile
 from repro.core.profile_learning import ProfileLearner
@@ -67,9 +67,8 @@ class RecommendationService:
             ratings=user_db.ratings,
             catalog=catalog,
             profile_of=profile_of,
-            all_profiles=user_db.profiles,
-            similarity_config=self.similarity_config,
             neighbor_index=self.neighbor_index,
+            similarity_config=self.similarity_config,
         )
         self.information_filtering = InformationFilteringRecommender(catalog, profile_of)
         self.popularity = PopularityRecommender(user_db.ratings, catalog)
@@ -160,7 +159,7 @@ class RecommendationService:
         for user_id in dict.fromkeys(user_ids):
             profile = self.hybrid.profile_of(user_id)
             valid = validity[user_id] = (
-                k, stamp, None if profile is None else _profile_stamp(profile)
+                k, stamp, None if profile is None else profile_stamp(profile)
             )
             if user_id not in cache or cache[user_id][0] != valid:
                 stale.append(user_id)
@@ -197,7 +196,7 @@ class RecommendationService:
         lists = self.user_db.ratings.interaction_lists()
         return (
             {
-                profile.user_id: (profile, _profile_stamp(profile))
+                profile.user_id: (profile, profile_stamp(profile))
                 for profile in self.user_db.profiles()
             },
             {user_id: (history, len(history)) for user_id, history in lists.items()},
@@ -225,7 +224,7 @@ class RecommendationService:
             if held is None:
                 return False
             then, then_stamp = held
-            if _profile_stamp(then) != then_stamp or (
+            if profile_stamp(then) != then_stamp or (
                 profile is not then and profile.content_key() != then.content_key()
             ):
                 return False

@@ -285,8 +285,8 @@ class ReplicaState:
         it, and a read's ``sync()`` re-indexes exactly the consumers whose
         profiles changed since the last read — O(dirty), lazily at query
         time; an apply costs a ``None`` check while no index exists.
-        Answers are byte-identical to brute-forcing ``find_similar_users``
-        over ``db.profiles()`` (the PR 1 equivalence guarantee).
+        Answers are byte-identical to brute force:
+        ``find_similar_users`` over ``db.profiles()``.
         :meth:`bootstrap` swaps the shadow DB wholesale, so it drops the
         index; the next read rebuilds against the restored state.
         """

@@ -14,6 +14,7 @@ from repro.core.collaborative import CollaborativeFilteringRecommender
 from repro.core.hybrid import AgentHybridRecommender
 from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.items import ItemCatalogView
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.popularity import PopularityRecommender
 from repro.core.profile import Profile
 from repro.core.ratings import RatingsStore
@@ -86,9 +87,7 @@ def build_standard_recommenders(
     def profile_of(user_id: str) -> Optional[Profile]:
         return profiles.get(user_id)
 
-    def all_profiles():
-        return list(profiles.values())
-
+    similarity_config = similarity_config or SimilarityConfig()
     return {
         "popularity": PopularityRecommender(ratings, catalog),
         "information-filtering": InformationFilteringRecommender(catalog, profile_of),
@@ -97,8 +96,8 @@ def build_standard_recommenders(
             ratings=ratings,
             catalog=catalog,
             profile_of=profile_of,
-            all_profiles=all_profiles,
-            similarity_config=similarity_config or SimilarityConfig(),
+            neighbor_index=ProfileNeighborIndex(provider=profiles.values, config=similarity_config),
+            similarity_config=similarity_config,
         ),
     }
 

@@ -134,3 +134,17 @@ def make_item(
 @pytest.fixture
 def item_factory():
     return make_item
+
+
+def score_block(kernel, tq, preference_weight, term_weight, total_weight):
+    """Every row's score, ``{user_id: score}``: each partition's
+    ``_Partition.select`` without a preference bound or a floor — the
+    unpruned reference ``DictKernel.top_pairs`` is held to."""
+    held = []
+    for partition in kernel._partitions.values():
+        partition.select(
+            tq, preference_weight, term_weight, total_weight,
+            pref_bound=None, floor=0.0, exclude_user=None,
+            top_k=len(kernel), discard_rule=None, held=held,
+        )
+    return {user_id: -negative for negative, user_id in held}

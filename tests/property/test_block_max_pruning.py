@@ -27,6 +27,8 @@ from repro.core.similarity import (
     vector_norm,
 )
 
+from tests.conftest import score_block
+
 #: Each category has its own terms and shares two with the next one, as the
 #: synthetic catalogue's categories do.
 POOLS = {
@@ -70,15 +72,13 @@ def unpruned(index, target, category, config):
     terms = target.flattened_terms().as_dict()
     tq = TargetState(prefs, vector_norm(prefs), terms, vector_norm(terms))
     total = config.preference_weight + config.term_weight
-    scores = index._kernel.score_block(
-        tq, config.preference_weight, config.term_weight, total
-    )
+    scores = score_block(index._kernel, tq, config.preference_weight, config.term_weight, total)
     discard = None
     if category is not None:
         target_value = prefs.get(category, 0.0)
         values = {
-            user_id: entry.prefs.get(category, 0.0)
-            for user_id, entry in index._entries.items()
+            profile.user_id: profile.preference_vector().get(category, 0.0)
+            for profile in index.indexed_profiles()
         }
 
         def discard(user_id):
@@ -157,11 +157,9 @@ def test_the_screen_visits_best_walk_first_and_stops_under_the_floor():
     barely do: the best walk is visited first, its score becomes the floor
     and the screen stops at the next row without scoring it."""
     kernel = DictKernel()
-    kernel.entry_changed(entry("user-9", {"books": 1.0}, {"novel": 1.0}))
+    kernel.put("user-9", {"books": 1.0}, {"novel": 1.0})
     for number in range(9):
-        kernel.entry_changed(
-            entry(f"user-{number}", {"books": 1.0}, {"novel": 0.1, "atlas": 1.0})
-        )
+        kernel.put(f"user-{number}", {"books": 1.0}, {"novel": 0.1, "atlas": 1.0})
     tq = TargetState({"books": 1.0}, 1.0, {"novel": 1.0}, 1.0)
     assert kernel.top_pairs(tq, 0.0, 1.0, 1.0, 0.05, "", 1) == [("user-9", 1.0)]
     assert kernel.bound_skips == 9
@@ -225,10 +223,10 @@ def test_every_row_scores_under_its_partitions_bounds(target, rows, removed, wei
     entries = {}
     for number, (row_prefs, row_terms) in enumerate(rows):
         entries[f"user-{number}"] = entry(f"user-{number}", row_prefs, row_terms)
-        kernel.entry_changed(entries[f"user-{number}"])
+        kernel.put(f"user-{number}", row_prefs, row_terms)
     for number in removed:
         if entries.pop(f"user-{number}", None) is not None:
-            kernel.entry_removed(f"user-{number}")
+            kernel.drop(f"user-{number}")
     target = entry("target", *target)
     tq = TargetState(target.prefs, target.pref_norm, target.terms, target.term_norm)
     preference_weight, term_weight = weights
@@ -255,11 +253,11 @@ def test_a_tie_across_partitions_keeps_the_smaller_user_id():
     """Two consumers in different partitions score exactly alike; whichever
     partition is visited first, the floor admits the other's tie."""
     kernel = DictKernel()
-    kernel.entry_changed(entry("user-b", {"books": 3.0}, {}))
-    kernel.entry_changed(entry("user-a", {"books": 3.0, "music": 0.0}, {}))
-    kernel.entry_changed(entry("user-c", {"music": 1.0}, {"jazz": 1.0}))
+    kernel.put("user-b", {"books": 3.0}, {})
+    kernel.put("user-a", {"books": 3.0, "music": 0.0}, {})
+    kernel.put("user-c", {"music": 1.0}, {"jazz": 1.0})
     tq = TargetState({"books": 5.0}, 5.0, {}, 0.0)
-    scores = kernel.score_block(tq, 0.6, 0.4, 1.0)
+    scores = score_block(kernel, tq, 0.6, 0.4, 1.0)
     assert scores["user-a"] == scores["user-b"] > 0.0
     for top_k in (1, 2, 3):
         assert kernel.top_pairs(tq, 0.6, 0.4, 1.0, 0.0, "", top_k) == full_sort(
@@ -322,7 +320,7 @@ def test_subnormal_weights_turn_the_pruning_off():
         "user-b": {"k0": 1.0},
     }
     for user_id, row_terms in rows.items():
-        kernel.entry_changed(entry(user_id, {"books": 1.0}, row_terms))
+        kernel.put(user_id, {"books": 1.0}, row_terms)
     target = entry("target", {"books": 1.0}, target_terms)
     tq = TargetState(target.prefs, target.pref_norm, target.terms, target.term_norm)
     weight = 3 * 5e-324
@@ -360,19 +358,19 @@ def test_a_departing_row_takes_its_block_maximum_with_it():
 
     kernel = DictKernel()
     for user_id, (row_prefs, row_terms) in rows.items():
-        kernel.entry_changed(entry(user_id, row_prefs, row_terms))
+        kernel.put(user_id, row_prefs, row_terms)
     (partition,) = kernel._partitions.values()
     before = peaks(rows)
     assert (partition.pref_peaks, partition.term_peaks) == before
     # user-a holds the books and novel peaks; user-c the music, jazz and
     # opera ones.
     del rows["user-a"]
-    kernel.entry_removed("user-a")
+    kernel.drop("user-a")
     assert (partition.pref_peaks, partition.term_peaks) == peaks(rows)
     assert partition.pref_peaks[0] < before[0][0]
     assert partition.term_peaks["novel"] < before[1]["novel"]
     rows["user-c"] = ({"books": 1.0, "music": 1.0}, {"opera": 1.0})
-    kernel.entry_changed(entry("user-c", *rows["user-c"]))
+    kernel.put("user-c", *rows["user-c"])
     assert (partition.pref_peaks, partition.term_peaks) == peaks(rows)
     assert "jazz" not in partition.term_peaks
     assert partition.pref_peaks[1] < before[0][1]

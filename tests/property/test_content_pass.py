@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.hybrid import AgentHybridRecommender
 from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.items import Item, ItemCatalogView
+from repro.core.neighbors import ProfileNeighborIndex
 from repro.core.profile import Profile
 from repro.core.ratings import Interaction, InteractionKind, RatingsStore
 from repro.core.recommender import Recommendation
@@ -243,7 +244,7 @@ class TestHybridBlend:
             ratings,
             ItemCatalogView(items),
             profile_of=lambda _: profile,
-            all_profiles=lambda: [profile],
+            neighbor_index=ProfileNeighborIndex(profiles=[profile]),
             collaborative_weight=data.draw(st.sampled_from([0.0, 0.6, 1e-9])),
             content_weight=data.draw(st.sampled_from([0.4, 1.0, 1e9])),
         )

@@ -137,9 +137,9 @@ class TestWhatAReplicaReadCosts:
         expected = index.find_similar(target)
 
         stamped, provided = [], []
-        real = neighbors._version_of
+        real = neighbors.profile_stamp
         monkeypatch.setattr(
-            neighbors, "_version_of", lambda profile: stamped.append(profile) or real(profile)
+            neighbors, "profile_stamp", lambda profile: stamped.append(profile) or real(profile)
         )
         monkeypatch.setattr(state.db, "profiles", lambda: provided.append(1) or [])
         rebuilds, mutations = index.rebuilds, index.mutations

@@ -11,12 +11,11 @@ the brute force: same ranked neighbor ids and bit-identical scores.
 """
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.neighbors import ProfileNeighborIndex
+from repro.core.neighbors import ProfileNeighborIndex, profile_stamp
 from repro.core.profile import Profile
 from repro.core.profile_learning import FeedbackEvent, ProfileLearner
 from repro.core.items import Item, ItemCatalogView
@@ -28,6 +27,8 @@ from repro.core.similarity import (
     find_similar_users,
     vector_norm,
 )
+
+from tests.conftest import score_block
 
 CATEGORIES = ["books", "electronics", "fashion", "groceries", "toys"]
 TERMS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
@@ -406,21 +407,10 @@ def reference_score(target, row, weights=(0.6, 0.4)):
     return max(0.0, min(1.0, (preference_weight * pref + term_weight * term) / total))
 
 
-def kernel_entry(user_id, prefs, terms):
-    """The slice of an index entry the dict kernel reads."""
-    return SimpleNamespace(
-        user_id=user_id,
-        prefs=prefs,
-        pref_norm=vector_norm(prefs),
-        terms=terms,
-        term_norm=vector_norm(terms),
-    )
-
-
 def dict_kernel(rows):
     kernel = DictKernel()
     for number, (prefs, terms) in enumerate(rows):
-        kernel.entry_changed(kernel_entry(f"user-{number}", prefs, terms))
+        kernel.put(f"user-{number}", prefs, terms)
     return kernel
 
 
@@ -460,14 +450,14 @@ def test_each_row_gets_the_reference_score(target, rows, relinked):
         user_id = f"user-{number}"
         if user_id in rows:
             if row[0] or row[1]:
-                kernel.entry_changed(kernel_entry(user_id, *row))
+                kernel.put(user_id, *row)
                 rows[user_id] = row
             else:
-                kernel.entry_removed(user_id)
+                kernel.drop(user_id)
                 del rows[user_id]
     tq = target_state(*target)
     expected = {user_id: reference_score(target, row) for user_id, row in rows.items()}
-    assert kernel.score_block(tq, 0.6, 0.4, 1.0) == expected
+    assert score_block(kernel, tq, 0.6, 0.4, 1.0) == expected
     if rows:
         assert kernel.top_pairs(tq, 0.6, 0.4, 1.0, 0.0, "", len(rows)) == ranked(
             expected
@@ -510,7 +500,7 @@ def test_walk_order_is_settled_where_the_reference_uses_the_row():
     assert {user_id for user_id in cosines if walks[user_id] != cosines[user_id]} == {
         "user-0"
     }
-    assert kernel.score_block(tq, 0.0, 1.0, 1.0) == expected
+    assert score_block(kernel, tq, 0.0, 1.0, 1.0) == expected
     for top_k in range(1, 5):
         assert kernel.top_pairs(tq, 0.0, 1.0, 1.0, 0.0, "", top_k) == ranked(
             expected
@@ -550,24 +540,20 @@ def test_norm_that_underflows_beside_a_nonzero_dot():
 def test_block_scores_are_the_reference_scores(target, rows):
     """The one-pass ``score_block``: each row's score ``==`` the reference
     formula over the same two pairs of vectors."""
-    kernel = DictKernel()
-    entries = {}
-    for number, (prefs, terms) in enumerate(rows):
-        entry = kernel_entry(f"user-{number}", prefs, terms)
-        entries[entry.user_id] = entry
-        kernel.entry_changed(entry)
+    kernel = dict_kernel(rows)
+    rows = {f"user-{number}": row for number, row in enumerate(rows)}
     prefs, terms = target
     tq = target_state(prefs, terms)
-    scores = kernel.score_block(tq, 0.6, 0.4, 1.0)
-    assert sorted(scores) == sorted(entries)
-    for entry in entries.values():
+    scores = score_block(kernel, tq, 0.6, 0.4, 1.0)
+    assert sorted(scores) == sorted(rows)
+    for user_id, (row_prefs, row_terms) in rows.items():
         pref = cosine_similarity_cached(
-            prefs, tq.pref_norm, entry.prefs, entry.pref_norm
+            prefs, tq.pref_norm, row_prefs, vector_norm(row_prefs)
         )
         term = cosine_similarity_cached(
-            terms, tq.term_norm, entry.terms, entry.term_norm
+            terms, tq.term_norm, row_terms, vector_norm(row_terms)
         )
-        assert scores[entry.user_id] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
+        assert scores[user_id] == max(0.0, min(1.0, (0.6 * pref + 0.4 * term) / 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +608,8 @@ def test_postings_track_entry_lifecycle(steps, queried):
     sequence the partitions equal a fresh build's — preference columns, term
     postings and the block maxima a departed row held — and hold one weight
     per vector key: nothing left behind by a removal, nothing duplicated by
-    re-indexing a profile whose key order (so signature) changed."""
+    re-indexing a profile whose key order (so signature) changed.  After
+    every step the kernel is the only store (:func:`assert_one_store`)."""
     index = ProfileNeighborIndex()
     learner = ProfileLearner()
     index.attach_to(learner)
@@ -664,7 +651,10 @@ def test_postings_track_entry_lifecycle(steps, queried):
             index.remove(user_id)
         elif action == "build":
             index.build(list(held.values()))
+        assert_one_store(index)
     index.sync()
+    assert index.dirty_users() == set()
+    assert_one_store(index)
 
     profiles = index.indexed_profiles()
     state, weights = partition_state(index)
@@ -680,15 +670,39 @@ def test_postings_track_entry_lifecycle(steps, queried):
     # every consumer sits in the partition of its signature, and no
     # partition is left empty.
     kernel = index._kernel
-    assert kernel._signature_of == {
-        profile.user_id: tuple(profile.preference_vector()) for profile in profiles
-    }
+    assert {
+        user_id: partition.signature for user_id, partition in kernel._partition_of.items()
+    } == {profile.user_id: tuple(profile.preference_vector()) for profile in profiles}
     for signature, partition in kernel._partitions.items():
+        assert partition.signature == signature
         assert set(partition.row_of) == {
-            user_id for user_id, held in kernel._signature_of.items() if held == signature
+            user_id for user_id, held in kernel._partition_of.items() if held is partition
         } != set()
         assert len(partition.user_ids) == len(partition.row_of) + len(partition.free)
         for row in partition.free:
             assert partition.user_ids[row] is None and partition.terms[row] is None
+            assert partition.stamps[row] is None
             assert partition.pref_norms[row] == partition.term_norms[row] == 0.0
             assert all(column[row] == 0.0 for column in partition.columns)
+
+
+def assert_one_store(index):
+    """The kernel is the index's only per-consumer store.  It holds a row for
+    every consumer the index knows, but for none it does not; a dirty
+    consumer's row may be missing or stale until the next ``sync``.  Every
+    other row is at its profile's stamp and rebuilds exactly the target a
+    fresh flatten gives: preferences in key order, terms, both norms."""
+    kernel, known, dirty = index._kernel, index._profiles_by_id, index.dirty_users()
+    assert dirty <= set(known)
+    assert set(kernel._partition_of) <= set(known)
+    assert set(kernel._partition_of) - dirty == set(known) - dirty
+    for user_id, profile in known.items():
+        if user_id in dirty:
+            continue
+        assert kernel.stamp_of(user_id) == profile_stamp(profile)
+        prefs = profile.preference_vector()
+        terms = profile.flattened_terms().as_dict()
+        target = kernel.target_of(user_id)
+        assert list(target.prefs.items()) == list(prefs.items())
+        assert target.terms == terms
+        assert (target.pref_norm, target.term_norm) == (vector_norm(prefs), vector_norm(terms))

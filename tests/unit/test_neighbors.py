@@ -9,6 +9,7 @@ cache reuse across queries.
 
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -33,6 +34,13 @@ def build_profile(user_id, preferences, terms=None):
     return profile
 
 
+def held_row(index, user_id):
+    """Where the kernel holds ``user_id``: partition object, row, stamp."""
+    partition = index._kernel._partition_of[user_id]
+    row = partition.row_of[user_id]
+    return partition, row, partition.stamps[row]
+
+
 def community():
     """Three consumers with overlapping tastes, keyed by user id."""
     return {
@@ -50,7 +58,8 @@ class TestIncrementalInvalidation:
         index = ProfileNeighborIndex(profiles=profiles.values())
         learner = ProfileLearner()
         index.attach_to(learner)
-        entries_before = {name: index.cached_entry(name) for name in profiles}
+        rows_before = {name: held_row(index, name) for name in profiles}
+        books_before = index._kernel.target_of("bob").prefs["books"]
 
         event = FeedbackEvent(
             "bob", make_item("item-x", category="books"), InteractionKind.BUY
@@ -60,12 +69,12 @@ class TestIncrementalInvalidation:
         assert index.dirty_users() == {"bob"}
         index.sync()
         assert index.dirty_users() == set()
-        # Only bob's caches were rebuilt; alice and carol kept the same entry
-        # objects, norms and vectors.
-        assert index.cached_entry("alice") is entries_before["alice"]
-        assert index.cached_entry("carol") is entries_before["carol"]
-        assert index.cached_entry("bob") is not entries_before["bob"]
-        assert index.cached_entry("bob").prefs["books"] > entries_before["bob"].prefs["books"]
+        # Only bob's row was re-put; alice and carol kept their partition,
+        # row and stamp.
+        assert held_row(index, "alice") == rows_before["alice"]
+        assert held_row(index, "carol") == rows_before["carol"]
+        assert held_row(index, "bob")[2] != rows_before["bob"][2]
+        assert index._kernel.target_of("bob").prefs["books"] > books_before
 
     def test_stale_cache_regression_update_visible_in_next_query(self):
         """A feedback event must be reflected by the very next query."""
@@ -122,8 +131,10 @@ class TestIncrementalInvalidation:
         profiles["bob"].category("books").preference = 9.0
         index.invalidate("bob")
         assert index.dirty_users() == {"bob"}
+        stamp = index._kernel.stamp_of("bob")
         index.sync()
-        assert index.cached_entry("bob").prefs["books"] == 9.0
+        assert index._kernel.stamp_of("bob") == stamp  # no learner, no new stamp
+        assert index._kernel.target_of("bob").prefs["books"] == 9.0
 
     def test_invalidate_unknown_user_is_ignored(self):
         index = ProfileNeighborIndex(profiles=community().values())
@@ -189,6 +200,45 @@ class TestIncrementalInvalidation:
             profiles["alice"], profiles.values(), SimilarityConfig()
         )
         assert neighbours == brute
+
+    def test_a_pending_consumer_who_leaves_is_forgotten(self):
+        """A consumer registered through the learner hook (dirty, not yet
+        indexed) who leaves the provider before the next query is forgotten
+        by that query's reconcile: not held, and not brought back by a later
+        ``invalidate``."""
+        profiles = community()
+        version = {"n": 0}
+        index = ProfileNeighborIndex(
+            provider=lambda: profiles.values(),
+            provider_version=lambda: version["n"],
+        )
+        learner = ProfileLearner()
+        index.attach_to(learner)
+        index.find_similar(profiles["alice"])
+
+        profiles["dave"] = build_profile("dave", {"books": 5.0}, {"books": {"novel": 1.0}})
+        version["n"] += 1
+        learner.apply(
+            profiles["dave"],
+            FeedbackEvent(
+                "dave",
+                make_item("item-d", category="books", terms={"novel": 1.0}),
+                InteractionKind.BUY,
+            ),
+        )
+        assert index.dirty_users() == {"dave"}
+        del profiles["dave"]
+        version["n"] += 1
+
+        index.sync()
+        assert "dave" not in [profile.user_id for profile in index.indexed_profiles()]
+        assert "dave" not in index and index.dirty_users() == set()
+        index.invalidate("dave")
+        answer = index.find_similar(profiles["alice"])
+        assert answer == find_similar_users(
+            profiles["alice"], profiles.values(), index.config
+        )
+        assert "dave" not in [user_id for user_id, _ in answer]
 
     def test_an_update_burst_is_deferred_and_costs_one_rebuild(self):
         """Hooks only mark state dirty; the next query re-indexes the touched
@@ -272,6 +322,29 @@ class TestCandidatePruning:
 
         config = SimilarityConfig(discard_tolerance=3.0, min_similarity=0.0)
         assert index.find_similar(target, category="books", config=config) == []
+
+    def test_discard_boundary_holds_in_and_outside_the_signature(self):
+        """``|Tx − Ty| == tolerance`` passes whether Ty is read from a
+        partition's column or is the implicit 0.0 of a signature without the
+        category, and one ulp past the tolerance does not."""
+        terms = {"books": {"novel": 1.0}}
+        profiles = [
+            build_profile("me-5", {"books": 5.0, "music": 1.0}, terms),
+            build_profile("me-2", {"music": 1.0, "books": 2.0}, terms),
+            build_profile("edge", {"books": 3.0}, terms),
+            build_profile("edge-music", {"music": 2.0, "books": 7.0}, terms),
+            build_profile("past", {"books": math.nextafter(3.0, 0.0)}, terms),
+            build_profile("over", {"books": 2.5}, terms),
+            build_profile("absent", {"music": 4.0}, {"music": {"novel": 1.0}}),
+        ]
+        index = ProfileNeighborIndex(profiles=profiles)
+        assert len(index._kernel._partitions) == 4
+        config = SimilarityConfig(discard_tolerance=2.0, min_similarity=0.0, top_k=10)
+        expected = {"me-5": {"edge", "edge-music"}, "me-2": {"edge", "past", "over", "absent"}}
+        for target in profiles[:2]:
+            answer = index.find_similar(target, category="books", config=config)
+            assert answer == find_similar_users(target, profiles, config, category="books")
+            assert {user_id for user_id, _ in answer} == expected[target.user_id]
 
     def test_target_never_included_in_its_own_neighbours(self):
         profiles = community()
@@ -423,10 +496,10 @@ for category in (None, "books", "toys"):
     for profile in profiles.values():
         rankings.append(index.find_similar(profile, category=category))
 print(json.dumps({
-    "entries": list(index._entries),
+    "members": list(index._kernel._partition_of),
     "rows": {
-        user_id: [list(signature), index._kernel._partitions[signature].row_of[user_id]]
-        for user_id, signature in index._kernel._signature_of.items()
+        user_id: [list(partition.signature), partition.row_of[user_id]]
+        for user_id, partition in index._kernel._partition_of.items()
     },
     "rankings": rankings,
 }))
@@ -436,8 +509,8 @@ print(json.dumps({
 class TestHashSeedIndependence:
     def test_rows_entry_order_and_rankings_ignore_the_hash_seed(self):
         """The dirty set is rebuilt in sorted order, so kernel row numbers,
-        ``_entries`` order and every ranking are the same under any
-        ``PYTHONHASHSEED``."""
+        the kernel's membership order and every ranking are the same under
+        any ``PYTHONHASHSEED``."""
         source = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         outputs = []
         for hash_seed in ("1", "2"):
@@ -449,6 +522,6 @@ class TestHashSeedIndependence:
             )
             outputs.append(json.loads(completed.stdout))
         first, second = outputs
-        assert len(first["entries"]) == 13 and len(first["rankings"]) == 40
-        assert first["entries"] == sorted(first["entries"])
+        assert len(first["members"]) == 13 and len(first["rankings"]) == 40
+        assert first["members"] == sorted(first["members"])
         assert first == second

@@ -47,8 +47,7 @@ def warmed():
         for item_id in item_ids:
             ratings.add(Interaction(user, item_id, InteractionKind.BUY))
     recommender = AgentHybridRecommender(
-        ratings, catalog, profiles.get, profiles.values,
-        neighbor_index=ProfileNeighborIndex(profiles=profiles.values()),
+        ratings, catalog, profiles.get, ProfileNeighborIndex(profiles=profiles.values()),
     )
     assert len(recommender.recommend("consumer", k=10)) == 10
     return recommender

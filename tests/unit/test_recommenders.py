@@ -297,12 +297,13 @@ class TestColdStartPolicy:
 
 @pytest.fixture
 def hybrid(ratings, catalog, profiles):
+    config = SimilarityConfig(top_k=5, min_similarity=0.01)
     return AgentHybridRecommender(
         ratings=ratings,
         catalog=catalog,
         profile_of=profile_of(profiles),
-        all_profiles=lambda: list(profiles.values()),
-        similarity_config=SimilarityConfig(top_k=5, min_similarity=0.01),
+        neighbor_index=ProfileNeighborIndex(provider=profiles.values, config=config),
+        similarity_config=config,
     )
 
 
@@ -310,12 +311,12 @@ class TestAgentHybrid:
     def test_invalid_weights_rejected(self, ratings, catalog, profiles):
         with pytest.raises(RecommendationError):
             AgentHybridRecommender(
-                ratings, catalog, profile_of(profiles), lambda: [],
+                ratings, catalog, profile_of(profiles), ProfileNeighborIndex(),
                 collaborative_weight=-1.0,
             )
         with pytest.raises(RecommendationError):
             AgentHybridRecommender(
-                ratings, catalog, profile_of(profiles), lambda: [],
+                ratings, catalog, profile_of(profiles), ProfileNeighborIndex(),
                 collaborative_weight=0.0, content_weight=0.0,
             )
 
@@ -359,9 +360,8 @@ def indexed_hybrid(ratings, catalog, profiles):
         ratings=ratings,
         catalog=catalog,
         profile_of=profile_of(profiles),
-        all_profiles=lambda: list(profiles.values()),
-        similarity_config=config,
         neighbor_index=ProfileNeighborIndex(profiles=profiles.values(), config=config),
+        similarity_config=config,
     )
 
 
