@@ -88,7 +88,7 @@ class Aglet:
 
     @property
     def aglet_id(self) -> str:
-        return self._info.aglet_id if self._info is not None else f"unbound-{id(self)}"
+        return self.info.aglet_id
 
     @property
     def state(self) -> AgletState:
@@ -145,7 +145,6 @@ class Aglet:
         return Reply.failure(
             message.kind,
             f"{type(self).__name__} does not handle message kind {message.kind!r}",
-            message.correlation_id,
         )
 
     def send_to(self, target: Any, message_kind: str, **payload: Any) -> Reply:
@@ -175,5 +174,7 @@ class Aglet:
         self.context.dispose(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = self._info.state.value if self._info else "unbound"
-        return f"{type(self).__name__}(id={self.aglet_id!r}, state={state})"
+        info = self._info
+        if info is None:
+            return f"{type(self).__name__}(unbound)"
+        return f"{type(self).__name__}(id={info.aglet_id!r}, state={info.state.value})"

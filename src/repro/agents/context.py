@@ -268,7 +268,7 @@ class AgletContext:
         self.transport.metrics.counter("messages.delivered").increment()
         reply = aglet.handle_message(message)
         if reply is None:
-            reply = Reply(kind=message.kind, ok=True, correlation_id=message.correlation_id)
+            reply = Reply(kind=message.kind, ok=True)
         if remote:
             self.transport.deliver(
                 self.host_name, from_host, "message-reply", payload_bytes=MESSAGE_PAYLOAD_BYTES

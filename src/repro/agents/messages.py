@@ -9,13 +9,10 @@ every handled message produces a :class:`Reply`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 __all__ = ["Message", "Reply", "MessageKinds"]
-
-_message_ids = itertools.count(1)
 
 
 class MessageKinds:
@@ -65,13 +62,11 @@ class Message:
         kind: the message type (see :class:`MessageKinds`).
         payload: message arguments.
         sender: the aglet id or logical name of the sender.
-        correlation_id: stable id used to relate replies to requests.
     """
 
     kind: str
     payload: Dict[str, Any] = field(default_factory=dict)
     sender: str = ""
-    correlation_id: int = field(default_factory=lambda: next(_message_ids))
 
     def argument(self, key: str, default: Any = None) -> Any:
         """Fetch one payload argument with a default."""
@@ -84,8 +79,8 @@ class Message:
         return self.payload[key]
 
     def reply(self, ok: bool = True, **payload: Any) -> "Reply":
-        """Build a reply correlated with this message."""
-        return Reply(kind=self.kind, ok=ok, payload=payload, correlation_id=self.correlation_id)
+        """Build a reply to this message."""
+        return Reply(kind=self.kind, ok=ok, payload=payload)
 
 
 @dataclass
@@ -95,12 +90,11 @@ class Reply:
     kind: str
     ok: bool = True
     payload: Dict[str, Any] = field(default_factory=dict)
-    correlation_id: int = 0
     error: str = ""
 
     @classmethod
-    def failure(cls, kind: str, error: str, correlation_id: int = 0) -> "Reply":
-        return cls(kind=kind, ok=False, payload={}, correlation_id=correlation_id, error=error)
+    def failure(cls, kind: str, error: str) -> "Reply":
+        return cls(kind=kind, ok=False, payload={}, error=error)
 
     def value(self, key: str, default: Any = None) -> Any:
         return self.payload.get(key, default)

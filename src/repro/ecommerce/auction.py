@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.errors import AuctionError, HandshakeError
 from repro.adversarial.handshake import HandshakeBroker, HandshakeTranscript
 from repro.core.items import Item
 
 __all__ = ["Bid", "Auction", "AuctionResult", "AuctionHouse"]
-
-_auction_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -51,10 +49,15 @@ class AuctionResult:
 
 
 class Auction:
-    """A single English auction for one item."""
+    """A single English auction for one item.
+
+    The :class:`AuctionHouse` running it names it from the house's own
+    sequence (``auction-<marketplace>-<n>``).
+    """
 
     def __init__(
         self,
+        auction_id: str,
         item: Item,
         reserve_price: float,
         starting_price: Optional[float] = None,
@@ -62,7 +65,7 @@ class Auction:
     ) -> None:
         if reserve_price < 0:
             raise AuctionError("reserve price cannot be negative")
-        self.auction_id = f"auction-{next(_auction_ids)}"
+        self.auction_id = auction_id
         self.item = item
         self.reserve_price = reserve_price
         self.starting_price = (
@@ -141,11 +144,8 @@ class AuctionHouse:
         self._rng = random.Random(seed)
         self.competitor_count = competitor_count
         self.handshake = handshake
-        #: auction_id → handshake_id of the redeemed transcript (only
-        #: populated when a broker is attached, so the unsecured platform
-        #: is byte-identical).
-        self.handshakes: Dict[str, str] = {}
         self.completed: List[AuctionResult] = []
+        self._auction_seq = itertools.count(1)
 
     def _competitor_limits(self, item: Item) -> List[float]:
         """Maximum prices the synthetic competitors are willing to pay.
@@ -191,7 +191,8 @@ class AuctionHouse:
         if max_price <= 0:
             raise AuctionError("the consumer's maximum price must be positive")
         reserve = reserve_price if reserve_price is not None else item.price * 0.7
-        auction = Auction(item, reserve_price=reserve)
+        auction_id = f"auction-{self.marketplace}-{next(self._auction_seq)}"
+        auction = Auction(auction_id, item, reserve_price=reserve)
         competitor_limits = self._competitor_limits(item)
 
         for round_number in range(1, max_rounds + 1):
@@ -230,7 +231,5 @@ class AuctionHouse:
                 break
 
         result = auction.close()
-        if handshake is not None and self.handshake is not None:
-            self.handshakes[result.auction_id] = handshake.handshake_id
         self.completed.append(result)
         return result

@@ -86,7 +86,7 @@ class ProfileAgent(Aglet):
         try:
             profile = self._user_db().profile(user_id)
         except UnknownUserError as exc:
-            return Reply.failure(message.kind, str(exc), message.correlation_id)
+            return Reply.failure(message.kind, str(exc))
         return message.reply(profile=profile.to_dict())
 
     def _handle_behaviour(self, message: Message) -> Reply:
@@ -102,7 +102,7 @@ class ProfileAgent(Aglet):
         try:
             profile = user_db.profile(user_id)
         except UnknownUserError as exc:
-            return Reply.failure(message.kind, str(exc), message.correlation_id)
+            return Reply.failure(message.kind, str(exc))
 
         event = FeedbackEvent(
             user_id=user_id, item=item, kind=kind, timestamp=timestamp, rating=rating
@@ -185,7 +185,7 @@ class BuyerRecommendAgent(Aglet):
             self._profile_agent(), MessageKinds.PROFILE_LOAD, user_id=self.user_id
         )
         if not reply.ok:
-            return Reply.failure(message.kind, reply.error, message.correlation_id)
+            return Reply.failure(message.kind, reply.error)
         self.profile_snapshot = reply.require("profile")
         self._log("workflow.profile-loaded")
         return message.reply(loaded=True, categories=len(self.profile_snapshot.get("categories", {})))
@@ -196,7 +196,7 @@ class BuyerRecommendAgent(Aglet):
         params = dict(message.argument("params", {}))
         itinerary = list(message.require("itinerary"))
         if not itinerary:
-            return Reply.failure(message.kind, "task itinerary is empty", message.correlation_id)
+            return Reply.failure(message.kind, "task itinerary is empty")
 
         mba = self.context.create(
             MobileBuyerAgent,
@@ -265,7 +265,7 @@ class BuyerRecommendAgent(Aglet):
             marketplace=marketplace,
         )
         if not reply.ok:
-            return Reply.failure(message.kind, reply.error, message.correlation_id)
+            return Reply.failure(message.kind, reply.error)
         self._log("workflow.behaviour-reported", kind=kind.value, item_id=item.item_id)
 
         if transaction is not None:
@@ -294,9 +294,7 @@ class BuyerRecommendAgent(Aglet):
         item: Item = message.require("item")
         rating = float(message.require("rating"))
         if not 0.0 <= rating <= 5.0:
-            return Reply.failure(
-                message.kind, f"rating must be in [0, 5], got {rating}", message.correlation_id
-            )
+            return Reply.failure(message.kind, f"rating must be in [0, 5], got {rating}")
         reply = self.send_to(
             self._profile_agent(),
             MessageKinds.BEHAVIOUR_REPORT,
@@ -307,7 +305,7 @@ class BuyerRecommendAgent(Aglet):
             rating=rating,
         )
         if not reply.ok:
-            return Reply.failure(message.kind, reply.error, message.correlation_id)
+            return Reply.failure(message.kind, reply.error)
         self._log("workflow.behaviour-reported", kind="rate", item_id=item.item_id,
                   rating=rating)
         return message.reply(rating=rating, item_id=item.item_id)
@@ -460,8 +458,7 @@ class MobileBuyerAgent(Aglet):
         if message.kind == MessageKinds.AUTHENTICATE:
             challenge = message.require("challenge")
             if self.credential is None:
-                return Reply.failure(message.kind, "MBA carries no credential",
-                                     message.correlation_id)
+                return Reply.failure(message.kind, "MBA carries no credential")
             response = AuthenticationService.respond(self.credential, challenge)
             return message.reply(credential=self.credential, response=response)
         if message.kind == "mba.collect-results":
@@ -510,10 +507,7 @@ class HttpAgent(Aglet):
         log = self.context.transport.event_log
         log.record(self.now, "http.request-received", message.sender or "browser",
                    self.aglet_id, kind=message.kind)
-        forwarded = Message(
-            kind=message.kind, payload=dict(message.payload), sender=self.aglet_id,
-            correlation_id=message.correlation_id,
-        )
+        forwarded = Message(message.kind, dict(message.payload), sender=self.aglet_id)
         reply = self.context.send_message(self.bsma_id, forwarded)
         self.requests_served += 1
         log.record(self.now, "http.reply-sent", self.aglet_id,
@@ -626,7 +620,7 @@ class BuyerServerManagementAgent(Aglet):
             return handler(message)
         except (LoginError, UnknownUserError, ECommerceError, TransactionError,
                 AuthenticationError) as exc:
-            return Reply.failure(message.kind, str(exc), message.correlation_id)
+            return Reply.failure(message.kind, str(exc))
 
     # -- registration / login / logout --------------------------------------------------------
 
@@ -654,7 +648,7 @@ class BuyerServerManagementAgent(Aglet):
 
         reply = self.send_to(bra, "bra.load-profile")
         if not reply.ok:
-            return Reply.failure(message.kind, reply.error, message.correlation_id)
+            return Reply.failure(message.kind, reply.error)
         self._log("login.profile-loaded", bra.aglet_id, user_id=user_id)
         return message.reply(user_id=user_id, bra_id=bra.aglet_id)
 
@@ -781,7 +775,7 @@ class BuyerServerManagementAgent(Aglet):
             results=collected.value("results", []), keyword=keyword,
         )
         if not completion.ok:
-            return Reply.failure(message.kind, completion.error, message.correlation_id)
+            return Reply.failure(message.kind, completion.error)
         self._log("workflow.query-completed", user_id,
                   results=len(completion.value("results", [])))
         return message.reply(
@@ -823,7 +817,7 @@ class BuyerServerManagementAgent(Aglet):
             marketplace=itinerary[0],
         )
         if not completion.ok:
-            return Reply.failure(message.kind, completion.error, message.correlation_id)
+            return Reply.failure(message.kind, completion.error)
         self._log("workflow.trade-completed", user_id, task=task,
                   succeeded=transaction is not None)
         return message.reply(
@@ -848,10 +842,7 @@ class BuyerServerManagementAgent(Aglet):
         """Forward a consumer request to their BRA unchanged (rate, cross-sell)."""
         user_id = message.require("user_id")
         bra = self._active_bra(user_id)
-        forwarded = Message(
-            kind=message.kind, payload=dict(message.payload), sender=self.aglet_id,
-            correlation_id=message.correlation_id,
-        )
+        forwarded = Message(message.kind, dict(message.payload), sender=self.aglet_id)
         return self.context.send_message(bra, forwarded)
 
     def _handle_hottest(self, message: Message) -> Reply:

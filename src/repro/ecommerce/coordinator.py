@@ -113,7 +113,6 @@ class CoordinatorAgent(Aglet):
                 return Reply.failure(
                     message.kind,
                     f"unknown buyer server {host!r} in shard promotion",
-                    message.correlation_id,
                 )
         remaining = [
             shard for shard in self.shard_map.get(dead, []) if shard not in shards
@@ -141,14 +140,12 @@ class CoordinatorAgent(Aglet):
             return Reply.failure(
                 message.kind,
                 f"unknown buyer server {primary!r} cannot register replication",
-                message.correlation_id,
             )
         unknown = [host for host in replicas if host not in self.buyer_servers]
         if unknown:
             return Reply.failure(
                 message.kind,
                 f"replica hosts {unknown!r} are not registered buyer servers",
-                message.correlation_id,
             )
         self.replica_map[primary] = replicas
         self.context.transport.event_log.record(
@@ -166,9 +163,7 @@ class CoordinatorAgent(Aglet):
             "buyer-server": self.buyer_servers,
         }.get(role)
         if registry is None:
-            return Reply.failure(
-                message.kind, f"unknown server role {role!r}", message.correlation_id
-            )
+            return Reply.failure(message.kind, f"unknown server role {role!r}")
         shard_id = message.payload.get("shard_id")
         if shard_id is not None and role != "buyer-server":
             # Validate before touching the registry so a refused registration
@@ -176,7 +171,6 @@ class CoordinatorAgent(Aglet):
             return Reply.failure(
                 message.kind,
                 f"only buyer servers own shards, not {role!r}",
-                message.correlation_id,
             )
         if host not in registry:
             registry.append(host)

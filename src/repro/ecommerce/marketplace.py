@@ -64,7 +64,7 @@ class MarketplaceAgent(Aglet):
             if message.kind == MessageKinds.MARKET_CATALOG:
                 return self._handle_catalog_update(server, message)
         except (MarketplaceError, TransactionError, CatalogError) as exc:
-            return Reply.failure(message.kind, str(exc), message.correlation_id)
+            return Reply.failure(message.kind, str(exc))
         return super().handle_message(message)
 
     def _handle_query(self, server: "MarketplaceServer", message: Message) -> Reply:
@@ -160,8 +160,7 @@ class MarketplaceServer:
         self.negotiations = NegotiationService(self.name, handshake=self.handshakes)
         self.transactions: List[TransactionRecord] = []
         # Per-marketplace id sequence: two same-seed platforms built in the
-        # same process mint identical transaction ids (the process-global
-        # fallback in TransactionRecord.create would not), which keeps whole
+        # same process mint identical transaction ids, which keeps whole
         # runs — including replication payload sizes — reproducible.
         self._transaction_seq = itertools.count(1)
         context.host.attach_service("marketplace-server", self)
@@ -193,7 +192,8 @@ class MarketplaceServer:
             handshake = self.handshakes.perform(user_id, timestamp)
             self.handshakes.redeem(handshake)
         item = self.catalog.sell(item_id)
-        transaction = TransactionRecord.create(
+        transaction = TransactionRecord(
+            transaction_id=self._next_transaction_id(),
             user_id=user_id,
             item_id=item_id,
             marketplace=self.name,
@@ -202,7 +202,6 @@ class MarketplaceServer:
             list_price=item.price,
             timestamp=timestamp,
             seller=item.seller,
-            transaction_id=self._next_transaction_id(),
         )
         if handshake is not None:
             self.trade_handshakes[transaction.transaction_id] = handshake
@@ -228,7 +227,8 @@ class MarketplaceServer:
         transaction = None
         if outcome.agreed:
             self.catalog.sell(item_id)
-            transaction = TransactionRecord.create(
+            transaction = TransactionRecord(
+                transaction_id=self._next_transaction_id(),
                 user_id=user_id,
                 item_id=item_id,
                 marketplace=self.name,
@@ -237,7 +237,6 @@ class MarketplaceServer:
                 list_price=listing.item.price,
                 timestamp=timestamp,
                 seller=listing.item.seller,
-                transaction_id=self._next_transaction_id(),
             )
             if handshake is not None:
                 self.trade_handshakes[transaction.transaction_id] = handshake
@@ -262,7 +261,8 @@ class MarketplaceServer:
         transaction = None
         if result.winner == user_id:
             self.catalog.sell(item_id)
-            transaction = TransactionRecord.create(
+            transaction = TransactionRecord(
+                transaction_id=self._next_transaction_id(),
                 user_id=user_id,
                 item_id=item_id,
                 marketplace=self.name,
@@ -271,7 +271,6 @@ class MarketplaceServer:
                 list_price=listing.item.price,
                 timestamp=timestamp,
                 seller=listing.item.seller,
-                transaction_id=self._next_transaction_id(),
             )
             if handshake is not None:
                 self.trade_handshakes[transaction.transaction_id] = handshake

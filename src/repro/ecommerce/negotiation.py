@@ -11,16 +11,14 @@ after a bounded number of rounds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.errors import HandshakeError, NegotiationError
 from repro.adversarial.handshake import HandshakeBroker, HandshakeTranscript
 from repro.core.items import Item
 
 __all__ = ["NegotiationOffer", "NegotiationOutcome", "NegotiationService"]
-
-_negotiation_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -56,6 +54,9 @@ class NegotiationService:
     present a finalized handshake transcript, which the service redeems —
     one transcript entitles its holder to exactly one negotiation, so a
     replayed offer is refused before any bargaining happens.
+
+    Sessions are named from the service's own sequence
+    (``negotiation-<marketplace>-<n>``).
     """
 
     def __init__(
@@ -69,11 +70,8 @@ class NegotiationService:
         self.marketplace = marketplace
         self.max_rounds = max_rounds
         self.handshake = handshake
-        #: negotiation_id → handshake_id of the redeemed transcript (only
-        #: populated when a broker is attached, so the unsecured platform
-        #: is byte-identical).
-        self.handshakes: Dict[str, str] = {}
         self.completed: List[NegotiationOutcome] = []
+        self._negotiation_seq = itertools.count(1)
 
     def negotiate(
         self,
@@ -116,7 +114,7 @@ class NegotiationService:
         if not 0.0 < buyer_concession <= 1.0 or not 0.0 < seller_concession <= 1.0:
             raise NegotiationError("concession rates must be in (0, 1]")
 
-        negotiation_id = f"negotiation-{next(_negotiation_ids)}"
+        negotiation_id = f"negotiation-{self.marketplace}-{next(self._negotiation_seq)}"
         offers: List[NegotiationOffer] = []
         buyer_offer = min(buyer_max, item.price * 0.6)
         seller_offer = max(seller_reserve, item.price)
@@ -163,7 +161,5 @@ class NegotiationService:
             rounds=rounds,
             offers=tuple(offers),
         )
-        if handshake is not None and self.handshake is not None:
-            self.handshakes[negotiation_id] = handshake.handshake_id
         self.completed.append(outcome)
         return outcome

@@ -50,7 +50,14 @@ class PlatformConfig:
             when False sellers are spread round-robin so different
             marketplaces carry different merchandise (which is what makes
             multi-marketplace itineraries worthwhile, capability CAP-2).
-        seed: master seed for the synthetic catalogue and the network model.
+        seed: master seed of every random stream the platform draws:
+            the network's jitter and loss (``Random(seed)``), the
+            synthetic catalogue (``Random(seed)``), the auction house of
+            marketplace *i* (``Random(seed + i - 1)``, one per
+            marketplace, numbered from 1) and each host's authentication
+            secret and token RNG (derived from ``auth|<seed>|<host>``).
+            The network, the catalogue and marketplace-1's auction house
+            therefore all start from the same ``Random(seed)`` state.
         network: network latency/loss parameters.
         learning: profile-learning parameters of the mechanism.
         similarity: similarity-algorithm parameters of the mechanism.
@@ -246,15 +253,7 @@ class ECommercePlatform:
 
         # -- simulation substrate ------------------------------------------------
         self.scheduler = Scheduler()
-        network_config = NetworkConfig(
-            base_latency_ms=config.network.base_latency_ms,
-            local_latency_ms=config.network.local_latency_ms,
-            bandwidth_kb_per_ms=config.network.bandwidth_kb_per_ms,
-            jitter_ms=config.network.jitter_ms,
-            loss_probability=config.network.loss_probability,
-            seed=config.seed,
-        )
-        self.network = SimulatedNetwork(network_config)
+        self.network = SimulatedNetwork(config.network, seed=config.seed)
         self.event_log = EventLog()
         self.metrics = MetricsRegistry()
         self.transport = Transport(self.network, self.scheduler, self.event_log, self.metrics)

@@ -8,16 +8,13 @@ server as a :class:`TransactionRecord` and is stored there.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Dict
 
 from repro.errors import TransactionError
 from repro.wire import WireValue
 
 __all__ = ["TransactionKind", "TransactionRecord"]
-
-_transaction_ids = itertools.count(1)
 
 
 class TransactionKind(enum.Enum):
@@ -30,7 +27,11 @@ class TransactionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class TransactionRecord(WireValue):
-    """One completed trade between a consumer and a marketplace."""
+    """One completed trade between a consumer and a marketplace.
+
+    The marketplace that records the trade mints ``transaction_id`` from
+    its own sequence (``txn-<marketplace>-<n>``).
+    """
 
     transaction_id: str
     user_id: str
@@ -47,39 +48,6 @@ class TransactionRecord(WireValue):
             raise TransactionError(
                 f"transaction {self.transaction_id!r} has a negative price"
             )
-
-    @classmethod
-    def create(
-        cls,
-        user_id: str,
-        item_id: str,
-        marketplace: str,
-        kind: TransactionKind,
-        price: float,
-        list_price: float,
-        timestamp: float,
-        seller: str = "",
-        transaction_id: Optional[str] = None,
-    ) -> "TransactionRecord":
-        """Build a record, minting a process-global id when none is given.
-
-        Callers that need *run-deterministic* ids (two same-seed platforms in
-        one process must produce identical records — replication payload
-        sizes, and therefore simulated clocks, depend on them) should pass
-        their own ``transaction_id``; the marketplaces mint
-        ``txn-<marketplace>-<n>`` from a per-marketplace sequence.
-        """
-        return cls(
-            transaction_id=transaction_id or f"txn-{next(_transaction_ids)}",
-            user_id=user_id,
-            item_id=item_id,
-            marketplace=marketplace,
-            kind=kind,
-            price=price,
-            list_price=list_price,
-            timestamp=timestamp,
-            seller=seller,
-        )
 
     @property
     def savings(self) -> float:

@@ -38,7 +38,6 @@ class NetworkConfig:
         bandwidth_kb_per_ms: transfer rate used to charge for payload size.
         jitter_ms: maximum uniform jitter added to each transfer.
         loss_probability: probability a transfer is dropped outright.
-        seed: seed of the private RNG, making jitter and loss reproducible.
     """
 
     base_latency_ms: float = 5.0
@@ -46,7 +45,6 @@ class NetworkConfig:
     bandwidth_kb_per_ms: float = 100.0
     jitter_ms: float = 0.0
     loss_probability: float = 0.0
-    seed: int = 0
 
     def validate(self) -> None:
         if self.base_latency_ms < 0 or self.local_latency_ms < 0:
@@ -85,12 +83,16 @@ class TransferOutcome:
 
 
 class SimulatedNetwork:
-    """Latency/bandwidth/loss model over a set of named hosts."""
+    """Latency/bandwidth/loss model over a set of named hosts.
 
-    def __init__(self, config: Optional[NetworkConfig] = None) -> None:
+    ``seed`` seeds the private RNG that draws jitter and loss, so the same
+    seed always produces the same latencies.
+    """
+
+    def __init__(self, config: Optional[NetworkConfig] = None, seed: int = 0) -> None:
         self.config = config or NetworkConfig()
         self.config.validate()
-        self._rng = random.Random(self.config.seed)
+        self._rng = random.Random(seed)
         self._hosts: Set[str] = set()
         self._links: Dict[Tuple[str, str], Link] = {}
         self._down_hosts: Set[str] = set()

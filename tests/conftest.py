@@ -31,7 +31,7 @@ def scheduler() -> Scheduler:
 
 @pytest.fixture
 def network() -> SimulatedNetwork:
-    return SimulatedNetwork(NetworkConfig(base_latency_ms=5.0, seed=1))
+    return SimulatedNetwork(NetworkConfig(base_latency_ms=5.0), seed=1)
 
 
 @pytest.fixture

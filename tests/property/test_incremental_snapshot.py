@@ -113,7 +113,8 @@ def apply_step(owner, op, user_id, item, amount, now):
             Interaction(user_id, item.item_id, InteractionKind.BUY, timestamp=now)
         )
         db.record_transaction(
-            TransactionRecord.create(
+            TransactionRecord(
+                transaction_id=f"txn-marketplace-1-{int(now)}",
                 user_id=user_id, item_id=item.item_id, marketplace="marketplace-1",
                 kind=TransactionKind.DIRECT_PURCHASE, price=item.price,
                 list_price=item.price + 1.0, timestamp=now,

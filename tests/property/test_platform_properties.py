@@ -42,7 +42,7 @@ class TestNetworkProperties:
         st.integers(min_value=0, max_value=1000),
     )
     def test_latency_at_least_base_latency(self, base, jitter, payload, seed):
-        network = SimulatedNetwork(NetworkConfig(base_latency_ms=base, jitter_ms=jitter, seed=seed))
+        network = SimulatedNetwork(NetworkConfig(base_latency_ms=base, jitter_ms=jitter), seed=seed)
         network.register_host("a")
         network.register_host("b")
         outcome = network.transfer_latency("a", "b", payload_bytes=payload)

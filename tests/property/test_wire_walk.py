@@ -276,9 +276,9 @@ def _credential():
 
 
 def _transaction():
-    return TransactionRecord.create(
-        "alice", "book-1", "market-1", TransactionKind.DIRECT_PURCHASE, 12.5, 12.5, 100.0,
-        seller="seller-a", transaction_id="txn-market-1-1",
+    return TransactionRecord(
+        "txn-market-1-1", "alice", "book-1", "market-1", TransactionKind.DIRECT_PURCHASE,
+        12.5, 12.5, 100.0, seller="seller-a",
     )
 
 

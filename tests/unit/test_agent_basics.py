@@ -55,12 +55,25 @@ class TestLifecycle:
             info.transition(AgletState.IN_TRANSIT)
 
 
-class TestMessages:
-    def test_correlation_ids_are_unique(self):
-        first = Message("x")
-        second = Message("x")
-        assert first.correlation_id != second.correlation_id
+class TestUnboundAglet:
+    def test_unbound_aglet_has_no_id(self):
+        agent = MobileBuyerAgent()
+        with pytest.raises(AgentLifecycleError):
+            _ = agent.aglet_id
+        with pytest.raises(AgentLifecycleError):
+            _ = agent.context
 
+    def test_unbound_aglet_repr(self):
+        assert repr(MobileBuyerAgent()) == "MobileBuyerAgent(unbound)"
+
+    def test_bound_aglet_id_and_repr(self):
+        agent = MobileBuyerAgent()
+        agent.bind(None, AgletInfo("MBA-1", "MBA", "alice", created_at=0.0), None)
+        assert agent.aglet_id == "MBA-1"
+        assert repr(agent) == "MobileBuyerAgent(id='MBA-1', state=active)"
+
+
+class TestMessages:
     def test_argument_and_require(self):
         message = Message("buyer.query", {"keyword": "laptop"})
         assert message.argument("keyword") == "laptop"
@@ -71,15 +84,15 @@ class TestMessages:
     def test_reply_correlates_with_message(self):
         message = Message("buyer.query", {"keyword": "laptop"})
         reply = message.reply(results=[1, 2])
-        assert reply.correlation_id == message.correlation_id
+        assert reply.kind == message.kind
         assert reply.ok
         assert reply.value("results") == [1, 2]
 
     def test_failure_reply(self):
-        reply = Reply.failure("buyer.query", "boom", correlation_id=9)
+        reply = Reply.failure("buyer.query", "boom")
         assert not reply.ok
         assert reply.error == "boom"
-        assert reply.correlation_id == 9
+        assert reply.payload == {}
 
     def test_reply_require(self):
         reply = Reply("x", payload={"a": 1})

@@ -19,7 +19,8 @@ class TestBid:
 
 class TestAuction:
     def test_bids_must_beat_current_price_plus_increment(self):
-        auction = Auction(ITEM, reserve_price=70.0, starting_price=50.0, increment=5.0)
+        auction = Auction("auction-m-1", ITEM, reserve_price=70.0,
+                          starting_price=50.0, increment=5.0)
         auction.place_bid("a", 50.0)
         with pytest.raises(AuctionError):
             auction.place_bid("b", 52.0)
@@ -27,12 +28,13 @@ class TestAuction:
         assert auction.current_price == 55.0
 
     def test_first_bid_must_meet_starting_price(self):
-        auction = Auction(ITEM, reserve_price=70.0, starting_price=50.0)
+        auction = Auction("auction-m-1", ITEM, reserve_price=70.0, starting_price=50.0)
         with pytest.raises(AuctionError):
             auction.place_bid("a", 40.0)
 
     def test_close_determines_winner_when_reserve_met(self):
-        auction = Auction(ITEM, reserve_price=60.0, starting_price=50.0, increment=5.0)
+        auction = Auction("auction-m-1", ITEM, reserve_price=60.0,
+                          starting_price=50.0, increment=5.0)
         auction.place_bid("a", 50.0)
         auction.place_bid("b", 65.0)
         result = auction.close()
@@ -41,21 +43,21 @@ class TestAuction:
         assert result.reserve_met
 
     def test_no_winner_when_reserve_not_met(self):
-        auction = Auction(ITEM, reserve_price=90.0, starting_price=50.0)
+        auction = Auction("auction-m-1", ITEM, reserve_price=90.0, starting_price=50.0)
         auction.place_bid("a", 50.0)
         result = auction.close()
         assert result.winner is None
         assert not result.reserve_met
 
     def test_no_bids_at_all(self):
-        auction = Auction(ITEM, reserve_price=50.0)
+        auction = Auction("auction-m-1", ITEM, reserve_price=50.0)
         result = auction.close()
         assert result.winner is None
         assert result.winning_bid == 0.0
         assert result.bids == 0
 
     def test_closed_auction_rejects_bids_and_double_close(self):
-        auction = Auction(ITEM, reserve_price=50.0, starting_price=40.0)
+        auction = Auction("auction-m-1", ITEM, reserve_price=50.0, starting_price=40.0)
         auction.close()
         with pytest.raises(AuctionError):
             auction.place_bid("a", 60.0)
@@ -64,7 +66,7 @@ class TestAuction:
 
     def test_negative_reserve_rejected(self):
         with pytest.raises(AuctionError):
-            Auction(ITEM, reserve_price=-1.0)
+            Auction("auction-m-1", ITEM, reserve_price=-1.0)
 
 
 class TestAuctionHouse:
@@ -99,6 +101,15 @@ class TestAuctionHouse:
         second = AuctionHouse("m", seed=9).run_auction(ITEM, "alice", max_price=120.0)
         assert first.winning_bid == second.winning_bid
         assert first.winner == second.winner
+
+    def test_house_names_its_auctions_from_its_own_sequence(self):
+        first, second = AuctionHouse("marketplace-1"), AuctionHouse("marketplace-2")
+        ids = [
+            house.run_auction(ITEM, "alice", max_price=120.0).auction_id
+            for house in (first, second, first)
+        ]
+        assert ids == ["auction-marketplace-1-1", "auction-marketplace-2-1",
+                       "auction-marketplace-1-2"]
 
     def test_winning_bid_never_exceeds_consumer_maximum(self):
         for seed in range(6):
@@ -135,6 +146,15 @@ class TestNegotiationService:
         parties = [offer.party for offer in outcome.transcript]
         assert parties[0] == "buyer"
         assert "seller" in parties
+
+    def test_service_names_its_sessions_from_its_own_sequence(self):
+        first, second = NegotiationService("marketplace-1"), NegotiationService("marketplace-2")
+        ids = [
+            service.negotiate(ITEM, buyer_max=90.0, seller_reserve=70.0).negotiation_id
+            for service in (first, second, first)
+        ]
+        assert ids == ["negotiation-marketplace-1-1", "negotiation-marketplace-2-1",
+                       "negotiation-marketplace-1-2"]
 
     def test_parameter_validation(self):
         service = NegotiationService("marketplace-1")

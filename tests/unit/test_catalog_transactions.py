@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CatalogError, TransactionError
 from repro.ecommerce.catalog import Listing, MerchandiseCatalog
+from repro.ecommerce.marketplace import MarketplaceServer
 from repro.ecommerce.transactions import TransactionKind, TransactionRecord
 
 from tests.conftest import make_item
@@ -122,41 +123,38 @@ class TestMerchandiseCatalog:
 
 
 class TestTransactionRecord:
-    def test_create_assigns_unique_ids(self):
-        first = TransactionRecord.create(
-            "alice", "a", "marketplace-1", TransactionKind.DIRECT_PURCHASE,
-            price=10.0, list_price=10.0, timestamp=1.0,
-        )
-        second = TransactionRecord.create(
-            "alice", "a", "marketplace-1", TransactionKind.DIRECT_PURCHASE,
-            price=10.0, list_price=10.0, timestamp=2.0,
-        )
-        assert first.transaction_id != second.transaction_id
+    def test_marketplace_mints_unique_ids(self, two_contexts):
+        alpha, _ = two_contexts
+        market = MarketplaceServer(alpha)
+        market.catalog.list_item(make_item("a", price=10.0), stock=2)
+        first = market.sell_direct("a", "alice", timestamp=1.0)
+        second = market.sell_direct("a", "alice", timestamp=2.0)
+        assert [first.transaction_id, second.transaction_id] == ["txn-alpha-1", "txn-alpha-2"]
 
     def test_negative_price_rejected(self):
         with pytest.raises(TransactionError):
-            TransactionRecord.create(
-                "alice", "a", "m", TransactionKind.DIRECT_PURCHASE,
+            TransactionRecord(
+                "txn-m-1", "alice", "a", "m", TransactionKind.DIRECT_PURCHASE,
                 price=-1.0, list_price=10.0, timestamp=0.0,
             )
 
     def test_savings_computed(self):
-        record = TransactionRecord.create(
-            "alice", "a", "m", TransactionKind.NEGOTIATED_PURCHASE,
+        record = TransactionRecord(
+            "txn-m-1", "alice", "a", "m", TransactionKind.NEGOTIATED_PURCHASE,
             price=8.0, list_price=10.0, timestamp=0.0,
         )
         assert record.savings == pytest.approx(2.0)
 
     def test_savings_never_negative(self):
-        record = TransactionRecord.create(
-            "alice", "a", "m", TransactionKind.AUCTION_WIN,
+        record = TransactionRecord(
+            "txn-m-1", "alice", "a", "m", TransactionKind.AUCTION_WIN,
             price=12.0, list_price=10.0, timestamp=0.0,
         )
         assert record.savings == 0.0
 
     def test_to_dict_roundtrip_fields(self):
-        record = TransactionRecord.create(
-            "alice", "a", "m", TransactionKind.AUCTION_WIN,
+        record = TransactionRecord(
+            "txn-m-1", "alice", "a", "m", TransactionKind.AUCTION_WIN,
             price=12.0, list_price=10.0, timestamp=5.0, seller="s",
         )
         payload = record.to_dict()

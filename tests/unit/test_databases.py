@@ -84,9 +84,9 @@ class TestUserDB:
     def test_transactions_recorded_per_user(self):
         db = UserDB()
         db.register("alice")
-        txn = TransactionRecord.create(
-            "alice", "item-1", "marketplace-1", TransactionKind.DIRECT_PURCHASE,
-            price=10.0, list_price=10.0, timestamp=0.0,
+        txn = TransactionRecord(
+            "txn-marketplace-1-1", "alice", "item-1", "marketplace-1",
+            TransactionKind.DIRECT_PURCHASE, price=10.0, list_price=10.0, timestamp=0.0,
         )
         db.record_transaction(txn)
         assert db.transactions_of("alice") == [txn]

@@ -15,7 +15,7 @@ from repro.platform.transport import Transport
 @pytest.fixture
 def env():
     scheduler = Scheduler()
-    network = SimulatedNetwork(NetworkConfig(base_latency_ms=4.0, seed=2))
+    network = SimulatedNetwork(NetworkConfig(base_latency_ms=4.0), seed=2)
     transport = Transport(network, scheduler, EventLog(), MetricsRegistry())
     host_a = Host("a", network, scheduler)
     host_b = Host("b", network, scheduler)
@@ -111,7 +111,7 @@ class TestTransport:
 
     def test_retries_on_loss(self):
         scheduler = Scheduler()
-        network = SimulatedNetwork(NetworkConfig(loss_probability=0.6, seed=5))
+        network = SimulatedNetwork(NetworkConfig(loss_probability=0.6), seed=5)
         transport = Transport(network, scheduler)
         Host("a", network, scheduler).start()
         Host("b", network, scheduler).start()

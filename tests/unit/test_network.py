@@ -1,5 +1,7 @@
 """Unit tests for the simulated network."""
 
+import random
+
 import pytest
 
 from repro.errors import (
@@ -8,12 +10,13 @@ from repro.errors import (
     NetworkError,
     TransferDroppedError,
 )
+from repro.ecommerce.platform_builder import build_platform
 from repro.platform.network import NetworkConfig, SimulatedNetwork
 
 
 @pytest.fixture
 def net():
-    network = SimulatedNetwork(NetworkConfig(base_latency_ms=5.0, seed=1))
+    network = SimulatedNetwork(NetworkConfig(base_latency_ms=5.0), seed=1)
     for name in ("a", "b", "c"):
         network.register_host(name)
     return network
@@ -39,6 +42,15 @@ class TestNetworkConfig:
         setattr(config, field, value)
         with pytest.raises(NetworkError):
             config.validate()
+
+    def test_platform_uses_its_network_config_as_given(self):
+        config = NetworkConfig(base_latency_ms=7.0)
+        platform = build_platform(seed=5, network=config)
+        assert platform.network.config is config
+        assert platform.network.link("marketplace-1", "seller-1").latency_ms == 7.0
+        # Without jitter or loss the build draws nothing: the network's RNG
+        # is still the platform seed's.
+        assert platform.network._rng.getstate() == random.Random(5).getstate()
 
 
 class TestTopology:
@@ -95,7 +107,7 @@ class TestTransfers:
         assert outcome.bytes_moved == 0
 
     def test_jitter_stays_within_bound(self):
-        network = SimulatedNetwork(NetworkConfig(base_latency_ms=5.0, jitter_ms=2.0, seed=3))
+        network = SimulatedNetwork(NetworkConfig(base_latency_ms=5.0, jitter_ms=2.0), seed=3)
         network.register_host("a")
         network.register_host("b")
         for _ in range(50):
@@ -104,7 +116,7 @@ class TestTransfers:
 
     def test_deterministic_given_seed(self):
         def run(seed):
-            network = SimulatedNetwork(NetworkConfig(jitter_ms=3.0, seed=seed))
+            network = SimulatedNetwork(NetworkConfig(jitter_ms=3.0), seed=seed)
             network.register_host("a")
             network.register_host("b")
             return [network.transfer_latency("a", "b").latency_ms for _ in range(10)]
@@ -161,7 +173,7 @@ class TestFailures:
             net.partition(["a", "b"], ["b", "c"])
 
     def test_loss_model_drops_and_counts(self):
-        network = SimulatedNetwork(NetworkConfig(loss_probability=0.5, seed=11))
+        network = SimulatedNetwork(NetworkConfig(loss_probability=0.5), seed=11)
         network.register_host("a")
         network.register_host("b")
         drops = 0

@@ -46,7 +46,8 @@ def _entry_payloads(user_id="ann"):
     interaction = Interaction(
         user_id=user_id, item_id="item-1", kind=InteractionKind.BUY, timestamp=4.0
     )
-    transaction = TransactionRecord.create(
+    transaction = TransactionRecord(
+        transaction_id="txn-marketplace-1-1",
         user_id=user_id, item_id="item-1", marketplace="marketplace-1",
         kind=TransactionKind.DIRECT_PURCHASE, price=9.0, list_price=10.0,
         timestamp=5.0,

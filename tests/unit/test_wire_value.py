@@ -29,9 +29,9 @@ SAMPLES = {
     AgentCredential: lambda: AgentCredential(
         agent_id="MBA-1@buyer-server", owner="alice", issued_at=10.0,
         expires_at=60010.0, session_key="0" * 32, signature="f" * 64),
-    TransactionRecord: lambda: TransactionRecord.create(
-        "alice", "book-1", "market-1", TransactionKind.AUCTION_WIN, 11.0, 12.5, 100.0,
-        seller="seller-a", transaction_id="txn-market-1-1"),
+    TransactionRecord: lambda: TransactionRecord(
+        "txn-market-1-1", "alice", "book-1", "market-1", TransactionKind.AUCTION_WIN,
+        11.0, 12.5, 100.0, seller="seller-a"),
 }
 
 
