@@ -1,0 +1,101 @@
+"""Memory ledger: what one registered consumer costs the heap, module by module.
+
+A replicated four-server fleet (replication factor 1, the wall-clock
+ledger's deployment shape) registers and warms a community through the
+gateway: login, three ratings, logout — the set-up of every wall-clock
+workload — and then runs the scheduled anti-entropy ticks, so each WAL is
+truncated behind a snapshot as in a running platform.  ``tracemalloc``
+attributes every block still alive afterwards to the source file that
+allocated it, and the difference from the empty platform, divided by the
+community size, is the per-consumer cost of each ``repro`` module.  Blocks allocated elsewhere (the standard library, on
+behalf of ``repro`` code) are one line, ``(outside repro)``.
+
+The smoke asserts two bars: the total and ``core/profile.py``, the Figure
+4.4 profile that the buyer server's UserDB stores.  The bars sit about 5 %
+above what the run measured when they were set (bytes per consumer on
+CPython 3.11, the same under any ``PYTHONHASHSEED``: total 16 766,
+``core/profile.py`` 4 258; holding each shipped profile dump once, instead
+of a replica ``Profile`` graph and a snapshot re-dump beside it, took those
+from 20 082 and 7 638), so a change that makes a consumer dearer fails here,
+and one that makes it cheaper should lower them.
+
+Run ``python -m pytest -q -s benchmarks/bench_memory.py`` to print the
+ledger, or ``python benchmarks/bench_memory.py``.
+"""
+
+import random
+import tracemalloc
+from pathlib import Path
+
+from repro import build_platform
+from repro.workload import ConsumerPopulation
+
+CONSUMERS = 600
+SEED = 1
+#: Bytes per consumer; see the module docstring for how they were set.
+TOTAL_BAR = 17_600
+PROFILE_BAR = 4_450
+
+SOURCE_ROOT = Path(__import__("repro").__file__).resolve().parent
+OUTSIDE = "(outside repro)"
+
+
+def _module(filename: str) -> str:
+    path = Path(filename).resolve()
+    try:
+        return path.relative_to(SOURCE_ROOT).as_posix()
+    except ValueError:
+        return OUTSIDE
+
+
+def measure(consumers: int = CONSUMERS, seed: int = SEED) -> dict:
+    """``{module: bytes per consumer}`` retained by a warmed community."""
+    population = ConsumerPopulation(consumers, seed=seed).consumers()
+    tracemalloc.start()
+    try:
+        platform = build_platform(seed=seed, num_buyer_servers=4, replication_factor=1)
+        gateway = platform.gateway()
+        items = sorted(platform.catalog_view(), key=lambda item: item.item_id)
+        picks = random.Random(seed)
+        empty = tracemalloc.take_snapshot()
+        for consumer in population:
+            user = consumer.user_id
+            responses = [gateway.login(user)]
+            for item in picks.sample(items, 3):
+                responses.append(gateway.rate(user, item, round(5.0 * consumer.utility(item), 1)))
+            responses.append(gateway.logout(user))
+            for response in responses:
+                assert response.ok, response.describe()
+        platform.scheduler.run_until(platform.now)  # anti-entropy: WAL truncation
+        warmed = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    per_module: dict = {}
+    for stat in warmed.compare_to(empty, "filename"):
+        module = _module(stat.traceback[0].filename)
+        per_module[module] = per_module.get(module, 0) + stat.size_diff
+    return {module: size / consumers for module, size in per_module.items()}
+
+
+def report(per_module: dict) -> str:
+    rows = sorted(per_module.items(), key=lambda row: (-row[1], row[0]))
+    width = max(len(module) for module, _ in rows)
+    lines = [f"{'module':<{width}}  bytes/consumer"]
+    lines += [f"{module:<{width}}  {size:14,.0f}" for module, size in rows if abs(size) >= 1]
+    lines.append(f"{'total':<{width}}  {sum(per_module.values()):14,.0f}")
+    return "\n".join(lines)
+
+
+def test_memory_per_consumer_stays_under_its_bars():
+    per_module = measure()
+    print()
+    print(f"== memory ledger: {CONSUMERS} consumers, 4 servers, replication factor 1 ==")
+    print(report(per_module))
+    total = sum(per_module.values())
+    assert total <= TOTAL_BAR, f"{total:,.0f} B per consumer, bar {TOTAL_BAR:,}"
+    profile = per_module.get("core/profile.py", 0.0)
+    assert profile <= PROFILE_BAR, f"core/profile.py {profile:,.0f} B per consumer, bar {PROFILE_BAR:,}"
+
+
+if __name__ == "__main__":
+    print(report(measure()))

@@ -43,6 +43,10 @@ python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_elastic_fle
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
 python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adversarial.py
 
+echo "== tier-1: memory ledger (tracemalloc bytes per consumer per module; =="
+echo "==         the total and core/profile.py must stay under their bars)  =="
+python -m pytest -x -q -s -W error::DeprecationWarning benchmarks/bench_memory.py
+
 echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="
 echo "==         experiment must still run and assert its rows)            =="
 python -m pytest -x -q --benchmark-disable -W error::DeprecationWarning \

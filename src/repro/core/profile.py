@@ -36,7 +36,7 @@ class TermVector:
             for term, weight in weights.items():
                 if term and weight > 0:
                     # What ``set`` does with a pair it keeps, less the call:
-                    # a stored profile is rebuilt once per replica apply.
+                    # every ``copy`` and ``from_dict`` builds through here.
                     built[term] = float(weight)
                 else:
                     self.set(term, weight)

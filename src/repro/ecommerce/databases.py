@@ -51,7 +51,10 @@ class UserDB:
 
     def __init__(self) -> None:
         self._users: Dict[str, UserRecord] = {}
+        # A consumer's profile is its ``Profile`` here, or built on first read
+        # from its ``to_dict()`` dump in ``_dumps`` (see store_dump), or both.
         self._profiles: Dict[str, Profile] = {}
+        self._dumps: Dict[str, Dict[str, Any]] = {}
         self._transactions: Dict[str, List[TransactionRecord]] = {}
         self.ratings = RatingsStore()
         self._profiles_version = 0
@@ -113,7 +116,8 @@ class UserDB:
         """
         self._require(user_id)
         del self._users[user_id]
-        del self._profiles[user_id]
+        self._profiles.pop(user_id, None)
+        self._dumps.pop(user_id, None)
         del self._transactions[user_id]
         self.ratings.remove_user(user_id)
         self._profiles_version += 1
@@ -165,7 +169,12 @@ class UserDB:
         """
         record = reader.user(user_id)
         self.register(user_id, record.display_name, timestamp=record.registered_at)
-        self.store_profile(reader.profile(user_id).copy())
+        dump = reader._dumps.get(user_id)
+        # A replica's dump is the profile as shipped: build the copy from it
+        # once instead of building the reader's profile and copying that.
+        self.store_profile(
+            reader.profile(user_id).copy() if dump is None else Profile.from_dict(dump)
+        )
         for interaction in reader.ratings.interactions_of(user_id):
             self.record_interaction(interaction)
         for transaction in reader.transactions_of(user_id):
@@ -182,17 +191,42 @@ class UserDB:
     # -- profiles ----------------------------------------------------------------
 
     def profile(self, user_id: str) -> Profile:
-        self._require(user_id)
-        return self._profiles[user_id]
+        profile = self._profiles.get(user_id)
+        if profile is None:
+            self._require(user_id)
+            profile = self._profiles[user_id] = Profile.from_dict(self._dumps[user_id])
+        return profile
 
     def store_profile(self, profile: Profile) -> None:
         self._require(profile.user_id)
         self._profiles[profile.user_id] = profile
+        self._dumps.pop(profile.user_id, None)
         self._profiles_version += 1
         if self._mutation_listeners:
             self._notify("store-profile", profile=profile.to_dict())
 
+    def store_dump(self, dump: Dict[str, Any]) -> None:
+        """Replace a consumer's profile with a :meth:`Profile.to_dict` dump.
+
+        The dump is kept as it is, not copied: a dump is immutable by
+        contract — nothing writes to it once ``to_dict()`` has returned it —
+        so a replica holds the very dict its primary's WAL entry shipped.
+        The :class:`Profile` is built from it on the first read and kept; it
+        is for reading, since an edit to it would not reach the dump that
+        :meth:`adopt` copies.
+        """
+        user_id = dump["user_id"]
+        self._require(user_id)
+        self._dumps[user_id] = dump
+        self._profiles.pop(user_id, None)
+        self._profiles_version += 1
+        if self._mutation_listeners:
+            self._notify("store-profile", profile=dump)
+
     def profiles(self) -> List[Profile]:
+        if self._dumps:  # build every profile that is still only a dump
+            for user_id in self._dumps.keys() - self._profiles.keys():
+                self.profile(user_id)
         return [self._profiles[user_id] for user_id in sorted(self._profiles)]
 
     def profiles_version(self) -> int:

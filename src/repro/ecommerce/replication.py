@@ -36,7 +36,7 @@ replicas — without a single read against the dead host's memory.
   Snapshots are built **incrementally**: the manager records the consumer
   every WAL entry names (its two capture hooks are the only doors into the
   log, and nothing durable changes without an entry), and a truncation
-  re-dumps just those consumers into a copy of the previous snapshot's
+  re-captures just those consumers into a copy of the previous snapshot's
   ``user id → dump`` map, dropping the ones that unregistered.  Untouched
   dumps are shared between successive snapshots and never written, so a
   snapshot already handed out does not change.  The map's order depends on
@@ -61,6 +61,15 @@ replicas — without a single read against the dead host's memory.
   platform builder apply on founding, crash, recovery, join and
   decommission.
 
+**One copy of a profile.**  A profile dump (``Profile.to_dict()``) is
+immutable: nothing writes to the dict once ``to_dict()`` has returned it.
+So the dump a ``store-profile`` entry ships is the only copy of that state
+outside the primary's live ``Profile``: the replica's shadow UserDB keeps
+the shipped dict as it is and builds the ``Profile`` on its first read
+(``UserDB.store_dump``), and a snapshot reuses the dict of each consumer's
+latest ``store-profile`` entry instead of dumping the live profile again.
+The WAL entry, the snapshot and every replica hold the same object.
+
 **Replication semantics — what is durable, what is lost.**
 
 - *Durable (replicated):* consumer registrations, full profile state
@@ -84,11 +93,13 @@ replicas — without a single read against the dead host's memory.
   tick) + (max per-peer lag)`` — a fixed bound whenever peers keep
   acknowledging.  ``replication.wal-truncated`` events and the
   ``replication.wal.truncated_entries`` counter make truncations observable.
-  A truncation costs one dump per consumer written since the previous one
-  (at most ``threshold`` + the tail of one tick — not the population) plus
-  one shallow copy of the ``user id → dump`` map; only the first truncation
-  of a server dumps everybody.  Shipping a snapshot costs one ``repr`` per
-  dump no earlier shipment sized: the re-dumped consumers, not everybody.
+  A truncation costs one record per consumer written since the previous
+  one (at most ``threshold`` + the tail of one tick — not the population)
+  plus one shallow copy of the ``user id → dump`` map; only the first
+  truncation of a server records everybody, and a profile is dumped afresh
+  only for a consumer no ``store-profile`` entry has shipped.  Shipping a
+  snapshot costs one ``repr`` per dump no earlier shipment sized: the
+  re-captured consumers, not everybody.
 """
 
 from __future__ import annotations
@@ -143,8 +154,8 @@ class ReplicationLogEntry:
     timestamp: float
     #: payload_bytes(), once the first shipment sized it.  Sound because no
     #: payload changes after append: it is the log's own shallow copy of
-    #: immutable values and a fresh ``to_dict()``, and every reader (the
-    #: replica's ``_apply``, the mutation listeners) only reads it.
+    #: immutable values and a ``to_dict()`` dump, and every holder of the
+    #: dump (the replicas' shadow UserDBs, the snapshot) only reads it.
     _size: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def payload_bytes(self) -> int:
@@ -266,7 +277,9 @@ class ReplicaState:
     the first gap (anti-entropy re-ships the full missing suffix later), so
     the shadow is always an exact prefix of the primary's mutation history.
     A replica created after the primary truncated its log starts from a
-    :meth:`bootstrap` snapshot instead of sequence 1.
+    :meth:`bootstrap` snapshot instead of sequence 1.  Profiles arrive as
+    dumps and the shadow keeps them as they are (``UserDB.store_dump``): a
+    ``Profile`` is built only when something reads it.
     """
 
     def __init__(self, primary: str) -> None:
@@ -326,7 +339,7 @@ class ReplicaState:
             db.register(
                 user_id, dump["display_name"], timestamp=dump["registered_at"]
             )
-            db.store_profile(Profile.from_dict(dump["profile"]))
+            db.store_dump(dump["profile"])
             for interaction in dump["interactions"]:
                 db.record_interaction(interaction)
             for transaction in dump["transactions"]:
@@ -355,10 +368,10 @@ class ReplicaState:
             if index is not None:
                 index.remove(payload["user_id"])
         elif entry.op == "store-profile":
-            profile = Profile.from_dict(payload["profile"])
-            self.db.store_profile(profile)
+            dump = payload["profile"]
+            self.db.store_dump(dump)
             if index is not None:
-                index.on_profile_update(profile)
+                index.on_profile_update(self.db.profile(dump["user_id"]))
         elif entry.op == "interaction":
             self.db.record_interaction(payload["interaction"])
         elif entry.op == "transaction":
@@ -411,6 +424,11 @@ class ReplicationManager:
         #: Consumers named by a WAL entry appended since :attr:`snapshot` was
         #: installed — the only ones whose dump in it can be out of date.
         self._touched: Set[str] = set()
+        #: user id → the profile dump of that consumer's latest
+        #: ``store-profile`` entry: the entry's own dict, which the snapshot
+        #: reuses.  A ``register`` / ``unregister`` entry drops it, since it
+        #: no longer is that consumer's profile.
+        self._dumps: Dict[str, Dict[str, Any]] = {}
         self.peers: List["BuyerAgentServer"] = []
         #: Highest sequence number each peer has acknowledged applying.
         self._acked: Dict[str, int] = {}
@@ -512,6 +530,10 @@ class ReplicationManager:
     ) -> None:
         """The one door into the WAL: every entry names the consumer it changes."""
         self._touched.add(user_id)
+        if op == "store-profile":
+            self._dumps[user_id] = payload["profile"]
+        elif op == "register" or op == "unregister":
+            self._dumps.pop(user_id, None)
         entry = self.log.append(op, payload, timestamp=self.server.context.now)
         if not self.server.context.host.is_running:
             return  # crashed primaries cannot ship; the tail is the lag
@@ -631,14 +653,17 @@ class ReplicationManager:
     def _capture_snapshot(self) -> ReplicationSnapshot:
         """The primary's durable consumer state at ``log.last_seq``.
 
-        Built from the installed snapshot's per-consumer dumps, re-dumping
+        Built from the installed snapshot's per-consumer dumps, re-capturing
         only the consumers a WAL entry has named since (and dropping the
         ones that unregistered); before the first truncation every consumer
-        counts as touched.  Nothing durable changes without a WAL entry, so
-        the result equals a dump of every consumer — at the cost of the
-        touched ones.  A pure read: the previous snapshot's ``state`` is
-        copied, never written, its dumps (and their sizes) are shared, and the
-        touched set is consumed only where :meth:`maybe_truncate` installs it.
+        counts as touched.  A touched consumer's profile is the dump of its
+        latest ``store-profile`` entry, the same dict the entry shipped;
+        only a consumer without one is dumped here.  Nothing durable changes
+        without a WAL entry, so the result equals a dump of every consumer —
+        at the cost of the touched ones.  A pure read: the previous
+        snapshot's ``state`` is copied, never written, its dumps (and their
+        sizes) are shared, and the touched set is consumed only where
+        :meth:`maybe_truncate` installs it.
         """
         db = self.server.user_db
         state: Dict[str, Dict[str, Any]]
@@ -653,12 +678,13 @@ class ReplicationManager:
                 state.pop(user_id, None)
                 continue
             record = db.user(user_id)
+            dump = self._dumps.get(user_id)
             state[user_id] = {
                 "display_name": record.display_name,
                 "registered_at": record.registered_at,
                 "logins": record.logins,
                 "last_login_at": record.last_login_at,
-                "profile": db.profile(user_id).to_dict(),
+                "profile": db.profile(user_id).to_dict() if dump is None else dump,
                 "interactions": db.ratings.interactions_of(user_id),
                 "transactions": db.transactions_of(user_id),
             }

@@ -15,12 +15,14 @@ and nothing the cyclic garbage collector has to walk unless the payload
 itself holds a container.  :class:`Event` is therefore a *view*: readers
 (``events``, iteration, ``by_category``, ``latest``, ...) get fresh
 ``Event`` objects built from the columns, equal to the ones recorded, and
-two reads of the same row are ``==`` but not ``is``.  The category index
-makes ``count``, ``latest`` and ``last_payload`` O(1) and ``by_category``
-O(matches); ``involving`` and ``between`` still scan their columns.  The log
-is unbounded — dropping old rows changes what ``events_since(row)`` and
-``events[start:]`` readers see, which is a policy about what to keep and
-not a representation (ROADMAP item 4).
+two reads of the same row are ``==`` but not ``is``.  The string columns
+hold one object per distinct string: callers build categories and parties
+with f-strings, and a column would otherwise keep a copy per row.  The
+category index makes ``count``, ``latest`` and ``last_payload`` O(1) and
+``by_category`` O(matches); ``involving`` and ``between`` still scan their
+columns.  The log is unbounded — dropping old rows changes what
+``events_since(row)`` and ``events[start:]`` readers see, which is a policy
+about what to keep and not a representation (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -111,6 +113,8 @@ class EventLog:
             self._timestamps, self._categories, self._sources, self._targets, self._payloads
         )
         self._rows: Dict[str, array] = {}
+        # Each distinct category / source / target string, as first recorded.
+        self._strings: Dict[str, str] = {}
 
     def _store(
         self,
@@ -123,14 +127,16 @@ class EventLog:
         # The one append that can refuse its value goes first, so a bad
         # timestamp leaves every column as long as it was.
         self._timestamps.append(timestamp)
+        intern = self._strings.setdefault
+        category = intern(category, category)
         try:
             rows = self._rows[category]
         except KeyError:
             rows = self._rows[category] = array("q")
         rows.append(len(self._categories))
         self._categories.append(category)
-        self._sources.append(source)
-        self._targets.append(target)
+        self._sources.append(intern(source, source))
+        self._targets.append(intern(target, target))
         self._payloads.append(payload)
 
     def _view(self, row: int) -> Event:

@@ -32,3 +32,19 @@ def test_timer_samples_are_packed_doubles():
     timer.record(3)
     assert isinstance(timer.samples, array) and timer.samples.typecode == "d"
     assert timer.samples[0] == 3.0
+
+
+def test_string_columns_hold_one_object_per_distinct_string():
+    """A category built per call (``f"transfer.{kind}"``) is a new string
+    each time; the log keeps the first and points every later row at it."""
+    log = EventLog()
+    kind = "replication"
+    for step in range(_STEPS):
+        log.record(
+            float(step), f"transfer.{kind}", f"buyer-server-{step % 2}",
+            f"buyer-server-{1 - step % 2}", payload_bytes=step,
+        )
+    assert log.count("transfer.replication") == _STEPS
+    assert len({id(category) for category in log.categories()}) == 1
+    assert len({id(event.source) for event in log}) == 2
+    assert len({id(event.target) for event in log}) == 2
