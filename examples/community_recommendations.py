@@ -3,8 +3,9 @@
 Warms the recommendation mechanism up with a whole community of consumers
 (clustered into taste groups), then shows that a returning consumer receives
 recommendation information that comes from the consumers most similar to them
-— the core claim of §4.4 — and compares the mechanism against the §2.3
-baselines (pure collaborative filtering, pure information filtering,
+— the core claim of §4.4 — together with the §5.2 extensions (the weekly
+hottest list and cross-sell suggestions), and compares the mechanism against
+the §2.3 baselines (pure collaborative filtering, pure information filtering,
 popularity) on the offline quality benchmark.
 
 All live traffic goes through the platform gateway: the warm-up scenario
@@ -59,6 +60,26 @@ def live_platform_demo() -> None:
     print(f"Recommendations for {target.user_id}:")
     for rec in recommendations.result.recommendations:
         print(f"  {rec.item_id:<22s} score={rec.score:.3f}  ({rec.reason})")
+    print()
+
+    # The §5.2 extensions: the community's weekly hottest merchandise, and
+    # the merchandise consumers bought together with it.
+    hottest = gateway.weekly_hottest(target.user_id, k=5)
+    print(f"Weekly hottest merchandise (envelope status={hottest.status}):")
+    for rec in hottest.result.recommendations:
+        print(f"  {rec.item_id:<22s} score={rec.score:.3f}  ({rec.reason})")
+    baskets = (
+        (f"{target.user_id}'s purchases", None),
+        ("the weekly hottest merchandise",
+         tuple(rec.item_id for rec in hottest.result.recommendations)),
+    )
+    for label, basket in baskets:
+        cross_sell = gateway.cross_sell(target.user_id, k=5, basket=basket)
+        print(f"Bought together with {label} (envelope status={cross_sell.status}):")
+        for rec in cross_sell.result.recommendations:
+            print(f"  {rec.item_id:<22s} score={rec.score:.3f}  ({rec.reason})")
+        if not cross_sell.result.recommendations:
+            print("  (none yet)")
     gateway.logout(target.user_id)
     print()
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the whole test suite in one leg, the benchmark smokes, the
 # figure / capability benchmarks with timing disabled, the wall-clock ledger
-# digests and the examples.
+# digests, the examples, the experiments and the reachability ledger.
 # The gateway, concurrent, flash-crowd and adversarial smokes are pytest
 # tests (test_api_gateway.py, test_concurrent_report.py,
 # test_elastic_fleet.py, test_adversarial_subsystem.py and the matching
@@ -14,10 +14,20 @@
 # REPRO_BENCH_FULL=1 to run the 5000-consumer scaling check instead (where
 # the wall-clock bars of benchmarks/bench_neighbors_scaling.py are enforced
 # too).
+#
+# Every leg after the test suite runs an entry point of the system with the
+# reachability hook (scripts/reach_hook) switched on; the last leg checks
+# what they reached against REACHABILITY.json (scripts/reachability.py).
+# The hook makes those legs ~2.5-3x slower; the test suite runs unhooked.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+reach_dir="$(mktemp -d)"
+trap 'rm -rf "${reach_dir}"' EXIT
+hooked() {
+  PYTHONPATH="${PWD}/scripts/reach_hook:${PYTHONPATH}" REPRO_REACH_OUT="${reach_dir}" "$@"
+}
 
 echo "== tier-1: unit + property + integration tests (20 slowest on record; =="
 echo "==         a DeprecationWarning is an error)                          =="
@@ -28,28 +38,28 @@ echo "== tier-1: benchmark smoke (neighbor index scaling + scoring-  =="
 echo "==         kernel trajectory: deterministic block must        =="
 echo "==         regenerate byte-for-byte, recorded full-mode       =="
 echo "==         timings must hold the dict-vs-brute floor)         =="
-python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_neighbors_scaling.py
+hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_neighbors_scaling.py
 
 echo "== tier-1: benchmark smoke (concurrent load + artifact reproduction) =="
-python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_concurrent_load.py
+hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_concurrent_load.py
 
 echo "== tier-1: benchmark smoke (saturation sweep: artifact reproduction, =="
 echo "==         goodput knee, closed taxonomy, shed/rejected agreement)   =="
-python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_saturation_sweep.py
+hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_saturation_sweep.py
 
 echo "== tier-1: benchmark smoke (elastic fleet + artifact reproduction) =="
-python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_elastic_fleet.py
+hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_elastic_fleet.py
 
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
-python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adversarial.py
+hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adversarial.py
 
 echo "== tier-1: memory ledger (tracemalloc bytes per consumer per module; =="
 echo "==         the total and core/profile.py must stay under their bars)  =="
-python -m pytest -x -q -s -W error::DeprecationWarning benchmarks/bench_memory.py
+hooked python -m pytest -x -q -s -W error::DeprecationWarning benchmarks/bench_memory.py
 
 echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="
 echo "==         experiment must still run and assert its rows)            =="
-python -m pytest -x -q --benchmark-disable -W error::DeprecationWarning \
+hooked python -m pytest -x -q --benchmark-disable -W error::DeprecationWarning \
   benchmarks/bench_fig31_platform.py \
   benchmarks/bench_fig32_mechanism.py \
   benchmarks/bench_fig41_creation.py \
@@ -67,7 +77,7 @@ for run in browse:1 browse:2 trade:1 trade:2 similar_fanout:1 similar_fanout:2 \
            overload_submit:1 overload_submit:2 \
            fleet_maintenance:1 fleet_maintenance:2; do
   workload="${run%:*}" seed="${run#*:}"
-  python3 benchmarks/wallclock/run.py --workload "${workload}" --seed "${seed}" \
+  hooked python3 benchmarks/wallclock/run.py --workload "${workload}" --seed "${seed}" \
       --seconds 1 --trace 1 | tail -n 1 | WORKLOAD="${workload} seed ${seed}" python3 -c '
 import json, os, sys
 result = json.loads(sys.stdin.readline())
@@ -82,7 +92,16 @@ done
 echo "== tier-1: example smoke runs (a DeprecationWarning is an error) =="
 for example in examples/*.py; do
   echo "-- ${example}"
-  python -W error::DeprecationWarning "${example}" >/dev/null
+  hooked python -W error::DeprecationWarning "${example}" >/dev/null
 done
+
+echo "== tier-1: experiments (every figure and capability experiment, quick =="
+echo "==         parameters; a DeprecationWarning is an error)            =="
+hooked python -W error::DeprecationWarning -m repro.experiments --quick >/dev/null
+
+echo "== tier-1: reachability ledger (every src/repro function an entry point =="
+echo "==         leaves unreached, and every PlatformConfig field none sets, =="
+echo "==         is listed in REACHABILITY.json with a reason; nothing more) =="
+python3 scripts/reachability.py "${reach_dir}"
 
 echo "ci_check: OK"

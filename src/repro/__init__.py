@@ -42,8 +42,9 @@ Scaling — batch serving and the neighbor index::
     service = platform.buyer_server.recommendations
     lists = service.recommend_many(["alice", "bob", "carol"], k=5)
 
-    # Periodic community-wide precomputation (e.g. from a scenario loop):
-    platform.buyer_server.refresh_recommendations(k=5)
+    # Community-wide precomputation, served later from the refresh's cache
+    # (a fleet runs it on a schedule: fleet.start_periodic_refresh):
+    service.batch_refresh(["alice", "bob", "carol"], k=5)
     cached = service.cached_recommendations("alice")
 """
 

@@ -11,7 +11,7 @@ axis, behaviour under *hostility*:
   credentials and double-finalize attempts;
 - :mod:`repro.workload.adversary` — the ``AdversaryDriver`` scripting
   scalper fleets, replay/forgery bots and quota abuse against the
-  admission layer (re-exported here for discoverability);
+  admission layer (a workload driver, so it lives in :mod:`repro.workload`);
 - :mod:`repro.adversarial.chaos` — the seeded, replayable
   ``ChaosSchedule`` generator compiling crash/partition/recover
   sequences into the existing :class:`~repro.platform.failure.FailurePlan`;
@@ -35,7 +35,6 @@ from repro.adversarial.handshake import (
 
 __all__ = [
     "AuditReport",
-    "AdversaryDriver",
     "ChaosEvent",
     "ChaosSchedule",
     "HandshakeBroker",
@@ -43,15 +42,3 @@ __all__ = [
     "InvariantAuditor",
     "TradeHandshake",
 ]
-
-
-def __getattr__(name: str):
-    # AdversaryDriver lives beside the other workload drivers in
-    # repro.workload.adversary (which imports e-commerce machinery); a
-    # lazy re-export keeps this package importable from the trade
-    # services without a cycle.
-    if name == "AdversaryDriver":
-        from repro.workload.adversary import AdversaryDriver
-
-        return AdversaryDriver
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

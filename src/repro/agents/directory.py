@@ -35,9 +35,6 @@ class ContextDirectory:
     def register_context(self, context: "AgletContext") -> None:
         self._contexts[context.host_name] = context
 
-    def unregister_context(self, host_name: str) -> None:
-        self._contexts.pop(host_name, None)
-
     def context_for(self, host_name: str) -> "AgletContext":
         if host_name not in self._contexts:
             raise HostUnreachableError(f"no agent context registered on host {host_name!r}")
@@ -69,6 +66,3 @@ class ContextDirectory:
         return sorted(
             agent_id for agent_id, host in self._locations.items() if host == host_name
         )
-
-    def all_agents(self) -> Dict[str, str]:
-        return dict(self._locations)

@@ -39,7 +39,6 @@ from repro.errors import (
     AuctionError,
     AuthenticationError,
     CatalogError,
-    ColdStartError,
     DoubleFinalizeError,
     ECommerceError,
     FleetUnavailableError,
@@ -50,7 +49,6 @@ from repro.errors import (
     LoginError,
     MarketplaceError,
     MessageDeliveryError,
-    MessageTimeoutError,
     NegotiationError,
     ReplayedOfferError,
     StaleCredentialError,
@@ -135,7 +133,6 @@ _ERROR_TAXONOMY = (
     (CatalogError, "catalog", False),
     (ReplicationError, "replication", False),
     (ECommerceError, "ecommerce", False),
-    (MessageTimeoutError, "timeout", True),
     (MessageDeliveryError, "delivery", True),
     (AuthenticationError, "authentication", False),
     (AgentError, "agent", False),
@@ -144,7 +141,6 @@ _ERROR_TAXONOMY = (
     (TransferDroppedError, "transfer-dropped", True),
     (NetworkError, "network", True),
     (PlatformError, "platform", False),
-    (ColdStartError, "cold-start", False),
     (RecommendationError, "recommendation", False),
     (ReproError, "internal", False),
 )

@@ -111,6 +111,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["PlatformGateway", "RoutingUnavailableError"]
 
+#: How many times the retry middleware retries a *retryable* failure, and
+#: the first backoff it charges to the simulated clock (doubled per attempt).
+MAX_RETRIES = 2
+RETRY_BACKOFF_MS = 25.0
+
 
 class RoutingUnavailableError(HostUnreachableError):
     """The gateway's own pre-dispatch liveness check failed.
@@ -181,12 +186,7 @@ class PlatformGateway:
                 class_costs=class_costs,
             ),
             DeadlineMiddleware(config.api_deadline_ms, self._metrics, self._clock),
-            RetryMiddleware(
-                config.api_max_retries,
-                config.api_retry_backoff_ms,
-                self._metrics,
-                self._clock,
-            ),
+            RetryMiddleware(MAX_RETRIES, RETRY_BACKOFF_MS, self._metrics, self._clock),
             QueueingMiddleware(self._metrics),
         )
         self._handler = build_chain(list(self.middlewares), self._dispatch)

@@ -58,7 +58,6 @@ from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommender
 from repro.core.cross_sell import CrossSellRecommender
 from repro.core.hybrid import AgentHybridRecommender
-from repro.core.cold_start import ColdStartPolicy
 from repro.core import metrics
 
 __all__ = [
@@ -93,6 +92,5 @@ __all__ = [
     "WeeklyHottestRecommender",
     "CrossSellRecommender",
     "AgentHybridRecommender",
-    "ColdStartPolicy",
     "metrics",
 ]

@@ -100,25 +100,6 @@ class CollaborativeFilteringRecommender(Recommender):
         self._neighbourhood_cache[user_id] = (stamp, result)
         return list(result)
 
-    # -- prediction -------------------------------------------------------------
-
-    def predict(self, user_id: str, item_id: str) -> float:
-        """Predicted preference value of ``user_id`` for ``item_id``."""
-        observed = self.ratings.value(user_id, item_id)
-        if observed:
-            return observed
-        neighbourhood = self.neighbourhood(user_id)
-        numerator = 0.0
-        denominator = 0.0
-        for neighbour, similarity in neighbourhood:
-            value = self.ratings.value(neighbour, item_id)
-            if value:
-                numerator += similarity * value
-                denominator += abs(similarity)
-        if denominator == 0.0:
-            return 0.0
-        return numerator / denominator
-
     def can_recommend(self, user_id: str) -> bool:
         """CF has signal only when the user has interactions *and* neighbours."""
         return bool(self.ratings.user_vector(user_id)) and bool(self.neighbourhood(user_id))

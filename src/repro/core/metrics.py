@@ -4,9 +4,8 @@ The paper claims its mechanism "can generate recommendation information to
 consumers from the applied similarity algorithms" but reports no numbers, so
 the benchmark harness quantifies recommendation quality with the standard
 metrics of the recommender-systems literature the paper cites (Schafer et al.,
-Good et al.): precision/recall/F1 at k, hit rate, NDCG, mean absolute error of
-predicted preferences, catalogue coverage and rank correlation against the
-consumers' true latent preferences.
+Good et al.): precision/recall/F1 at k, hit rate, NDCG, catalogue coverage and
+rank correlation against the consumers' true latent preferences.
 """
 
 from __future__ import annotations
@@ -19,13 +18,9 @@ __all__ = [
     "recall_at_k",
     "f1_at_k",
     "hit_rate_at_k",
-    "average_precision",
     "ndcg_at_k",
-    "mean_absolute_error",
-    "root_mean_squared_error",
     "catalog_coverage",
     "spearman_rank_correlation",
-    "kendall_tau",
 ]
 
 
@@ -71,22 +66,6 @@ def hit_rate_at_k(recommended: Sequence[str], relevant: Iterable[str], k: int) -
     return 1.0 if any(item in relevant_set for item in _top_k(recommended, k)) else 0.0
 
 
-def average_precision(recommended: Sequence[str], relevant: Iterable[str]) -> float:
-    """Average precision over the full recommendation list."""
-    relevant_set = set(relevant)
-    if not relevant_set:
-        return 0.0
-    hits = 0
-    precision_sum = 0.0
-    for index, item in enumerate(recommended, start=1):
-        if item in relevant_set:
-            hits += 1
-            precision_sum += hits / float(index)
-    if hits == 0:
-        return 0.0
-    return precision_sum / float(min(len(relevant_set), len(recommended)))
-
-
 def ndcg_at_k(recommended: Sequence[str], relevant: Iterable[str], k: int) -> float:
     """Normalised discounted cumulative gain with binary relevance."""
     relevant_set = set(relevant)
@@ -103,28 +82,6 @@ def ndcg_at_k(recommended: Sequence[str], relevant: Iterable[str], k: int) -> fl
     if ideal == 0.0:
         return 0.0
     return dcg / ideal
-
-
-def mean_absolute_error(
-    predictions: Mapping[str, float], truths: Mapping[str, float]
-) -> float:
-    """MAE over the keys present in both mappings; 0 when nothing overlaps."""
-    common = [key for key in predictions if key in truths]
-    if not common:
-        return 0.0
-    return sum(abs(predictions[key] - truths[key]) for key in common) / len(common)
-
-
-def root_mean_squared_error(
-    predictions: Mapping[str, float], truths: Mapping[str, float]
-) -> float:
-    """RMSE over the keys present in both mappings; 0 when nothing overlaps."""
-    common = [key for key in predictions if key in truths]
-    if not common:
-        return 0.0
-    return math.sqrt(
-        sum((predictions[key] - truths[key]) ** 2 for key in common) / len(common)
-    )
 
 
 def catalog_coverage(
@@ -177,23 +134,3 @@ def spearman_rank_correlation(
     if var_left == 0.0 or var_right == 0.0:
         return 0.0
     return numerator / math.sqrt(var_left * var_right)
-
-
-def kendall_tau(left: Mapping[str, float], right: Mapping[str, float]) -> float:
-    """Kendall's tau-a over the shared keys; 0 with fewer than 2 shared keys."""
-    common = sorted(key for key in left if key in right)
-    if len(common) < 2:
-        return 0.0
-    concordant = 0
-    discordant = 0
-    for i in range(len(common)):
-        for j in range(i + 1, len(common)):
-            a = left[common[i]] - left[common[j]]
-            b = right[common[i]] - right[common[j]]
-            product = a * b
-            if product > 0:
-                concordant += 1
-            elif product < 0:
-                discordant += 1
-    pairs = len(common) * (len(common) - 1) / 2.0
-    return (concordant - discordant) / pairs

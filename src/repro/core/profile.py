@@ -100,9 +100,6 @@ class TermVector:
         mutate, do not keep past the call (:meth:`as_dict` is the copy)."""
         return self._weights
 
-    def terms(self) -> List[str]:
-        return sorted(self._weights)
-
     def top_terms(self, count: int) -> List[Tuple[str, float]]:
         """The ``count`` heaviest terms, ties broken alphabetically."""
         return sorted(self._weights.items(), key=lambda pair: (-pair[1], pair[0]))[:count]
@@ -115,37 +112,12 @@ class TermVector:
     def total(self) -> float:
         return sum(self._weights.values())
 
-    def dot(self, other: "TermVector") -> float:
-        if len(self._weights) > len(other._weights):
-            return other.dot(self)
-        return sum(
-            weight * other._weights.get(term, 0.0)
-            for term, weight in self._weights.items()
-        )
-
-    def cosine(self, other: "TermVector") -> float:
-        """Cosine similarity with another vector (0 when either is empty).
-
-        Clamped to 1: weights near 1e-161 square into the subnormal range,
-        where the norms lose precision and the bare ratio can exceed 1.
-        """
-        denominator = self.norm() * other.norm()
-        if denominator == 0:
-            return 0.0
-        return min(1.0, self.dot(other) / denominator)
-
-    def merged_with(self, other: "TermVector", weight: float = 1.0) -> "TermVector":
-        """A new vector equal to ``self + weight * other``."""
-        merged = self.copy()
-        merged._accumulate(other, weight)
-        return merged
-
-    def _accumulate(self, other: "TermVector", weight: float = 1.0) -> None:
-        """In place, what ``self = self.merged_with(other, weight)`` leaves:
-        same values, same insertion order (a cosine's summation order keys on it)."""
+    def _accumulate(self, other: "TermVector") -> None:
+        """In place, ``self + other`` with ``other``'s terms added in sorted
+        order: a cosine's summation order keys on the insertion order."""
         weights = self._weights
         for term, value in other.items():
-            updated = max(0.0, weights.get(term, 0.0) + weight * value)
+            updated = max(0.0, weights.get(term, 0.0) + value)
             if updated == 0:
                 weights.pop(term, None)
             else:

@@ -129,11 +129,6 @@ class ProfileLearner:
         if hook not in self._update_hooks:
             self._update_hooks.append(hook)
 
-    def remove_update_hook(self, hook: UpdateHook) -> None:
-        """Unregister a previously added hook (missing hooks are ignored)."""
-        if hook in self._update_hooks:
-            self._update_hooks.remove(hook)
-
     # -- single event ---------------------------------------------------------
 
     def apply(self, profile: Profile, event: FeedbackEvent) -> Profile:

@@ -40,14 +40,13 @@ both are re-exported here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import ECommerceError, RegistrationError
 from repro.agents.context import AgletContext
 from repro.agents.messages import MessageKinds
 from repro.core.items import ItemCatalogView
-from repro.core.profile_learning import LearningConfig, ProfileLearner
-from repro.core.recommender import Recommendation
+from repro.core.profile_learning import ProfileLearner
 from repro.core.similarity import SimilarityConfig
 from repro.ecommerce.buyer_agents import BuyerServerManagementAgent, HttpAgent
 from repro.ecommerce.databases import BSMDB, UserDB
@@ -59,7 +58,6 @@ from repro.ecommerce.fleet import (
 )
 from repro.ecommerce.recommendation_service import RecommendationService
 from repro.ecommerce.replication import ReplicationManager
-from repro.platform.clock import RecurringCallback
 
 __all__ = [
     "RecommendationService",
@@ -79,7 +77,6 @@ class BuyerAgentServer:
         context: AgletContext,
         coordinator_agent_id: str,
         catalog: Optional[ItemCatalogView] = None,
-        learning_config: Optional[LearningConfig] = None,
         similarity_config: Optional[SimilarityConfig] = None,
     ) -> None:
         self.context = context
@@ -89,7 +86,7 @@ class BuyerAgentServer:
         # Attach the shared services the functional agents will look up.
         self.user_db = UserDB()
         self.bsmdb = BSMDB()
-        self.profile_learner = ProfileLearner(learning_config)
+        self.profile_learner = ProfileLearner()
         context.host.attach_service("user-db", self.user_db)
         context.host.attach_service("bsmdb", self.bsmdb)
         context.host.attach_service("profile-learner", self.profile_learner)
@@ -106,7 +103,6 @@ class BuyerAgentServer:
         self.httpa: Optional[HttpAgent] = None
         self.batch_refreshes = 0
         self.refresh_skips = 0
-        self._refresh_task: Optional[RecurringCallback] = None
         self.replication: Optional[ReplicationManager] = None
 
     # -- replication ----------------------------------------------------------------
@@ -178,90 +174,6 @@ class BuyerAgentServer:
         )
         if not reply.ok:
             raise ECommerceError(reply.error)
-
-    # -- periodic batch refresh ----------------------------------------------------
-
-    def refresh_recommendations(self, k: int = 10) -> Dict[str, List[Recommendation]]:
-        """Batch-recompute recommendation lists for the current community.
-
-        Refreshes every online consumer (falling back to every registered
-        consumer while nobody is logged in) through the shared
-        :meth:`RecommendationService.batch_refresh`, so the next login can be
-        served a precomputed list instantly.
-        """
-        users = self.bsmdb.online_user_ids() or self.user_db.user_ids
-        results = self.recommendations.batch_refresh(users, k=k)
-        self.batch_refreshes += 1
-        return results
-
-    def maybe_refresh_recommendations(
-        self, interval_ms: float, k: int = 10
-    ) -> bool:
-        """Run :meth:`refresh_recommendations` when the interval has elapsed.
-
-        This is the periodic driver: scenario loops (and any external ticker)
-        call it once per step and the refresh fires at most every
-        ``interval_ms`` of simulated time.  Returns True when a refresh ran.
-        """
-        if interval_ms < 0:
-            raise ECommerceError("refresh interval cannot be negative")
-        last = self.recommendations.last_batch_refresh_at
-        if last is not None and self.context.now - last < interval_ms:
-            return False
-        self.refresh_recommendations(k=k)
-        return True
-
-    # -- scheduler-driven refresh ---------------------------------------------------
-
-    @property
-    def refresh_scheduled(self) -> bool:
-        """Whether a scheduled periodic refresh is currently armed."""
-        return self._refresh_task is not None and not self._refresh_task.cancelled
-
-    def start_periodic_refresh(self, interval_ms: float, k: int = 10) -> RecurringCallback:
-        """Drive :meth:`refresh_recommendations` from the platform scheduler.
-
-        Unlike :meth:`maybe_refresh_recommendations` — which relies on a
-        scenario loop polling it — this registers a real recurring simulated
-        event that fires every ``interval_ms``, re-arms itself, and records a
-        ``recommendation.scheduled-refresh`` event per firing.  While the
-        host is crashed the tick is skipped (recorded as
-        ``recommendation.refresh-skipped``) but the recurrence stays armed,
-        so refreshes resume by themselves after recovery.
-        """
-        if interval_ms <= 0:
-            raise ECommerceError("refresh interval must be positive")
-        if self.refresh_scheduled:
-            raise ECommerceError(
-                f"buyer agent server {self.name!r} already has a scheduled refresh"
-            )
-        log = self.context.transport.event_log
-
-        def fire() -> None:
-            if not self.context.host.is_running:
-                self.refresh_skips += 1
-                log.record(
-                    self.context.now, "recommendation.refresh-skipped",
-                    self.name, self.name, reason="host-down",
-                )
-                return
-            results = self.refresh_recommendations(k=k)
-            log.record(
-                self.context.now, "recommendation.scheduled-refresh",
-                self.name, self.name,
-                consumers=len(results), user_ids=sorted(results),
-            )
-
-        self._refresh_task = self.context.host.scheduler.call_every(
-            interval_ms, fire, label=f"refresh.{self.name}"
-        )
-        return self._refresh_task
-
-    def stop_periodic_refresh(self) -> None:
-        """Cancel the scheduled periodic refresh (no-op when none is armed)."""
-        if self._refresh_task is not None:
-            self._refresh_task.cancel()
-            self._refresh_task = None
 
 
 def _creation_request(host: str):

@@ -75,11 +75,6 @@ class UserDB:
         if listener not in self._mutation_listeners:
             self._mutation_listeners.append(listener)
 
-    def remove_mutation_listener(self, listener: MutationListener) -> None:
-        """Unregister a previously added listener (missing ones are ignored)."""
-        if listener in self._mutation_listeners:
-            self._mutation_listeners.remove(listener)
-
     def _notify(self, op: str, **payload: Any) -> None:
         for listener in self._mutation_listeners:
             listener(op, payload)

@@ -20,7 +20,6 @@ from repro.agents.context import AgletContext
 from repro.agents.security import AuthenticationService
 from repro.agents.directory import ContextDirectory
 from repro.core.items import Item, ItemCatalogView
-from repro.core.profile_learning import LearningConfig
 from repro.core.similarity import SimilarityConfig
 from repro.platform.clock import Scheduler
 from repro.platform.events import EventLog
@@ -35,6 +34,10 @@ from repro.ecommerce.marketplace import MarketplaceServer
 from repro.ecommerce.seller import SellerServer
 
 __all__ = ["PlatformConfig", "ECommercePlatform", "build_platform"]
+
+#: Cadence (simulated ms) of each replicating server's anti-entropy task,
+#: which re-ships whatever lagging replicas missed while down or partitioned.
+ANTI_ENTROPY_INTERVAL_MS = 200.0
 
 
 @dataclass
@@ -59,7 +62,6 @@ class PlatformConfig:
             The network, the catalogue and marketplace-1's auction house
             therefore all start from the same ``Random(seed)`` state.
         network: network latency/loss parameters.
-        learning: profile-learning parameters of the mechanism.
         similarity: similarity-algorithm parameters of the mechanism.
         num_buyer_servers: how many buyer agent servers to run.  With more
             than one the platform runs in multi-server (fleet) mode: each
@@ -75,9 +77,6 @@ class PlatformConfig:
             promotes a replica holder instead of reading a crashed
             server's memory.
             Requires ``num_buyer_servers > replication_factor``.
-        replication_anti_entropy_interval_ms: cadence of each server's
-            scheduled anti-entropy catch-up task (re-ships whatever lagging
-            replicas missed while down or partitioned).
         replication_wal_truncate_threshold: bound on each server's
             write-ahead log: once every replica peer has acknowledged this
             many entries beyond the last truncation point, the server
@@ -90,13 +89,6 @@ class PlatformConfig:
             via their ``deadline_ms`` field; a request whose work overruns
             the budget returns an ``unavailable`` envelope with code
             ``deadline-exceeded`` instead of its result.
-        api_max_retries: how many times the gateway retries a *retryable*
-            failure (network, dead host, fleet routing) before returning the
-            final ``unavailable`` envelope.  Between attempts the retry
-            middleware re-routes around crashed primaries via the promotion
-            failover when a live replica exists.
-        api_retry_backoff_ms: initial retry backoff, charged to the
-            simulated clock and doubled per attempt.
         api_admission_capacity: token-bucket burst capacity for gateway
             admission control (0 disables load shedding — the default, which
             keeps gateway traffic byte-identical to direct calls).
@@ -138,15 +130,11 @@ class PlatformConfig:
     replicate_listings: bool = False
     seed: int = 0
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    learning: LearningConfig = field(default_factory=LearningConfig)
     similarity: SimilarityConfig = field(default_factory=SimilarityConfig)
     num_buyer_servers: int = 1
     replication_factor: int = 0
-    replication_anti_entropy_interval_ms: float = 200.0
     replication_wal_truncate_threshold: int = 64
     api_deadline_ms: Optional[float] = None
-    api_max_retries: int = 2
-    api_retry_backoff_ms: float = 25.0
     api_admission_capacity: int = 0
     api_admission_refill_per_ms: float = 1.0
     api_admission_classes: Optional[Dict[str, Dict[str, object]]] = None
@@ -172,8 +160,6 @@ class PlatformConfig:
                 f"{self.replication_factor + 1} buyer servers "
                 f"(got {self.num_buyer_servers})"
             )
-        if self.replication_anti_entropy_interval_ms <= 0:
-            raise ECommerceError("replication anti-entropy interval must be positive")
         if self.replication_wal_truncate_threshold < 0:
             raise ECommerceError(
                 "replication WAL truncate threshold cannot be negative "
@@ -183,10 +169,6 @@ class PlatformConfig:
             raise ECommerceError(
                 "api_deadline_ms must be positive (use None for no deadline)"
             )
-        if self.api_max_retries < 0:
-            raise ECommerceError("api_max_retries cannot be negative")
-        if self.api_retry_backoff_ms <= 0:
-            raise ECommerceError("api_retry_backoff_ms must be positive")
         if self.api_admission_capacity < 0:
             raise ECommerceError(
                 "api_admission_capacity cannot be negative "
@@ -310,9 +292,7 @@ class ECommercePlatform:
         """Wire ``server``'s outbound streams and arm its anti-entropy task."""
         self.fleet.replication_ring.wire(server, self.config.replication_factor)
         if not server.replication.anti_entropy_scheduled:
-            server.replication.start_anti_entropy(
-                self.config.replication_anti_entropy_interval_ms
-            )
+            server.replication.start_anti_entropy(ANTI_ENTROPY_INTERVAL_MS)
 
     # -- construction helpers -------------------------------------------------------
 
@@ -386,7 +366,6 @@ class ECommercePlatform:
             context,
             coordinator_agent_id=self.coordinator.agent.aglet_id,
             catalog=self.catalog_view(),
-            learning_config=self.config.learning,
             similarity_config=self.config.similarity,
         )
         if shard_id == "auto":

@@ -9,10 +9,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.cold_start import ColdStartPolicy, ColdStartStrategy
 from repro.core.cross_sell import CrossSellRecommender
 from repro.core.hybrid import AgentHybridRecommender
-from repro.core.information_filtering import InformationFilteringRecommender
 from repro.core.items import Item, ItemCatalogView
 from repro.core.neighbors import ProfileNeighborIndex, profile_stamp
 from repro.core.popularity import PopularityRecommender, WeeklyHottestRecommender
@@ -70,18 +68,12 @@ class RecommendationService:
             neighbor_index=self.neighbor_index,
             similarity_config=self.similarity_config,
         )
-        self.information_filtering = InformationFilteringRecommender(catalog, profile_of)
         self.popularity = PopularityRecommender(user_db.ratings, catalog)
         # §5.2 future-work extensions: weekly hottest and tied-sale suggestions.
         self.weekly_hottest = WeeklyHottestRecommender(
             user_db.ratings, now=self.now, catalog=catalog
         )
         self.cross_sell = CrossSellRecommender(user_db.ratings, catalog)
-        self.cold_start = ColdStartPolicy(
-            strategy=ColdStartStrategy.CONTENT_THEN_POPULARITY,
-            content_recommender=self.information_filtering,
-            popularity_recommender=self.popularity,
-        )
         self.engine = RecommendationEngine(
             primary=self.hybrid,
             ratings=user_db.ratings,
@@ -104,7 +96,6 @@ class RecommendationService:
         self.refresh_recomputed = 0
         self.refresh_unchanged = 0
         self.refresh_revalidated = 0
-        self.last_batch_refresh_at: Optional[float] = None
 
     def recommend(
         self, user_id: str, k: int = 10, category: Optional[str] = None
@@ -187,7 +178,6 @@ class RecommendationService:
         self.refresh_recomputed += len(stale)
         self.refresh_unchanged += len(validity) - len(stale)
         self.refresh_revalidated += len(revalidated)
-        self.last_batch_refresh_at = self.now()
         # Copies: what cached_recommendations serves later is not the caller's.
         return {user_id: list(cache[user_id][1]) for user_id in validity}
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.errors import TransactionError
 from repro.wire import WireValue
@@ -48,21 +47,3 @@ class TransactionRecord(WireValue):
             raise TransactionError(
                 f"transaction {self.transaction_id!r} has a negative price"
             )
-
-    @property
-    def savings(self) -> float:
-        """How much below list price the consumer paid (never negative)."""
-        return max(0.0, self.list_price - self.price)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "transaction_id": self.transaction_id,
-            "user_id": self.user_id,
-            "item_id": self.item_id,
-            "marketplace": self.marketplace,
-            "kind": self.kind.value,
-            "price": self.price,
-            "list_price": self.list_price,
-            "timestamp": self.timestamp,
-            "seller": self.seller,
-        }

@@ -68,16 +68,8 @@ class DispatchError(AgentError):
     """Raised when an agent cannot be dispatched to the requested host."""
 
 
-class RetractionError(AgentError):
-    """Raised when a remote agent cannot be retracted to its origin."""
-
-
 class MessageDeliveryError(AgentError):
     """Raised when a message cannot be delivered to its destination agent."""
-
-
-class MessageTimeoutError(MessageDeliveryError):
-    """Raised when a request does not receive a reply within its deadline."""
 
 
 class SerializationError(AgentError):
@@ -211,10 +203,6 @@ class SimilarityError(RecommendationError):
     """Raised when similarity cannot be computed (empty profiles, bad config)."""
 
 
-class ColdStartError(RecommendationError):
-    """Raised when a recommender has no data at all for the requested user."""
-
-
 class FuturePendingError(ReproError):
     """Raised when an :class:`~repro.api.concurrency.ApiFuture` result is
     read before the session scheduler has resolved it."""
@@ -239,7 +227,3 @@ class ApiCallFailedError(ReproError):
 
 class WorkloadError(ReproError):
     """Raised by the synthetic workload generators for invalid parameters."""
-
-
-class ExperimentError(ReproError):
-    """Raised by the experiment harness for mis-configured experiments."""

@@ -18,7 +18,7 @@ tests and benchmarks are reproducible run-to-run.
 """
 
 from repro.platform.clock import SimulationClock, SessionClock, Scheduler
-from repro.platform.events import Event, EventQueue
+from repro.platform.events import Event
 from repro.platform.network import NetworkConfig, SimulatedNetwork, Link
 from repro.platform.host import Host, HostState
 from repro.platform.transport import Transport, TransferReceipt
@@ -30,7 +30,6 @@ __all__ = [
     "SessionClock",
     "Scheduler",
     "Event",
-    "EventQueue",
     "NetworkConfig",
     "SimulatedNetwork",
     "Link",

@@ -1,4 +1,4 @@
-"""Event records and an inspectable event queue.
+"""Event records and the append-only event log.
 
 The scheduler in :mod:`repro.platform.clock` executes callbacks; the classes
 here provide a *recorded* view of what happened so that the workflow
@@ -30,10 +30,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
-import heapq
-import itertools
 
-__all__ = ["Event", "EventQueue", "EventLog"]
+__all__ = ["Event", "EventLog"]
 
 
 @dataclass(frozen=True)
@@ -52,42 +50,6 @@ class Event:
             f"[{self.timestamp:10.3f}ms] {self.category:<22s} "
             f"{self.source} -> {self.target}"
         )
-
-
-class EventQueue:
-    """A small priority queue of :class:`Event` ordered by timestamp.
-
-    Used by workload generators to feed behaviour traces into the platform in
-    simulated-time order.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Any] = []
-        self._counter = itertools.count()
-
-    def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, (event.timestamp, next(self._counter), event))
-
-    def pop(self) -> Event:
-        if not self._heap:
-            raise IndexError("pop from an empty EventQueue")
-        return heapq.heappop(self._heap)[2]
-
-    def peek(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        return self._heap[0][2]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __iter__(self) -> Iterator[Event]:
-        """Drain the queue in timestamp order."""
-        while self._heap:
-            yield self.pop()
 
 
 class EventLog:

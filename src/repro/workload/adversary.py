@@ -285,11 +285,3 @@ class AdversaryDriver:
         self._tracked = []
         self._scalpers = 0
         return report
-
-    # -- standalone ----------------------------------------------------------
-
-    def run(self, max_events: int = 1_000_000, **inject_kwargs) -> AdversaryReport:
-        """Inject the attack mix, drain the scheduler, report."""
-        self.inject(**inject_kwargs)
-        self.gateway.sessions.run_until_idle(max_events)
-        return self.collect()

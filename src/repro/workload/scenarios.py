@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import WorkloadError
 from repro.ecommerce.elasticity import AutoscalerPolicy, FleetAutoscaler
-from repro.ecommerce.platform_builder import ECommercePlatform
+from repro.ecommerce.platform_builder import ANTI_ENTROPY_INTERVAL_MS, ECommercePlatform
 from repro.workload.consumers import ConsumerPopulation, SyntheticConsumer
 
 __all__ = [
@@ -333,13 +333,6 @@ class ScenarioRunner:
         report.finished_at_ms = self.platform.now
         return report
 
-    def single_consumer_day(self, consumer: SyntheticConsumer, queries: int = 5) -> ScenarioReport:
-        """A busier single-consumer scenario used by the examples."""
-        report = ScenarioReport(started_at_ms=self.platform.now, consumers=1)
-        self.run_session(consumer, queries=queries, report=report)
-        report.finished_at_ms = self.platform.now
-        return report
-
     def concurrent_day(
         self,
         sessions: int = 200,
@@ -372,55 +365,6 @@ class ScenarioRunner:
             recommendation_probability=recommendation_probability,
             max_events=max_events,
         )
-
-    def stress_day(
-        self,
-        sessions: int = 1000,
-        queries_per_session: int = 1,
-        buy_probability: float = 0.35,
-        auction_probability: float = 0.2,
-        negotiate_probability: float = 0.1,
-        recommendation_probability: float = 0.3,
-        batch_refresh_interval_ms: Optional[float] = None,
-        batch_k: int = 5,
-    ) -> ScenarioReport:
-        """A high-volume day: many short sessions of mixed traffic.
-
-        Consumers are drawn from the whole population at random (with
-        replacement), each running a short session that mixes queries, buys,
-        auction bids and negotiations; a fraction of sessions also request
-        recommendations, which exercises the neighbor-index hot path under a
-        growing UserDB.  When ``batch_refresh_interval_ms`` is set, the buyer
-        agent server's periodic batch refresh
-        (:meth:`~repro.ecommerce.buyer_server.BuyerAgentServer.maybe_refresh_recommendations`)
-        is ticked after every session, precomputing community recommendation
-        lists at that simulated-time cadence.
-        """
-        if sessions <= 0:
-            raise WorkloadError("stress day needs at least one session")
-        pool = self.population.consumers()
-        if not pool:
-            raise WorkloadError("stress day needs a non-empty population")
-        report = ScenarioReport(started_at_ms=self.platform.now)
-        report.consumers = len(pool)
-        for _ in range(sessions):
-            consumer = self._rng.choice(pool)
-            self.run_session(
-                consumer,
-                queries=queries_per_session,
-                buy_probability=buy_probability,
-                auction_probability=auction_probability,
-                negotiate_probability=negotiate_probability,
-                ask_recommendations=self._rng.random() < recommendation_probability,
-                report=report,
-            )
-            if batch_refresh_interval_ms is not None:
-                if self.platform.buyer_server.maybe_refresh_recommendations(
-                    batch_refresh_interval_ms, k=batch_k
-                ):
-                    report.batch_refreshes += 1
-        report.finished_at_ms = self.platform.now
-        return report
 
     def promotion_failover_day(
         self,
@@ -963,7 +907,7 @@ class ScenarioRunner:
         # are replicated before the next fault can touch their primary —
         # the serialization that makes "no lost paid transaction" a claim
         # about failover, not luck (see repro.adversarial.chaos).
-        settle_ms = 3 * platform.config.replication_anti_entropy_interval_ms
+        settle_ms = 3 * ANTI_ENTROPY_INTERVAL_MS
         schedule = ChaosSchedule.generate(
             hosts=[server.name for server in founding],
             start_ms=platform.now,

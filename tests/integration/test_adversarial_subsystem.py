@@ -40,6 +40,14 @@ def _secured_platform(seed: int = 5, **overrides):
     return build_platform(**defaults)
 
 
+def _attack(platform, seed: int, **inject_kwargs):
+    """Inject one attack mix on its own, drain the scheduler, report."""
+    driver = AdversaryDriver(platform, seed=seed)
+    driver.inject(**inject_kwargs)
+    platform.gateway().sessions.run_until_idle()
+    return driver.collect()
+
+
 class TestSecuredTrades:
     def test_every_purchase_path_leaves_a_transcript(self):
         platform = _secured_platform()
@@ -101,9 +109,8 @@ class TestSecuredTrades:
 class TestAdversaryDriver:
     def test_attack_mix_is_shed_with_zero_protocol_success(self):
         platform = _secured_platform(seed=6)
-        driver = AdversaryDriver(platform, seed=6)
-        report = driver.run(
-            scalpers=5, bids_per_scalper=4, protocol_rounds=2, flood_requests=30
+        report = _attack(
+            platform, 6, scalpers=5, bids_per_scalper=4, protocol_rounds=2, flood_requests=30
         )
 
         assert report.attacker_success_rate == 0.0
@@ -160,10 +167,8 @@ class TestAdversaryDriver:
         for _ in range(2):
             platform = _secured_platform(seed=9)
             reports.append(
-                AdversaryDriver(platform, seed=9)
-                .run(scalpers=3, bids_per_scalper=2,
-                     protocol_rounds=1, flood_requests=10)
-                .as_dict()
+                _attack(platform, 9, scalpers=3, bids_per_scalper=2,
+                        protocol_rounds=1, flood_requests=10).as_dict()
             )
         assert reports[0] == reports[1]
 

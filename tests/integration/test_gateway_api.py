@@ -25,6 +25,7 @@ import pytest
 
 from repro.agents.messages import MessageKinds
 from repro.api.envelope import ApiStatus
+from repro.api.gateway import MAX_RETRIES
 from repro.ecommerce.platform_builder import build_platform
 from repro.workload.consumers import ConsumerPopulation
 from repro.workload.scenarios import ScenarioRunner
@@ -182,7 +183,7 @@ class TestRetryExhaustionAllDown:
         response = gateway.query(CONSUMERS[0], _keyword(platform))
         assert response.status == ApiStatus.UNAVAILABLE
         assert response.error is not None and response.error.retryable
-        assert response.provenance.retries == platform.config.api_max_retries
+        assert response.provenance.retries == MAX_RETRIES
         assert not response.provenance.failed_over
 
         # A brand-new consumer cannot be routed anywhere either.

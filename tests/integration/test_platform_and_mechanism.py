@@ -130,41 +130,25 @@ class TestConsumerCommunity:
         assert gateway.recommendations(target.user_id, k=5).result.recommendations
         assert gateway.logout(target.user_id).ok
 
-    def test_stress_day_mixes_traffic_and_refreshes_batches(self, platform):
+    def test_warm_up_mixes_traffic(self, platform):
         population = ConsumerPopulation(10, groups=2, seed=7)
         runner = ScenarioRunner(platform, population, seed=8)
-        report = runner.stress_day(
-            sessions=25,
-            buy_probability=0.5,
-            auction_probability=0.2,
-            negotiate_probability=0.1,
-            recommendation_probability=0.5,
-            batch_refresh_interval_ms=500.0,
-        )
+        report = runner.warm_up(sessions_per_consumer=3, queries_per_session=1)
         assert report.consumers == 10
-        assert report.sessions == 25
+        assert report.sessions == 30
         assert report.queries >= 20
-        assert report.purchases + report.auctions + report.negotiations > 0
-        assert report.recommendations_requested > 0
-        assert report.batch_refreshes >= 1
-        assert report.as_dict()["batch_refreshes"] == report.batch_refreshes
-        # The periodic refresh left precomputed lists behind for the community.
-        service = platform.buyer_server.recommendations
-        assert service.last_batch_refresh_at is not None
-        refreshed = [
-            user_id
-            for user_id in platform.buyer_server.user_db.user_ids
-            if service.cached_recommendations(user_id) is not None
-        ]
-        assert refreshed
+        assert report.purchases > 0
+        assert report.auctions + report.negotiations > 0
+        assert report.recommendations_requested == 30
+        assert report.as_dict()["purchases"] == report.purchases
 
-    def test_stress_day_validates_parameters(self, platform):
+    def test_warm_up_validates_parameters(self, platform):
         from repro.errors import WorkloadError
 
         population = ConsumerPopulation(4, groups=2, seed=7)
         runner = ScenarioRunner(platform, population, seed=8)
         with pytest.raises(WorkloadError):
-            runner.stress_day(sessions=0)
+            runner.warm_up(sessions_per_consumer=0)
 
 
 class TestAgentFlexibility:

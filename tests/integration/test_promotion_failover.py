@@ -27,7 +27,7 @@ import pytest
 
 from repro.errors import ECommerceError, FleetUnavailableError, WorkloadError
 from repro.core.similarity import find_similar_users
-from repro.ecommerce.platform_builder import build_platform
+from repro.ecommerce.platform_builder import ANTI_ENTROPY_INTERVAL_MS, build_platform
 from repro.workload.consumers import ConsumerPopulation
 from repro.workload.scenarios import ScenarioRunner
 
@@ -257,7 +257,7 @@ class TestAdoptedStateIsDurable:
         fleet.handle_server_failure(victim)
         promoted = fleet.server_for(doomed[0])
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
 
         peer = promoted.replication.peers[0]
@@ -663,7 +663,7 @@ class TestReplicaIndexEquivalence:
 
     def _catch_up(self, platform):
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
 
     def _replica_of(self, server):

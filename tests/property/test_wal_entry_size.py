@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ratings import Interaction, InteractionKind
 from repro.ecommerce import build_platform
+from repro.ecommerce.platform_builder import ANTI_ENTROPY_INTERVAL_MS
 from repro.ecommerce.replication import ENTRY_OVERHEAD_BYTES
 
 CONSUMERS = [f"consumer-{index}" for index in range(4)]
@@ -54,7 +55,7 @@ def test_every_entry_keeps_its_append_time_size(steps):
     fleet = platform.fleet
     keyword = next(iter(platform.catalog_view())).terms[0][0]
     item = next(iter(platform.catalog_view()))
-    interval = platform.config.replication_anti_entropy_interval_ms
+    interval = ANTI_ENTROPY_INTERVAL_MS
     for op, user_id in [("session", user_id) for user_id in CONSUMERS] + steps:
         owner = fleet.server_for(user_id) if fleet.is_registered(user_id) else None
         peer = None if owner is None else owner.replication.peers[0]

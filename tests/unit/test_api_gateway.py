@@ -16,7 +16,6 @@ import pytest
 from repro.errors import (
     FleetUnavailableError,
     HostUnreachableError,
-    MessageTimeoutError,
     SessionError,
     TransactionError,
     TransferDroppedError,
@@ -25,11 +24,13 @@ from repro.errors import (
 from repro.agents.messages import MessageKinds
 from repro.api.envelope import (
     API_VERSION,
+    ApiError,
     ApiResponse,
     ApiStatus,
     classify_error,
 )
-from repro.api.middleware import ApiCall, Middleware, TokenBucket, build_chain
+from repro.api.gateway import MAX_RETRIES, RETRY_BACKOFF_MS
+from repro.api.middleware import ApiCall, Middleware, RetryMiddleware, TokenBucket, build_chain
 from repro.api.requests import (
     AdminStatsRequest,
     QueryRequest,
@@ -37,6 +38,8 @@ from repro.api.requests import (
     RecommendationsRequest,
 )
 from repro.ecommerce.platform_builder import build_platform
+from repro.platform.clock import SimulationClock
+from repro.platform.metrics import MetricsRegistry
 
 
 def _keyword(platform) -> str:
@@ -189,7 +192,6 @@ class TestErrorTaxonomy:
             (FleetUnavailableError("x"), "fleet-unavailable", True),
             (HostUnreachableError("x"), "host-unreachable", True),
             (TransferDroppedError("x"), "transfer-dropped", True),
-            (MessageTimeoutError("x"), "timeout", True),
         ],
     )
     def test_known_exceptions_map_to_stable_codes(self, exc, code, retryable):
@@ -483,12 +485,20 @@ class TestRetries:
         response = gateway.recommendations("alice", k=3)
         assert response.status == ApiStatus.UNAVAILABLE
         assert response.error is not None and response.error.retryable
-        assert response.provenance.retries == platform.config.api_max_retries
+        assert response.provenance.retries == MAX_RETRIES
         assert platform.metrics.counter("api.retries").value == float(
-            platform.config.api_max_retries
+            MAX_RETRIES
         )
         # Exponential backoff was charged to the simulated clock: 25 + 50 ms.
-        assert platform.now - clock_before == pytest.approx(75.0)
+        assert platform.now - clock_before == pytest.approx(3 * RETRY_BACKOFF_MS)
+
+    def test_gateway_retries_with_the_module_constants(self, gateway_platform):
+        (retry,) = [
+            middleware
+            for middleware in gateway_platform.gateway().middlewares
+            if isinstance(middleware, RetryMiddleware)
+        ]
+        assert (retry.max_retries, retry.backoff_ms) == (MAX_RETRIES, RETRY_BACKOFF_MS)
 
     def test_semantic_errors_are_never_retried(self, gateway_platform):
         gateway = gateway_platform.gateway()
@@ -497,11 +507,48 @@ class TestRetries:
         assert gateway_platform.metrics.counter("api.retries").value == 0.0
 
     def test_retry_respects_the_deadline_budget(self):
-        platform = build_platform(seed=3, api_retry_backoff_ms=50.0)
+        clock = SimulationClock()
+        middleware = RetryMiddleware(
+            max_retries=2, backoff_ms=50.0, metrics=MetricsRegistry(), clock=clock
+        )
+        down = ApiResponse(
+            status=ApiStatus.UNAVAILABLE,
+            error=ApiError(
+                code="host-unreachable", kind="HostUnreachableError",
+                message="down", retryable=True,
+            ),
+        )
+
+        class Request:
+            operation = "recommendations"
+            retry_safe = True
+            user_id = "alice"
+
+        class Gateway:
+            def _heal_routing(self, user_id):
+                return False
+
+        def retries_within(budget_ms):
+            call = ApiCall(
+                gateway=Gateway(), request=Request(), operation="recommendations",
+                request_id=1, deadline_at_ms=clock.now + budget_ms,
+            )
+            assert middleware.handle(call, lambda _call: down) is down
+            return call.attempts
+
+        # Budget too small for even one 50 ms backoff: a single attempt runs.
+        assert retries_within(10.0) == 0
+        assert clock.now == 0.0
+        # Room for the 50 ms backoff, not for the 100 ms one after it.
+        assert retries_within(60.0) == 1
+        assert clock.now == pytest.approx(50.0)
+
+    def test_gateway_retry_respects_the_deadline_budget(self):
+        platform = build_platform(seed=3)
         gateway = platform.gateway()
         gateway.login("alice")
         platform.failures.crash_host(platform.buyer_server.name)
-        # Budget too small for even one 50 ms backoff: a single attempt runs.
-        response = gateway.recommendations("alice", k=3, deadline_ms=10.0)
+        # Budget too small for even one backoff: a single attempt runs.
+        response = gateway.recommendations("alice", k=3, deadline_ms=RETRY_BACKOFF_MS / 2)
         assert response.status == ApiStatus.UNAVAILABLE
         assert response.provenance.retries == 0

@@ -137,27 +137,3 @@ class TestTransactionRecord:
                 "txn-m-1", "alice", "a", "m", TransactionKind.DIRECT_PURCHASE,
                 price=-1.0, list_price=10.0, timestamp=0.0,
             )
-
-    def test_savings_computed(self):
-        record = TransactionRecord(
-            "txn-m-1", "alice", "a", "m", TransactionKind.NEGOTIATED_PURCHASE,
-            price=8.0, list_price=10.0, timestamp=0.0,
-        )
-        assert record.savings == pytest.approx(2.0)
-
-    def test_savings_never_negative(self):
-        record = TransactionRecord(
-            "txn-m-1", "alice", "a", "m", TransactionKind.AUCTION_WIN,
-            price=12.0, list_price=10.0, timestamp=0.0,
-        )
-        assert record.savings == 0.0
-
-    def test_to_dict_roundtrip_fields(self):
-        record = TransactionRecord(
-            "txn-m-1", "alice", "a", "m", TransactionKind.AUCTION_WIN,
-            price=12.0, list_price=10.0, timestamp=5.0, seller="s",
-        )
-        payload = record.to_dict()
-        assert payload["user_id"] == "alice"
-        assert payload["kind"] == "auction-win"
-        assert payload["timestamp"] == 5.0

@@ -1,8 +1,8 @@
-"""Unit tests for event records, queues and logs."""
+"""Unit tests for event records and logs."""
 
 import pytest
 
-from repro.platform.events import Event, EventLog, EventQueue
+from repro.platform.events import Event, EventLog
 
 
 class TestEvent:
@@ -15,40 +15,6 @@ class TestEvent:
         event = Event(1.0, "x", "a", "b")
         with pytest.raises(AttributeError):
             event.timestamp = 2.0
-
-
-class TestEventQueue:
-    def test_orders_by_timestamp(self):
-        queue = EventQueue()
-        queue.push(Event(5.0, "b", "s", "t"))
-        queue.push(Event(1.0, "a", "s", "t"))
-        queue.push(Event(9.0, "c", "s", "t"))
-        assert [event.category for event in queue] == ["a", "b", "c"]
-
-    def test_peek_does_not_remove(self):
-        queue = EventQueue()
-        queue.push(Event(1.0, "a", "s", "t"))
-        assert queue.peek().category == "a"
-        assert len(queue) == 1
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek() is None
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_bool_and_len(self):
-        queue = EventQueue()
-        assert not queue
-        queue.push(Event(1.0, "a", "s", "t"))
-        assert queue and len(queue) == 1
-
-    def test_ties_preserve_insertion_order(self):
-        queue = EventQueue()
-        queue.push(Event(2.0, "first", "s", "t"))
-        queue.push(Event(2.0, "second", "s", "t"))
-        assert [event.category for event in queue] == ["first", "second"]
 
 
 class TestEventLog:

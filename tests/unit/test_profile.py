@@ -55,22 +55,6 @@ class TestTermVector:
         vector = TermVector({"b": 0.5, "a": 0.5, "c": 0.9})
         assert vector.top_terms(2) == [("c", 0.9), ("a", 0.5)]
 
-    def test_dot_and_cosine(self):
-        left = TermVector({"a": 1.0, "b": 2.0})
-        right = TermVector({"a": 3.0})
-        assert left.dot(right) == pytest.approx(3.0)
-        assert 0.0 < left.cosine(right) < 1.0
-        assert TermVector().cosine(left) == 0.0
-
-    def test_cosine_of_identical_vectors_is_one(self):
-        vector = TermVector({"a": 0.4, "b": 0.7})
-        assert vector.cosine(vector.copy()) == pytest.approx(1.0)
-
-    def test_merged_with_weights_other_vector(self):
-        merged = TermVector({"a": 1.0}).merged_with(TermVector({"a": 1.0, "b": 2.0}), 0.5)
-        assert merged.get("a") == pytest.approx(1.5)
-        assert merged.get("b") == pytest.approx(1.0)
-
     def test_norm_and_total(self):
         vector = TermVector({"a": 3.0, "b": 4.0})
         assert vector.norm() == pytest.approx(5.0)

@@ -3,16 +3,12 @@
 import pytest
 
 from repro.core.metrics import (
-    average_precision,
     catalog_coverage,
     f1_at_k,
     hit_rate_at_k,
-    kendall_tau,
-    mean_absolute_error,
     ndcg_at_k,
     precision_at_k,
     recall_at_k,
-    root_mean_squared_error,
     spearman_rank_correlation,
 )
 
@@ -52,17 +48,6 @@ class TestPrecisionRecall:
 
 
 class TestRankingMetrics:
-    def test_average_precision_perfect_ranking(self):
-        assert average_precision(["a", "c"], ["a", "c"]) == pytest.approx(1.0)
-
-    def test_average_precision_penalises_late_hits(self):
-        early = average_precision(["a", "z", "c"], ["a", "c"])
-        late = average_precision(["z", "a", "c"], ["a", "c"])
-        assert early > late
-
-    def test_average_precision_no_hits(self):
-        assert average_precision(["z"], ["a"]) == 0.0
-
     def test_ndcg_perfect_is_one(self):
         assert ndcg_at_k(["a", "c"], ["a", "c"], 2) == pytest.approx(1.0)
 
@@ -73,22 +58,6 @@ class TestRankingMetrics:
 
     def test_ndcg_no_relevant(self):
         assert ndcg_at_k(RECOMMENDED, [], 5) == 0.0
-
-
-class TestErrorMetrics:
-    def test_mae_and_rmse(self):
-        predictions = {"a": 3.0, "b": 5.0}
-        truths = {"a": 4.0, "b": 3.0}
-        assert mean_absolute_error(predictions, truths) == pytest.approx(1.5)
-        assert root_mean_squared_error(predictions, truths) == pytest.approx((2.5) ** 0.5)
-
-    def test_no_overlap_returns_zero(self):
-        assert mean_absolute_error({"a": 1.0}, {"b": 1.0}) == 0.0
-        assert root_mean_squared_error({}, {}) == 0.0
-
-    def test_perfect_predictions(self):
-        values = {"a": 1.0, "b": 2.0}
-        assert mean_absolute_error(values, dict(values)) == 0.0
 
 
 class TestCoverage:
@@ -123,11 +92,3 @@ class TestRankCorrelation:
 
     def test_spearman_insufficient_overlap(self):
         assert spearman_rank_correlation({"a": 1.0}, {"a": 1.0}) == 0.0
-
-    def test_kendall_tau_agreement_and_disagreement(self):
-        left = {"a": 1.0, "b": 2.0, "c": 3.0}
-        assert kendall_tau(left, {"a": 1.0, "b": 2.0, "c": 3.0}) == pytest.approx(1.0)
-        assert kendall_tau(left, {"a": 3.0, "b": 2.0, "c": 1.0}) == pytest.approx(-1.0)
-
-    def test_kendall_tau_insufficient_overlap(self):
-        assert kendall_tau({"a": 1.0}, {"b": 2.0}) == 0.0

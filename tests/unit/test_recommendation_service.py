@@ -177,7 +177,6 @@ class TestBatchRefresh:
         user_db, _, svc = learning_service
         assert svc.cached_recommendations("alice") is None
         results = svc.batch_refresh(user_db.user_ids, k=5)
-        assert svc.last_batch_refresh_at is not None
         for user_id in user_db.user_ids:
             assert svc.cached_recommendations(user_id) == results[user_id]
 

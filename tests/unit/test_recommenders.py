@@ -1,10 +1,9 @@
 """Unit tests for the recommendation engines (CF, IF, popularity, cross-sell,
-cold-start policy, the agent hybrid and the engine facade)."""
+the agent hybrid and the engine facade)."""
 
 import pytest
 
 from repro.errors import RecommendationError
-from repro.core.cold_start import ColdStartPolicy, ColdStartStrategy
 from repro.core.collaborative import CollaborativeFilteringRecommender
 from repro.core.cross_sell import CrossSellRecommender
 from repro.core.hybrid import AgentHybridRecommender
@@ -128,15 +127,6 @@ class TestCollaborativeFiltering:
         assert recommender.recommend("dave") == []
         assert not recommender.can_recommend("dave")
 
-    def test_predict_known_value_returned_as_is(self, ratings):
-        recommender = CollaborativeFilteringRecommender(ratings, similarity="cosine")
-        assert recommender.predict("alice", "book-0") == ratings.value("alice", "book-0")
-
-    def test_predict_unknown_item_from_neighbours(self, ratings):
-        recommender = CollaborativeFilteringRecommender(ratings, similarity="cosine")
-        assert recommender.predict("alice", "book-3") > 0.0
-        assert recommender.predict("alice", "tech-3") == 0.0
-
 
 # ---------------------------------------------------------------------------
 # Information filtering
@@ -248,46 +238,6 @@ class TestCrossSell:
         recommender = CrossSellRecommender(ratings, catalog)
         assert recommender.can_recommend("alice")
         assert not recommender.can_recommend("dave")
-
-
-# ---------------------------------------------------------------------------
-# Cold-start policy
-# ---------------------------------------------------------------------------
-
-
-class TestColdStartPolicy:
-    def test_strategy_validation(self, ratings, catalog, profiles):
-        policy = ColdStartPolicy(strategy=ColdStartStrategy.CONTENT)
-        with pytest.raises(RecommendationError):
-            policy.validate()
-        policy = ColdStartPolicy(strategy=ColdStartStrategy.POPULARITY)
-        with pytest.raises(RecommendationError):
-            policy.validate()
-
-    def test_none_strategy_returns_empty(self):
-        policy = ColdStartPolicy(strategy=ColdStartStrategy.NONE)
-        assert policy.chain() == []
-        assert policy.recommend("dave", k=5) == []
-
-    def test_chain_order_content_then_popularity(self, ratings, catalog, profiles):
-        content = InformationFilteringRecommender(catalog, profile_of(profiles))
-        popularity = PopularityRecommender(ratings, catalog)
-        policy = ColdStartPolicy(
-            strategy=ColdStartStrategy.CONTENT_THEN_POPULARITY,
-            content_recommender=content,
-            popularity_recommender=popularity,
-        )
-        assert policy.chain() == [content, popularity]
-
-    def test_falls_back_to_popularity_for_new_user(self, ratings, catalog, profiles):
-        policy = ColdStartPolicy(
-            strategy=ColdStartStrategy.CONTENT_THEN_POPULARITY,
-            content_recommender=InformationFilteringRecommender(catalog, profile_of(profiles)),
-            popularity_recommender=PopularityRecommender(ratings, catalog),
-        )
-        recommended = policy.recommend("dave", k=3)
-        assert recommended  # dave has no profile, so popularity fills the list
-        assert recommended[0].source == "popularity"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ import pytest
 from repro.errors import ECommerceError, ReplicationError
 from repro.core.profile import Profile
 from repro.core.ratings import Interaction, InteractionKind
-from repro.ecommerce.platform_builder import PlatformConfig, build_platform
+from repro.ecommerce.platform_builder import (
+    ANTI_ENTROPY_INTERVAL_MS,
+    PlatformConfig,
+    build_platform,
+)
 from repro.ecommerce.replication import (
     ReplicaState,
     ReplicationLog,
@@ -211,7 +215,7 @@ class TestStreamingReplication:
         platform.failures.heal()
         # One anti-entropy interval later the replica has converged.
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
         assert owner.replication.lag_of(peer.name) == 0
         replica = peer.replication.hosted[owner.name]
@@ -240,7 +244,7 @@ class TestStreamingReplication:
         assert gateway.logout("ann").ok
         platform.failures.heal()
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
         assert gauge.value == 0.0  # converged again, and the gauge says so
 
@@ -318,7 +322,7 @@ class TestBoundedWal:
         assert manager.lag_of(manager.peers[0].name) == 0
 
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
 
         assert manager.log.truncated_seq == appended
@@ -341,7 +345,7 @@ class TestBoundedWal:
 
         # Flush what is already acknowledged, then lag the peer.
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
         acked_before = manager.acked_seq(peer.name)
         platform.failures.partition([owner.name], [peer.name])
@@ -354,7 +358,7 @@ class TestBoundedWal:
         # Anti-entropy keeps running but must not truncate past the lagging
         # peer's acknowledgement — those entries are its only way back.
         platform.scheduler.run_for(
-            3 * platform.config.replication_anti_entropy_interval_ms
+            3 * ANTI_ENTROPY_INTERVAL_MS
         )
         assert manager.log.truncated_seq <= acked_before
         assert [e.seq for e in manager.log.entries_since(manager.log.truncated_seq)]
@@ -363,7 +367,7 @@ class TestBoundedWal:
         # and truncation resumes.
         platform.failures.heal()
         platform.scheduler.run_for(
-            2 * platform.config.replication_anti_entropy_interval_ms
+            2 * ANTI_ENTROPY_INTERVAL_MS
         )
         assert manager.lag_of(peer.name) == 0
         replica = peer.replication.hosted[owner.name]
@@ -391,7 +395,7 @@ class TestBoundedWal:
         platform.failures.crash_host(peer.name)
         deferred_before = platform.metrics.counter("replication.deferred").value
         platform.scheduler.run_for(
-            2 * platform.config.replication_anti_entropy_interval_ms
+            2 * ANTI_ENTROPY_INTERVAL_MS
         )
         assert platform.metrics.counter("replication.deferred").value > deferred_before
         assert manager.lag_of(peer.name) > 0
@@ -400,7 +404,7 @@ class TestBoundedWal:
 
         platform.failures.recover_host(peer.name)
         platform.scheduler.run_for(
-            2 * platform.config.replication_anti_entropy_interval_ms
+            2 * ANTI_ENTROPY_INTERVAL_MS
         )
         assert manager.lag_of(peer.name) == 0
         replica = peer.replication.hosted[owner.name]
@@ -414,7 +418,7 @@ class TestBoundedWal:
         owner = fleet.server_for("ann")
         manager = owner.replication
         platform.scheduler.run_for(
-            platform.config.replication_anti_entropy_interval_ms
+            ANTI_ENTROPY_INTERVAL_MS
         )
         assert manager.log.truncated_seq > 0
 
@@ -548,7 +552,7 @@ class TestBoundedWal:
         platform = self._busy_platform(threshold=0)
         owner = platform.fleet.server_for("ann")
         platform.scheduler.run_for(
-            5 * platform.config.replication_anti_entropy_interval_ms
+            5 * ANTI_ENTROPY_INTERVAL_MS
         )
         assert owner.replication.log.truncated_seq == 0
         assert len(owner.replication.log) == owner.replication.log.last_seq
@@ -619,6 +623,27 @@ class TestPlatformConfigValidation:
         config = PlatformConfig(replication_wal_truncate_threshold=-1)
         with pytest.raises(ECommerceError):
             config.validate()
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            "replication_anti_entropy_interval_ms",
+            "api_max_retries",
+            "api_retry_backoff_ms",
+            "learning",
+        ],
+    )
+    def test_options_no_entry_point_set_are_refused(self, option):
+        # Module constants now (or the learner's own defaults); an old
+        # caller's override must fail loudly instead of being ignored.
+        with pytest.raises(ECommerceError, match=option):
+            build_platform(seed=3, **{option: None})
+
+    def test_every_replicating_server_arms_anti_entropy_at_the_constant(self):
+        platform = build_platform(seed=3, num_buyer_servers=3, replication_factor=1)
+        for server in platform.buyer_servers:
+            task = server.replication._anti_entropy_task
+            assert task is not None and task.interval == ANTI_ENTROPY_INTERVAL_MS
 
     def test_topology_reports_the_replica_map(self):
         platform = build_platform(seed=3, num_buyer_servers=2, replication_factor=1)

@@ -77,7 +77,6 @@ class TestErrorHierarchy:
             errors.ProfileError,
             errors.SimilarityError,
             errors.WorkloadError,
-            errors.ExperimentError,
         ],
     )
     def test_all_errors_share_the_base_class(self, subclass):
@@ -86,8 +85,6 @@ class TestErrorHierarchy:
     def test_specific_hierarchies(self):
         assert issubclass(errors.HostUnreachableError, errors.NetworkError)
         assert issubclass(errors.AuctionError, errors.MarketplaceError)
-        assert issubclass(errors.MessageTimeoutError, errors.MessageDeliveryError)
-        assert issubclass(errors.ColdStartError, errors.RecommendationError)
 
     def test_catching_the_base_class_catches_everything(self):
         with pytest.raises(errors.ReproError):

@@ -1,11 +1,10 @@
-"""Scheduler-driven recommendation refresh (single server and fleet).
+"""Scheduler-driven recommendation refresh of a buyer server fleet.
 
-The periodic batch refresh used to be polled by scenario loops through
-``maybe_refresh_recommendations``; it is now a real scheduled platform event
-(:meth:`BuyerAgentServer.start_periodic_refresh`).  These tests pin down the
+The periodic batch refresh is a scheduled platform event
+(:meth:`BuyerServerFleet.start_periodic_refresh`).  These tests pin down the
 contract: the event fires at the configured simulated interval, re-arms
-itself, survives a server failure/recovery cycle, and — in fleet mode —
-never double-refreshes a consumer that migrated shards mid-interval.
+itself, survives a server failure/recovery cycle and never double-refreshes
+a consumer that migrated shards mid-interval.
 """
 
 import pytest
@@ -22,65 +21,67 @@ def _skip_events(platform):
     return platform.event_log.by_category("recommendation.refresh-skipped")
 
 
-class TestSingleServerScheduledRefresh:
-    def test_fires_at_interval_and_rearms(self):
-        platform = build_platform(seed=1)
+class TestFleetScheduledRefresh:
+    def _fleet_platform(self):
+        platform = build_platform(seed=7, num_buyer_servers=3)
         gateway = platform.gateway()
-        for name in ("ann", "bob", "cleo"):
-            assert gateway.login(name).ok
-            assert gateway.logout(name).ok
+        for index in range(9):
+            assert gateway.login(f"user-{index}").ok
+            assert gateway.logout(f"user-{index}").ok
+        return platform
+
+    def test_fires_at_interval_and_rearms(self):
+        platform = self._fleet_platform()
         start = platform.now
 
-        task = platform.buyer_server.start_periodic_refresh(500.0, k=5)
+        task = platform.fleet.start_periodic_refresh(500.0, k=5)
         platform.scheduler.run_until(start + 2250.0)
 
         assert task.fires == 4
-        assert platform.buyer_server.batch_refreshes == 4
-        events = _refresh_events(platform)
-        assert [event.timestamp for event in events] == pytest.approx(
+        assert platform.fleet.scheduled_refreshes == 4
+        timestamps = sorted({event.timestamp for event in _refresh_events(platform)})
+        assert timestamps == pytest.approx(
             [start + 500.0, start + 1000.0, start + 1500.0, start + 2000.0]
         )
         # Every registered consumer was refreshed and is served from cache.
-        assert events[-1].payload["user_ids"] == ["ann", "bob", "cleo"]
-        for name in ("ann", "bob", "cleo"):
-            assert platform.buyer_server.recommendations.cached_recommendations(
-                name
+        for index in range(9):
+            server = platform.fleet.server_for(f"user-{index}")
+            assert server.recommendations.cached_recommendations(
+                f"user-{index}"
             ) is not None
 
     def test_stop_cancels_and_double_start_rejected(self):
-        platform = build_platform(seed=1)
-        assert platform.gateway().login("ann").ok
-        assert platform.gateway().logout("ann").ok
+        platform = self._fleet_platform()
+        fleet = platform.fleet
         start = platform.now
-        platform.buyer_server.start_periodic_refresh(100.0)
+        fleet.start_periodic_refresh(100.0)
         with pytest.raises(ECommerceError):
-            platform.buyer_server.start_periodic_refresh(100.0)
+            fleet.start_periodic_refresh(100.0)
         platform.scheduler.run_until(start + 250.0)
-        platform.buyer_server.stop_periodic_refresh()
+        fleet.stop_periodic_refresh()
         platform.scheduler.run_until(start + 1000.0)
-        assert platform.buyer_server.batch_refreshes == 2
-        assert not platform.buyer_server.refresh_scheduled
+        assert fleet.scheduled_refreshes == 2
         # A stopped refresh can be re-armed.
-        platform.buyer_server.start_periodic_refresh(100.0)
-        assert platform.buyer_server.refresh_scheduled
+        task = fleet.start_periodic_refresh(100.0)
+        platform.scheduler.run_until(start + 1150.0)
+        assert task.fires == 1
+        assert fleet.scheduled_refreshes == 3
 
     def test_non_positive_interval_rejected(self):
-        platform = build_platform(seed=1)
+        platform = self._fleet_platform()
         with pytest.raises(ECommerceError):
-            platform.buyer_server.start_periodic_refresh(0.0)
+            platform.fleet.start_periodic_refresh(0.0)
         with pytest.raises(ECommerceError):
-            platform.buyer_server.start_periodic_refresh(-10.0)
+            platform.fleet.start_periodic_refresh(-10.0)
 
     def test_survives_failure_and_recovery_cycle(self):
         """Ticks during the outage are skipped (and recorded), not fatal; the
         recurrence stays armed and refreshes resume after recovery."""
-        platform = build_platform(seed=1)
-        assert platform.gateway().login("ann").ok
-        assert platform.gateway().logout("ann").ok
-        server = platform.buyer_server
+        platform = self._fleet_platform()
+        server = platform.fleet.servers[1]
         start = platform.now
 
-        server.start_periodic_refresh(500.0, k=5)
+        platform.fleet.start_periodic_refresh(500.0, k=5)
         platform.scheduler.run_until(start + 750.0)       # one refresh at +500
         assert server.batch_refreshes == 1
 
@@ -96,16 +97,6 @@ class TestSingleServerScheduledRefresh:
         platform.scheduler.run_until(start + 2750.0)      # +2000, +2500 refresh
         assert server.batch_refreshes == 3
         assert server.refresh_skips == 2
-
-
-class TestFleetScheduledRefresh:
-    def _fleet_platform(self):
-        platform = build_platform(seed=7, num_buyer_servers=3)
-        gateway = platform.gateway()
-        for index in range(9):
-            assert gateway.login(f"user-{index}").ok
-            assert gateway.logout(f"user-{index}").ok
-        return platform
 
     def test_each_consumer_refreshed_exactly_once_per_tick(self):
         platform = self._fleet_platform()
