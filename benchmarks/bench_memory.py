@@ -3,21 +3,27 @@
 A replicated four-server fleet (replication factor 1, the wall-clock
 ledger's deployment shape) registers and warms a community through the
 gateway: login, three ratings, logout — the set-up of every wall-clock
-workload — and then runs the scheduled anti-entropy ticks, so each WAL is
-truncated behind a snapshot as in a running platform.  ``tracemalloc``
-attributes every block still alive afterwards to the source file that
-allocated it, and the difference from the empty platform, divided by the
-community size, is the per-consumer cost of each ``repro`` module.  Blocks allocated elsewhere (the standard library, on
-behalf of ``repro`` code) are one line, ``(outside repro)``.
+workload.  It is read twice: once with every WAL entry of the set-up still
+retained (the state each wall-clock set-up ends in), and once after the
+scheduled anti-entropy ticks truncated each WAL behind a snapshot, as in a
+running platform.  ``tracemalloc`` attributes every block alive at a
+reading to the source file that allocated it, and the difference from the
+empty platform, divided by the community size, is the per-consumer cost of
+each ``repro`` module.  Blocks allocated elsewhere (the standard library,
+on behalf of ``repro`` code) are one line, ``(outside repro)``.
 
-The smoke asserts two bars: the total and ``core/profile.py``, the Figure
-4.4 profile that the buyer server's UserDB stores.  The bars sit about 5 %
-above what the run measured when they were set (bytes per consumer on
-CPython 3.11, the same under any ``PYTHONHASHSEED``: total 16 766,
-``core/profile.py`` 4 258; holding each shipped profile dump once, instead
-of a replica ``Profile`` graph and a snapshot re-dump beside it, took those
-from 20 082 and 7 638), so a change that makes a consumer dearer fails here,
-and one that makes it cheaper should lower them.
+The smoke asserts three bars: the retained total, the truncated total and
+the truncated ``core/profile.py``, the Figure 4.4 profile that the buyer
+server's UserDB stores.  The bars sit about 5 % above what the run measured
+when they were set (bytes per consumer on CPython 3.11, within ±10 B under
+any ``PYTHONHASHSEED``: retained 18 663, truncated 15 460,
+``core/profile.py`` 3 070).  Copy-on-write term dicts, and dumps that reuse
+every node of the consumer's previous dump a learning event left alone,
+took those from 22 466, 16 768 and 4 258; holding each shipped profile dump
+once, instead of a replica ``Profile`` graph and a snapshot re-dump beside
+it, had taken the truncated pair from 20 082 and 7 638.  A change that
+makes a consumer dearer fails here, and one that makes it cheaper should
+lower them.
 
 Run ``python -m pytest -q -s benchmarks/bench_memory.py`` to print the
 ledger, or ``python benchmarks/bench_memory.py``.
@@ -33,8 +39,9 @@ from repro.workload import ConsumerPopulation
 CONSUMERS = 600
 SEED = 1
 #: Bytes per consumer; see the module docstring for how they were set.
-TOTAL_BAR = 17_600
-PROFILE_BAR = 4_450
+RETAINED_BAR = 19_600
+TOTAL_BAR = 16_250
+PROFILE_BAR = 3_250
 
 SOURCE_ROOT = Path(__import__("repro").__file__).resolve().parent
 OUTSIDE = "(outside repro)"
@@ -48,8 +55,18 @@ def _module(filename: str) -> str:
         return OUTSIDE
 
 
-def measure(consumers: int = CONSUMERS, seed: int = SEED) -> dict:
-    """``{module: bytes per consumer}`` retained by a warmed community."""
+def _per_consumer(snapshot, empty, consumers: int) -> dict:
+    per_module: dict = {}
+    for stat in snapshot.compare_to(empty, "filename"):
+        module = _module(stat.traceback[0].filename)
+        per_module[module] = per_module.get(module, 0) + stat.size_diff
+    return {module: size / consumers for module, size in per_module.items()}
+
+
+def measure(consumers: int = CONSUMERS, seed: int = SEED) -> tuple:
+    """``{module: bytes per consumer}`` retained by a warmed community, read
+    twice: with every WAL entry of the set-up still retained, and after the
+    anti-entropy ticks truncated each WAL behind a snapshot."""
     population = ConsumerPopulation(consumers, seed=seed).consumers()
     tracemalloc.start()
     try:
@@ -66,15 +83,15 @@ def measure(consumers: int = CONSUMERS, seed: int = SEED) -> dict:
             responses.append(gateway.logout(user))
             for response in responses:
                 assert response.ok, response.describe()
+        retained = tracemalloc.take_snapshot()
         platform.scheduler.run_until(platform.now)  # anti-entropy: WAL truncation
-        warmed = tracemalloc.take_snapshot()
+        truncated = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    per_module: dict = {}
-    for stat in warmed.compare_to(empty, "filename"):
-        module = _module(stat.traceback[0].filename)
-        per_module[module] = per_module.get(module, 0) + stat.size_diff
-    return {module: size / consumers for module, size in per_module.items()}
+    return (
+        _per_consumer(retained, empty, consumers),
+        _per_consumer(truncated, empty, consumers),
+    )
 
 
 def report(per_module: dict) -> str:
@@ -87,10 +104,15 @@ def report(per_module: dict) -> str:
 
 
 def test_memory_per_consumer_stays_under_its_bars():
-    per_module = measure()
+    retained, per_module = measure()
     print()
     print(f"== memory ledger: {CONSUMERS} consumers, 4 servers, replication factor 1 ==")
+    print("-- WAL retained (before the anti-entropy ticks) --")
+    print(report(retained))
+    print("-- WAL truncated behind a snapshot --")
     print(report(per_module))
+    total = sum(retained.values())
+    assert total <= RETAINED_BAR, f"WAL retained: {total:,.0f} B per consumer, bar {RETAINED_BAR:,}"
     total = sum(per_module.values())
     assert total <= TOTAL_BAR, f"{total:,.0f} B per consumer, bar {TOTAL_BAR:,}"
     profile = per_module.get("core/profile.py", 0.0)
@@ -98,4 +120,5 @@ def test_memory_per_consumer_stays_under_its_bars():
 
 
 if __name__ == "__main__":
-    print(report(measure()))
+    for reading in measure():
+        print(report(reading))

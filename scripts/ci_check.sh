@@ -54,7 +54,8 @@ echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction)
 hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adversarial.py
 
 echo "== tier-1: memory ledger (tracemalloc bytes per consumer per module; =="
-echo "==         the total and core/profile.py must stay under their bars)  =="
+echo "==         the WAL-retained and truncated totals and core/profile.py  =="
+echo "==         must stay under their bars)                                =="
 hooked python -m pytest -x -q -s -W error::DeprecationWarning benchmarks/bench_memory.py
 
 echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="

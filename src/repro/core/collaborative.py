@@ -100,10 +100,6 @@ class CollaborativeFilteringRecommender(Recommender):
         self._neighbourhood_cache[user_id] = (stamp, result)
         return list(result)
 
-    def can_recommend(self, user_id: str) -> bool:
-        """CF has signal only when the user has interactions *and* neighbours."""
-        return bool(self.ratings.user_vector(user_id)) and bool(self.neighbourhood(user_id))
-
     def recommend(
         self,
         user_id: str,

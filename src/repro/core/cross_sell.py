@@ -45,9 +45,6 @@ class CrossSellRecommender(Recommender):
             return True
         return item_id in self.catalog and self.catalog.get(item_id).category == category
 
-    def can_recommend(self, user_id: str) -> bool:
-        return bool(self._basket_of(user_id))
-
     def recommend_for_basket(
         self,
         basket: Sequence[str],

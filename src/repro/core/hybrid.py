@@ -142,6 +142,9 @@ class AgentHybridRecommender(Recommender):
     # -- Recommender interface -----------------------------------------------------
 
     def can_recommend(self, user_id: str) -> bool:
+        """Whether ``user_id``'s profile carries any signal: the
+        :class:`~repro.core.recommender.RecommendationEngine` asks before it
+        calls :meth:`recommend`, and fills from its fallback otherwise."""
         profile = self.profile_of(user_id)
         return profile is not None and not profile.is_empty()
 

@@ -155,10 +155,6 @@ class InformationFilteringRecommender(Recommender):
                     pairs.append((item.item_id, score))
         return ranked_pairs(pairs, k)
 
-    def can_recommend(self, user_id: str) -> bool:
-        profile = self.profiles(user_id)
-        return profile is not None and not profile.is_empty()
-
     def recommend(
         self,
         user_id: str,

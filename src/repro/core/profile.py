@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import ProfileError
 
@@ -27,19 +27,46 @@ __all__ = ["TermVector", "SubCategory", "Category", "Profile"]
 
 
 class TermVector:
-    """A sparse weighted term vector (terms of a category or sub-category)."""
+    """A sparse weighted term vector (terms of a category or sub-category).
+
+    Copy-on-write: :meth:`_share` hands the weight dict itself to a
+    :meth:`Profile.to_dict` dump (or :meth:`_of` adopts a dump's dict), and
+    the vector copies the dict before its next write instead.  A shared dict
+    is never written again, so every dump that holds it keeps its content.
+    """
+
+    __slots__ = ("_weights", "_shared")
 
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
         self._weights: Dict[str, float] = {}
-        if weights:
-            built = self._weights
-            for term, weight in weights.items():
-                if term and weight > 0:
-                    # What ``set`` does with a pair it keeps, less the call:
-                    # every ``copy`` and ``from_dict`` builds through here.
-                    built[term] = float(weight)
-                else:
-                    self.set(term, weight)
+        self._shared = False
+        for term, weight in (weights or {}).items():
+            self.set(term, weight)
+
+    @classmethod
+    def _of(cls, weights: Dict[str, float]) -> "TermVector":
+        """A vector over ``weights`` itself, shared, when it holds only what
+        the constructor would keep as it is (a dump's dict); else a copy."""
+        for term, weight in weights.items():
+            if not term or type(weight) is not float or not weight > 0:
+                return cls(weights)
+        vector = cls()
+        vector._weights = weights
+        vector._shared = True
+        return vector
+
+    def _share(self) -> Dict[str, float]:
+        """The weight dict itself, for a dump: the next write copies it."""
+        self._shared = True
+        return self._weights
+
+    def _own(self) -> Dict[str, float]:
+        """The weight dict, copied first if a dump shares it: every write
+        method calls this once, before it writes."""
+        if self._shared:
+            self._weights = dict(self._weights)
+            self._shared = False
+        return self._weights
 
     # -- mutation -------------------------------------------------------------
 
@@ -49,30 +76,38 @@ class TermVector:
         if weight < 0:
             raise ProfileError(f"term {term!r} cannot have a negative weight ({weight})")
         if weight == 0:
-            self._weights.pop(term, None)
+            self._own().pop(term, None)
         else:
-            self._weights[term] = float(weight)
+            self._own()[term] = float(weight)
 
-    def add(self, term: str, delta: float) -> float:
-        """Add ``delta`` to a term's weight, flooring at zero; return new weight."""
-        if not term:
-            raise ProfileError("term must be a non-empty string")
-        updated = max(0.0, self._weights.get(term, 0.0) + delta)
-        self.set(term, updated)
-        return updated
+    def add_all(self, deltas: Iterable[Tuple[str, float]]) -> None:
+        """Add each ``(term, delta)`` to that term's weight in order, flooring
+        at zero, with one ownership check for the batch, not one per term."""
+        weights = self._own()
+        for term, delta in deltas:
+            if not term:
+                raise ProfileError("term must be a non-empty string")
+            updated = max(0.0, weights.get(term, 0.0) + delta)
+            if updated == 0:
+                weights.pop(term, None)
+            else:
+                weights[term] = float(updated)
 
     def decay(self, factor: float) -> None:
         """Multiply every weight by ``factor`` in (0, 1] (interest ageing)."""
         if not 0.0 < factor <= 1.0:
             raise ProfileError(f"decay factor must be in (0, 1], got {factor}")
-        for term in list(self._weights):
-            self.set(term, self._weights[term] * factor)
+        weights = self._own()
+        for term in list(weights):
+            self.set(term, weights[term] * factor)
 
     def prune(self, min_weight: float) -> int:
         """Drop terms below ``min_weight``; return how many were removed."""
         doomed = [term for term, weight in self._weights.items() if weight < min_weight]
-        for term in doomed:
-            del self._weights[term]
+        if doomed:
+            weights = self._own()
+            for term in doomed:
+                del weights[term]
         return len(doomed)
 
     # -- access ---------------------------------------------------------------
@@ -115,7 +150,7 @@ class TermVector:
     def _accumulate(self, other: "TermVector") -> None:
         """In place, ``self + other`` with ``other``'s terms added in sorted
         order: a cosine's summation order keys on the insertion order."""
-        weights = self._weights
+        weights = self._own()
         for term, value in other.items():
             updated = max(0.0, weights.get(term, 0.0) + value)
             if updated == 0:
@@ -124,14 +159,17 @@ class TermVector:
                 weights[term] = updated
 
     def copy(self) -> "TermVector":
-        return TermVector(self.as_dict())
+        """An unshared copy: the source stays writable without a copy."""
+        clone = TermVector()
+        clone._weights = dict(self._weights)
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         preview = ", ".join(f"{t}:{w:.2f}" for t, w in self.top_terms(4))
         return f"TermVector({preview}{'...' if len(self) > 4 else ''})"
 
 
-@dataclass
+@dataclass(slots=True)
 class SubCategory:
     """A sub-category of a main profile category (Figure 4.4)."""
 
@@ -146,7 +184,7 @@ class SubCategory:
             raise ProfileError("sub-category preference cannot be negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class Category:
     """A main profile category with its terms and sub-categories."""
 
@@ -170,6 +208,33 @@ class Category:
                 )
             self.subcategories[name] = SubCategory(name=name)
         return self.subcategories[name]
+
+    def _dump(self, previous: Optional[Dict[str, Any]]) -> Dict[str, Any]:
+        """This category's :meth:`Profile.to_dict` node.  ``previous``, the
+        node of an earlier dump, lends each sub-category node whose
+        preference and term dict are still this one's, and is itself
+        returned when nothing in it changed."""
+        terms = self.terms._share()
+        old_subs: Dict[str, Dict[str, Any]] = {} if previous is None else previous["subcategories"]
+        subcategories = {}
+        reused = 0
+        for sub_name, sub in self.subcategories.items():
+            sub_terms = sub.terms._share()
+            node = old_subs.get(sub_name)
+            if node is None or node["preference"] is not sub.preference or node["terms"] is not sub_terms:
+                node = {"preference": sub.preference, "terms": sub_terms}
+            else:
+                reused += 1
+            subcategories[sub_name] = node
+        if (
+            previous is not None
+            and previous["preference"] is self.preference
+            and previous["terms"] is terms
+            and reused == len(old_subs) == len(subcategories)
+            and list(old_subs) == list(subcategories)
+        ):
+            return previous
+        return {"preference": self.preference, "terms": terms, "subcategories": subcategories}
 
     def flattened_terms(self) -> TermVector:
         """Category terms plus all sub-category terms merged into one vector."""
@@ -268,31 +333,36 @@ class Profile:
 
     # -- persistence ----------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, object]:
-        """A JSON-serialisable snapshot (used by UserDB and deactivation)."""
+    def to_dict(self, previous: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """A JSON-serialisable snapshot (used by UserDB and deactivation).
+
+        A dump is immutable: nothing writes to it once it is returned.  Its
+        term dicts are the vectors' own, shared copy-on-write (see
+        :class:`TermVector`), and ``previous`` (an earlier dump of this
+        consumer) lends every category and sub-category node whose
+        preference and term dict are still the very objects this profile
+        holds, so successive dumps share all that did not change.  The
+        result is ``==`` to, and has the ``repr`` of, a dump built afresh.
+        """
+        old = {} if previous is None else previous["categories"]
         return {
             "user_id": self.user_id,
             "updated_at": self.updated_at,
             "feedback_events": self.feedback_events,
             "categories": {
-                name: {
-                    "preference": category.preference,
-                    "terms": category.terms.as_dict(),
-                    "subcategories": {
-                        sub_name: {
-                            "preference": sub.preference,
-                            "terms": sub.terms.as_dict(),
-                        }
-                        for sub_name, sub in category.subcategories.items()
-                    },
-                }
+                name: category._dump(old.get(name))
                 for name, category in self.categories.items()
             },
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Profile":
-        """Rebuild a profile from :meth:`to_dict` output."""
+        """Rebuild a profile from :meth:`to_dict` output.
+
+        The profile's term vectors share the payload's term dicts
+        copy-on-write, so neither a later write to the profile nor one to
+        another holder of the dump reaches the other side.
+        """
         try:
             profile = cls(str(payload["user_id"]))
             profile.updated_at = float(payload.get("updated_at", 0.0))
@@ -303,14 +373,15 @@ class Profile:
         for name, data in categories.items():  # type: ignore[union-attr]
             category = profile.category(name)
             category.preference = float(data.get("preference", 0.0))
-            category.terms = TermVector(data.get("terms", {}))
+            category.terms = TermVector._of(data.get("terms", {}))
             for sub_name, sub_data in data.get("subcategories", {}).items():
                 sub = category.subcategory(sub_name)
                 sub.preference = float(sub_data.get("preference", 0.0))
-                sub.terms = TermVector(sub_data.get("terms", {}))
+                sub.terms = TermVector._of(sub_data.get("terms", {}))
         return profile
 
     def copy(self) -> "Profile":
+        """An independent profile: the two share term dicts copy-on-write."""
         return Profile.from_dict(self.to_dict())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -147,8 +147,10 @@ class ProfileLearner:
             category.terms.decay(config.decay_factor)
 
         # Term update: W_ci_new = W_ci + α · w_ji · quality_of_feedback
-        for term, item_weight in item.terms:
-            category.terms.add(term, config.learning_rate * item_weight * quality)
+        rate = config.learning_rate
+        category.terms.add_all(
+            (term, rate * item_weight * quality) for term, item_weight in item.terms
+        )
         category.terms.prune(config.prune_below)
 
         # Scalar category preference (the Tx the similarity algorithm compares)
@@ -161,8 +163,9 @@ class ProfileLearner:
             sub = category.subcategory(item.subcategory)
             if config.decay_factor < 1.0:
                 sub.terms.decay(config.decay_factor)
-            for term, item_weight in item.terms:
-                sub.terms.add(term, config.learning_rate * item_weight * quality)
+            sub.terms.add_all(
+                (term, rate * item_weight * quality) for term, item_weight in item.terms
+            )
             sub.terms.prune(config.prune_below)
             sub.preference = min(
                 config.max_preference,

@@ -6,20 +6,23 @@ mechanism and the baselines it is compared with — implements the same small
 recommendation agent (BRA) can swap engines freely.
 
 The :class:`RecommendationEngine` is the facade the BRA actually calls: it
-wraps a primary recommender, filters out merchandise the consumer already
-bought, applies the cold-start fallback policy and annotates each result with
-which engine produced it.
+wraps the paper's hybrid recommender, filters out merchandise the consumer
+already bought, fills a short list from a fallback recommender and annotates
+each result with which engine produced it.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import RecommendationError
 from repro.core.items import Item, ItemCatalogView
 from repro.core.ratings import InteractionKind, RatingsStore
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.hybrid import AgentHybridRecommender
 
 __all__ = ["Recommendation", "Recommender", "RecommendationEngine"]
 
@@ -69,14 +72,6 @@ class Recommender(abc.ABC):
                 the current query results, or items already bought).
         """
 
-    def can_recommend(self, user_id: str) -> bool:
-        """Whether the strategy has any signal at all for ``user_id``.
-
-        Engines use this to decide when to fall back to the cold-start policy;
-        the default assumes the recommender can always try.
-        """
-        return True
-
 
 def ranked_pairs(pairs: List[Tuple[str, float]], k: int) -> List[Tuple[str, float]]:
     """The ``k`` best ``(item_id, score)`` pairs (sorts ``pairs`` in place):
@@ -96,14 +91,16 @@ def _sorted_and_trimmed(
 class RecommendationEngine:
     """Facade used by the buyer recommendation agent.
 
-    Combines a primary recommender with a cold-start fallback, removes
+    Combines the hybrid recommender (asked only when
+    :meth:`~repro.core.hybrid.AgentHybridRecommender.can_recommend` finds a
+    signal) with a fallback that fills what it leaves short, removes
     merchandise the consumer has already purchased and guarantees the output
     is deterministic, deduplicated and at most ``k`` items long.
     """
 
     def __init__(
         self,
-        primary: Recommender,
+        primary: "AgentHybridRecommender",
         ratings: Optional[RatingsStore] = None,
         fallback: Optional[Recommender] = None,
         exclude_purchased: bool = True,

@@ -205,10 +205,12 @@ class UserDB:
 
         The dump is kept as it is, not copied: a dump is immutable by
         contract — nothing writes to it once ``to_dict()`` has returned it —
-        so a replica holds the very dict its primary's WAL entry shipped.
-        The :class:`Profile` is built from it on the first read and kept; it
-        is for reading, since an edit to it would not reach the dump that
-        :meth:`adopt` copies.
+        so a replica holds the very dict its primary's WAL entry shipped,
+        and the nodes it shares with that consumer's earlier dumps.
+        The :class:`Profile` is built from it on the first read and kept,
+        sharing the dump's term dicts copy-on-write; it is for reading,
+        since an edit to it would not reach the dump that :meth:`adopt`
+        copies.
         """
         user_id = dump["user_id"]
         self._require(user_id)

@@ -61,14 +61,20 @@ replicas — without a single read against the dead host's memory.
   platform builder apply on founding, crash, recovery, join and
   decommission.
 
-**One copy of a profile.**  A profile dump (``Profile.to_dict()``) is
-immutable: nothing writes to the dict once ``to_dict()`` has returned it.
-So the dump a ``store-profile`` entry ships is the only copy of that state
+**One copy of each unchanged part of a profile version.**  A profile dump
+(``Profile.to_dict()``) is immutable: nothing writes to the dict once
+``to_dict()`` has returned it.  Its term dicts are the live vectors' own,
+copied by the vector before its next write, and a learning update's dump
+(:meth:`ReplicationManager._on_profile_update`) reuses every category and
+sub-category node of the consumer's previous shipped dump that the event
+did not touch, so successive versions share all but what changed.  The
+dump a ``store-profile`` entry ships is the only copy of that version
 outside the primary's live ``Profile``: the replica's shadow UserDB keeps
 the shipped dict as it is and builds the ``Profile`` on its first read
-(``UserDB.store_dump``), and a snapshot reuses the dict of each consumer's
-latest ``store-profile`` entry instead of dumping the live profile again.
-The WAL entry, the snapshot and every replica hold the same object.
+(``UserDB.store_dump``; the built profile shares the dump's term dicts
+copy-on-write), and a snapshot reuses the dict of each consumer's latest
+``store-profile`` entry instead of dumping the live profile again.  The WAL
+entry, the snapshot and every replica hold the same object.
 
 **Replication semantics — what is durable, what is lost.**
 
@@ -144,9 +150,12 @@ ENTRY_OVERHEAD_BYTES = 48
 SNAPSHOT_OVERHEAD_BYTES = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicationLogEntry:
-    """One write-ahead-log entry: a durable mutation with a sequence number."""
+    """One write-ahead-log entry: a durable mutation with a sequence number.
+
+    Slotted: a consumer's set-up leaves about eight of them in the log until
+    the next truncation."""
 
     seq: int
     op: str
@@ -521,8 +530,11 @@ class ReplicationManager:
     ) -> None:
         # In-place learning updates never pass through store_profile; snapshot
         # the whole profile so replicas converge to the exact post-update state.
+        # The consumer's last shipped dump lends every node the event left as
+        # it was, so this entry holds only what the event changed.
+        user_id = profile.user_id
         self._append_and_stream(
-            "store-profile", {"profile": profile.to_dict()}, profile.user_id
+            "store-profile", {"profile": profile.to_dict(self._dumps.get(user_id))}, user_id
         )
 
     def _append_and_stream(

@@ -13,9 +13,13 @@ and to the keyword dict the caller's ``**payload`` already made) plus one
 packed row number in its category's index — 48 bytes beside the payload,
 and nothing the cyclic garbage collector has to walk unless the payload
 itself holds a container.  :class:`Event` is therefore a *view*: readers
-(``events``, iteration, ``by_category``, ``latest``, ...) get fresh
+(iteration, ``by_category``, ``latest``, ...) get fresh
 ``Event`` objects built from the columns, equal to the ones recorded, and
-two reads of the same row are ``==`` but not ``is``.  The string columns
+two reads of the same row are ``==`` but not ``is``.  ``events`` builds
+none of them: it is a read-only :class:`EventRows` sequence over the rows
+recorded so far, whose index or slice (``events[start:]``, as
+``events_since(start)``) builds only the rows it names, and through which
+no reader can change the log.  The string columns
 hold one object per distinct string: callers build categories and parties
 with f-strings, and a column would otherwise keep a copy per row.  The
 category index makes ``count``, ``latest`` and ``last_payload`` O(1) and
@@ -28,10 +32,13 @@ about what to keep and not a representation (ROADMAP item 4).
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from itertools import islice
+from operator import eq, index
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-__all__ = ["Event", "EventLog"]
+__all__ = ["Event", "EventLog", "EventRows"]
 
 
 @dataclass(frozen=True)
@@ -50,6 +57,50 @@ class Event:
             f"[{self.timestamp:10.3f}ms] {self.category:<22s} "
             f"{self.source} -> {self.target}"
         )
+
+
+class EventRows(Sequence[Event]):
+    """:attr:`EventLog.events`: the first ``length`` rows of the log's
+    columns, read-only.  The log only appends to its columns (``clear``
+    replaces them), so the rows a view covers never change after it is
+    made.  An index or a slice builds the :class:`Event` views of just the
+    rows it names; a slice is a list.  A view is ``==`` to a list or tuple
+    of the same events."""
+
+    __slots__ = ("_columns", "_length")
+
+    def __init__(self, columns: Tuple[Any, ...], length: int) -> None:
+        self._columns = columns
+        self._length = length
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self) -> Iterator[Event]:
+        return islice(map(Event, *self._columns), self._length)
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[Event, List[Event]]:
+        if isinstance(key, slice):
+            start, stop, step = key.indices(self._length)
+            if step == 1:
+                return list(map(Event, *(column[start:stop] for column in self._columns)))
+            return [self[row] for row in range(start, stop, step)]
+        row = index(key)
+        if row < 0:
+            row += self._length
+        if not 0 <= row < self._length:
+            raise IndexError("event index out of range")
+        return Event(*(column[row] for column in self._columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EventRows, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EventRows({self._length} rows)"
 
 
 class EventLog:
@@ -142,18 +193,20 @@ class EventLog:
         )
 
     @property
-    def events(self) -> List[Event]:
-        return list(self)
+    def events(self) -> "EventRows":
+        """The rows recorded so far, as a read-only sequence: an index or a
+        slice builds only the rows it names."""
+        return EventRows(self._columns, len(self))
 
     def events_since(self, row: int) -> List[Event]:
-        """``events[row:]`` from that slice of each column: O(slice), not O(log)."""
-        return list(map(Event, *(column[row:] for column in self._columns)))
+        """``events[row:]``: O(slice), not O(log)."""
+        return self.events[row:]
 
     def __len__(self) -> int:
         return len(self._categories)
 
     def __iter__(self) -> Iterator[Event]:
-        return map(Event, *self._columns)
+        return iter(self.events)
 
     def by_category(self, category: str) -> List[Event]:
         return [self._view(row) for row in self._rows.get(category, ())]

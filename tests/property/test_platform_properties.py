@@ -144,14 +144,23 @@ class TestEventLogModel:
             _assert_reads_like(log, model, low, high, start, stop)
 
     @given(_OPERATIONS)
-    def test_reads_are_copies(self, operations):
+    def test_no_reader_can_mutate_the_log(self, operations):
         log = EventLog()
         for _, (timestamp, category, source, target, payload) in operations:
             log.record(timestamp, category, source, target, **payload)
-        before = log.events
-        log.events.append("junk")
-        log.events.clear()
-        assert log.events == before and len(log) == len(before)
+        before = list(log)
+        events = log.events
+        for name in ("append", "clear", "extend", "insert", "pop", "remove", "sort"):
+            assert not hasattr(events, name)
+        for row in (0, -1):
+            with pytest.raises(TypeError):
+                events[row] = "junk"
+            with pytest.raises(TypeError):
+                del events[row]
+        log.record(0.0, "workflow.query", "bra-1", "mba-1")
+        assert events == before and log.events[:-1] == before
+        log.clear()
+        assert events == before and len(events) == len(before)
         for category in _CATEGORIES:
             payload = log.last_payload(category)
             if payload is not None:

@@ -56,9 +56,18 @@ class TestEventLog:
         log.clear()
         assert len(log) == 0
 
-    def test_events_returns_copy(self):
+    def test_events_is_a_read_only_snapshot(self):
         log = EventLog()
         log.record(1.0, "x", "s", "t")
         events = log.events
-        events.append("junk")
-        assert len(log) == 1
+        with pytest.raises(AttributeError):
+            events.append("junk")
+        with pytest.raises(TypeError):
+            events[0] = "junk"
+        with pytest.raises(TypeError):
+            del events[0]
+        log.record(2.0, "y", "s", "t")
+        assert len(log) == 2
+        assert events == [Event(1.0, "x", "s", "t")]
+        log.clear()
+        assert events == [Event(1.0, "x", "s", "t")] and len(log.events) == 0

@@ -1,5 +1,7 @@
 """Unit tests for the hierarchical consumer profile (Figure 4.4)."""
 
+import copy
+
 import pytest
 
 from repro.errors import ProfileError
@@ -28,10 +30,13 @@ class TestTermVector:
         with pytest.raises(ProfileError):
             TermVector().set("", 0.5)
 
-    def test_add_floors_at_zero(self):
-        vector = TermVector({"x": 0.2})
-        assert vector.add("x", -0.5) == 0.0
-        assert "x" not in vector
+    def test_add_all_floors_at_zero(self):
+        vector = TermVector({"x": 0.2, "y": 0.5})
+        vector.add_all([("x", -0.5), ("y", 0.25), ("z", 0.0)])
+        assert "x" not in vector and "z" not in vector
+        assert vector.get("y") == 0.75
+        with pytest.raises(ProfileError):
+            vector.add_all([("", 0.5)])
 
     def test_decay_scales_all_weights(self):
         vector = TermVector({"a": 1.0, "b": 0.5})
@@ -146,24 +151,28 @@ class TestProfile:
         with pytest.raises(ProfileError):
             Profile.from_dict({"no_user_id": True})
 
-    def test_from_dict_shares_no_term_dict_with_its_payload(self):
-        # WAL entries keep the payload for snapshots; the profile learns on.
+    def test_a_returned_dump_never_changes(self):
+        # WAL entries, snapshots and replicas keep the dump; both the profile
+        # and one rebuilt from the dump learn on.
         profile = Profile("alice")
         profile.category("books").terms.set("novel", 0.8)
         profile.category("books").subcategory("fiction").terms.set("mystery", 0.4)
         payload = profile.to_dict()
-        pristine = profile.to_dict()
+        pristine = copy.deepcopy(payload)
         restored = Profile.from_dict(payload)
 
-        books = payload["categories"]["books"]
-        books["terms"]["novel"] = 9.0
-        books["subcategories"]["fiction"]["terms"]["scribble"] = 1.0
-        assert restored.to_dict() == pristine
+        profile.category("books").terms.set("novel", 9.0)
+        profile.category("books").subcategory("fiction").terms.add_all([("mystery", 1.0)])
+        restored.category("books").terms.decay(0.5)
+        restored.category("books").subcategory("fiction").terms.prune(1.0)
+        assert payload == pristine
+        assert profile.category("books").terms.get("novel") == 9.0
+        assert profile.category("books").subcategory("fiction").terms.get("mystery") == 1.4
+        assert restored.category("books").terms.get("novel") == 0.4
+        assert not restored.category("books").subcategory("fiction").terms
 
-        payload = profile.to_dict()
-        restored = Profile.from_dict(payload)
-        restored.category("books").terms.set("novel", 9.0)
-        restored.category("books").subcategory("fiction").terms.add("mystery", 1.0)
+        later = profile.to_dict(payload)
+        assert later["categories"]["books"]["terms"] == {"novel": 9.0}
         assert payload == pristine
 
     def test_copy_is_independent(self):

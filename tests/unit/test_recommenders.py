@@ -125,7 +125,6 @@ class TestCollaborativeFiltering:
     def test_cold_user_gets_nothing(self, ratings, catalog):
         recommender = CollaborativeFilteringRecommender(ratings, catalog)
         assert recommender.recommend("dave") == []
-        assert not recommender.can_recommend("dave")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,6 @@ class TestInformationFiltering:
     def test_no_profile_no_recommendations(self, catalog, profiles):
         recommender = InformationFilteringRecommender(catalog, profile_of(profiles))
         assert recommender.recommend("dave") == []
-        assert not recommender.can_recommend("dave")
         assert recommender.recommend("stranger") == []
 
     def test_score_item_zero_for_unknown_category(self, catalog, profiles):
@@ -233,11 +231,6 @@ class TestCrossSell:
     def test_min_support_filters_rare_pairs(self, ratings, catalog):
         strict = CrossSellRecommender(ratings, catalog, min_support=5)
         assert strict.recommend("alice", k=5) == []
-
-    def test_can_recommend_requires_purchases(self, ratings, catalog):
-        recommender = CrossSellRecommender(ratings, catalog)
-        assert recommender.can_recommend("alice")
-        assert not recommender.can_recommend("dave")
 
 
 # ---------------------------------------------------------------------------
