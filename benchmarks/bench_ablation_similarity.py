@@ -1,9 +1,10 @@
 """Ablation benchmark — the similarity algorithm's configuration.
 
-DESIGN.md calls out two design choices in the Figure 4.5 similarity
-algorithm: the blend between category-preference similarity and term
-similarity, and the discard tolerance.  This bench sweeps both and prints the
-resulting recommendation quality.
+The Figure 4.5 similarity algorithm (``repro.core.similarity`` in
+docs/ARCHITECTURE.md's "Paper components → modules") has two design choices:
+the blend between category-preference similarity and term similarity, and the
+discard tolerance.  This bench sweeps both and prints the resulting
+recommendation quality.
 """
 
 from repro.experiments import figures

@@ -1,8 +1,8 @@
 """Overlapping sessions through the gateway's concurrent submit path.
 
-Until PR 6 every scenario was one client running requests back to back —
-the platform never saw two sessions in flight, so admission control never
-shed and queues never formed.  This walkthrough runs a few hundred
+A sequential scenario is one client running requests back to back — the
+platform never sees two sessions in flight, so admission control never
+sheds and queues never form.  This walkthrough runs a few hundred
 *overlapping* sessions: Poisson arrivals, per-session think time, per-server
 FIFO queueing, and an admission bucket sized to actually shed under the
 offered load.  Everything is simulated and seeded, so the whole report is
@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from repro import build_platform
 from repro.api.requests import LoginRequest, QueryRequest
+from repro.workload.concurrent import ConcurrentDriver
 from repro.workload.consumers import ConsumerPopulation
-from repro.workload.scenarios import ScenarioRunner
 
 
 def main() -> None:
@@ -53,14 +53,13 @@ def main() -> None:
 
     # --- a whole day of overlapping sessions --------------------------------
     population = ConsumerPopulation(500, groups=4, seed=11)
-    runner = ScenarioRunner(platform, population, seed=11)
-    report = runner.concurrent_day(
+    driver = ConcurrentDriver(platform, population, seed=11)
+    report = driver.run(
         sessions=400,
         queries_per_session=2,
         arrival_rate_per_ms=0.15,
         think_time_ms=150.0,
         recommendation_probability=0.25,
-        seed=11,
     )
 
     print(f"Concurrent day: {report.sessions} sessions, "

@@ -254,7 +254,7 @@ class ProfileNeighborIndex:
             tq = kernel.target_of(target.user_id)
         else:
             prefs = target.preference_vector()
-            terms = target.flattened_terms().as_dict()
+            terms = target.flattened_terms().weights()
             tq = TargetState(prefs, _norm(prefs), terms, _norm(terms))
         # Figure 4.5 discard rule, the brute-force predicate verbatim; a
         # consumer without the category has an implicit preference of 0.0.
@@ -280,7 +280,7 @@ class ProfileNeighborIndex:
         self._kernel.put(
             profile.user_id,
             profile.preference_vector(),
-            profile.flattened_terms().as_dict(),
+            profile.flattened_terms().weights(),
             profile_stamp(profile),
         )
         self.rebuilds += 1

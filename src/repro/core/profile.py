@@ -132,7 +132,9 @@ class TermVector:
 
     def weights(self) -> Mapping[str, float]:
         """The live mapping, for a reader that only scores against it: do not
-        mutate, do not keep past the call (:meth:`as_dict` is the copy)."""
+        mutate, do not keep past the call (:meth:`as_dict` is the copy).  A
+        fresh vector's mapping, such as :meth:`Profile.flattened_terms`'s, may
+        be kept: nothing else holds it."""
         return self._weights
 
     def top_terms(self, count: int) -> List[Tuple[str, float]]:

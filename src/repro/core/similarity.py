@@ -188,7 +188,7 @@ def profile_similarity(
         target.preference_vector(), candidate.preference_vector()
     )
     term_part = cosine_similarity(
-        target.flattened_terms().as_dict(), candidate.flattened_terms().as_dict()
+        target.flattened_terms().weights(), candidate.flattened_terms().weights()
     )
     total_weight = config.preference_weight + config.term_weight
     score = (

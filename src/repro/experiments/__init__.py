@@ -1,9 +1,10 @@
 """Experiment harness regenerating every figure of the paper's evaluation.
 
 The paper's evaluation consists of architecture/workflow figures and four
-claimed capabilities rather than numeric tables; DESIGN.md maps each of them
-to an executable experiment.  This package hosts those experiments so that the
-benchmarks under ``benchmarks/`` and the scripts under ``examples/`` share one
+claimed capabilities rather than numeric tables; this package turns each of
+them into an executable experiment (docs/ARCHITECTURE.md's "Paper components
+→ modules" maps the components themselves to modules), so that the benchmarks
+under ``benchmarks/`` and the scripts under ``examples/`` share one
 implementation:
 
 - :mod:`repro.experiments.figures` — one function per experiment id

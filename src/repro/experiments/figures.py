@@ -1,4 +1,4 @@
-"""One function per experiment of DESIGN.md's per-experiment index.
+"""One function per experiment id of :mod:`repro.experiments` (FIG-3.1 … CAP-4).
 
 Every function builds what it needs (platform and/or dataset), runs the
 experiment deterministically and returns an

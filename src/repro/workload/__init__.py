@@ -17,8 +17,9 @@ synthetic workloads built here:
   for the workflow-level benchmarks.
 - :mod:`repro.workload.arrivals` — open-loop (Poisson) and closed-loop
   (think-time) arrival models for the concurrent scenarios.
-- :mod:`repro.workload.concurrent` — the overlapping-session driver behind
-  :meth:`~repro.workload.scenarios.ScenarioRunner.concurrent_day`.
+- :mod:`repro.workload.concurrent` — the overlapping-session driver,
+  :class:`~repro.workload.concurrent.ConcurrentDriver`, that every concurrent
+  scenario and the fleet days' traffic windows run on.
 - :mod:`repro.workload.adversary` — scripted abuse traffic (scalper
   fleets, handshake protocol bots, quota floods) interleaved with honest
   sessions for the adversarial scenarios.

@@ -6,7 +6,7 @@ Three scripted populations share one seeded driver:
 
 - **scalper fleet** — bot accounts hammering one hot auction open-loop
   (no think time, no chaining on responses: bots do not wait politely),
-  the load shape PR-7's admission classes exist to shed;
+  the load shape the gateway's admission classes exist to shed;
 - **protocol bots** — clients running the trade handshake with a
   deliberate violation per attempt (forged nonce, replayed offer,
   double finalize, stale credential), probing whether the broker's
@@ -130,8 +130,6 @@ class AdversaryDriver:
     Two-phase by design: :meth:`inject` only *submits* futures (so a
     scenario can lay attacks and honest sessions into the same drain);
     :meth:`collect` reads the resolved futures into a report afterwards.
-    :meth:`run` is the standalone convenience that does both around a
-    ``run_until_idle``.
     """
 
     def __init__(self, platform, seed: int = 0) -> None:

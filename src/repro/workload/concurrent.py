@@ -17,16 +17,16 @@ session scheduler processes submissions in a total order — replaying the
 same seeds yields a byte-identical envelope stream (the property test in
 ``tests/property/test_concurrent_equivalence.py`` holds this line).
 
-Results come back as a :class:`ConcurrentScenarioReport` — deliberately a
-separate type from :class:`~repro.workload.scenarios.ScenarioReport`, whose
-dict shape is frozen by the sequential benchmarks' byte-stability contract.
+Results come back as a :class:`ConcurrentScenarioReport`; it shares its
+dict shape (``as_dict``) and ``simulated_duration_ms`` with every scenario
+report in :mod:`repro.workload.scenarios` through :class:`_Report`.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, ClassVar, Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.api.envelope import ApiStatus
@@ -78,7 +78,33 @@ def latency_histogram(
 
 
 @dataclass
-class ConcurrentScenarioReport:
+class _Report:
+    """What every scenario report has: a simulated span and one dict shape.
+
+    :meth:`as_dict` holds a deep copy of every field but the two timestamps,
+    in declaration order, then the ``_derived`` properties and
+    ``simulated_duration_ms``.
+    """
+
+    started_at_ms: float = 0.0
+    finished_at_ms: float = 0.0
+
+    _derived: ClassVar[Tuple[str, ...]] = ()
+
+    @property
+    def simulated_duration_ms(self) -> float:
+        return self.finished_at_ms - self.started_at_ms
+
+    def as_dict(self) -> Dict[str, Any]:
+        out = asdict(self)
+        del out["started_at_ms"], out["finished_at_ms"]
+        for name in self._derived + ("simulated_duration_ms",):
+            out[name] = getattr(self, name)
+        return out
+
+
+@dataclass
+class ConcurrentScenarioReport(_Report):
     """What a concurrent run did, in virtual time.
 
     Latency is measured per request as *finish − virtual arrival*, so it
@@ -116,38 +142,12 @@ class ConcurrentScenarioReport:
     queue_wait_ms: Dict[str, float] = field(default_factory=dict)
     histogram: List[Dict[str, float]] = field(default_factory=list)
     servers: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    started_at_ms: float = 0.0
-    finished_at_ms: float = 0.0
 
-    @property
-    def simulated_duration_ms(self) -> float:
-        return self.finished_at_ms - self.started_at_ms
+    _derived = ("shed_rate",)
 
     @property
     def shed_rate(self) -> float:
         return self.shed / self.requests if self.requests else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "consumers": self.consumers,
-            "sessions": self.sessions,
-            "requests": self.requests,
-            "completed": self.completed,
-            "shed": self.shed,
-            "shed_rate": self.shed_rate,
-            "queue_dropped": self.queue_dropped,
-            "failed_operations": self.failed_operations,
-            "executed_events": self.executed_events,
-            "statuses": dict(sorted(self.statuses.items())),
-            "operations": dict(sorted(self.operations.items())),
-            "latency_ms": self.latency_ms,
-            "queue_wait_ms": self.queue_wait_ms,
-            "histogram": self.histogram,
-            "servers": {
-                name: dict(stats) for name, stats in sorted(self.servers.items())
-            },
-            "simulated_duration_ms": self.simulated_duration_ms,
-        }
 
 
 class _Session:

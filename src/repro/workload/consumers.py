@@ -10,8 +10,8 @@ filtering real structure to discover.
 The latent tastes also define the ground truth for evaluation: an item is
 *relevant* to a consumer when it scores above a threshold under the consumer's
 latent utility, so precision/recall of a recommender can be measured without
-any human-labelled data — the substitution DESIGN.md records for the paper's
-missing dataset.
+any human-labelled data — this reproduction's substitute for the dataset the
+paper never published.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class ConsumerPopulation:
 
         The focus sets rotate over the taxonomy so no two groups share the
         same focus, which gives collaborative filtering and the similarity
-        algorithm real structure to recover (DESIGN.md substitution note).
+        algorithm real structure to recover (the module docstring's substitute).
         """
         categories = sorted(self.taxonomy)
         count = len(categories)

@@ -1,13 +1,13 @@
 """Offline interaction datasets for the algorithm-level benchmarks.
 
-The recommendation-quality experiments (CAP-4 in DESIGN.md) do not need the
-whole agent platform: they evaluate the recommenders directly on a dataset of
-consumer behaviour.  :class:`InteractionGenerator` produces such datasets from
-a synthetic population and catalogue: each consumer interacts (queries, buys,
-bids) with items drawn according to its latent utility, over simulated time,
-and the dataset is split chronologically into a training part (what the
-mechanism gets to observe) and a held-out part (what the metrics are computed
-against).
+The recommendation-quality experiments (CAP-4 in :mod:`repro.experiments`) do
+not need the whole agent platform: they evaluate the recommenders directly on
+a dataset of consumer behaviour.  :class:`InteractionGenerator` produces such
+datasets from a synthetic population and catalogue: each consumer interacts
+(queries, buys, bids) with items drawn according to its latent utility, over
+simulated time, and the dataset is split chronologically into a training part
+(what the mechanism gets to observe) and a held-out part (what the metrics are
+computed against).
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Scenario drivers: replay consumer behaviour against a live platform.
 
-The workflow-level experiments (Figures 3.1, 3.2, 4.2, 4.3 in DESIGN.md) need
-consumers actually using the agent platform — logging in, querying, buying,
-joining auctions — rather than an offline dataset.  :class:`ScenarioRunner`
-drives a :class:`~repro.ecommerce.platform_builder.ECommercePlatform` with the
+The workflow-level experiments (Figures 3.1, 3.2, 4.2, 4.3 in
+:mod:`repro.experiments`) need consumers actually using the agent platform —
+logging in, querying, buying, joining auctions — rather than an offline
+dataset.  :class:`ScenarioRunner` drives a
+:class:`~repro.ecommerce.platform_builder.ECommercePlatform` with the
 synthetic population and reports what happened.
 
 Every client operation goes through the platform's
@@ -18,11 +19,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import WorkloadError
+from repro.ecommerce.buyer_server import BuyerAgentServer
 from repro.ecommerce.elasticity import AutoscalerPolicy, FleetAutoscaler
+from repro.ecommerce.fleet import BuyerServerFleet
 from repro.ecommerce.platform_builder import ANTI_ENTROPY_INTERVAL_MS, ECommercePlatform
+from repro.workload.concurrent import ConcurrentDriver, ConcurrentScenarioReport, _Report
 from repro.workload.consumers import ConsumerPopulation, SyntheticConsumer
 
 __all__ = [
@@ -34,7 +38,7 @@ __all__ = [
 
 
 @dataclass
-class ScenarioReport:
+class ScenarioReport(_Report):
     """What a scenario run did and how long (in simulated time) it took."""
 
     consumers: int = 0
@@ -50,34 +54,25 @@ class ScenarioReport:
     stale_shard_answers: int = 0
     lost_consumers: int = 0
     recovered_purged: int = 0
-    started_at_ms: float = 0.0
-    finished_at_ms: float = 0.0
-
-    @property
-    def simulated_duration_ms(self) -> float:
-        return self.finished_at_ms - self.started_at_ms
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "consumers": self.consumers,
-            "sessions": self.sessions,
-            "queries": self.queries,
-            "purchases": self.purchases,
-            "auctions": self.auctions,
-            "negotiations": self.negotiations,
-            "recommendations_requested": self.recommendations_requested,
-            "failed_operations": self.failed_operations,
-            "batch_refreshes": self.batch_refreshes,
-            "promoted_consumers": self.promoted_consumers,
-            "stale_shard_answers": self.stale_shard_answers,
-            "lost_consumers": self.lost_consumers,
-            "recovered_purged": self.recovered_purged,
-            "simulated_duration_ms": self.simulated_duration_ms,
-        }
 
 
 @dataclass
-class ElasticScenarioReport:
+class _FleetReport(_Report):
+    """A fleet day's concurrent traffic windows and their summed counters."""
+
+    scenario: str = ""
+    consumers: int = 0
+    windows: List[Dict[str, Any]] = field(default_factory=list)
+    requests: int = 0
+    completed: int = 0
+    shed: int = 0
+    failed_operations: int = 0
+    statuses: Dict[str, int] = field(default_factory=dict)
+    lost_consumers: int = 0
+
+
+@dataclass
+class ElasticScenarioReport(_FleetReport):
     """What an elastic-fleet scenario did: traffic, topology and safety.
 
     Shared by :meth:`ScenarioRunner.flash_crowd_day` (autoscaler-driven)
@@ -89,59 +84,20 @@ class ElasticScenarioReport:
     healthy run.
     """
 
-    scenario: str = ""
-    consumers: int = 0
-    windows: List[Dict[str, Any]] = field(default_factory=list)
     decisions: List[Dict[str, Any]] = field(default_factory=list)
     fleet_sizes: List[int] = field(default_factory=list)
     epoch_trail: List[int] = field(default_factory=list)
     initial_servers: int = 0
     peak_servers: int = 0
     final_servers: int = 0
-    requests: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed_operations: int = 0
-    statuses: Dict[str, int] = field(default_factory=dict)
     handbacks: int = 0
     splits: int = 0
     transferred_consumers: int = 0
-    lost_consumers: int = 0
     missing_consumers: int = 0
-    started_at_ms: float = 0.0
-    finished_at_ms: float = 0.0
-
-    @property
-    def simulated_duration_ms(self) -> float:
-        return self.finished_at_ms - self.started_at_ms
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "consumers": self.consumers,
-            "windows": [dict(window) for window in self.windows],
-            "decisions": [dict(decision) for decision in self.decisions],
-            "fleet_sizes": list(self.fleet_sizes),
-            "epoch_trail": list(self.epoch_trail),
-            "initial_servers": self.initial_servers,
-            "peak_servers": self.peak_servers,
-            "final_servers": self.final_servers,
-            "requests": self.requests,
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed_operations": self.failed_operations,
-            "statuses": dict(sorted(self.statuses.items())),
-            "handbacks": self.handbacks,
-            "splits": self.splits,
-            "transferred_consumers": self.transferred_consumers,
-            "lost_consumers": self.lost_consumers,
-            "missing_consumers": self.missing_consumers,
-            "simulated_duration_ms": self.simulated_duration_ms,
-        }
 
 
 @dataclass
-class ChaosScenarioReport:
+class ChaosScenarioReport(_FleetReport):
     """What a chaos-under-attack day did: traffic, faults, attacks, audit.
 
     Produced by :meth:`ScenarioRunner.chaos_marketplace_day`.  Three
@@ -157,28 +113,16 @@ class ChaosScenarioReport:
     """
 
     scenario: str = "chaos_marketplace_day"
-    consumers: int = 0
-    windows: List[Dict[str, Any]] = field(default_factory=list)
     chaos_events: List[Dict[str, Any]] = field(default_factory=list)
     outages: int = 0
     victims: List[str] = field(default_factory=list)
-    requests: int = 0
-    completed: int = 0
-    shed: int = 0
-    failed_operations: int = 0
-    statuses: Dict[str, int] = field(default_factory=dict)
     promoted_consumers: int = 0
     recovered_purged: int = 0
-    lost_consumers: int = 0
     adversary: Dict[str, Any] = field(default_factory=dict)
     auth_rejections: Dict[str, int] = field(default_factory=dict)
     audit: Dict[str, Any] = field(default_factory=dict)
-    started_at_ms: float = 0.0
-    finished_at_ms: float = 0.0
 
-    @property
-    def simulated_duration_ms(self) -> float:
-        return self.finished_at_ms - self.started_at_ms
+    _derived = ("honest_goodput", "attacker_success_rate")
 
     @property
     def honest_goodput(self) -> float:
@@ -189,30 +133,6 @@ class ChaosScenarioReport:
     @property
     def attacker_success_rate(self) -> float:
         return float(self.adversary.get("attacker_success_rate", 0.0))
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "consumers": self.consumers,
-            "windows": [dict(window) for window in self.windows],
-            "chaos_events": [dict(event) for event in self.chaos_events],
-            "outages": self.outages,
-            "victims": list(self.victims),
-            "requests": self.requests,
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed_operations": self.failed_operations,
-            "statuses": dict(sorted(self.statuses.items())),
-            "honest_goodput": self.honest_goodput,
-            "promoted_consumers": self.promoted_consumers,
-            "recovered_purged": self.recovered_purged,
-            "lost_consumers": self.lost_consumers,
-            "adversary": dict(self.adversary),
-            "attacker_success_rate": self.attacker_success_rate,
-            "auth_rejections": dict(sorted(self.auth_rejections.items())),
-            "audit": dict(self.audit),
-            "simulated_duration_ms": self.simulated_duration_ms,
-        }
 
 
 class ScenarioRunner:
@@ -323,8 +243,7 @@ class ScenarioRunner:
         selected = self.population.consumers()
         if consumers is not None:
             selected = selected[:consumers]
-        report = ScenarioReport(started_at_ms=self.platform.now)
-        report.consumers = len(selected)
+        report = ScenarioReport(consumers=len(selected), started_at_ms=self.platform.now)
         for _ in range(sessions_per_consumer):
             for consumer in selected:
                 self.run_session(
@@ -332,39 +251,6 @@ class ScenarioRunner:
                 )
         report.finished_at_ms = self.platform.now
         return report
-
-    def concurrent_day(
-        self,
-        sessions: int = 200,
-        queries_per_session: int = 2,
-        arrival_rate_per_ms: Optional[float] = 0.05,
-        think_time_ms: float = 250.0,
-        recommendation_probability: float = 0.25,
-        seed: int = 0,
-        max_events: int = 1_000_000,
-    ):
-        """A day of *overlapping* sessions through the gateway submit path.
-
-        Sessions arrive open-loop (Poisson at ``arrival_rate_per_ms``;
-        ``None`` = one simultaneous burst) and each runs closed-loop with
-        ``think_time_ms`` pauses between its requests — see
-        :class:`~repro.workload.concurrent.ConcurrentDriver`.  Returns a
-        :class:`~repro.workload.concurrent.ConcurrentScenarioReport`; the
-        sequential scenarios above are untouched by design (their output is
-        byte-frozen).  Uses its own ``seed`` rather than the runner's RNG so
-        running it never perturbs a sequential scenario issued afterwards.
-        """
-        from repro.workload.concurrent import ConcurrentDriver
-
-        driver = ConcurrentDriver(self.platform, self.population, seed=seed)
-        return driver.run(
-            sessions=sessions,
-            queries_per_session=queries_per_session,
-            arrival_rate_per_ms=arrival_rate_per_ms,
-            think_time_ms=think_time_ms,
-            recommendation_probability=recommendation_probability,
-            max_events=max_events,
-        )
 
     def promotion_failover_day(
         self,
@@ -416,20 +302,10 @@ class ScenarioRunner:
         if refresh_interval_ms <= 0:
             raise WorkloadError("refresh interval must be positive")
         platform = self.platform
-        fleet = platform.fleet
-        if fleet is None:
-            raise WorkloadError(
-                "promotion failover day needs a multi-server fleet "
-                "(PlatformConfig.num_buyer_servers > 1)"
-            )
+        fleet, _ = self._fleet("promotion failover day")
         if not 0 <= crash_shard < fleet.num_shards:
             raise WorkloadError(f"crash_shard {crash_shard} is not a fleet shard")
         victim = fleet.servers[crash_shard]
-        if victim.replication is None or not victim.replication.peers:
-            raise WorkloadError(
-                "promotion failover day needs replication wired "
-                "(PlatformConfig.replication_factor >= 1)"
-            )
         pool = self.population.consumers()
         if not pool:
             raise WorkloadError("promotion failover day needs a non-empty population")
@@ -437,8 +313,7 @@ class ScenarioRunner:
         log = platform.event_log
         refreshes_before = log.count("recommendation.scheduled-refresh")
         fleet.start_periodic_refresh(refresh_interval_ms, k=batch_k)
-        report = ScenarioReport(started_at_ms=platform.now)
-        report.consumers = len(pool)
+        report = ScenarioReport(consumers=len(pool), started_at_ms=platform.now)
         lost_before = fleet.lost_consumers
 
         def run_phase(count: int) -> None:
@@ -499,38 +374,70 @@ class ScenarioRunner:
         )
         return report
 
-    # -- elastic-fleet scenarios -------------------------------------------------------
+    # -- steps the fleet days share ----------------------------------------------------
 
-    def _elastic_window(
+    def _fleet(
+        self, day: str, replicated: bool = True
+    ) -> Tuple[BuyerServerFleet, List[BuyerAgentServer]]:
+        """The fleet and its founding (non-retired) servers, checked for ``day``.
+
+        Raises :class:`~repro.errors.WorkloadError` when the platform has no
+        multi-server fleet or, with ``replicated``, when a founding server
+        streams its write-ahead log to no replica.
+        """
+        fleet = self.platform.fleet
+        if fleet is None:
+            raise WorkloadError(
+                f"{day} needs a multi-server fleet "
+                "(PlatformConfig.num_buyer_servers > 1)"
+            )
+        founding = [
+            server for server in fleet.servers if server.name not in fleet.retired
+        ]
+        if replicated and any(
+            server.replication is None or not server.replication.peers
+            for server in founding
+        ):
+            raise WorkloadError(
+                f"{day} needs replication wired "
+                "(PlatformConfig.replication_factor >= 1)"
+            )
+        return fleet, founding
+
+    def _start(self, report: _FleetReport) -> List[str]:
+        """Register every consumer not yet registered, then start ``report``.
+
+        ``report`` gets the population's size and the start time; the
+        population's user ids are returned.
+        """
+        fleet = self.platform.fleet
+        users = [consumer.user_id for consumer in self.population.consumers()]
+        for user_id in users:
+            if not fleet.is_registered(user_id):
+                self.gateway.register(user_id)
+        report.consumers = len(users)
+        report.started_at_ms = self.platform.now
+        return users
+
+    def _window(
         self,
-        report: ElasticScenarioReport,
-        phase: str,
+        report: _FleetReport,
         seed: int,
-        sessions: int,
-        queries_per_session: int,
-        arrival_rate_per_ms: Optional[float],
-        think_time_ms: float,
-        recommendation_probability: float,
-        find_similar_probability: float,
-    ) -> Dict[str, Any]:
-        """One concurrent traffic window, folded into an elastic report.
+        traffic: Dict[str, Any],
+        summary: Dict[str, Any],
+    ) -> ConcurrentScenarioReport:
+        """Run one concurrent traffic window and fold it into ``report``.
 
         Each window gets its own seeded driver (``seed`` varies per
-        window) so windows differ in traffic but the whole scenario
-        replays byte-identically; the driver publishes the per-server
-        utilization and backlog gauges as it finishes, which is exactly
-        what the autoscaler tick that follows will read.
+        window) so windows differ in traffic but the whole day replays
+        byte-identically; the driver publishes the per-server utilization
+        and backlog gauges as it finishes, which is exactly what an
+        autoscaler tick that follows reads.  ``summary`` gains the
+        window's counts and is appended to ``report.windows``; the
+        driver's own report is returned.
         """
-        from repro.workload.concurrent import ConcurrentDriver
-
-        driver = ConcurrentDriver(self.platform, self.population, seed=seed)
-        window = driver.run(
-            sessions=sessions,
-            queries_per_session=queries_per_session,
-            arrival_rate_per_ms=arrival_rate_per_ms,
-            think_time_ms=think_time_ms,
-            recommendation_probability=recommendation_probability,
-            find_similar_probability=find_similar_probability,
+        window = ConcurrentDriver(self.platform, self.population, seed=seed).run(
+            **traffic
         )
         report.requests += window.requests
         report.completed += window.completed
@@ -538,29 +445,69 @@ class ScenarioRunner:
         report.failed_operations += window.failed_operations
         for status, count in window.statuses.items():
             report.statuses[status] = report.statuses.get(status, 0) + count
+        summary.update(
+            requests=window.requests,
+            completed=window.completed,
+            shed=window.shed,
+            failed_operations=window.failed_operations,
+            statuses=dict(sorted(window.statuses.items())),
+        )
+        report.windows.append(summary)
+        return window
+
+    # -- elastic-fleet scenarios -------------------------------------------------------
+
+    def _elastic_window(
+        self,
+        report: ElasticScenarioReport,
+        phase: str,
+        seed: int,
+        traffic: Dict[str, Any],
+    ) -> Dict[str, Any]:
+        """One :meth:`_window` of an elastic day; returns its summary."""
         summary: Dict[str, Any] = {
             "phase": phase,
-            "arrival_rate_per_ms": arrival_rate_per_ms,
-            "sessions": window.sessions,
-            "requests": window.requests,
-            "completed": window.completed,
-            "shed": window.shed,
-            "failed_operations": window.failed_operations,
-            "statuses": dict(sorted(window.statuses.items())),
-            "latency_p50_ms": window.latency_ms.get("p50", 0.0),
-            "latency_p99_ms": window.latency_ms.get("p99", 0.0),
+            "arrival_rate_per_ms": traffic["arrival_rate_per_ms"],
         }
-        report.windows.append(summary)
+        window = self._window(report, seed, traffic, summary)
+        summary["sessions"] = window.sessions
+        summary["latency_p50_ms"] = window.latency_ms.get("p50", 0.0)
+        summary["latency_p99_ms"] = window.latency_ms.get("p99", 0.0)
         return summary
 
-    def _ensure_registered(self) -> List[str]:
-        """Register any not-yet-registered consumers; returns the census."""
+    def _mark(self, report: ElasticScenarioReport, servers: int) -> None:
+        """Append a fleet size and the shard map's epoch to the trails."""
+        report.fleet_sizes.append(servers)
+        report.epoch_trail.append(self.platform.fleet.shard_map.epoch)
+
+    def _census(self, report: ElasticScenarioReport) -> Callable[[int], None]:
+        """Start ``report`` (:meth:`_start`) and snapshot the fleet's counters.
+
+        The returned call closes the day: given the final fleet size, it
+        sets the peak and final sizes, the handbacks, splits, transfers and
+        losses since the snapshot, the consumers no longer registered, and
+        the finish time.
+        """
+        users = self._start(report)
         fleet = self.platform.fleet
-        users = [consumer.user_id for consumer in self.population.consumers()]
-        for user_id in users:
-            if not fleet.is_registered(user_id):
-                self.gateway.register(user_id)
-        return users
+        handbacks = fleet.handbacks
+        splits = fleet.splits
+        transferred = fleet.transferred_consumers
+        lost = fleet.lost_consumers
+
+        def close(final_servers: int) -> None:
+            report.peak_servers = max(report.fleet_sizes, default=0)
+            report.final_servers = final_servers
+            report.handbacks = fleet.handbacks - handbacks
+            report.splits = fleet.splits - splits
+            report.transferred_consumers = fleet.transferred_consumers - transferred
+            report.lost_consumers = fleet.lost_consumers - lost
+            report.missing_consumers = sum(
+                1 for user_id in users if not fleet.is_registered(user_id)
+            )
+            report.finished_at_ms = self.platform.now
+
+        return close
 
     def flash_crowd_day(
         self,
@@ -596,12 +543,7 @@ class ScenarioRunner:
         ``missing_consumers`` must be zero).
         """
         platform = self.platform
-        fleet = platform.fleet
-        if fleet is None:
-            raise WorkloadError(
-                "flash crowd day needs a multi-server fleet "
-                "(PlatformConfig.num_buyer_servers > 1)"
-            )
+        self._fleet("flash crowd day", replicated=False)
         for name, value in (
             ("sessions_per_window", sessions_per_window),
             ("baseline_windows", baseline_windows),
@@ -616,18 +558,18 @@ class ScenarioRunner:
             raise WorkloadError("settle_ticks cannot be negative")
 
         scaler = FleetAutoscaler(platform, policy)
-        users = self._ensure_registered()
         report = ElasticScenarioReport(
-            scenario="flash_crowd_day",
-            consumers=len(users),
-            started_at_ms=platform.now,
+            scenario="flash_crowd_day", initial_servers=len(scaler.active_servers())
         )
-        report.initial_servers = len(scaler.active_servers())
-        lost_before = fleet.lost_consumers
-        handbacks_before = fleet.handbacks
-        splits_before = fleet.splits
-        transferred_before = fleet.transferred_consumers
+        close = self._census(report)
 
+        traffic = dict(
+            sessions=sessions_per_window,
+            queries_per_session=queries_per_session,
+            think_time_ms=think_time_ms,
+            recommendation_probability=recommendation_probability,
+            find_similar_probability=find_similar_probability,
+        )
         spike_rate = baseline_rate_per_ms * spike_factor
         phases = (
             [("baseline", baseline_rate_per_ms)] * baseline_windows
@@ -636,42 +578,20 @@ class ScenarioRunner:
         )
         for index, (phase, rate) in enumerate(phases):
             summary = self._elastic_window(
-                report,
-                phase,
-                seed=seed + index,
-                sessions=sessions_per_window,
-                queries_per_session=queries_per_session,
-                arrival_rate_per_ms=rate,
-                think_time_ms=think_time_ms,
-                recommendation_probability=recommendation_probability,
-                find_similar_probability=find_similar_probability,
+                report, phase, seed + index, dict(traffic, arrival_rate_per_ms=rate)
             )
-            decision = scaler.tick()
-            summary["decision"] = decision.action
-            report.fleet_sizes.append(len(scaler.active_servers()))
-            report.epoch_trail.append(fleet.shard_map.epoch)
+            summary["decision"] = scaler.tick().action
+            self._mark(report, len(scaler.active_servers()))
         # Trailing quiet ticks: the gauges still read the last (baseline)
         # window, so the scaler keeps shrinking until the founding floor.
         for _ in range(settle_ticks):
             if len(scaler.active_servers()) <= scaler.floor:
                 break
             scaler.tick()
-            report.fleet_sizes.append(len(scaler.active_servers()))
-            report.epoch_trail.append(fleet.shard_map.epoch)
+            self._mark(report, len(scaler.active_servers()))
 
         report.decisions = [decision.as_dict() for decision in scaler.decisions]
-        report.peak_servers = max(report.fleet_sizes, default=0)
-        report.final_servers = len(scaler.active_servers())
-        report.handbacks = fleet.handbacks - handbacks_before
-        report.splits = fleet.splits - splits_before
-        report.transferred_consumers = (
-            fleet.transferred_consumers - transferred_before
-        )
-        report.lost_consumers = fleet.lost_consumers - lost_before
-        report.missing_consumers = sum(
-            1 for user_id in users if not fleet.is_registered(user_id)
-        )
-        report.finished_at_ms = platform.now
+        close(len(scaler.active_servers()))
         return report
 
     def rolling_upgrade_day(
@@ -688,10 +608,9 @@ class ScenarioRunner:
 
         Requires a multi-server fleet with replication wired.  For each
         founding server in turn: crash the host mid-day, promote the
-        freshest replica holder (the PR-6 failover — consumers never
-        re-register), run a traffic window against the degraded fleet,
-        recover the host, purge its stale copies, and hand its original
-        shards back
+        freshest replica holder (consumers never re-register), run a
+        traffic window against the degraded fleet, recover the host, purge
+        its stale copies, and hand its original shards back
         (:meth:`~repro.ecommerce.buyer_server.BuyerServerFleet.transfer_shard`
         — the live replica-bootstrap + WAL catch-up path).  After the last
         server the shard map must match the founding assignment again —
@@ -700,45 +619,18 @@ class ScenarioRunner:
         bars.
         """
         platform = self.platform
-        fleet = platform.fleet
-        if fleet is None:
-            raise WorkloadError(
-                "rolling upgrade day needs a multi-server fleet "
-                "(PlatformConfig.num_buyer_servers > 1)"
-            )
+        fleet, founding = self._fleet("rolling upgrade day")
         if sessions_per_window <= 0:
             raise WorkloadError("sessions_per_window must be positive")
-        founding = [
-            server
-            for server in list(fleet.servers)
-            if server.name not in fleet.retired
-        ]
-        for server in founding:
-            if server.replication is None or not server.replication.peers:
-                raise WorkloadError(
-                    "rolling upgrade day needs replication wired "
-                    "(PlatformConfig.replication_factor >= 1)"
-                )
 
-        users = self._ensure_registered()
         report = ElasticScenarioReport(
-            scenario="rolling_upgrade_day",
-            consumers=len(users),
-            started_at_ms=platform.now,
+            scenario="rolling_upgrade_day", initial_servers=len(founding)
         )
+        close = self._census(report)
         original = {
             server.name: list(fleet.shards_of(server)) for server in founding
         }
-        report.initial_servers = len(founding)
-        lost_before = fleet.lost_consumers
-        handbacks_before = fleet.handbacks
-        transferred_before = fleet.transferred_consumers
-
-        window_seed = seed
-        self._elastic_window(
-            report,
-            "warm",
-            seed=window_seed,
+        traffic = dict(
             sessions=sessions_per_window,
             queries_per_session=queries_per_session,
             arrival_rate_per_ms=arrival_rate_per_ms,
@@ -746,77 +638,39 @@ class ScenarioRunner:
             recommendation_probability=recommendation_probability,
             find_similar_probability=find_similar_probability,
         )
-        report.fleet_sizes.append(len(founding))
-        report.epoch_trail.append(fleet.shard_map.epoch)
 
-        for server in founding:
+        self._elastic_window(report, "warm", seed, traffic)
+        self._mark(report, len(founding))
+        for index, server in enumerate(founding, start=1):
+            shards = original[server.name]
             platform.failures.crash_host(server.name)
-            promoted = fleet.handle_server_failure(original[server.name][0])
-            window_seed += 1
+            promoted = fleet.handle_server_failure(shards[0])
             degraded = self._elastic_window(
-                report,
-                f"upgrade:{server.name}",
-                seed=window_seed,
-                sessions=sessions_per_window,
-                queries_per_session=queries_per_session,
-                arrival_rate_per_ms=arrival_rate_per_ms,
-                think_time_ms=think_time_ms,
-                recommendation_probability=recommendation_probability,
-                find_similar_probability=find_similar_probability,
+                report, f"upgrade:{server.name}", seed + index, traffic
             )
             platform.failures.recover_host(server.name)
             purged = fleet.recover_server(server)
             restored = 0
-            for shard in original[server.name]:
-                owner = fleet.owner_of_shard(shard)
-                if owner is not server:
-                    restored += fleet.transfer_shard(
-                        shard, server, kind="upgrade"
-                    )
-            degraded["server"] = server.name
-            degraded["shards"] = list(original[server.name])
-            degraded["promoted_consumers"] = promoted
-            degraded["recovered_purged"] = purged
-            degraded["restored_consumers"] = restored
-            degraded["ownership_restored"] = all(
-                fleet.shard_map.owner_of(shard) == server.name
-                for shard in original[server.name]
+            for shard in shards:
+                if fleet.owner_of_shard(shard) is not server:
+                    restored += fleet.transfer_shard(shard, server, kind="upgrade")
+            degraded.update(
+                server=server.name,
+                shards=list(shards),
+                promoted_consumers=promoted,
+                recovered_purged=purged,
+                restored_consumers=restored,
+                ownership_restored=all(
+                    fleet.shard_map.owner_of(shard) == server.name for shard in shards
+                ),
             )
-            report.fleet_sizes.append(
-                sum(
-                    1
-                    for candidate in founding
-                    if candidate.context.host.is_running
-                )
+            self._mark(
+                report,
+                sum(1 for candidate in founding if candidate.context.host.is_running),
             )
-            report.epoch_trail.append(fleet.shard_map.epoch)
-
-        window_seed += 1
-        self._elastic_window(
-            report,
-            "restored",
-            seed=window_seed,
-            sessions=sessions_per_window,
-            queries_per_session=queries_per_session,
-            arrival_rate_per_ms=arrival_rate_per_ms,
-            think_time_ms=think_time_ms,
-            recommendation_probability=recommendation_probability,
-            find_similar_probability=find_similar_probability,
-        )
-        report.fleet_sizes.append(len(founding))
-        report.epoch_trail.append(fleet.shard_map.epoch)
-
-        report.peak_servers = max(report.fleet_sizes, default=0)
-        report.final_servers = len(founding)
-        report.handbacks = fleet.handbacks - handbacks_before
-        report.transferred_consumers = (
-            fleet.transferred_consumers - transferred_before
-        )
-        report.lost_consumers = fleet.lost_consumers - lost_before
-        report.missing_consumers = sum(
-            1 for user_id in users if not fleet.is_registered(user_id)
-        )
-        report.finished_at_ms = platform.now
+        self._elastic_window(report, "restored", seed + len(founding) + 1, traffic)
+        self._mark(report, len(founding))
+        close(len(founding))
         return report
 
     # -- adversarial chaos scenario ------------------------------------------------
@@ -868,15 +722,9 @@ class ScenarioRunner:
         from repro.adversarial.audit import InvariantAuditor
         from repro.adversarial.chaos import ChaosSchedule
         from repro.workload.adversary import AdversaryDriver
-        from repro.workload.concurrent import ConcurrentDriver
 
         platform = self.platform
-        fleet = platform.fleet
-        if fleet is None:
-            raise WorkloadError(
-                "chaos marketplace day needs a multi-server fleet "
-                "(PlatformConfig.num_buyer_servers > 1)"
-            )
+        fleet, founding = self._fleet("chaos marketplace day")
         if not platform.config.handshake_trades:
             raise WorkloadError(
                 "chaos marketplace day needs handshake-secured trades "
@@ -884,22 +732,9 @@ class ScenarioRunner:
             )
         if windows <= 0 or sessions_per_window <= 0:
             raise WorkloadError("windows and sessions_per_window must be positive")
-        founding = [
-            server
-            for server in list(fleet.servers)
-            if server.name not in fleet.retired
-        ]
-        for server in founding:
-            if server.replication is None or not server.replication.peers:
-                raise WorkloadError(
-                    "chaos marketplace day needs replication wired "
-                    "(PlatformConfig.replication_factor >= 1)"
-                )
 
-        users = self._ensure_registered()
-        report = ChaosScenarioReport(
-            consumers=len(users), started_at_ms=platform.now
-        )
+        report = ChaosScenarioReport()
+        self._start(report)
         lost_before = fleet.lost_consumers
         counters_before = dict(platform.metrics.snapshot()["counters"])
 
@@ -955,6 +790,13 @@ class ScenarioRunner:
                 # partition/heal need no fleet surgery: routing heals
                 # itself when the links come back.
 
+        traffic = dict(
+            sessions=sessions_per_window,
+            queries_per_session=queries_per_session,
+            arrival_rate_per_ms=arrival_rate_per_ms,
+            think_time_ms=think_time_ms,
+            recommendation_probability=recommendation_probability,
+        )
         adversary = AdversaryDriver(platform, seed=seed)
         for index in range(windows):
             adversary.inject(
@@ -963,37 +805,11 @@ class ScenarioRunner:
                 protocol_rounds=protocol_rounds,
                 flood_requests=flood_requests,
             )
-            driver = ConcurrentDriver(
-                self.platform, self.population, seed=seed + index
-            )
-            window = driver.run(
-                sessions=sessions_per_window,
-                queries_per_session=queries_per_session,
-                arrival_rate_per_ms=arrival_rate_per_ms,
-                think_time_ms=think_time_ms,
-                recommendation_probability=recommendation_probability,
-            )
-            report.requests += window.requests
-            report.completed += window.completed
-            report.shed += window.shed
-            report.failed_operations += window.failed_operations
-            for status, count in window.statuses.items():
-                report.statuses[status] = report.statuses.get(status, 0) + count
-            report.windows.append(
-                {
-                    "window": index,
-                    "requests": window.requests,
-                    "completed": window.completed,
-                    "shed": window.shed,
-                    "failed_operations": window.failed_operations,
-                    "statuses": dict(sorted(window.statuses.items())),
-                    "clock_ms": round(platform.now, 3),
-                    "hosts_down": sorted(
-                        server.name
-                        for server in founding
-                        if not server.context.host.is_running
-                    ),
-                }
+            summary: Dict[str, Any] = {"window": index}
+            self._window(report, seed + index, traffic, summary)
+            summary["clock_ms"] = round(platform.now, 3)
+            summary["hosts_down"] = sorted(
+                server.name for server in founding if not server.context.host.is_running
             )
             reconcile()
         attack_report = adversary.collect()

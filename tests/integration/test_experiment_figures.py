@@ -1,4 +1,4 @@
-"""Smoke tests: every experiment of DESIGN.md's index runs and produces rows."""
+"""Smoke tests: every experiment of :mod:`repro.experiments` runs and produces rows."""
 
 import pytest
 

@@ -832,6 +832,34 @@ class TestPromotionScenario:
         assert all(len(log) <= 96 for log in logs), [len(log) for log in logs]
         assert sum(len(log) for log in logs) < sum(log.last_seq for log in logs)
 
+    def test_promotion_failover_day_report_is_pinned(self):
+        """Golden report: every key, in order, at a small fixed size and seed.
+
+        No benchmark artifact pins this day, so a refactor that moved one
+        RNG draw or one counter would otherwise pass unseen.
+        """
+        platform = build_platform(seed=11, num_buyer_servers=3, replication_factor=1)
+        runner = ScenarioRunner(
+            platform, ConsumerPopulation(12, groups=3, seed=11), seed=11
+        )
+        report = runner.promotion_failover_day(sessions=18, refresh_interval_ms=1000.0)
+        assert list(report.as_dict().items()) == [
+            ("consumers", 12),
+            ("sessions", 18),
+            ("queries", 18),
+            ("purchases", 8),
+            ("auctions", 4),
+            ("negotiations", 1),
+            ("recommendations_requested", 7),
+            ("failed_operations", 0),
+            ("batch_refreshes", 2),
+            ("promoted_consumers", 2),
+            ("stale_shard_answers", 4),
+            ("lost_consumers", 0),
+            ("recovered_purged", 2),
+            ("simulated_duration_ms", 1294.2539277343747),
+        ]
+
     def test_scenario_requires_fleet_and_replication(self):
         single = build_platform(seed=3)
         runner = ScenarioRunner(single, ConsumerPopulation(4, seed=3), seed=3)

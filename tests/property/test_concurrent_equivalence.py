@@ -21,7 +21,7 @@ import pytest
 
 from repro.api.requests import LoginRequest, LogoutRequest, QueryRequest
 from repro.ecommerce.platform_builder import build_platform
-from repro.workload import ConsumerPopulation, ScenarioRunner
+from repro.workload import ConcurrentDriver, ConsumerPopulation, ScenarioRunner
 
 
 def _fresh_platform(**overrides):
@@ -70,18 +70,17 @@ class TestReplayDeterminism:
     def test_submit_streams_replay_byte_identically(self):
         assert self._run_stream() == self._run_stream()
 
-    def test_concurrent_day_report_replays_identically(self):
+    def test_driver_report_replays_identically(self):
         def run():
             platform = _fresh_platform(
                 api_admission_capacity=60, api_admission_refill_per_ms=0.1
             )
-            runner = ScenarioRunner(platform, ConsumerPopulation(60, seed=7), seed=7)
-            report = runner.concurrent_day(
+            driver = ConcurrentDriver(platform, ConsumerPopulation(60, seed=7), seed=7)
+            report = driver.run(
                 sessions=50,
                 queries_per_session=2,
                 arrival_rate_per_ms=0.05,
                 think_time_ms=120.0,
-                seed=7,
             )
             return json.dumps(report.as_dict(), sort_keys=True)
 
@@ -151,13 +150,12 @@ class TestZeroOverlapEquivalence:
                 api_admission_refill_per_ms=0.1,
                 **overrides,
             )
-            runner = ScenarioRunner(platform, ConsumerPopulation(60, seed=7), seed=7)
-            report = runner.concurrent_day(
+            driver = ConcurrentDriver(platform, ConsumerPopulation(60, seed=7), seed=7)
+            report = driver.run(
                 sessions=50,
                 queries_per_session=2,
                 arrival_rate_per_ms=0.05,
                 think_time_ms=120.0,
-                seed=7,
             )
             events = [repr(event) for event in platform.event_log.events]
             return json.dumps(report.as_dict(), sort_keys=True), events
@@ -174,13 +172,12 @@ class TestZeroOverlapEquivalence:
         can exceed — the whole run stays byte-identical to default."""
         def run(**overrides):
             platform = _fresh_platform(**overrides)
-            runner = ScenarioRunner(platform, ConsumerPopulation(40, seed=5), seed=5)
-            report = runner.concurrent_day(
+            driver = ConcurrentDriver(platform, ConsumerPopulation(40, seed=5), seed=5)
+            report = driver.run(
                 sessions=30,
                 queries_per_session=1,
                 arrival_rate_per_ms=0.05,
                 think_time_ms=100.0,
-                seed=5,
             )
             return json.dumps(report.as_dict(), sort_keys=True)
 
@@ -192,11 +189,12 @@ class TestZeroOverlapEquivalence:
         spends only virtual time and its own RNGs."""
         def warm_report(run_concurrent_first):
             platform = _fresh_platform()
-            runner = ScenarioRunner(platform, ConsumerPopulation(10, seed=3), seed=3)
+            population = ConsumerPopulation(10, seed=3)
+            runner = ScenarioRunner(platform, population, seed=3)
             if run_concurrent_first:
-                runner.concurrent_day(
+                ConcurrentDriver(platform, population, seed=11).run(
                     sessions=8, queries_per_session=1,
-                    arrival_rate_per_ms=0.05, think_time_ms=50.0, seed=11,
+                    arrival_rate_per_ms=0.05, think_time_ms=50.0,
                 )
             report = runner.warm_up(consumers=6)
             return {

@@ -16,7 +16,6 @@ from repro.workload.concurrent import (
     latency_histogram,
 )
 from repro.workload.consumers import ConsumerPopulation
-from repro.workload.scenarios import ScenarioRunner
 from repro.ecommerce.platform_builder import build_platform
 
 
@@ -159,11 +158,10 @@ class TestConcurrentDay:
         platform = build_platform(seed=11, num_buyer_servers=4, replication_factor=1,
                                   api_admission_capacity=40,
                                   api_admission_refill_per_ms=0.2)
-        runner = ScenarioRunner(platform, ConsumerPopulation(400, groups=4, seed=11),
-                                seed=11)
-        report = runner.concurrent_day(sessions=300, queries_per_session=2,
-                                       arrival_rate_per_ms=0.15, think_time_ms=150.0,
-                                       seed=11)
+        driver = ConcurrentDriver(platform, ConsumerPopulation(400, groups=4, seed=11),
+                                  seed=11)
+        report = driver.run(sessions=300, queries_per_session=2,
+                            arrival_rate_per_ms=0.15, think_time_ms=150.0)
         d = report.as_dict()
         # A shed request completed nothing.
         assert d["sessions"] == 300
