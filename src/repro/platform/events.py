@@ -6,20 +6,25 @@ benchmarks (Figures 4.2 and 4.3 of the paper) can assert the exact message
 sequence between agents.
 
 What a recorded step costs.  Every protocol step of every request is
-recorded and the record must stay complete, so :class:`EventLog` keeps no
-object per step: a step is one row across five columns (a packed double for
-the timestamp; a reference each to the category, source and target strings
-and to the keyword dict the caller's ``**payload`` already made) plus one
-packed row number in its category's index — 48 bytes beside the payload,
-and nothing the cyclic garbage collector has to walk unless the payload
-itself holds a container.  :class:`Event` is therefore a *view*: readers
-(iteration, ``by_category``, ``latest``, ...) get fresh
-``Event`` objects built from the columns, equal to the ones recorded, and
-two reads of the same row are ``==`` but not ``is``.  ``events`` builds
-none of them: it is a read-only :class:`EventRows` sequence over the rows
-recorded so far, whose index or slice (``events[start:]``, as
-``events_since(start)``) builds only the rows it names, and through which
-no reader can change the log.  The string columns
+recorded and the record must stay complete, so :class:`EventLog` keeps one
+object per step at most, its payload's values: a step is one row across six
+columns (a packed double for the timestamp; a reference each to the
+category, source and target strings and to the payload's key tuple, one
+object per distinct payload shape; a tuple of the payload's values) plus
+one packed row number in its category's index.  That is 56 bytes beside the
+value tuple (40 bytes plus 8 per value); the caller's keyword dict would be
+64 bytes empty and 184 with one to five keys.  A payload-less row points
+both payload columns at the one empty tuple.  The collector untracks a
+tuple of atomic values the first time it looks at it; a payload that holds
+a container is tracked whoever keeps it.  :class:`Event` is therefore a
+*view*: readers (iteration, ``by_category``, ``latest``, ...) get fresh
+``Event`` objects built from the columns, each with a fresh payload dict
+(``dict(zip(keys, values))``, keys in record order), equal to the ones
+recorded, and two reads of the same row are ``==`` but not ``is``.
+``events`` builds none of them: it is a read-only :class:`EventRows`
+sequence over the rows recorded so far, whose index or slice
+(``events[start:]``, as ``events_since(start)``) builds only the rows it
+names, and through which no reader can change the log.  The string columns
 hold one object per distinct string: callers build categories and parties
 with f-strings, and a column would otherwise keep a copy per row.  The
 category index makes ``count``, ``latest`` and ``last_payload`` O(1) and
@@ -59,6 +64,18 @@ class Event:
         )
 
 
+def _event(
+    timestamp: float,
+    category: str,
+    source: str,
+    target: str,
+    keys: Tuple[str, ...],
+    values: Tuple[Any, ...],
+) -> Event:
+    """The :class:`Event` view of one row of :class:`EventLog`'s columns."""
+    return Event(timestamp, category, source, target, dict(zip(keys, values)))
+
+
 class EventRows(Sequence[Event]):
     """:attr:`EventLog.events`: the first ``length`` rows of the log's
     columns, read-only.  The log only appends to its columns (``clear``
@@ -77,20 +94,20 @@ class EventRows(Sequence[Event]):
         return self._length
 
     def __iter__(self) -> Iterator[Event]:
-        return islice(map(Event, *self._columns), self._length)
+        return islice(map(_event, *self._columns), self._length)
 
     def __getitem__(self, key: Union[int, slice]) -> Union[Event, List[Event]]:
         if isinstance(key, slice):
             start, stop, step = key.indices(self._length)
             if step == 1:
-                return list(map(Event, *(column[start:stop] for column in self._columns)))
+                return list(map(_event, *(column[start:stop] for column in self._columns)))
             return [self[row] for row in range(start, stop, step)]
         row = index(key)
         if row < 0:
             row += self._length
         if not 0 <= row < self._length:
             raise IndexError("event index out of range")
-        return Event(*(column[row] for column in self._columns))
+        return _event(*(column[row] for column in self._columns))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (EventRows, list, tuple)):
@@ -110,7 +127,8 @@ class EventLog:
     here; integration tests assert the numbered sequences from Figures 4.1,
     4.2 and 4.3 against it.
 
-    Storage is one column per :class:`Event` field, row ``i`` of every column
+    Storage is one column per :class:`Event` field, except that the payload
+    is two — its key tuple and its value tuple — row ``i`` of every column
     being the ``i``-th recorded step, plus the rows of each category in
     record order.  Every reader builds its :class:`Event` views from the
     columns on the way out.
@@ -121,13 +139,17 @@ class EventLog:
         self._categories: List[str] = []
         self._sources: List[str] = []
         self._targets: List[str] = []
-        self._payloads: List[Dict[str, Any]] = []
+        self._keys: List[Tuple[str, ...]] = []
+        self._values: List[Tuple[Any, ...]] = []
         self._columns = (
-            self._timestamps, self._categories, self._sources, self._targets, self._payloads
+            self._timestamps, self._categories, self._sources, self._targets,
+            self._keys, self._values,
         )
         self._rows: Dict[str, array] = {}
         # Each distinct category / source / target string, as first recorded.
         self._strings: Dict[str, str] = {}
+        # Each distinct payload key tuple, as first recorded.
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
 
     def _store(
         self,
@@ -150,15 +172,19 @@ class EventLog:
         self._categories.append(category)
         self._sources.append(intern(source, source))
         self._targets.append(intern(target, target))
-        self._payloads.append(payload)
+        # An empty payload's key and value tuples are both the one ``()``.
+        keys = tuple(payload)
+        self._keys.append(self._shapes.setdefault(keys, keys))
+        self._values.append(tuple(payload.values()))
 
     def _view(self, row: int) -> Event:
-        return Event(
+        return _event(
             self._timestamps[row],
             self._categories[row],
             self._sources[row],
             self._targets[row],
-            self._payloads[row],
+            self._keys[row],
+            self._values[row],
         )
 
     def record(
@@ -168,24 +194,11 @@ class EventLog:
         source: str,
         target: str,
         **payload: Any,
-    ) -> Event:
-        # ``payload`` is this call's own keyword dict, so the log keeps it
-        # as it is: nobody else holds a reference to copy it away from.
+    ) -> None:
+        # ``payload`` is this call's own keyword dict and dies with it: the
+        # log keeps its interned key tuple and a tuple of its values.  No
+        # ``Event`` is built here; readers build their views from the columns.
         self._store(timestamp, category, source, target, payload)
-        # Nearly every caller drops the returned event, and the frozen
-        # ``__init__`` would pay one ``object.__setattr__`` call per field
-        # for it — half of what recording a step costs.  Filling the
-        # instance dict is under half of that.  Readers' views still come
-        # from ``Event(...)``: an instance whose ``__dict__`` was touched is
-        # the larger object, which shows when ``events`` builds one per row.
-        event = object.__new__(Event)
-        fields = event.__dict__
-        fields["timestamp"] = timestamp
-        fields["category"] = category
-        fields["source"] = source
-        fields["target"] = target
-        fields["payload"] = payload
-        return event
 
     def append(self, event: Event) -> None:
         self._store(
@@ -223,7 +236,7 @@ class EventLog:
     def last_payload(self, category: str) -> Optional[Dict[str, Any]]:
         """Payload of the most recent ``category`` event (None when absent)."""
         rows = self._rows.get(category)
-        return dict(self._payloads[rows[-1]]) if rows else None
+        return self._view(rows[-1]).payload if rows else None
 
     def involving(self, participant: str) -> List[Event]:
         return [

@@ -154,14 +154,15 @@ class ScenarioRunner:
     def run_session(
         self,
         consumer: SyntheticConsumer,
+        report: ScenarioReport,
         queries: int = 2,
         buy_probability: float = 0.5,
         auction_probability: float = 0.15,
         negotiate_probability: float = 0.15,
         ask_recommendations: bool = True,
-        report: Optional[ScenarioReport] = None,
-    ) -> ScenarioReport:
-        """One consumer session: login, a few queries, maybe trades, logout.
+    ) -> None:
+        """One consumer session: login, a few queries, maybe trades, logout,
+        tallied into the caller's ``report``.
 
         Drives the gateway exclusively: a non-``ok`` envelope is a failed
         operation (the legacy ``SessionError`` cases arrive as ``failed`` /
@@ -169,13 +170,12 @@ class ScenarioRunner:
         accepted request, successful trade or not — matching the behaviour
         of the direct-session driver this replaced byte for byte.
         """
-        report = report if report is not None else ScenarioReport()
         gateway = self.gateway
         user_id = consumer.user_id
         login = gateway.login(user_id)
         if login.failed:
             report.failed_operations += 1
-            return report
+            return
         report.sessions += 1
         try:
             for _ in range(queries):
@@ -227,7 +227,6 @@ class ScenarioRunner:
                     report.recommendations_requested += 1
         finally:
             gateway.logout(user_id)
-        return report
 
     # -- whole-population scenarios ---------------------------------------------------
 

@@ -131,9 +131,9 @@ class TestEventLogModel:
         log, model = EventLog(), []
         for operation, (timestamp, category, source, target, payload) in operations:
             if operation == "record":
-                returned = log.record(timestamp, category, source, target, **payload)
+                log.record(timestamp, category, source, target, **payload)
                 model.append(Event(timestamp, category, source, target, dict(payload)))
-                assert returned == model[-1]
+                assert log.events[-1] == model[-1]
             elif operation == "append":
                 event = Event(timestamp, category, source, target, dict(payload))
                 log.append(event)

@@ -18,11 +18,11 @@ class TestEvent:
 
 
 class TestEventLog:
-    def test_record_appends_and_returns_event(self):
+    def test_record_appends_an_event(self):
         log = EventLog()
-        event = log.record(3.0, "agent.created", "host", "agent-1", agent_type="BRA")
+        log.record(3.0, "agent.created", "host", "agent-1", agent_type="BRA")
         assert len(log) == 1
-        assert event.payload["agent_type"] == "BRA"
+        assert log.latest("agent.created").payload["agent_type"] == "BRA"
 
     def test_by_category_filters(self):
         log = EventLog()

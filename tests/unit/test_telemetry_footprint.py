@@ -48,3 +48,39 @@ def test_string_columns_hold_one_object_per_distinct_string():
     assert len({id(category) for category in log.categories()}) == 1
     assert len({id(event.source) for event in log}) == 2
     assert len({id(event.target) for event in log}) == 2
+
+
+def test_payload_columns_hold_one_key_tuple_per_payload_shape():
+    """A payload is a tuple of its values beside a key tuple shared by every
+    row of the same shape; a payload-less row points at the one ``()``.
+    Every reader rebuilds a fresh dict, so no reader can change the log."""
+    log = EventLog()
+    for step in range(_STEPS):
+        if step % 2:
+            log.record(float(step), "workflow.step", "bra-1", "mba-1", step=step, item="book-1")
+        else:
+            log.record(float(step), "workflow.idle", "bra-1", "mba-1")
+    assert len({id(keys) for keys in log._keys}) == 2
+    assert len(log._shapes) == 2
+    empty = [row for row in range(_STEPS) if not log._keys[row]]
+    assert len(empty) == _STEPS // 2
+    shared = {id(log._keys[row]) for row in empty} | {id(log._values[row]) for row in empty}
+    assert shared == {id(tuple())}
+
+    recorded = {"step": _STEPS - 1, "item": "book-1"}
+    reads = [
+        lambda: log.events[_STEPS - 1].payload,
+        lambda: list(log)[_STEPS - 1].payload,
+        lambda: log.latest("workflow.step").payload,
+        lambda: log.last_payload("workflow.step"),
+    ]
+    for read in reads:
+        payload = read()
+        assert payload == recorded and list(payload) == ["step", "item"]
+        assert payload is not read()
+        payload["scribble"] = True
+        payload["step"] = -1
+    for read in reads:
+        assert read() == recorded
+    assert log.latest("workflow.idle").payload == {}
+    assert log.last_payload("workflow.idle") == {}
