@@ -6,7 +6,10 @@ recommendation mechanism simply drops it from the Mobile Buyer Agent's
 itinerary (the consumer still gets results from the survivors), that an
 outage of *every* marketplace comes back as a clean ``failed`` envelope with
 a structured error — the gateway never raises at a client — and that full
-coverage returns once the hosts recover.
+coverage returns once the hosts recover.  A marketplace the buyer host
+cannot reach — partitioned away, or behind a link a scheduled failure plan
+cuts — is dropped the same way, until the partition heals or the plan
+restores the link.
 
 Run with::
 
@@ -16,6 +19,7 @@ Run with::
 from __future__ import annotations
 
 from repro import build_platform
+from repro.platform.failure import FailurePlan
 
 
 def main() -> None:
@@ -67,6 +71,44 @@ def main() -> None:
     response = gateway.query("carol", "books")
     print(f"Query across all marketplaces again: "
           f"{len(response.result.hits)} items found from "
+          f"{sorted({hit.marketplace for hit in response.result.hits})}")
+
+    print()
+
+    # -- partition and heal -------------------------------------------------------------
+    buyer_host = platform.buyer_server.name
+    isolated = all_marketplaces[1]
+    platform.failures.partition([buyer_host], [isolated])
+    print(f"*** {isolated} is partitioned away from {buyer_host} ***")
+    response = gateway.query("carol", "books")
+    skipped = platform.event_log.latest("workflow.itinerary-filtered")
+    print(f"The MBA left the unreachable marketplace off its itinerary "
+          f"(skipped={skipped.payload['skipped']}) and found {len(response.result.hits)} "
+          f"items from {sorted({hit.marketplace for hit in response.result.hits})}")
+    platform.failures.heal()
+    print("*** the partition has healed ***")
+    response = gateway.query("carol", "books")
+    print(f"Query after the heal: {len(response.result.hits)} items found from "
+          f"{sorted({hit.marketplace for hit in response.result.hits})}")
+    print()
+
+    # -- a scheduled link cut ------------------------------------------------------------
+    severed = all_marketplaces[2]
+    cut_at, restore_at = platform.now + 1.0, platform.now + 1_000.0
+    platform.failures.apply_plan(
+        FailurePlan()
+        .cut_link(cut_at, buyer_host, severed)
+        .restore_link(restore_at, buyer_host, severed)
+    )
+    print(f"Failure plan: cut {buyer_host} <-> {severed} at {cut_at:.1f} ms, "
+          f"restore it at {restore_at:.1f} ms")
+    platform.scheduler.run_until(cut_at)
+    response = gateway.query("carol", "books")
+    print(f"While the link is cut: {len(response.result.hits)} items found from "
+          f"{sorted({hit.marketplace for hit in response.result.hits})}")
+    platform.scheduler.run_until(restore_at)
+    response = gateway.query("carol", "books")
+    print(f"Once the plan restores it: {len(response.result.hits)} items found from "
           f"{sorted({hit.marketplace for hit in response.result.hits})}")
 
     gateway.logout("carol")

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the whole test suite in one leg, the benchmark smokes, the
 # figure / capability benchmarks with timing disabled, the wall-clock ledger
-# digests, the examples, the experiments and the reachability ledger.
+# digests, the examples and the experiments (each stdout diffed against its
+# golden in examples/expected/) and the reachability ledger.
 # The gateway, concurrent, flash-crowd and adversarial smokes are pytest
 # tests (test_api_gateway.py, test_concurrent_report.py,
 # test_elastic_fleet.py, test_adversarial_subsystem.py and the matching
@@ -55,7 +56,8 @@ hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adve
 
 echo "== tier-1: memory ledger (tracemalloc bytes per consumer per module; =="
 echo "==         the WAL-retained and truncated totals and core/profile.py  =="
-echo "==         must stay under their bars)                                =="
+echo "==         must stay under their bars; platform/events.py is the      =="
+echo "==         event log's fixed ring over the community size)            =="
 hooked python -m pytest -x -q -s -W error::DeprecationWarning benchmarks/bench_memory.py
 
 echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="
@@ -90,15 +92,20 @@ print("-- " + os.environ["WORKLOAD"] + ": correct, digest matches,",
 '
 done
 
-echo "== tier-1: example smoke runs (a DeprecationWarning is an error) =="
+echo "== tier-1: example runs (each stdout must equal examples/expected/; =="
+echo "==         a DeprecationWarning is an error)                       =="
 for example in examples/*.py; do
   echo "-- ${example}"
-  hooked python -W error::DeprecationWarning "${example}" >/dev/null
+  hooked python -W error::DeprecationWarning "${example}" \
+    | diff -u "examples/expected/$(basename "${example}" .py).txt" -
 done
 
 echo "== tier-1: experiments (every figure and capability experiment, quick =="
-echo "==         parameters; a DeprecationWarning is an error)            =="
-hooked python -W error::DeprecationWarning -m repro.experiments --quick >/dev/null
+echo "==         parameters; stdout must equal                           =="
+echo "==         examples/expected/experiments_quick.txt; a              =="
+echo "==         DeprecationWarning is an error)                         =="
+hooked python -W error::DeprecationWarning -m repro.experiments --quick \
+  | diff -u examples/expected/experiments_quick.txt -
 
 echo "== tier-1: reachability ledger (every src/repro function an entry point =="
 echo "==         leaves unreached, and every PlatformConfig field none sets, =="

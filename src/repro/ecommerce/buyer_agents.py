@@ -700,13 +700,17 @@ class BuyerServerManagementAgent(Aglet):
         """Shared Figure 4.2/4.3 core: prepare MBA, deactivate BRA, dispatch,
         authenticate on return, collect results, reactivate BRA."""
         # Marketplaces that are known to be down are dropped from the
-        # itinerary up front (mobile-agent fault tolerance, §1); an itinerary
-        # with nothing reachable is an error the consumer must see.
+        # itinerary up front (mobile-agent fault tolerance, §1), and so are
+        # those this host cannot reach (a partition or a cut link) while
+        # another one can be reached; an itinerary with nothing up is an
+        # error the consumer must see, and one with nothing reachable fails
+        # its first hop with the network's own error.
         network = self.context.transport.network
-        reachable = [
+        up = [
             host for host in itinerary
             if network.is_host_up(host) and self.context.directory.has_context(host)
         ]
+        reachable = [host for host in up if network.can_reach(self.location, host)] or up
         unreachable = [host for host in itinerary if host not in reachable]
         if unreachable:
             self._log("workflow.itinerary-filtered", task=task, skipped=unreachable)

@@ -43,6 +43,10 @@ class TransferDroppedError(NetworkError):
     """Raised when a transfer is dropped by the loss model."""
 
 
+class EventEvictedError(PlatformError):
+    """Raised when a read needs a row the event log's ring has overwritten."""
+
+
 class HostError(PlatformError):
     """Raised for invalid host operations (double start, crash while down...)."""
 

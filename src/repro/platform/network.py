@@ -164,6 +164,17 @@ class SimulatedNetwork:
     def is_host_up(self, name: str) -> bool:
         return name in self._hosts and name not in self._down_hosts
 
+    def can_reach(self, source: str, destination: str) -> bool:
+        """Whether a transfer ``source → destination`` would start now: both
+        hosts registered and up, no partition between them, the link not
+        cut.  The loss model draws per transfer and is not consulted."""
+        return (
+            self.is_host_up(source)
+            and self.is_host_up(destination)
+            and not self._partitioned(source, destination)
+            and self._ensure_link(source, destination).up
+        )
+
     def partition(self, group_a: Iterable[str], group_b: Iterable[str]) -> None:
         """Split the network so the two groups cannot reach each other."""
         set_a, set_b = set(group_a), set(group_b)

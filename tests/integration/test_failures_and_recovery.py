@@ -4,6 +4,7 @@ import pytest
 
 from repro.api.envelope import ApiStatus
 from repro.ecommerce.platform_builder import build_platform
+from repro.platform.failure import FailurePlan
 
 
 @pytest.fixture
@@ -90,11 +91,12 @@ class TestMarketplaceOutage:
         platform = resilient_platform
         gateway = platform.gateway()
         assert gateway.login("alice").ok
-        # Crash a later stop after the MBA has been dispatched: schedule the
-        # crash a moment into the future so the first hop is already underway.
+        # Cut only the hop from the first stop to the second: the buyer host
+        # still reaches marketplace-2, so the itinerary keeps it and the MBA
+        # finds it unreachable from marketplace-1.
         platform.failures.cut_link("marketplace-1", "marketplace-2")
-        platform.failures.cut_link("buyer-agent-server", "marketplace-2")
         results = gateway.query("alice", "books").result.hits
+        assert not platform.event_log.by_category("workflow.itinerary-filtered")
         skipped_events = platform.event_log.by_category("workflow.marketplace-skipped")
         assert skipped_events
         assert all(hit.marketplace != "marketplace-2" for hit in results)
@@ -111,6 +113,44 @@ class TestLinkFailures:
         assert (failed.status, failed.error.code) == (ApiStatus.UNAVAILABLE, "link-down")
         platform.failures.restore_link("buyer-agent-server", "marketplace-2")
         assert gateway.query("alice", "books", marketplaces=["marketplace-2"]).ok
+        assert gateway.logout("alice").ok
+
+    @pytest.mark.parametrize("cut", ["partition", "link"])
+    def test_a_marketplace_the_buyer_host_cannot_reach_is_skipped(self, resilient_platform, cut):
+        """A partition or a cut link drops the marketplace from the itinerary
+        up front, as a crash does, while another one is still reachable."""
+        platform = resilient_platform
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        if cut == "partition":
+            platform.failures.partition(["buyer-agent-server"], ["marketplace-2"])
+        else:
+            platform.failures.cut_link("buyer-agent-server", "marketplace-2")
+        response = gateway.query("alice", "books")
+        assert response.ok and response.result.hits
+        assert {hit.marketplace for hit in response.result.hits} <= {"marketplace-1", "marketplace-3"}
+        filtered = platform.event_log.latest("workflow.itinerary-filtered")
+        assert filtered.payload["skipped"] == ["marketplace-2"]
+        assert not platform.event_log.count("workflow.marketplace-skipped")
+        assert gateway.logout("alice").ok
+
+    def test_a_scheduled_cut_and_restore_move_the_itinerary(self, resilient_platform):
+        platform = resilient_platform
+        gateway = platform.gateway()
+        assert gateway.login("alice").ok
+        start = platform.now
+        platform.failures.apply_plan(
+            FailurePlan()
+            .cut_link(start + 1.0, "buyer-agent-server", "marketplace-3")
+            .restore_link(start + 1_000.0, "buyer-agent-server", "marketplace-3")
+        )
+        platform.scheduler.run_until(start + 1.0)
+        cut = gateway.query("alice", "books").result.hits
+        assert cut and "marketplace-3" not in {hit.marketplace for hit in cut}
+        platform.scheduler.run_until(start + 1_000.0)
+        restored = gateway.query("alice", "books").result.hits
+        assert {hit.marketplace for hit in restored} == set(platform.marketplace_names())
+        assert platform.event_log.count("workflow.itinerary-filtered") == 1
         assert gateway.logout("alice").ok
 
     def test_partition_and_heal(self, resilient_platform):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.items import Item
 from repro.ecommerce.auction import AuctionHouse
 from repro.ecommerce.negotiation import NegotiationService
+from repro.errors import EventEvictedError
 from repro.platform.clock import Scheduler
 from repro.platform.events import Event, EventLog
 from repro.platform.metrics import Timer, summarize
@@ -186,6 +187,108 @@ class TestEventLogModel:
             log.record("soon", "workflow.query", "bra-1", "mba-1")
         assert len(log) == log.count("workflow.query") == len(log.events) == 1
         assert log.latest("workflow.query").timestamp == 1.0
+
+
+class _EightRowLog(EventLog):
+    """A log whose ring holds 8 rows, so a short run of steps overwrites it."""
+
+    RETAINED_ROWS = 8
+
+
+# Long enough runs, and rare enough clears, that most of them overwrite it.
+_RING_OPERATIONS = st.lists(
+    st.tuples(st.sampled_from(("record",) * 6 + ("append", "append", "clear")), _STEPS),
+    min_size=10, max_size=30,
+)
+
+
+def _assert_addresses_absolute_rows(view, recorded, start, stop):
+    """``view`` covers the first ``len(view)`` rows of ``recorded``, every
+    row recorded into its ring; the ring kept the last 8.  A read of a kept
+    row equals the model's; one that needs an overwritten row raises."""
+    first = max(0, len(recorded) - _EightRowLog.RETAINED_ROWS)
+    covered = recorded[: len(view)]
+    for row in range(-len(covered), len(covered)):
+        if row % len(covered) >= first:
+            assert view[row] == covered[row]
+        else:
+            with pytest.raises(EventEvictedError):
+                view[row]
+    for key in (slice(start, stop), slice(start, None), slice(None, stop), slice(start, stop, 2)):
+        if any(row < first for row in range(*key.indices(len(covered)))):
+            with pytest.raises(EventEvictedError):
+                view[key]
+        else:
+            assert view[key] == covered[key]
+    if first and covered:
+        with pytest.raises(EventEvictedError):
+            list(view)
+    else:
+        assert list(view) == covered
+
+
+class TestEventLogRing:
+    """:class:`EventLog` with a ring of 8 rows against the full list model:
+    the retained reads see the model's suffix, the tallies see all of it,
+    and absolute rows the ring overwrote raise, through old views too."""
+
+    @given(
+        _RING_OPERATIONS, _TIMESTAMPS, _TIMESTAMPS,
+        st.integers(-30, 30), st.integers(-30, 30),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_retained_reads_are_the_models_suffix(self, operations, low, high, start, stop):
+        log, model = _EightRowLog(), []
+        views = []  # (an EventRows made earlier, the model of its ring)
+        for operation, (timestamp, category, source, target, payload) in operations:
+            if operation == "clear":
+                log.clear()
+                model = []  # the old views keep the old ring, and its model
+            else:
+                event = Event(timestamp, category, source, target, dict(payload))
+                if operation == "record":
+                    log.record(timestamp, category, source, target, **payload)
+                else:
+                    log.append(event)
+                model.append(event)
+            views.append((log.events, model))
+
+            kept = model[max(0, len(model) - log.RETAINED_ROWS):]
+            assert len(log) == len(model) and list(log) == kept
+            assert log.categories() == [event.category for event in kept]
+            for category in (*_CATEGORIES, "never-recorded"):
+                matches = [event for event in model if event.category == category]
+                assert log.by_category(category) == [
+                    event for event in kept if event.category == category
+                ]
+                assert log.count(category) == len(matches)
+                assert log.latest(category) == (matches[-1] if matches else None)
+                assert log.last_payload(category) == (matches[-1].payload if matches else None)
+            for party in (*_PARTIES, "nobody"):
+                assert log.involving(party) == [
+                    event for event in kept if party in (event.source, event.target)
+                ]
+            assert log.between(low, high) == [
+                event for event in kept if low <= event.timestamp <= high
+            ]
+            since = range(*slice(start, None).indices(len(model)))
+            if any(row < len(model) - len(kept) for row in since):
+                with pytest.raises(EventEvictedError):
+                    log.events_since(start)
+            else:
+                assert log.events_since(start) == model[start:]
+            for view, recorded in views:
+                _assert_addresses_absolute_rows(view, recorded, start, stop)
+
+    def test_a_refused_timestamp_leaves_no_partial_row(self):
+        log = _EightRowLog()
+        for step in range(10):
+            log.record(float(step), "workflow.query", "bra-1", "mba-1", step=step)
+        with pytest.raises(TypeError):
+            log.record("soon", "workflow.step", "bra-1", "mba-1")
+        assert len(log) == log.count("workflow.query") == 10 and not log.count("workflow.step")
+        assert log.events[2:] == log.by_category("workflow.query")
+        assert log.latest("workflow.query").payload == {"step": 9}
 
 
 AUCTION_ITEM = Item.build("lot", "Lot", "books", terms={"novel": 0.5}, price=100.0)

@@ -1,6 +1,7 @@
 """What recording costs the heap: a step or a sample is a row, not an object."""
 
 import gc
+import tracemalloc
 from array import array
 
 from repro.platform.events import EventLog
@@ -60,11 +61,12 @@ def test_payload_columns_hold_one_key_tuple_per_payload_shape():
             log.record(float(step), "workflow.step", "bra-1", "mba-1", step=step, item="book-1")
         else:
             log.record(float(step), "workflow.idle", "bra-1", "mba-1")
-    assert len({id(keys) for keys in log._keys}) == 2
+    ring = log._ring
+    assert len({id(keys) for keys in ring.keys}) == 2
     assert len(log._shapes) == 2
-    empty = [row for row in range(_STEPS) if not log._keys[row]]
+    empty = [row for row in range(_STEPS) if not ring.keys[row]]
     assert len(empty) == _STEPS // 2
-    shared = {id(log._keys[row]) for row in empty} | {id(log._values[row]) for row in empty}
+    shared = {id(ring.keys[row]) for row in empty} | {id(ring.values[row]) for row in empty}
     assert shared == {id(tuple())}
 
     recorded = {"step": _STEPS - 1, "item": "book-1"}
@@ -84,3 +86,36 @@ def test_payload_columns_hold_one_key_tuple_per_payload_shape():
         assert read() == recorded
     assert log.latest("workflow.idle").payload == {}
     assert log.last_payload("workflow.idle") == {}
+
+
+def _bytes_held_by_the_event_log() -> int:
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(True, "*/repro/platform/events.py")]
+    )
+    return sum(stat.size for stat in snapshot.statistics("filename"))
+
+
+def test_the_log_holds_no_more_after_ten_rings_than_after_one():
+    """The columns are a ring of ``RETAINED_ROWS`` slots: once it is full,
+    each row recorded drops the oldest one's value tuple, so the log's heap
+    stops growing with the number of steps recorded."""
+    log, size = EventLog(), EventLog.RETAINED_ROWS
+
+    def record(start: int, stop: int) -> None:
+        for step in range(start, stop):
+            log.record(
+                float(step), f"workflow.step-{step % 7}", "bra-1", f"mba-{step % 3}",
+                step=step, item="book-1",
+            )
+
+    tracemalloc.start()
+    try:
+        record(0, size)
+        one_ring = _bytes_held_by_the_event_log()
+        record(size, 10 * size)
+        ten_rings = _bytes_held_by_the_event_log()
+    finally:
+        tracemalloc.stop()
+    assert len(log) == 10 * size and log.count("workflow.step-0") == len(range(0, 10 * size, 7))
+    assert one_ring > 40 * size  # the retained value tuples are counted
+    assert ten_rings <= one_ring + 4096, (one_ring, ten_rings)
