@@ -116,7 +116,7 @@ def test_chaos_marketplace_smoke(benchmark):
     report = outcome["report"]
     assert report["scenario"] == "chaos_marketplace_day"
     assert report["requests"] > 0
-    assert report["attacker_success_rate"] == 0.0
+    assert report["adversary"]["attacker_success_rate"] == 0.0
     assert report["audit"]["ok"], report["audit"]["violations"]
 
 
@@ -159,7 +159,7 @@ def test_artifact_meets_acceptance_bars():
 
     # Every protocol attack was refused with its own typed rejection;
     # none succeeded.
-    assert report["attacker_success_rate"] == 0.0
+    assert report["adversary"]["attacker_success_rate"] == 0.0
     adversary = report["adversary"]
     assert adversary["protocol"]["succeeded"] == 0
     for kind in ("forged-nonce", "replayed-offer", "double-finalize",

@@ -1,7 +1,7 @@
 """Adversarial marketplace subsystem: handshakes, abuse, chaos, audit.
 
-PRs 1-9 only ever exercised the platform against *failure* — crashed
-hosts, cut links, overload.  This package opens the second correctness
+The failure layers exercise the platform against *failure* — crashed
+hosts, cut links, overload.  This package covers the second correctness
 axis, behaviour under *hostility*:
 
 - :mod:`repro.adversarial.handshake` — the ``TradeHandshake`` protocol
@@ -20,9 +20,10 @@ axis, behaviour under *hostility*:
   lost paid transaction, balanced ledger, closed envelope taxonomy,
   every finalized trade backed by a verified handshake.
 
-Nothing here imports :mod:`repro.ecommerce` at module level — the
-e-commerce trade services import the handshake module, so this package
-must sit *below* them in the import graph.
+Nothing here imports :mod:`repro.ecommerce` at module level —
+:mod:`repro.ecommerce.marketplace`, the one place trades are admitted,
+imports the handshake module, so this package must sit *below* it in the
+import graph.
 """
 
 from repro.adversarial.audit import AuditReport, InvariantAuditor

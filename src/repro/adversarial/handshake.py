@@ -6,8 +6,8 @@ on) secures each *trade* with a handshake: the marketplace issues a
 fresh nonce, the buyer echoes it back under an HMAC keyed by its
 credential's session key, and only a finalized handshake entitles its
 holder to a trade.  The discipline is the one Snippet 2 enforces —
-nonce echo, duplicate-nonce drop, a single finalize, and the nonce log
-cleared once the handshake completes.
+nonce echo, duplicate-nonce drop and a single finalize; a nonce answers
+one challenge ever, so a consumed nonce can never be replayed.
 
 Each way the protocol can be abused raises its own typed error
 (:class:`~repro.errors.HandshakeError` family), so the gateway's
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.errors import (
     AuthenticationError,
@@ -102,9 +102,6 @@ class TradeHandshake:
         self.nonce = nonce
         self.opened_at = opened_at
         self.state = self.OPEN
-        #: Nonces consumed within this session — the Snippet-2 nonce log,
-        #: cleared when the handshake finalizes.
-        self.nonce_log: List[str] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -245,15 +242,14 @@ class HandshakeBroker:
             ) from exc
         self._outstanding_nonces.discard(nonce)
         self._consumed_nonces.add(nonce)
-        session.nonce_log.append(nonce)
         session.state = TradeHandshake.VERIFIED
         return session
 
     def finalize(self, handshake_id: str, now: float) -> HandshakeTranscript:
         """Finalize step: seal the handshake into a one-trade transcript.
 
-        Single-finalize rule: a handshake finalizes exactly once; the
-        nonce log is cleared on success (the Snippet-2 discipline).
+        Single-finalize rule: a handshake finalizes exactly once (the
+        Snippet-2 discipline).
         """
         session = self._session(handshake_id)
         if session.state == TradeHandshake.FINALIZED:
@@ -268,7 +264,6 @@ class HandshakeBroker:
                 f"echo is verified"
             )
         session.state = TradeHandshake.FINALIZED
-        session.nonce_log.clear()
         transcript = HandshakeTranscript(
             handshake_id=session.handshake_id,
             marketplace=self.marketplace,
@@ -319,46 +314,29 @@ class HandshakeBroker:
         and raises its typed error — this is what the replay/forgery
         bots and the gateway's ``handshake`` probe call.
         """
-        if tamper is None:
-            return self.perform(buyer, now)
+        if tamper is not None and tamper not in TAMPER_MODES:
+            raise HandshakeError(
+                f"unknown tamper mode {tamper!r}; expected one of {TAMPER_MODES}"
+            )
+        replayed = self.perform(buyer, now).nonce if tamper == "replayed-offer" else None
+        stale = None
         if tamper == "stale-credential":
-            credential = self.auth.issue(
+            stale = self.auth.issue(
                 f"hs-{self.marketplace}-{buyer}",
                 owner=buyer,
                 now=now - self.auth.credential_lifetime_ms - 1.0,
             )
-            self.open(buyer, now, credential=credential)
-            raise HandshakeError(  # pragma: no cover - open() must raise
-                "stale credential was unexpectedly accepted"
-            )
+        session = self.open(buyer, now, credential=stale)
+        nonce = replayed or session.nonce
         if tamper == "forged-nonce":
-            session = self.open(buyer, now)
-            forged = "f" * 32 if session.nonce != "f" * 32 else "0" * 32
-            response = AuthenticationService.respond(session.credential, forged)
-            self.exchange(session.handshake_id, forged, response, now)
-            raise HandshakeError(  # pragma: no cover - exchange() must raise
-                "forged nonce was unexpectedly accepted"
-            )
-        if tamper == "replayed-offer":
-            first = self.open(buyer, now)
-            echo = AuthenticationService.respond(first.credential, first.nonce)
-            self.exchange(first.handshake_id, first.nonce, echo, now)
-            self.finalize(first.handshake_id, now)
-            second = self.open(buyer, now)
-            replay = AuthenticationService.respond(second.credential, first.nonce)
-            self.exchange(second.handshake_id, first.nonce, replay, now)
-            raise HandshakeError(  # pragma: no cover - exchange() must raise
-                "replayed nonce was unexpectedly accepted"
-            )
+            nonce = "0" * 32 if session.nonce == "f" * 32 else "f" * 32
+        response = AuthenticationService.respond(session.credential, nonce)
+        self.exchange(session.handshake_id, nonce, response, now)
+        transcript = self.finalize(session.handshake_id, now)
         if tamper == "double-finalize":
-            session = self.open(buyer, now)
-            echo = AuthenticationService.respond(session.credential, session.nonce)
-            self.exchange(session.handshake_id, session.nonce, echo, now)
             self.finalize(session.handshake_id, now)
-            self.finalize(session.handshake_id, now)
-            raise HandshakeError(  # pragma: no cover - finalize() must raise
-                "double finalize was unexpectedly accepted"
+        if tamper is not None:
+            raise HandshakeError(  # pragma: no cover - a tamper step must raise
+                f"{tamper} was unexpectedly accepted"
             )
-        raise HandshakeError(
-            f"unknown tamper mode {tamper!r}; expected one of {TAMPER_MODES}"
-        )
+        return transcript

@@ -15,8 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.errors import AuctionError, HandshakeError
-from repro.adversarial.handshake import HandshakeBroker, HandshakeTranscript
+from repro.errors import AuctionError
 from repro.core.items import Item
 
 __all__ = ["Bid", "Auction", "AuctionResult", "AuctionHouse"]
@@ -124,11 +123,8 @@ class Auction:
 class AuctionHouse:
     """Runs auctions for a marketplace, with synthetic competing bidders.
 
-    With a :class:`~repro.adversarial.handshake.HandshakeBroker` attached
-    (``PlatformConfig.handshake_trades``) every auction entry must present
-    a finalized handshake transcript, which the house redeems — one
-    transcript admits exactly one auction run, so a replayed offer is
-    refused before any bidding happens.
+    The house runs whatever auction it is asked to: admitting the bidder
+    is the :class:`~repro.ecommerce.marketplace.MarketplaceServer`'s job.
     """
 
     def __init__(
@@ -136,14 +132,12 @@ class AuctionHouse:
         marketplace: str,
         seed: int = 0,
         competitor_count: int = 3,
-        handshake: Optional[HandshakeBroker] = None,
     ) -> None:
         if competitor_count < 0:
             raise AuctionError("competitor count cannot be negative")
         self.marketplace = marketplace
         self._rng = random.Random(seed)
         self.competitor_count = competitor_count
-        self.handshake = handshake
         self.completed: List[AuctionResult] = []
         self._auction_seq = itertools.count(1)
 
@@ -167,7 +161,6 @@ class AuctionHouse:
         max_price: float,
         reserve_price: Optional[float] = None,
         max_rounds: int = 50,
-        handshake: Optional[HandshakeTranscript] = None,
     ) -> AuctionResult:
         """Run one English auction to completion.
 
@@ -177,17 +170,7 @@ class AuctionHouse:
             max_price: the most the consumer is willing to pay.
             reserve_price: seller's reserve; defaults to 70% of list price.
             max_rounds: safety bound on bidding rounds.
-            handshake: the finalized transcript admitting the bidder;
-                required (and redeemed) when the house enforces
-                handshakes, ignored otherwise.
         """
-        if self.handshake is not None:
-            if handshake is None:
-                raise HandshakeError(
-                    f"marketplace {self.marketplace!r} requires a trade "
-                    f"handshake to enter an auction"
-                )
-            self.handshake.redeem(handshake)
         if max_price <= 0:
             raise AuctionError("the consumer's maximum price must be positive")
         reserve = reserve_price if reserve_price is not None else item.price * 0.7

@@ -330,6 +330,15 @@ class BuyerRecommendAgent(Aglet):
 # ---------------------------------------------------------------------------
 
 
+#: Market trade task → (message kind, the reply's outcome flag).  An
+#: auction or a negotiation also carries the consumer's ``max_price``.
+_MARKET_TRADES = {
+    "buy": (MessageKinds.MARKET_BUY, None),
+    "auction": (MessageKinds.MARKET_AUCTION_BID, "won"),
+    "negotiate": (MessageKinds.MARKET_NEGOTIATE, "agreed"),
+}
+
+
 class MobileBuyerAgent(Aglet):
     """Migrates to marketplaces and executes the task its BRA assigned."""
 
@@ -390,37 +399,15 @@ class MobileBuyerAgent(Aglet):
                 self.results.extend(reply.value("results", []))
             self._log("workflow.marketplace-queried",
                       found=len(reply.value("results", [])) if reply.ok else 0)
-        elif self.task == "buy":
-            reply = self.send_to(
-                market,
-                MessageKinds.MARKET_BUY,
-                item_id=self.params["item_id"],
-                user_id=self.user_id,
-            )
+        elif self.task in _MARKET_TRADES:
+            kind, flag = _MARKET_TRADES[self.task]
+            payload = {"item_id": self.params["item_id"], "user_id": self.user_id}
+            if flag is not None:
+                payload["max_price"] = self.params["max_price"]
+            reply = self.send_to(market, kind, **payload)
             self._keep_trade(reply)
-            self._log("workflow.trade-executed", task="buy", ok=reply.ok)
-        elif self.task == "auction":
-            reply = self.send_to(
-                market,
-                MessageKinds.MARKET_AUCTION_BID,
-                item_id=self.params["item_id"],
-                user_id=self.user_id,
-                max_price=self.params["max_price"],
-            )
-            self._keep_trade(reply)
-            self._log("workflow.trade-executed", task="auction", ok=reply.ok,
-                      won=bool(reply.value("won", False)))
-        elif self.task == "negotiate":
-            reply = self.send_to(
-                market,
-                MessageKinds.MARKET_NEGOTIATE,
-                item_id=self.params["item_id"],
-                user_id=self.user_id,
-                max_price=self.params["max_price"],
-            )
-            self._keep_trade(reply)
-            self._log("workflow.trade-executed", task="negotiate", ok=reply.ok,
-                      agreed=bool(reply.value("agreed", False)))
+            outcome = {} if flag is None else {flag: bool(reply.value(flag, False))}
+            self._log("workflow.trade-executed", task=self.task, ok=reply.ok, **outcome)
         else:
             raise ECommerceError(f"MBA {self.aglet_id} has an unknown task {self.task!r}")
         self.visited.append(self.location)

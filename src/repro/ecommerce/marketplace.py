@@ -23,11 +23,16 @@ from repro.agents.context import AgletContext
 from repro.agents.messages import Message, MessageKinds, Reply
 from repro.core.items import Item
 from repro.ecommerce.auction import AuctionHouse
-from repro.ecommerce.catalog import MerchandiseCatalog
+from repro.ecommerce.catalog import Listing, MerchandiseCatalog
 from repro.ecommerce.negotiation import NegotiationService
 from repro.ecommerce.transactions import TransactionKind, TransactionRecord
 
 __all__ = ["MarketplaceAgent", "MarketplaceServer"]
+
+
+def _admit_freely(user_id: str, timestamp: float) -> None:
+    """Admission on an unsecured marketplace: nothing to check."""
+    return None
 
 
 class MarketplaceAgent(Aglet):
@@ -134,13 +139,14 @@ class MarketplaceAgent(Aglet):
 class MarketplaceServer:
     """One marketplace of the e-commerce platform.
 
-    With ``handshake_trades`` the marketplace secures every trade with
-    the :mod:`repro.adversarial.handshake` protocol: its auth service
-    backs a :class:`HandshakeBroker`, the trade services refuse work
-    without a redeemable transcript, and every recorded transaction is
-    backed by one in :attr:`trade_handshakes` (what the invariant
-    auditor re-checks).  Off by default — the unsecured trade path is
-    byte-identical to the pre-handshake platform.
+    Every trade is admitted in one place, ``_admit``, chosen at
+    construction.  With ``handshake_trades`` it runs the
+    :mod:`repro.adversarial.handshake` protocol through a
+    :class:`HandshakeBroker` on this host's auth service and redeems
+    the transcript, and every recorded transaction is backed by its
+    transcript in :attr:`trade_handshakes` (what the invariant auditor
+    re-checks); without it admission does nothing.  The auction house
+    and the negotiation service know nothing about handshakes.
     """
 
     def __init__(
@@ -152,12 +158,11 @@ class MarketplaceServer:
         self.handshakes: Optional[HandshakeBroker] = (
             HandshakeBroker(self.name, context.auth) if handshake_trades else None
         )
+        self._admit = self._admit_by_handshake if handshake_trades else _admit_freely
         #: transaction_id → transcript backing it (handshake mode only).
         self.trade_handshakes: Dict[str, HandshakeTranscript] = {}
-        self.auction_house = AuctionHouse(
-            self.name, seed=seed, handshake=self.handshakes
-        )
-        self.negotiations = NegotiationService(self.name, handshake=self.handshakes)
+        self.auction_house = AuctionHouse(self.name, seed=seed)
+        self.negotiations = NegotiationService(self.name)
         self.transactions: List[TransactionRecord] = []
         # Per-marketplace id sequence: two same-seed platforms built in the
         # same process mint identical transaction ids, which keeps whole
@@ -166,9 +171,6 @@ class MarketplaceServer:
         context.host.attach_service("marketplace-server", self)
         self.agent = context.create(MarketplaceAgent, owner=self.name,
                                     marketplace_name=self.name)
-
-    def _next_transaction_id(self) -> str:
-        return f"txn-{self.name}-{next(self._transaction_seq)}"
 
     # -- querying -----------------------------------------------------------------
 
@@ -185,20 +187,32 @@ class MarketplaceServer:
 
     # -- trading ---------------------------------------------------------------------
 
-    def sell_direct(self, item_id: str, user_id: str, timestamp: float) -> TransactionRecord:
-        """A straight purchase at list price."""
-        handshake = None
-        if self.handshakes is not None:
-            handshake = self.handshakes.perform(user_id, timestamp)
-            self.handshakes.redeem(handshake)
-        item = self.catalog.sell(item_id)
+    def _admit_by_handshake(self, user_id: str, timestamp: float) -> HandshakeTranscript:
+        """Admit one trade: a finalized handshake, redeemed on the spot."""
+        return self.handshakes.redeem(self.handshakes.perform(user_id, timestamp))
+
+    def _in_stock(self, item_id: str) -> Listing:
+        listing = self.catalog.listing(item_id)
+        if not listing.available:
+            raise TransactionError(f"item {item_id!r} is out of stock on {self.name!r}")
+        return listing
+
+    def _record(
+        self,
+        kind: TransactionKind,
+        user_id: str,
+        item: Item,
+        price: float,
+        timestamp: float,
+        handshake: Optional[HandshakeTranscript],
+    ) -> TransactionRecord:
         transaction = TransactionRecord(
-            transaction_id=self._next_transaction_id(),
+            transaction_id=f"txn-{self.name}-{next(self._transaction_seq)}",
             user_id=user_id,
-            item_id=item_id,
+            item_id=item.item_id,
             marketplace=self.name,
-            kind=TransactionKind.DIRECT_PURCHASE,
-            price=item.price,
+            kind=kind,
+            price=price,
             list_price=item.price,
             timestamp=timestamp,
             seller=item.seller,
@@ -208,73 +222,49 @@ class MarketplaceServer:
         self.transactions.append(transaction)
         return transaction
 
+    def sell_direct(self, item_id: str, user_id: str, timestamp: float) -> TransactionRecord:
+        """A straight purchase at list price, admitted before the stock check."""
+        handshake = self._admit(user_id, timestamp)
+        item = self.catalog.sell(item_id)
+        return self._record(
+            TransactionKind.DIRECT_PURCHASE, user_id, item, item.price, timestamp, handshake
+        )
+
     def negotiate_purchase(
         self, item_id: str, user_id: str, max_price: float, timestamp: float
     ):
         """Bargain for the item; buy it at the agreed price on success."""
-        listing = self.catalog.listing(item_id)
-        if not listing.available:
-            raise TransactionError(f"item {item_id!r} is out of stock on {self.name!r}")
-        handshake = None
-        if self.handshakes is not None:
-            handshake = self.handshakes.perform(user_id, timestamp)
+        listing = self._in_stock(item_id)
+        handshake = self._admit(user_id, timestamp)
         outcome = self.negotiations.negotiate(
-            listing.item,
-            buyer_max=max_price,
-            seller_reserve=listing.reserve_price,
-            handshake=handshake,
+            listing.item, buyer_max=max_price, seller_reserve=listing.reserve_price
         )
         transaction = None
         if outcome.agreed:
             self.catalog.sell(item_id)
-            transaction = TransactionRecord(
-                transaction_id=self._next_transaction_id(),
-                user_id=user_id,
-                item_id=item_id,
-                marketplace=self.name,
-                kind=TransactionKind.NEGOTIATED_PURCHASE,
-                price=outcome.final_price,
-                list_price=listing.item.price,
-                timestamp=timestamp,
-                seller=listing.item.seller,
+            transaction = self._record(
+                TransactionKind.NEGOTIATED_PURCHASE, user_id, listing.item,
+                outcome.final_price, timestamp, handshake,
             )
-            if handshake is not None:
-                self.trade_handshakes[transaction.transaction_id] = handshake
-            self.transactions.append(transaction)
         return outcome, transaction
 
     def auction_purchase(
         self, item_id: str, user_id: str, max_price: float, timestamp: float
     ):
         """Run an auction for the item; buy it if the consumer's agent wins."""
-        listing = self.catalog.listing(item_id)
-        if not listing.available:
-            raise TransactionError(f"item {item_id!r} is out of stock on {self.name!r}")
-        handshake = None
-        if self.handshakes is not None:
-            handshake = self.handshakes.perform(user_id, timestamp)
+        listing = self._in_stock(item_id)
+        handshake = self._admit(user_id, timestamp)
         result = self.auction_house.run_auction(
             listing.item, bidder=user_id, max_price=max_price,
             reserve_price=listing.reserve_price,
-            handshake=handshake,
         )
         transaction = None
         if result.winner == user_id:
             self.catalog.sell(item_id)
-            transaction = TransactionRecord(
-                transaction_id=self._next_transaction_id(),
-                user_id=user_id,
-                item_id=item_id,
-                marketplace=self.name,
-                kind=TransactionKind.AUCTION_WIN,
-                price=result.winning_bid,
-                list_price=listing.item.price,
-                timestamp=timestamp,
-                seller=listing.item.seller,
+            transaction = self._record(
+                TransactionKind.AUCTION_WIN, user_id, listing.item,
+                result.winning_bid, timestamp, handshake,
             )
-            if handshake is not None:
-                self.trade_handshakes[transaction.transaction_id] = handshake
-            self.transactions.append(transaction)
         return result, transaction
 
     # -- statistics --------------------------------------------------------------------

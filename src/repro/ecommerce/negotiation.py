@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
-from repro.errors import HandshakeError, NegotiationError
-from repro.adversarial.handshake import HandshakeBroker, HandshakeTranscript
+from repro.errors import NegotiationError
 from repro.core.items import Item
 
 __all__ = ["NegotiationOffer", "NegotiationOutcome", "NegotiationService"]
@@ -49,27 +48,17 @@ class NegotiationOutcome:
 class NegotiationService:
     """Runs buyer/seller bargaining sessions for a marketplace.
 
-    With a :class:`~repro.adversarial.handshake.HandshakeBroker` attached
-    (``PlatformConfig.handshake_trades``) every bargaining session must
-    present a finalized handshake transcript, which the service redeems —
-    one transcript entitles its holder to exactly one negotiation, so a
-    replayed offer is refused before any bargaining happens.
-
+    The service bargains for whoever it is asked to: admitting the buyer
+    is the :class:`~repro.ecommerce.marketplace.MarketplaceServer`'s job.
     Sessions are named from the service's own sequence
     (``negotiation-<marketplace>-<n>``).
     """
 
-    def __init__(
-        self,
-        marketplace: str,
-        max_rounds: int = 10,
-        handshake: Optional[HandshakeBroker] = None,
-    ) -> None:
+    def __init__(self, marketplace: str, max_rounds: int = 10) -> None:
         if max_rounds <= 0:
             raise NegotiationError("max_rounds must be positive")
         self.marketplace = marketplace
         self.max_rounds = max_rounds
-        self.handshake = handshake
         self.completed: List[NegotiationOutcome] = []
         self._negotiation_seq = itertools.count(1)
 
@@ -80,7 +69,6 @@ class NegotiationService:
         seller_reserve: float,
         buyer_concession: float = 0.15,
         seller_concession: float = 0.10,
-        handshake: Optional[HandshakeTranscript] = None,
     ) -> NegotiationOutcome:
         """Run one bargaining session to completion.
 
@@ -92,21 +80,11 @@ class NegotiationService:
                 towards its maximum.
             seller_concession: per-round fractional concession of the seller
                 towards its reserve.
-            handshake: the finalized transcript entitling the buyer to this
-                session; required (and redeemed) when the service enforces
-                handshakes, ignored otherwise.
 
         Returns:
             The outcome; ``agreed`` is False when the zone of possible
             agreement was never reached within ``max_rounds``.
         """
-        if self.handshake is not None:
-            if handshake is None:
-                raise HandshakeError(
-                    f"marketplace {self.marketplace!r} requires a trade "
-                    f"handshake to negotiate"
-                )
-            self.handshake.redeem(handshake)
         if buyer_max <= 0:
             raise NegotiationError("buyer maximum must be positive")
         if seller_reserve < 0:

@@ -114,13 +114,13 @@ class PlatformConfig:
             tail-at-scale trick.  ``None`` (the default) never hedges and
             is byte-identical to the unhedged fan-out; ``1.0`` arms the
             machinery but can never fire (no latency exceeds the max).
-        handshake_trades: secure every marketplace trade with the
+        handshake_trades: each marketplace admits every trade with the
             :mod:`repro.adversarial` handshake protocol (nonce challenge +
-            HMAC echo + single finalize); finalized trades record a
-            verifiable transcript and the gateway grows a ``handshake``
-            probe operation.  Off by default — the trade path, reply
-            payloads and metric stream are byte-identical to the
-            unsecured platform.
+            HMAC echo + single finalize, then one redeem) before running
+            it; recorded trades keep their transcript and the gateway's
+            ``handshake`` probe operation works.  Off by default —
+            admission does nothing, and the trade path, reply payloads
+            and metric stream are those of the unsecured platform.
     """
 
     num_marketplaces: int = 2

@@ -108,8 +108,8 @@ class ChaosScenarioReport(_FleetReport):
     :class:`~repro.workload.adversary.AdversaryReport` dict plus the
     ``api.auth.rejected.*`` counter deltas).  ``audit`` is the
     end-of-run :class:`~repro.adversarial.audit.AuditReport` dict — the
-    acceptance bars read ``audit["ok"]`` and ``attacker_success_rate``
-    straight off this report.
+    acceptance bars read ``audit["ok"]`` and
+    ``adversary["attacker_success_rate"]`` straight off this report.
     """
 
     scenario: str = "chaos_marketplace_day"
@@ -122,17 +122,13 @@ class ChaosScenarioReport(_FleetReport):
     auth_rejections: Dict[str, int] = field(default_factory=dict)
     audit: Dict[str, Any] = field(default_factory=dict)
 
-    _derived = ("honest_goodput", "attacker_success_rate")
+    _derived = ("honest_goodput",)
 
     @property
     def honest_goodput(self) -> float:
         """Fraction of honest requests answered (``ok`` or ``degraded``)."""
         answered = self.statuses.get("ok", 0) + self.statuses.get("degraded", 0)
         return answered / self.requests if self.requests else 0.0
-
-    @property
-    def attacker_success_rate(self) -> float:
-        return float(self.adversary.get("attacker_success_rate", 0.0))
 
 
 class ScenarioRunner:

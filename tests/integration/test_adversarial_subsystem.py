@@ -105,6 +105,48 @@ class TestSecuredTrades:
         # Restored state audits clean again.
         assert InvariantAuditor(platform).audit().ok
 
+    def test_admission_order_is_pinned(self):
+        """A direct buy is admitted before its stock check; auction and
+        negotiation check the listing first, so a sold-out one draws no
+        handshake.  Every admitted trade is redeemed, won or lost."""
+        platform = build_platform(
+            num_marketplaces=1, num_sellers=1, items_per_seller=4,
+            stock_per_item=1, seed=3, handshake_trades=True,
+        )
+        gateway = platform.gateway()
+        gateway.login("alice")
+        gateway.login("bob")
+        market = platform.marketplaces[0]
+        broker = market.handshakes
+        items = [listing.item for listing in market.catalog.listings()]
+
+        def counts():
+            return (broker.opened_count, broker.finalized_count, broker.redeemed_count)
+
+        assert gateway.buy("alice", items[0]).result.succeeded
+        assert counts() == (1, 1, 1)
+        assert not gateway.buy("bob", items[0]).result.succeeded
+        assert counts() == (2, 2, 2)
+        assert len(market.trade_handshakes) == 1
+        sold_out = items[0].price * 3
+        assert not gateway.join_auction("bob", items[0], max_price=sold_out).result.succeeded
+        assert not gateway.negotiate("bob", items[0], max_price=sold_out).result.succeeded
+        assert counts() == (2, 2, 2)
+        lost = gateway.join_auction("bob", items[1], max_price=items[1].price * 0.2)
+        assert lost.result.outcome["won"] is False
+        assert counts() == (3, 3, 3)
+        failed = gateway.negotiate("bob", items[2], max_price=items[2].price * 0.2)
+        assert failed.result.outcome["agreed"] is False
+        assert counts() == (4, 4, 4)
+        won = gateway.join_auction("alice", items[3], max_price=items[3].price * 3)
+        assert won.result.outcome["won"] is True
+        assert counts() == (5, 5, 5)
+        assert len(market.trade_handshakes) == 2
+
+        audit = InvariantAuditor(platform).audit()
+        assert audit.ok, audit.violations
+        assert audit.checks["handshake-backed-trades"] == 2
+
 
 class TestAdversaryDriver:
     def test_attack_mix_is_shed_with_zero_protocol_success(self):
@@ -197,7 +239,7 @@ class TestChaosMarketplaceDay:
         assert report.scenario == "chaos_marketplace_day"
         assert report.audit["ok"], report.audit["violations"]
         assert report.audit["violations"] == []
-        assert report.attacker_success_rate == 0.0
+        assert report.adversary["attacker_success_rate"] == 0.0
         assert report.as_dict()["adversary"]["protocol"]["succeeded"] == 0
         assert report.honest_goodput >= 0.85
         assert report.requests > 0

@@ -47,14 +47,11 @@ class TestHonestFlow:
         echo = AuthenticationService.respond(session.credential, session.nonce)
         broker.exchange(session.handshake_id, session.nonce, echo, now=11.0)
         assert session.state == TradeHandshake.VERIFIED
-        assert session.nonce_log == [session.nonce]
 
         transcript = broker.finalize(session.handshake_id, now=12.0)
         assert transcript.verified
         assert transcript.buyer == "alice"
         assert transcript.nonce == session.nonce
-        # Snippet-2 discipline: the nonce log is cleared on finalize.
-        assert session.nonce_log == []
         assert broker.completed[transcript.handshake_id] == transcript
 
     def test_transcript_redeems_exactly_once(self):
