@@ -16,14 +16,26 @@ The smoke asserts three bars: the retained total, the truncated total and
 the truncated ``core/profile.py``, the Figure 4.4 profile that the buyer
 server's UserDB stores.  The bars sit about 5 % above what the run measured
 when they were set (bytes per consumer on CPython 3.11, within ±10 B under
-any ``PYTHONHASHSEED``: retained 13 286, truncated 10 088).  The
+any ``PYTHONHASHSEED``: retained 11 545, truncated 10 088).  The
 ``platform/events.py`` line is a fixed cost divided by the community size,
 not a per-consumer one: the event log keeps only its last
 ``EventLog.RETAINED_ROWS`` rows (16 384), and the set-up records ~30 per
 consumer, so at 600 consumers the ring is full and the line is its value
 tuples, ~850 kB, over 600 (~1 420 B; the ring's columns are allocated with
 the platform, before the empty reading).  A larger community reads less
-there.  Bounding the log took the totals from 15 216 and 12 018, when that
+there.  Keeping each WAL entry as a row of columns (the op, an interned
+key tuple beside a tuple of the payload's values, a packed timestamp and
+size) instead of an entry object with its own copy of the payload dict
+took the retained total from 13 286 to 11 545; ``ecommerce/replication.py``
+went from 2 996 to 1 095 there.  The truncated total reads ~10 364 since
+then, not 10 088, although no more is live: the truncation frees the
+rows' value tuples, the tuple free lists keep up to 2 000 of each length
+for reuse, and ``tracemalloc`` counts a free-listed block as allocated,
+charged to the site that first allocated it (the value-tuple line of
+``ReplicationLog.append``, ~280 B per consumer).  With a full
+``gc.collect()`` before each reading, which empties the free lists, the
+truncated total read 10 061 before the change and 10 065 after.
+Bounding the log took the totals from 15 216 and 12 018, when that
 line was 3 319 B per consumer and grew with the community.  Keeping each
 event payload as a tuple of its values beside one shared key tuple per
 payload shape, instead of the caller's keyword dict, took the totals from
@@ -54,7 +66,7 @@ from repro.workload import ConsumerPopulation
 CONSUMERS = 600
 SEED = 1
 #: Bytes per consumer; see the module docstring for how they were set.
-RETAINED_BAR = 13_950
+RETAINED_BAR = 12_100
 TOTAL_BAR = 10_600
 PROFILE_BAR = 3_250
 

@@ -11,8 +11,13 @@ replicas — without a single read against the dead host's memory.
 
 - :class:`ReplicationLog` — the primary's write-ahead log.  Every durable
   UserDB mutation (registration, profile snapshot, observational rating,
-  transaction, login, unregistration) becomes a :class:`ReplicationLogEntry`
-  with a monotonic sequence number.  In-place profile *learning* updates —
+  transaction, login, unregistration) becomes a row with a monotonic
+  sequence number: the op, the payload's interned key tuple beside a tuple
+  of its values, the timestamp and a wire-size memo, one column each.  A
+  :class:`ReplicationLogEntry` — what a replica applies — is a view built
+  for a shipment: :meth:`ReplicationLog.append` wraps the mutation's own
+  payload dict, :meth:`ReplicationLog.entries_since` builds the rows it
+  returns.  In-place profile *learning* updates —
   which never pass through ``UserDB.store_profile`` — are captured through a
   :class:`~repro.core.profile_learning.ProfileLearner` update hook that
   snapshots the changed profile.  The log is **bounded**: once every peer has
@@ -74,7 +79,7 @@ the shipped dict as it is and builds the ``Profile`` on its first read
 (``UserDB.store_dump``; the built profile shares the dump's term dicts
 copy-on-write), and a snapshot reuses the dict of each consumer's latest
 ``store-profile`` entry instead of dumping the live profile again.  The WAL
-entry, the snapshot and every replica hold the same object.
+row, the snapshot and every replica hold the same object.
 
 **Replication semantics — what is durable, what is lost.**
 
@@ -99,6 +104,10 @@ entry, the snapshot and every replica hold the same object.
   tick) + (max per-peer lag)`` — a fixed bound whenever peers keep
   acknowledging.  ``replication.wal-truncated`` events and the
   ``replication.wal.truncated_entries`` counter make truncations observable.
+  A retained entry costs its row: ~40 bytes of column slots beside the
+  tuple of its payload's values (``tests/unit/test_wal_footprint.py``
+  bounds it).  Each row is sized on its first shipment and keeps the
+  figure, so a re-shipment never takes its ``repr`` again.
   A truncation costs one record per consumer written since the previous
   one (at most ``threshold`` + the tail of one tick — not the population)
   plus one shallow copy of the ``user id → dump`` map; only the first
@@ -110,6 +119,7 @@ entry, the snapshot and every replica hold the same object.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
@@ -120,6 +130,7 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
     TYPE_CHECKING,
 )
 
@@ -149,31 +160,34 @@ ENTRY_OVERHEAD_BYTES = 48
 #: Fixed framing overhead of one snapshot shipment.
 SNAPSHOT_OVERHEAD_BYTES = 256
 
+#: The wire size :class:`ReplicationLog` keeps for a row no shipment has
+#: sized yet.
+_UNSIZED = -1
+
 
 @dataclass(frozen=True, slots=True)
 class ReplicationLogEntry:
     """One write-ahead-log entry: a durable mutation with a sequence number.
 
-    Slotted: a consumer's set-up leaves about eight of them in the log until
-    the next truncation."""
+    The unit a replica applies, and a view: :class:`ReplicationLog` keeps
+    its entries as rows of columns and builds one only to hand it out, so
+    an entry lives as long as the shipment that carries it."""
 
     seq: int
     op: str
     payload: Dict[str, Any]
     timestamp: float
-    #: payload_bytes(), once the first shipment sized it.  Sound because no
-    #: payload changes after append: it is the log's own shallow copy of
-    #: immutable values and a ``to_dict()`` dump, and every holder of the
-    #: dump (the replicas' shadow UserDBs, the snapshot) only reads it.
-    _size: Optional[int] = field(default=None, init=False, compare=False, repr=False)
 
     def payload_bytes(self) -> int:
         """Deterministic wire-size estimate used to charge the network."""
-        size = self._size
-        if size is None:
-            size = ENTRY_OVERHEAD_BYTES + len(repr(self.payload))
-            object.__setattr__(self, "_size", size)
-        return size
+        return ENTRY_OVERHEAD_BYTES + len(repr(self.payload))
+
+
+def _entry(
+    seq: int, op: str, keys: Tuple[str, ...], values: Tuple[Any, ...], timestamp: float
+) -> ReplicationLogEntry:
+    """The :class:`ReplicationLogEntry` view of one row of the log."""
+    return ReplicationLogEntry(seq, op, dict(zip(keys, values)), timestamp)
 
 
 @dataclass(frozen=True)
@@ -214,16 +228,35 @@ class ReplicationLog:
     numbers keep counting from where they were; only the storage goes.
     ``len(log)`` is the *retained* entry count, :attr:`last_seq` the newest
     sequence number ever appended.
+
+    Storage is one row per retained entry across five columns: the op,
+    one string per distinct op; the payload's key tuple, one object per
+    payload shape, beside a tuple of its values; the timestamp, a packed
+    double; and the wire size, a packed integer that is ``_UNSIZED`` until
+    the row's first shipment.  A row's sequence number is implied:
+    :attr:`truncated_seq` + 1 + its index.  That is ~40 bytes beside the
+    value tuple.  :meth:`append` returns the one
+    :class:`ReplicationLogEntry` view around the caller's own dict, and
+    :meth:`entries_since` builds views, each with a fresh payload dict
+    (keys in append order), for just the rows it returns.
     """
 
     def __init__(self) -> None:
-        self._entries: List[ReplicationLogEntry] = []
+        self._ops: List[str] = []
+        self._keys: List[Tuple[str, ...]] = []
+        self._values: List[Tuple[Any, ...]] = []
+        self._timestamps = array("d")
+        self._sizes = array("q")
+        self._columns = (self._ops, self._keys, self._values, self._timestamps, self._sizes)
+        # Each distinct op string and payload key tuple, as first appended.
+        self._strings: Dict[str, str] = {}
+        self._shapes: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._base_seq = 0  # every entry with seq <= _base_seq has been truncated
 
     @property
     def last_seq(self) -> int:
         """Sequence number of the newest entry (0 when nothing was appended)."""
-        return self._base_seq + len(self._entries)
+        return self._base_seq + len(self._ops)
 
     @property
     def truncated_seq(self) -> int:
@@ -232,15 +265,23 @@ class ReplicationLog:
 
     def __len__(self) -> int:
         """Retained (untruncated) entry count — the log's actual memory."""
-        return len(self._entries)
+        return len(self._ops)
 
     def append(self, op: str, payload: Dict[str, Any], timestamp: float) -> ReplicationLogEntry:
-        """Append one mutation; sequence numbers start at 1 and never skip."""
-        entry = ReplicationLogEntry(
-            seq=self.last_seq + 1, op=op, payload=dict(payload), timestamp=timestamp
-        )
-        self._entries.append(entry)
-        return entry
+        """Append one mutation; sequence numbers start at 1 and never skip.
+
+        The log keeps ``payload``'s keys and values, not the dict; the entry
+        returned wraps the dict itself, so it must be one nothing changes
+        afterwards (every caller builds a fresh one per mutation)."""
+        # The one write that can refuse its value goes first, so a bad
+        # timestamp leaves every column as it was.
+        self._timestamps.append(timestamp)
+        keys = tuple(payload)
+        self._ops.append(self._strings.setdefault(op, op))
+        self._keys.append(self._shapes.setdefault(keys, keys))
+        self._values.append(tuple(payload.values()))
+        self._sizes.append(_UNSIZED)
+        return ReplicationLogEntry(self.last_seq, op, payload, self._timestamps[-1])
 
     def entries_since(self, seq: int) -> List[ReplicationLogEntry]:
         """Every retained entry with a sequence number strictly greater than ``seq``.
@@ -256,7 +297,38 @@ class ReplicationLog:
                 f"entries through seq {self._base_seq} have been truncated; "
                 f"bootstrap from the snapshot instead of replaying from {seq}"
             )
-        return list(self._entries[seq - self._base_seq:])
+        first = seq - self._base_seq
+        if first >= len(self._ops):
+            return []
+        return list(map(
+            _entry,
+            range(seq + 1, self.last_seq + 1),
+            self._ops[first:],
+            self._keys[first:],
+            self._values[first:],
+            self._timestamps[first:],
+        ))
+
+    def shipment_bytes(self, entries: Sequence[ReplicationLogEntry]) -> int:
+        """The wire size of shipping ``entries``, retained rows of this log:
+        the sum of their :meth:`~ReplicationLogEntry.payload_bytes`.
+
+        A row is sized once, from its entry's payload, on its first
+        shipment; the size column keeps the figure and every later shipment
+        (a second peer, a catch-up) reads it.  Sound because no payload
+        changes after :meth:`append`: its values are immutable, or a
+        ``to_dict()`` dump that every holder (the replicas' shadow UserDBs,
+        the snapshot) only reads.
+        """
+        sizes, first = self._sizes, self._base_seq + 1
+        total = 0
+        for entry in entries:
+            row = entry.seq - first
+            size = sizes[row]
+            if size == _UNSIZED:
+                size = sizes[row] = entry.payload_bytes()
+            total += size
+        return total
 
     def truncate_through(self, seq: int) -> int:
         """Drop every entry with a sequence number ``<= seq``; return the count.
@@ -272,7 +344,8 @@ class ReplicationLog:
                 f"cannot truncate through {seq}: the log only reaches {self.last_seq}"
             )
         dropped = seq - self._base_seq
-        del self._entries[:dropped]
+        for column in self._columns:
+            del column[:dropped]
         self._base_seq = seq
         return dropped
 
@@ -608,7 +681,7 @@ class ReplicationManager:
         if not entries:
             self._record_lag(peer)
             return 0
-        payload_bytes = sum(entry.payload_bytes() for entry in entries)
+        payload_bytes = self.log.shipment_bytes(entries)
         try:
             transport.deliver(self.name, peer.name, "replication", payload_bytes)
         except NetworkError:

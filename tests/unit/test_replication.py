@@ -5,6 +5,7 @@ idempotent duplicates, gap stalls), streaming over the simulated network and
 the anti-entropy catch-up after outages.
 """
 
+import operator
 from types import SimpleNamespace
 
 import pytest
@@ -183,6 +184,33 @@ class TestStreamingReplication:
             == owner.user_db.ratings.interactions_of("ann")
         )
 
+    def test_a_synchronous_shipment_applies_the_entry_append_returned(
+        self, replicated_platform
+    ):
+        """The append-and-ship path builds no view of the row it just
+        appended: the replica applies the entry around the mutation's own
+        payload dict."""
+        platform = replicated_platform
+        owner = platform.fleet.server_for("ann")
+        replica = owner.replication.peers[0].replication.hosted[owner.name]
+        appended, applied = [], []
+        append, apply_entries = owner.replication.log.append, replica.apply_entries
+
+        def recording_append(op, payload, timestamp):
+            appended.append(append(op, payload, timestamp))
+            return appended[-1]
+
+        def recording_apply(entries):
+            applied.extend(entries)
+            return apply_entries(entries)
+
+        owner.replication.log.append = recording_append
+        replica.apply_entries = recording_apply
+        assert platform.gateway().login("ann").ok
+        assert [entry.op for entry in appended] == ["register", "login"]
+        assert len(applied) == len(appended)
+        assert all(map(operator.is_, applied, appended))
+
     def test_replication_traffic_is_charged_to_the_network(self, replicated_platform):
         platform = replicated_platform
         before = platform.network.total_bytes
@@ -280,6 +308,18 @@ class TestLogTruncation:
         # Appending continues the original numbering.
         entry = log.append("login", {"user_id": "ann", "timestamp": 9.0}, 9.0)
         assert entry.seq == 6
+
+    def test_truncation_keeps_every_column_of_the_rows_it_retains(self):
+        log = ReplicationLog()
+        for step, (op, payload) in enumerate(_entry_payloads()):
+            log.append(op, payload, timestamp=float(step))
+        log.truncate_through(3)
+        kept = log.entries_since(3)
+        assert [(entry.seq, entry.op, entry.timestamp) for entry in kept] == [
+            (4, "transaction", 3.0), (5, "login", 4.0),
+        ]
+        assert kept[1].payload == {"user_id": "ann", "timestamp": 6.0}
+        assert log.shipment_bytes(kept) == sum(entry.payload_bytes() for entry in kept)
 
     def test_entries_below_the_truncation_point_are_refused(self):
         log = self._filled_log()
