@@ -10,14 +10,24 @@ running platform.  ``tracemalloc`` attributes every block alive at a
 reading to the source file that allocated it, and the difference from the
 empty platform, divided by the community size, is the per-consumer cost of
 each ``repro`` module.  Blocks allocated elsewhere (the standard library,
-on behalf of ``repro`` code) are one line, ``(outside repro)``.
+on behalf of ``repro`` code) are one line, ``(outside repro)``.  Each
+reading, the empty one included, follows a full ``gc.collect()``: that
+empties the object free lists, whose parked blocks ``tracemalloc`` would
+count as allocated (see below).
 
 The smoke asserts three bars: the retained total, the truncated total and
 the truncated ``core/profile.py``, the Figure 4.4 profile that the buyer
-server's UserDB stores.  The bars sit about 5 % above what the run measured
-when they were set (bytes per consumer on CPython 3.11, within ±10 B under
-any ``PYTHONHASHSEED``: retained 11 545, truncated 10 088).  The
-``platform/events.py`` line is a fixed cost divided by the community size,
+server's UserDB stores.  The total bars sit about 5 % above what the run
+measured when they were set (bytes per consumer on CPython 3.11, the same
+under any ``PYTHONHASHSEED``: retained 9 863, truncated 9 488).  Holding
+one profile version per consumer in the WAL (a superseded
+``store-profile`` row reads the consumer's latest dump) took the retained
+total from 11 549 to 10 445 and left the truncated one at 10 070, and
+deriving ``RatingsStore.last_interaction_at`` from the consumer's own
+interactions instead of a ``(user, item)``-keyed timestamp map took
+another 582 from each (``core/ratings.py`` 1 675 → 1 094 retained); all
+four figures are read with the collection, which the ledger took up in
+the same change.  The ``platform/events.py`` line is a fixed cost divided by the community size,
 not a per-consumer one: the event log keeps only its last
 ``EventLog.RETAINED_ROWS`` rows (16 384), and the set-up records ~30 per
 consumer, so at 600 consumers the ring is full and the line is its value
@@ -27,14 +37,14 @@ there.  Keeping each WAL entry as a row of columns (the op, an interned
 key tuple beside a tuple of the payload's values, a packed timestamp and
 size) instead of an entry object with its own copy of the payload dict
 took the retained total from 13 286 to 11 545; ``ecommerce/replication.py``
-went from 2 996 to 1 095 there.  The truncated total reads ~10 364 since
-then, not 10 088, although no more is live: the truncation frees the
-rows' value tuples, the tuple free lists keep up to 2 000 of each length
-for reuse, and ``tracemalloc`` counts a free-listed block as allocated,
-charged to the site that first allocated it (the value-tuple line of
-``ReplicationLog.append``, ~280 B per consumer).  With a full
-``gc.collect()`` before each reading, which empties the free lists, the
-truncated total read 10 061 before the change and 10 065 after.
+went from 2 996 to 1 095 there.  Read without a collection, the truncated
+total rose from 10 088 to ~10 364 then, although no more was live: the
+truncation frees the rows' value tuples, the tuple free lists keep up to
+2 000 of each length for reuse, and ``tracemalloc`` counts a free-listed
+block as allocated, charged to the site that first allocated it (the
+value-tuple line of ``ReplicationLog.append``, ~280 B per consumer).
+With the collection the truncated total read 10 061 before that change
+and 10 065 after, which is why every reading now collects first.
 Bounding the log took the totals from 15 216 and 12 018, when that
 line was 3 319 B per consumer and grew with the community.  Keeping each
 event payload as a tuple of its values beside one shared key tuple per
@@ -56,6 +66,7 @@ Run ``python -m pytest -q -s benchmarks/bench_memory.py`` to print the
 ledger, or ``python benchmarks/bench_memory.py``.
 """
 
+import gc
 import random
 import tracemalloc
 from pathlib import Path
@@ -66,8 +77,8 @@ from repro.workload import ConsumerPopulation
 CONSUMERS = 600
 SEED = 1
 #: Bytes per consumer; see the module docstring for how they were set.
-RETAINED_BAR = 12_100
-TOTAL_BAR = 10_600
+RETAINED_BAR = 10_350
+TOTAL_BAR = 9_950
 PROFILE_BAR = 3_250
 
 SOURCE_ROOT = Path(__import__("repro").__file__).resolve().parent
@@ -101,6 +112,7 @@ def measure(consumers: int = CONSUMERS, seed: int = SEED) -> tuple:
         gateway = platform.gateway()
         items = sorted(platform.catalog_view(), key=lambda item: item.item_id)
         picks = random.Random(seed)
+        gc.collect()  # free lists hold freed blocks tracemalloc counts as live
         empty = tracemalloc.take_snapshot()
         for consumer in population:
             user = consumer.user_id
@@ -110,8 +122,10 @@ def measure(consumers: int = CONSUMERS, seed: int = SEED) -> tuple:
             responses.append(gateway.logout(user))
             for response in responses:
                 assert response.ok, response.describe()
+        gc.collect()
         retained = tracemalloc.take_snapshot()
         platform.scheduler.run_until(platform.now)  # anti-entropy: WAL truncation
+        gc.collect()
         truncated = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()

@@ -54,10 +54,12 @@ hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_elas
 echo "== tier-1: benchmark smoke (adversarial chaos day + artifact reproduction) =="
 hooked python -m pytest -x -q -W error::DeprecationWarning benchmarks/bench_adversarial.py
 
-echo "== tier-1: memory ledger (tracemalloc bytes per consumer per module; =="
-echo "==         the WAL-retained and truncated totals and core/profile.py  =="
-echo "==         must stay under their bars; platform/events.py is the      =="
-echo "==         event log's fixed ring over the community size)            =="
+echo "== tier-1: memory ledger (tracemalloc bytes per consumer per module, =="
+echo "==         each reading after a full gc.collect(); the WAL-retained   =="
+echo "==         and truncated totals and core/profile.py must stay under   =="
+echo "==         their bars; the WAL holds one profile version per consumer;=="
+echo "==         platform/events.py is the event log's fixed ring over the  =="
+echo "==         community size)                                            =="
 hooked python -m pytest -x -q -s -W error::DeprecationWarning benchmarks/bench_memory.py
 
 echo "== tier-1: figure and capability benchmarks (timing disabled: every  =="

@@ -116,7 +116,10 @@ class HandshakeBroker:
     The broker owns all protocol state: open sessions, the set of
     consumed nonces (a nonce answers exactly one challenge, ever), the
     finalized transcripts and the set of transcripts already redeemed
-    for a trade (a transcript entitles its holder to exactly one).
+    for a trade (a transcript entitles its holder to exactly one).  A
+    session lives until its transcript is redeemed: what the replay rules
+    and the invariant auditor read afterwards is the transcript, the
+    consumed nonce and the redeemed id, not the session or its credential.
     """
 
     def __init__(self, marketplace: str, auth: AuthenticationService) -> None:
@@ -299,6 +302,7 @@ class HandshakeBroker:
                 f"for a trade; offer replay refused"
             )
         self._redeemed.add(transcript.handshake_id)
+        del self._sessions[transcript.handshake_id]
         self.redeemed_count += 1
         return transcript
 

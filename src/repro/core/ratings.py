@@ -65,9 +65,10 @@ class Interaction:
 class RatingsStore:
     """Accumulated user × item preference values built from interactions.
 
-    The store keeps, per (user, item), the accumulated implicit value and the
-    most recent timestamp, plus per-item aggregate statistics used by the
-    popularity and cross-sell recommenders.
+    The store keeps, per (user, item), the accumulated implicit value, plus
+    per-item aggregate statistics used by the popularity and cross-sell
+    recommenders; a (user, item) pair's latest timestamp is read back from
+    the user's interactions (:meth:`last_interaction_at`).
 
     Everything a consumer owns is held **per consumer**: the interactions in
     arrival order (``_interactions[user_id]`` — the only copy; there is no
@@ -85,7 +86,6 @@ class RatingsStore:
             raise RecommendationError("max_value must be positive")
         self.max_value = max_value
         self._values: Dict[str, Dict[str, float]] = {}
-        self._timestamps: Dict[Tuple[str, str], float] = {}
         # user -> interactions in arrival order; same key set as _values.
         self._interactions: Dict[str, List[Interaction]] = {}
         self._interaction_count = 0
@@ -105,7 +105,6 @@ class RatingsStore:
         current = user_values.get(interaction.item_id, 0.0)
         updated = min(self.max_value, current + interaction.implicit_value())
         user_values[interaction.item_id] = updated
-        self._timestamps[(interaction.user_id, interaction.item_id)] = interaction.timestamp
         self._interactions.setdefault(interaction.user_id, []).append(interaction)
         self._interaction_count += 1
         self._item_users.setdefault(interaction.item_id, set()).add(interaction.user_id)
@@ -128,7 +127,6 @@ class RatingsStore:
             return 0
         self._interaction_count -= len(removed)
         for item_id in self._values.pop(user_id):
-            del self._timestamps[(user_id, item_id)]
             users = self._item_users[item_id]
             users.discard(user_id)
             if not users:
@@ -190,7 +188,12 @@ class RatingsStore:
         return user_id in self._values
 
     def last_interaction_at(self, user_id: str, item_id: str) -> Optional[float]:
-        return self._timestamps.get((user_id, item_id))
+        """The timestamp of the user's latest-arrived interaction with the
+        item (None when there is none): a scan of their own history."""
+        for interaction in reversed(self._interactions.get(user_id, ())):
+            if interaction.item_id == item_id:
+                return interaction.timestamp
+        return None
 
     def interactions_of(self, user_id: str) -> List[Interaction]:
         """The user's interactions in arrival order (a copy)."""

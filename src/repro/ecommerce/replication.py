@@ -79,7 +79,22 @@ the shipped dict as it is and builds the ``Profile`` on its first read
 (``UserDB.store_dump``; the built profile shares the dump's term dicts
 copy-on-write), and a snapshot reuses the dict of each consumer's latest
 ``store-profile`` entry instead of dumping the live profile again.  The WAL
-row, the snapshot and every replica hold the same object.
+rows, the snapshot and every replica that applied the version hold the same
+object.
+
+**One profile version per consumer in the WAL.**  A retained
+``store-profile`` row that a later version of the same consumer has
+replaced reads the latest dump instead of its own: the consumer's rows
+since its last ``register`` / ``unregister`` share one values cell
+(:meth:`ReplicationLog.share_values`), and each row's wire size is fixed
+from its own dump before the cell gives that dump up, so shipments are
+charged the historic bytes.  A peer that has not applied a superseded row
+gets it in the same batch as the row that replaced it
+(:meth:`ReplicationLog.entries_since` returns the whole suffix, and a
+replica applies a batch in one call), so after every batch a replica holds
+the very dump the historic log would have left it with.  The latest dump of
+each consumer is the one version the WAL rows, the snapshot and every
+caught-up replica share.
 
 **Replication semantics — what is durable, what is lost.**
 
@@ -184,7 +199,7 @@ class ReplicationLogEntry:
 
 
 def _entry(
-    seq: int, op: str, keys: Tuple[str, ...], values: Tuple[Any, ...], timestamp: float
+    seq: int, op: str, keys: Tuple[str, ...], values: Sequence[Any], timestamp: float
 ) -> ReplicationLogEntry:
     """The :class:`ReplicationLogEntry` view of one row of the log."""
     return ReplicationLogEntry(seq, op, dict(zip(keys, values)), timestamp)
@@ -238,13 +253,16 @@ class ReplicationLog:
     value tuple.  :meth:`append` returns the one
     :class:`ReplicationLogEntry` view around the caller's own dict, and
     :meth:`entries_since` builds views, each with a fresh payload dict
-    (keys in append order), for just the rows it returns.
+    (keys in append order), for just the rows it returns.  A row's values
+    may instead be a cell that rows share and the caller rewrites
+    (:meth:`share_values`), which only :class:`ReplicationManager` does;
+    a log nobody calls it on reads back exactly what was appended.
     """
 
     def __init__(self) -> None:
         self._ops: List[str] = []
         self._keys: List[Tuple[str, ...]] = []
-        self._values: List[Tuple[Any, ...]] = []
+        self._values: List[Sequence[Any]] = []  # a tuple, or a shared cell
         self._timestamps = array("d")
         self._sizes = array("q")
         self._columns = (self._ops, self._keys, self._values, self._timestamps, self._sizes)
@@ -309,6 +327,30 @@ class ReplicationLog:
             self._timestamps[first:],
         ))
 
+    def share_values(self, seq: int, cell: List[Any]) -> None:
+        """Make retained row ``seq`` read its payload's values from ``cell``,
+        a list the caller rewrites later, instead of its own tuple: every row
+        that shares ``cell`` reads what it holds when :meth:`entries_since`
+        builds the row.  The caller fixes a row's size (:meth:`fix_size`)
+        before the row's own values leave ``cell``."""
+        self._values[self._row(seq)] = cell
+
+    def fix_size(self, seq: int) -> None:
+        """Size retained row ``seq`` from the payload it reads now, unless a
+        shipment already has: the figure :meth:`shipment_bytes` would keep."""
+        row = self._row(seq)
+        if self._sizes[row] == _UNSIZED:
+            payload = dict(zip(self._keys[row], self._values[row]))
+            self._sizes[row] = ENTRY_OVERHEAD_BYTES + len(repr(payload))
+
+    def _row(self, seq: int) -> int:
+        if not self._base_seq < seq <= self.last_seq:
+            raise ReplicationError(
+                f"seq {seq} is not retained: the log holds "
+                f"{self._base_seq + 1}..{self.last_seq}"
+            )
+        return seq - self._base_seq - 1
+
     def shipment_bytes(self, entries: Sequence[ReplicationLogEntry]) -> int:
         """The wire size of shipping ``entries``, retained rows of this log:
         the sum of their :meth:`~ReplicationLogEntry.payload_bytes`.
@@ -318,7 +360,8 @@ class ReplicationLog:
         (a second peer, a catch-up) reads it.  Sound because no payload
         changes after :meth:`append`: its values are immutable, or a
         ``to_dict()`` dump that every holder (the replicas' shadow UserDBs,
-        the snapshot) only reads.
+        the snapshot) only reads.  A row whose shared values cell later
+        reads another dump was sized from its own first (:meth:`fix_size`).
         """
         sizes, first = self._sizes, self._base_seq + 1
         total = 0
@@ -485,7 +528,9 @@ class ReplicationManager:
     logged and (network permitting) shipped immediately; the scheduled
     anti-entropy task re-ships anything a peer missed and — when a
     ``truncate_threshold`` is configured — snapshots and truncates the
-    fully-acknowledged WAL prefix so the log stays bounded.
+    fully-acknowledged WAL prefix so the log stays bounded.  The log holds
+    one profile version per consumer: a superseded ``store-profile`` row
+    reads the consumer's latest dump (see :meth:`_append_and_stream`).
     """
 
     def __init__(
@@ -511,6 +556,12 @@ class ReplicationManager:
         #: reuses.  A ``register`` / ``unregister`` entry drops it, since it
         #: no longer is that consumer's profile.
         self._dumps: Dict[str, Dict[str, Any]] = {}
+        #: user id → (seq of that consumer's latest retained
+        #: ``store-profile`` row, the one-slot values cell every retained
+        #: ``store-profile`` row of the consumer since its last ``register``
+        #: / ``unregister`` reads).  Truncation drops a consumer whose
+        #: latest row it dropped; see :meth:`_append_and_stream`.
+        self._versions: Dict[str, Tuple[int, List[Any]]] = {}
         self.peers: List["BuyerAgentServer"] = []
         #: Highest sequence number each peer has acknowledged applying.
         self._acked: Dict[str, int] = {}
@@ -613,13 +664,32 @@ class ReplicationManager:
     def _append_and_stream(
         self, op: str, payload: Dict[str, Any], user_id: str
     ) -> None:
-        """The one door into the WAL: every entry names the consumer it changes."""
+        """The one door into the WAL: every entry names the consumer it changes.
+
+        A ``store-profile`` row joins the consumer's values cell: the
+        consumer's previous latest row is sized from its own dump, then the
+        cell takes the new dump, so every retained ``store-profile`` row of
+        the consumer reads the latest one (see the module docstring for why
+        replicas cannot tell).  A ``register`` / ``unregister`` row starts
+        a fresh cell.
+        """
         self._touched.add(user_id)
+        log = self.log
+        entry = log.append(op, payload, timestamp=self.server.context.now)
         if op == "store-profile":
-            self._dumps[user_id] = payload["profile"]
+            dump = self._dumps[user_id] = payload["profile"]
+            latest = self._versions.get(user_id)
+            if latest is None:
+                cell = [dump]
+            else:
+                superseded, cell = latest
+                log.fix_size(superseded)
+                cell[0] = dump
+            log.share_values(entry.seq, cell)
+            self._versions[user_id] = (entry.seq, cell)
         elif op == "register" or op == "unregister":
             self._dumps.pop(user_id, None)
-        entry = self.log.append(op, payload, timestamp=self.server.context.now)
+            self._versions.pop(user_id, None)
         if not self.server.context.host.is_running:
             return  # crashed primaries cannot ship; the tail is the lag
         for peer in self.peers:
@@ -799,6 +869,11 @@ class ReplicationManager:
         self.snapshot = self._capture_snapshot()
         self._touched = set()
         dropped = self.log.truncate_through(safe)
+        self._versions = {
+            user_id: latest
+            for user_id, latest in self._versions.items()
+            if latest[0] > safe
+        }
         transport = self.server.context.transport
         transport.metrics.counter("replication.wal.truncated_entries").increment(dropped)
         transport.event_log.record(

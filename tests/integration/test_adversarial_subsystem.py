@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import ApiStatus
+from repro.errors import ReplayedOfferError
 from repro.workload import AdversaryDriver, ConcurrentDriver, ConsumerPopulation
 from repro.workload.scenarios import ScenarioRunner
 from repro.adversarial.audit import InvariantAuditor
@@ -104,6 +105,29 @@ class TestSecuredTrades:
 
         # Restored state audits clean again.
         assert InvariantAuditor(platform).audit().ok
+
+    def test_a_redeemed_handshake_leaves_no_session_behind(self):
+        """A broker forgets each session, credential included, once its
+        transcript is spent; the replay rule and the audit read what stays."""
+        platform = build_platform(
+            num_marketplaces=1, num_sellers=1, items_per_seller=1,
+            stock_per_item=200, seed=3, handshake_trades=True,
+        )
+        gateway = platform.gateway()
+        gateway.login("alice")
+        market = platform.marketplaces[0]
+        broker = market.handshakes
+        item = market.catalog.listings()[0].item
+        for _ in range(200):
+            assert gateway.buy("alice", item).result.succeeded
+        assert broker.redeemed_count == len(broker.completed) == 200
+        assert broker._sessions == {}
+        spent = next(iter(market.trade_handshakes.values()))
+        with pytest.raises(ReplayedOfferError, match="already redeemed"):
+            broker.redeem(spent)
+        audit = InvariantAuditor(platform).audit()
+        assert audit.ok, audit.violations
+        assert audit.checks["handshake-backed-trades"] == 200
 
     def test_admission_order_is_pinned(self):
         """A direct buy is admitted before its stock check; auction and

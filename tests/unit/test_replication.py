@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ECommerceError, ReplicationError
 from repro.core.profile import Profile
+from repro.core.profile_learning import FeedbackEvent
 from repro.core.ratings import Interaction, InteractionKind
 from repro.ecommerce.platform_builder import (
     ANTI_ENTROPY_INTERVAL_MS,
@@ -252,6 +253,44 @@ class TestStreamingReplication:
             == owner.user_db.profile("ann").to_dict()
         )
         assert platform.event_log.count("replication.catch-up") >= 1
+
+    @pytest.mark.parametrize("down", ["peer", "primary"])
+    def test_a_catch_up_charges_each_superseded_version_its_own_bytes(
+        self, replicated_platform, down
+    ):
+        """The WAL keeps one profile version per consumer: the versions a
+        peer missed reach it as the latest dump, and the catch-up is
+        charged what shipping every historic version would have cost —
+        also when no failed shipment sized the rows (the primary was down)."""
+        platform = replicated_platform
+        assert platform.gateway().login("ann").ok
+        owner = platform.fleet.server_for("ann")
+        peer = owner.replication.peers[0]
+        replica = peer.replication.hosted[owner.name]
+        log = owner.replication.log
+        versions, append = [], log.append
+
+        def recording(op, payload, timestamp):
+            versions.append(payload["profile"])
+            return append(op, payload, timestamp)
+
+        log.append = recording
+        host = peer if down == "peer" else owner
+        platform.failures.crash_host(host.name)
+        profile = owner.user_db.profile("ann")
+        by_category = {item.category: item for item in platform.catalog_view()}
+        for at, item in enumerate(sorted(by_category.values(), key=lambda item: item.item_id)[:3]):
+            owner.profile_learner.apply(
+                profile, FeedbackEvent("ann", item, InteractionKind.QUERY, timestamp=float(at))
+            )
+        assert len({len(repr(version)) for version in versions}) == 3
+        assert owner.replication.lag_of(peer.name) == 3
+        platform.failures.recover_host(host.name)
+        assert owner.replication.catch_up(peer.name) == 0
+        charged = platform.event_log.last_payload("transfer.replication")["payload_bytes"]
+        assert charged == sum(48 + len(repr({"profile": version})) for version in versions)
+        assert replica.db._dumps["ann"] is versions[-1]
+        assert replica.db.profile("ann").to_dict() == profile.to_dict()
 
     def test_lag_is_visible_in_metrics(self, replicated_platform):
         platform = replicated_platform
