@@ -73,7 +73,7 @@ class InvariantAuditor:
         fleet = self.platform.fleet
         if fleet is None:
             return [self.platform.buyer_server]
-        return [server for server in fleet.servers if server.name not in fleet.retired]
+        return fleet.members()
 
     # -- the sweep ----------------------------------------------------------
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union,
 )
 
 from repro.errors import ShardMapError
@@ -70,7 +70,7 @@ def _stable_hash(text: str) -> int:
 
 
 def merge_topk(
-    ranked_lists: Sequence[Optional[List[Tuple[str, float]]]],
+    ranked_lists: Iterable[List[Tuple[str, float]]],
     top_k: int,
 ) -> List[Tuple[str, float]]:
     """Fold per-shard ranked ``(user_id, score)`` lists into the global top-k.
@@ -92,16 +92,9 @@ def merge_topk(
     an unreachable shard may still contain a consumer who migrated away (or
     was drained to a survivor) before the crash, and scoring them twice must
     not push a genuine neighbour out of the top-k.
-
-    ``None`` entries — shards that timed out or were unreachable during a
-    fleet fan-out — are tolerated and skipped, so a degraded query merges
-    what it has instead of raising; callers report the gap via
-    :class:`~repro.ecommerce.fleet.FleetQueryResult`.
     """
     best: Dict[str, float] = {}
     for ranked in ranked_lists:
-        if ranked is None:
-            continue
         for user_id, score in ranked:
             current = best.get(user_id)
             if current is None or score > current:

@@ -126,10 +126,7 @@ class FleetAutoscaler:
         #: The founding fleet size is the default shrink floor: the
         #: autoscaler only ever removes capacity it (or a peer caller)
         #: added, never the topology the platform was built with.
-        self.floor = max(
-            self.policy.min_servers or 0,
-            len(self.fleet.servers) - len(self.fleet.retired),
-        )
+        self.floor = max(self.policy.min_servers or 0, len(self.fleet.members()))
         self.decisions: List[AutoscalerDecision] = []
         self._added: List["BuyerAgentServer"] = []
         self._rejected_last = self._rejected_now()
@@ -144,10 +141,7 @@ class FleetAutoscaler:
     def active_servers(self) -> List["BuyerAgentServer"]:
         """Fleet servers that are serving: running and not retired."""
         return [
-            server
-            for server in self.fleet.servers
-            if server.name not in self.fleet.retired
-            and server.context.host.is_running
+            server for server in self.fleet.members() if server.context.host.is_running
         ]
 
     def signals(self) -> Dict[str, float]:

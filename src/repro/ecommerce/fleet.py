@@ -38,6 +38,9 @@ FANOUT_BYTES_PER_RESULT = 48
 #: Simulated cost of merging one candidate during fan-out result merge.
 FANOUT_MERGE_COST_PER_CANDIDATE_MS = 0.001
 
+#: One shard's answer to a fan-out ask: its ranking and the round trip (ms).
+_Answer = Tuple[List[Tuple[str, float]], float]
+
 
 def _latency_percentile(ordered: List[float], fraction: float) -> float:
     """The ``fraction``-th percentile of ascending ``ordered`` latencies.
@@ -48,8 +51,6 @@ def _latency_percentile(ordered: List[float], fraction: float) -> float:
     """
     if not ordered:
         return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
     rank = fraction * (len(ordered) - 1)
     low = int(rank)
     high = min(low + 1, len(ordered) - 1)
@@ -65,9 +66,9 @@ class FleetQueryResult:
     responded.  ``unreachable_shards`` names the servers that could not be
     reached **and** had no live replica to answer for them; a shard whose
     primary was unreachable but whose freshest live replica answered instead
-    appears in ``stale_shards`` (server name → replica lag in WAL entries,
-    relative to the primary's log when it is still running, else to the
-    freshest live replica).  Either kind of gap marks the answer
+    appears in ``stale_shards`` (server name → replica lag in WAL entries
+    behind the primary's log when it is still running, else 0: the answering
+    replica is the freshest live copy).  Either kind of gap marks the answer
     :attr:`degraded`: correct for the reachable community, possibly stale —
     or silent — about the rest.
     """
@@ -90,28 +91,9 @@ class FleetQueryResult:
     merge_ms: float = 0.0
 
     @property
-    def unreachable_count(self) -> int:
-        """How many shards could not be reached *and* had no replica answer.
-
-        Replica-answered shards are not counted here — they contributed to
-        the merge and are reported separately in :attr:`stale_shards`.
-        """
-        return len(self.unreachable_shards)
-
-    @property
     def degraded(self) -> bool:
         """True when at least one shard was answered from a replica or not at all."""
         return bool(self.unreachable_shards or self.stale_shards)
-
-    @property
-    def repaired(self) -> bool:
-        """True when at least one stale-answered shard was caught up (lag 0).
-
-        Per-shard detail lives in :attr:`repaired_shards`; compare it
-        against :attr:`stale_shards` when "every consulted replica is now
-        fresh" is the question.
-        """
-        return bool(self.repaired_shards)
 
 
 @dataclass
@@ -309,6 +291,14 @@ class BuyerServerFleet:
             if shard in shards
         )
 
+    def members(self) -> List[BuyerAgentServer]:
+        """The servers not retired, in fleet order."""
+        return [server for server in self.servers if server.name not in self.retired]
+
+    def _owning_servers(self) -> List[BuyerAgentServer]:
+        """The servers owning a shard, in fleet order (retired hosts own none)."""
+        return [server for server in self.servers if self.shards_of(server)]
+
     def shard_sizes(self) -> List[int]:
         sizes = [0] * self.num_shards
         for owner in self._assignment.values():
@@ -336,10 +326,7 @@ class BuyerServerFleet:
         owner = self.owner_of_shard(shard)
         if owner.context.host.is_running:
             return owner.user_db.is_registered(user_id)
-        return any(
-            state.db.is_registered(user_id)
-            for _, state in self.replica_holders(owner)
-        )
+        return self._replica_knowing(owner, user_id) is not None
 
     # -- fan-out query --------------------------------------------------------------
 
@@ -359,13 +346,14 @@ class BuyerServerFleet:
         ``platform.metrics`` (``fleet.fanout.shard.<server>.latency_ms``
         timers plus the ``fleet.fanout.latency_ms`` total).
 
-        Shards that cannot answer — crashed hosts, partitioned or cut links,
-        transfers dropped by the loss model — get **quorum-aware degraded
-        semantics**: when the unreachable primary has a live replica, its
-        shard is answered from the *freshest* replica holder (a brute-force
-        scan of the replica's shadow profiles — exact over the replicated
-        prefix) and reported in :attr:`FleetQueryResult.stale_shards` with
-        the replica's lag; only shards with no replica either end up in
+        Every shard answer is one *ask*: rank the target on an index, then
+        charge the round trip to whoever ranked it; a dropped RPC is no
+        answer.  A primary that cannot answer — crashed host, partitioned or
+        cut link, transfer dropped by the loss model — gets **quorum-aware
+        degraded semantics**: its shard is asked of the *freshest* live
+        replica holder instead (:meth:`_replica_answer`) and reported in
+        :attr:`FleetQueryResult.stale_shards` with the replica's lag; only
+        shards with no replica answer end up in
         :attr:`FleetQueryResult.unreachable_shards` (and the
         ``fleet.fanout.unreachable_shards`` counter).  Either way the
         response is marked :attr:`~FleetQueryResult.degraded` and the merge
@@ -377,99 +365,74 @@ class BuyerServerFleet:
         """
         owner = self.server_for(user_id)
         config = config or owner.recommendations.similarity_config
-        # Resolve the target profile without touching crashed memory: a dead
-        # owner's consumer is read from the freshest live replica instead.
         if owner.context.host.is_running:
-            origin = owner
-            target = owner.user_db.profile(user_id)
+            origin, target = owner, owner.user_db.profile(user_id)
         else:
-            holders = self.replica_holders(owner)
-            source = next(
-                (
-                    (server, state)
-                    for server, state in holders
-                    if state.db.is_registered(user_id)
-                ),
-                None,
-            )
+            source = self._replica_knowing(owner, user_id)
             if source is None:
                 raise ECommerceError(
                     f"server {owner.name!r} is down and no live replica knows "
                     f"consumer {user_id!r}"
                 )
-            origin = source[0]
-            target = source[1].db.profile(user_id)
+            origin, target = source[0], source[1].db.profile(user_id)
         transport = origin.context.transport
         network = transport.network
         clock = transport.scheduler.clock
 
-        per_shard: List[Optional[List[Tuple[str, float]]]] = []
-        shard_positions: Dict[str, int] = {}
+        def ask(answerer: BuyerAgentServer, index) -> Optional[_Answer]:
+            ranked = index.find_similar(target, category=category, config=config)
+            try:
+                return ranked, network.round_trip_latency(
+                    origin.name,
+                    answerer.name,
+                    FANOUT_REQUEST_BYTES,
+                    FANOUT_BYTES_PER_RESULT * len(ranked),
+                )
+            except NetworkError:
+                # Down link, partition or dropped transfer: the work was done
+                # but the response never arrived — a timeout, not a crash.
+                return None
+
+        answers: Dict[str, List[Tuple[str, float]]] = {}
         shard_latencies: Dict[str, float] = {}
         unreachable: List[str] = []
         stale: Dict[str, int] = {}
         stale_holders: Dict[str, str] = {}
-        for server in self.servers:
-            # Fan out to each distinct *owning* server once, in fleet-list
-            # order (exactly the pre-ShardMap iteration order): a server
-            # holding several shards answers for all of them in one RPC, and
-            # retired hosts own nothing, so they are skipped for free.
-            if not self.shard_map.shards_of(server.name):
-                continue
-            ranked: Optional[List[Tuple[str, float]]] = None
-            latency = 0.0
+        # A server holding several shards answers for all of them in one RPC.
+        for server in self._owning_servers():
+            answer = None
             if server.context.host.is_running:
-                ranked = server.recommendations.neighbor_index.find_similar(
-                    target, category=category, config=config
-                )
-                try:
-                    latency = network.round_trip_latency(
-                        origin.name,
-                        server.name,
-                        FANOUT_REQUEST_BYTES,
-                        FANOUT_BYTES_PER_RESULT * len(ranked),
-                    )
-                except NetworkError:
-                    # Down link, partition or dropped transfer: the shard did
-                    # the work but the response never arrived — a timeout,
-                    # not a crash.  Fall through to the replica answer.
-                    ranked = None
-            if ranked is None:
-                fallback = self._stale_shard_answer(
-                    server, target, category, config, origin
-                )
-                if fallback is None:
+                answer = ask(server, server.recommendations.neighbor_index)
+            if answer is None:
+                # A shard whose community was handed to survivors (no replica
+                # holder was live at failover time) is answered by their live
+                # shards already; a holder back since would score it twice.
+                served = self.consumers_served_by(server)
+                holders = self.replica_holders(server) if served else []
+                replica = self._replica_answer(server, holders, ask)
+                if replica is None:
                     unreachable.append(server.name)
-                    per_shard.append(None)
                     continue
-                ranked, latency, lag, holder_name = fallback
-                stale[server.name] = lag
-                stale_holders[server.name] = holder_name
-            shard_latencies[server.name] = latency
-            per_shard.append(ranked)
-            shard_positions[server.name] = len(per_shard) - 1
+                answer, stale[server.name], stale_holders[server.name] = replica
+            answers[server.name], shard_latencies[server.name] = answer
             transport.metrics.timer(
                 f"fleet.fanout.shard.{server.name}.latency_ms"
-            ).record(latency)
+            ).record(answer[1])
 
         hedged: Tuple[str, ...] = ()
         hedge_won: Tuple[str, ...] = ()
         if self.hedge_delay_percentile is not None:
-            hedged, hedge_won = self._hedge_slowest(
-                target,
-                category,
-                config,
-                origin,
-                per_shard,
-                shard_positions,
-                shard_latencies,
-                stale,
-                stale_holders,
-                transport,
-            )
+            hedged, won = self._hedge_slowest(ask, shard_latencies, stale)
+            if won is not None:
+                hedge_won = hedged
+                name = hedged[0]
+                (answers[name], shard_latencies[name]), lag, holder = won
+                if lag > 0:
+                    stale[name] = lag
+                    stale_holders[name] = holder
 
         merge_ms = FANOUT_MERGE_COST_PER_CANDIDATE_MS * sum(
-            len(ranked) for ranked in per_shard if ranked is not None
+            len(ranked) for ranked in answers.values()
         )
         total_ms = max(shard_latencies.values(), default=0.0) + merge_ms
         clock.advance_by(total_ms)
@@ -506,7 +469,7 @@ class BuyerServerFleet:
         )
         repaired = self._read_repair(stale, stale_holders, transport)
         return FleetQueryResult(
-            neighbors=merge_topk(per_shard, config.top_k),
+            neighbors=merge_topk(answers.values(), config.top_k),
             shard_latencies_ms=shard_latencies,
             unreachable_shards=tuple(unreachable),
             stale_shards=stale,
@@ -517,38 +480,59 @@ class BuyerServerFleet:
             merge_ms=merge_ms,
         )
 
-    def _hedge_slowest(
+    def _replica_answer(
         self,
-        target,
-        category: Optional[str],
-        config: SimilarityConfig,
-        origin: BuyerAgentServer,
-        per_shard: List[Optional[List[Tuple[str, float]]]],
-        shard_positions: Dict[str, int],
-        shard_latencies: Dict[str, float],
-        stale: Dict[str, int],
-        stale_holders: Dict[str, str],
-        transport,
-    ) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        server: BuyerAgentServer,
+        holders: List[Tuple[BuyerAgentServer, ReplicaState]],
+        ask,
+    ) -> Optional[Tuple[_Answer, int, str]]:
+        """Ask ``server``'s shard of its freshest live holder, ``holders[0]``.
+
+        Returns ``((ranked, latency_ms), lag, holder_name)``, or None when
+        there is no holder or the network drops the round trip.  The ranking
+        comes from the replica's lazily built neighbor index over its shadow
+        profiles — byte-identical to a brute-force scan with the exact
+        fan-out sort key (and hence, for a fully caught-up replica, to the
+        primary's answer), but re-indexing only consumers the WAL touched
+        since the last read.  ``lag`` is the holder's distance behind the
+        primary's WAL when the primary host runs (its log is readable), else
+        0: the answering holder is the freshest live copy, the best
+        staleness bound reconstructable without touching dead memory.
+        """
+        if not holders:
+            return None
+        holder, state = holders[0]
+        answer = ask(holder, state.neighbor_index())
+        if answer is None:
+            return None
+        lag = 0
+        if server.context.host.is_running and server.replication is not None:
+            lag = server.replication.log.last_seq - state.applied_seq
+        return answer, lag, holder.name
+
+    def _hedge_slowest(
+        self, ask, shard_latencies: Dict[str, float], stale: Dict[str, int]
+    ) -> Tuple[Tuple[str, ...], Optional[Tuple[_Answer, int, str]]]:
         """Hedge the slowest primary-answered shard of one fan-out.
 
         The tail-at-scale move (Dean & Barroso): once the slowest shard's
         round trip exceeds the ``hedge_delay_percentile``-th percentile of
         this fan-out's latencies, a *hedge* — the same question, asked of
-        that shard's freshest live replica holder — is launched after that
-        percentile delay.  Whichever answer would arrive first is used, so
-        the shard is charged ``min(primary, delay + hedge)``; a winning
-        hedge replaces the shard's ranking with the replica's (its lag, if
-        any, is folded into ``stale``/read-repair exactly like a
-        replica-answered shard).  Mutates the fan-out accounting in place
-        and returns ``(hedged, hedge_won)`` shard-name tuples.
+        that shard's freshest live replica holder (:meth:`_replica_answer`)
+        — is launched after that percentile delay.  Whichever answer would
+        arrive first is used, so the shard is charged
+        ``min(primary, delay + hedge)``.  Returns the hedged shard (empty
+        when nothing was hedged) and, when the hedge won, its replica answer
+        with the latency already ``delay + hedge``; the caller folds it in
+        like a replica-answered shard.
 
         Only shards answered by their *primary* are candidates — a
         stale-answered shard already came from a replica, and an
-        unreachable shard has nothing to race.  A hedge whose transfer the
-        network drops simply loses (the primary answer stands); the hedge
-        RPC itself never advances the clock, because it runs inside the
-        same concurrent fan-out window the primaries occupy.
+        unreachable shard has nothing to race.  A shard without a live
+        holder is not hedged; a hedge whose transfer the network drops is
+        hedged and lost (the primary answer stands).  The hedge RPC itself
+        never advances the clock, because it runs inside the same
+        concurrent fan-out window the primaries occupy.
         """
         candidates = {
             name: latency
@@ -556,51 +540,28 @@ class BuyerServerFleet:
             if name not in stale
         }
         if len(shard_latencies) < 2 or not candidates:
-            return (), ()
+            return (), None
         delay = _latency_percentile(
             sorted(shard_latencies.values()), self.hedge_delay_percentile
         )
         # Deterministic slowest pick: max latency, name order breaking ties.
         slowest = max(sorted(candidates), key=lambda name: candidates[name])
-        primary_latency = candidates[slowest]
-        if primary_latency <= delay:
-            return (), ()
-        server = next(s for s in self.servers if s.name == slowest)
+        if candidates[slowest] <= delay:
+            return (), None
+        server = self._by_name[slowest]
         holders = self.replica_holders(server)
         if not holders:
-            return (), ()
-        holder, state = holders[0]
-        transport.metrics.counter("fleet.fanout.hedges").increment()
-        # The replica's lazily built neighbor index answers byte-identically
-        # to brute-forcing its shadow profiles (the PR-1 guarantee), while
-        # re-indexing only the consumers the WAL touched since the last read.
-        ranked = state.neighbor_index().find_similar(
-            target, category=category, config=config
-        )
-        try:
-            hedge_latency = origin.context.transport.network.round_trip_latency(
-                origin.name,
-                holder.name,
-                FANOUT_REQUEST_BYTES,
-                FANOUT_BYTES_PER_RESULT * len(ranked),
-            )
-        except NetworkError:
-            return (slowest,), ()
-        effective = delay + hedge_latency
-        if effective >= primary_latency:
-            return (slowest,), ()
-        transport.metrics.counter("fleet.fanout.hedge_wins").increment()
-        shard_latencies[slowest] = effective
-        per_shard[shard_positions[slowest]] = ranked
-        lag = (
-            server.replication.log.last_seq - state.applied_seq
-            if server.replication is not None
-            else 0
-        )
-        if lag > 0:
-            stale[slowest] = lag
-            stale_holders[slowest] = holder.name
-        return (slowest,), (slowest,)
+            return (), None
+        metrics = server.context.transport.metrics
+        metrics.counter("fleet.fanout.hedges").increment()
+        replica = self._replica_answer(server, holders, ask)
+        if replica is None:
+            return (slowest,), None
+        (ranked, hedge_latency), lag, holder = replica
+        if delay + hedge_latency >= candidates[slowest]:
+            return (slowest,), None
+        metrics.counter("fleet.fanout.hedge_wins").increment()
+        return (slowest,), ((ranked, delay + hedge_latency), lag, holder)
 
     def _read_repair(
         self,
@@ -623,15 +584,12 @@ class BuyerServerFleet:
         """
         repaired: List[str] = []
         for primary_name, holder_name in stale_holders.items():
-            primary = next(
-                (server for server in self.servers if server.name == primary_name),
-                None,
-            )
-            if primary is None or not primary.context.host.is_running:
-                continue
+            primary = self._by_name[primary_name]
             manager = primary.replication
-            if manager is None or not any(
-                peer.name == holder_name for peer in manager.peers
+            if (
+                not primary.context.host.is_running
+                or manager is None
+                or not any(peer.name == holder_name for peer in manager.peers)
             ):
                 continue
             lag_before = stale[primary_name]
@@ -649,55 +607,6 @@ class BuyerServerFleet:
                 transport.metrics.counter("fleet.fanout.read_repairs").increment()
         return tuple(repaired)
 
-    def _stale_shard_answer(
-        self,
-        server: BuyerAgentServer,
-        target,
-        category: Optional[str],
-        config: SimilarityConfig,
-        origin: BuyerAgentServer,
-    ) -> Optional[Tuple[List[Tuple[str, float]], float, int, str]]:
-        """Answer an unreachable server's shard from its freshest live replica.
-
-        Returns ``(ranked, latency_ms, lag, holder_name)`` or None when no
-        live replica can be reached either.  The ranking comes from the
-        replica's lazily built neighbor index over its shadow profiles —
-        byte-identical to a brute-force scan with the exact fan-out sort key
-        (and hence, for a fully caught-up replica, to the primary's answer),
-        but re-indexing only consumers the WAL touched since the last read.  ``lag`` is the replica's distance behind the primary's
-        WAL when the primary host is merely partitioned (its log is
-        readable), else behind the freshest live replica — the best
-        staleness bound reconstructable without touching dead memory.
-        """
-        if not self.consumers_served_by(server):
-            # Nothing is assigned to this server's shards any more — its
-            # community was handed to survivors (no replica holder was live
-            # at failover time), whose live shards already answer for every
-            # consumer.  A holder that came back since would score them
-            # twice, with frozen state shadowing their live profiles.
-            return None
-        holders = self.replica_holders(server)
-        if not holders:
-            return None
-        holder, state = holders[0]
-        ranked = state.neighbor_index().find_similar(
-            target, category=category, config=config
-        )
-        try:
-            latency = origin.context.transport.network.round_trip_latency(
-                origin.name,
-                holder.name,
-                FANOUT_REQUEST_BYTES,
-                FANOUT_BYTES_PER_RESULT * len(ranked),
-            )
-        except NetworkError:
-            return None
-        if server.context.host.is_running and server.replication is not None:
-            lag = server.replication.log.last_seq - state.applied_seq
-        else:
-            lag = max(s.applied_seq for _, s in holders) - state.applied_seq
-        return ranked, latency, lag, holder.name
-
     # -- scheduled fleet-wide refresh -----------------------------------------------
 
     def refresh_all(self, k: int = 10) -> "FleetRefreshReport":
@@ -711,9 +620,7 @@ class BuyerServerFleet:
         ``fleet.consumer-lost``) instead of silently dropped.
         """
         report = FleetRefreshReport()
-        for server in self.servers:
-            if not self.shards_of(server):
-                continue  # retired host (its shards were promoted away)
+        for server in self._owning_servers():
             self._refresh_server(server, k, report)
         return report
 
@@ -774,10 +681,8 @@ class BuyerServerFleet:
         def fire() -> None:
             self.scheduled_refreshes += 1
             report = FleetRefreshReport()
-            for server in self.servers:
+            for server in self._owning_servers():
                 now = server.context.now
-                if not self.shards_of(server):
-                    continue  # retired host: nothing assigned, nothing skipped
                 users = self._refresh_server(server, k, report)
                 if users is None:
                     server.refresh_skips += 1
@@ -856,6 +761,15 @@ class BuyerServerFleet:
                 holders.append((server, state))
         return sorted(holders, key=lambda pair: -pair[1].applied_seq)
 
+    def _replica_knowing(
+        self, server: BuyerAgentServer, user_id: str
+    ) -> Optional[Tuple[BuyerAgentServer, ReplicaState]]:
+        """The freshest live ``(holder, replica)`` of ``server`` knowing ``user_id``."""
+        for holder, state in self.replica_holders(server):
+            if state.db.is_registered(user_id):
+                return holder, state
+        return None
+
     def handle_server_failure(
         self,
         shard: int,
@@ -909,27 +823,6 @@ class BuyerServerFleet:
                 moved += 1
         return moved
 
-    def _report_lost(
-        self, dead: BuyerAgentServer, user_id: str, lost: List[str]
-    ) -> None:
-        """One consumer whose state never reached a live replica: record loss.
-
-        The consumer's registration died with the host (replication outage
-        tail); they are unassigned so a fresh registration can route them to
-        a live server rather than resurrecting them empty.
-        """
-        transport = self.servers[0].context.transport
-        lost.append(user_id)
-        self.lost_consumers += 1
-        del self._assignment[user_id]
-        transport.event_log.record(
-            transport.scheduler.clock.now,
-            "fleet.consumer-lost",
-            dead.name,
-            dead.name,
-            user_id=user_id,
-        )
-
     def _promote(
         self,
         dead: BuyerAgentServer,
@@ -962,8 +855,20 @@ class BuyerServerFleet:
             for user_id in self.consumers_of(shard):
                 if state.db.is_registered(user_id):
                     adopted.append(user_id)
-                else:
-                    self._report_lost(dead, user_id, lost)
+                    continue
+                # Never reached a live replica (replication outage tail): the
+                # registration died with the host, so the consumer is
+                # unassigned for a fresh registration, not resurrected empty.
+                lost.append(user_id)
+                del self._assignment[user_id]
+                transport.event_log.record(
+                    transport.scheduler.clock.now,
+                    "fleet.consumer-lost",
+                    dead.name,
+                    dead.name,
+                    user_id=user_id,
+                )
+        self.lost_consumers += len(lost)
         for user_id in adopted:
             promoted.user_db.adopt(state.db, user_id)
 
@@ -1063,6 +968,15 @@ class BuyerServerFleet:
             {shard: shard_map.owner_of(shard) for shard in shard_map.shard_ids()},
         )
 
+    def _check_target(self, target: BuyerAgentServer) -> None:
+        """Refuse a shard target that is not a running member of this fleet."""
+        if self._by_name.get(target.name) is not target:
+            raise ECommerceError(f"server {target.name!r} is not in this fleet")
+        if target.name in self.retired:
+            raise ECommerceError(f"server {target.name!r} is retired; re-add it first")
+        if not target.context.host.is_running:
+            raise ECommerceError(f"server {target.name!r} is not running")
+
     def transfer_shard(
         self, shard: int, target: BuyerAgentServer, kind: str = "handback"
     ) -> int:
@@ -1084,12 +998,7 @@ class BuyerServerFleet:
         Returns how many consumers moved.
         """
         source = self.owner_of_shard(shard)
-        if target.name not in self._by_name or self._by_name[target.name] is not target:
-            raise ECommerceError(f"server {target.name!r} is not in this fleet")
-        if target.name in self.retired:
-            raise ECommerceError(f"server {target.name!r} is retired; re-add it first")
-        if not target.context.host.is_running:
-            raise ECommerceError(f"server {target.name!r} is not running")
+        self._check_target(target)
         if source is target:
             return 0
         if not source.context.host.is_running:
@@ -1161,12 +1070,7 @@ class BuyerServerFleet:
         source = self.owner_of_shard(shard)
         if target is None:
             target = source
-        if target.name not in self._by_name or self._by_name[target.name] is not target:
-            raise ECommerceError(f"server {target.name!r} is not in this fleet")
-        if target.name in self.retired:
-            raise ECommerceError(f"server {target.name!r} is retired; re-add it first")
-        if not target.context.host.is_running:
-            raise ECommerceError(f"server {target.name!r} is not running")
+        self._check_target(target)
         if not source.context.host.is_running:
             raise ECommerceError(
                 f"server {source.name!r} is down; fail it over before splitting"
@@ -1220,7 +1124,7 @@ class BuyerServerFleet:
         retargeting a crash uses, minus the crash).  The name stays known
         to the fleet so :meth:`add_server` can re-join it.
         """
-        if server.name not in self._by_name or self._by_name[server.name] is not server:
+        if self._by_name.get(server.name) is not server:
             raise ECommerceError(f"server {server.name!r} is not in this fleet")
         if server.name in self.retired:
             return

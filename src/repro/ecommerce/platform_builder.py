@@ -510,7 +510,7 @@ class ECommercePlatform:
             payload["shard_map"] = self.fleet.shard_map.as_dict()
             payload["fleet"] = {
                 "servers": len(self.fleet.servers),
-                "active_servers": len(self.fleet.servers) - len(self.fleet.retired),
+                "active_servers": len(self.fleet.members()),
                 "retired": sorted(self.fleet.retired),
                 "handbacks": self.fleet.handbacks,
                 "splits": self.fleet.splits,

@@ -386,9 +386,7 @@ class ScenarioRunner:
                 f"{day} needs a multi-server fleet "
                 "(PlatformConfig.num_buyer_servers > 1)"
             )
-        founding = [
-            server for server in fleet.servers if server.name not in fleet.retired
-        ]
+        founding = fleet.members()
         if replicated and any(
             server.replication is None or not server.replication.peers
             for server in founding
